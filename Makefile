@@ -4,7 +4,7 @@ GO ?= go
 # target (and CI's coverage lane) fail if the suite drops below it.
 COVER_FLOOR ?= 73.0
 
-.PHONY: all vet build test test-short bench bench-campaign bench-obs trace scenarios storm service fuzz cover ci
+.PHONY: all vet build test test-short bench bench-campaign bench-obs trace goldens goldens-gen goldens-update scenarios storm service fuzz cover ci
 
 all: ci
 
@@ -66,6 +66,30 @@ bench-obs:
 trace:
 	$(GO) run ./cmd/scenarios -quick -out results -trace results/battery.jsonl -trace-format all
 
+# Byte-identical goldens: the cross-policy (BENCH_policy.json) and
+# cross-tuner (BENCH_tuner.json) studies, the quick scenario battery CSV
+# (scenarios.csv) and the battery's flight-recorder trace (battery.jsonl),
+# regenerated into $(GOLDEN_DIR) and checked against the committed sha256
+# manifest goldens.sha256. CI runs it in the default build and again with
+# GOFLAGS=-tags=purego; both must reproduce every file byte for byte. A
+# change that moves a golden on purpose rewrites the manifest with
+# `make goldens-update` and says why in CHANGES.md.
+GOLDEN_DIR ?= results/goldens
+GOLDEN_FILES = BENCH_policy.json BENCH_tuner.json scenarios.csv battery.jsonl
+
+goldens-gen:
+	rm -rf $(GOLDEN_DIR)
+	$(GO) run ./cmd/benchfigs -fig none -quick -out $(GOLDEN_DIR)/figs \
+		-policyjson $(GOLDEN_DIR)/BENCH_policy.json -tunerjson $(GOLDEN_DIR)/BENCH_tuner.json
+	$(GO) run ./cmd/scenarios -quick -tuners all -out $(GOLDEN_DIR)
+	$(GO) run ./cmd/scenarios -quick -out $(GOLDEN_DIR)/trace -trace $(GOLDEN_DIR)/battery.jsonl
+
+goldens: goldens-gen
+	cd $(GOLDEN_DIR) && sha256sum -c $(CURDIR)/goldens.sha256
+
+goldens-update: goldens-gen
+	cd $(GOLDEN_DIR) && sha256sum $(GOLDEN_FILES) > $(CURDIR)/goldens.sha256
+
 # The full scenario x tuner x policy matrix at quick fidelity: every regime
 # and fault scenario crossed with every registered tuner (search strategy)
 # and every registered policy, invariant-audited, per-cell CSV in
@@ -120,4 +144,4 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 	  { echo "coverage $$total% fell below the $(COVER_FLOOR)% floor"; exit 1; }
 
-ci: vet build test-short bench-campaign bench-obs scenarios storm service
+ci: vet build test-short bench-campaign bench-obs goldens scenarios storm service

@@ -76,17 +76,24 @@ func (o EnvOptions) withDefaults() EnvOptions {
 	return o
 }
 
-// Environment is an assembled simulated cloud. Build once; every campaign
-// run gets a fresh cluster over the same deterministic markets.
+// Environment is an assembled simulated cloud. Build once with
+// NewEnvironment; every campaign run gets a fresh cluster over the same
+// deterministic markets.
 type Environment struct {
 	Catalog *market.Catalog
 	Traces  market.TraceSet
 	// Store is the SoA packing of Traces, built once per environment and
 	// shared read-only by every cluster (and sweep worker) assembled from it.
-	Store      *market.Store
+	Store *market.Store
+	// markets resolves Catalog against Store once per environment; every
+	// cluster NewCluster builds quotes through it.
+	markets    *cloudsim.Markets
 	Grids      map[string]*market.Grid
 	Predictors map[string]revpred.Predictor
-	Pool       []string
+	// revProb pairs Grids with Predictors once per environment; every
+	// policy NewPolicy builds predicts through it.
+	revProb policy.RevProbFunc
+	Pool    []string
 
 	Start, End    time.Time
 	CampaignStart time.Time
@@ -132,6 +139,9 @@ func NewEnvironment(opts EnvOptions) (*Environment, error) {
 		End:           end,
 		CampaignStart: start.Add(time.Duration(opts.TrainDays) * 24 * time.Hour),
 	}
+	if env.markets, err = cloudsim.NewMarkets(catalog, traces, env.Store); err != nil {
+		return nil, err
+	}
 	for _, name := range pool {
 		it, ok := catalog.Lookup(name)
 		if !ok {
@@ -152,6 +162,7 @@ func NewEnvironment(opts EnvOptions) (*Environment, error) {
 		}
 		env.Predictors[name] = pred
 	}
+	env.revProb = core.GridRevProb(env.Grids, env.Predictors)
 	return env, nil
 }
 
@@ -185,23 +196,38 @@ func (e *Environment) WithPredictors(preds map[string]revpred.Predictor) (*Envir
 	}
 	cp := *e
 	cp.Predictors = preds
+	cp.revProb = core.GridRevProb(cp.Grids, preds)
 	return &cp, nil
 }
 
 // NewCluster builds a fresh simulated cluster at the campaign boundary and
 // applies the environment's cluster hooks (fault injections).
 func (e *Environment) NewCluster() (*cloudsim.Cluster, error) {
-	clk := simclock.NewVirtual(e.CampaignStart)
-	cluster, err := cloudsim.NewClusterWithStore(clk, e.Catalog, e.Traces, e.Store)
+	cluster, err := cloudsim.NewClusterOn(simclock.NewVirtual(e.CampaignStart), e.markets)
 	if err != nil {
 		return nil, err
 	}
+	return cluster, e.applyHooks(cluster)
+}
+
+// applyHooks runs the environment's cluster hooks on a fresh cluster.
+func (e *Environment) applyHooks(cluster *cloudsim.Cluster) error {
 	for _, hook := range e.ClusterHooks {
 		if err := hook(cluster); err != nil {
-			return nil, fmt.Errorf("campaign: cluster hook: %w", err)
+			return fmt.Errorf("campaign: cluster hook: %w", err)
 		}
 	}
-	return cluster, nil
+	return nil
+}
+
+// Markets resolves a catalog against the environment's traces and store:
+// the table a World shares across every cluster built in it. A nil catalog
+// (or the environment's own) returns the environment's table.
+func (e *Environment) Markets(cat *market.Catalog) (*cloudsim.Markets, error) {
+	if cat == nil || cat == e.Catalog {
+		return e.markets, nil
+	}
+	return cloudsim.NewMarkets(cat, e.Traces, e.Store)
 }
 
 // World is a shared simulated region several campaigns run inside at once:
@@ -222,6 +248,10 @@ type World struct {
 	// Domain, when non-nil, makes co-resident fleets contend: shared
 	// per-type capacity and demand-pressure surge pricing.
 	Domain *cloudsim.CapacityDomain
+	// Markets, when non-nil, is the world catalog's resolved table
+	// (Environment.Markets), built once and shared by every cluster in the
+	// world. Nil resolves the catalog per cluster.
+	Markets *cloudsim.Markets
 }
 
 // NewClusterIn builds a fresh cluster inside a shared world: same store,
@@ -231,21 +261,21 @@ func (e *Environment) NewClusterIn(w *World) (*cloudsim.Cluster, error) {
 	if w == nil || w.Clock == nil {
 		return nil, errors.New("campaign: world without a clock")
 	}
-	cat := e.Catalog
-	if w.Catalog != nil {
-		cat = w.Catalog
+	m := w.Markets
+	if m == nil {
+		var err error
+		if m, err = e.Markets(w.Catalog); err != nil {
+			return nil, err
+		}
 	}
-	cluster, err := cloudsim.NewClusterWithStore(w.Clock, cat, e.Traces, e.Store)
+	cluster, err := cloudsim.NewClusterOn(w.Clock, m)
 	if err != nil {
 		return nil, err
 	}
-	cluster.SetCapacityDomain(w.Domain)
-	for _, hook := range e.ClusterHooks {
-		if err := hook(cluster); err != nil {
-			return nil, fmt.Errorf("campaign: cluster hook: %w", err)
-		}
+	if err := cluster.SetCapacityDomain(w.Domain); err != nil {
+		return nil, err
 	}
-	return cluster, nil
+	return cluster, e.applyHooks(cluster)
 }
 
 // Options tunes one campaign run.
@@ -381,7 +411,7 @@ func (e *Environment) NewPolicy(name string, seed uint64, base policy.Params) (p
 		base.Pool = pool
 	}
 	base.Seed = seed
-	base.RevProb = core.GridRevProb(e.Grids, e.Predictors)
+	base.RevProb = e.revProb
 	if base.Catalog == nil {
 		base.Catalog = e.Catalog
 	}

@@ -100,6 +100,10 @@ type Instance struct {
 	// outside the cluster constructors.
 	Surge float64
 
+	// slot is the type's catalog index in the cluster's Markets table (the
+	// key of its capacity counters and trace slot).
+	slot int
+
 	noticeEv simclock.EventRef
 	revokeEv simclock.EventRef
 	// onNotice is the subscriber registered at request time; fault
@@ -170,22 +174,26 @@ type NoticeFunc func(inst *Instance, now time.Time)
 // Cluster is the simulated cloud: spot markets driven by price traces plus
 // the billing machinery.
 type Cluster struct {
-	clk     *simclock.Virtual
+	clk *simclock.Virtual
+	// markets resolves type names to catalog entries and trace slots; it is
+	// immutable and shared by every cluster built from one environment or
+	// world. catalog, traces and store are its parts, kept for the cold
+	// paths.
+	markets *Markets
 	catalog *market.Catalog
 	traces  market.TraceSet
 	// store is the SoA packing of traces every hot-path price query runs
-	// against (bit-identical to the Trace methods). It is immutable and may
-	// be shared across many clusters built from one environment.
+	// against (bit-identical to the Trace methods).
 	store *market.Store
 
 	nextID    int
 	instances map[string]*Instance
 	ledger    Ledger
 
-	// runningSpot counts live spot instances per type, enforcing the
-	// catalog's per-type Capacity cap (0 = unlimited). On-demand capacity
-	// is never capped.
-	runningSpot map[string]int
+	// runningSpot counts live spot instances per catalog index, enforcing
+	// the catalog's per-type Capacity cap (0 = unlimited). On-demand
+	// capacity is never capped.
+	runningSpot []int
 
 	// domain, when attached (SetCapacityDomain), shares per-type spot
 	// capacity and demand-pressure pricing with every other cluster on the
@@ -204,41 +212,39 @@ type Cluster struct {
 	trc obs.Tracer
 }
 
-// NewCluster builds a cluster over the given catalog and per-market traces.
-// Every catalog type must have a trace.
+// NewCluster builds a cluster over the given catalog and per-market traces,
+// resolving a private Markets table. Every catalog type must have a trace.
+// Environments that build many clusters share one table through
+// NewClusterOn instead.
 func NewCluster(clk *simclock.Virtual, cat *market.Catalog, traces market.TraceSet) (*Cluster, error) {
-	return NewClusterWithStore(clk, cat, traces, nil)
-}
-
-// NewClusterWithStore is NewCluster with a pre-packed SoA store for the same
-// traces, so environments that build many clusters (sweeps, the streaming
-// matrix runner) pack the buffers once and share them read-only. A nil store
-// is packed here.
-func NewClusterWithStore(clk *simclock.Virtual, cat *market.Catalog, traces market.TraceSet, store *market.Store) (*Cluster, error) {
 	if clk == nil {
 		return nil, errors.New("cloudsim: nil clock")
 	}
-	if store == nil {
-		if err := traces.Validate(); err != nil {
-			return nil, err
-		}
-		store = market.NewStore(traces)
+	m, err := NewMarkets(cat, traces, nil)
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range cat.Names() {
-		if _, ok := traces[name]; !ok {
-			return nil, fmt.Errorf("cloudsim: no price trace for instance type %q", name)
-		}
-		if _, ok := store.Lookup(name); !ok {
-			return nil, fmt.Errorf("cloudsim: store has no trace for instance type %q", name)
-		}
+	return NewClusterOn(clk, m)
+}
+
+// NewClusterOn builds a cluster over a resolved Markets table, which many
+// clusters (sweeps, the streaming matrix runner, service shards) share
+// read-only.
+func NewClusterOn(clk *simclock.Virtual, m *Markets) (*Cluster, error) {
+	if clk == nil {
+		return nil, errors.New("cloudsim: nil clock")
+	}
+	if m == nil {
+		return nil, errors.New("cloudsim: nil markets")
 	}
 	return &Cluster{
 		clk:         clk,
-		catalog:     cat,
-		traces:      traces,
-		store:       store,
+		markets:     m,
+		catalog:     m.catalog,
+		traces:      m.traces,
+		store:       m.store,
 		instances:   make(map[string]*Instance),
-		runningSpot: make(map[string]int),
+		runningSpot: make([]int, len(m.slots)),
 		trc:         obs.Nop{},
 	}, nil
 }
@@ -256,20 +262,28 @@ func (c *Cluster) SetTracer(t obs.Tracer) {
 
 // SetCapacityDomain attaches the cluster to a shared capacity/demand domain
 // (nil detaches). Attach before any spot request: the domain must see every
-// live spot instance to keep its accounting conserved.
-func (c *Cluster) SetCapacityDomain(d *CapacityDomain) { c.domain = d }
+// live spot instance to keep its accounting conserved. Every cluster on one
+// domain must use a catalog of the same layout (the world's catalog).
+func (c *Cluster) SetCapacityDomain(d *CapacityDomain) error {
+	if d != nil {
+		if err := d.bind(c.catalog); err != nil {
+			return err
+		}
+	}
+	c.domain = d
+	return nil
+}
 
-// surgeFor is the live demand-pressure multiplier quoted for a type (1
-// without a domain).
-func (c *Cluster) surgeFor(typeName string) float64 {
-	if c.domain == nil {
-		return 1
+// quote resolves a type name for a price quote: its trace slot and the
+// live demand-pressure multiplier (1 without a domain). Catalog types take
+// one name lookup; a traced market outside the catalog quotes flat.
+func (c *Cluster) quote(typeName string) (trace int, surge float64, ok bool) {
+	if i, ok := c.catalog.Index(typeName); ok {
+		sl := &c.markets.slots[i]
+		return sl.trace, c.domain.surge(i, sl.it.Capacity), true
 	}
-	it, ok := c.catalog.Lookup(typeName)
-	if !ok {
-		return 1
-	}
-	return c.domain.SurgeFactor(typeName, it.Capacity)
+	trace, ok = c.store.Lookup(typeName)
+	return trace, 1, ok
 }
 
 // Clock exposes the cluster's virtual clock.
@@ -288,34 +302,34 @@ func (c *Cluster) Ledger() *Ledger { return &c.ledger }
 
 // CurrentPrice returns the spot market price of a type right now.
 func (c *Cluster) CurrentPrice(typeName string) (float64, error) {
-	ti, ok := c.store.Lookup(typeName)
+	ti, surge, ok := c.quote(typeName)
 	if !ok {
 		return 0, fmt.Errorf("cloudsim: unknown market %q", typeName)
 	}
 	p, _ := c.store.PriceAt(ti, c.clk.Now())
-	return p * c.surgeFor(typeName), nil
+	return p * surge, nil
 }
 
 // AvgPriceLastHour returns the time-weighted average market price over the
 // past hour — the price term of Eq. 1.
 func (c *Cluster) AvgPriceLastHour(typeName string) (float64, error) {
-	ti, ok := c.store.Lookup(typeName)
+	ti, surge, ok := c.quote(typeName)
 	if !ok {
 		return 0, fmt.Errorf("cloudsim: unknown market %q", typeName)
 	}
 	now := c.clk.Now()
 	avg, err := c.store.AvgOver(ti, now.Add(-time.Hour), now)
-	return avg * c.surgeFor(typeName), err
+	return avg * surge, err
 }
 
 // OnDemandPrice returns the fixed hourly on-demand quote for a type — the
 // reliable-capacity price provisioning policies weigh spot bids against.
 func (c *Cluster) OnDemandPrice(typeName string) (float64, error) {
-	it, ok := c.catalog.Lookup(typeName)
+	i, ok := c.catalog.Index(typeName)
 	if !ok {
 		return 0, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
-	return it.OnDemandPrice, nil
+	return c.markets.slots[i].it.OnDemandPrice, nil
 }
 
 // ErrPriceAboveMax is returned when a spot request's maximum price is below
@@ -326,26 +340,31 @@ var ErrPriceAboveMax = errors.New("cloudsim: market price above requested maximu
 // maximum price. If the market ever rises above maxPrice, a notice fires
 // NoticeLeadTime beforehand (onNotice may be nil) and the instance is then
 // revoked with first-hour refunds applied.
+//
+// A request the market has no room for fails with a *CapacityError
+// (errors.Is(err, ErrCapacityUnavailable)); those errors are built once per
+// Markets table, so the miss allocates nothing.
 func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice NoticeFunc) (*Instance, error) {
-	it, ok := c.catalog.Lookup(typeName)
+	slot, ok := c.catalog.Index(typeName)
 	if !ok {
 		return nil, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
-	ti, _ := c.store.Lookup(typeName)
+	sl := &c.markets.slots[slot]
+	it, ti := sl.it, sl.trace
 	now := c.clk.Now()
 	if c.blackedOut(typeName, now) {
-		return nil, fmt.Errorf("%w: %s at %v", ErrCapacityUnavailable, typeName, now)
+		return nil, sl.blackedOut
 	}
 	// The catalog's per-type cap is the same retriable market state as a
 	// blackout window: the region has no room for another instance of this
 	// type right now, try again (or elsewhere) later.
-	if it.Capacity > 0 && c.runningSpot[typeName] >= it.Capacity {
-		return nil, fmt.Errorf("%w: %s at capacity %d", ErrCapacityUnavailable, typeName, it.Capacity)
+	if it.Capacity > 0 && c.runningSpot[slot] >= it.Capacity {
+		return nil, sl.atCapacity
 	}
 	// The shared domain's cap counts co-resident tenants' fleets too, so a
 	// cluster can be refused room its private count would have granted.
-	if c.domain != nil && !c.domain.hasRoom(typeName, it.Capacity) {
-		return nil, fmt.Errorf("%w: %s at shared capacity %d", ErrCapacityUnavailable, typeName, it.Capacity)
+	if c.domain != nil && !c.domain.hasRoom(slot, it.Capacity) {
+		return nil, sl.sharedFull
 	}
 	cur, _ := c.store.PriceAt(ti, now)
 	if cur > maxPrice {
@@ -359,15 +378,16 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 		LaunchedAt: now,
 		State:      StateRunning,
 		Surge:      1,
+		slot:       slot,
 		onNotice:   onNotice,
 	}
 	c.instances[inst.ID] = inst
-	c.runningSpot[typeName]++
+	c.runningSpot[slot]++
 	if c.domain != nil {
 		// Sampled after acquiring, so an instance's own demand is part of
 		// the pressure it is billed under.
-		c.domain.acquire(typeName)
-		inst.Surge = c.domain.SurgeFactor(typeName, it.Capacity)
+		c.domain.acquire(slot)
+		inst.Surge = c.domain.surge(slot, it.Capacity)
 	}
 
 	if exceedAt, found := c.store.FirstExceed(ti, now, maxPrice); found {
@@ -399,18 +419,19 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 // RequestOnDemand launches a reliable on-demand instance billed at the fixed
 // catalog price. It is never revoked.
 func (c *Cluster) RequestOnDemand(typeName string) (*Instance, error) {
-	it, ok := c.catalog.Lookup(typeName)
+	slot, ok := c.catalog.Index(typeName)
 	if !ok {
 		return nil, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
 	c.nextID++
 	inst := &Instance{
 		ID:         fmt.Sprintf("i-%06d", c.nextID),
-		Type:       it,
+		Type:       c.markets.slots[slot].it,
 		OnDemand:   true,
 		LaunchedAt: c.clk.Now(),
 		State:      StateRunning,
 		Surge:      1,
+		slot:       slot,
 	}
 	c.instances[inst.ID] = inst
 	return inst, nil
@@ -442,9 +463,9 @@ func (c *Cluster) finish(inst *Instance, at time.Time, reason EndReason) {
 	inst.EndedAt = at
 	inst.End = reason
 	if !inst.OnDemand {
-		c.runningSpot[inst.Type.Name]--
+		c.runningSpot[inst.slot]--
 		if c.domain != nil {
-			c.domain.release(inst.Type.Name)
+			c.domain.release(inst.slot)
 		}
 	}
 
@@ -460,8 +481,8 @@ func (c *Cluster) finish(inst *Instance, at time.Time, reason EndReason) {
 	if dur > 0 {
 		if inst.OnDemand {
 			usage.GrossCost = inst.Type.OnDemandPrice * dur.Hours()
-		} else if ti, ok := c.store.Lookup(inst.Type.Name); ok {
-			avg, err := c.store.AvgOver(ti, inst.LaunchedAt, at)
+		} else {
+			avg, err := c.store.AvgOver(c.markets.slots[inst.slot].trace, inst.LaunchedAt, at)
 			if err == nil {
 				surge := inst.Surge
 				if surge == 0 {

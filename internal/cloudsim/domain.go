@@ -1,5 +1,11 @@
 package cloudsim
 
+import (
+	"errors"
+
+	"spottune/internal/market"
+)
+
 // CapacityDomain is the shared market state of one service shard: every
 // cluster attached to it (Cluster.SetCapacityDomain) draws per-type spot
 // capacity from one pool — the per-type limit is the cluster catalog's
@@ -7,6 +13,11 @@ package cloudsim
 // billed spot prices through a linear surge multiplier. One tenant's fleet
 // therefore consumes room and raises prices that every co-resident tenant
 // sees, which is the coupling a private-cluster sweep cannot express.
+//
+// The per-type counters are a slice indexed by catalog index (market.Catalog
+// Index), laid out by the catalog of the first attached cluster; every
+// attached cluster must share that catalog's layout (same type names in the
+// same order — a world's clusters all use the world's catalog).
 //
 // A domain belongs to one serialized shard (the service arbiter runs one
 // campaign at a time per shard), so it carries no locking and is NOT safe
@@ -18,8 +29,9 @@ package cloudsim
 // never when the provider reclaims — the ledger/trace invariants hold
 // unchanged under contention.
 type CapacityDomain struct {
-	slope float64
-	inUse map[string]int
+	slope   float64
+	catalog *market.Catalog
+	inUse   []int
 }
 
 // NewCapacityDomain returns an empty domain. surgeSlope is the demand
@@ -27,37 +39,62 @@ type CapacityDomain struct {
 // the launch-sampled billing multiplier) is 1+surgeSlope times the trace
 // price. A zero slope shares capacity without moving prices.
 func NewCapacityDomain(surgeSlope float64) *CapacityDomain {
-	return &CapacityDomain{slope: surgeSlope, inUse: make(map[string]int)}
+	return &CapacityDomain{slope: surgeSlope}
+}
+
+// bind lays the counters out by the attaching cluster's catalog, or checks
+// that the catalog matches the layout already bound.
+func (d *CapacityDomain) bind(cat *market.Catalog) error {
+	if d.catalog == nil {
+		d.catalog, d.inUse = cat, make([]int, cat.Len())
+		return nil
+	}
+	if d.catalog == cat {
+		return nil
+	}
+	if d.catalog.Len() != cat.Len() {
+		return errors.New("cloudsim: capacity domain shared across catalogs of different layouts")
+	}
+	for i := 0; i < cat.Len(); i++ {
+		if d.catalog.TypeAt(i).Name != cat.TypeAt(i).Name {
+			return errors.New("cloudsim: capacity domain shared across catalogs of different layouts")
+		}
+	}
+	return nil
 }
 
 // InUse reports the live spot instances of a type across every attached
 // cluster.
 func (d *CapacityDomain) InUse(typeName string) int {
-	if d == nil {
+	if d == nil || d.catalog == nil {
 		return 0
 	}
-	return d.inUse[typeName]
+	i, ok := d.catalog.Index(typeName)
+	if !ok {
+		return 0
+	}
+	return d.inUse[i]
 }
 
-// hasRoom reports whether one more spot instance of the type fits under
-// the given per-type limit (0 = unlimited).
-func (d *CapacityDomain) hasRoom(typeName string, capacity int) bool {
-	return capacity <= 0 || d.inUse[typeName] < capacity
+// hasRoom reports whether one more spot instance of the type at catalog
+// index i fits under the given per-type limit (0 = unlimited).
+func (d *CapacityDomain) hasRoom(i, capacity int) bool {
+	return capacity <= 0 || d.inUse[i] < capacity
 }
 
 // acquire counts one launched spot instance. The caller must have checked
 // hasRoom under the same shard turn.
-func (d *CapacityDomain) acquire(typeName string) { d.inUse[typeName]++ }
+func (d *CapacityDomain) acquire(i int) { d.inUse[i]++ }
 
 // release returns one spot instance's capacity at settlement.
-func (d *CapacityDomain) release(typeName string) { d.inUse[typeName]-- }
+func (d *CapacityDomain) release(i int) { d.inUse[i]-- }
 
-// SurgeFactor is the demand-pressure price multiplier for a type right now:
-// 1 + slope·(inUse/capacity). Uncapped types (capacity 0) and a zero slope
-// quote the flat trace price.
-func (d *CapacityDomain) SurgeFactor(typeName string, capacity int) float64 {
+// surge is the demand-pressure price multiplier for the type at catalog
+// index i right now: 1 + slope·(inUse/capacity). A nil domain, uncapped
+// types (capacity 0) and a zero slope quote the flat trace price.
+func (d *CapacityDomain) surge(i, capacity int) float64 {
 	if d == nil || d.slope == 0 || capacity <= 0 {
 		return 1
 	}
-	return 1 + d.slope*float64(d.inUse[typeName])/float64(capacity)
+	return 1 + d.slope*float64(d.inUse[i])/float64(capacity)
 }

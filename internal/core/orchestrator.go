@@ -190,6 +190,7 @@ type segment struct {
 
 // assignment is one live (trial, instance) pairing.
 type assignment struct {
+	st          *trialState
 	tr          *trial.Replay
 	inst        *cloudsim.Instance
 	deployedAt  time.Time
@@ -227,6 +228,102 @@ func oversizedFor(ckptMB float64, cpus int) bool {
 	return ckptMB > cloudsim.MaxModelSizeMB(cpus)
 }
 
+// trialState is one submitted trial's orchestration state. The orchestrator
+// keeps one per trial in a slice in submission order, so the deploy path
+// reaches a trial's state by pointer rather than by name, and every sweep
+// over trials (triggers, wakeups, the slack projection) runs in submission
+// order.
+type trialState struct {
+	tr  *trial.Replay
+	id  string
+	idx int // submission index
+	col int // performance-matrix column
+
+	// limit is the active round's step cap; inRound marks the trials the
+	// round directed (limit is 0 for the others).
+	limit   int
+	inRound bool
+	// finished marks a trial done for now: round budget reached, plateaued,
+	// or abandoned. A later round's directive clears it.
+	finished bool
+	// active is the trial's assignment, from deploy until the scheduler
+	// turn after it ends (dead assignments are reaped in handleTriggers).
+	active *assignment
+
+	// deployments/spotFailures feed policy.TrialInfo: total deployments,
+	// and the consecutive spot misfortunes — segments that ended in a
+	// revocation notice plus blackout-rejected spot requests — (cleared
+	// when a spot segment ends cleanly — completion or proactive restart —
+	// but not by on-demand segments, which say nothing about the spot
+	// market).
+	deployments  int
+	spotFailures int
+
+	// noticedAt is the trial's most recent termination notice (zero when
+	// none, or after the trial leaves the waiting/active cycle). A trial
+	// noticed at the current instant is not redeployed until one
+	// PollInterval later: an instance bought inside its market's doom window
+	// is noticed the moment it launches, and without this spacing the event
+	// loop would deploy-notice-requeue forever at one instant (the polling
+	// loop gets the same spacing for free from its sleep).
+	noticedAt time.Time
+
+	// blackoutRetryAt paces blackout-rejected spot requests onto the retry
+	// schedule the resilience strategy chose (the fixed strategy picks the
+	// PollInterval grid; zero when no retry is pending). The rejection count
+	// feeds the policy-visible spot-failure streak, so the attempt cadence
+	// must not depend on the loop mode: without this gate the event loop
+	// would retry at every interesting instant (price ticks, arbitrary
+	// spacing) while the polling loop retries every PollInterval, and
+	// fallback policies would see different streaks — and make different
+	// decisions — under the two loops.
+	blackoutRetryAt time.Time
+	// blackoutRetries counts every blackout-rejected spot request across
+	// the whole campaign (reported); blackoutStreak counts the consecutive
+	// rejections since the last successful deploy (the resilience
+	// strategy's retry attempt number — reset on deploy, give-up, and
+	// finish).
+	blackoutRetries int
+	blackoutStreak  int
+
+	// gaveUp marks a trial abandoned by the resilience strategy's retry
+	// budget (cleared if a later round deploys it successfully).
+	gaveUp bool
+
+	// migrating marks a trial in its notice window that the resilience
+	// strategy chose to redeploy immediately (migration-on-notice);
+	// migrateExclude is the market to exclude from the replacement decision
+	// ("" = no exclusion). Migration bypasses the noticedAt redeploy spacing
+	// so the restore overlaps the remaining notice lead time.
+	migrating      bool
+	migrateExclude string
+
+	// lastNoticed is the market that most recently revoked the trial; under
+	// diversified-spot degradation the next decision excludes it.
+	lastNoticed string
+
+	// trend is the trial's incremental EarlyCurve tracker (lazily built
+	// when cfg.Trend is the production Predictor; see trendFor).
+	trend earlycurve.TrendPredictor
+
+	// secPerStep is the trial's performance-matrix row M[·][hp] handed to
+	// every policy decision; onNotice routes the cluster's termination
+	// notices to the trial's live assignment. Both are built once per trial.
+	secPerStep func(typeName string) float64
+	onNotice   cloudsim.NoticeFunc
+}
+
+// forgetRecoveryState drops the per-trial recovery state once a trial
+// leaves the waiting/active cycle (finish or give-up). Stale entries were
+// harmless for scheduling — past instants never gate — but a later round
+// re-activating the trial must start with a clean streak.
+func (t *trialState) forgetRecoveryState() {
+	t.noticedAt = time.Time{}
+	t.blackoutRetryAt = time.Time{}
+	t.blackoutStreak = 0
+	t.migrating, t.migrateExclude = false, ""
+}
+
 // Orchestrator drives one HPT campaign per Algorithm 1. Deployment
 // decisions are delegated to a provisioning policy (internal/policy): the
 // paper's Eq. 1–2 provisioner by default, or any registered alternative —
@@ -241,71 +338,21 @@ type Orchestrator struct {
 	approach string
 	perf     *PerfMatrix
 
-	trials   map[string]*trial.Replay
-	order    []string // submission order
-	waiting  []string
-	active   map[string]*assignment
-	finished map[string]bool
+	// ts is the per-trial state in submission order; byID resolves the
+	// trial IDs tuners name, and order lists them (the tuner's TrialIDs).
+	ts    []*trialState
+	byID  map[string]*trialState
+	order []string
+	// waiting queues trials for deployment; nActive counts the trials with
+	// an assignment (live, or dead but not yet reaped).
+	waiting []*trialState
+	nActive int
 
 	segments      []segment
 	deployments   int
 	odDeployments int
 	notices       int
 	iterations    int // scheduler loop turns across all phases
-
-	// deployCount/spotFailures feed policy.TrialInfo: total deployments
-	// per trial, and the consecutive spot misfortunes — segments that
-	// ended in a revocation notice plus blackout-rejected spot requests —
-	// (cleared when a spot segment ends cleanly — completion or proactive
-	// restart — but not by on-demand segments, which say nothing about the
-	// spot market).
-	deployCount  map[string]int
-	spotFailures map[string]int
-
-	// noticedAt records each trial's most recent termination notice. A
-	// trial noticed at the current instant is not redeployed until one
-	// PollInterval later: an instance bought inside its market's doom
-	// window is noticed the moment it launches, and without this spacing
-	// the event loop would deploy-notice-requeue forever at one instant
-	// (the polling loop gets the same spacing for free from its sleep).
-	noticedAt map[string]time.Time
-
-	// blackoutRetryAt paces blackout-rejected spot requests onto the
-	// retry schedule the resilience strategy chose (the fixed strategy
-	// picks the PollInterval grid). The rejection count feeds the
-	// policy-visible spot-failure streak, so the attempt cadence must not
-	// depend on the loop mode: without this gate the event loop would
-	// retry at every interesting instant (price ticks, arbitrary spacing)
-	// while the polling loop retries every PollInterval, and fallback
-	// policies would see different streaks — and make different decisions
-	// — under the two loops. Entries are deleted on successful deploy,
-	// give-up, and trial finish, so the map stays bounded by the waiting
-	// set.
-	blackoutRetryAt map[string]time.Time
-
-	// blackoutRetries counts every blackout-rejected spot request per
-	// trial across the whole campaign (reported); blackoutStreak counts
-	// the consecutive rejections since the trial's last successful deploy
-	// (the resilience strategy's retry attempt number — reset on deploy,
-	// give-up, and finish).
-	blackoutRetries map[string]int
-	blackoutStreak  map[string]int
-
-	// gaveUp marks trials abandoned by the resilience strategy's retry
-	// budget (cleared if a later round deploys the trial successfully).
-	gaveUp map[string]bool
-
-	// migrate marks trials in their notice window that the resilience
-	// strategy chose to redeploy immediately (migration-on-notice); the
-	// value is the market to exclude from the replacement decision ("" =
-	// no exclusion). Presence bypasses the noticedAt redeploy spacing so
-	// the restore overlaps the remaining notice lead time.
-	migrate map[string]string
-
-	// lastNoticed remembers the market that most recently revoked each
-	// trial; under diversified-spot degradation the next decision for
-	// that trial excludes it.
-	lastNoticed map[string]string
 
 	// res is the recovery strategy (Config.Resilience; never nil). rates
 	// feeds its adaptive cadence with per-market revocation-rate
@@ -314,6 +361,8 @@ type Orchestrator struct {
 	res   resilience.Strategy
 	rates *resilience.RateEstimator
 	slack *resilience.SlackTracker
+	// revRate is rates.RevocationsPerHour, bound once for policy contexts.
+	revRate func(typeName string) float64
 
 	// lostSteps/migrations accumulate campaign-level resilience outcomes
 	// for the report: steps rewound at revocations (oversized trials
@@ -331,18 +380,9 @@ type Orchestrator struct {
 	// blobs on Put, so one buffer serves every write).
 	ckptBuf []byte
 
-	// trend holds per-trial incremental EarlyCurve trackers (lazily built
-	// when cfg.Trend is the production Predictor). A tracker memoizes its
-	// last staged fit, so repeated progress evaluations over an unchanged
-	// curve return the cached extrapolation and an appended curve re-solves
-	// only the growing tail stage — bit-identical to a cold refit either
-	// way. Custom TrendPredictors bypass this and are called directly.
-	trend map[string]earlycurve.TrendPredictor
-
 	// tuner drives the round loop (Config.Tuner, or the default spottune
-	// schedule); limits holds the active round's per-trial step caps.
-	tuner  search.Tuner
-	limits map[string]int
+	// schedule); trialState.limit holds the active round's step caps.
+	tuner search.Tuner
 
 	// trc is the flight recorder (Config.Tracer; never nil — obs.Nop when
 	// tracing is off). Also installed on the cluster, so the recording
@@ -390,34 +430,37 @@ func NewPolicyOrchestrator(
 		approach = "SpotTune"
 	}
 	o := &Orchestrator{
-		cfg:             cfg.withDefaults(),
-		cluster:         cluster,
-		store:           store,
-		pol:             pol,
-		pool:            append([]string(nil), pool...),
-		approach:        approach,
-		perf:            NewPerfMatrix(cluster.Catalog(), cfg.withDefaults().C0),
-		trials:          make(map[string]*trial.Replay, len(trials)),
-		active:          make(map[string]*assignment),
-		finished:        make(map[string]bool),
-		noticedAt:       make(map[string]time.Time),
-		blackoutRetryAt: make(map[string]time.Time),
-		blackoutRetries: make(map[string]int),
-		blackoutStreak:  make(map[string]int),
-		gaveUp:          make(map[string]bool),
-		migrate:         make(map[string]string),
-		lastNoticed:     make(map[string]string),
-		deployCount:     make(map[string]int),
-		spotFailures:    make(map[string]int),
-		rates:           resilience.NewRateEstimator(),
+		cfg:      cfg.withDefaults(),
+		cluster:  cluster,
+		store:    store,
+		pol:      pol,
+		pool:     append([]string(nil), pool...),
+		approach: approach,
+		perf:     NewPerfMatrix(cluster.Catalog(), cfg.withDefaults().C0),
+		ts:       make([]*trialState, 0, len(trials)),
+		byID:     make(map[string]*trialState, len(trials)),
+		order:    make([]string, 0, len(trials)),
+		rates:    resilience.NewRateEstimator(),
 	}
 	o.res = o.cfg.Resilience
+	o.revRate = o.rates.RevocationsPerHour
 	for _, tr := range trials {
-		if _, dup := o.trials[tr.ID()]; dup {
-			return nil, fmt.Errorf("core: duplicate trial %q", tr.ID())
+		id := tr.ID()
+		if _, dup := o.byID[id]; dup {
+			return nil, fmt.Errorf("core: duplicate trial %q", id)
 		}
-		o.trials[tr.ID()] = tr
-		o.order = append(o.order, tr.ID())
+		t := &trialState{tr: tr, id: id, idx: len(o.ts), col: o.perf.column(id)}
+		t.secPerStep = func(tn string) float64 { return o.perf.get(tn, t.col) }
+		t.onNotice = func(inst *cloudsim.Instance, at time.Time) {
+			// Only a trial's live instance is ever noticed; the check keeps
+			// a notice from reaching any other assignment.
+			if a := t.active; a != nil && a.inst == inst {
+				o.onNotice(a, at)
+			}
+		}
+		o.ts = append(o.ts, t)
+		o.byID[id] = t
+		o.order = append(o.order, id)
 	}
 	o.tuner = o.cfg.Tuner
 	if o.tuner == nil {
@@ -487,10 +530,11 @@ type tunerView struct{ o *Orchestrator }
 func (v *tunerView) TrialIDs() []string { return v.o.order }
 
 func (v *tunerView) Status(id string) search.TrialStatus {
-	tr, ok := v.o.trials[id]
+	t, ok := v.o.byID[id]
 	if !ok {
 		return search.TrialStatus{ID: id}
 	}
+	tr := t.tr
 	st := search.TrialStatus{
 		ID:             id,
 		CompletedSteps: tr.CompletedSteps(),
@@ -504,15 +548,19 @@ func (v *tunerView) Status(id string) search.TrialStatus {
 }
 
 func (v *tunerView) Points(id string) []earlycurve.MetricPoint {
-	tr, ok := v.o.trials[id]
+	t, ok := v.o.byID[id]
 	if !ok {
 		return nil
 	}
-	return tr.Points()
+	return t.tr.Points()
 }
 
 func (v *tunerView) Trend(id string) earlycurve.TrendPredictor {
-	return v.o.trendFor(id)
+	t, ok := v.o.byID[id]
+	if !ok {
+		return v.o.cfg.Trend
+	}
+	return v.o.trendFor(t)
 }
 
 // runPhase executes one tuner round: every directed trial is (re)activated
@@ -523,24 +571,25 @@ func (v *tunerView) Trend(id string) earlycurve.TrendPredictor {
 // trigger handling and deployment code, so they differ only in how far the
 // clock jumps between scheduler turns.
 func (o *Orchestrator) runPhase(round search.Round) error {
-	o.limits = make(map[string]int, len(round.Directives))
-	o.active = make(map[string]*assignment)
-	o.waiting = nil
+	for _, t := range o.ts {
+		t.limit, t.inRound, t.active = 0, false, nil
+	}
+	o.nActive = 0
+	o.waiting = o.waiting[:0]
 	for _, d := range round.Directives {
-		tr, ok := o.trials[d.TrialID]
+		t, ok := o.byID[d.TrialID]
 		if !ok {
 			return fmt.Errorf("core: tuner %s directed unknown trial %q", o.tuner.Name(), d.TrialID)
 		}
-		if _, dup := o.limits[d.TrialID]; dup {
+		if t.inRound {
 			return fmt.Errorf("core: tuner %s directed trial %q twice in one round", o.tuner.Name(), d.TrialID)
 		}
 		lim := d.StepLimit
-		if lim <= 0 || lim > tr.MaxSteps() {
-			lim = tr.MaxSteps()
+		if lim <= 0 || lim > t.tr.MaxSteps() {
+			lim = t.tr.MaxSteps()
 		}
-		o.limits[d.TrialID] = lim
-		delete(o.finished, d.TrialID)
-		o.waiting = append(o.waiting, d.TrialID)
+		t.limit, t.inRound, t.finished = lim, true, false
+		o.waiting = append(o.waiting, t)
 	}
 	if len(o.waiting) == 0 {
 		return nil
@@ -559,7 +608,7 @@ func (o *Orchestrator) runPhase(round search.Round) error {
 				Kind:  obs.KindBudget,
 				Trial: d.TrialID,
 				Label: round.Label,
-				N:     int64(o.limits[d.TrialID]),
+				N:     int64(o.byID[d.TrialID].limit),
 			})
 		}
 	}
@@ -580,9 +629,6 @@ func (o *Orchestrator) runPhase(round search.Round) error {
 	})
 	return nil
 }
-
-// limitFor is the active round's step cap for one trial.
-func (o *Orchestrator) limitFor(tr *trial.Replay) int { return o.limits[tr.ID()] }
 
 // runPhasePolling is the paper's literal Algorithm 1 loop: wake up every
 // PollInterval and sample everything.
@@ -652,14 +698,14 @@ func (o *Orchestrator) runPhaseEvent() error {
 // handleTriggers advances every live assignment to now and applies Algorithm
 // 1's per-trial triggers, in submission order for determinism.
 func (o *Orchestrator) handleTriggers(now time.Time, pending *int) {
-	for _, id := range o.order {
-		a, ok := o.active[id]
-		if !ok || a.dead {
+	for _, t := range o.ts {
+		a := t.active
+		if a == nil || a.dead {
 			continue
 		}
 		o.advance(a, now)
 		tr := a.tr
-		lim := o.limitFor(tr)
+		lim := t.limit
 		// Plateaued is the engine-wide convergence verdict (the memoized
 		// minimal-prefix precheck plus the exact re-check) — the same call
 		// the tuner-visible TrialStatus goes through, so the round executor
@@ -670,8 +716,8 @@ func (o *Orchestrator) handleTriggers(now time.Time, pending *int) {
 			// Early shutdown / completion (lines 27–30).
 			o.checkpoint(a, now)
 			o.endAssignment(a, true)
-			o.finished[id] = true
-			o.forgetRecoveryState(id)
+			t.finished = true
+			t.forgetRecoveryState()
 			*pending--
 		case !a.inst.OnDemand && now.Sub(a.deployedAt) >= o.cfg.RestartAfter:
 			// Hourly refund-farming restart (lines 31–34). Spot only:
@@ -680,7 +726,7 @@ func (o *Orchestrator) handleTriggers(now time.Time, pending *int) {
 			// run until their trial-side trigger instead.
 			o.checkpoint(a, now)
 			o.endAssignment(a, true)
-			o.waiting = append(o.waiting, id)
+			o.waiting = append(o.waiting, t)
 		case a.oversized && now.Sub(a.lastCkptAt) >= a.cadence:
 			// Periodic checkpointing: this trial's state cannot be
 			// saved inside the revocation notice, so snapshot on a
@@ -688,24 +734,13 @@ func (o *Orchestrator) handleTriggers(now time.Time, pending *int) {
 			o.checkpoint(a, now)
 		}
 	}
-	// Remove dead assignments.
-	for id, a := range o.active {
-		if a.dead {
-			delete(o.active, id)
+	// Reap dead assignments.
+	for _, t := range o.ts {
+		if t.active != nil && t.active.dead {
+			t.active = nil
+			o.nActive--
 		}
 	}
-}
-
-// forgetRecoveryState drops every bounded per-trial recovery entry once a
-// trial leaves the waiting/active cycle (finish or give-up). Stale entries
-// were harmless for scheduling — past instants never gate — but the maps
-// must not grow with campaign length, and a later round re-activating the
-// trial must start with a clean streak.
-func (o *Orchestrator) forgetRecoveryState(id string) {
-	delete(o.noticedAt, id)
-	delete(o.blackoutRetryAt, id)
-	delete(o.blackoutStreak, id)
-	delete(o.migrate, id)
 }
 
 // assessDegradation advances the deadline-degradation ladder (spot →
@@ -734,21 +769,22 @@ func (o *Orchestrator) assessDegradation(now time.Time) {
 // each unfinished trial's remaining steps at its best (fastest-known)
 // pool-member rate, divided across the concurrency budget. An optimistic
 // lower bound — real schedules add restarts and restores — which is the
-// right bias for a ladder that must not escalate early.
+// right bias for a ladder that must not escalate early. Trials are summed
+// in submission order, so the projection is the same to the last bit on
+// every call over the same state.
 func (o *Orchestrator) remainingSecs() float64 {
 	total := 0.0
-	for id, lim := range o.limits {
-		if o.finished[id] {
+	for _, t := range o.ts {
+		if !t.inRound || t.finished {
 			continue
 		}
-		tr := o.trials[id]
-		rem := lim - tr.CompletedSteps()
+		rem := t.limit - t.tr.CompletedSteps()
 		if rem <= 0 {
 			continue
 		}
 		best := math.Inf(1)
 		for _, tn := range o.pool {
-			if s := o.perf.Get(tn, id); s < best {
+			if s := t.secPerStep(tn); s < best {
 				best = s
 			}
 		}
@@ -783,48 +819,48 @@ func (o *Orchestrator) familyOf(typeName string) string {
 // inside the notice window). Trials whose retry budget the resilience
 // strategy exhausts are abandoned here (give-up), decrementing pending.
 func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.Time, blocked bool, err error) {
-	incumbent := ""
+	incumbent := -1
 	if len(o.waiting) > 0 {
 		incumbent = o.incumbentBest()
 		o.assessDegradation(now)
 	}
-	for len(o.waiting) > 0 && len(o.active) < o.cfg.MaxConcurrent {
-		id := o.waiting[0]
-		if _, migrating := o.migrate[id]; !migrating {
-			if t, ok := o.noticedAt[id]; ok && !t.Before(now) {
-				return now.Add(o.cfg.PollInterval), false, nil
-			}
+	for len(o.waiting) > 0 && o.nActive < o.cfg.MaxConcurrent {
+		t := o.waiting[0]
+		id, tr := t.id, t.tr
+		// A zero noticedAt/blackoutRetryAt (none pending) lies before every
+		// instant, so neither gate holds.
+		if !t.migrating && !t.noticedAt.Before(now) {
+			return now.Add(o.cfg.PollInterval), false, nil
 		}
-		if t, ok := o.blackoutRetryAt[id]; ok && now.Before(t) {
-			return t, false, nil
+		if now.Before(t.blackoutRetryAt) {
+			return t.blackoutRetryAt, false, nil
 		}
-		tr := o.trials[id]
 		// The resilience layer narrows the policy's choice: a migrating
 		// trial avoids the market that just revoked it, and under
 		// diversified-spot degradation every redeploy avoids the trial's
 		// last revoker. At the ladder's top the policy is bypassed
 		// entirely for reliable capacity.
-		exclude := o.migrate[id]
+		exclude := t.migrateExclude
 		if exclude == "" && o.slack.Level() >= resilience.LevelDiversified {
-			exclude = o.lastNoticed[id]
+			exclude = t.lastNoticed
 		}
 		info := policy.TrialInfo{
 			ID:             id,
 			CompletedSteps: tr.CompletedSteps(),
 			MaxSteps:       tr.MaxSteps(),
-			Deployments:    o.deployCount[id],
-			SpotFailures:   o.spotFailures[id],
-			Incumbent:      id == incumbent,
+			Deployments:    t.deployments,
+			SpotFailures:   t.spotFailures,
+			Incumbent:      t.idx == incumbent,
 			Exclude:        exclude,
 			ExcludeFamily:  o.familyOf(exclude),
-			LastRevoked:    o.lastNoticed[id],
+			LastRevoked:    t.lastNoticed,
 		}
 		ctx := policy.Context{
 			Market:         o.cluster,
 			Trial:          info,
 			ActiveOnDemand: o.activeOnDemand(),
-			SecPerStep:     func(tn string) float64 { return o.perf.Get(tn, id) },
-			RevRate:        func(tn string) float64 { return o.rates.RevocationsPerHour(tn) },
+			SecPerStep:     t.secPerStep,
+			RevRate:        o.revRate,
 			Tracer:         o.trc,
 		}
 		var req policy.Request
@@ -836,7 +872,6 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 		if err != nil {
 			return time.Time{}, false, fmt.Errorf("core: provisioning %s: %w", id, err)
 		}
-		a := &assignment{tr: tr, stepsBefore: tr.CompletedSteps(), lastCkptSteps: tr.CompletedSteps()}
 		var inst *cloudsim.Instance
 		if req.OnDemand {
 			inst, err = o.cluster.RequestOnDemand(req.TypeName)
@@ -847,9 +882,7 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 			}
 			o.odDeployments++
 		} else {
-			inst, err = o.cluster.RequestSpot(req.TypeName, req.MaxPrice, func(_ *cloudsim.Instance, at time.Time) {
-				o.onNotice(a, at)
-			})
+			inst, err = o.cluster.RequestSpot(req.TypeName, req.MaxPrice, t.onNotice)
 			if errors.Is(err, cloudsim.ErrPriceAboveMax) {
 				// Market moved against us inside this tick; retry later.
 				return time.Time{}, true, nil
@@ -866,16 +899,16 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 				// back off exponentially and may exhaust the trial's retry
 				// budget, abandoning it (give-up) rather than spinning
 				// through a blackout the deadline cannot absorb.
-				o.spotFailures[id]++
-				o.blackoutRetries[id]++
-				o.blackoutStreak[id]++
-				attempt := o.blackoutStreak[id]
+				t.spotFailures++
+				t.blackoutRetries++
+				t.blackoutStreak++
+				attempt := t.blackoutStreak
 				o.trc.Emit(obs.Event{
 					VT:    now,
 					Kind:  obs.KindBlackoutRetry,
 					Trial: id,
 					Type:  req.TypeName,
-					N:     int64(o.spotFailures[id]),
+					N:     int64(t.spotFailures),
 				})
 				dec := o.res.Retry(resilience.RetryContext{
 					TrialID:      id,
@@ -890,9 +923,9 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 						Type:  req.TypeName,
 						N:     int64(attempt),
 					})
-					o.gaveUp[id] = true
-					o.finished[id] = true
-					o.forgetRecoveryState(id)
+					t.gaveUp = true
+					t.finished = true
+					t.forgetRecoveryState()
 					o.waiting = o.waiting[1:]
 					*pending--
 					continue
@@ -909,7 +942,7 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 					A:     delay.Seconds(),
 					N:     int64(attempt),
 				})
-				o.blackoutRetryAt[id] = now.Add(delay)
+				t.blackoutRetryAt = now.Add(delay)
 				return now.Add(delay), false, nil
 			}
 			if err != nil {
@@ -919,14 +952,20 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 			}
 		}
 		o.deployments++
-		o.deployCount[id]++
-		delete(o.blackoutRetryAt, id)
-		delete(o.blackoutStreak, id)
-		delete(o.migrate, id)
-		delete(o.gaveUp, id)
-		a.inst = inst
-		a.deployedAt = now
-		a.lastCkptAt = now
+		t.deployments++
+		t.blackoutRetryAt = time.Time{}
+		t.blackoutStreak = 0
+		t.migrating, t.migrateExclude = false, ""
+		t.gaveUp = false
+		a := &assignment{
+			st:            t,
+			tr:            tr,
+			inst:          inst,
+			deployedAt:    now,
+			lastCkptAt:    now,
+			stepsBefore:   tr.CompletedSteps(),
+			lastCkptSteps: tr.CompletedSteps(),
+		}
 		a.oversized = oversizedFor(tr.CheckpointMB(), inst.Type.CPUs)
 		// The resilience strategy decides this assignment's periodic
 		// checkpoint cadence from the checkpoint's write cost and the
@@ -991,7 +1030,10 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 		}
 		a.busyAt = busy
 		a.lastAdvance = busy
-		o.active[id] = a
+		if t.active == nil {
+			o.nActive++
+		}
+		t.active = a
 		o.waiting = o.waiting[1:]
 	}
 	return time.Time{}, false, nil
@@ -1000,29 +1042,28 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 // trendFor returns the trend predictor to use for one trial: a per-trial
 // incremental Tracker when the configured predictor is the production
 // EarlyCurve (warm-starting refits and skipping them outright when no new
-// points arrived), or the configured TrendPredictor as-is otherwise.
-func (o *Orchestrator) trendFor(id string) earlycurve.TrendPredictor {
+// points arrived), or the configured TrendPredictor as-is otherwise. A
+// tracker memoizes its last staged fit, so repeated progress evaluations
+// over an unchanged curve return the cached extrapolation and an appended
+// curve re-solves only the growing tail stage — bit-identical to a cold
+// refit either way.
+func (o *Orchestrator) trendFor(t *trialState) earlycurve.TrendPredictor {
 	p, ok := o.cfg.Trend.(*earlycurve.Predictor)
 	if !ok {
 		return o.cfg.Trend
 	}
-	if o.trend == nil {
-		o.trend = make(map[string]earlycurve.TrendPredictor)
+	if t.trend == nil {
+		t.trend = p.NewTracker()
 	}
-	t, ok := o.trend[id]
-	if !ok {
-		t = p.NewTracker()
-		o.trend[id] = t
-	}
-	return t
+	return t.trend
 }
 
-// stepTarget is the whole-step count at which the assignment's trial stops
-// in this phase: the phase limit, or the precomputed plateau step if that
-// comes first (§III-C's convergence special case).
-func (o *Orchestrator) stepTarget(tr *trial.Replay) int {
-	target := o.limitFor(tr)
-	if cs, ok := tr.ConvergeStep(o.cfg.ConvergeWindow, o.cfg.ConvergeTol); ok && cs < target {
+// stepTarget is the whole-step count at which the trial stops in this
+// phase: the phase limit, or the precomputed plateau step if that comes
+// first (§III-C's convergence special case).
+func (o *Orchestrator) stepTarget(t *trialState) int {
+	target := t.limit
+	if cs, ok := t.tr.ConvergeStep(o.cfg.ConvergeWindow, o.cfg.ConvergeTol); ok && cs < target {
 		target = cs
 	}
 	return target
@@ -1054,7 +1095,7 @@ func (o *Orchestrator) assignmentTrigger(a *assignment) time.Time {
 		cap = next.Sub(from).Seconds()
 	}
 	if cap >= 0 {
-		if need, ok := a.tr.SecondsToReachCapped(a.inst.Type, o.stepTarget(a.tr), cap); ok {
+		if need, ok := a.tr.SecondsToReachCapped(a.inst.Type, o.stepTarget(a.st), cap); ok {
 			// Round up so the advance slice is never a hair short of the
 			// step boundary (RunFor snaps the residual dust).
 			t := from.Add(time.Duration(math.Ceil(need * float64(time.Second))))
@@ -1080,12 +1121,10 @@ func (o *Orchestrator) nextWakeup(now time.Time, blocked bool) (time.Time, bool)
 			best, found = at, true
 		}
 	}
-	for _, id := range o.order {
-		a, ok := o.active[id]
-		if !ok || a.dead {
-			continue
+	for _, t := range o.ts {
+		if a := t.active; a != nil && !a.dead {
+			consider(o.assignmentTrigger(a))
 		}
-		consider(o.assignmentTrigger(a))
 	}
 	if at, ok := o.cluster.Clock().NextEventTime(); ok {
 		consider(at)
@@ -1119,7 +1158,7 @@ func (o *Orchestrator) advance(a *assignment, now time.Time) {
 		return
 	}
 	before := a.tr.Progress()
-	_, used := a.tr.RunFor(a.inst.Type, secs, o.limitFor(a.tr))
+	_, used := a.tr.RunFor(a.inst.Type, secs, a.st.limit)
 	a.lastAdvance = now
 	a.obsSecs += used
 	a.obsSteps += a.tr.Progress() - before
@@ -1129,7 +1168,7 @@ func (o *Orchestrator) advance(a *assignment, now time.Time) {
 // into the performance matrix (line 36 of Algorithm 1).
 func (o *Orchestrator) observeSegment(a *assignment) {
 	if a.obsSteps > 1e-9 && a.obsSecs > 0 {
-		o.perf.Observe(a.inst.Type.Name, a.tr.ID(), a.obsSecs/a.obsSteps)
+		o.perf.observe(a.inst.Type.Name, a.st.col, a.obsSecs/a.obsSteps)
 	}
 	a.obsSecs, a.obsSteps = 0, 0
 }
@@ -1146,9 +1185,10 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 	if a.dead || a.inst == nil {
 		return
 	}
-	id := a.tr.ID()
+	t := a.st
+	id := t.id
 	o.notices++
-	o.spotFailures[id]++
+	t.spotFailures++
 	o.advance(a, at)
 	lost := 0
 	if a.oversized {
@@ -1166,7 +1206,7 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 		Inst:  a.inst.ID,
 		Type:  a.inst.Type.Name,
 		B:     float64(lost),
-		N:     int64(o.spotFailures[id]),
+		N:     int64(t.spotFailures),
 	})
 	if !a.oversized {
 		o.checkpoint(a, at)
@@ -1178,12 +1218,12 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 	o.recordSegment(a)
 	a.dead = true
 	// The cluster revokes the instance itself two minutes later.
-	o.noticedAt[id] = at
-	o.lastNoticed[id] = a.inst.Type.Name
-	if o.finished[id] {
+	t.noticedAt = at
+	t.lastNoticed = a.inst.Type.Name
+	if t.finished {
 		return
 	}
-	o.waiting = append(o.waiting, id)
+	o.waiting = append(o.waiting, t)
 	act := o.res.OnNotice(resilience.NoticeContext{
 		TrialID:  id,
 		TypeName: a.inst.Type.Name,
@@ -1194,7 +1234,7 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 		Immediate: !at.After(a.deployedAt),
 	})
 	if act.Migrate {
-		o.migrate[id] = act.ExcludeType
+		t.migrating, t.migrateExclude = true, act.ExcludeType
 		o.migrations++
 		o.trc.Emit(obs.Event{
 			VT:    at,
@@ -1251,15 +1291,15 @@ func (o *Orchestrator) endAssignment(a *assignment, terminate bool) {
 		o.rates.ObserveExposure(a.inst.Type.Name, o.cluster.Clock().Now().Sub(a.deployedAt))
 		// A spot segment that ended without a notice is evidence the
 		// market is livable; clear the trial's failure streak.
-		if n := o.spotFailures[a.tr.ID()]; n > 0 {
+		if n := a.st.spotFailures; n > 0 {
 			o.trc.Emit(obs.Event{
 				VT:    o.cluster.Clock().Now(),
 				Kind:  obs.KindStreakClear,
-				Trial: a.tr.ID(),
+				Trial: a.st.id,
 				N:     int64(n),
 			})
 		}
-		delete(o.spotFailures, a.tr.ID())
+		a.st.spotFailures = 0
 	}
 	if terminate && a.inst != nil && a.inst.Running() {
 		// Termination failures would mean double bookkeeping bugs.
@@ -1293,23 +1333,23 @@ func (o *Orchestrator) recordSegment(a *assignment) {
 // policies so fleet-level pins stay bounded).
 func (o *Orchestrator) activeOnDemand() int {
 	n := 0
-	for _, a := range o.active {
-		if !a.dead && a.inst != nil && a.inst.OnDemand {
+	for _, t := range o.ts {
+		if a := t.active; a != nil && !a.dead && a.inst != nil && a.inst.OnDemand {
 			n++
 		}
 	}
 	return n
 }
 
-// incumbentBest returns the trial whose last observed metric currently
-// leads the campaign, or "" before any trial has reported a point.
-// MixedFleet-style policies pin it on reliable capacity. Delegates to the
-// engine-wide leaderboard rule (search.BestByLast) through the cheap
-// LastPoint accessor — this runs at every deployment decision, so it must
-// not pay for the full tuner-facing status snapshot.
-func (o *Orchestrator) incumbentBest() string {
-	return search.BestByLast(o.order, func(id string) (float64, bool) {
-		p, ok := o.trials[id].LastPoint()
+// incumbentBest returns the submission index of the trial whose last
+// observed metric currently leads the campaign, or -1 before any trial has
+// reported a point. MixedFleet-style policies pin it on reliable capacity.
+// Delegates to the engine-wide leaderboard rule (search.BestIndexByLast)
+// through the memoized LastPoint accessor — this runs at every deployment
+// decision, so it must not pay for the full tuner-facing status snapshot.
+func (o *Orchestrator) incumbentBest() int {
+	return search.BestIndexByLast(len(o.ts), func(i int) (float64, bool) {
+		p, ok := o.ts[i].tr.LastPoint()
 		return p.Value, ok
 	})
 }

@@ -53,19 +53,28 @@ func ValidatePoolWiring(pool []string, grids map[string]*market.Grid, predictors
 
 // GridRevProb builds a policy.RevProbFunc over per-market feature grids and
 // trained revocation predictors — the Eq. 1 probability term. Markets
-// without a grid entry (or instants outside the grid) predict 0.
+// without a grid entry or a predictor (or instants outside the grid) predict
+// 0. The pairing is resolved here, once, so each prediction costs one name
+// lookup; later changes to the maps are not seen, so build it after the
+// environment is assembled.
 func GridRevProb(grids map[string]*market.Grid, predictors map[string]revpred.Predictor) policy.RevProbFunc {
+	type gridPred struct {
+		grid *market.Grid
+		pred revpred.Predictor
+	}
+	table := make(map[string]gridPred, len(grids))
+	for name, g := range grids {
+		if pred, ok := predictors[name]; ok {
+			table[name] = gridPred{grid: g, pred: pred}
+		}
+	}
 	return func(typeName string, at time.Time, maxPrice float64) float64 {
-		grid, ok := grids[typeName]
+		m, ok := table[typeName]
 		if !ok {
 			return 0
 		}
-		pred, ok := predictors[typeName]
-		if !ok {
-			return 0
-		}
-		if idx, err := grid.Index(at); err == nil {
-			return pred.Predict(grid, idx, maxPrice)
+		if idx, err := m.grid.Index(at); err == nil {
+			return m.pred.Predict(m.grid, idx, maxPrice)
 		}
 		return 0
 	}
@@ -135,11 +144,23 @@ func (p *Provisioner) Pool() []string { return append([]string(nil), p.pool...) 
 // PerfMatrix is the online performance model M of Algorithm 1: estimated
 // seconds per step for every (instance type, HP) pair, initialized from core
 // counts and refined from observed throughput.
+//
+// Rows are catalog indices (market.Catalog.Index) and columns are HP ids in
+// registration order, so a quote resolves its type name with one lookup and
+// reads the cell by index. Types outside the catalog have no row: they quote
+// c0 and their observations are dropped.
 type PerfMatrix struct {
 	c0      float64
 	catalog *market.Catalog
-	est     map[string]map[string]float64
 	alpha   float64
+	// prior[row] is the row's initial estimate, c0 / effective CPUs.
+	prior []float64
+	// cols maps HP ids to columns; hps is its inverse.
+	cols map[string]int
+	hps  []string
+	// est[row][col] is the estimate, NaN until the first observation (rows
+	// grow to a column only when it is observed).
+	est [][]float64
 }
 
 // NewPerfMatrix builds M with M[inst][hp] initialized to c0 / effective
@@ -150,52 +171,91 @@ func NewPerfMatrix(catalog *market.Catalog, c0 float64) *PerfMatrix {
 	if c0 <= 0 {
 		c0 = 16
 	}
-	return &PerfMatrix{
+	m := &PerfMatrix{
 		c0:      c0,
 		catalog: catalog,
-		est:     make(map[string]map[string]float64),
 		alpha:   0.5,
+		prior:   make([]float64, catalog.Len()),
+		cols:    make(map[string]int),
+		est:     make([][]float64, catalog.Len()),
 	}
+	for row := range m.prior {
+		m.prior[row] = c0
+		if it := catalog.TypeAt(row); it.CPUs != 0 {
+			m.prior[row] = c0 / it.EffectiveCPUs()
+		}
+	}
+	return m
+}
+
+// column returns the HP's column, registering it on first use.
+func (m *PerfMatrix) column(hpID string) int {
+	if c, ok := m.cols[hpID]; ok {
+		return c
+	}
+	c := len(m.hps)
+	m.cols[hpID] = c
+	m.hps = append(m.hps, hpID)
+	return c
 }
 
 // Get returns the current estimate of seconds/step.
 func (m *PerfMatrix) Get(typeName, hpID string) float64 {
-	if hp, ok := m.est[typeName]; ok {
-		if v, ok := hp[hpID]; ok {
-			return v
-		}
+	col, ok := m.cols[hpID]
+	if !ok {
+		col = -1
 	}
-	it, ok := m.catalog.Lookup(typeName)
-	if !ok || it.CPUs == 0 {
+	return m.get(typeName, col)
+}
+
+// get is Get by HP column (-1 for an HP never seen): one name lookup.
+func (m *PerfMatrix) get(typeName string, col int) float64 {
+	row, ok := m.catalog.Index(typeName)
+	if !ok {
 		return m.c0
 	}
-	return m.c0 / it.EffectiveCPUs()
+	if r := m.est[row]; col >= 0 && col < len(r) && !math.IsNaN(r[col]) {
+		return r[col]
+	}
+	return m.prior[row]
 }
 
 // Observe folds a measured seconds-per-step sample into the estimate
 // (line 36 of Algorithm 1).
 func (m *PerfMatrix) Observe(typeName, hpID string, secPerStep float64) {
+	m.observe(typeName, m.column(hpID), secPerStep)
+}
+
+// observe is Observe by HP column.
+func (m *PerfMatrix) observe(typeName string, col int, secPerStep float64) {
 	if secPerStep <= 0 || math.IsNaN(secPerStep) || math.IsInf(secPerStep, 0) {
 		return
 	}
-	hp, ok := m.est[typeName]
+	row, ok := m.catalog.Index(typeName)
 	if !ok {
-		hp = make(map[string]float64)
-		m.est[typeName] = hp
+		return
 	}
-	if prev, ok := hp[hpID]; ok {
-		hp[hpID] = (1-m.alpha)*prev + m.alpha*secPerStep
+	r := m.est[row]
+	for len(r) <= col {
+		r = append(r, math.NaN())
+	}
+	m.est[row] = r
+	if prev := r[col]; !math.IsNaN(prev) {
+		r[col] = (1-m.alpha)*prev + m.alpha*secPerStep
 	} else {
-		hp[hpID] = secPerStep
+		r[col] = secPerStep
 	}
 }
 
 // Snapshot lists known estimates sorted by (type, hp) for reporting.
 func (m *PerfMatrix) Snapshot() []PerfEntry {
 	var out []PerfEntry
-	for tn, hps := range m.est {
-		for hp, v := range hps {
-			out = append(out, PerfEntry{TypeName: tn, HPID: hp, SecPerStep: v})
+	for row, r := range m.est {
+		tn := m.catalog.TypeAt(row).Name
+		for col, v := range r {
+			if !math.IsNaN(v) {
+				out = append(out, PerfEntry{TypeName: tn, HPID: m.hps[col], SecPerStep: v})
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -208,14 +208,16 @@ func (o *Orchestrator) buildReport(start time.Time, out search.Outcome) *Report 
 	}
 	rep.DegradationTransitions = o.slack.Transitions()
 	rep.DeadlineMissed = o.cfg.Deadline > 0 && rep.JCT > o.cfg.Deadline
-	if len(o.blackoutRetries) > 0 {
-		rep.BlackoutRetries = make(map[string]int, len(o.blackoutRetries))
-		for id, n := range o.blackoutRetries {
-			rep.BlackoutRetries[id] = n
+	for _, t := range o.ts {
+		if t.blackoutRetries > 0 {
+			if rep.BlackoutRetries == nil {
+				rep.BlackoutRetries = make(map[string]int)
+			}
+			rep.BlackoutRetries[t.id] = t.blackoutRetries
 		}
-	}
-	for id := range o.gaveUp {
-		rep.GaveUp = append(rep.GaveUp, id)
+		if t.gaveUp {
+			rep.GaveUp = append(rep.GaveUp, t.id)
+		}
 	}
 	sort.Strings(rep.GaveUp)
 	if o.trc.Enabled() {

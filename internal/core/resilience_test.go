@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -61,9 +62,8 @@ func TestFixedStrategyMatchesDefault(t *testing.T) {
 
 // TestBlackoutRetryBookkeeping covers the retry ledger end to end: a
 // campaign opening under a region-wide blackout must report per-trial retry
-// counts that reconcile exactly with the trace, and the orchestrator's
-// pacing maps must drain once trials deploy or finish (the unbounded-map
-// leak this bookkeeping replaced).
+// counts that reconcile exactly with the trace, and every trial's pacing
+// state must drain once trials deploy or finish.
 func TestBlackoutRetryBookkeeping(t *testing.T) {
 	w := newWorld(t, false)
 	if err := w.cluster.AddBlackout(cloudsim.Blackout{
@@ -118,16 +118,28 @@ func TestBlackoutRetryBookkeeping(t *testing.T) {
 	if len(rep.GaveUp) != 0 {
 		t.Errorf("fixed strategy gave up on %v", rep.GaveUp)
 	}
-	// Pacing state is bounded: every per-trial recovery map drains once the
+	// Pacing state is bounded: every trial's recovery state drains once the
 	// campaign settles.
-	if n := len(orch.blackoutRetryAt); n != 0 {
-		t.Errorf("blackoutRetryAt leaked %d entries", n)
+	retryAt, streak, migrate := 0, 0, 0
+	for _, st := range orch.ts {
+		if !st.blackoutRetryAt.IsZero() {
+			retryAt++
+		}
+		if st.blackoutStreak != 0 {
+			streak++
+		}
+		if st.migrating {
+			migrate++
+		}
 	}
-	if n := len(orch.blackoutStreak); n != 0 {
-		t.Errorf("blackoutStreak leaked %d entries", n)
+	if retryAt != 0 {
+		t.Errorf("blackoutRetryAt leaked %d entries", retryAt)
 	}
-	if n := len(orch.migrate); n != 0 {
-		t.Errorf("migrate leaked %d entries", n)
+	if streak != 0 {
+		t.Errorf("blackoutStreak leaked %d entries", streak)
+	}
+	if migrate != 0 {
+		t.Errorf("migrate leaked %d entries", migrate)
 	}
 }
 
@@ -367,5 +379,32 @@ func TestAdaptiveCadenceBoundsLostWork(t *testing.T) {
 	}
 	if lost != rep.LostSteps {
 		t.Errorf("trace notices lost %d steps, report says %d", lost, rep.LostSteps)
+	}
+}
+
+// TestRemainingSecsBitStable pins the deadline ladder's slack projection to
+// one value per state: the per-trial terms are summed in submission order,
+// so repeated calls over the same state agree to the last bit. The terms mix
+// magnitudes so that any other summation order rounds differently.
+func TestRemainingSecsBitStable(t *testing.T) {
+	w := newWorld(t, false)
+	trials := mkTrials(t, w, 24, 400, 20)
+	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, orchCfg(0.7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range orch.ts {
+		st.inRound, st.limit = true, 50+17*i
+		orch.perf.Observe("fast", st.id, 0.1+math.Pow(3.7, float64(i%9))*1e-3/float64(i+1))
+	}
+	orch.ts[5].finished = true
+	want := orch.remainingSecs()
+	if want <= 0 {
+		t.Fatalf("projection %v, want positive", want)
+	}
+	for k := 0; k < 500; k++ {
+		if got := orch.remainingSecs(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: %x, first call %x", k, math.Float64bits(got), math.Float64bits(want))
+		}
 	}
 }

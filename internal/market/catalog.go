@@ -152,6 +152,17 @@ func (c *Catalog) Lookup(name string) (InstanceType, bool) {
 	return c.types[i], true
 }
 
+// Index resolves a type name to its dense catalog index in [0, Len()), the
+// key of every catalog-indexed table (cluster markets, capacity counters,
+// performance priors). Indices follow construction order and never change.
+func (c *Catalog) Index(name string) (int, bool) {
+	i, ok := c.byKey[name]
+	return i, ok
+}
+
+// TypeAt returns the instance type at a catalog index from Index.
+func (c *Catalog) TypeAt(i int) InstanceType { return c.types[i] }
+
 // Types returns all instance types sorted by name (a fresh copy).
 func (c *Catalog) Types() []InstanceType {
 	out := append([]InstanceType(nil), c.types...)

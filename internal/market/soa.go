@@ -80,17 +80,49 @@ func (s *Store) span(ti int) (lo, hi int) {
 
 // searchAfter returns the first index in at with a timestamp strictly after
 // tNanos — the flat-buffer equivalent of sort.Search over Record.At.After.
+// Records sit on a near-uniform grid, so the search starts at the index the
+// timestamp interpolates to and gallops out to a bracket before bisecting;
+// the index found is the one a plain bisection finds.
 func searchAfter(at []int64, tNanos int64) int {
-	lo, hi := 0, len(at)
-	for lo < hi {
+	n := len(at)
+	if n == 0 || tNanos < at[0] {
+		return 0
+	}
+	if tNanos >= at[n-1] {
+		return n
+	}
+	// From here at[lo] <= tNanos < at[hi] holds throughout.
+	lo, hi := 0, n-1
+	g := int(float64(tNanos-at[0]) / float64(at[n-1]-at[0]) * float64(n-1))
+	g = min(max(g, 0), n-2)
+	if at[g] <= tNanos {
+		lo = g
+		for step := 1; lo+step < hi; step <<= 1 {
+			if at[lo+step] > tNanos {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	} else {
+		hi = g
+		for step := 1; hi-step > lo; step <<= 1 {
+			if at[hi-step] <= tNanos {
+				lo = hi - step
+				break
+			}
+			hi -= step
+		}
+	}
+	for hi-lo > 1 {
 		mid := int(uint(lo+hi) >> 1)
 		if at[mid] <= tNanos {
-			lo = mid + 1
+			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	return hi
 }
 
 // PriceAt is Trace.PriceAt by trace index: the price of the latest record at
@@ -110,6 +142,13 @@ func (s *Store) PriceAt(ti int, t time.Time) (price float64, ok bool) {
 
 // AvgOver is Trace.AvgOver by trace index: the time-weighted average price
 // over [from, to), segment by segment in the same floating-point order.
+//
+// Each segment's seconds value is time.Duration.Seconds of its spacing, as
+// in Trace.AvgOver. Consecutive segments of equal spacing (the 1-minute grid
+// of every generated trace) reuse the value computed for the previous one
+// instead of converting again: the conversion is a pure function of the
+// spacing, so the reuse is exact and the sum runs the same multiplies and
+// adds in the same order.
 func (s *Store) AvgOver(ti int, from, to time.Time) (float64, error) {
 	if !from.Before(to) {
 		return 0, fmt.Errorf("market: AvgOver with from %v >= to %v", from, to)
@@ -122,6 +161,8 @@ func (s *Store) AvgOver(ti int, from, to time.Time) (float64, error) {
 	pr := s.prices[lo:hi]
 	n := len(at)
 	fromNanos, toNanos := from.UnixNano(), to.UnixNano()
+	// Equal lengths let the compiler drop the bounds check on pr[i] below.
+	pr = pr[:n]
 
 	i := searchAfter(at, fromNanos)
 	var p float64
@@ -132,36 +173,25 @@ func (s *Store) AvgOver(ti int, from, to time.Time) (float64, error) {
 	}
 	sum := 0.0 // price·seconds
 	cursor := fromNanos
-	for cursor < toNanos {
-		next := toNanos
-		if i < n && at[i] < toNanos {
-			next = at[i]
+	// span/secs cache the last segment's spacing and its seconds value; the
+	// zero spacing converts to zero seconds, so the initial pair is exact too.
+	var span int64
+	secs := 0.0
+	// Segments that end on a record inside the window: [from, at[i]),
+	// [at[i], at[i+1]), ... — each priced at the record in force before it.
+	for ; i < n && at[i] < toNanos; i++ {
+		if d := at[i] - cursor; d != span {
+			span, secs = d, time.Duration(d).Seconds()
 		}
-		sum += p * time.Duration(next-cursor).Seconds()
-		cursor = next
-		if i < n && cursor == at[i] {
-			p = pr[i]
-			i++
-		}
+		sum += p * secs
+		cursor, p = at[i], pr[i]
 	}
+	// The closing segment [cursor, to).
+	if d := toNanos - cursor; d != span {
+		secs = time.Duration(d).Seconds()
+	}
+	sum += p * secs
 	return sum / time.Duration(toNanos-fromNanos).Seconds(), nil
-}
-
-// MaxOver is Trace.MaxOver by trace index: the maximum price in force over
-// the half-open window [from, to), including the price effective at from.
-func (s *Store) MaxOver(ti int, from, to time.Time) float64 {
-	lo, hi := s.span(ti)
-	maxP := 0.0
-	if p, ok := s.PriceAt(ti, from); ok && p > maxP {
-		maxP = p
-	}
-	fromNanos, toNanos := from.UnixNano(), to.UnixNano()
-	for i := lo; i < hi; i++ {
-		if s.atNanos[i] >= fromNanos && s.atNanos[i] < toNanos && s.prices[i] > maxP {
-			maxP = s.prices[i]
-		}
-	}
-	return maxP
 }
 
 // FirstExceed returns the first instant strictly after `after` at which the

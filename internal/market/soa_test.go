@@ -3,13 +3,15 @@ package market
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"time"
 )
 
-// randomTraceSet builds a seeded multi-trace set with irregular record
-// spacing, so store/trace equivalence is exercised away from the neat
-// 1-minute grid the generators emit.
+// randomTraceSet builds a seeded multi-trace set that mixes three record
+// spacings: long runs of the 1-minute grid the generators emit (the runs
+// AvgOver reuses one seconds value across), sub-second gaps, and irregular
+// whole-second gaps up to two hours.
 func randomTraceSet(seed uint64, traces, records int) TraceSet {
 	rng := rand.New(rand.NewPCG(seed, 0x50a))
 	start := time.Date(2023, 4, 1, 0, 0, 0, 0, time.UTC)
@@ -19,14 +21,42 @@ func randomTraceSet(seed uint64, traces, records int) TraceSet {
 		tr := &Trace{Type: name}
 		at := start
 		price := 0.05 + rng.Float64()*0.3
-		for i := 0; i < records; i++ {
+		add := func(gap time.Duration) {
 			tr.Records = append(tr.Records, Record{At: at, Price: price})
-			at = at.Add(time.Duration(1+rng.IntN(7200)) * time.Second)
+			at = at.Add(gap)
 			price = math.Max(0.01, price*(0.9+rng.Float64()*0.2))
+		}
+		for len(tr.Records) < records {
+			switch rng.IntN(4) {
+			case 0, 1:
+				for k := 1 + rng.IntN(90); k > 0 && len(tr.Records) < records; k-- {
+					add(time.Minute)
+				}
+			case 2:
+				add(time.Duration(1 + rng.Int64N(int64(time.Second)-1)))
+			default:
+				add(time.Duration(1+rng.IntN(7200)) * time.Second)
+			}
 		}
 		ts[name] = tr
 	}
 	return ts
+}
+
+// assertAvgOverBits compares one AvgOver window on the store and the trace
+// bit for bit: the store must run the same floating-point operations in the
+// same order, not merely land close.
+func assertAvgOverBits(t *testing.T, store *Store, ti int, tr *Trace, from, to time.Time) {
+	t.Helper()
+	wantAvg, wantErr := tr.AvgOver(from, to)
+	gotAvg, gotErr := store.AvgOver(ti, from, to)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: AvgOver(%v,%v) err mismatch: %v vs %v", tr.Type, from, to, wantErr, gotErr)
+	}
+	if math.Float64bits(wantAvg) != math.Float64bits(gotAvg) {
+		t.Fatalf("%s: AvgOver(%v,%v) = %x want %x",
+			tr.Type, from, to, math.Float64bits(gotAvg), math.Float64bits(wantAvg))
+	}
 }
 
 // queryInstants picks instants before, inside (both on and off record
@@ -77,23 +107,39 @@ func TestStoreMatchesTraceBitIdentical(t *testing.T) {
 				if !from.Before(to) {
 					continue
 				}
-				wantAvg, wantErr := tr.AvgOver(from, to)
-				gotAvg, gotErr := store.AvgOver(ti, from, to)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("seed %d %s: AvgOver err mismatch: %v vs %v", seed, name, wantErr, gotErr)
-				}
-				// Bit-identity, not approximate equality: the store must run
-				// the same floating-point operations in the same order.
-				if math.Float64bits(wantAvg) != math.Float64bits(gotAvg) {
-					t.Fatalf("seed %d %s: AvgOver(%v,%v) = %x want %x",
-						seed, name, from, to, math.Float64bits(gotAvg), math.Float64bits(wantAvg))
-				}
-				wantMax := tr.MaxOver(from, to)
-				gotMax := store.MaxOver(ti, from, to)
-				if math.Float64bits(wantMax) != math.Float64bits(gotMax) {
-					t.Fatalf("seed %d %s: MaxOver(%v,%v) = %v want %v", seed, name, from, to, gotMax, wantMax)
-				}
+				assertAvgOverBits(t, store, ti, tr, from, to)
 			}
+			// The trailing-hour quote window [to−1h, to), ending on and next
+			// to record boundaries and at arbitrary nanoseconds in between.
+			for _, to := range instants {
+				assertAvgOverBits(t, store, ti, tr, to.Add(-time.Hour), to)
+				off := time.Duration(rng.Int64N(int64(time.Minute)))
+				assertAvgOverBits(t, store, ti, tr, to.Add(off-time.Hour), to.Add(off))
+			}
+		}
+	}
+}
+
+// TestRandomTraceSetSpacings pins that the fixture really exercises the
+// spacings the exact quote path distinguishes: runs of equal 1-minute gaps
+// and sub-second gaps, next to irregular ones.
+func TestRandomTraceSetSpacings(t *testing.T) {
+	for name, tr := range randomTraceSet(1, 4, 300) {
+		run, longest, subSecond := 0, 0, 0
+		for i := 1; i < len(tr.Records); i++ {
+			gap := tr.Records[i].At.Sub(tr.Records[i-1].At)
+			if gap == time.Minute {
+				run++
+				longest = max(longest, run)
+			} else {
+				run = 0
+			}
+			if gap < time.Second {
+				subSecond++
+			}
+		}
+		if longest < 30 || subSecond == 0 {
+			t.Fatalf("%s: longest 1-minute run %d, %d sub-second gaps", name, longest, subSecond)
 		}
 	}
 }
@@ -140,6 +186,46 @@ func TestStoreNamesDeterministic(t *testing.T) {
 		}
 		if i > 0 && a.Names()[i-1] >= n {
 			t.Fatalf("names not sorted: %v", a.Names())
+		}
+	}
+}
+
+// TestSearchAfterMatchesBisection pins the interpolated search to the plain
+// bisection it replaced, on regular grids, irregular and clustered spacings,
+// and repeated timestamps, for queries on, between, and outside records.
+func TestSearchAfterMatchesBisection(t *testing.T) {
+	bisect := func(at []int64, q int64) int {
+		return sort.Search(len(at), func(i int) bool { return at[i] > q })
+	}
+	rng := rand.New(rand.NewPCG(7, 0x5ea))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.IntN(200)
+		at := make([]int64, n)
+		cur := rng.Int64N(1e12)
+		for i := range at {
+			switch rng.IntN(4) {
+			case 0:
+				cur += 60e9
+			case 1:
+				cur += rng.Int64N(3)
+			case 2:
+				cur += rng.Int64N(1e9)
+			default:
+				cur += rng.Int64N(1e13)
+			}
+			at[i] = cur
+		}
+		queries := []int64{math.MinInt64, math.MaxInt64}
+		for _, a := range at {
+			queries = append(queries, a-1, a, a+1)
+		}
+		for k := 0; k < 50; k++ {
+			queries = append(queries, rng.Int64N(cur+2e12)-1e12)
+		}
+		for _, q := range queries {
+			if got, want := searchAfter(at, q), bisect(at, q); got != want {
+				t.Fatalf("n=%d query %d: searchAfter %d, bisection %d", n, q, got, want)
+			}
 		}
 	}
 }

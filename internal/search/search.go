@@ -140,15 +140,25 @@ func RankByValue(vals map[string]float64) []string {
 // drift apart. The accessor indirection lets hot paths supply a cheap
 // last-point lookup instead of a full TrialStatus snapshot.
 func BestByLast(ids []string, last func(id string) (val float64, ok bool)) string {
-	best := ""
+	if i := BestIndexByLast(len(ids), func(i int) (float64, bool) { return last(ids[i]) }); i >= 0 {
+		return ids[i]
+	}
+	return ""
+}
+
+// BestIndexByLast is BestByLast over positions 0..n-1: the index whose last
+// observed metric is lowest, ties broken by position, or -1 when none has
+// reported a point. Callers that keep trials in a slice use it directly.
+func BestIndexByLast(n int, last func(i int) (val float64, ok bool)) int {
+	best := -1
 	bestVal := math.Inf(1)
-	for _, id := range ids {
-		val, ok := last(id)
+	for i := 0; i < n; i++ {
+		val, ok := last(i)
 		if !ok {
 			continue
 		}
 		if val < bestVal {
-			best, bestVal = id, val
+			best, bestVal = i, val
 		}
 	}
 	return best

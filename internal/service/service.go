@@ -359,8 +359,13 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 	// The contended region: one capacity-capped catalog shared read-only by
 	// every shard; each wave gets its own fresh demand domain.
 	var capCat *market.Catalog
+	var capMarkets *cloudsim.Markets
 	if cfg.Contention {
 		capCat = env.Catalog.WithCapacity(cfg.Capacity)
+		var err error
+		if capMarkets, err = env.Markets(capCat); err != nil {
+			return nil, err
+		}
 	}
 
 	sum := &Summary{
@@ -453,7 +458,7 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 					hi = len(sh.queue)
 				}
 				fl.wait(sh.queue[hi-1].rank, window)
-				caps := runWave(env, bench, curves, sh, sh.queue[lo:hi], capCat, cfg, results)
+				caps := runWave(env, bench, curves, sh, sh.queue[lo:hi], capCat, capMarkets, cfg, results)
 				capMu.Lock()
 				sum.Waves++
 				sum.Capacity = append(sum.Capacity, caps...)
@@ -474,13 +479,14 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 // the arbiter token in next-event order. Returns the wave's cross-tenant
 // capacity audit findings (contention mode only).
 func runWave(env *campaign.Environment, bench *workload.Benchmark, curves workload.Curves,
-	sh *shardState, wave []pendingTenant, capCat *market.Catalog, cfg Config, results chan<- Result) []invariants.Violation {
+	sh *shardState, wave []pendingTenant, capCat *market.Catalog, capMarkets *cloudsim.Markets, cfg Config, results chan<- Result) []invariants.Violation {
 
 	clk := simclock.NewVirtual(env.CampaignStart)
 	clk.SetNodePool(sh.pool)
 	world := &campaign.World{Clock: clk}
 	if capCat != nil {
 		world.Catalog = capCat
+		world.Markets = capMarkets
 		world.Domain = cloudsim.NewCapacityDomain(cfg.SurgeSlope)
 	}
 	arb := newArbiter(len(wave), env.CampaignStart.UnixNano())

@@ -50,6 +50,10 @@ type Replay struct {
 	// convergeAt caches ConvergeStep results per (window, tol) — the
 	// observed prefix is a pure function of the fixed curve.
 	convergeAt map[convKey]convVal
+	// lastDone/lastIdx memoize LastPoint: lastIdx curve points lie at or
+	// below lastDone completed steps (valid once lastOK).
+	lastDone, lastIdx int
+	lastOK            bool
 }
 
 type convKey struct {
@@ -216,12 +220,14 @@ func (r *Replay) RunFor(it market.InstanceType, seconds float64, stepLimit int) 
 
 	var p float64
 	used = seconds
-	if i := sort.SearchFloat64s(cum, target); i >= len(cum) {
-		// Budget outruns everything built — only possible when the build
-		// reached stepLimit, i.e. the trial finishes the slice early.
-		p = float64(len(cum) - 1)
-		used = cum[len(cum)-1] - base
-	} else if cum[i] == target {
+	if len(cum) > stepLimit && target > cum[stepLimit] {
+		// The budget outruns the step limit: the trial finishes the slice
+		// early. Decided against cum[stepLimit] rather than the built length,
+		// so a prefix some earlier caller extended past the limit (a shared
+		// PerfCache) clamps exactly like a cold one that stopped there.
+		p = float64(stepLimit)
+		used = cum[stepLimit] - base
+	} else if i := sort.SearchFloat64s(cum, target); cum[i] == target {
 		p = float64(i)
 	} else if i == 0 {
 		p = 0
@@ -233,10 +239,6 @@ func (r *Replay) RunFor(it market.InstanceType, seconds float64, stepLimit int) 
 	// spending it at once.
 	if sn := math.Round(p); sn != p && math.Abs(p-sn) < 1e-9 {
 		p = sn
-	}
-	if p > float64(stepLimit) {
-		p = float64(stepLimit)
-		used = cum[stepLimit] - base
 	}
 	if p < r.progress {
 		p = r.progress
@@ -337,16 +339,26 @@ func (r *Replay) Points() []earlycurve.MetricPoint {
 }
 
 // LastPoint returns the most recent observed metric point (ok=false before
-// the first observation). O(log curve) and allocation-free — the
-// leaderboard accessor schedulers may call on every deployment decision,
-// unlike Points(), which copies the whole observed prefix.
+// the first observation). Allocation-free and memoized on the completed step
+// count — the leaderboard accessor schedulers call on every deployment
+// decision, unlike Points(), which copies the whole observed prefix. Forward
+// progress scans on from the memoized index; a rewind (restore) searches.
 func (r *Replay) LastPoint() (earlycurve.MetricPoint, bool) {
-	done := r.CompletedSteps()
-	i := sort.Search(len(r.curve), func(i int) bool { return r.curve[i].Step > done })
-	if i == 0 {
+	if done := r.CompletedSteps(); !r.lastOK || done != r.lastDone {
+		i := r.lastIdx
+		if r.lastOK && done > r.lastDone {
+			for i < len(r.curve) && r.curve[i].Step <= done {
+				i++
+			}
+		} else {
+			i = sort.Search(len(r.curve), func(i int) bool { return r.curve[i].Step > done })
+		}
+		r.lastDone, r.lastIdx, r.lastOK = done, i, true
+	}
+	if r.lastIdx == 0 {
 		return earlycurve.MetricPoint{}, false
 	}
-	return r.curve[i-1], true
+	return r.curve[r.lastIdx-1], true
 }
 
 // TrueFinal returns the ground-truth final metric (the curve's last value).

@@ -374,3 +374,112 @@ func TestAppendCheckpointMatchesCheckpoint(t *testing.T) {
 		t.Errorf("AppendCheckpoint into a warm buffer allocates %.1f times, want 0", avg)
 	}
 }
+
+// noisyReplay builds a replay over a noisy perf model, optionally routed
+// through a shared step-time cache.
+func noisyReplay(t *testing.T, cache *PerfCache) *Replay {
+	t.Helper()
+	perf := &NoisyPerf{
+		Base: func(it market.InstanceType, _ string) float64 { return 16 / float64(it.CPUs) },
+		COV:  0.05,
+		Seed: 9,
+	}
+	r, err := NewReplay("hp-warm", 400, mkCurve(400, 10), perf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache != nil {
+		cache.Use(9, "bench")
+		r.SharePerfCache(cache)
+	}
+	return r
+}
+
+// warmCache returns a cache whose prefix for (small, hp-warm) covers every
+// step — what an earlier campaign on the same worker leaves behind.
+func warmCache(t *testing.T) *PerfCache {
+	t.Helper()
+	cache := NewPerfCache()
+	noisyReplay(t, cache).RunFor(small, 1e9, 0)
+	return cache
+}
+
+// TestRunForWarmCacheMatchesCold pins that a slice run on a step-time prefix
+// an earlier campaign extended past the step limit ends exactly like the
+// same slice on a cold prefix: same progress, same seconds used, bit for
+// bit. The budgets straddle the limit by amounts inside the 1e-9 progress
+// snap, where a prefix-length-dependent clamp used to report the whole
+// budget as used on the warm path only.
+func TestRunForWarmCacheMatchesCold(t *testing.T) {
+	cache := warmCache(t)
+	for _, limit := range []int{1, 7, 50, 123, 399} {
+		probe := noisyReplay(t, nil)
+		need := probe.SecondsToReach(small, limit)
+		step := probe.SecondsToReach(small, limit+1) - need
+		for _, frac := range []float64{-1e-3, -1e-10, 0, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-3, 0.5, 3} {
+			secs := need + frac*step
+			cold := noisyReplay(t, nil)
+			warm := noisyReplay(t, cache)
+			cs, cu := cold.RunFor(small, secs, limit)
+			ws, wu := warm.RunFor(small, secs, limit)
+			if cs != ws || math.Float64bits(cu) != math.Float64bits(wu) ||
+				math.Float64bits(cold.Progress()) != math.Float64bits(warm.Progress()) {
+				t.Fatalf("limit %d, budget need%+g·step: cold (%d steps, %x used, progress %v), warm (%d steps, %x used, progress %v)",
+					limit, frac, cs, math.Float64bits(cu), cold.Progress(), ws, math.Float64bits(wu), warm.Progress())
+			}
+		}
+	}
+}
+
+// TestSecondsToReachCappedWarmCacheMatchesCold pins the capped horizon query
+// to the same length independence: caps on both sides of the exact need give
+// the same verdict and seconds on a cold and on a fully built prefix.
+func TestSecondsToReachCappedWarmCacheMatchesCold(t *testing.T) {
+	cache := warmCache(t)
+	for _, start := range []float64{0, 3.25, 40} {
+		for _, target := range []int{5, 60, 250, 400} {
+			probe := noisyReplay(t, nil)
+			probe.RunFor(small, start, 0)
+			need := probe.SecondsToReach(small, target)
+			for _, capSecs := range []float64{-1, 0, need / 2, need * (1 - 1e-15), need, need * (1 + 1e-15), need * 2} {
+				cold := noisyReplay(t, nil)
+				warm := noisyReplay(t, cache)
+				cold.RunFor(small, start, 0)
+				warm.RunFor(small, start, 0)
+				cn, cok := cold.SecondsToReachCapped(small, target, capSecs)
+				wn, wok := warm.SecondsToReachCapped(small, target, capSecs)
+				if cok != wok || math.Float64bits(cn) != math.Float64bits(wn) {
+					t.Fatalf("start %v, target %d, cap %v: cold (%v, %v), warm (%v, %v)",
+						start, target, capSecs, cn, cok, wn, wok)
+				}
+			}
+		}
+	}
+}
+
+// TestLastPointMemoFollowsProgress pins the memoized leaderboard accessor to
+// the plain search through forward progress, repeated calls, and rewinds.
+func TestLastPointMemoFollowsProgress(t *testing.T) {
+	r := mkReplay(t)
+	ref := func() (earlycurve.MetricPoint, bool) {
+		var last earlycurve.MetricPoint
+		found := false
+		for _, p := range r.curve {
+			if p.Step > r.CompletedSteps() {
+				break
+			}
+			last, found = p, true
+		}
+		return last, found
+	}
+	for _, p := range []float64{0, 9.5, 10, 10, 35, 100, 20, 0, 55.5, 99} {
+		r.progress = p
+		for k := 0; k < 2; k++ {
+			got, gok := r.LastPoint()
+			want, wok := ref()
+			if got != want || gok != wok {
+				t.Fatalf("progress %v: LastPoint = %v,%v want %v,%v", p, got, gok, want, wok)
+			}
+		}
+	}
+}
