@@ -221,8 +221,9 @@ func (e *Environment) applyHooks(cluster *cloudsim.Cluster) error {
 }
 
 // Markets resolves a catalog against the environment's traces and store:
-// the table a World shares across every cluster built in it. A nil catalog
-// (or the environment's own) returns the environment's table.
+// the table a World shares across every cluster built in it. Resolve once
+// per world, not per cluster. A nil catalog (or the environment's own)
+// returns the environment's table.
 func (e *Environment) Markets(cat *market.Catalog) (*cloudsim.Markets, error) {
 	if cat == nil || cat == e.Catalog {
 		return e.markets, nil
@@ -241,17 +242,14 @@ type World struct {
 	// world must be serialized (the service arbiter's token does this):
 	// the clock's engine is single-goroutine state.
 	Clock *simclock.Virtual
-	// Catalog, when non-nil, replaces the environment catalog for the
-	// cluster and the provisioning policy. Types must keep the
-	// environment's names (traces are looked up by name).
-	Catalog *market.Catalog
+	// Markets, when non-nil, is the catalog override, resolved once
+	// (Environment.Markets) and shared by every cluster in the world: its
+	// catalog replaces the environment's for the cluster and the
+	// provisioning policy. Nil keeps the environment's catalog.
+	Markets *cloudsim.Markets
 	// Domain, when non-nil, makes co-resident fleets contend: shared
 	// per-type capacity and demand-pressure surge pricing.
 	Domain *cloudsim.CapacityDomain
-	// Markets, when non-nil, is the world catalog's resolved table
-	// (Environment.Markets), built once and shared by every cluster in the
-	// world. Nil resolves the catalog per cluster.
-	Markets *cloudsim.Markets
 }
 
 // NewClusterIn builds a fresh cluster inside a shared world: same store,
@@ -263,10 +261,7 @@ func (e *Environment) NewClusterIn(w *World) (*cloudsim.Cluster, error) {
 	}
 	m := w.Markets
 	if m == nil {
-		var err error
-		if m, err = e.Markets(w.Catalog); err != nil {
-			return nil, err
-		}
+		m = e.markets
 	}
 	cluster, err := cloudsim.NewClusterOn(w.Clock, m)
 	if err != nil {
@@ -438,8 +433,8 @@ func (e *Environment) RunPolicy(b *workload.Benchmark, curves workload.Curves, o
 		cluster, err = e.NewClusterIn(opt.World)
 		// The policy must quote and rank under the world's (possibly
 		// capacity-capped) catalog, not the environment default.
-		if opt.World.Catalog != nil && opt.PolicyParams.Catalog == nil {
-			opt.PolicyParams.Catalog = opt.World.Catalog
+		if opt.World.Markets != nil && opt.PolicyParams.Catalog == nil {
+			opt.PolicyParams.Catalog = opt.World.Markets.Catalog()
 		}
 	} else {
 		cluster, err = e.NewCluster()

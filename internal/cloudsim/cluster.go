@@ -175,16 +175,12 @@ type NoticeFunc func(inst *Instance, now time.Time)
 // the billing machinery.
 type Cluster struct {
 	clk *simclock.Virtual
-	// markets resolves type names to catalog entries and trace slots; it is
+	// markets holds the catalog, the traces and their SoA store (every
+	// price query runs against it, bit-identical to the Trace methods), and
+	// resolves type names to catalog entries and trace slots. It is
 	// immutable and shared by every cluster built from one environment or
-	// world. catalog, traces and store are its parts, kept for the cold
-	// paths.
+	// world.
 	markets *Markets
-	catalog *market.Catalog
-	traces  market.TraceSet
-	// store is the SoA packing of traces every hot-path price query runs
-	// against (bit-identical to the Trace methods).
-	store *market.Store
 
 	nextID    int
 	instances map[string]*Instance
@@ -240,9 +236,6 @@ func NewClusterOn(clk *simclock.Virtual, m *Markets) (*Cluster, error) {
 	return &Cluster{
 		clk:         clk,
 		markets:     m,
-		catalog:     m.catalog,
-		traces:      m.traces,
-		store:       m.store,
 		instances:   make(map[string]*Instance),
 		runningSpot: make([]int, len(m.slots)),
 		trc:         obs.Nop{},
@@ -266,7 +259,7 @@ func (c *Cluster) SetTracer(t obs.Tracer) {
 // domain must use a catalog of the same layout (the world's catalog).
 func (c *Cluster) SetCapacityDomain(d *CapacityDomain) error {
 	if d != nil {
-		if err := d.bind(c.catalog); err != nil {
+		if err := d.bind(c.markets.catalog); err != nil {
 			return err
 		}
 	}
@@ -278,11 +271,11 @@ func (c *Cluster) SetCapacityDomain(d *CapacityDomain) error {
 // live demand-pressure multiplier (1 without a domain). Catalog types take
 // one name lookup; a traced market outside the catalog quotes flat.
 func (c *Cluster) quote(typeName string) (trace int, surge float64, ok bool) {
-	if i, ok := c.catalog.Index(typeName); ok {
+	if i, ok := c.markets.catalog.Index(typeName); ok {
 		sl := &c.markets.slots[i]
 		return sl.trace, c.domain.surge(i, sl.it.Capacity), true
 	}
-	trace, ok = c.store.Lookup(typeName)
+	trace, ok = c.markets.store.Lookup(typeName)
 	return trace, 1, ok
 }
 
@@ -295,7 +288,7 @@ func (c *Cluster) Clock() *simclock.Virtual { return c.clk }
 func (c *Cluster) Now() time.Time { return c.clk.Now() }
 
 // Catalog exposes the instance catalog.
-func (c *Cluster) Catalog() *market.Catalog { return c.catalog }
+func (c *Cluster) Catalog() *market.Catalog { return c.markets.catalog }
 
 // Ledger returns the billing ledger (live view).
 func (c *Cluster) Ledger() *Ledger { return &c.ledger }
@@ -306,7 +299,7 @@ func (c *Cluster) CurrentPrice(typeName string) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("cloudsim: unknown market %q", typeName)
 	}
-	p, _ := c.store.PriceAt(ti, c.clk.Now())
+	p, _ := c.markets.store.PriceAt(ti, c.clk.Now())
 	return p * surge, nil
 }
 
@@ -318,14 +311,14 @@ func (c *Cluster) AvgPriceLastHour(typeName string) (float64, error) {
 		return 0, fmt.Errorf("cloudsim: unknown market %q", typeName)
 	}
 	now := c.clk.Now()
-	avg, err := c.store.AvgOver(ti, now.Add(-time.Hour), now)
+	avg, err := c.markets.store.AvgOver(ti, now.Add(-time.Hour), now)
 	return avg * surge, err
 }
 
 // OnDemandPrice returns the fixed hourly on-demand quote for a type — the
 // reliable-capacity price provisioning policies weigh spot bids against.
 func (c *Cluster) OnDemandPrice(typeName string) (float64, error) {
-	i, ok := c.catalog.Index(typeName)
+	i, ok := c.markets.catalog.Index(typeName)
 	if !ok {
 		return 0, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
@@ -341,11 +334,11 @@ var ErrPriceAboveMax = errors.New("cloudsim: market price above requested maximu
 // NoticeLeadTime beforehand (onNotice may be nil) and the instance is then
 // revoked with first-hour refunds applied.
 //
-// A request the market has no room for fails with a *CapacityError
-// (errors.Is(err, ErrCapacityUnavailable)); those errors are built once per
+// A request the market has no room for fails with an error matching
+// ErrCapacityUnavailable (errors.Is); those errors are built once per
 // Markets table, so the miss allocates nothing.
 func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice NoticeFunc) (*Instance, error) {
-	slot, ok := c.catalog.Index(typeName)
+	slot, ok := c.markets.catalog.Index(typeName)
 	if !ok {
 		return nil, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
@@ -366,7 +359,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 	if c.domain != nil && !c.domain.hasRoom(slot, it.Capacity) {
 		return nil, sl.sharedFull
 	}
-	cur, _ := c.store.PriceAt(ti, now)
+	cur, _ := c.markets.store.PriceAt(ti, now)
 	if cur > maxPrice {
 		return nil, fmt.Errorf("%w: %s at %.4f > max %.4f", ErrPriceAboveMax, typeName, cur, maxPrice)
 	}
@@ -390,7 +383,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 		inst.Surge = c.domain.surge(slot, it.Capacity)
 	}
 
-	if exceedAt, found := c.store.FirstExceed(ti, now, maxPrice); found {
+	if exceedAt, found := c.markets.store.FirstExceed(ti, now, maxPrice); found {
 		noticeAt := exceedAt.Add(-NoticeLeadTime)
 		if noticeAt.Before(now) {
 			noticeAt = now
@@ -419,7 +412,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 // RequestOnDemand launches a reliable on-demand instance billed at the fixed
 // catalog price. It is never revoked.
 func (c *Cluster) RequestOnDemand(typeName string) (*Instance, error) {
-	slot, ok := c.catalog.Index(typeName)
+	slot, ok := c.markets.catalog.Index(typeName)
 	if !ok {
 		return nil, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
@@ -482,7 +475,7 @@ func (c *Cluster) finish(inst *Instance, at time.Time, reason EndReason) {
 		if inst.OnDemand {
 			usage.GrossCost = inst.Type.OnDemandPrice * dur.Hours()
 		} else {
-			avg, err := c.store.AvgOver(c.markets.slots[inst.slot].trace, inst.LaunchedAt, at)
+			avg, err := c.markets.store.AvgOver(c.markets.slots[inst.slot].trace, inst.LaunchedAt, at)
 			if err == nil {
 				surge := inst.Surge
 				if surge == 0 {

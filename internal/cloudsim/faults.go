@@ -43,7 +43,7 @@ func (c *Cluster) AddBlackout(b Blackout) error {
 		return fmt.Errorf("cloudsim: blackout window from %v >= to %v", b.From, b.To)
 	}
 	if b.TypeName != "" {
-		if _, ok := c.catalog.Lookup(b.TypeName); !ok {
+		if _, ok := c.markets.catalog.Lookup(b.TypeName); !ok {
 			return fmt.Errorf("cloudsim: blackout names unknown instance type %q", b.TypeName)
 		}
 	}
@@ -122,7 +122,7 @@ func (c *Cluster) nextBlackoutEdge(names []string, now time.Time) (time.Time, bo
 // fully refunded.
 func (c *Cluster) SchedulePreemption(at time.Time, typeName string) error {
 	if typeName != "" {
-		if _, ok := c.catalog.Lookup(typeName); !ok {
+		if _, ok := c.markets.catalog.Lookup(typeName); !ok {
 			return fmt.Errorf("cloudsim: preemption names unknown instance type %q", typeName)
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // before the campaign horizon holds its final price forever, so the market
 // is genuinely quiescent and schedulers must not expect another tick.
 func (c *Cluster) NextPriceTick(typeName string) (time.Time, bool) {
-	tr, ok := c.traces[typeName]
+	tr, ok := c.markets.traces[typeName]
 	if !ok {
 		return time.Time{}, false
 	}
@@ -37,7 +37,7 @@ func (c *Cluster) NextPriceTick(typeName string) (time.Time, bool) {
 // are flat from here on.
 func (c *Cluster) NextMarketTick(names []string) (time.Time, bool) {
 	if names == nil {
-		names = c.catalog.Names()
+		names = c.markets.catalog.Names()
 	}
 	var best time.Time
 	found := false

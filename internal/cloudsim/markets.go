@@ -28,7 +28,7 @@ type marketSlot struct {
 	trace int // index into the store
 	// The capacity misses, built once so a rejected spot request (the
 	// common outcome under contention) allocates nothing.
-	blackedOut, atCapacity, sharedFull *CapacityError
+	blackedOut, atCapacity, sharedFull *capacityError
 }
 
 // NewMarkets resolves every catalog type against the traces and their packed
@@ -53,52 +53,23 @@ func NewMarkets(cat *market.Catalog, traces market.TraceSet, store *market.Store
 		m.slots[i] = marketSlot{
 			it:         it,
 			trace:      ti,
-			blackedOut: newCapacityError(it, CauseBlackout),
-			atCapacity: newCapacityError(it, CauseCapacity),
-			sharedFull: newCapacityError(it, CauseSharedCapacity),
+			blackedOut: &capacityError{fmt.Sprintf("%v: %s blacked out", ErrCapacityUnavailable, it.Name)},
+			atCapacity: &capacityError{fmt.Sprintf("%v: %s at capacity %d", ErrCapacityUnavailable, it.Name, it.Capacity)},
+			sharedFull: &capacityError{fmt.Sprintf("%v: %s at shared capacity %d", ErrCapacityUnavailable, it.Name, it.Capacity)},
 		}
 	}
 	return m, nil
 }
 
-// CapacityCause says why a spot request found no room.
-type CapacityCause int
+// Catalog is the catalog the table resolves.
+func (m *Markets) Catalog() *market.Catalog { return m.catalog }
 
-// Capacity-miss causes.
-const (
-	// CauseBlackout: an installed blackout window covers the type.
-	CauseBlackout CapacityCause = iota + 1
-	// CauseCapacity: the cluster's own fleet fills the catalog's per-type cap.
-	CauseCapacity
-	// CauseSharedCapacity: co-resident fleets on the capacity domain fill it.
-	CauseSharedCapacity
-)
+// capacityError is the ErrCapacityUnavailable a spot request gets when the
+// market has no room for it. Each type's misses are built once with its
+// Markets slot, so a rejected request allocates nothing.
+type capacityError struct{ msg string }
 
-// CapacityError is the typed ErrCapacityUnavailable RequestSpot returns:
-// errors.Is(err, ErrCapacityUnavailable) holds, and errors.As exposes the
-// type and cause. Every (type, cause) error is built once with the Markets
-// table and shared, so it must not be modified.
-type CapacityError struct {
-	TypeName string
-	Cause    CapacityCause
-	Capacity int // the per-type cap (0 for a blackout of an uncapped type)
-	msg      string
-}
-
-func newCapacityError(it market.InstanceType, cause CapacityCause) *CapacityError {
-	e := &CapacityError{TypeName: it.Name, Cause: cause, Capacity: it.Capacity}
-	switch cause {
-	case CauseBlackout:
-		e.msg = fmt.Sprintf("%v: %s blacked out", ErrCapacityUnavailable, it.Name)
-	case CauseCapacity:
-		e.msg = fmt.Sprintf("%v: %s at capacity %d", ErrCapacityUnavailable, it.Name, it.Capacity)
-	default:
-		e.msg = fmt.Sprintf("%v: %s at shared capacity %d", ErrCapacityUnavailable, it.Name, it.Capacity)
-	}
-	return e
-}
-
-func (e *CapacityError) Error() string { return e.msg }
+func (e *capacityError) Error() string { return e.msg }
 
 // Unwrap makes the error match ErrCapacityUnavailable.
-func (e *CapacityError) Unwrap() error { return ErrCapacityUnavailable }
+func (e *capacityError) Unwrap() error { return ErrCapacityUnavailable }

@@ -138,22 +138,23 @@ func (w *testWorld) provisioner(t *testing.T) *Provisioner {
 func TestPerfMatrixInitAndObserve(t *testing.T) {
 	w := newWorld(t, false)
 	m := NewPerfMatrix(w.cat, 16)
-	if got := m.Get("slow", "hp"); got != 8 { // 16/2 cpus
+	hp := m.column("hp")
+	if got := m.get("slow", hp); got != 8 { // 16/2 cpus
 		t.Fatalf("init M[slow] = %v, want 8", got)
 	}
-	if got := m.Get("fast", "hp"); got != 1 { // 16/16
+	if got := m.get("fast", hp); got != 1 { // 16/16
 		t.Fatalf("init M[fast] = %v, want 1", got)
 	}
-	m.Observe("slow", "hp", 4.0)
-	if got := m.Get("slow", "hp"); got != 4.0 {
+	m.observe("slow", hp, 4.0)
+	if got := m.get("slow", hp); got != 4.0 {
 		t.Fatalf("first observation M = %v, want 4", got)
 	}
-	m.Observe("slow", "hp", 2.0)
-	if got := m.Get("slow", "hp"); got != 3.0 { // EWMA 0.5
+	m.observe("slow", hp, 2.0)
+	if got := m.get("slow", hp); got != 3.0 { // EWMA 0.5
 		t.Fatalf("EWMA M = %v, want 3", got)
 	}
-	m.Observe("slow", "hp", math.NaN())
-	if got := m.Get("slow", "hp"); got != 3.0 {
+	m.observe("slow", hp, math.NaN())
+	if got := m.get("slow", hp); got != 3.0 {
 		t.Fatal("NaN observation was folded in")
 	}
 	if len(m.Snapshot()) != 1 {

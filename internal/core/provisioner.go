@@ -199,16 +199,8 @@ func (m *PerfMatrix) column(hpID string) int {
 	return c
 }
 
-// Get returns the current estimate of seconds/step.
-func (m *PerfMatrix) Get(typeName, hpID string) float64 {
-	col, ok := m.cols[hpID]
-	if !ok {
-		col = -1
-	}
-	return m.get(typeName, col)
-}
-
-// get is Get by HP column (-1 for an HP never seen): one name lookup.
+// get returns the current seconds/step estimate of a type for the HP in
+// column col (from column): one name lookup.
 func (m *PerfMatrix) get(typeName string, col int) float64 {
 	row, ok := m.catalog.Index(typeName)
 	if !ok {
@@ -220,13 +212,8 @@ func (m *PerfMatrix) get(typeName string, col int) float64 {
 	return m.prior[row]
 }
 
-// Observe folds a measured seconds-per-step sample into the estimate
-// (line 36 of Algorithm 1).
-func (m *PerfMatrix) Observe(typeName, hpID string, secPerStep float64) {
-	m.observe(typeName, m.column(hpID), secPerStep)
-}
-
-// observe is Observe by HP column.
+// observe folds a measured seconds-per-step sample for the HP in column col
+// into the estimate (line 36 of Algorithm 1).
 func (m *PerfMatrix) observe(typeName string, col int, secPerStep float64) {
 	if secPerStep <= 0 || math.IsNaN(secPerStep) || math.IsInf(secPerStep, 0) {
 		return

@@ -395,7 +395,7 @@ func TestRemainingSecsBitStable(t *testing.T) {
 	}
 	for i, st := range orch.ts {
 		st.inRound, st.limit = true, 50+17*i
-		orch.perf.Observe("fast", st.id, 0.1+math.Pow(3.7, float64(i%9))*1e-3/float64(i+1))
+		orch.perf.observe("fast", st.col, 0.1+math.Pow(3.7, float64(i%9))*1e-3/float64(i+1))
 	}
 	orch.ts[5].finished = true
 	want := orch.remainingSecs()

@@ -80,49 +80,17 @@ func (s *Store) span(ti int) (lo, hi int) {
 
 // searchAfter returns the first index in at with a timestamp strictly after
 // tNanos — the flat-buffer equivalent of sort.Search over Record.At.After.
-// Records sit on a near-uniform grid, so the search starts at the index the
-// timestamp interpolates to and gallops out to a bracket before bisecting;
-// the index found is the one a plain bisection finds.
 func searchAfter(at []int64, tNanos int64) int {
-	n := len(at)
-	if n == 0 || tNanos < at[0] {
-		return 0
-	}
-	if tNanos >= at[n-1] {
-		return n
-	}
-	// From here at[lo] <= tNanos < at[hi] holds throughout.
-	lo, hi := 0, n-1
-	g := int(float64(tNanos-at[0]) / float64(at[n-1]-at[0]) * float64(n-1))
-	g = min(max(g, 0), n-2)
-	if at[g] <= tNanos {
-		lo = g
-		for step := 1; lo+step < hi; step <<= 1 {
-			if at[lo+step] > tNanos {
-				hi = lo + step
-				break
-			}
-			lo += step
-		}
-	} else {
-		hi = g
-		for step := 1; hi-step > lo; step <<= 1 {
-			if at[hi-step] <= tNanos {
-				lo = hi - step
-				break
-			}
-			hi -= step
-		}
-	}
-	for hi-lo > 1 {
+	lo, hi := 0, len(at)
+	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if at[mid] <= tNanos {
-			lo = mid
+			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return hi
+	return lo
 }
 
 // PriceAt is Trace.PriceAt by trace index: the price of the latest record at

@@ -3,7 +3,6 @@ package market
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 	"testing"
 	"time"
 )
@@ -186,46 +185,6 @@ func TestStoreNamesDeterministic(t *testing.T) {
 		}
 		if i > 0 && a.Names()[i-1] >= n {
 			t.Fatalf("names not sorted: %v", a.Names())
-		}
-	}
-}
-
-// TestSearchAfterMatchesBisection pins the interpolated search to the plain
-// bisection it replaced, on regular grids, irregular and clustered spacings,
-// and repeated timestamps, for queries on, between, and outside records.
-func TestSearchAfterMatchesBisection(t *testing.T) {
-	bisect := func(at []int64, q int64) int {
-		return sort.Search(len(at), func(i int) bool { return at[i] > q })
-	}
-	rng := rand.New(rand.NewPCG(7, 0x5ea))
-	for trial := 0; trial < 300; trial++ {
-		n := rng.IntN(200)
-		at := make([]int64, n)
-		cur := rng.Int64N(1e12)
-		for i := range at {
-			switch rng.IntN(4) {
-			case 0:
-				cur += 60e9
-			case 1:
-				cur += rng.Int64N(3)
-			case 2:
-				cur += rng.Int64N(1e9)
-			default:
-				cur += rng.Int64N(1e13)
-			}
-			at[i] = cur
-		}
-		queries := []int64{math.MinInt64, math.MaxInt64}
-		for _, a := range at {
-			queries = append(queries, a-1, a, a+1)
-		}
-		for k := 0; k < 50; k++ {
-			queries = append(queries, rng.Int64N(cur+2e12)-1e12)
-		}
-		for _, q := range queries {
-			if got, want := searchAfter(at, q), bisect(at, q); got != want {
-				t.Fatalf("n=%d query %d: searchAfter %d, bisection %d", n, q, got, want)
-			}
 		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"spottune/internal/core"
 	"spottune/internal/earlycurve"
 	"spottune/internal/invariants"
-	"spottune/internal/market"
 	"spottune/internal/obs"
 	"spottune/internal/scenario"
 	"spottune/internal/simclock"
@@ -356,14 +355,13 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 		}
 	}
 
-	// The contended region: one capacity-capped catalog shared read-only by
-	// every shard; each wave gets its own fresh demand domain.
-	var capCat *market.Catalog
+	// The contended region: one capacity-capped catalog, resolved once and
+	// shared read-only by every shard; each wave gets its own fresh demand
+	// domain.
 	var capMarkets *cloudsim.Markets
 	if cfg.Contention {
-		capCat = env.Catalog.WithCapacity(cfg.Capacity)
 		var err error
-		if capMarkets, err = env.Markets(capCat); err != nil {
+		if capMarkets, err = env.Markets(env.Catalog.WithCapacity(cfg.Capacity)); err != nil {
 			return nil, err
 		}
 	}
@@ -458,7 +456,7 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 					hi = len(sh.queue)
 				}
 				fl.wait(sh.queue[hi-1].rank, window)
-				caps := runWave(env, bench, curves, sh, sh.queue[lo:hi], capCat, capMarkets, cfg, results)
+				caps := runWave(env, bench, curves, sh, sh.queue[lo:hi], capMarkets, cfg, results)
 				capMu.Lock()
 				sum.Waves++
 				sum.Capacity = append(sum.Capacity, caps...)
@@ -479,13 +477,12 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 // the arbiter token in next-event order. Returns the wave's cross-tenant
 // capacity audit findings (contention mode only).
 func runWave(env *campaign.Environment, bench *workload.Benchmark, curves workload.Curves,
-	sh *shardState, wave []pendingTenant, capCat *market.Catalog, capMarkets *cloudsim.Markets, cfg Config, results chan<- Result) []invariants.Violation {
+	sh *shardState, wave []pendingTenant, capMarkets *cloudsim.Markets, cfg Config, results chan<- Result) []invariants.Violation {
 
 	clk := simclock.NewVirtual(env.CampaignStart)
 	clk.SetNodePool(sh.pool)
 	world := &campaign.World{Clock: clk}
-	if capCat != nil {
-		world.Catalog = capCat
+	if capMarkets != nil {
 		world.Markets = capMarkets
 		world.Domain = cloudsim.NewCapacityDomain(cfg.SurgeSlope)
 	}
@@ -512,10 +509,10 @@ func runWave(env *campaign.Environment, bench *workload.Benchmark, curves worklo
 	clk.SetAdvanceGate(nil)
 	clk.ReleaseNodes()
 
-	if capCat == nil {
+	if capMarkets == nil {
 		return nil
 	}
-	return invariants.CheckCapacity(capCat, ledgers)
+	return invariants.CheckCapacity(capMarkets.Catalog(), ledgers)
 }
 
 // runTenant executes one tenant campaign inside the wave's shared world.
