@@ -93,7 +93,11 @@ type Environment struct {
 	// revProb pairs Grids with Predictors once per environment; every
 	// policy NewPolicy builds predicts through it.
 	revProb policy.RevProbFunc
-	Pool    []string
+	// fits is the stage-fit memo every campaign RunPolicy runs with the
+	// default EarlyCurve predictor shares. Copies made by WithPredictors
+	// share it too: a stage fit depends only on its segment.
+	fits *earlycurve.FitMemo
+	Pool []string
 
 	Start, End    time.Time
 	CampaignStart time.Time
@@ -134,6 +138,7 @@ func NewEnvironment(opts EnvOptions) (*Environment, error) {
 		Store:         market.NewStore(traces),
 		Grids:         make(map[string]*market.Grid, len(pool)),
 		Predictors:    make(map[string]revpred.Predictor, len(pool)),
+		fits:          earlycurve.NewFitMemo(),
 		Pool:          pool,
 		Start:         start,
 		End:           end,
@@ -279,7 +284,9 @@ type Options struct {
 	MCnt          int
 	MaxConcurrent int
 	Seed          uint64
-	Trend         earlycurve.TrendPredictor
+	// Trend predicts final metrics from partial curves. Nil selects
+	// EarlyCurve on the environment's shared stage-fit memo.
+	Trend earlycurve.TrendPredictor
 	// Mode selects the orchestrator's scheduling loop (discrete-event by
 	// default; core.LoopPolling for the legacy Algorithm 1 poll loop).
 	Mode core.LoopMode
@@ -488,12 +495,16 @@ func (e *Environment) RunPolicy(b *workload.Benchmark, curves workload.Curves, o
 	if err != nil {
 		return nil, err
 	}
+	trend := opt.Trend
+	if trend == nil {
+		trend = &earlycurve.Predictor{Memo: e.fits}
+	}
 	cfg := core.Config{
 		Mode:          opt.Mode,
 		Theta:         opt.Theta,
 		MCnt:          opt.MCnt,
 		MaxConcurrent: opt.MaxConcurrent,
-		Trend:         opt.Trend,
+		Trend:         trend,
 		Tuner:         tun,
 		Resilience:    res,
 		Deadline:      opt.Deadline,

@@ -48,6 +48,8 @@ type SweepOptions struct {
 // each builds its own cluster, clock, and object store — so they parallelize
 // without shared mutable state; environments (markets, grids, trained
 // predictors) are read-only at run time and safe to share across workers.
+// Their exact memos (RevPred history rows, EarlyCurve stage fits) are
+// locked, and a memoized answer is the same bits as a recomputed one.
 //
 // Determinism: the i-th task always receives rand.NewPCG(seed, i), and the
 // i-th result slot always holds the i-th task's outcome. A sweep over a

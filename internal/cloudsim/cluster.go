@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"spottune/internal/market"
@@ -182,8 +184,9 @@ type Cluster struct {
 	// world.
 	markets *Markets
 
-	nextID    int
-	instances map[string]*Instance
+	// instances holds every instance the cluster launched, in launch
+	// order: instance i-N is instances[N-1].
+	instances []*Instance
 	ledger    Ledger
 
 	// runningSpot counts live spot instances per catalog index, enforcing
@@ -236,7 +239,6 @@ func NewClusterOn(clk *simclock.Virtual, m *Markets) (*Cluster, error) {
 	return &Cluster{
 		clk:         clk,
 		markets:     m,
-		instances:   make(map[string]*Instance),
 		runningSpot: make([]int, len(m.slots)),
 		trc:         obs.Nop{},
 	}, nil
@@ -363,9 +365,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 	if cur > maxPrice {
 		return nil, fmt.Errorf("%w: %s at %.4f > max %.4f", ErrPriceAboveMax, typeName, cur, maxPrice)
 	}
-	c.nextID++
-	inst := &Instance{
-		ID:         fmt.Sprintf("i-%06d", c.nextID),
+	inst := c.launch(&Instance{
 		Type:       it,
 		MaxPrice:   maxPrice,
 		LaunchedAt: now,
@@ -373,8 +373,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 		Surge:      1,
 		slot:       slot,
 		onNotice:   onNotice,
-	}
-	c.instances[inst.ID] = inst
+	})
 	c.runningSpot[slot]++
 	if c.domain != nil {
 		// Sampled after acquiring, so an instance's own demand is part of
@@ -416,24 +415,27 @@ func (c *Cluster) RequestOnDemand(typeName string) (*Instance, error) {
 	if !ok {
 		return nil, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
-	c.nextID++
-	inst := &Instance{
-		ID:         fmt.Sprintf("i-%06d", c.nextID),
+	return c.launch(&Instance{
 		Type:       c.markets.slots[slot].it,
 		OnDemand:   true,
 		LaunchedAt: c.clk.Now(),
 		State:      StateRunning,
 		Surge:      1,
 		slot:       slot,
-	}
-	c.instances[inst.ID] = inst
-	return inst, nil
+	}), nil
+}
+
+// launch names a new instance and records it.
+func (c *Cluster) launch(inst *Instance) *Instance {
+	c.instances = append(c.instances, inst)
+	inst.ID = fmt.Sprintf("i-%06d", len(c.instances))
+	return inst
 }
 
 // Terminate shuts an instance down at the user's request (full charge, no
 // refund).
 func (c *Cluster) Terminate(id string) error {
-	inst, ok := c.instances[id]
+	inst, ok := c.Instance(id)
 	if !ok {
 		return fmt.Errorf("cloudsim: unknown instance %q", id)
 	}
@@ -515,10 +517,13 @@ func (c *Cluster) finish(inst *Instance, at time.Time, reason EndReason) {
 	}
 }
 
-// Instance returns a live instance by ID.
+// Instance returns an instance the cluster launched, by ID.
 func (c *Cluster) Instance(id string) (*Instance, bool) {
-	inst, ok := c.instances[id]
-	return inst, ok
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "i-"))
+	if err != nil || n < 1 || n > len(c.instances) || c.instances[n-1].ID != id {
+		return nil, false
+	}
+	return c.instances[n-1], true
 }
 
 // RunningInstances lists instances still usable, sorted by ID.

@@ -38,21 +38,25 @@ func MaxModelSizeMB(cpus int) float64 {
 // Transfers report the virtual time they take; callers account for it. The
 // zero value is not usable; construct with NewObjectStore.
 type ObjectStore struct {
-	mu     sync.Mutex
-	blobs  map[string][]byte
-	sizeMB map[string]float64 // modeled size per key
+	mu    sync.Mutex
+	blobs map[string]*object
 
 	putOps, getOps     int
 	putBytes, getBytes int64
 	putTime, getTime   time.Duration
 }
 
+// object is one stored blob and the size its transfers are modeled at.
+// The store never hands data out (Get copies), so a Put over an existing
+// key reuses its buffer.
+type object struct {
+	data   []byte
+	sizeMB float64
+}
+
 // NewObjectStore returns an empty store.
 func NewObjectStore() *ObjectStore {
-	return &ObjectStore{
-		blobs:  make(map[string][]byte),
-		sizeMB: make(map[string]float64),
-	}
+	return &ObjectStore{blobs: make(map[string]*object)}
 }
 
 // TransferStats summarizes cumulative traffic (Fig. 12's numerator).
@@ -85,9 +89,13 @@ func (o *ObjectStore) PutSized(key string, data []byte, sizeMB float64, cpus int
 func (o *ObjectStore) putSized(key string, data []byte, sizeMB float64, cpus int) time.Duration {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	cp := append([]byte(nil), data...)
-	o.blobs[key] = cp
-	o.sizeMB[key] = sizeMB
+	obj := o.blobs[key]
+	if obj == nil {
+		obj = &object{}
+		o.blobs[key] = obj
+	}
+	obj.data = append(obj.data[:0], data...)
+	obj.sizeMB = sizeMB
 	d := durationForMB(sizeMB, cpus)
 	o.putOps++
 	o.putBytes += int64(sizeMB * (1 << 20))
@@ -100,16 +108,15 @@ func (o *ObjectStore) putSized(key string, data []byte, sizeMB float64, cpus int
 func (o *ObjectStore) Get(key string, cpus int) ([]byte, time.Duration, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	data, ok := o.blobs[key]
+	obj, ok := o.blobs[key]
 	if !ok {
 		return nil, 0, fmt.Errorf("cloudsim: object %q not found", key)
 	}
-	mb := o.sizeMB[key]
-	d := durationForMB(mb, cpus)
+	d := durationForMB(obj.sizeMB, cpus)
 	o.getOps++
-	o.getBytes += int64(mb * (1 << 20))
+	o.getBytes += int64(obj.sizeMB * (1 << 20))
 	o.getTime += d
-	return append([]byte(nil), data...), d, nil
+	return append([]byte(nil), obj.data...), d, nil
 }
 
 // Keys lists stored keys in sorted order (invariant checkers scan every
@@ -138,7 +145,6 @@ func (o *ObjectStore) Delete(key string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	delete(o.blobs, key)
-	delete(o.sizeMB, key)
 }
 
 // Stats returns cumulative transfer statistics.

@@ -181,13 +181,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// segment records steps run on one instance so refunds can be attributed.
-type segment struct {
-	instanceID string
-	trialID    string
-	steps      int
-}
-
 // assignment is one live (trial, instance) pairing.
 type assignment struct {
 	st          *trialState
@@ -234,10 +227,11 @@ func oversizedFor(ckptMB float64, cpus int) bool {
 // over trials (triggers, wakeups, the slack projection) runs in submission
 // order.
 type trialState struct {
-	tr  *trial.Replay
-	id  string
-	idx int // submission index
-	col int // performance-matrix column
+	tr   *trial.Replay
+	id   string
+	ckpt string // object-store key of the trial's checkpoint
+	idx  int    // submission index
+	col  int    // performance-matrix column
 
 	// limit is the active round's step cap; inRound marks the trials the
 	// round directed (limit is 0 for the others).
@@ -248,7 +242,11 @@ type trialState struct {
 	finished bool
 	// active is the trial's assignment, from deploy until the scheduler
 	// turn after it ends (dead assignments are reaped in handleTriggers).
+	// It points at seg, the one assignment value every deployment of the
+	// trial reuses: a trial has at most one assignment at a time, and a
+	// dead one is never read once the trial redeploys.
 	active *assignment
+	seg    assignment
 
 	// deployments/spotFailures feed policy.TrialInfo: total deployments,
 	// and the consecutive spot misfortunes — segments that ended in a
@@ -348,7 +346,9 @@ type Orchestrator struct {
 	waiting []*trialState
 	nActive int
 
-	segments      []segment
+	// segments records the steps run on each instance so refunds can be
+	// attributed; the report takes the slice as its Segments.
+	segments      []SegmentRecord
 	deployments   int
 	odDeployments int
 	notices       int
@@ -449,7 +449,7 @@ func NewPolicyOrchestrator(
 		if _, dup := o.byID[id]; dup {
 			return nil, fmt.Errorf("core: duplicate trial %q", id)
 		}
-		t := &trialState{tr: tr, id: id, idx: len(o.ts), col: o.perf.column(id)}
+		t := &trialState{tr: tr, id: id, ckpt: ckptKey(id), idx: len(o.ts), col: o.perf.column(id)}
 		t.secPerStep = func(tn string) float64 { return o.perf.get(tn, t.col) }
 		t.onNotice = func(inst *cloudsim.Instance, at time.Time) {
 			// Only a trial's live instance is ever noticed; the check keeps
@@ -957,7 +957,8 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 		t.blackoutStreak = 0
 		t.migrating, t.migrateExclude = false, ""
 		t.gaveUp = false
-		a := &assignment{
+		a := &t.seg
+		*a = assignment{
 			st:            t,
 			tr:            tr,
 			inst:          inst,
@@ -1002,13 +1003,13 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 		// any revocation can strike: without it, a notice arriving
 		// before the first periodic snapshot would have nothing to
 		// rewind to.
-		if a.oversized && !o.store.Exists(ckptKey(id)) {
+		if a.oversized && !o.store.Exists(t.ckpt) {
 			o.checkpoint(a, now)
 		}
 		// Restore from checkpoint when one exists (line 41 deploys
 		// either a fresh job or a checkpointed one).
-		if o.store.Exists(ckptKey(id)) {
-			blob, d, err := o.store.Get(ckptKey(id), inst.Type.CPUs)
+		if o.store.Exists(t.ckpt) {
+			blob, d, err := o.store.Get(t.ckpt, inst.Type.CPUs)
 			if err != nil {
 				return time.Time{}, false, fmt.Errorf("core: restoring %s: %w", id, err)
 			}
@@ -1257,7 +1258,7 @@ func (o *Orchestrator) checkpoint(a *assignment, _ time.Time) {
 	if a.inst != nil {
 		cpus = a.inst.Type.CPUs
 	}
-	o.store.PutSized(ckptKey(a.tr.ID()), o.ckptBuf, a.tr.CheckpointMB(), cpus)
+	o.store.PutSized(a.st.ckpt, o.ckptBuf, a.tr.CheckpointMB(), cpus)
 	o.ckptSetup += o.cfg.CheckpointSetup
 	a.lastCkptAt = o.cluster.Clock().Now()
 	a.lastCkptSteps = a.tr.CompletedSteps()
@@ -1319,7 +1320,7 @@ func (o *Orchestrator) recordSegment(a *assignment) {
 	if a.inst != nil {
 		instID = a.inst.ID
 	}
-	o.segments = append(o.segments, segment{instanceID: instID, trialID: a.tr.ID(), steps: steps})
+	o.segments = append(o.segments, SegmentRecord{InstanceID: instID, TrialID: a.tr.ID(), Steps: steps})
 	o.trc.Emit(obs.Event{
 		VT:    o.cluster.Clock().Now(),
 		Kind:  obs.KindSegment,

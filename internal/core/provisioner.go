@@ -6,10 +6,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"spottune/internal/cloudsim"
@@ -236,7 +238,18 @@ func (m *PerfMatrix) observe(typeName string, col int, secPerStep float64) {
 
 // Snapshot lists known estimates sorted by (type, hp) for reporting.
 func (m *PerfMatrix) Snapshot() []PerfEntry {
-	var out []PerfEntry
+	n := 0
+	for _, r := range m.est {
+		for _, v := range r {
+			if !math.IsNaN(v) {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]PerfEntry, 0, n)
 	for row, r := range m.est {
 		tn := m.catalog.TypeAt(row).Name
 		for col, v := range r {
@@ -245,11 +258,9 @@ func (m *PerfMatrix) Snapshot() []PerfEntry {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TypeName != out[j].TypeName {
-			return out[i].TypeName < out[j].TypeName
-		}
-		return out[i].HPID < out[j].HPID
+	// (type, hp) pairs are unique, so the order is total.
+	slices.SortFunc(out, func(a, b PerfEntry) int {
+		return cmp.Or(strings.Compare(a.TypeName, b.TypeName), strings.Compare(a.HPID, b.HPID))
 	})
 	return out
 }

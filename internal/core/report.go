@@ -153,26 +153,26 @@ func (o *Orchestrator) buildReport(start time.Time, out search.Outcome) *Report 
 	clk.Sleep(cloudsim.NoticeLeadTime + time.Minute)
 
 	led := o.cluster.Ledger()
-	usageByID := make(map[string]cloudsim.Usage, len(led.Records))
+	refunded := make(map[string]struct{})
 	revocations := 0
 	for _, u := range led.Records {
-		usageByID[u.InstanceID] = u
+		if u.Refunded > 0 {
+			refunded[u.InstanceID] = struct{}{}
+		}
 		if u.End == cloudsim.EndRevoked {
 			revocations++
 		}
 	}
+	segments := o.segments
+	if segments == nil {
+		segments = []SegmentRecord{} // a run that deployed nothing still carries attribution
+	}
 	total, free := 0, 0
-	segments := make([]SegmentRecord, 0, len(o.segments))
-	for _, seg := range o.segments {
-		total += seg.steps
-		if u, ok := usageByID[seg.instanceID]; ok && u.Refunded > 0 {
-			free += seg.steps
+	for _, seg := range segments {
+		total += seg.Steps
+		if _, ok := refunded[seg.InstanceID]; ok {
+			free += seg.Steps
 		}
-		segments = append(segments, SegmentRecord{
-			InstanceID: seg.instanceID,
-			TrialID:    seg.trialID,
-			Steps:      seg.steps,
-		})
 	}
 	stats := o.store.Stats()
 	rep := &Report{

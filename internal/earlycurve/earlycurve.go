@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"spottune/internal/fit"
 )
@@ -70,29 +71,29 @@ func changeRate(prev, cur, floor float64) float64 {
 
 // scaleFloor derives the denominator floor from the curve's overall scale
 // (1% of the largest magnitude seen).
-func scaleFloor(values []float64) float64 {
+func scaleFloor(points []MetricPoint) float64 {
 	maxAbs := 0.0
-	for _, v := range values {
-		if a := math.Abs(v); a > maxAbs {
+	for _, p := range points {
+		if a := math.Abs(p.Value); a > maxAbs {
 			maxAbs = a
 		}
 	}
 	return 0.01 * maxAbs
 }
 
-// Boundaries returns the indices (into values) where new stages begin. The
+// Boundaries returns the indices (into points) where new stages begin. The
 // first stage always begins at 0, so the result always starts with 0 and is
 // strictly increasing.
-func (d Detector) Boundaries(values []float64) []int {
+func (d Detector) Boundaries(points []MetricPoint) []int {
 	d = d.withDefaults()
 	bounds := []int{0}
-	if len(values) < 2 {
+	if len(points) < 2 {
 		return bounds
 	}
-	floor := scaleFloor(values)
+	floor := scaleFloor(points)
 	steady := 0
-	for i := 1; i < len(values); i++ {
-		z := changeRate(values[i-1], values[i], floor)
+	for i := 1; i < len(points); i++ {
+		z := changeRate(points[i-1].Value, points[i].Value, floor)
 		if z > d.Xi && steady >= d.Window {
 			bounds = append(bounds, i)
 			steady = 0
@@ -112,18 +113,18 @@ func (d Detector) Boundaries(values []float64) []int {
 // net climb (a drifting-upward metric is overfitting, not convergence).
 // SpotTune treats converged trials as finished even before
 // θ·max_trial_steps (§III-C).
-func Converged(values []float64, window int, tol float64) bool {
-	if window < 2 || len(values) < window {
+func Converged(points []MetricPoint, window int, tol float64) bool {
+	n := len(points)
+	if window < 2 || n < window {
 		return false
 	}
-	floor := scaleFloor(values)
-	n := len(values)
+	floor := scaleFloor(points)
 	for i := n - window + 1; i < n; i++ {
-		if changeRate(values[i-1], values[i], floor) >= tol {
+		if changeRate(points[i-1].Value, points[i].Value, floor) >= tol {
 			return false
 		}
 	}
-	first, last := values[n-window], values[n-1]
+	first, last := points[n-window].Value, points[n-1].Value
 	den := math.Abs(first)
 	if den < floor {
 		den = floor
@@ -181,8 +182,12 @@ func FitCurve(points []MetricPoint, det Detector) (*Fit, error) {
 // memo is size-capped: once full it stops learning but keeps serving hits,
 // so its memory is bounded regardless of how many cells stream through.
 //
-// A FitMemo is not safe for concurrent use; give each sweep worker its own.
+// A FitMemo is safe for concurrent use: one mutex guards the arena and the
+// index, so sweep workers sharing an environment can share its memo. Two
+// workers missing the same segment at once both solve it; the first store
+// wins, and both solves are the same bits.
 type FitMemo struct {
+	mu    sync.Mutex
 	fits  []StageFit
 	index map[memoKey]int32
 }
@@ -237,6 +242,8 @@ func (m *FitMemo) lookup(key memoKey) (StageFit, bool) {
 	if m == nil {
 		return StageFit{}, false
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if i, ok := m.index[key]; ok {
 		return m.fits[i], true
 	}
@@ -245,7 +252,12 @@ func (m *FitMemo) lookup(key memoKey) (StageFit, bool) {
 
 // store caches a solved fit unless the memo is full.
 func (m *FitMemo) store(key memoKey, sf StageFit) {
-	if m == nil || len(m.fits) >= memoFitCap {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.fits) >= memoFitCap {
 		return
 	}
 	if _, dup := m.index[key]; dup {
@@ -260,6 +272,8 @@ func (m *FitMemo) Len() int {
 	if m == nil {
 		return 0
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return len(m.fits)
 }
 
@@ -289,11 +303,7 @@ func fitCurveReuse(points []MetricPoint, det Detector, prev []trackedStage, memo
 			return nil, nil, fmt.Errorf("earlycurve: points not strictly increasing at %d", i)
 		}
 	}
-	values := make([]float64, len(points))
-	for i, p := range points {
-		values[i] = p.Value
-	}
-	bounds := det.Boundaries(values)
+	bounds := det.Boundaries(points)
 	// Merge stages too short to fit into their predecessor.
 	merged := []int{0}
 	for _, b := range bounds[1:] {

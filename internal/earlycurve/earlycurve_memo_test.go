@@ -3,6 +3,7 @@ package earlycurve
 import (
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -60,5 +61,54 @@ func TestFitMemoCapStopsGrowth(t *testing.T) {
 	}
 	if _, ok := m.lookup(key); ok {
 		t.Fatal("rejected entry should not be retrievable")
+	}
+}
+
+// TestFitMemoConcurrent: one FitMemo shared by several goroutines, each
+// replaying the same curves through its own trackers, serves every
+// goroutine the memo-free path's bits (run under -race to check the
+// locking).
+func TestFitMemoConcurrent(t *testing.T) {
+	curves := [][]MetricPoint{syntheticCurve(1, 60), syntheticCurve(2, 60), syntheticCurve(3, 60)}
+	prefixes := []int{10, 25, 40, 60}
+	want := make([][]float64, len(curves))
+	cold := &Predictor{}
+	for c, curve := range curves {
+		trk := cold.NewTracker()
+		for _, n := range prefixes {
+			v, err := trk.PredictFinal(curve[:n], 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[c] = append(want[c], v)
+		}
+	}
+	shared := &Predictor{Memo: NewFitMemo()}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				for k := range curves {
+					c := (k + w) % len(curves) // goroutines start on different curves
+					trk := shared.NewTracker()
+					for j, n := range prefixes {
+						v, err := trk.PredictFinal(curves[c][:n], 300)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if math.Float64bits(v) != math.Float64bits(want[c][j]) {
+							t.Errorf("goroutine %d curve %d n %d: shared memo %v, cold %v", w, c, n, v, want[c][j])
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if shared.Memo.Len() == 0 {
+		t.Fatal("memo never cached a fit")
 	}
 }

@@ -48,13 +48,18 @@ func TestChangeRate(t *testing.T) {
 	}
 }
 
+// pointsOf turns metric values into points at steps 1, 2, ….
+func pointsOf(values ...float64) []MetricPoint {
+	pts := make([]MetricPoint, len(values))
+	for i, v := range values {
+		pts[i] = MetricPoint{Step: i + 1, Value: v}
+	}
+	return pts
+}
+
 func TestDetectorSingleStage(t *testing.T) {
 	pts := synthCurve([4]float64{0, 0.05, 1.0, 0.3}, 100)
-	values := make([]float64, len(pts))
-	for i, p := range pts {
-		values[i] = p.Value
-	}
-	b := DefaultDetector().Boundaries(values)
+	b := DefaultDetector().Boundaries(pts)
 	if len(b) != 1 || b[0] != 0 {
 		t.Fatalf("smooth curve boundaries = %v, want [0]", b)
 	}
@@ -62,11 +67,7 @@ func TestDetectorSingleStage(t *testing.T) {
 
 func TestDetectorTwoStage(t *testing.T) {
 	pts := twoStageCurve(200, 100, 0.8, 0.2)
-	values := make([]float64, len(pts))
-	for i, p := range pts {
-		values[i] = p.Value
-	}
-	b := DefaultDetector().Boundaries(values)
+	b := DefaultDetector().Boundaries(pts)
 	if len(b) != 2 {
 		t.Fatalf("two-stage curve boundaries = %v, want 2 stages", b)
 	}
@@ -78,8 +79,8 @@ func TestDetectorTwoStage(t *testing.T) {
 
 func TestDetectorNeedsSteadyPrefix(t *testing.T) {
 	// A jump in the still-noisy early phase must not split stages.
-	values := []float64{10, 5, 2.4, 1.1, 0.6, 0.58, 0.57, 0.565, 0.562, 0.561}
-	b := DefaultDetector().Boundaries(values)
+	pts := pointsOf(10, 5, 2.4, 1.1, 0.6, 0.58, 0.57, 0.565, 0.562, 0.561)
+	b := DefaultDetector().Boundaries(pts)
 	if len(b) != 1 {
 		t.Fatalf("early-jump boundaries = %v, want [0]", b)
 	}
@@ -90,17 +91,17 @@ func TestDetectorEmptyAndTiny(t *testing.T) {
 	if got := d.Boundaries(nil); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Boundaries(nil) = %v", got)
 	}
-	if got := d.Boundaries([]float64{1}); len(got) != 1 {
+	if got := d.Boundaries(pointsOf(1)); len(got) != 1 {
 		t.Errorf("Boundaries(single) = %v", got)
 	}
 }
 
 func TestConverged(t *testing.T) {
-	flat := []float64{0.5, 0.5001, 0.5002, 0.5001, 0.5000, 0.5001}
+	flat := pointsOf(0.5, 0.5001, 0.5002, 0.5001, 0.5000, 0.5001)
 	if !Converged(flat, 5, 0.01) {
 		t.Error("flat curve not detected as converged")
 	}
-	falling := []float64{1.0, 0.8, 0.6, 0.5, 0.4, 0.3}
+	falling := pointsOf(1.0, 0.8, 0.6, 0.5, 0.4, 0.3)
 	if Converged(falling, 5, 0.01) {
 		t.Error("falling curve wrongly converged")
 	}

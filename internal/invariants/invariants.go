@@ -266,9 +266,9 @@ func checkSegments(st State, c *collector) {
 	if rep.Segments == nil {
 		return
 	}
-	usage := make(map[string]cloudsim.Usage, len(st.Ledger.Records))
-	for _, u := range st.Ledger.Records {
-		usage[u.InstanceID] = u
+	usage := make(map[string]int, len(st.Ledger.Records)) // ledger index per instance
+	for i, u := range st.Ledger.Records {
+		usage[u.InstanceID] = i
 	}
 	total, free := 0, 0
 	for _, seg := range rep.Segments {
@@ -277,7 +277,7 @@ func checkSegments(st State, c *collector) {
 			continue
 		}
 		total += seg.Steps
-		u, ok := usage[seg.InstanceID]
+		ui, ok := usage[seg.InstanceID]
 		if !ok {
 			if seg.Steps > 0 {
 				c.addFor(CodeGhostProgress, seg.TrialID, seg.InstanceID, "segment %s/%s ran %d steps on an instance the ledger never saw",
@@ -285,6 +285,7 @@ func checkSegments(st State, c *collector) {
 			}
 			continue
 		}
+		u := &st.Ledger.Records[ui]
 		if seg.Steps > 0 && !u.Ended.After(u.Launched) {
 			c.addFor(CodeGhostProgress, seg.TrialID, seg.InstanceID, "segment %s/%s ran %d steps on an instance with zero lifetime",
 				seg.InstanceID, seg.TrialID, seg.Steps)

@@ -17,7 +17,9 @@ const FeatureCount = 6
 const LookbackMinutes = 60
 
 // Grid is a 1-minute-resampled view of one market's trace with O(1) feature
-// extraction. It is the unit RevPred trains on.
+// extraction. It is the unit RevPred trains on. A Grid is immutable once
+// NewGrid returns: predictors memoize results per grid, so callers must not
+// modify Prices.
 type Grid struct {
 	Type   InstanceType
 	Start  time.Time

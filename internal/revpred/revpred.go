@@ -209,9 +209,11 @@ func classBalance(samples []Sample) (phiPos, phiNeg float64) {
 	return phiPos, phiNeg
 }
 
-// Model is a trained RevPred network for one spot market. Predict is safe
-// for concurrent use: per-call scratch (feature windows, forward workspace)
-// comes from an internal pool, never from shared mutable state.
+// Model is a trained RevPred network for one spot market. Its weights are
+// fixed once Train or LoadModel returns; nothing mutates them afterwards.
+// Predict is safe for concurrent use: per-call scratch (feature rows,
+// forward workspace) comes from a pool, and the history memo is guarded by
+// its own mutex.
 type Model struct {
 	Type   market.InstanceType
 	Hidden int
@@ -224,47 +226,105 @@ type Model struct {
 	// loss weighting and the Eq. 3 odds recalibration.
 	PhiPos, PhiNeg float64
 
-	// scratch pools *inferScratch values. Each holds a sliding feature
-	// window plus the history branch's hidden state for its last (grid,
-	// minute), so the common provisioning pattern — every candidate
-	// maximum price queried at the same minute, minutes advancing one at
-	// a time — reuses both the assembled features and the LSTM pass.
-	scratch sync.Pool
+	// memo holds the history branch's output per (grid, minute); see
+	// historyMemo.
+	memo historyMemo
 }
 
-// inferScratch is the per-goroutine inference state. All caching is exact:
-// reused feature rows and hidden states are pure functions of (grid,
-// minute), so cached and cold paths return identical bits.
+// inferScratch is the per-call inference state: buffers only, no cached
+// results, and nothing sized by a model, so every model draws from one
+// pool.
 type inferScratch struct {
-	ws *nn.Workspace
-
-	grid   *market.Grid
-	minute int
-	valid  bool
-
-	histBuf []float64   // HistorySteps × FeatureCount, sliding window
-	hist    [][]float64 // row views into histBuf
+	ws      *nn.Workspace
+	hist    [][]float64 // HistorySteps rows of FeatureCount, one backing buffer
 	present []float64   // PresentFeatures assembly buffer
-
-	lastHidden []float64 // history-branch output for (grid, minute)
-	hiddenOK   bool
 }
 
-func (m *Model) getScratch() *inferScratch {
-	if sc, ok := m.scratch.Get().(*inferScratch); ok {
-		return sc
-	}
+// scratchPool holds *inferScratch values. One pool for all models keeps
+// the idle scratches (and their workspace arenas) to a few per process,
+// not a few per market.
+var scratchPool = sync.Pool{New: func() any {
+	const F = market.FeatureCount
+	buf := make([]float64, HistorySteps*F)
 	sc := &inferScratch{
-		ws:         nn.NewWorkspace(),
-		histBuf:    make([]float64, HistorySteps*market.FeatureCount),
-		hist:       make([][]float64, HistorySteps),
-		present:    make([]float64, PresentFeatures),
-		lastHidden: make([]float64, m.Hidden),
+		ws:      nn.NewWorkspace(),
+		hist:    make([][]float64, HistorySteps),
+		present: make([]float64, PresentFeatures),
 	}
 	for k := range sc.hist {
-		sc.hist[k] = sc.histBuf[k*market.FeatureCount : (k+1)*market.FeatureCount]
+		sc.hist[k] = buf[k*F : (k+1)*F]
 	}
 	return sc
+}}
+
+// historyPageMinutes is how many minutes one history memo page covers. It
+// equals the width of one bitset word, so a page's fill bits are one uint64.
+const historyPageMinutes = 64
+
+// historyMemo memoizes the history branch's last hidden state. That state
+// is a pure function of the frozen weights, the grid and the minute (the
+// maximum price only enters the present branch), so a memoized row holds
+// the same bits a fresh LSTM pass returns. Rows are kept per grid, indexed
+// by minute, in pages of historyPageMinutes rows that are allocated the
+// first time one of their minutes is asked; the last page is clipped to
+// the grid, so a (model, grid) pair holds at most grid.Len() × Hidden × 8
+// bytes of rows. Grids are immutable, so the grid pointer is the key. A
+// filled row is never written again, so a caller may read it after the
+// mutex is released.
+type historyMemo struct {
+	mu    sync.Mutex
+	grids map[*market.Grid][]historyPage
+}
+
+// historyPage is one page of memoized rows: bit k of filled says the
+// page's k-th minute holds its row at rows[k*width:(k+1)*width].
+type historyPage struct {
+	filled uint64
+	rows   []float64
+}
+
+// lookup returns the memoized row of the given width for minute i of g,
+// or nil.
+func (h *historyMemo) lookup(g *market.Grid, i, width int) []float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	pages := h.grids[g]
+	if pages == nil {
+		return nil
+	}
+	p, k := &pages[i/historyPageMinutes], i%historyPageMinutes
+	if p.filled&(1<<k) == 0 {
+		return nil
+	}
+	return p.rows[k*width : (k+1)*width]
+}
+
+// store memoizes row as minute i's state and returns the memoized copy.
+// When another goroutine stored the minute first, its row is kept: both
+// are the same bits.
+func (h *historyMemo) store(g *market.Grid, i int, row []float64) []float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.grids == nil {
+		h.grids = make(map[*market.Grid][]historyPage)
+	}
+	pages := h.grids[g]
+	if pages == nil {
+		pages = make([]historyPage, (g.Len()+historyPageMinutes-1)/historyPageMinutes)
+		h.grids[g] = pages
+	}
+	p, k := &pages[i/historyPageMinutes], i%historyPageMinutes
+	width := len(row)
+	if p.rows == nil {
+		minutes := min(historyPageMinutes, g.Len()-(i-k))
+		p.rows = make([]float64, minutes*width)
+	}
+	dst := p.rows[k*width : (k+1)*width]
+	if p.filled&(1<<k) == 0 {
+		copy(dst, row)
+		p.filled |= 1 << k
+	}
+	return dst
 }
 
 // Params returns all trainable parameters.
@@ -367,86 +427,47 @@ func (m *Model) Score(s *Sample) float64 { return m.Calibrate(m.RawScore(s)) }
 // maximum price and returns the calibrated revocation probability.
 //
 // This is the provisioning hot path (one call per candidate market per
-// deployment decision), so it runs on pooled scratch with two exact caches:
-// the normalized history window slides forward instead of being rebuilt
-// (only rows for new minutes are recomputed), and the history branch's
-// LSTM output is reused outright when the same (grid, minute) is queried
-// with a different maximum price — the maximum price only enters the
-// present branch. Cached and cold paths return identical bits.
+// deployment decision). The history branch's output comes from the model's
+// history memo, so the 59-step LSTM pass runs once per (grid, minute) for
+// the model's lifetime; only the present branch and the joint head run per
+// call. A memo hit allocates nothing, and every path returns the same bits
+// as Score on a freshly assembled sample.
 func (m *Model) Predict(g *market.Grid, i int, maxPrice float64) float64 {
 	if i < HistorySteps || i >= g.Len() {
 		// Not enough history yet: fall back to the base rate.
 		return m.PhiPos
 	}
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
-	m.prepareHistory(sc, g, i)
-	return m.scoreAt(sc, g, i, maxPrice)
+	sc := scratchPool.Get().(*inferScratch)
+	defer scratchPool.Put(sc)
+	return m.scoreAt(sc, g, i, m.history(sc, g, i), maxPrice)
 }
 
-// PredictBatch is Predict for several maximum prices at the same minute:
-// results are appended to out (one per entry of maxPrices) and out is
-// returned. The history branch runs at most once for the whole batch — the
-// maximum price only enters the present branch — so a wave of candidate
-// bids amortizes the LSTM pass that dominates a cold Predict. Every entry
-// is bit-identical to the corresponding sequential Predict call, and the
-// steady state allocates nothing when out has capacity.
-func (m *Model) PredictBatch(g *market.Grid, i int, maxPrices []float64, out []float64) []float64 {
-	if i < HistorySteps || i >= g.Len() {
-		for range maxPrices {
-			out = append(out, m.PhiPos)
-		}
-		return out
+// history returns the history branch's last hidden state at minute i of g,
+// from the memo or, on a miss, from one LSTM pass on sc that it then
+// memoizes. The pass runs outside the memo's mutex, so concurrent misses
+// do not serialize. The caller must have range-checked i.
+func (m *Model) history(sc *inferScratch, g *market.Grid, i int) []float64 {
+	if row := m.memo.lookup(g, i, m.Hidden); row != nil {
+		return row
 	}
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
-	m.prepareHistory(sc, g, i)
-	for _, maxPrice := range maxPrices {
-		out = append(out, m.scoreAt(sc, g, i, maxPrice))
-	}
-	return out
-}
-
-// prepareHistory brings sc's normalized window and cached LSTM output up to
-// (g, i): slide-forward reuse when the scratch already holds an overlapping
-// window, full recompute otherwise. Cached and cold paths produce identical
-// bits. The caller must have range-checked i.
-func (m *Model) prepareHistory(sc *inferScratch, g *market.Grid, i int) {
-	const F = market.FeatureCount
-	fresh := HistorySteps // rows to recompute at the window's tail
-	switch {
-	case sc.valid && sc.grid == g && sc.minute == i:
-		fresh = 0
-	case sc.valid && sc.grid == g && i > sc.minute && i-sc.minute < HistorySteps:
-		d := i - sc.minute
-		copy(sc.histBuf, sc.histBuf[d*F:])
-		fresh = d
-	}
-	for k := HistorySteps - fresh; k < HistorySteps; k++ {
+	for k := range sc.hist {
 		normalizeFeaturesInto(sc.hist[k], g.Features(i-HistorySteps+k), g.Type)
 	}
-	if fresh > 0 || !sc.valid {
-		sc.hiddenOK = false
-	}
-	sc.grid, sc.minute, sc.valid = g, i, true
-	if !sc.hiddenOK {
-		sc.ws.Reset()
-		hs := m.hist.ForwardSeqInferWS(sc.ws, sc.hist)
-		copy(sc.lastHidden, hs[len(hs)-1])
-		sc.hiddenOK = true
-	}
+	sc.ws.Reset()
+	hs := m.hist.ForwardSeqInferWS(sc.ws, sc.hist)
+	return m.memo.store(g, i, hs[len(hs)-1])
 }
 
-// scoreAt runs the present branch and joint head for one maximum price,
-// against the history output already staged in sc by prepareHistory.
-func (m *Model) scoreAt(sc *inferScratch, g *market.Grid, i int, maxPrice float64) float64 {
+// scoreAt runs the present branch and joint head for one maximum price
+// against the history branch's output hidden.
+func (m *Model) scoreAt(sc *inferScratch, g *market.Grid, i int, hidden []float64, maxPrice float64) float64 {
 	const F = market.FeatureCount
 	normalizeFeaturesInto(sc.present, g.Features(i), g.Type)
 	sc.present[F] = maxPrice / g.Type.OnDemandPrice
 	sc.ws.Reset()
 	emb := m.present.ForwardInferWS(sc.ws, sc.present)
 	joint := sc.ws.Take(2 * m.Hidden)
-	copy(joint[:m.Hidden], sc.lastHidden)
+	copy(joint[:m.Hidden], hidden)
 	copy(joint[m.Hidden:], emb)
 	z := m.head.ForwardInferWS(sc.ws, joint)
 	return m.Calibrate(nn.Logistic(z[0]))

@@ -76,7 +76,9 @@ type State interface {
 	// Status snapshots one trial.
 	Status(id string) TrialStatus
 	// Points returns the trial's observed metric prefix (curve points at or
-	// below the completed step count), in increasing step order.
+	// below the completed step count), in increasing step order. The slice
+	// is read-only: it may view the trial's curve, which other campaigns
+	// share. Its capacity ends at its length, so appending to it copies.
 	Points(id string) []earlycurve.MetricPoint
 	// Trend returns the engine's trend predictor for one trial — the
 	// per-trial incremental EarlyCurve tracker in production, or whatever

@@ -53,8 +53,13 @@ type Engine struct {
 	gate func(target time.Time)
 }
 
-// eventSlabSize is how many Event slots one slab allocation provides.
-const eventSlabSize = 128
+// An engine's first slab holds eventSlabMin Event slots, and each later one
+// twice its predecessor, up to eventSlabSize: a short simulation (one
+// campaign) pays for the slots it uses, a long one for few large slabs.
+const (
+	eventSlabMin  = 16
+	eventSlabSize = 128
+)
 
 // NewEngine returns an engine whose clock starts at the given instant.
 func NewEngine(start time.Time) *Engine {
@@ -136,7 +141,7 @@ func (e *Engine) alloc() *Event {
 		return ev
 	}
 	if e.slabUsed == len(e.slab) {
-		e.slab = make([]Event, eventSlabSize)
+		e.slab = make([]Event, min(max(2*len(e.slab), eventSlabMin), eventSlabSize))
 		e.slabUsed = 0
 	}
 	ev := &e.slab[e.slabUsed]

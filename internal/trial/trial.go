@@ -40,20 +40,28 @@ type Replay struct {
 	progress float64 // fractional completed steps
 
 	// cumSecs caches, per instance type, prefix sums of per-step seconds
-	// (cumSecs[t][k] = seconds for steps [0, k)). The perf model is a pure
+	// (cum[k] = seconds for steps [0, k)). The perf model is a pure
 	// function of (type, hp, step), so the cache never invalidates; it
-	// turns SecondsToReach into O(1) after one O(maxSteps) build.
-	cumSecs map[string][]float64
+	// turns SecondsToReach into O(1) after one O(maxSteps) build. A trial
+	// runs on a handful of types, so a slice scan finds the entry.
+	cumSecs []typeCum
 	// cache, when set, replaces cumSecs with a cross-campaign store so
 	// replays of the same (seed, benchmark) world share one curve build.
 	cache *PerfCache
 	// convergeAt caches ConvergeStep results per (window, tol) — the
-	// observed prefix is a pure function of the fixed curve.
-	convergeAt map[convKey]convVal
-	// lastDone/lastIdx memoize LastPoint: lastIdx curve points lie at or
+	// observed prefix is a pure function of the fixed curve. Campaigns ask
+	// one or two (window, tol) pairs, so a slice scan finds the entry.
+	convergeAt []convEntry
+	// lastDone/lastIdx memoize observed: lastIdx curve points lie at or
 	// below lastDone completed steps (valid once lastOK).
 	lastDone, lastIdx int
 	lastOK            bool
+}
+
+// typeCum is one instance type's step-time prefix sums.
+type typeCum struct {
+	name string
+	cum  []float64
 }
 
 type convKey struct {
@@ -64,6 +72,11 @@ type convKey struct {
 type convVal struct {
 	step int
 	ok   bool
+}
+
+type convEntry struct {
+	key convKey
+	val convVal
 }
 
 // NewReplay builds a replay trial. The curve must be non-empty, strictly
@@ -114,18 +127,27 @@ func (r *Replay) Progress() float64 { return r.progress }
 // cumulative total passes capSecs. The perf model is a pure function of
 // (type, hp, step), so entries never invalidate and every extension is paid
 // for once per (trial, type) across the whole campaign.
+//
+// Each prefix is allocated once, at its full maxSteps+1 capacity, so
+// extending it never reallocates.
 func (r *Replay) cumFor(it market.InstanceType, uptoStep int, capSecs float64) []float64 {
 	if uptoStep > r.maxSteps {
 		uptoStep = r.maxSteps
 	}
 	var cum []float64
+	slot := -1
 	if r.cache != nil {
 		cum = r.cache.cum[perfCacheKey{inst: it.Name, hp: r.id}]
 	} else {
-		cum = r.cumSecs[it.Name]
+		for i := range r.cumSecs {
+			if r.cumSecs[i].name == it.Name {
+				slot, cum = i, r.cumSecs[i].cum
+				break
+			}
+		}
 	}
 	if cum == nil {
-		cum = make([]float64, 1, uptoStep+1)
+		cum = make([]float64, 1, r.maxSteps+1)
 	}
 	for k := len(cum) - 1; k < uptoStep; k++ {
 		if capSecs >= 0 && cum[k] > capSecs {
@@ -137,13 +159,13 @@ func (r *Replay) cumFor(it market.InstanceType, uptoStep int, capSecs float64) [
 		}
 		cum = append(cum, cum[k]+sec)
 	}
-	if r.cache != nil {
+	switch {
+	case r.cache != nil:
 		r.cache.cum[perfCacheKey{inst: it.Name, hp: r.id}] = cum
-	} else {
-		if r.cumSecs == nil {
-			r.cumSecs = make(map[string][]float64)
-		}
-		r.cumSecs[it.Name] = cum
+	case slot >= 0:
+		r.cumSecs[slot].cum = cum
+	default:
+		r.cumSecs = append(r.cumSecs, typeCum{name: it.Name, cum: cum})
 	}
 	return cum
 }
@@ -305,45 +327,47 @@ func (r *Replay) SecondsToReachCapped(it market.InstanceType, targetSteps int, c
 // poll grid. Results are memoized per (window, tol).
 func (r *Replay) ConvergeStep(window int, tol float64) (int, bool) {
 	key := convKey{window: window, tol: tol}
-	if v, ok := r.convergeAt[key]; ok {
-		return v.step, v.ok
+	for _, e := range r.convergeAt {
+		if e.key == key {
+			return e.val.step, e.val.ok
+		}
 	}
 	v := convVal{}
-	values := make([]float64, 0, len(r.curve))
-	for _, p := range r.curve {
-		values = append(values, p.Value)
-		if earlycurve.Converged(values, window, tol) {
+	for i, p := range r.curve {
+		if earlycurve.Converged(r.curve[:i+1], window, tol) {
 			v = convVal{step: p.Step, ok: true}
 			break
 		}
 	}
-	if r.convergeAt == nil {
-		r.convergeAt = make(map[convKey]convVal)
-	}
-	r.convergeAt[key] = v
+	r.convergeAt = append(r.convergeAt, convEntry{key: key, val: v})
 	return v.step, v.ok
 }
 
 // Points returns the metric points observed so far (curve entries at or
-// below the completed step count).
+// below the completed step count). The result is a read-only view of the
+// replay's curve, which every replay of the same benchmark curves shares:
+// its capacity is clipped to its length, so an append copies instead of
+// writing into the curve. Allocation-free.
 func (r *Replay) Points() []earlycurve.MetricPoint {
-	done := r.CompletedSteps()
-	var out []earlycurve.MetricPoint
-	for _, p := range r.curve {
-		if p.Step > done {
-			break
-		}
-		out = append(out, p)
-	}
-	return out
+	n := r.observed()
+	return r.curve[:n:n]
 }
 
 // LastPoint returns the most recent observed metric point (ok=false before
-// the first observation). Allocation-free and memoized on the completed step
-// count — the leaderboard accessor schedulers call on every deployment
-// decision, unlike Points(), which copies the whole observed prefix. Forward
-// progress scans on from the memoized index; a rewind (restore) searches.
+// the first observation). Allocation-free, like Points — the leaderboard
+// accessor schedulers call on every deployment decision.
 func (r *Replay) LastPoint() (earlycurve.MetricPoint, bool) {
+	n := r.observed()
+	if n == 0 {
+		return earlycurve.MetricPoint{}, false
+	}
+	return r.curve[n-1], true
+}
+
+// observed returns how many curve points lie at or below the completed
+// step count, memoized on that count. Forward progress scans on from the
+// memoized index; a rewind (restore) searches.
+func (r *Replay) observed() int {
 	if done := r.CompletedSteps(); !r.lastOK || done != r.lastDone {
 		i := r.lastIdx
 		if r.lastOK && done > r.lastDone {
@@ -355,10 +379,7 @@ func (r *Replay) LastPoint() (earlycurve.MetricPoint, bool) {
 		}
 		r.lastDone, r.lastIdx, r.lastOK = done, i, true
 	}
-	if r.lastIdx == 0 {
-		return earlycurve.MetricPoint{}, false
-	}
-	return r.curve[r.lastIdx-1], true
+	return r.lastIdx
 }
 
 // TrueFinal returns the ground-truth final metric (the curve's last value).
@@ -511,12 +532,7 @@ func (r *Replay) Plateaued(window int, tol float64) bool {
 // Exact but O(curve); callers on hot paths should use Plateaued, which
 // prechecks via the memoized ConvergeStep before paying for this.
 func (r *Replay) Converged(window int, tol float64) bool {
-	pts := r.Points()
-	values := make([]float64, len(pts))
-	for i, p := range pts {
-		values[i] = p.Value
-	}
-	return earlycurve.Converged(values, window, tol)
+	return earlycurve.Converged(r.Points(), window, tol)
 }
 
 // NoisyPerf is a PerfModel with deterministic per-(instance, hp, step)

@@ -124,6 +124,28 @@ func TestPointsVisibility(t *testing.T) {
 	}
 }
 
+// TestPointsIsAllocationFreeReadOnlyView pins Points at zero allocations
+// and checks that its result cannot be used to change the curve: an append
+// must copy, never write past the observed prefix.
+func TestPointsIsAllocationFreeReadOnlyView(t *testing.T) {
+	r := mkReplay(t)
+	r.RunFor(small, 50, 0) // 25 steps: points at steps 10 and 20
+	if avg := testing.AllocsPerRun(100, func() { _ = r.Points() }); avg != 0 {
+		t.Errorf("Points allocates %.1f times per call, want 0", avg)
+	}
+	pts := r.Points()
+	if len(pts) != 2 || cap(pts) != len(pts) {
+		t.Fatalf("Points = %d points with capacity %d, want 2 and 2", len(pts), cap(pts))
+	}
+	grown := append(pts, earlycurve.MetricPoint{Step: 25, Value: -1})
+	grown[0].Value = -1
+	r.RunFor(small, 1e9, 0)
+	all := r.Points()
+	if len(all) != 10 || all[0].Value != 1.0/10 || all[2].Step != 30 || all[2].Value != 1.0/30 {
+		t.Fatalf("appending to Points changed the curve: %+v", all)
+	}
+}
+
 func TestTrueFinalAndMetricAt(t *testing.T) {
 	r := mkReplay(t)
 	if got := r.TrueFinal(); got != 0.01 {
