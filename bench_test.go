@@ -30,6 +30,7 @@ import (
 	"spottune/internal/mltrain"
 	"spottune/internal/nn"
 	"spottune/internal/obs"
+	"spottune/internal/policy"
 	"spottune/internal/revpred"
 	"spottune/internal/scenario"
 	"spottune/internal/service"
@@ -475,10 +476,10 @@ func newMultiDayFixture(b testing.TB) *multiDayFixture {
 	return f
 }
 
-// run executes one controlled multi-day campaign (8 slow trials on the flat
-// two-market world — the paper's regime where Algorithm 1's polling loop
-// spins tens of thousands of no-op turns) under the given mode.
-func (f *multiDayFixture) run(b testing.TB, mode core.LoopMode) *core.Report {
+// run executes one controlled multi-day campaign: 8 slow trials on the flat
+// two-market world, the regime where a literal Algorithm 1 polling loop
+// would spin tens of thousands of no-op turns.
+func (f *multiDayFixture) run(b testing.TB) *core.Report {
 	b.Helper()
 	clk := simclock.NewVirtual(f.start)
 	cluster, err := cloudsim.NewCluster(clk, f.cat, f.traces)
@@ -502,12 +503,15 @@ func (f *multiDayFixture) run(b testing.TB, mode core.LoopMode) *core.Report {
 		}
 		trials = append(trials, tr)
 	}
-	prov, err := core.NewProvisioner(cluster, []string{"slow", "fast"}, f.grids, f.preds, 0, 0, 7)
+	pool := []string{"slow", "fast"}
+	pol, err := policy.New(policy.SpotTuneName, policy.Params{
+		Pool: pool, Seed: 7, RevProb: core.GridRevProb(f.grids, f.preds),
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	orch, err := core.NewOrchestrator(cluster, cloudsim.NewObjectStore(), prov, trials, core.Config{
-		Mode: mode, Theta: 0.7, MCnt: 2, StartupDelay: 30 * time.Second,
+	orch, err := core.NewPolicyOrchestrator(cluster, cloudsim.NewObjectStore(), pol, pool, trials, core.Config{
+		Theta: 0.7, MCnt: 2, StartupDelay: 30 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -519,53 +523,35 @@ func (f *multiDayFixture) run(b testing.TB, mode core.LoopMode) *core.Report {
 	return rep
 }
 
-// BenchmarkCampaign measures one controlled multi-day SpotTune campaign
-// under both scheduler loops. The event-driven loop's whole point is the
-// loop_iters collapse — from one turn per PollInterval of virtual time to
-// one per real scheduling event — and the wall-clock speedup that follows
-// once the campaign is long enough for the polling loop to dominate.
+// BenchmarkCampaign measures one controlled multi-day SpotTune campaign.
+// loop_iters is the event loop's turn count: one per real scheduling event,
+// not one per PollInterval of virtual time.
 func BenchmarkCampaign(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		mode core.LoopMode
-	}{{"event", core.LoopEvent}, {"polling", core.LoopPolling}} {
-		b.Run(mode.name, func(b *testing.B) {
-			f := newMultiDayFixture(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := f.run(b, mode.mode)
-				b.ReportMetric(rep.JCT.Hours(), "virtual_jct_hours")
-				b.ReportMetric(float64(rep.LoopIterations), "loop_iters")
-			}
-		})
+	f := newMultiDayFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep := f.run(b)
+		b.ReportMetric(rep.JCT.Hours(), "virtual_jct_hours")
+		b.ReportMetric(float64(rep.LoopIterations), "loop_iters")
 	}
 }
 
 // BenchmarkCampaignEnv measures one full synthetic-environment campaign (16
-// trials, generated spot markets, constant predictor) under both loops —
-// the realistic short-campaign regime, where shared work (EarlyCurve fits,
-// Eq. 1-2 provisioning) bounds the achievable speedup.
+// trials, generated spot markets, constant predictor) — the realistic
+// short-campaign regime, where shared work (EarlyCurve fits, Eq. 1-2
+// provisioning) dominates.
 func BenchmarkCampaignEnv(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		mode core.LoopMode
-	}{{"event", core.LoopEvent}, {"polling", core.LoopPolling}} {
-		b.Run(mode.name, func(b *testing.B) {
-			env, bench, curves := campaignBenchEnv(b)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := env.RunSpotTune(bench, curves, campaign.Options{
-					Theta: 0.7, Seed: uint64(i), Mode: mode.mode,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rep.JCT.Hours(), "virtual_jct_hours")
-				b.ReportMetric(float64(rep.LoopIterations), "loop_iters")
-			}
-		})
+	env, bench, curves := campaignBenchEnv(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := env.RunSpotTune(bench, curves, campaign.Options{Theta: 0.7, Seed: uint64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(rep.JCT.Hours(), "virtual_jct_hours")
+		b.ReportMetric(float64(rep.LoopIterations), "loop_iters")
 	}
 }
 

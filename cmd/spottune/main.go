@@ -89,6 +89,9 @@ func run() error {
 		}
 	}
 	flag.Parse()
+	if !(*theta > 0 && *theta <= 1) {
+		return fmt.Errorf("-theta %v is outside (0, 1]", *theta)
+	}
 
 	bench, err := workload.SuiteByName(*wl, workload.Config{Seed: *seed, Scale: *scale})
 	if err != nil {

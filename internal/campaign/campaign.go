@@ -7,7 +7,6 @@ package campaign
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"spottune/internal/cloudsim"
@@ -287,9 +286,6 @@ type Options struct {
 	// Trend predicts final metrics from partial curves. Nil selects
 	// EarlyCurve on the environment's shared stage-fit memo.
 	Trend earlycurve.TrendPredictor
-	// Mode selects the orchestrator's scheduling loop (discrete-event by
-	// default; core.LoopPolling for the legacy Algorithm 1 poll loop).
-	Mode core.LoopMode
 	// Policy is the provisioning policy's registry name (default
 	// policy.SpotTuneName — the paper's Eq. 1–2 provisioner).
 	Policy string
@@ -500,7 +496,6 @@ func (e *Environment) RunPolicy(b *workload.Benchmark, curves workload.Curves, o
 		trend = &earlycurve.Predictor{Memo: e.fits}
 	}
 	cfg := core.Config{
-		Mode:          opt.Mode,
 		Theta:         opt.Theta,
 		MCnt:          opt.MCnt,
 		MaxConcurrent: opt.MaxConcurrent,
@@ -555,55 +550,11 @@ func (e *Environment) RunPolicy(b *workload.Benchmark, curves workload.Curves, o
 	return rep, nil
 }
 
-// PolicyTasks builds one Sweep task per policy name (every registered
-// policy when names is nil) over the same benchmark, curves, and options —
-// the policy-dimension sweep behind the cross-policy comparison study.
-func (e *Environment) PolicyTasks(b *workload.Benchmark, curves workload.Curves, names []string, opt Options) []Task {
-	if names == nil {
-		names = policy.Names()
-	}
-	tasks := make([]Task, 0, len(names))
-	for _, name := range names {
-		o := opt
-		o.Policy = name
-		tasks = append(tasks, Task{
-			Key: name,
-			Run: func(*rand.Rand) (*core.Report, error) {
-				return e.RunPolicy(b, curves, o)
-			},
-		})
-	}
-	return tasks
-}
-
-// TunerTasks builds one Sweep task per tuner name (every registered tuner
-// when names is nil) over the same benchmark, curves, and options — the
-// search-strategy sweep behind the cross-tuner comparison study. Every task
-// shares the provisioning policy and environment, so row differences
-// measure the tuner schedule alone.
-func (e *Environment) TunerTasks(b *workload.Benchmark, curves workload.Curves, names []string, opt Options) []Task {
-	if names == nil {
-		names = search.Names()
-	}
-	tasks := make([]Task, 0, len(names))
-	for _, name := range names {
-		o := opt
-		o.Tuner = name
-		tasks = append(tasks, Task{
-			Key: name,
-			Run: func(*rand.Rand) (*core.Report, error) {
-				return e.RunPolicy(b, curves, o)
-			},
-		})
-	}
-	return tasks
-}
-
 // RunSingleSpot executes the Single-Spot Tune baseline on the given type
-// via the legacy §IV-A4 loop (core.RunSingleSpot). The same strategies are
+// via the §IV-A4 loop (core.RunSingleSpot). The same strategies are
 // available as policies ("cheapest-spot"/"fastest-spot") over the shared
-// orchestrator through RunPolicy; golden tests in internal/core pin the two
-// implementations against each other.
+// orchestrator through RunPolicy; golden tests in internal/core bound the
+// gap between the two.
 func (e *Environment) RunSingleSpot(b *workload.Benchmark, curves workload.Curves, typeName string, seed uint64) (*core.Report, error) {
 	if b == nil {
 		return nil, errors.New("campaign: nil benchmark")
@@ -616,7 +567,7 @@ func (e *Environment) RunSingleSpot(b *workload.Benchmark, curves workload.Curve
 	if err != nil {
 		return nil, err
 	}
-	return core.RunSingleSpot(cluster, trials, core.SingleSpotConfig{TypeName: typeName})
+	return core.RunSingleSpot(cluster, trials, typeName)
 }
 
 // TrueFinals exposes ground-truth final metrics and the true best HP.

@@ -5,12 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"spottune/internal/cloudsim"
-	"spottune/internal/core"
 	"spottune/internal/earlycurve"
 	"spottune/internal/policy"
 	"spottune/internal/revpred"
-	"spottune/internal/search"
 	"spottune/internal/workload"
 )
 
@@ -137,54 +134,6 @@ func TestRunNilBenchmark(t *testing.T) {
 	}
 }
 
-// TestSpotTunePolicyReproducesProvisionerPath is the refactoring
-// acceptance gate: RunSpotTune — now routed through the policy engine —
-// must reproduce the pre-policy wiring (core.NewProvisioner +
-// core.NewOrchestrator over the same environment and seeds) bit-for-bit.
-func TestSpotTunePolicyReproducesProvisionerPath(t *testing.T) {
-	env := quickEnv(t, PredictorConstant)
-	bench, err := workload.SuiteByName("LoR", workload.Config{Seed: 5, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	curves := bench.SyntheticCurves(5)
-	opt := Options{Theta: 0.7, Seed: 5}
-
-	viaPolicy, err := env.RunSpotTune(bench, curves, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The legacy wiring, reconstructed verbatim.
-	cluster, err := env.NewCluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	trials, err := bench.Trials(curves, opt.Seed+0xbead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov, err := core.NewProvisioner(cluster, env.Pool, env.Grids, env.Predictors, 0, 0, opt.Seed+0x51d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := core.NewOrchestrator(cluster, cloudsim.NewObjectStore(), prov, trials, core.Config{
-		Theta: opt.Theta,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaProvisioner, err := orch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(viaPolicy, viaProvisioner) {
-		t.Errorf("policy-path report diverges from provisioner path:\n%+v\nvs\n%+v",
-			viaPolicy, viaProvisioner)
-	}
-}
-
 // TestEveryPolicyDeterministicReplay: each registered policy must replay
 // bit-identically under a fixed seed — the property Sweep-based studies
 // depend on.
@@ -212,43 +161,6 @@ func TestEveryPolicyDeterministicReplay(t *testing.T) {
 		if a.NetCost <= 0 || len(a.Ranked) != 16 || a.Best == "" {
 			t.Errorf("%s: degenerate report: cost %v, %d ranked, best %q",
 				name, a.NetCost, len(a.Ranked), a.Best)
-		}
-	}
-}
-
-// TestPolicyTasksSweep fans the policy dimension through the Sweep pool.
-func TestPolicyTasksSweep(t *testing.T) {
-	env := quickEnv(t, PredictorConstant)
-	bench, err := workload.SuiteByName("LoR", workload.Config{Seed: 7, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	curves := bench.SyntheticCurves(7)
-	tasks := env.PolicyTasks(bench, curves, nil, Options{Theta: 0.7, Seed: 7})
-	if len(tasks) < 6 {
-		t.Fatalf("only %d policy tasks", len(tasks))
-	}
-	results := Sweep(tasks, SweepOptions{Seed: 7})
-	if err := FirstErr(results); err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range results {
-		if res.Key != policy.Names()[i] {
-			t.Errorf("result %d key %q, want %q", i, res.Key, policy.Names()[i])
-		}
-		if res.Report.NetCost <= 0 {
-			t.Errorf("%s: cost %v", res.Key, res.Report.NetCost)
-		}
-	}
-	// Sequential rerun must reproduce the parallel sweep exactly.
-	for i, res := range results {
-		o := Options{Theta: 0.7, Seed: 7, Policy: res.Key}
-		rep, err := env.RunPolicy(bench, curves, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rep, results[i].Report) {
-			t.Errorf("%s: sweep result differs from sequential run", res.Key)
 		}
 	}
 }
@@ -282,47 +194,6 @@ func TestTrueFinalsConsistent(t *testing.T) {
 	for id, v := range finals {
 		if v < finals[best] {
 			t.Fatalf("best %s not minimal (%s=%v < %v)", best, id, v, finals[best])
-		}
-	}
-}
-
-// TestTunerTasksSweepEveryRegisteredTuner: the tuner-dimension sweep runs
-// every registered search strategy over one environment through the worker
-// pool, each report labeled with its tuner, deterministically per seed.
-func TestTunerTasksSweepEveryRegisteredTuner(t *testing.T) {
-	env := quickEnv(t, PredictorConstant)
-	bench, err := workload.SuiteByName("LoR", workload.Config{Seed: 3, Scale: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	curves := bench.SyntheticCurves(3)
-	opt := Options{Theta: 0.7, Seed: 3}
-	run := func() []SweepResult {
-		return Sweep(env.TunerTasks(bench, curves, nil, opt), SweepOptions{Seed: 3})
-	}
-	results := run()
-	names := search.Names()
-	if len(results) != len(names) {
-		t.Fatalf("%d results for %d registered tuners", len(results), len(names))
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("tuner %s: %v", res.Key, res.Err)
-		}
-		if res.Key != names[i] {
-			t.Errorf("result %d keyed %q, want registry order %q", i, res.Key, names[i])
-		}
-		if res.Report.Tuner != names[i] {
-			t.Errorf("report for %s labeled %q", names[i], res.Report.Tuner)
-		}
-		if res.Report.Best == "" {
-			t.Errorf("tuner %s selected nothing", names[i])
-		}
-	}
-	again := run()
-	for i := range results {
-		if !reflect.DeepEqual(results[i].Report, again[i].Report) {
-			t.Errorf("tuner %s replay diverged", results[i].Key)
 		}
 	}
 }

@@ -11,51 +11,36 @@ import (
 	"spottune/internal/trial"
 )
 
-// SingleSpotConfig tunes the Single-Spot Tune baseline of §IV-A4: all trials
-// run to full max_trial_steps, one at a time, on one spot instance whose
-// maximum price is set so high it is effectively never revoked.
-type SingleSpotConfig struct {
-	// TypeName is the instance to rent ("r4.large" for the Cheapest
-	// baseline, "m4.4xlarge" for the Fastest).
-	TypeName string
-	// MaxPriceFactor multiplies the on-demand price to form the maximum
-	// price (default 1000 — the paper assumes no preemption).
-	MaxPriceFactor float64
-	// ChunkInterval is the virtual-time slice per advance (default 10m).
-	ChunkInterval time.Duration
-}
+// The Single-Spot Tune baseline of §IV-A4 bids singleSpotMaxPriceFactor ×
+// the on-demand price — so high the instance is effectively never revoked,
+// as the paper assumes — and advances the clock in singleSpotChunk slices.
+const (
+	singleSpotMaxPriceFactor = 1000
+	singleSpotChunk          = 10 * time.Minute
+)
 
-func (c SingleSpotConfig) withDefaults() SingleSpotConfig {
-	if c.MaxPriceFactor <= 0 {
-		c.MaxPriceFactor = 1000
-	}
-	if c.ChunkInterval <= 0 {
-		c.ChunkInterval = 10 * time.Minute
-	}
-	return c
-}
-
-// RunSingleSpot executes the baseline campaign and returns its report.
+// RunSingleSpot executes the Single-Spot Tune baseline of §IV-A4 and returns
+// its report: all trials run to full max_trial_steps, one at a time, on one
+// spot instance of the given type ("r4.large" for the Cheapest baseline,
+// "m4.4xlarge" for the Fastest).
 //
-// This is the legacy §IV-A4 loop, kept as the reference implementation the
-// baselines-as-policies golden tests compare against: the same strategies
-// run through the shared orchestrator as the "cheapest-spot" and
-// "fastest-spot" policies, which inherit its full trial accounting
-// (startup delays, checkpoints, per-segment throughput observations)
-// instead of re-implementing a parallel campaign loop here.
-func RunSingleSpot(cluster *cloudsim.Cluster, trials []*trial.Replay, cfg SingleSpotConfig) (*Report, error) {
-	cfg = cfg.withDefaults()
+// Fig. 7, the quickstart and the CLI's -baseline flag report this loop. The
+// same strategies run through the shared orchestrator as the
+// "cheapest-spot" and "fastest-spot" policies, which add the orchestrator's
+// per-deployment overheads (startup delay, restore, redeploy spacing), so
+// the golden tests bound the gap between the two rather than pin equality.
+func RunSingleSpot(cluster *cloudsim.Cluster, trials []*trial.Replay, typeName string) (*Report, error) {
 	if len(trials) == 0 {
 		return nil, errors.New("core: no trials submitted")
 	}
-	it, ok := cluster.Catalog().Lookup(cfg.TypeName)
+	it, ok := cluster.Catalog().Lookup(typeName)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown baseline instance type %q", cfg.TypeName)
+		return nil, fmt.Errorf("core: unknown baseline instance type %q", typeName)
 	}
 	clk := cluster.Clock()
 	start := clk.Now()
 
-	inst, err := cluster.RequestSpot(cfg.TypeName, it.OnDemandPrice*cfg.MaxPriceFactor, nil)
+	inst, err := cluster.RequestSpot(typeName, it.OnDemandPrice*singleSpotMaxPriceFactor, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: baseline request: %w", err)
 	}
@@ -64,9 +49,9 @@ func RunSingleSpot(cluster *cloudsim.Cluster, trials []*trial.Replay, cfg Single
 		for tr.CompletedSteps() < tr.MaxSteps() {
 			if !inst.Running() {
 				return nil, fmt.Errorf("core: baseline instance %s was revoked despite max price factor %v",
-					inst.ID, cfg.MaxPriceFactor)
+					inst.ID, singleSpotMaxPriceFactor)
 			}
-			secs := cfg.ChunkInterval.Seconds()
+			secs := singleSpotChunk.Seconds()
 			steps, used := tr.RunFor(inst.Type, secs, tr.MaxSteps())
 			totalSteps += steps
 			if used < secs {
@@ -74,7 +59,7 @@ func RunSingleSpot(cluster *cloudsim.Cluster, trials []*trial.Replay, cfg Single
 				clk.Sleep(time.Duration(used * float64(time.Second)))
 				break
 			}
-			clk.Sleep(cfg.ChunkInterval)
+			clk.Sleep(singleSpotChunk)
 		}
 	}
 	if err := cluster.Terminate(inst.ID); err != nil {
@@ -95,7 +80,7 @@ func RunSingleSpot(cluster *cloudsim.Cluster, trials []*trial.Replay, cfg Single
 
 	led := cluster.Ledger()
 	return &Report{
-		Approach:        fmt.Sprintf("SingleSpot(%s)", cfg.TypeName),
+		Approach:        fmt.Sprintf("SingleSpot(%s)", typeName),
 		Theta:           1.0,
 		JCT:             clk.Now().Sub(start),
 		GrossCost:       led.TotalGross(),

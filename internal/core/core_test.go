@@ -8,6 +8,7 @@ import (
 	"spottune/internal/cloudsim"
 	"spottune/internal/earlycurve"
 	"spottune/internal/market"
+	"spottune/internal/policy"
 	"spottune/internal/revpred"
 	"spottune/internal/simclock"
 	"spottune/internal/trial"
@@ -126,13 +127,16 @@ func mkTrials(t *testing.T, w *testWorld, n, maxSteps, every int) []*trial.Repla
 
 func idFor(i int) string { return string(rune('a'+i)) + "-hp" }
 
-func (w *testWorld) provisioner(t *testing.T) *Provisioner {
+// orchestrator wires a campaign over the world with the paper's Eq. 1–2
+// provisioner: the spottune policy over the world's grids and predictors.
+func (w *testWorld) orchestrator(t *testing.T, pool []string, seed uint64, trials []*trial.Replay, cfg Config) *Orchestrator {
 	t.Helper()
-	p, err := NewProvisioner(w.cluster, []string{"slow", "fast"}, w.grids, w.preds, 0, 0, 7)
+	orch, err := NewPolicyOrchestrator(w.cluster, w.store,
+		worldPolicy(t, w, policy.SpotTuneName, pool, seed), pool, trials, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return orch
 }
 
 func TestPerfMatrixInitAndObserve(t *testing.T) {
@@ -162,71 +166,24 @@ func TestPerfMatrixInitAndObserve(t *testing.T) {
 	}
 }
 
-func TestProvisionerValidation(t *testing.T) {
+func TestValidatePoolWiring(t *testing.T) {
 	w := newWorld(t, false)
-	if _, err := NewProvisioner(w.cluster, nil, w.grids, w.preds, 0, 0, 1); err == nil {
-		t.Error("empty pool accepted")
+	if err := ValidatePoolWiring([]string{"slow", "fast"}, w.grids, w.preds); err != nil {
+		t.Errorf("complete wiring rejected: %v", err)
 	}
-	if _, err := NewProvisioner(w.cluster, []string{"nope"}, w.grids, w.preds, 0, 0, 1); err == nil {
+	if err := ValidatePoolWiring([]string{"nope"}, w.grids, w.preds); err == nil {
 		t.Error("missing grid accepted")
 	}
-	if _, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0.3, 0.1, 1); err == nil {
-		t.Error("inverted delta interval accepted")
-	}
-}
-
-func TestProvisionerPicksMinStepCost(t *testing.T) {
-	w := newWorld(t, false)
-	p := w.provisioner(t)
-	w.clk.Sleep(2 * time.Hour) // give grids feature history
-	// Step costs: slow = 4s × 0.02 = 0.08; fast = 1s × 0.2 = 0.2.
-	choice, err := p.Best(func(tn string) float64 { return float64(w.perf[tn]) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if choice.TypeName != "slow" {
-		t.Fatalf("chose %s, want slow (cheaper per step)", choice.TypeName)
-	}
-	if choice.MaxPrice <= 0.02 || choice.MaxPrice > 0.02+DefaultDeltaHigh+1e-9 {
-		t.Fatalf("max price %v outside bid window", choice.MaxPrice)
-	}
-	// Make fast dramatically faster so it wins: 0.05s × 0.2 = 0.01 < 0.08.
-	choice, err = p.Best(func(tn string) float64 {
-		if tn == "fast" {
-			return 0.05
-		}
-		return 4.0
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if choice.TypeName != "fast" {
-		t.Fatalf("chose %s, want fast", choice.TypeName)
-	}
-}
-
-func TestProvisionerFavorsLikelyRevoked(t *testing.T) {
-	w := newWorld(t, false)
-	// fast: p=0.95 -> expected cost (1-0.95)·0.2·1 = 0.01 < slow 0.08.
-	w.preds["fast"] = revpred.ConstantPredictor(0.95)
-	p := w.provisioner(t)
-	w.clk.Sleep(2 * time.Hour)
-	choice, err := p.Best(func(tn string) float64 { return float64(w.perf[tn]) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if choice.TypeName != "fast" {
-		t.Fatalf("chose %s, want fast (refund-likely)", choice.TypeName)
-	}
-	if choice.RevProb != 0.95 {
-		t.Fatalf("RevProb = %v", choice.RevProb)
+	delete(w.preds, "fast")
+	if err := ValidatePoolWiring([]string{"slow", "fast"}, w.grids, w.preds); err == nil {
+		t.Error("missing predictor accepted")
 	}
 }
 
 func TestSingleSpotBaseline(t *testing.T) {
 	w := newWorld(t, false)
 	trials := mkTrials(t, w, 3, 100, 10)
-	rep, err := RunSingleSpot(w.cluster, trials, SingleSpotConfig{TypeName: "fast"})
+	rep, err := RunSingleSpot(w.cluster, trials, "fast")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,10 +209,10 @@ func TestSingleSpotBaseline(t *testing.T) {
 func TestSingleSpotUnknownType(t *testing.T) {
 	w := newWorld(t, false)
 	trials := mkTrials(t, w, 1, 50, 10)
-	if _, err := RunSingleSpot(w.cluster, trials, SingleSpotConfig{TypeName: "nope"}); err == nil {
+	if _, err := RunSingleSpot(w.cluster, trials, "nope"); err == nil {
 		t.Fatal("unknown type accepted")
 	}
-	if _, err := RunSingleSpot(w.cluster, nil, SingleSpotConfig{TypeName: "fast"}); err == nil {
+	if _, err := RunSingleSpot(w.cluster, nil, "fast"); err == nil {
 		t.Fatal("no trials accepted")
 	}
 }
@@ -275,11 +232,7 @@ func orchCfg(theta float64) Config {
 func TestOrchestratorFullTheta(t *testing.T) {
 	w := newWorld(t, false)
 	trials := mkTrials(t, w, 4, 100, 10)
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, orchCfg(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, orchCfg(1.0)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +259,7 @@ func TestOrchestratorFullTheta(t *testing.T) {
 func TestOrchestratorEarlyShutdownSavesSteps(t *testing.T) {
 	w := newWorld(t, false)
 	trials := mkTrials(t, w, 4, 100, 10)
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, orchCfg(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, orchCfg(0.5)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,12 +295,7 @@ func TestOrchestratorHourlyRestart(t *testing.T) {
 	w := newWorld(t, false)
 	// One long trial: 4 s/step × 2000 steps ≈ 2.2h on slow.
 	trials := mkTrials(t, w, 1, 2000, 100)
-	cfg := orchCfg(1.0)
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, orchCfg(1.0)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,18 +317,9 @@ func TestOrchestratorHourlyRestart(t *testing.T) {
 func TestOrchestratorSurvivesRevocations(t *testing.T) {
 	w := newWorld(t, true) // spiky cheap market
 	trials := mkTrials(t, w, 2, 900, 50)
-	cfg := orchCfg(1.0)
 	// Pool restricted to the spiky market so near-market bids must face
 	// the periodic spike.
-	prov, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, []string{"slow"}, 7, trials, orchCfg(1.0)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,21 +345,6 @@ func TestOrchestratorSurvivesRevocations(t *testing.T) {
 	}
 	if rep.Best != idFor(0) {
 		t.Fatalf("best = %q", rep.Best)
-	}
-}
-
-func TestOrchestratorValidation(t *testing.T) {
-	w := newWorld(t, false)
-	trials := mkTrials(t, w, 2, 100, 10)
-	if _, err := NewOrchestrator(nil, w.store, w.provisioner(t), trials, Config{}); err == nil {
-		t.Error("nil cluster accepted")
-	}
-	if _, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), nil, Config{}); err == nil {
-		t.Error("no trials accepted")
-	}
-	dup := []*trial.Replay{trials[0], trials[0]}
-	if _, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), dup, Config{}); err == nil {
-		t.Error("duplicate trials accepted")
 	}
 }
 

@@ -34,17 +34,9 @@ func mkBigTrial(t *testing.T, w *testWorld, maxSteps, every int) *trial.Replay {
 func TestOversizedTrialSurvivesRevocationsViaPeriodicCheckpoints(t *testing.T) {
 	w := newWorld(t, true) // spiky market: revocations guaranteed
 	big := mkBigTrial(t, w, 1200, 50)
-	prov, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := orchCfg(1.0)
 	cfg.PeriodicCheckpoint = 5 * time.Minute
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, []*trial.Replay{big}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, []string{"slow"}, 3, []*trial.Replay{big}, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +65,9 @@ func TestOversizedCheckpointSkippedAtNotice(t *testing.T) {
 	// point is the baseline snapshot.
 	w := newWorld(t, true)
 	big := mkBigTrial(t, w, 300, 25)
-	prov, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := orchCfg(1.0)
 	cfg.PeriodicCheckpoint = 2 * time.Hour // effectively never: baseline only
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, []*trial.Replay{big}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orch.Run(); err != nil {
+	if _, err := w.orchestrator(t, []string{"slow"}, 4, []*trial.Replay{big}, cfg).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if big.CompletedSteps() != big.MaxSteps() {
@@ -97,11 +81,7 @@ func TestMaxConcurrentFanOut(t *testing.T) {
 	w1 := newWorld(t, false)
 	trialsSeq := mkTrials(t, w1, 4, 200, 20)
 	seqCfg := orchCfg(1.0)
-	orchSeq, err := NewOrchestrator(w1.cluster, w1.store, w1.provisioner(t), trialsSeq, seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRep, err := orchSeq.Run()
+	seqRep, err := w1.orchestrator(t, []string{"slow", "fast"}, 7, trialsSeq, seqCfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +90,7 @@ func TestMaxConcurrentFanOut(t *testing.T) {
 	trialsPar := mkTrials(t, w2, 4, 200, 20)
 	parCfg := orchCfg(1.0)
 	parCfg.MaxConcurrent = 4
-	orchPar, err := NewOrchestrator(w2.cluster, w2.store, w2.provisioner(t), trialsPar, parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRep, err := orchPar.Run()
+	parRep, err := w2.orchestrator(t, []string{"slow", "fast"}, 7, trialsPar, parCfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +112,7 @@ func TestOrchestratorWithOraclePredictorFarmsRefunds(t *testing.T) {
 	w.preds["slow"] = revpred.Oracle{}
 	w.preds["fast"] = revpred.Oracle{}
 	trials := mkTrials(t, w, 2, 600, 50)
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, orchCfg(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, orchCfg(1.0)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +133,7 @@ func TestSLAQTrendIntegration(t *testing.T) {
 	trials := mkTrials(t, w, 4, 100, 10)
 	cfg := orchCfg(0.5)
 	cfg.Trend = earlycurve.SLAQ{}
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,15 +188,7 @@ func TestRevocationStorm(t *testing.T) {
 	// immediately and repeatedly. The orchestrator must still finish.
 	w := stormWorld(t, 8*time.Minute, 5*time.Minute)
 	trials := mkTrials(t, w, 2, 300, 25)
-	prov, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, orchCfg(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, []string{"slow"}, 5, trials, orchCfg(1.0)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

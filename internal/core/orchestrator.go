@@ -16,29 +16,8 @@ import (
 	"spottune/internal/trial"
 )
 
-// LoopMode selects how the orchestrator advances virtual time.
-type LoopMode int
-
-const (
-	// LoopEvent (the default) runs Algorithm 1 as a discrete-event loop:
-	// each assignment's next trigger time (trigger-step completion,
-	// θ-shutdown point, proactive-restart horizon, periodic-checkpoint
-	// tick, plateau step) is computed and the clock advances directly to
-	// the earliest one, or to the cluster's next interesting instant
-	// (notice, revocation, price tick), whichever comes first.
-	LoopEvent LoopMode = iota
-	// LoopPolling is the paper's literal Algorithm 1 loop: sample every
-	// assignment each PollInterval. Behavior matches LoopEvent up to
-	// poll-quantization differences (triggers are detected at most one
-	// PollInterval late). Kept for golden-equivalence tests and as the
-	// reference implementation.
-	LoopPolling
-)
-
 // Config tunes the orchestrator. Zero values select the paper's settings.
 type Config struct {
-	// Mode selects discrete-event (default) or polling execution.
-	Mode LoopMode
 	// Theta is the early-shutdown rate θ ∈ (0, 1] (Table I).
 	Theta float64
 	// MCnt is how many top-ranked models to continue training from
@@ -48,7 +27,11 @@ type Config struct {
 	// evaluation processes trials one at a time (default 1); higher
 	// values exercise the elastic fan-out Algorithm 1 permits.
 	MaxConcurrent int
-	// PollInterval is the Algorithm 1 loop sleep (default 10s).
+	// PollInterval is the event loop's retry quantum (default 10s; the
+	// sleep of the paper's Algorithm 1). A trial noticed at the current
+	// instant waits one interval before it redeploys, the fixed resilience
+	// strategy retries blackout-rejected spot requests on this grid, and the
+	// campaign-start trace event carries it as its B payload.
 	PollInterval time.Duration
 	// RestartAfter is the proactive restart horizon (default 1h — the
 	// refund-window boundary of Fig. 4).
@@ -209,8 +192,8 @@ type assignment struct {
 	// step progress. The seconds-per-step sample (line 36 of Algorithm 1)
 	// is folded into the performance matrix once per segment: per-slice
 	// ratios with whole-step counts are biased whenever a scheduler slice
-	// is shorter than a step, and the bias would differ between polling
-	// and event-driven execution.
+	// is shorter than a step, and slice lengths depend on which unrelated
+	// events happen to wake the loop.
 	obsSecs  float64
 	obsSteps float64
 }
@@ -262,19 +245,17 @@ type trialState struct {
 	// noticed at the current instant is not redeployed until one
 	// PollInterval later: an instance bought inside its market's doom window
 	// is noticed the moment it launches, and without this spacing the event
-	// loop would deploy-notice-requeue forever at one instant (the polling
-	// loop gets the same spacing for free from its sleep).
+	// loop would deploy-notice-requeue forever at one instant.
 	noticedAt time.Time
 
 	// blackoutRetryAt paces blackout-rejected spot requests onto the retry
 	// schedule the resilience strategy chose (the fixed strategy picks the
 	// PollInterval grid; zero when no retry is pending). The rejection count
 	// feeds the policy-visible spot-failure streak, so the attempt cadence
-	// must not depend on the loop mode: without this gate the event loop
-	// would retry at every interesting instant (price ticks, arbitrary
-	// spacing) while the polling loop retries every PollInterval, and
-	// fallback policies would see different streaks — and make different
-	// decisions — under the two loops.
+	// must come from the strategy alone: without this gate the event loop
+	// would retry at every interesting instant (price ticks, other trials'
+	// triggers), and the streak a fallback policy sees would depend on
+	// unrelated events.
 	blackoutRetryAt time.Time
 	// blackoutRetries counts every blackout-rejected spot request across
 	// the whole campaign (reported); blackoutStreak counts the consecutive
@@ -388,21 +369,6 @@ type Orchestrator struct {
 	// tracing is off). Also installed on the cluster, so the recording
 	// interleaves orchestration and billing events in true emission order.
 	trc obs.Tracer
-}
-
-// NewOrchestrator wires a campaign over the given trials using the paper's
-// Eq. 1–2 provisioner (the "spottune" policy the Provisioner wraps).
-func NewOrchestrator(
-	cluster *cloudsim.Cluster,
-	store *cloudsim.ObjectStore,
-	prov *Provisioner,
-	trials []*trial.Replay,
-	cfg Config,
-) (*Orchestrator, error) {
-	if prov == nil {
-		return nil, errors.New("core: orchestrator needs a cluster, store, and provisioner")
-	}
-	return NewPolicyOrchestrator(cluster, store, prov.pol, prov.Pool(), trials, cfg)
 }
 
 // NewPolicyOrchestrator wires a campaign whose deployment decisions come
@@ -566,10 +532,7 @@ func (v *tunerView) Trend(id string) earlycurve.TrendPredictor {
 // runPhase executes one tuner round: every directed trial is (re)activated
 // — cleared from the finished set and queued in directive order — and
 // processed until it reaches its round budget or plateaus, handling
-// revocation notices, hourly restarts, and (re)deployments. The execution
-// strategy is selected by Config.Mode; both strategies share the same
-// trigger handling and deployment code, so they differ only in how far the
-// clock jumps between scheduler turns.
+// revocation notices, hourly restarts, and (re)deployments.
 func (o *Orchestrator) runPhase(round search.Round) error {
 	for _, t := range o.ts {
 		t.limit, t.inRound, t.active = 0, false, nil
@@ -612,13 +575,7 @@ func (o *Orchestrator) runPhase(round search.Round) error {
 			})
 		}
 	}
-	var err error
-	if o.cfg.Mode == LoopPolling {
-		err = o.runPhasePolling()
-	} else {
-		err = o.runPhaseEvent()
-	}
-	if err != nil {
+	if err := o.runPhaseEvent(); err != nil {
 		return err
 	}
 	o.trc.Emit(obs.Event{
@@ -630,41 +587,18 @@ func (o *Orchestrator) runPhase(round search.Round) error {
 	return nil
 }
 
-// runPhasePolling is the paper's literal Algorithm 1 loop: wake up every
-// PollInterval and sample everything.
-func (o *Orchestrator) runPhasePolling() error {
-	clk := o.cluster.Clock()
-	pending := len(o.waiting)
-	for iter := 0; ; iter++ {
-		// A week-long campaign polls ~60k times; 5M means livelock
-		// (e.g. a trial that can never recover past its checkpoint).
-		if iter > 5_000_000 {
-			return errors.New("core: orchestrator did not converge (runaway loop)")
-		}
-		o.iterations++
-		now := clk.Now()
-		o.handleTriggers(now, &pending)
-		if pending == 0 {
-			return nil
-		}
-		if _, _, err := o.deployWaiting(now, &pending); err != nil {
-			return err
-		}
-		if pending == 0 {
-			return nil
-		}
-		clk.Sleep(o.cfg.PollInterval)
-	}
-}
-
-// runPhaseEvent is the discrete-event loop: each turn handles everything due
-// now, then advances the clock directly to the next instant at which any
-// trigger or cluster event can fire. Asymptotically the turn count is the
+// runPhaseEvent runs Algorithm 1 as a discrete-event loop: each turn handles
+// everything due now, then advances the clock directly to the next instant
+// at which any trigger or cluster event can fire — trigger-step completion,
+// θ-shutdown point, proactive-restart horizon, periodic-checkpoint tick,
+// plateau step, notice, revocation, or price tick. The turn count is the
 // number of real events, not campaign-duration/PollInterval.
 func (o *Orchestrator) runPhaseEvent() error {
 	clk := o.cluster.Clock()
 	pending := len(o.waiting)
 	for iter := 0; ; iter++ {
+		// 5M turns means livelock (e.g. a trial that can never recover
+		// past its checkpoint).
 		if iter > 5_000_000 {
 			return errors.New("core: orchestrator did not converge (runaway loop)")
 		}
@@ -814,10 +748,10 @@ func (o *Orchestrator) familyOf(typeName string) string {
 // price below market), in which case the caller should retry after the next
 // price tick; a non-zero retryAt asks the caller to try again at that
 // instant (a trial noticed at the current instant is spaced out by one
-// PollInterval, matching the polling loop's cadence — unless the resilience
-// strategy asked for migration-on-notice, which deploys the replacement
-// inside the notice window). Trials whose retry budget the resilience
-// strategy exhausts are abandoned here (give-up), decrementing pending.
+// PollInterval — unless the resilience strategy asked for
+// migration-on-notice, which deploys the replacement inside the notice
+// window). Trials whose retry budget the resilience strategy exhausts are
+// abandoned here (give-up), decrementing pending.
 func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.Time, blocked bool, err error) {
 	incumbent := -1
 	if len(o.waiting) > 0 {
@@ -894,8 +828,7 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 				// spot-failure streak so fallback policies can swap to
 				// on-demand instead of waiting the window out. The retry
 				// pacing comes from the resilience strategy: the fixed
-				// strategy keeps the PollInterval grid so the streak grows
-				// identically under both loop modes; adaptive strategies
+				// strategy keeps the PollInterval grid; adaptive strategies
 				// back off exponentially and may exhaust the trial's retry
 				// budget, abandoning it (give-up) rather than spinning
 				// through a blackout the deadline cannot absorb.

@@ -8,10 +8,11 @@ import (
 	"spottune/internal/cloudsim"
 	"spottune/internal/obs"
 	"spottune/internal/policy"
+	"spottune/internal/trial"
 )
 
 // worldPolicy constructs a registered policy bound to a testWorld's grids
-// and predictors — the same wiring NewProvisioner uses internally.
+// and predictors through GridRevProb, with the paper's default bid deltas.
 func worldPolicy(t *testing.T, w *testWorld, name string, pool []string, seed uint64) policy.Policy {
 	t.Helper()
 	pol, err := policy.New(name, policy.Params{
@@ -23,56 +24,6 @@ func worldPolicy(t *testing.T, w *testWorld, name string, pool []string, seed ui
 		t.Fatal(err)
 	}
 	return pol
-}
-
-// TestGoldenSpotTunePolicyBitForBit: the extracted "spottune" policy run
-// through NewPolicyOrchestrator must reproduce the legacy
-// Provisioner-constructed orchestrator bit-for-bit — same report, same
-// per-trial step counts — on identically seeded worlds. This is the
-// refactoring contract: Eq. 1–2 moved packages without changing a single
-// decision.
-func TestGoldenSpotTunePolicyBitForBit(t *testing.T) {
-	for _, spiky := range []bool{false, true} {
-		pool := []string{"slow", "fast"}
-		cfg := orchCfg(0.7)
-
-		wa := newWorld(t, spiky)
-		trialsA := mkTrials(t, wa, 4, 200, 20)
-		prov, err := NewProvisioner(wa.cluster, pool, wa.grids, wa.preds, 0, 0, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orchA, err := NewOrchestrator(wa.cluster, wa.store, prov, trialsA, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repA, err := orchA.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		wb := newWorld(t, spiky)
-		trialsB := mkTrials(t, wb, 4, 200, 20)
-		orchB, err := NewPolicyOrchestrator(wb.cluster, wb.store,
-			worldPolicy(t, wb, policy.SpotTuneName, pool, 7), pool, trialsB, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repB, err := orchB.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if !reflect.DeepEqual(repA, repB) {
-			t.Errorf("spiky=%v: spottune-as-policy diverges from provisioner path:\n%+v\nvs\n%+v",
-				spiky, repA, repB)
-		}
-		for i := range trialsA {
-			if a, b := trialsA[i].CompletedSteps(), trialsB[i].CompletedSteps(); a != b {
-				t.Errorf("spiky=%v: trial %s steps %d vs %d", spiky, trialsA[i].ID(), a, b)
-			}
-		}
-	}
 }
 
 // baselineCfg is the orchestrator configuration that makes a Single-Spot
@@ -151,7 +102,7 @@ func TestGoldenBaselinePoliciesMatchRunSingleSpot(t *testing.T) {
 
 			wRef := newWorld(t, false)
 			refTrials := mkTrials(t, wRef, 3, 100, 10)
-			ref, err := RunSingleSpot(wRef.cluster, refTrials, SingleSpotConfig{TypeName: tc.typeName})
+			ref, err := RunSingleSpot(wRef.cluster, refTrials, tc.typeName)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,8 +388,7 @@ func TestMixedFleetPinsIncumbentOnDemand(t *testing.T) {
 	}
 }
 
-// TestPolicyOrchestratorValidation covers the new constructor's error
-// surface.
+// TestPolicyOrchestratorValidation covers the constructor's error surface.
 func TestPolicyOrchestratorValidation(t *testing.T) {
 	w := newWorld(t, false)
 	pool := []string{"slow", "fast"}
@@ -455,5 +405,9 @@ func TestPolicyOrchestratorValidation(t *testing.T) {
 	}
 	if _, err := NewPolicyOrchestrator(w.cluster, w.store, pol, pool, nil, Config{}); err == nil {
 		t.Error("no trials accepted")
+	}
+	dup := []*trial.Replay{trials[0], trials[0]}
+	if _, err := NewPolicyOrchestrator(w.cluster, w.store, pol, pool, dup, Config{}); err == nil {
+		t.Error("duplicate trials accepted")
 	}
 }

@@ -33,11 +33,7 @@ func TestOrchestratorConservationProperty(t *testing.T) {
 		cfg := orchCfg(theta)
 		cfg.MCnt = 1 + rng.IntN(nTrials)
 		cfg.MaxConcurrent = 1 + rng.IntN(2)
-		orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, cfg)
-		if err != nil {
-			return false
-		}
-		rep, err := orch.Run()
+		rep, err := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, cfg).Run()
 		if err != nil {
 			return false
 		}
@@ -106,11 +102,7 @@ func TestCampaignJCTBoundedProperty(t *testing.T) {
 		n := 2 + rng.IntN(2)
 		maxSteps := (100 + rng.IntN(100)) / 10 * 10
 		trials := mkTrials(t, w, n, maxSteps, 10)
-		orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, orchCfg(1.0))
-		if err != nil {
-			return false
-		}
-		rep, err := orch.Run()
+		rep, err := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, orchCfg(1.0)).Run()
 		if err != nil {
 			return false
 		}
@@ -136,15 +128,7 @@ func TestCampaignJCTBoundedProperty(t *testing.T) {
 func TestCheckpointMonotoneProperty(t *testing.T) {
 	w := newWorld(t, true)
 	trials := mkTrials(t, w, 1, 600, 50)
-	prov, err := NewProvisioner(w.cluster, []string{"slow"}, w.grids, w.preds, 0, 0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, orchCfg(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orch.Run(); err != nil {
+	if _, err := w.orchestrator(t, []string{"slow"}, 9, trials, orchCfg(1.0)).Run(); err != nil {
 		t.Fatal(err)
 	}
 	// The final checkpoint must decode to the trial's final progress.

@@ -7,40 +7,21 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"time"
 
-	"spottune/internal/cloudsim"
 	"spottune/internal/market"
 	"spottune/internal/policy"
 	"spottune/internal/revpred"
 )
 
-// Default bid-delta interval (Algorithm 1 line 4): the maximum price is the
-// current market price plus a uniform delta from this range, in USD.
-const (
-	DefaultDeltaLow  = policy.DefaultDeltaLow
-	DefaultDeltaHigh = policy.DefaultDeltaHigh
-)
-
-// Choice is the provisioning decision for one deployment.
-type Choice struct {
-	TypeName string
-	MaxPrice float64
-	RevProb  float64 // predicted revocation probability within the hour
-	AvgPrice float64 // trailing-hour average market price (Eq. 1 price term)
-	StepCost float64 // Eq. 2 expected cost per step (relative units)
-}
-
 // ValidatePoolWiring checks that every pool member has a feature grid and a
-// revocation predictor — the fail-fast guard for Eq. 1–2 wiring, shared by
-// the Provisioner and campaign-level policy construction (GridRevProb
-// silently predicts 0 for unknown markets, which would bias selection
-// instead of erroring).
+// revocation predictor — the fail-fast guard for Eq. 1–2 wiring at
+// campaign-level policy construction (GridRevProb silently predicts 0 for
+// unknown markets, which would bias selection instead of erroring).
 func ValidatePoolWiring(pool []string, grids map[string]*market.Grid, predictors map[string]revpred.Predictor) error {
 	for _, name := range pool {
 		if _, ok := grids[name]; !ok {
@@ -81,67 +62,6 @@ func GridRevProb(grids map[string]*market.Grid, predictors map[string]revpred.Pr
 		return 0
 	}
 }
-
-// Provisioner is the paper's Eq. 1–2 provisioner behind its original API: a
-// thin shell over the extracted "spottune" policy (internal/policy), kept so
-// existing callers and the legacy NewOrchestrator signature keep working.
-type Provisioner struct {
-	pool    []string
-	cluster *cloudsim.Cluster
-	pol     policy.Policy
-}
-
-// NewProvisioner wires the provisioner. Every pool member needs a grid and a
-// predictor. Delta bounds of zero select the paper's defaults.
-func NewProvisioner(
-	cluster *cloudsim.Cluster,
-	pool []string,
-	grids map[string]*market.Grid,
-	predictors map[string]revpred.Predictor,
-	deltaLow, deltaHigh float64,
-	seed uint64,
-) (*Provisioner, error) {
-	if len(pool) == 0 {
-		return nil, errors.New("core: empty instance pool")
-	}
-	if err := ValidatePoolWiring(pool, grids, predictors); err != nil {
-		return nil, err
-	}
-	pol, err := policy.New(policy.SpotTuneName, policy.Params{
-		Pool:      pool,
-		Seed:      seed,
-		RevProb:   GridRevProb(grids, predictors),
-		DeltaLow:  deltaLow,
-		DeltaHigh: deltaHigh,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Provisioner{
-		pool:    append([]string(nil), pool...),
-		cluster: cluster,
-		pol:     pol,
-	}, nil
-}
-
-// Best implements getBestInst of Algorithm 1: secPerStep supplies the
-// current M[inst][hp] estimate for the trial being deployed.
-func (p *Provisioner) Best(secPerStep func(typeName string) float64) (Choice, error) {
-	req, err := p.pol.Decide(policy.Context{Market: p.cluster, SecPerStep: secPerStep})
-	if err != nil {
-		return Choice{}, err
-	}
-	return Choice{
-		TypeName: req.TypeName,
-		MaxPrice: req.MaxPrice,
-		RevProb:  req.RevProb,
-		AvgPrice: req.AvgPrice,
-		StepCost: req.StepCost,
-	}, nil
-}
-
-// Pool returns the instance type names the provisioner chooses from.
-func (p *Provisioner) Pool() []string { return append([]string(nil), p.pool...) }
 
 // PerfMatrix is the online performance model M of Algorithm 1: estimated
 // seconds per step for every (instance type, HP) pair, initialized from core

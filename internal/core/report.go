@@ -46,10 +46,9 @@ type Report struct {
 	Notices             int
 	Revocations         int
 
-	// LoopIterations counts scheduler turns across all phases: poll ticks
-	// in LoopPolling, discrete-event turns in LoopEvent. The event-driven
-	// loop's headline win is this number collapsing from
-	// campaign-duration/PollInterval to the real event count.
+	// LoopIterations counts the event loop's scheduler turns across all
+	// phases: one per real scheduling event, not one per PollInterval of
+	// virtual time.
 	LoopIterations int
 
 	// Resilience is the recovery strategy that governed checkpoints,

@@ -19,15 +19,7 @@ func runTraced(t *testing.T, w *testWorld, trials []*trial.Replay, cfg Config, p
 	t.Helper()
 	rec := obs.NewRecording(obs.Meta{Tuner: "spottune", Policy: "test", Workload: "synthetic", Seed: 1})
 	cfg.Tracer = rec
-	prov, err := NewProvisioner(w.cluster, pool, w.grids, w.preds, 0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, pool, 7, trials, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +68,7 @@ func TestBlackoutRetryBookkeeping(t *testing.T) {
 	rec := obs.NewRecording(obs.Meta{Tuner: "spottune", Policy: "test", Workload: "synthetic", Seed: 1})
 	cfg := orchCfg(1.0)
 	cfg.Tracer = rec
-	prov, err := NewProvisioner(w.cluster, []string{"slow", "fast"}, w.grids, w.preds, 0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	orch := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, cfg)
 	rep, err := orch.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -324,10 +309,12 @@ func TestDeadlineDegradationEscalatesToOnDemand(t *testing.T) {
 // TestAdaptiveCadenceBoundsLostWork is the core-level metamorphic check:
 // on a revocation-heavy market, every step lost at a notice is bounded by
 // the work an active cadence window can hold, and the campaign-level lost
-// total reconciles with the per-notice trace payloads.
+// total reconciles with the per-notice trace payloads. The spiky fixture
+// revokes the oversized trial mid-cadence, so at least one lossy notice
+// reaches the bound.
 func TestAdaptiveCadenceBoundsLostWork(t *testing.T) {
-	w := stormWorld(t, 8*time.Minute, 5*time.Minute)
-	big := mkBigTrial(t, w, 600, 50)
+	w := newWorld(t, true)
+	big := mkBigTrial(t, w, 1200, 50)
 	res, err := resilience.New(resilience.AdaptiveName, resilience.Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -340,14 +327,14 @@ func TestAdaptiveCadenceBoundsLostWork(t *testing.T) {
 		t.Fatalf("oversized trial stalled at %d/%d", big.CompletedSteps(), big.MaxSteps())
 	}
 	if rep.Notices == 0 {
-		t.Fatal("storm produced no notices")
+		t.Fatal("spiky market produced no notices")
 	}
 	// Replay the trace: at each lossy notice, the exposure since the last
 	// protection point fits the active cadence plus one poll tick.
 	var pollSecs float64
 	lastProtect := map[string]time.Time{}
 	cadence := map[string]float64{}
-	lost := 0
+	lost, checked := 0, 0
 	for _, e := range rec.Events() {
 		switch e.Kind {
 		case obs.KindCampaignStart:
@@ -368,6 +355,7 @@ func TestAdaptiveCadenceBoundsLostWork(t *testing.T) {
 			if cad <= 0 {
 				continue
 			}
+			checked++
 			if exposed := e.VT.Sub(lastProtect[e.Trial]).Seconds(); exposed > cad+pollSecs+1e-6 {
 				t.Errorf("notice at %v lost %d steps after %.0fs unprotected (cadence %.0fs)",
 					e.VT, int(e.B), exposed, cad)
@@ -376,6 +364,9 @@ func TestAdaptiveCadenceBoundsLostWork(t *testing.T) {
 	}
 	if pollSecs <= 0 {
 		t.Fatal("campaign-start event carries no poll-interval payload")
+	}
+	if checked == 0 {
+		t.Fatal("no notice lost work under an active cadence; the exposure bound never ran")
 	}
 	if lost != rep.LostSteps {
 		t.Errorf("trace notices lost %d steps, report says %d", lost, rep.LostSteps)
@@ -389,10 +380,7 @@ func TestAdaptiveCadenceBoundsLostWork(t *testing.T) {
 func TestRemainingSecsBitStable(t *testing.T) {
 	w := newWorld(t, false)
 	trials := mkTrials(t, w, 24, 400, 20)
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, orchCfg(0.7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	orch := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, orchCfg(0.7))
 	for i, st := range orch.ts {
 		st.inRound, st.limit = true, 50+17*i
 		orch.perf.observe("fast", st.col, 0.1+math.Pow(3.7, float64(i%9))*1e-3/float64(i+1))

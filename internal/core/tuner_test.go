@@ -21,17 +21,9 @@ func runTuner(t *testing.T, spiky bool, pool []string, tunerName string, n, maxS
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := NewProvisioner(w.cluster, pool, w.grids, w.preds, 0, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	c := cfg
 	c.Tuner = tun
-	orch, err := NewOrchestrator(w.cluster, w.store, prov, trials, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, pool, 7, trials, c).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +69,7 @@ func TestTunerExplicitSpotTuneMatchesDefault(t *testing.T) {
 
 	wa := newWorld(t, true)
 	trialsA := mkTrials(t, wa, 4, 200, 20)
-	orchA, err := NewOrchestrator(wa.cluster, wa.store, wa.provisioner(t), trialsA, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repA, err := orchA.Run()
+	repA, err := wa.orchestrator(t, []string{"slow", "fast"}, 7, trialsA, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +216,7 @@ func TestPredictionFallbacksUnderBlackout(t *testing.T) {
 	blind := mkSparseTrial(t, w, "blind-hp", 100, []int{80, 100}, 0.2)
 	cfg := orchCfg(0.7)
 	cfg.MCnt = 1
-	orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), []*trial.Replay{thin, blind}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := orch.Run()
+	rep, err := w.orchestrator(t, []string{"slow", "fast"}, 7, []*trial.Replay{thin, blind}, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,11 +270,7 @@ func TestRunRejectsMalformedRounds(t *testing.T) {
 		trials := mkTrials(t, w, 2, 50, 10)
 		cfg := orchCfg(0.7)
 		cfg.Tuner = &badTuner{directive: d}
-		orch, err := NewOrchestrator(w.cluster, w.store, w.provisioner(t), trials, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := orch.Run(); err == nil {
+		if _, err := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, cfg).Run(); err == nil {
 			t.Errorf("%s round accepted", name)
 		}
 	}

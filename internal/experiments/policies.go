@@ -3,13 +3,13 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 
 	"spottune/internal/campaign"
 	"spottune/internal/core"
 	"spottune/internal/obs"
 	"spottune/internal/policy"
-	"spottune/internal/workload"
 )
 
 // CrossPolicyRow is one provisioning policy's campaign outcome on the study
@@ -33,24 +33,7 @@ type CrossPolicyRow struct {
 // worker pool. Rows come back in registry-name order; everything is
 // deterministic given the seed.
 func CrossPolicy(ctx *Context) ([]CrossPolicyRow, error) {
-	if len(ctx.Opts.Workloads) == 0 {
-		return nil, errors.New("experiments: no study workload configured")
-	}
-	name := ctx.Opts.Workloads[0]
-	env, err := ctx.Env(ctx.defaultKind())
-	if err != nil {
-		return nil, err
-	}
-	bench, err := ctx.Bench(name)
-	if err != nil {
-		return nil, err
-	}
-	curves, err := ctx.Curves(name)
-	if err != nil {
-		return nil, err
-	}
-	return CrossPolicyOn(env, bench, curves, policy.Names(),
-		campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed})
+	return crossPolicy(ctx, campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed})
 }
 
 // CrossPolicyTraced is CrossPolicy with the flight recorder on: the returned
@@ -60,25 +43,9 @@ func CrossPolicy(ctx *Context) ([]CrossPolicyRow, error) {
 // Inspect from worker goroutines; the returned order is row order, so output
 // stays deterministic regardless of scheduling.
 func CrossPolicyTraced(ctx *Context) ([]CrossPolicyRow, []*obs.Recording, error) {
-	if len(ctx.Opts.Workloads) == 0 {
-		return nil, nil, errors.New("experiments: no study workload configured")
-	}
-	name := ctx.Opts.Workloads[0]
-	env, err := ctx.Env(ctx.defaultKind())
-	if err != nil {
-		return nil, nil, err
-	}
-	bench, err := ctx.Bench(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	curves, err := ctx.Curves(name)
-	if err != nil {
-		return nil, nil, err
-	}
 	var mu sync.Mutex
 	byPolicy := map[string]*obs.Recording{}
-	rows, err := CrossPolicyOn(env, bench, curves, policy.Names(), campaign.Options{
+	rows, err := crossPolicy(ctx, campaign.Options{
 		Theta: 0.7,
 		Seed:  ctx.Opts.Seed,
 		Trace: true,
@@ -101,34 +68,20 @@ func CrossPolicyTraced(ctx *Context) ([]CrossPolicyRow, []*obs.Recording, error)
 	return rows, recs, nil
 }
 
-// CrossPolicyOn fans the named provisioning policies (every registered one
-// when names is nil) over the given environment and workload through the
-// campaign.Sweep worker pool, one row per policy in the given name order.
-// opt.Seed seeds both the campaigns and the sweep's per-task rand streams.
-// CrossPolicy is this on the study defaults; the scenario matrix calls it
-// once per scenario cell-row with fault-injecting environments and an
-// Inspect hook wired into opt.
-func CrossPolicyOn(
-	env *campaign.Environment,
-	bench *workload.Benchmark,
-	curves workload.Curves,
-	names []string,
-	opt campaign.Options,
-) ([]CrossPolicyRow, error) {
-	if names == nil {
-		names = policy.Names()
+// crossPolicy runs every registered policy on the study workload under opt
+// and maps the reports, in registry-name order, to study rows.
+func crossPolicy(ctx *Context, opt campaign.Options) ([]CrossPolicyRow, error) {
+	names := policy.Names()
+	wl, reps, err := sweepAxis(ctx, "policy", names, opt,
+		func(o *campaign.Options, name string) { o.Policy = name })
+	if err != nil {
+		return nil, err
 	}
-	tasks := env.PolicyTasks(bench, curves, names, opt)
-	results := campaign.Sweep(tasks, campaign.SweepOptions{Seed: opt.Seed})
-	rows := make([]CrossPolicyRow, 0, len(results))
-	for i, res := range results {
-		if res.Err != nil {
-			return nil, fmt.Errorf("experiments: policy %s: %w", res.Key, res.Err)
-		}
-		rep := res.Report
-		rows = append(rows, CrossPolicyRow{
+	rows := make([]CrossPolicyRow, len(reps))
+	for i, rep := range reps {
+		rows[i] = CrossPolicyRow{
 			Policy:              names[i],
-			Workload:            bench.Name,
+			Workload:            wl,
 			Cost:                rep.NetCost,
 			JCTHours:            rep.JCT.Hours(),
 			RefundFrac:          rep.RefundFraction(),
@@ -136,7 +89,49 @@ func CrossPolicyOn(
 			OnDemandDeployments: rep.OnDemandDeployments,
 			Notices:             rep.Notices,
 			Report:              rep,
-		})
+		}
 	}
 	return rows, nil
+}
+
+// sweepAxis runs one campaign per name on the study workload — the first of
+// Options.Workloads, on the default environment — fanned out through the
+// campaign.Sweep worker pool. set writes a name into its campaign's options;
+// axis names the axis in errors. It returns the workload's name and the
+// reports in name order; opt.Seed seeds both the campaigns and the sweep's
+// per-task rand streams.
+func sweepAxis(ctx *Context, axis string, names []string, opt campaign.Options, set func(*campaign.Options, string)) (string, []*core.Report, error) {
+	if len(ctx.Opts.Workloads) == 0 {
+		return "", nil, errors.New("experiments: no study workload configured")
+	}
+	wl := ctx.Opts.Workloads[0]
+	env, err := ctx.Env(ctx.defaultKind())
+	if err != nil {
+		return "", nil, err
+	}
+	bench, err := ctx.Bench(wl)
+	if err != nil {
+		return "", nil, err
+	}
+	curves, err := ctx.Curves(wl)
+	if err != nil {
+		return "", nil, err
+	}
+	tasks := make([]campaign.Task, len(names))
+	for i, name := range names {
+		o := opt
+		set(&o, name)
+		tasks[i] = campaign.Task{Key: name, Run: func(*rand.Rand) (*core.Report, error) {
+			return env.RunPolicy(bench, curves, o)
+		}}
+	}
+	results := campaign.Sweep(tasks, campaign.SweepOptions{Seed: opt.Seed})
+	reps := make([]*core.Report, len(results))
+	for i, res := range results {
+		if res.Err != nil {
+			return "", nil, fmt.Errorf("experiments: %s %s: %w", axis, res.Key, res.Err)
+		}
+		reps[i] = res.Report
+	}
+	return bench.Name, reps, nil
 }

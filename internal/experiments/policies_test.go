@@ -63,9 +63,10 @@ func TestCrossPolicyStudy(t *testing.T) {
 	}
 }
 
-// TestCrossPolicySpotTuneMatchesRunSpotTune: the study's spottune row must
-// be the same campaign RunSpotTune reports — one comparison harness, no
-// second code path.
+// TestCrossPolicySpotTuneMatchesRunSpotTune: every study row, in registry
+// order, must be the campaign a sequential RunPolicy reports, and the
+// spottune row the one RunSpotTune reports — the parallel fan-out is one
+// comparison harness, not a second code path.
 func TestCrossPolicySpotTuneMatchesRunSpotTune(t *testing.T) {
 	ctx := quickCtx()
 	rows, err := CrossPolicy(ctx)
@@ -84,17 +85,25 @@ func TestCrossPolicySpotTuneMatchesRunSpotTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := env.RunSpotTune(bench, curves, campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed})
-	if err != nil {
-		t.Fatal(err)
+	names := policy.Names()
+	if len(rows) != len(names) {
+		t.Fatalf("%d rows for %d registered policies", len(rows), len(names))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
+		if r.Policy != names[i] {
+			t.Fatalf("row %d is %q, want registry order %q", i, r.Policy, names[i])
+		}
+		opt := campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed, Policy: r.Policy}
+		run := env.RunPolicy
 		if r.Policy == policy.SpotTuneName {
-			if !reflect.DeepEqual(r.Report, rep) {
-				t.Errorf("study spottune row diverges from RunSpotTune:\n%+v\nvs\n%+v", r.Report, rep)
-			}
-			return
+			run = env.RunSpotTune
+		}
+		rep, err := run(bench, curves, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Report, rep) {
+			t.Errorf("study %s row diverges from a sequential run:\n%+v\nvs\n%+v", r.Policy, r.Report, rep)
 		}
 	}
-	t.Fatal("spottune row missing")
 }

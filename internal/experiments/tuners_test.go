@@ -63,23 +63,14 @@ func TestCrossTunerStudy(t *testing.T) {
 	}
 }
 
-// TestCrossTunerSpotTuneRowMatchesRunSpotTune: the study's spottune row must
-// be the exact same campaign RunSpotTune runs — the tuner axis adds no
-// hidden divergence for the default schedule.
+// TestCrossTunerSpotTuneRowMatchesRunSpotTune: every study row, in registry
+// order, must be the campaign a sequential RunPolicy runs, and the spottune
+// row the one RunSpotTune runs — the tuner axis adds no hidden divergence.
 func TestCrossTunerSpotTuneRowMatchesRunSpotTune(t *testing.T) {
 	ctx := quickCtx()
 	rows, err := CrossTuner(ctx)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var study *CrossTunerRow
-	for i := range rows {
-		if rows[i].Tuner == search.SpotTuneName {
-			study = &rows[i]
-		}
-	}
-	if study == nil {
-		t.Fatal("no spottune row")
 	}
 	env, err := ctx.Env(ctx.defaultKind())
 	if err != nil {
@@ -93,11 +84,26 @@ func TestCrossTunerSpotTuneRowMatchesRunSpotTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := env.RunSpotTune(bench, curves, campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed})
-	if err != nil {
-		t.Fatal(err)
+	names := search.Names()
+	if len(rows) != len(names) {
+		t.Fatalf("%d rows for %d registered tuners", len(rows), len(names))
 	}
-	if !reflect.DeepEqual(study.Report, direct) {
-		t.Errorf("study spottune report diverges from RunSpotTune:\n%+v\nvs\n%+v", study.Report, direct)
+	for i, r := range rows {
+		if r.Tuner != names[i] {
+			t.Fatalf("row %d is %q, want registry order %q", i, r.Tuner, names[i])
+		}
+		opt := campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed, Tuner: r.Tuner}
+		run := env.RunPolicy
+		if r.Tuner == search.SpotTuneName {
+			opt.Tuner = ""
+			run = env.RunSpotTune
+		}
+		direct, err := run(bench, curves, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Report, direct) {
+			t.Errorf("study %s row diverges from a sequential run:\n%+v\nvs\n%+v", r.Tuner, r.Report, direct)
+		}
 	}
 }

@@ -547,9 +547,9 @@ func checkResilience(st State, c *collector) {
 				continue
 			}
 			// Work is unprotected for at most one cadence plus one poll
-			// interval (polling-mode detection lag) between checkpoints;
-			// a notice that finds more than that exposed means the
-			// strategy's schedule was not honored.
+			// interval between checkpoints; a notice that finds more than
+			// that exposed means the strategy's schedule was not honored.
+			// The poll-interval slop is unverified for the event loop.
 			if exposed := e.VT.Sub(an.vt.VT).Seconds(); exposed > cad+pollSecs+costTol {
 				c.addFor(CodeLostWorkBound, e.Trial, e.Inst,
 					"trial %s lost %d steps after %.0fs unprotected; active cadence %.0fs (+%.0fs poll slop)",

@@ -208,9 +208,8 @@ func (p Params) validate() error {
 	return nil
 }
 
-// newRNG is the shared bid-delta stream constructor. The PCG tag matches the
-// original core.Provisioner so the extracted SpotTune policy reproduces its
-// bid sequence bit-for-bit under the same seed.
+// newRNG is the shared bid-delta stream constructor. The PCG tag is part of
+// the committed goldens: changing it changes every spot bid.
 func newRNG(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, 0x9e0715))
 }

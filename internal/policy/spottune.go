@@ -8,8 +8,8 @@ func init() {
 		})
 }
 
-// spotTune is the paper's fine-grained cost-aware provisioner (Eq. 1–2),
-// extracted from core.Provisioner: deploy on the spot instance minimizing
+// spotTune is the paper's fine-grained cost-aware provisioner (Eq. 1–2):
+// deploy on the spot instance minimizing
 // E[sCost] = M[inst][hp]·(1−p)·price, bidding the current market price plus
 // a uniform delta. It never requests on-demand capacity.
 type spotTune struct {

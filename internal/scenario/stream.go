@@ -19,8 +19,8 @@ import (
 
 // replicateStride derives replicate seeds from a spec seed (splitmix64's
 // odd increment, so streams never collide for realistic replicate counts).
-// Replicate 0 uses the spec seed unchanged — the streaming battery at one
-// replicate is the legacy battery, bit for bit.
+// Replicate 0 uses the spec seed unchanged, so a one-replicate stream (and
+// Matrix.Run) runs each spec at its own seed.
 const replicateStride = 0x9E3779B97F4A7C15
 
 // ReplicateSeed is the campaign seed of replicate r of a spec — exported so
@@ -31,13 +31,13 @@ func ReplicateSeed(specSeed uint64, r int) uint64 {
 }
 
 // StreamOptions tunes a streaming matrix run. The embedded Options carry the
-// same axes as Matrix.Run; the streaming fields bound memory and wire the
-// per-cell consumers.
+// matrix axes; the streaming fields bound memory and wire the per-cell
+// consumers.
 type StreamOptions struct {
 	Options
 
 	// Replicates is the seed axis: each spec's cell block is repeated this
-	// many times with derived campaign seeds (default 1 — the legacy grid).
+	// many times with derived campaign seeds (default 1).
 	Replicates int
 	// Workers caps concurrent cells (default GOMAXPROCS).
 	Workers int
@@ -109,10 +109,9 @@ type cellJob struct {
 // cells are sharded across a worker pool, each worker reuses one EarlyCurve
 // fit memo (its SoA world) across every cell it runs, and results stream
 // into quantile sketches plus the optional in-order OnCell callback instead
-// of an in-memory cell table. With Replicates == 1 the grid, the per-cell
-// rows, and the invariant audits are identical to Matrix.Run's — pinned by
-// the equivalence suite — while 10^5-cell grids run in the same footprint as
-// the 216-cell battery.
+// of an in-memory cell table. The per-worker reuse is bit-identical to
+// running every cell cold — pinned by the equivalence suite — and 10^5-cell
+// grids run in the same footprint as the 216-cell battery.
 func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 	o := opt.Options.withDefaults()
 	if len(m.Specs) == 0 {
@@ -279,9 +278,10 @@ func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 	return summary, nil
 }
 
-// buildBlocks assembles the per-spec shared worlds, reusing base
-// environments across specs that differ only in faults — the same sharing
-// Matrix.Run performs.
+// buildBlocks assembles the per-spec shared worlds. Environments are the
+// expensive part (trace generation and predictor training), so specs that
+// differ only in faults share one fault-free base environment, onto a copy
+// of which withFaults layers each spec's hooks.
 func (m Matrix) buildBlocks(o Options) ([]*specBlock, error) {
 	baseEnvs := map[envKey]*campaign.Environment{}
 	benches := map[string]*workload.Benchmark{}

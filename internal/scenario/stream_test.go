@@ -7,9 +7,14 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"spottune/internal/campaign"
+	"spottune/internal/earlycurve"
+	"spottune/internal/experiments"
+	"spottune/internal/invariants"
 	"spottune/internal/policy"
 	"spottune/internal/search"
 	"spottune/internal/stats"
+	"spottune/internal/workload"
 )
 
 // streamAll collects every streamed cell plus the summary.
@@ -27,11 +32,79 @@ func streamAll(t *testing.T, m Matrix, opt StreamOptions) ([]Cell, *StreamSummar
 	return cells, sum
 }
 
+// coldCells is the streaming runner's reference: every cell of the
+// one-replicate grid, in grid order, run alone on a freshly built
+// environment through RunPolicy, with a memo-free EarlyCurve predictor and
+// no perf cache. It covers the axes randomSpec draws (no tuner or strategy
+// pins).
+func coldCells(t *testing.T, m Matrix, opt Options) []Cell {
+	t.Helper()
+	opt = opt.withDefaults()
+	var cells []Cell
+	for _, raw := range m.Specs {
+		s := raw.withDefaults(opt)
+		bench, err := workload.SuiteByName(s.Workload, workload.Config{Seed: opt.Seed, Scale: opt.Scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		curves := bench.SyntheticCurves(opt.Seed)
+		for _, tuner := range opt.Tuners {
+			for _, strategy := range opt.Strategies {
+				for _, pol := range opt.Policies {
+					env, err := s.Environment(opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var vs []invariants.Violation
+					rep, err := env.RunPolicy(bench, curves, campaign.Options{
+						Theta:        opt.Theta,
+						Seed:         s.Seed,
+						Tuner:        tuner,
+						Policy:       pol,
+						Resilience:   strategy,
+						Deadline:     s.Deadline,
+						Budget:       s.Budget,
+						BaseType:     s.BaseType,
+						PolicyParams: policy.Params{Allocation: s.Allocation},
+						Trend:        &earlycurve.Predictor{},
+						Inspect: func(d *campaign.RunDetail) error {
+							vs = invariants.Check(StateFor(d))
+							return nil
+						},
+					})
+					if err != nil {
+						t.Fatalf("%s/%s/%s: %v", s.Name, tuner, pol, err)
+					}
+					cells = append(cells, Cell{
+						Scenario: s.Name,
+						Regime:   s.Regime,
+						Tuner:    tuner,
+						Strategy: strategy,
+						CrossPolicyRow: experiments.CrossPolicyRow{
+							Policy:              pol,
+							Workload:            bench.Name,
+							Cost:                rep.NetCost,
+							JCTHours:            rep.JCT.Hours(),
+							RefundFrac:          rep.RefundFraction(),
+							Deployments:         rep.Deployments,
+							OnDemandDeployments: rep.OnDemandDeployments,
+							Notices:             rep.Notices,
+							Report:              rep,
+						},
+						Violations: vs,
+					})
+				}
+			}
+		}
+	}
+	return cells
+}
+
 // TestMetamorphicStreamEquivalence pins the streaming runner bit-identical
-// to the legacy per-cell path on seeded random scenario specs: same cells in
+// to running every cell cold on seeded random scenario specs: same cells in
 // the same order, same costs/JCT/refunds to the last bit, same winner per
-// cell, and agreeing invariant audits — under concurrent workers and the
-// per-worker fit-memo reuse.
+// cell, and agreeing invariant audits — under concurrent workers that reuse
+// one EarlyCurve fit memo and one perf cache each across their cells.
 func TestMetamorphicStreamEquivalence(t *testing.T) {
 	iters := 3
 	if testing.Short() {
@@ -52,19 +125,16 @@ func TestMetamorphicStreamEquivalence(t *testing.T) {
 			opt.Tuners = append(opt.Tuners, search.HalvingName)
 		}
 
-		legacy, err := m.Run(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cold := &Result{Cells: coldCells(t, m, opt)}
 		streamed, _ := streamAll(t, m, StreamOptions{Options: opt, Workers: 4})
 
-		if len(streamed) != len(legacy.Cells) {
-			t.Fatalf("round %d: %d streamed cells vs %d legacy", i, len(streamed), len(legacy.Cells))
+		if len(streamed) != len(cold.Cells) {
+			t.Fatalf("round %d: %d streamed cells vs %d cold", i, len(streamed), len(cold.Cells))
 		}
-		for j, want := range legacy.Cells {
+		for j, want := range cold.Cells {
 			got := streamed[j]
 			if got.Scenario != want.Scenario || got.Tuner != want.Tuner || got.Policy != want.Policy {
-				t.Fatalf("round %d cell %d: (%s,%s,%s) vs legacy (%s,%s,%s)", i, j,
+				t.Fatalf("round %d cell %d: (%s,%s,%s) vs cold (%s,%s,%s)", i, j,
 					got.Scenario, got.Tuner, got.Policy, want.Scenario, want.Tuner, want.Policy)
 			}
 			if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) ||
@@ -89,27 +159,27 @@ func TestMetamorphicStreamEquivalence(t *testing.T) {
 				t.Errorf("round %d cell %d: decision counts diverge", i, j)
 			}
 			if len(got.Violations) != len(want.Violations) {
-				t.Errorf("round %d cell %d: %d violations streamed vs %d legacy",
+				t.Errorf("round %d cell %d: %d violations streamed vs %d cold",
 					i, j, len(got.Violations), len(want.Violations))
 			}
 		}
 		// The rendered CSVs must also agree byte for byte.
 		stream2 := &Result{Cells: streamed}
 		var a, b bytes.Buffer
-		if err := legacy.WriteCSV(&a); err != nil {
+		if err := cold.WriteCSV(&a); err != nil {
 			t.Fatal(err)
 		}
 		if err := stream2.WriteCSV(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("round %d: streamed CSV differs from legacy CSV", i)
+			t.Errorf("round %d: streamed CSV differs from cold CSV", i)
 		}
 	}
 }
 
 // TestStreamReplicatesAndSummary exercises the seed axis: replicate 0 is the
-// legacy battery bit for bit, later replicates are present in order with
+// one-replicate grid bit for bit, later replicates are present in order with
 // distinct seeds actually changing outcomes, and the summary sketches equal
 // a post-hoc aggregation of the per-cell values (streaming and CSV
 // aggregation cannot disagree).
@@ -145,8 +215,8 @@ func TestStreamReplicatesAndSummary(t *testing.T) {
 			}
 		}
 	}
-	// Replicate 0 must equal the legacy single-run battery.
-	legacy, err := m.Run(opt)
+	// Replicate 0 must equal the one-replicate grid.
+	single, err := m.Run(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +225,14 @@ func TestStreamReplicatesAndSummary(t *testing.T) {
 		if c.Replicate != 0 {
 			continue
 		}
-		want := legacy.Cells[li]
+		want := single.Cells[li]
 		li++
 		if math.Float64bits(c.Cost) != math.Float64bits(want.Cost) {
-			t.Errorf("replicate 0 cell %s/%s diverges from legacy", c.Scenario, c.Policy)
+			t.Errorf("replicate 0 cell %s/%s diverges from the one-replicate grid", c.Scenario, c.Policy)
 		}
 	}
-	if li != len(legacy.Cells) {
-		t.Fatalf("matched %d replicate-0 cells, legacy has %d", li, len(legacy.Cells))
+	if li != len(single.Cells) {
+		t.Fatalf("matched %d replicate-0 cells, the one-replicate grid has %d", li, len(single.Cells))
 	}
 	// Different replicates must actually explore different seeds.
 	varied := false

@@ -81,9 +81,6 @@ type (
 	CampaignOptions = campaign.Options
 	// TrendPredictor extrapolates final metrics from partial curves.
 	TrendPredictor = earlycurve.TrendPredictor
-	// LoopMode selects the orchestrator's scheduling loop: discrete-event
-	// (the default) or the paper's literal polling loop.
-	LoopMode = core.LoopMode
 	// SweepTask is one independent campaign inside a Sweep.
 	SweepTask = campaign.Task
 	// SweepResult is one Sweep outcome, in task order.
@@ -112,12 +109,6 @@ type (
 	TunerState = search.State
 	// TunerOutcome is a Tuner's final selection output.
 	TunerOutcome = search.Outcome
-)
-
-// Orchestrator loop modes (see DESIGN.md for the equivalence guarantees).
-const (
-	LoopEvent   = core.LoopEvent
-	LoopPolling = core.LoopPolling
 )
 
 // Predictor kinds (see the campaign package for semantics).
