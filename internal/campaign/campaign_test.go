@@ -1,13 +1,16 @@
 package campaign
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
 
+	"spottune/internal/core"
 	"spottune/internal/earlycurve"
 	"spottune/internal/policy"
 	"spottune/internal/revpred"
+	"spottune/internal/search"
 	"spottune/internal/workload"
 )
 
@@ -165,6 +168,58 @@ func TestEveryPolicyDeterministicReplay(t *testing.T) {
 	}
 }
 
+// axisTasks builds one Sweep task per registry name, each running the
+// campaign whose options set has written that name into.
+func axisTasks(env *Environment, bench *workload.Benchmark, curves workload.Curves, names []string, opt Options, set func(*Options, string)) []Task {
+	tasks := make([]Task, len(names))
+	for i, name := range names {
+		o := opt
+		set(&o, name)
+		tasks[i] = Task{Key: name, Run: func(*rand.Rand) (*core.Report, error) {
+			return env.RunPolicy(bench, curves, o)
+		}}
+	}
+	return tasks
+}
+
+// TestPolicyTasksSweep fans the policy dimension through the Sweep pool.
+func TestPolicyTasksSweep(t *testing.T) {
+	env := quickEnv(t, PredictorConstant)
+	bench, err := workload.SuiteByName("LoR", workload.Config{Seed: 7, Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := bench.SyntheticCurves(7)
+	tasks := axisTasks(env, bench, curves, policy.Names(), Options{Theta: 0.7, Seed: 7},
+		func(o *Options, name string) { o.Policy = name })
+	if len(tasks) < 6 {
+		t.Fatalf("only %d policy tasks", len(tasks))
+	}
+	results := Sweep(tasks, SweepOptions{Seed: 7})
+	if err := FirstErr(results); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.Key != policy.Names()[i] {
+			t.Errorf("result %d key %q, want %q", i, res.Key, policy.Names()[i])
+		}
+		if res.Report.NetCost <= 0 {
+			t.Errorf("%s: cost %v", res.Key, res.Report.NetCost)
+		}
+	}
+	// Sequential rerun must reproduce the parallel sweep exactly.
+	for i, res := range results {
+		o := Options{Theta: 0.7, Seed: 7, Policy: res.Key}
+		rep, err := env.RunPolicy(bench, curves, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep, results[i].Report) {
+			t.Errorf("%s: sweep result differs from sequential run", res.Key)
+		}
+	}
+}
+
 // TestRunPolicyUnknownName surfaces registry misses.
 func TestRunPolicyUnknownName(t *testing.T) {
 	env := quickEnv(t, PredictorNone)
@@ -194,6 +249,48 @@ func TestTrueFinalsConsistent(t *testing.T) {
 	for id, v := range finals {
 		if v < finals[best] {
 			t.Fatalf("best %s not minimal (%s=%v < %v)", best, id, v, finals[best])
+		}
+	}
+}
+
+// TestTunerTasksSweepEveryRegisteredTuner: the tuner-dimension sweep runs
+// every registered search strategy over one environment through the worker
+// pool, each report labeled with its tuner, deterministically per seed.
+func TestTunerTasksSweepEveryRegisteredTuner(t *testing.T) {
+	env := quickEnv(t, PredictorConstant)
+	bench, err := workload.SuiteByName("LoR", workload.Config{Seed: 3, Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := bench.SyntheticCurves(3)
+	opt := Options{Theta: 0.7, Seed: 3}
+	names := search.Names()
+	run := func() []SweepResult {
+		return Sweep(axisTasks(env, bench, curves, names, opt,
+			func(o *Options, name string) { o.Tuner = name }), SweepOptions{Seed: 3})
+	}
+	results := run()
+	if len(results) != len(names) {
+		t.Fatalf("%d results for %d registered tuners", len(results), len(names))
+	}
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("tuner %s: %v", res.Key, res.Err)
+		}
+		if res.Key != names[i] {
+			t.Errorf("result %d keyed %q, want registry order %q", i, res.Key, names[i])
+		}
+		if res.Report.Tuner != names[i] {
+			t.Errorf("report for %s labeled %q", names[i], res.Report.Tuner)
+		}
+		if res.Report.Best == "" {
+			t.Errorf("tuner %s selected nothing", names[i])
+		}
+	}
+	again := run()
+	for i := range results {
+		if !reflect.DeepEqual(results[i].Report, again[i].Report) {
+			t.Errorf("tuner %s replay diverged", results[i].Key)
 		}
 	}
 }

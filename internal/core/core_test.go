@@ -348,6 +348,25 @@ func TestOrchestratorSurvivesRevocations(t *testing.T) {
 	}
 }
 
+// TestOrchestratorValidation covers the constructor's cluster and trial
+// inputs: a campaign needs a cluster and at least one trial, each once.
+func TestOrchestratorValidation(t *testing.T) {
+	w := newWorld(t, false)
+	pool := []string{"slow", "fast"}
+	trials := mkTrials(t, w, 2, 100, 10)
+	pol := worldPolicy(t, w, policy.SpotTuneName, pool, 7)
+	if _, err := NewPolicyOrchestrator(nil, w.store, pol, pool, trials, Config{}); err == nil {
+		t.Error("nil cluster accepted")
+	}
+	if _, err := NewPolicyOrchestrator(w.cluster, w.store, pol, pool, nil, Config{}); err == nil {
+		t.Error("no trials accepted")
+	}
+	dup := []*trial.Replay{trials[0], trials[0]}
+	if _, err := NewPolicyOrchestrator(w.cluster, w.store, pol, pool, dup, Config{}); err == nil {
+		t.Error("duplicate trials accepted")
+	}
+}
+
 func TestReportDerivedMetrics(t *testing.T) {
 	r := &Report{
 		JCT:            2 * time.Hour,

@@ -8,7 +8,6 @@ import (
 	"spottune/internal/cloudsim"
 	"spottune/internal/obs"
 	"spottune/internal/policy"
-	"spottune/internal/trial"
 )
 
 // worldPolicy constructs a registered policy bound to a testWorld's grids
@@ -388,26 +387,17 @@ func TestMixedFleetPinsIncumbentOnDemand(t *testing.T) {
 	}
 }
 
-// TestPolicyOrchestratorValidation covers the constructor's error surface.
+// TestPolicyOrchestratorValidation covers the constructor's policy wiring;
+// TestOrchestratorValidation covers its cluster and trial inputs.
 func TestPolicyOrchestratorValidation(t *testing.T) {
 	w := newWorld(t, false)
 	pool := []string{"slow", "fast"}
 	trials := mkTrials(t, w, 1, 50, 10)
 	pol := worldPolicy(t, w, policy.SpotTuneName, pool, 1)
-	if _, err := NewPolicyOrchestrator(nil, w.store, pol, pool, trials, Config{}); err == nil {
-		t.Error("nil cluster accepted")
-	}
 	if _, err := NewPolicyOrchestrator(w.cluster, w.store, nil, pool, trials, Config{}); err == nil {
 		t.Error("nil policy accepted")
 	}
 	if _, err := NewPolicyOrchestrator(w.cluster, w.store, pol, nil, trials, Config{}); err == nil {
 		t.Error("empty pool accepted")
-	}
-	if _, err := NewPolicyOrchestrator(w.cluster, w.store, pol, pool, nil, Config{}); err == nil {
-		t.Error("no trials accepted")
-	}
-	dup := []*trial.Replay{trials[0], trials[0]}
-	if _, err := NewPolicyOrchestrator(w.cluster, w.store, pol, pool, dup, Config{}); err == nil {
-		t.Error("duplicate trials accepted")
 	}
 }
