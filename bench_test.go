@@ -784,12 +784,11 @@ func benchServiceThroughput(b *testing.B, tenants int) {
 	curves := bench.SyntheticCurves(1)
 	battery := service.DefaultBattery(tenants, 1)
 	cfg := service.Config{
-		Shards:         8,
-		MaxInFlight:    8,
-		Contention:     true,
-		Capacity:       4,
-		SurgeSlope:     0.5,
-		SkipInvariants: true, // the battery lane audits; this lane measures
+		Shards:      8,
+		MaxInFlight: 8,
+		Contention:  true,
+		Capacity:    4,
+		SurgeSlope:  0.5,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -801,6 +800,9 @@ func benchServiceThroughput(b *testing.B, tenants int) {
 		cfg.OnResult = func(r service.Result) {
 			if r.Err != nil {
 				b.Fatalf("tenant %s: %v", r.Tenant.ID, r.Err)
+			}
+			if len(r.Violations) != 0 {
+				b.Fatalf("tenant %s: %d invariant violations, first: %v", r.Tenant.ID, len(r.Violations), r.Violations[0])
 			}
 			seen++
 			if seen%256 == 0 {

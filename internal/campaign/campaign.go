@@ -242,9 +242,9 @@ func (e *Environment) Markets(cat *market.Catalog) (*cloudsim.Markets, error) {
 // default) keeps every campaign in its own private universe — NewCluster
 // semantics, bit-identical to historical runs.
 type World struct {
-	// Clock is the region's shared virtual time. Campaigns in the same
-	// world must be serialized (the service arbiter's token does this):
-	// the clock's engine is single-goroutine state.
+	// Clock is the region's shared virtual time. Its engine has one owner,
+	// so campaigns in the same world take turns on one goroutine: a service
+	// shard steps whichever campaign's next clock advance is earliest.
 	Clock *simclock.Virtual
 	// Markets, when non-nil, is the catalog override, resolved once
 	// (Environment.Markets) and shared by every cluster in the world: its
@@ -339,9 +339,9 @@ type Options struct {
 	BaseType string
 	// World, when set, runs the campaign inside a shared region (the
 	// multi-tenant service's shard) instead of a private one: the cluster
-	// is built on the world's clock, catalog, and capacity domain. The
-	// caller owns serialization — campaigns sharing a world must never
-	// execute concurrently.
+	// is built on the world's clock, catalog, and capacity domain. Campaigns
+	// sharing a world must never execute concurrently; they are built with
+	// NewRun and stepped in turn on one goroutine.
 	World *World
 }
 
@@ -425,8 +425,33 @@ func (e *Environment) RunSpotTune(b *workload.Benchmark, curves workload.Curves,
 // RunPolicy executes one campaign under the provisioning policy named by
 // opt.Policy. Everything else — markets, trials, the Algorithm 1
 // orchestrator with checkpointing, restarts, and EarlyCurve shutdown — is
-// shared, so per-policy reports are directly comparable.
+// shared, so per-policy reports are directly comparable. It is NewRun, the
+// campaign stepped to completion on its own clock, and Finish.
 func (e *Environment) RunPolicy(b *workload.Benchmark, curves workload.Curves, opt Options) (*core.Report, error) {
+	run, err := e.NewRun(b, curves, opt)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := run.orch.Run(); err != nil {
+		return nil, err
+	}
+	return run.Finish()
+}
+
+// Run is one campaign in flight. NewRun assembles it, Step advances it from
+// one clock advance to the next (core.Orchestrator.Step), and Finish hands
+// back its report once Step reports done.
+type Run struct {
+	orch    *core.Orchestrator
+	detail  RunDetail
+	inspect func(*RunDetail) error
+}
+
+// NewRun assembles one campaign under the provisioning policy named by
+// opt.Policy without running it: a fresh cluster (in opt.World when set),
+// object store, trials, policy, tuner, recovery strategy and orchestrator.
+// The campaign starts at its first Step.
+func (e *Environment) NewRun(b *workload.Benchmark, curves workload.Curves, opt Options) (*Run, error) {
 	if b == nil {
 		return nil, errors.New("campaign: nil benchmark")
 	}
@@ -529,22 +554,39 @@ func (e *Environment) RunPolicy(b *workload.Benchmark, curves workload.Curves, o
 	if err != nil {
 		return nil, err
 	}
-	rep, err := orch.Run()
-	if err != nil {
-		return nil, err
-	}
-	if opt.Inspect != nil {
-		detail := &RunDetail{
+	return &Run{
+		orch: orch,
+		detail: RunDetail{
 			Policy:  pol.Name(),
 			Tuner:   tun.Name(),
-			Report:  rep,
 			Cluster: cluster,
 			Store:   store,
 			Trials:  trials,
 			Trace:   rec,
-		}
-		if err := opt.Inspect(detail); err != nil {
-			return nil, fmt.Errorf("campaign: inspecting %s run: %w", pol.Name(), err)
+		},
+		inspect: opt.Inspect,
+	}, nil
+}
+
+// Step runs the campaign until it needs its clock past the current instant
+// and returns that instant; the caller advances the clock there before the
+// next Step. done reports that the campaign has finished.
+func (r *Run) Step() (next time.Time, done bool, err error) { return r.orch.Step() }
+
+// Cluster is the campaign's simulated cloud.
+func (r *Run) Cluster() *cloudsim.Cluster { return r.detail.Cluster }
+
+// Finish returns the report of a campaign Step has reported done, after
+// Options.Inspect has seen the final state.
+func (r *Run) Finish() (*core.Report, error) {
+	rep := r.orch.Report()
+	if rep == nil {
+		return nil, errors.New("campaign: Finish before the campaign is done")
+	}
+	if r.inspect != nil {
+		r.detail.Report = rep
+		if err := r.inspect(&r.detail); err != nil {
+			return nil, fmt.Errorf("campaign: inspecting %s run: %w", r.detail.Policy, err)
 		}
 	}
 	return rep, nil

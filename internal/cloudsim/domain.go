@@ -19,9 +19,9 @@ import (
 // attached cluster must share that catalog's layout (same type names in the
 // same order — a world's clusters all use the world's catalog).
 //
-// A domain belongs to one serialized shard (the service arbiter runs one
-// campaign at a time per shard), so it carries no locking and is NOT safe
-// for concurrent use across shards — build one per shard wave.
+// A domain belongs to one shard wave, whose campaigns take turns on the
+// shard's goroutine, so it carries no locking and is NOT safe for concurrent
+// use across shards — build one per shard wave.
 //
 // Deliberately untouched: the revocation schedule. Notices and revocations
 // still come from raw-trace price exceedance (market.Store.FirstExceed vs

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -407,5 +408,53 @@ func TestTrueBestAndFinals(t *testing.T) {
 	finals := TrueFinals(trials)
 	if len(finals) != 3 || finals[best] != val {
 		t.Fatalf("TrueFinals = %v", finals)
+	}
+}
+
+// TestStepMatchesRun pins the resumable campaign: stepped by hand, with the
+// clock advanced to each returned target, a campaign on the spiky market
+// (notices and revocations fire during the advances) produces the report
+// Run does. Every target lies after the clock's instant, the report appears
+// only once Step reports done, and a finished campaign stays done.
+func TestStepMatchesRun(t *testing.T) {
+	cfg := orchCfg(0.5)
+	wa := newWorld(t, true)
+	want, err := wa.orchestrator(t, []string{"slow"}, 7, mkTrials(t, wa, 3, 900, 50), cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Notices == 0 {
+		t.Fatal("fixture produced no notices; the advances would fire nothing")
+	}
+
+	wb := newWorld(t, true)
+	orch := wb.orchestrator(t, []string{"slow"}, 7, mkTrials(t, wb, 3, 900, 50), cfg)
+	steps := 0
+	for {
+		next, done, err := orch.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		steps++
+		if orch.Report() != nil {
+			t.Fatalf("step %d: report before the campaign is done", steps)
+		}
+		if !next.After(wb.clk.Now()) {
+			t.Fatalf("step %d: target %v not after the clock's %v", steps, next, wb.clk.Now())
+		}
+		wb.clk.AdvanceTo(next)
+	}
+	// One return per turn that advanced time, plus the settle.
+	if steps < 2 || steps > want.LoopIterations+1 {
+		t.Fatalf("%d steps for %d loop turns", steps, want.LoopIterations)
+	}
+	if got := orch.Report(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stepped report differs from Run's:\n got %+v\nwant %+v", got, want)
+	}
+	if next, done, err := orch.Step(); !done || err != nil || !next.IsZero() {
+		t.Fatalf("Step after done = (%v, %v, %v), want (zero, true, nil)", next, done, err)
 	}
 }

@@ -323,9 +323,11 @@ type Orchestrator struct {
 	byID  map[string]*trialState
 	order []string
 	// waiting queues trials for deployment; nActive counts the trials with
-	// an assignment (live, or dead but not yet reaped).
+	// an assignment (live, or dead but not yet reaped); pending counts the
+	// round's directed trials not yet finished.
 	waiting []*trialState
 	nActive int
+	pending int
 
 	// segments records the steps run on each instance so refunds can be
 	// attributed; the report takes the slice as its Segments.
@@ -369,6 +371,20 @@ type Orchestrator struct {
 	// tracing is off). Also installed on the cluster, so the recording
 	// interleaves orchestration and billing events in true emission order.
 	trc obs.Tracer
+
+	// Where Step resumes. view is nil before the first Step, which sets
+	// start, the campaign's first instant. round is the tuner round in
+	// flight while inRound, and turns counts its scheduler turns. settling
+	// marks the final advance, after the tuner's outcome is taken; report
+	// is set once the campaign is done.
+	view     *tunerView
+	start    time.Time
+	round    search.Round
+	inRound  bool
+	turns    int
+	settling bool
+	outcome  search.Outcome
+	report   *Report
 }
 
 // NewPolicyOrchestrator wires a campaign whose deployment decisions come
@@ -441,18 +457,92 @@ func NewPolicyOrchestrator(
 func ckptKey(trialID string) string { return "ckpt/" + trialID }
 
 // Run executes the full campaign as a generic round loop: the tuner emits
-// rounds (per-trial step budgets), runPhase executes each against the
-// simulated cloud, and the tuner's Finish supplies the selection outputs.
-// Under the default spottune tuner this is exactly Algorithm 1 lines 15–53:
-// the θ-bounded exploration phase, the EarlyCurve ranking, and the top-mcnt
-// continuation phase. It returns the campaign report.
+// rounds (per-trial step budgets), each round runs against the simulated
+// cloud, and the tuner's Finish supplies the selection outputs. Under the
+// default spottune tuner this is exactly Algorithm 1 lines 15–53: the
+// θ-bounded exploration phase, the EarlyCurve ranking, and the top-mcnt
+// continuation phase. It steps the campaign to completion on its own clock
+// and returns the campaign report.
 func (o *Orchestrator) Run() (*Report, error) {
-	start := o.cluster.Clock().Now()
+	clk := o.cluster.Clock()
+	for {
+		next, done, err := o.Step()
+		if err != nil {
+			return nil, err
+		}
+		if done {
+			return o.report, nil
+		}
+		clk.AdvanceTo(next)
+	}
+}
+
+// Step runs the campaign from where the previous Step returned until it
+// needs the clock past the current instant, and returns that instant: the
+// caller advances the clock there (Virtual.AdvanceTo) and calls Step again.
+// Advances to the current instant run inline. The campaign advances time in
+// two places, the event loop's hop to its next wakeup and the settle before
+// the report reads the bill, so those are where Step returns. Campaigns that
+// share one clock interleave by stepping whichever has the earliest target.
+//
+// The first Step starts the campaign at the clock's current instant. done
+// reports that the campaign has finished and Report holds its report; an
+// error ends the campaign.
+func (o *Orchestrator) Step() (next time.Time, done bool, err error) {
+	if o.report != nil {
+		return time.Time{}, true, nil
+	}
+	if o.view == nil {
+		o.begin()
+	}
+	clk := o.cluster.Clock()
+	for {
+		switch {
+		case o.settling:
+			o.report = o.buildReport()
+			return time.Time{}, true, nil
+		case o.inRound:
+			next, closed, err := o.turn()
+			switch {
+			case err != nil:
+				return time.Time{}, false, err
+			case closed:
+				o.closeRound()
+			case next.After(clk.Now()):
+				return next, false, nil
+			default:
+				clk.AdvanceTo(next)
+			}
+		default:
+			round, ok := o.tuner.Next(o.view)
+			o.emitEliminations(round)
+			if !ok || len(round.Directives) == 0 {
+				// A tuner with nothing left to schedule is done whether it
+				// says so (ok=false) or hands back an empty round — the
+				// engine must not livelock on a Next that never declines.
+				o.outcome = o.tuner.Finish(o.view)
+				o.settling = true
+				return clk.Now().Add(settleTime), false, nil
+			}
+			if err := o.openRound(round); err != nil {
+				return time.Time{}, false, err
+			}
+		}
+	}
+}
+
+// Report returns the campaign report once Step has reported done, nil
+// before.
+func (o *Orchestrator) Report() *Report { return o.report }
+
+// begin starts the campaign at the clock's current instant.
+func (o *Orchestrator) begin() {
+	o.start = o.cluster.Clock().Now()
 	if o.cfg.Deadline > 0 {
-		o.slack = resilience.NewSlackTracker(start, o.cfg.Deadline, o.cfg.Budget)
+		o.slack = resilience.NewSlackTracker(o.start, o.cfg.Deadline, o.cfg.Budget)
 	}
 	o.trc.Emit(obs.Event{
-		VT:    start,
+		VT:    o.start,
 		Kind:  obs.KindCampaignStart,
 		Type:  o.tuner.Name(),
 		Label: o.approach,
@@ -460,21 +550,7 @@ func (o *Orchestrator) Run() (*Report, error) {
 		B:     o.cfg.PollInterval.Seconds(),
 		N:     int64(len(o.order)),
 	})
-	view := &tunerView{o: o}
-	for {
-		round, ok := o.tuner.Next(view)
-		o.emitEliminations(round)
-		if !ok || len(round.Directives) == 0 {
-			// A tuner with nothing left to schedule is done whether it
-			// says so (ok=false) or hands back an empty round — the
-			// engine must not livelock on a Next that never declines.
-			break
-		}
-		if err := o.runPhase(round); err != nil {
-			return nil, err
-		}
-	}
-	return o.buildReport(start, o.tuner.Finish(view)), nil
+	o.view = &tunerView{o: o}
 }
 
 // emitEliminations records the trials a round dropped. Eliminations can
@@ -529,11 +605,13 @@ func (v *tunerView) Trend(id string) earlycurve.TrendPredictor {
 	return v.o.trendFor(t)
 }
 
-// runPhase executes one tuner round: every directed trial is (re)activated
-// — cleared from the finished set and queued in directive order — and
-// processed until it reaches its round budget or plateaus, handling
-// revocation notices, hourly restarts, and (re)deployments.
-func (o *Orchestrator) runPhase(round search.Round) error {
+// openRound starts one tuner round: every directed trial is (re)activated
+// — cleared from the finished set and queued in directive order — and is
+// then processed, turn by turn, until it reaches its round budget or
+// plateaus, handling revocation notices, hourly restarts, and
+// (re)deployments. A round that queues no trial is over at once and leaves
+// no trace.
+func (o *Orchestrator) openRound(round search.Round) error {
 	for _, t := range o.ts {
 		t.limit, t.inRound, t.active = 0, false, nil
 	}
@@ -575,63 +653,65 @@ func (o *Orchestrator) runPhase(round search.Round) error {
 			})
 		}
 	}
-	if err := o.runPhaseEvent(); err != nil {
-		return err
-	}
-	o.trc.Emit(obs.Event{
-		VT:    o.cluster.Clock().Now(),
-		Kind:  obs.KindRoundClose,
-		Label: round.Label,
-		N:     int64(len(round.Directives)),
-	})
+	o.round, o.inRound = round, true
+	o.pending, o.turns = len(o.waiting), 0
 	return nil
 }
 
-// runPhaseEvent runs Algorithm 1 as a discrete-event loop: each turn handles
-// everything due now, then advances the clock directly to the next instant
-// at which any trigger or cluster event can fire — trigger-step completion,
-// θ-shutdown point, proactive-restart horizon, periodic-checkpoint tick,
-// plateau step, notice, revocation, or price tick. The turn count is the
-// number of real events, not campaign-duration/PollInterval.
-func (o *Orchestrator) runPhaseEvent() error {
-	clk := o.cluster.Clock()
-	pending := len(o.waiting)
-	for iter := 0; ; iter++ {
-		// 5M turns means livelock (e.g. a trial that can never recover
-		// past its checkpoint).
-		if iter > 5_000_000 {
-			return errors.New("core: orchestrator did not converge (runaway loop)")
-		}
-		o.iterations++
-		now := clk.Now()
-		o.handleTriggers(now, &pending)
-		if pending == 0 {
-			return nil
-		}
-		retryAt, blocked, err := o.deployWaiting(now, &pending)
-		if err != nil {
-			return err
-		}
-		if pending == 0 {
-			return nil
-		}
-		next, ok := o.nextWakeup(now, blocked)
-		if !retryAt.IsZero() && (!ok || retryAt.Before(next)) {
-			next, ok = retryAt, true
-		}
-		if !ok {
-			return errors.New("core: stalled with no future trigger (market quiescent while trials wait)")
-		}
-		// Advancing fires any notice/revocation events in (now, next], so
-		// the loop never skips past a cluster state change: nextWakeup
-		// bounds the hop by the clock's earliest scheduled event.
-		clk.AdvanceTo(next)
+// closeRound ends the round in flight once every directed trial finished.
+func (o *Orchestrator) closeRound() {
+	o.inRound = false
+	o.trc.Emit(obs.Event{
+		VT:    o.cluster.Clock().Now(),
+		Kind:  obs.KindRoundClose,
+		Label: o.round.Label,
+		N:     int64(len(o.round.Directives)),
+	})
+}
+
+// turn is one scheduler turn of Algorithm 1 as a discrete-event loop: it
+// handles everything due now, then returns the next instant at which any
+// trigger or cluster event can fire — trigger-step completion, θ-shutdown
+// point, proactive-restart horizon, periodic-checkpoint tick, plateau step,
+// notice, revocation, or price tick — or closed once every directed trial
+// has finished. The turn count is the number of real events, not
+// campaign-duration/PollInterval.
+func (o *Orchestrator) turn() (next time.Time, closed bool, err error) {
+	// 5M turns in one round means livelock (e.g. a trial that can never
+	// recover past its checkpoint).
+	if o.turns > 5_000_000 {
+		return time.Time{}, false, errors.New("core: orchestrator did not converge (runaway loop)")
 	}
+	o.turns++
+	o.iterations++
+	now := o.cluster.Clock().Now()
+	o.handleTriggers(now)
+	if o.pending == 0 {
+		return time.Time{}, true, nil
+	}
+	retryAt, blocked, err := o.deployWaiting(now)
+	if err != nil {
+		return time.Time{}, false, err
+	}
+	if o.pending == 0 {
+		return time.Time{}, true, nil
+	}
+	next, ok := o.nextWakeup(now, blocked)
+	if !retryAt.IsZero() && (!ok || retryAt.Before(next)) {
+		next, ok = retryAt, true
+	}
+	if !ok {
+		return time.Time{}, false, errors.New("core: stalled with no future trigger (market quiescent while trials wait)")
+	}
+	// Advancing fires any notice/revocation events in (now, next], so the
+	// loop never skips past a cluster state change: nextWakeup bounds the
+	// hop by the clock's earliest scheduled event.
+	return next, false, nil
 }
 
 // handleTriggers advances every live assignment to now and applies Algorithm
 // 1's per-trial triggers, in submission order for determinism.
-func (o *Orchestrator) handleTriggers(now time.Time, pending *int) {
+func (o *Orchestrator) handleTriggers(now time.Time) {
 	for _, t := range o.ts {
 		a := t.active
 		if a == nil || a.dead {
@@ -652,7 +732,7 @@ func (o *Orchestrator) handleTriggers(now time.Time, pending *int) {
 			o.endAssignment(a, true)
 			t.finished = true
 			t.forgetRecoveryState()
-			*pending--
+			o.pending--
 		case !a.inst.OnDemand && now.Sub(a.deployedAt) >= o.cfg.RestartAfter:
 			// Hourly refund-farming restart (lines 31–34). Spot only:
 			// on-demand instances are never refunded, so restarting them
@@ -752,7 +832,7 @@ func (o *Orchestrator) familyOf(typeName string) string {
 // migration-on-notice, which deploys the replacement inside the notice
 // window). Trials whose retry budget the resilience strategy exhausts are
 // abandoned here (give-up), decrementing pending.
-func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.Time, blocked bool, err error) {
+func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked bool, err error) {
 	incumbent := -1
 	if len(o.waiting) > 0 {
 		incumbent = o.incumbentBest()
@@ -860,7 +940,7 @@ func (o *Orchestrator) deployWaiting(now time.Time, pending *int) (retryAt time.
 					t.finished = true
 					t.forgetRecoveryState()
 					o.waiting = o.waiting[1:]
-					*pending--
+					o.pending--
 					continue
 				}
 				delay := dec.Delay

@@ -7,7 +7,6 @@ import (
 
 	"spottune/internal/cloudsim"
 	"spottune/internal/obs"
-	"spottune/internal/search"
 )
 
 // Report summarizes one HPT campaign — every quantity the paper's evaluation
@@ -143,14 +142,16 @@ func (r *Report) PCR() float64 {
 	return 1 / den
 }
 
-// buildReport assembles the report after a campaign from the tuner's final
-// selection outputs.
-func (o *Orchestrator) buildReport(start time.Time, out search.Outcome) *Report {
-	clk := o.cluster.Clock()
-	// Let in-flight revocations (notices within the final two minutes)
-	// settle so billing is complete.
-	clk.Sleep(cloudsim.NoticeLeadTime + time.Minute)
+// settleTime is how long a finished campaign lets in-flight revocations
+// (notices within the final two minutes) settle before it reads the bill.
+// The report's JCT leaves it out.
+const settleTime = cloudsim.NoticeLeadTime + time.Minute
 
+// buildReport assembles the report from the tuner's final selection outputs
+// once the campaign has settled.
+func (o *Orchestrator) buildReport() *Report {
+	clk := o.cluster.Clock()
+	out := o.outcome
 	led := o.cluster.Ledger()
 	refunded := make(map[string]struct{})
 	revocations := 0
@@ -178,7 +179,7 @@ func (o *Orchestrator) buildReport(start time.Time, out search.Outcome) *Report 
 		Approach:            o.approach,
 		Tuner:               o.tuner.Name(),
 		Theta:               o.cfg.Theta,
-		JCT:                 clk.Now().Sub(start) - (cloudsim.NoticeLeadTime + time.Minute),
+		JCT:                 clk.Now().Sub(o.start) - settleTime,
 		GrossCost:           led.TotalGross(),
 		Refund:              led.TotalRefunded(),
 		NetCost:             led.TotalNet(),

@@ -47,9 +47,6 @@ type Options struct {
 	// multiplies the matrix). Specs with their own Resilience pin
 	// override the axis for their cells.
 	Strategies []string
-	// SkipInvariants disables the per-cell invariant audit (the audit is
-	// on by default; this exists for timing comparisons only).
-	SkipInvariants bool
 	// Trace turns on the flight recorder for every cell: each campaign
 	// records its events into an obs.Recording handed back on Cell.Trace,
 	// the invariant audit reconciles trace-derived cost attribution against

@@ -364,19 +364,15 @@ func runCell(job cellJob, o Options, memo *earlycurve.FitMemo, perfc *trial.Perf
 		Trend:     &earlycurve.Predictor{Memo: memo},
 		PerfCache: perfc,
 	}
-	if !o.SkipInvariants || o.Trace {
-		copt.Inspect = func(d *campaign.RunDetail) error {
-			if rec = d.Trace; rec != nil {
-				// The campaign stamped tuner/policy/workload/seed; the cell
-				// coordinates are the scenario layer's to add.
-				rec.Meta.Scenario = b.spec.Name
-				rec.Meta.Replicate = job.rep
-			}
-			if !o.SkipInvariants {
-				violations = append(violations, invariants.Check(StateFor(d))...)
-			}
-			return nil
+	copt.Inspect = func(d *campaign.RunDetail) error {
+		if rec = d.Trace; rec != nil {
+			// The campaign stamped tuner/policy/workload/seed; the cell
+			// coordinates are the scenario layer's to add.
+			rec.Meta.Scenario = b.spec.Name
+			rec.Meta.Replicate = job.rep
 		}
+		violations = append(violations, invariants.Check(StateFor(d))...)
+		return nil
 	}
 	rep, err := b.env.RunPolicy(b.bench, b.curves, copt)
 	if err != nil {

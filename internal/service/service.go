@@ -6,12 +6,17 @@
 //
 // The shape deliberately inverts campaign.Sweep. A sweep runs independent
 // campaigns in parallel, each inside its own private universe; the service
-// runs co-resident campaigns inside one universe per shard, serialized by an
-// arbiter token so their fleets can share — and contend for — the same
-// per-type spot capacity and demand-priced market (cloudsim.CapacityDomain).
-// With contention disabled the worlds decouple exactly, and per-tenant
-// results are bit-identical to solo campaign runs for any shard count: the
-// metamorphic pin the tests enforce.
+// runs co-resident campaigns inside one universe per shard, taking turns on
+// the shard's one goroutine in order of their next clock advance, so their
+// fleets can share — and contend for — the same per-type spot capacity and
+// demand-priced market (cloudsim.CapacityDomain). With contention disabled
+// the worlds decouple exactly, and per-tenant results are bit-identical to
+// solo campaign runs for any shard count: the metamorphic pin the tests
+// enforce.
+//
+// A tenant whose campaign panics fails alone: its Result carries
+// ErrTenantPanicked, its running instances are terminated, and the rest of
+// its wave runs on.
 //
 // Memory is bounded per shard, not per tenant: one event-node pool and one
 // curve-fit memo per shard, one ground-truth perf cache per in-flight slot,
@@ -21,7 +26,10 @@
 package service
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -84,6 +92,10 @@ const (
 	ReasonDeadlineCap = "deadline-cap"
 )
 
+// ErrTenantPanicked is matched (errors.Is) by the Result.Err of a tenant
+// whose campaign panicked; the error names the tenant and the panic value.
+var ErrTenantPanicked = errors.New("service: tenant panicked")
+
 // Config tunes one service run.
 type Config struct {
 	// Shards is the number of independent world shards (default 1). Each
@@ -104,13 +116,11 @@ type Config struct {
 	// Contention couples co-resident fleets: the shard's catalog is capped
 	// at Capacity spot instances per type (default 4) and aggregate demand
 	// lifts prices by SurgeSlope at full utilization. Off, every tenant
-	// sees the environment's unlimited private market.
+	// sees the environment's unlimited private market. With contention on,
+	// SurgeSlope must be finite and non-negative.
 	Contention bool
 	Capacity   int
 	SurgeSlope float64
-	// SkipInvariants disables the per-campaign invariant audit (the
-	// throughput benchmark skips it; batteries keep it on).
-	SkipInvariants bool
 	// Trace records service-level admission/start/done events into
 	// Summary.Trace, in deterministic submission order.
 	Trace bool
@@ -162,7 +172,8 @@ type Result struct {
 	Violations []invariants.Violation
 	// Trace is the tenant's campaign flight recording (TraceTenant only).
 	Trace *obs.Recording
-	// Err is the campaign error, nil on success.
+	// Err is the campaign error, nil on success; it matches
+	// ErrTenantPanicked when the campaign panicked.
 	Err error
 
 	emit int // admission position: the emitter's ordering key
@@ -261,6 +272,9 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 	case AdmissionFIFO, AdmissionWeightedFair:
 	default:
 		return nil, fmt.Errorf("service: unknown admission policy %q (have %v)", cfg.Admission, AdmissionNames())
+	}
+	if cfg.Contention && (cfg.SurgeSlope < 0 || math.IsNaN(cfg.SurgeSlope) || math.IsInf(cfg.SurgeSlope, 0)) {
+		return nil, fmt.Errorf("service: surge slope %v must be finite and non-negative", cfg.SurgeSlope)
 	}
 
 	// Normalize tenant identities once so events, results, and traces agree.
@@ -472,41 +486,64 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 	return sum, nil
 }
 
-// runWave executes one shard wave: a fresh clock epoch at the campaign
-// start, a fresh capacity domain, and one goroutine per tenant serialized by
-// the arbiter token in next-event order. Returns the wave's cross-tenant
-// capacity audit findings (contention mode only).
+// runWave executes one shard wave on the calling goroutine: a fresh clock
+// epoch at the campaign start, a fresh capacity domain, and the wave's
+// campaigns taking turns in next-event order. Returns the wave's
+// cross-tenant capacity audit findings (contention mode only).
+//
+// The turn order is conservative discrete-event co-simulation. A min-heap
+// keyed by (next clock advance, wave slot) gives the turn to the campaign
+// whose next advance is earliest, so the shared clock never runs backward
+// and every tenant's events fire at their exact virtual due times. Every
+// campaign waits at the epoch before its first turn, so setups run in slot
+// order before any virtual time passes.
 func runWave(env *campaign.Environment, bench *workload.Benchmark, curves workload.Curves,
 	sh *shardState, wave []pendingTenant, capMarkets *cloudsim.Markets, cfg Config, results chan<- Result) []invariants.Violation {
 
 	clk := simclock.NewVirtual(env.CampaignStart)
 	clk.SetNodePool(sh.pool)
-	world := &campaign.World{Clock: clk}
+	w := &waveWorld{env: env, bench: bench, curves: curves, sh: sh, cfg: cfg,
+		world: &campaign.World{Clock: clk}}
 	if capMarkets != nil {
-		world.Markets = capMarkets
-		world.Domain = cloudsim.NewCapacityDomain(cfg.SurgeSlope)
+		w.world.Markets = capMarkets
+		w.world.Domain = cloudsim.NewCapacityDomain(cfg.SurgeSlope)
 	}
-	arb := newArbiter(len(wave), env.CampaignStart.UnixNano())
-	clk.SetAdvanceGate(arb.gate)
-
+	slots := make([]tenantRun, len(wave))
+	q := make(turnQueue, len(wave)) // equal keys in slot order: already a heap
+	for k, p := range wave {
+		slots[k] = tenantRun{p: p, res: Result{
+			Tenant: p.t, Index: p.index, Shard: sh.idx, Wave: p.wave, Admitted: true, emit: p.emit,
+		}}
+		q[k] = turnKey{at: env.CampaignStart.UnixNano(), slot: k}
+	}
 	ledgers := make([]*cloudsim.Ledger, len(wave))
-	var wg sync.WaitGroup
-	for k := range wave {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			p := wave[k]
-			arb.acquire(k)
-			res := runTenant(env, bench, curves, sh, p, world, cfg, &ledgers[k])
-			arb.finish(k)
-			results <- res
-		}(k)
+	for len(q) > 0 {
+		k := q[0].slot
+		tr := &slots[k]
+		if w.turn(tr) {
+			q.pop()
+			if tr.run != nil {
+				// The audit needs only the records. Copying the ledger
+				// lets the cluster, which reaches the whole campaign
+				// through its instances, go as soon as the campaign ends.
+				led := *tr.run.Cluster().Ledger()
+				ledgers[k] = &led
+				tr.run = nil
+			}
+			results <- tr.res
+			// Give up the P once per finished campaign, to the emitter the
+			// send has woken and to the GC's background mark worker.
+			// Otherwise the shard can run a whole wave without entering the
+			// scheduler, marking waits for a preemption, and the GC cycle
+			// spans far more allocation, all of which it must keep as live.
+			runtime.Gosched()
+		} else {
+			q[0].at = tr.next.UnixNano()
+			q.down(0)
+		}
 	}
-	arb.kick()
-	wg.Wait()
 	// Reclaim event nodes the wave scheduled but never fired (pending
 	// revocations past campaign end) so the next wave reuses the slab.
-	clk.SetAdvanceGate(nil)
 	clk.ReleaseNodes()
 
 	if capMarkets == nil {
@@ -515,14 +552,70 @@ func runWave(env *campaign.Environment, bench *workload.Benchmark, curves worklo
 	return invariants.CheckCapacity(capMarkets.Catalog(), ledgers)
 }
 
-// runTenant executes one tenant campaign inside the wave's shared world.
-// It runs entirely under the arbiter token (yielding at every clock
-// advance), so the shard's memo, the slot's perf cache, and the shared
-// cluster state are never touched concurrently.
-func runTenant(env *campaign.Environment, bench *workload.Benchmark, curves workload.Curves,
-	sh *shardState, p pendingTenant, world *campaign.World, cfg Config, ledger **cloudsim.Ledger) Result {
+// waveWorld is what every campaign of one shard wave shares.
+type waveWorld struct {
+	env    *campaign.Environment
+	bench  *workload.Benchmark
+	curves workload.Curves
+	sh     *shardState
+	world  *campaign.World
+	cfg    Config
+}
 
-	res := Result{Tenant: p.t, Index: p.index, Shard: sh.idx, Wave: p.wave, Admitted: true, emit: p.emit}
+// tenantRun is one wave slot: the tenant, its campaign once started, the
+// clock advance its next turn begins with, and the result it delivers.
+type tenantRun struct {
+	p    pendingTenant
+	run  *campaign.Run
+	next time.Time
+	res  Result
+}
+
+// turn gives the slot one turn and reports whether its campaign is over.
+// The first turn assembles the campaign and steps it; every later one
+// advances the shared clock to the slot's target first. A panic anywhere in
+// the turn fails this tenant alone: its running instances are terminated,
+// so none of its notices or revocations fire in later turns.
+func (w *waveWorld) turn(tr *tenantRun) (over bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			tr.res.Err = fmt.Errorf("%w: %s: %v", ErrTenantPanicked, tr.p.t.ID, v)
+			if tr.run != nil {
+				c := tr.run.Cluster()
+				for _, inst := range c.RunningInstances() {
+					_ = c.Terminate(inst.ID) // running, so it cannot fail
+				}
+			}
+			over = true
+		}
+	}()
+	if tr.run == nil {
+		run, err := w.start(tr)
+		if err != nil {
+			tr.res.Err = err
+			return true
+		}
+		tr.run = run
+	} else {
+		w.world.Clock.AdvanceTo(tr.next)
+	}
+	next, done, err := tr.run.Step()
+	switch {
+	case err != nil:
+		tr.res.Err = err
+	case done:
+		tr.res.Report, tr.res.Err = tr.run.Finish()
+	default:
+		tr.next = next
+		return false
+	}
+	return true
+}
+
+// start assembles the slot's campaign inside the wave's shared world, on
+// the shard's fit memo and the slot's perf cache.
+func (w *waveWorld) start(tr *tenantRun) (*campaign.Run, error) {
+	p := tr.p
 	opt := campaign.Options{
 		Theta:      p.t.Theta,
 		Seed:       p.t.Seed,
@@ -532,24 +625,63 @@ func runTenant(env *campaign.Environment, bench *workload.Benchmark, curves work
 		Deadline:   p.t.Deadline,
 		Budget:     p.t.Budget,
 		BaseType:   p.t.BaseType,
-		Trend:      &earlycurve.Predictor{Memo: sh.memo},
-		PerfCache:  sh.perf[p.slot],
-		World:      world,
-		Trace:      cfg.TraceTenant != "" && cfg.TraceTenant == p.t.ID,
+		Trend:      &earlycurve.Predictor{Memo: w.sh.memo},
+		PerfCache:  w.sh.perf[p.slot],
+		World:      w.world,
+		Trace:      w.cfg.TraceTenant != "" && w.cfg.TraceTenant == p.t.ID,
 	}
 	opt.Inspect = func(d *campaign.RunDetail) error {
-		*ledger = d.Cluster.Ledger()
-		if res.Trace = d.Trace; res.Trace != nil {
-			res.Trace.Meta.Scenario = "service"
-			res.Trace.Meta.Replicate = p.index
+		if tr.res.Trace = d.Trace; tr.res.Trace != nil {
+			tr.res.Trace.Meta.Scenario = "service"
+			tr.res.Trace.Meta.Replicate = p.index
 		}
-		if !cfg.SkipInvariants {
-			res.Violations = invariants.Check(scenario.StateFor(d))
-		}
+		tr.res.Violations = invariants.Check(scenario.StateFor(d))
 		return nil
 	}
-	res.Report, res.Err = env.RunPolicy(bench, curves, opt)
-	return res
+	return w.env.NewRun(w.bench, w.curves, opt)
+}
+
+// turnKey orders a wave's campaigns for their next turn: by the clock
+// advance the turn begins with (unix nanos), ties by wave slot.
+type turnKey struct {
+	at   int64
+	slot int
+}
+
+// turnQueue is a binary min-heap of turn keys.
+type turnQueue []turnKey
+
+func (q turnQueue) less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].slot < q[j].slot
+}
+
+// down restores heap order below i after q[i]'s key grew.
+func (q turnQueue) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			return
+		}
+		if r := c + 1; r < len(q) && q.less(r, c) {
+			c = r
+		}
+		if !q.less(c, i) {
+			return
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+}
+
+// pop removes the minimum key.
+func (q *turnQueue) pop() {
+	n := len(*q) - 1
+	(*q)[0] = (*q)[n]
+	*q = (*q)[:n]
+	q.down(0)
 }
 
 // DefaultBattery builds a deterministic n-tenant battery on the matrix

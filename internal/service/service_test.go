@@ -1,14 +1,21 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
 	"spottune/internal/campaign"
+	"spottune/internal/cloudsim"
 	"spottune/internal/core"
 	"spottune/internal/obs"
+	"spottune/internal/policy"
 	"spottune/internal/workload"
 )
 
@@ -149,6 +156,40 @@ func TestServiceContention(t *testing.T) {
 	}
 }
 
+// TestServiceContendedDigest pins the contended interleaving to the bit. With
+// contention on, the order in which co-resident campaigns take their turns
+// decides who gets capacity and at what surge, so every tenant's economics,
+// shard and wave are hashed and compared with digests recorded from the
+// scheduler this test was written against.
+func TestServiceContendedDigest(t *testing.T) {
+	env, bench, curves := testWorld(t)
+	tenants := DefaultBattery(12, 31)
+	for _, tc := range []struct {
+		shards, inFlight int
+		want             string
+	}{
+		{1, 6, "bec59deabd01d03e900fb950839d887224a5f2cf82b48c7ce5724d024dc6d593"},
+		{2, 3, "564d861e8b193ca962b20d5ed0e23273e60fdcda6508aac78075a4017228fe4d"},
+	} {
+		sum, got := runService(t, env, bench, curves, tenants, Config{
+			Shards: tc.shards, MaxInFlight: tc.inFlight, Contention: true, Capacity: 2, SurgeSlope: 0.5,
+		})
+		if sum.Admitted != len(tenants) || len(sum.Capacity) != 0 {
+			t.Fatalf("shards=%d: summary %+v", tc.shards, sum)
+		}
+		h := sha256.New()
+		for _, r := range got {
+			if r.Err != nil {
+				t.Fatalf("shards=%d tenant %s: %v", tc.shards, r.Tenant.ID, r.Err)
+			}
+			fmt.Fprintf(h, "%s %d %d %s\n", r.Tenant.ID, r.Shard, r.Wave, reportKey(r.Report))
+		}
+		if digest := hex.EncodeToString(h.Sum(nil)); digest != tc.want {
+			t.Errorf("shards=%d in-flight=%d: digest %s, want %s", tc.shards, tc.inFlight, digest, tc.want)
+		}
+	}
+}
+
 // TestServiceAdmissionCaps pins rejection semantics: capped-out tenants get
 // a reason and no report (they never run, so no ledger entries can exist),
 // admitted ones are unaffected, and the service trace reconciles.
@@ -239,5 +280,123 @@ func TestServiceTraceTenant(t *testing.T) {
 		} else if r.Trace != nil {
 			t.Fatalf("untraced tenant %s has a recording", r.Tenant.ID)
 		}
+	}
+}
+
+// panicPolicyName is a test-registered policy that runs the spottune policy
+// until a decision finds its tenant with an instance still running — one
+// noticed and awaiting revocation — and then panics, recording the cluster
+// and the instant.
+const panicPolicyName = "test-panics-with-instance-running"
+
+var panicked struct {
+	cluster *cloudsim.Cluster
+	at      time.Time
+}
+
+type panicPolicy struct{ policy.Policy }
+
+func (p panicPolicy) Decide(ctx policy.Context) (policy.Request, error) {
+	if c, ok := ctx.Market.(*cloudsim.Cluster); ok && len(c.RunningInstances()) > 0 {
+		panicked.cluster, panicked.at = c, c.Now()
+		panic("boom")
+	}
+	return p.Policy.Decide(ctx)
+}
+
+func init() {
+	policy.Register(panicPolicyName, "test: panics in Decide while an instance runs",
+		func(p policy.Params) (policy.Policy, error) {
+			inner, err := policy.New(policy.SpotTuneName, p)
+			return panicPolicy{inner}, err
+		})
+}
+
+// TestServicePanicIsolation pins the panic contract: a tenant whose policy
+// panics mid-campaign fails alone with ErrTenantPanicked, naming itself and
+// the panic value; its running instances are terminated on the spot, so no
+// notice or revocation of its fires in a later turn; and the five tenants
+// sharing its wave still match their solo runs.
+func TestServicePanicIsolation(t *testing.T) {
+	env, bench, curves := testWorld(t)
+	tenants := DefaultBattery(6, 71)
+	const bad = 3
+	tenants[bad].Policy = panicPolicyName
+
+	solo := make([]string, len(tenants))
+	for i, ten := range tenants {
+		if i == bad {
+			continue
+		}
+		rep, err := env.RunPolicy(bench, curves, campaign.Options{Theta: ten.Theta, Seed: ten.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = reportKey(rep)
+	}
+
+	panicked.cluster = nil
+	sum, got := runService(t, env, bench, curves, tenants, Config{Shards: 1, MaxInFlight: 6})
+	if sum.Admitted+sum.Rejected+sum.Failed != len(tenants) || sum.Failed != 1 {
+		t.Fatalf("summary admitted %d + rejected %d + failed %d, want %d tenants with 1 failed",
+			sum.Admitted, sum.Rejected, sum.Failed, len(tenants))
+	}
+	for i, r := range got {
+		if i != bad {
+			if r.Err != nil {
+				t.Fatalf("tenant %s: %v", r.Tenant.ID, r.Err)
+			}
+			if key := reportKey(r.Report); key != solo[i] {
+				t.Errorf("tenant %s diverged from its solo run:\n service %s\n solo    %s", r.Tenant.ID, key, solo[i])
+			}
+			continue
+		}
+		if !errors.Is(r.Err, ErrTenantPanicked) || r.Report != nil {
+			t.Fatalf("panicking tenant: err %v, report %v", r.Err, r.Report)
+		}
+		if msg := r.Err.Error(); !strings.Contains(msg, r.Tenant.ID) || !strings.Contains(msg, "boom") {
+			t.Fatalf("panic error %q does not name the tenant and the panic value", msg)
+		}
+	}
+
+	c := panicked.cluster
+	if c == nil {
+		t.Fatal("the test policy never panicked")
+	}
+	if n := len(c.RunningInstances()); n != 0 {
+		t.Fatalf("%d instances of the panicked tenant still running", n)
+	}
+	terminated := 0
+	for _, u := range c.Ledger().Records {
+		if u.Ended.After(panicked.at) {
+			t.Fatalf("instance %s of the panicked tenant ended at %v, after the panic at %v", u.InstanceID, u.Ended, panicked.at)
+		}
+		if u.Ended.Equal(panicked.at) && u.End == cloudsim.EndUserTerminated {
+			terminated++
+		}
+	}
+	if terminated == 0 {
+		t.Fatal("no instance was terminated at the panic")
+	}
+}
+
+// TestServiceRejectsBadSurgeSlope pins the contention guard: a negative or
+// non-finite surge slope would price capacity below zero or at NaN, so Run
+// refuses it before any tenant runs. Without contention the slope is unused.
+func TestServiceRejectsBadSurgeSlope(t *testing.T) {
+	env, bench, curves := testWorld(t)
+	tenants := DefaultBattery(6, 31)
+	for _, slope := range []float64{-1.5, math.NaN(), math.Inf(1)} {
+		ran := 0
+		_, err := Run(env, bench, curves, tenants, Config{
+			Contention: true, Capacity: 2, SurgeSlope: slope,
+			OnResult: func(Result) { ran++ },
+		})
+		if err == nil || !strings.Contains(err.Error(), "surge slope") || ran != 0 {
+			t.Errorf("slope %v: err %v after %d results, want a surge-slope error before any", slope, err, ran)
+		}
+	}
+	if _, got := runService(t, env, bench, curves, tenants[:1], Config{SurgeSlope: -1.5}); len(got) != 1 {
+		t.Fatalf("uncontended run with an unused slope delivered %d results", len(got))
 	}
 }

@@ -13,8 +13,10 @@ import (
 	"time"
 )
 
-// Clock abstracts time for simulation. Implementations must be safe for
-// concurrent use.
+// Clock abstracts time for simulation. Wall is safe for concurrent use. A
+// Virtual clock has one owner, like the Engine under it: the goroutine that
+// advances it is the only one that may call it, and campaigns that share
+// one take turns on that goroutine.
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time

@@ -2,7 +2,6 @@ package simclock
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -16,8 +15,8 @@ import (
 //   - events fire in (due time, schedule order): two events due at the same
 //     instant fire in the order they were scheduled;
 //   - a callback observes the clock set exactly to its due time;
-//   - callbacks run one at a time, outside the engine lock, so they may
-//     schedule or cancel further events.
+//   - callbacks run one at a time, after their event has left the queue, so
+//     they may schedule or cancel further events.
 //
 // Event objects are pooled: once an event fires or is cancelled its slot is
 // recycled for the next Schedule, so a long-running simulation reaches zero
@@ -25,10 +24,10 @@ import (
 // handles whose generation counter makes Cancel safe against recycling.
 //
 // The zero value is an engine starting at the zero time; NewEngine sets the
-// epoch explicitly. Engines are safe for concurrent use, though simulations
-// are typically single-threaded per engine.
+// epoch explicitly. An engine has one owner: it takes no lock, so every
+// call on it, and on the EventRefs it hands out, must come from one
+// goroutine at a time.
 type Engine struct {
-	mu     sync.Mutex
 	now    time.Time
 	events []*Event // binary heap ordered by (atNanos, seq)
 	seq    uint64
@@ -43,14 +42,8 @@ type Engine struct {
 
 	// pool, when attached (SetNodePool), replaces the private free/slab
 	// arena with a shared one so slots survive the engine (service shards
-	// build one engine per scheduling wave). Nil for ordinary engines — the
-	// private path above stays lock-free beyond e.mu.
+	// build one engine per scheduling wave). Nil for ordinary engines.
 	pool *NodePool
-
-	// gate, when installed (SetAdvanceGate), is called at the top of every
-	// time-advancing RunUntil, before any event fires. Read without the
-	// lock: install before the simulation starts.
-	gate func(target time.Time)
 }
 
 // An engine's first slab holds eventSlabMin Event slots, and each later one
@@ -67,11 +60,7 @@ func NewEngine(start time.Time) *Engine {
 }
 
 // Now returns the engine's current instant.
-func (e *Engine) Now() time.Time {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
+func (e *Engine) Now() time.Time { return e.now }
 
 // Event is one pooled scheduler slot. Callers never construct or hold
 // *Event directly — Schedule returns an EventRef handle instead, so a slot
@@ -104,10 +93,8 @@ func (r EventRef) Cancel() {
 	if ev == nil || ev.owner == nil {
 		return
 	}
-	e := ev.owner
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if ev.gen == r.gen && ev.idx >= 0 {
+		e := ev.owner
 		e.heapRemove(ev.idx)
 		e.recycle(ev)
 	}
@@ -116,18 +103,11 @@ func (r EventRef) Cancel() {
 // Pending reports whether the event is still queued (not fired, not
 // cancelled).
 func (r EventRef) Pending() bool {
-	ev := r.ev
-	if ev == nil || ev.owner == nil {
-		return false
-	}
-	e := ev.owner
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return ev.gen == r.gen && ev.idx >= 0
+	return r.ev != nil && r.ev.gen == r.gen && r.ev.idx >= 0
 }
 
-// alloc hands out a pooled event slot. Caller must hold e.mu. The slot's gen
-// is preserved across reuse so stale EventRefs keep failing their check.
+// alloc hands out a pooled event slot. The slot's gen is preserved across
+// reuse so stale EventRefs keep failing their check.
 func (e *Engine) alloc() *Event {
 	if e.pool != nil {
 		ev := e.pool.get()
@@ -151,7 +131,7 @@ func (e *Engine) alloc() *Event {
 }
 
 // recycle returns a slot (already removed from the heap) to the free list.
-// Caller must hold e.mu. Bumping gen invalidates every outstanding EventRef.
+// Bumping gen invalidates every outstanding EventRef.
 func (e *Engine) recycle(ev *Event) {
 	ev.gen++
 	ev.fn = nil
@@ -167,13 +147,6 @@ func (e *Engine) recycle(ev *Event) {
 // at or before the current instant fire on the next advance. The returned
 // EventRef may be cancelled.
 func (e *Engine) Schedule(at time.Time, fn func(now time.Time)) EventRef {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.schedule(at, fn)
-}
-
-// schedule is Schedule with e.mu held.
-func (e *Engine) schedule(at time.Time, fn func(now time.Time)) EventRef {
 	e.seq++
 	ev := e.alloc()
 	ev.at = at
@@ -186,16 +159,12 @@ func (e *Engine) schedule(at time.Time, fn func(now time.Time)) EventRef {
 
 // ScheduleAfter registers fn to run d after the current instant.
 func (e *Engine) ScheduleAfter(d time.Duration, fn func(now time.Time)) EventRef {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.schedule(e.now.Add(d), fn)
+	return e.Schedule(e.now.Add(d), fn)
 }
 
 // Peek returns the due time of the earliest pending event without firing
 // it, or ok=false when the queue is empty.
 func (e *Engine) Peek() (at time.Time, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if len(e.events) == 0 {
 		return time.Time{}, false
 	}
@@ -205,8 +174,8 @@ func (e *Engine) Peek() (at time.Time, ok bool) {
 // popNext removes and recycles the earliest event, returning its callback
 // and due time, or ok=false when either the queue is empty or the earliest
 // event is due after limit (when bounded). It advances the clock to the due
-// time (never backward) and counts the dispatch. Caller must hold e.mu; the
-// returned callback must be invoked outside the lock.
+// time (never backward) and counts the dispatch. The event has left the
+// queue by the time the caller invokes the returned callback.
 func (e *Engine) popNext(bounded bool, limitNanos int64) (fn func(now time.Time), now time.Time, ok bool) {
 	if len(e.events) == 0 {
 		return nil, time.Time{}, false
@@ -229,9 +198,7 @@ func (e *Engine) popNext(bounded bool, limitNanos int64) (fn func(now time.Time)
 // Step fires exactly the earliest pending event, advancing the clock to its
 // due time. It reports whether an event fired.
 func (e *Engine) Step() bool {
-	e.mu.Lock()
 	fn, now, ok := e.popNext(false, 0)
-	e.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -243,29 +210,17 @@ func (e *Engine) Step() bool {
 // leaves the clock at target, and returns the number of events fired. If
 // target is before the current instant it is a no-op.
 func (e *Engine) RunUntil(target time.Time) int {
-	if e.gate != nil {
-		e.mu.Lock()
-		due := target.After(e.now)
-		e.mu.Unlock()
-		if due {
-			e.gate(target)
-		}
-	}
 	targetNanos := target.UnixNano()
 	fired := 0
 	for {
-		e.mu.Lock()
 		if target.Before(e.now) {
-			e.mu.Unlock()
 			return fired
 		}
 		fn, now, ok := e.popNext(true, targetNanos)
 		if !ok {
 			e.now = target
-			e.mu.Unlock()
 			return fired
 		}
-		e.mu.Unlock()
 		fn(now)
 		fired++
 	}
@@ -289,19 +244,11 @@ func (e *Engine) RunUntilIdle(limit int) (int, error) {
 }
 
 // PendingEvents reports how many events are queued.
-func (e *Engine) PendingEvents() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.events)
-}
+func (e *Engine) PendingEvents() int { return len(e.events) }
 
 // FiredEvents reports how many events have been dispatched over the
 // engine's lifetime — a cheap progress/efficiency counter for benchmarks.
-func (e *Engine) FiredEvents() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fired
-}
+func (e *Engine) FiredEvents() uint64 { return e.fired }
 
 // The heap below is a concrete-typed binary heap ordered by (atNanos, seq)
 // so same-instant events fire in insertion order, keeping simulations
@@ -318,14 +265,14 @@ func eventLess(a, b *Event) bool {
 	return a.atNanos < b.atNanos
 }
 
-// heapPush appends ev and restores heap order. Caller must hold e.mu.
+// heapPush appends ev and restores heap order.
 func (e *Engine) heapPush(ev *Event) {
 	ev.idx = len(e.events)
 	e.events = append(e.events, ev)
 	e.siftUp(ev.idx)
 }
 
-// heapRemove removes the event at heap position i. Caller must hold e.mu.
+// heapRemove removes the event at heap position i.
 func (e *Engine) heapRemove(i int) {
 	h := e.events
 	n := len(h) - 1

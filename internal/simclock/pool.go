@@ -1,21 +1,15 @@
 package simclock
 
-import (
-	"sync"
-	"time"
-)
-
 // NodePool is a shareable event-slot pool: engines attached to it draw and
 // recycle their Event slots from one arena instead of their private slabs,
 // so a service shard that builds a fresh engine per scheduling wave reaches
 // zero steady-state event allocations across waves, not just within one.
 //
-// The pool carries its own lock (attachment outlives any one engine), but an
-// engine with no pool attached never touches it — the engine-private
-// alloc/recycle path is unchanged, keeping the single-campaign hot path free
-// of extra synchronization.
+// Like an engine, a pool has one owner and takes no lock: every engine
+// attached to it must run on the same goroutine (a service shard runs its
+// waves one after another). An engine with no pool attached never touches
+// one.
 type NodePool struct {
-	mu       sync.Mutex
 	free     []*Event
 	slab     []Event
 	slabUsed int
@@ -25,11 +19,9 @@ type NodePool struct {
 // NewNodePool returns an empty pool.
 func NewNodePool() *NodePool { return &NodePool{} }
 
-// get hands out one slot. The caller (an Engine holding its own mu) must
-// set the slot's owner before use.
+// get hands out one slot. The caller (an Engine) must set the slot's owner
+// before use.
 func (p *NodePool) get() *Event {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.handed++
 	if n := len(p.free); n > 0 {
 		ev := p.free[n-1]
@@ -48,45 +40,19 @@ func (p *NodePool) get() *Event {
 
 // put returns a recycled slot (gen already bumped by the engine) for reuse
 // by any attached engine.
-func (p *NodePool) put(ev *Event) {
-	p.mu.Lock()
-	p.free = append(p.free, ev)
-	p.mu.Unlock()
-}
+func (p *NodePool) put(ev *Event) { p.free = append(p.free, ev) }
 
 // Handed reports how many slot hand-outs the pool has served over its
 // lifetime (fresh carves plus reuses) — a cheap reuse diagnostic.
-func (p *NodePool) Handed() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.handed
-}
+func (p *NodePool) Handed() uint64 { return p.handed }
 
 // FreeSlots reports how many recycled slots are ready for reuse.
-func (p *NodePool) FreeSlots() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
+func (p *NodePool) FreeSlots() int { return len(p.free) }
 
 // SetNodePool attaches a shared slot pool to the engine. It must be called
 // before the first Schedule; attaching after events exist would strand the
 // engine-private slots.
-func (e *Engine) SetNodePool(p *NodePool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.pool = p
-}
-
-// SetAdvanceGate installs fn, invoked at the top of every RunUntil whose
-// target lies after the current instant, before any event fires. A service
-// shard arbiter uses it to suspend the calling campaign until it holds the
-// shard's next-event turn; fn runs outside the engine lock and may block.
-// Install before the simulation starts — the field is read without the lock
-// on the advance path.
-func (e *Engine) SetAdvanceGate(fn func(target time.Time)) {
-	e.gate = fn
-}
+func (e *Engine) SetNodePool(p *NodePool) { e.pool = p }
 
 // ReleaseNodes cancels every still-pending event and recycles its slot,
 // returning the number released. A service shard calls it when a scheduling
@@ -94,8 +60,6 @@ func (e *Engine) SetAdvanceGate(fn func(target time.Time)) {
 // (revocations beyond campaign end) flow back to the shared pool instead of
 // stranding in the dead engine's heap.
 func (e *Engine) ReleaseNodes() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n := len(e.events)
 	for _, ev := range e.events {
 		ev.idx = -1

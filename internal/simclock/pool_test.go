@@ -90,41 +90,3 @@ func TestReleaseNodes(t *testing.T) {
 	// The released engine stays usable (nothing fires: queue is empty).
 	e.RunUntil(start.Add(2 * time.Hour))
 }
-
-// TestAdvanceGate pins the gate contract: called once per time-advancing
-// RunUntil with the target, before events fire; skipped for non-advancing
-// targets.
-func TestAdvanceGate(t *testing.T) {
-	start := time.Date(2017, 4, 26, 0, 0, 0, 0, time.UTC)
-	v := NewVirtual(start)
-	var gated []time.Time
-	firedAtGate := -1
-	fired := 0
-	v.SetAdvanceGate(func(target time.Time) {
-		gated = append(gated, target)
-		if firedAtGate == -1 {
-			firedAtGate = fired
-		}
-	})
-	v.ScheduleAfter(time.Second, func(time.Time) { fired++ })
-
-	v.Sleep(2 * time.Second) // advancing: gate fires with the target
-	if len(gated) != 1 || !gated[0].Equal(start.Add(2*time.Second)) {
-		t.Fatalf("gate calls %v, want one at +2s", gated)
-	}
-	if firedAtGate != 0 {
-		t.Fatal("gate ran after events fired")
-	}
-	if fired != 1 {
-		t.Fatalf("fired %d events, want 1", fired)
-	}
-
-	v.AdvanceTo(start) // non-advancing: gate skipped
-	if len(gated) != 1 {
-		t.Fatalf("gate fired on a non-advancing RunUntil: %v", gated)
-	}
-	v.AdvanceTo(start.Add(3 * time.Second))
-	if len(gated) != 2 {
-		t.Fatalf("gate calls %v, want two", gated)
-	}
-}
