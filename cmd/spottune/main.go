@@ -1,7 +1,8 @@
 // Command spottune runs one simulated hyper-parameter-tuning campaign and
-// prints its report: SpotTune itself, any registered provisioning policy,
-// or the legacy Single-Spot baseline loop, over any of the paper's Table II
-// workloads.
+// prints its report: SpotTune itself or any registered provisioning policy,
+// over any of the paper's Table II workloads. The §IV-A4 Single-Spot
+// baselines are policies run at θ=1: cheapest-spot, and fastest-spot
+// anchored to m4.4xlarge.
 //
 // Usage:
 //
@@ -9,7 +10,8 @@
 //	spottune -workload SVM -policy spot-od-fallback
 //	spottune -workload LoR -policy diversified-spot -basetype r4.xlarge -alloc capacity-optimized
 //	spottune -workload LoR -tuner hyperband
-//	spottune -workload LoR -baseline r4.large
+//	spottune -workload LoR -policy cheapest-spot -theta 1
+//	spottune -workload LoR -policy fastest-spot -theta 1 -basetype m4.4xlarge
 //	spottune -workload GBTR -theta 0.5 -pred oracle -real
 //	spottune -workload LoR -trace campaign.jsonl          # flight recorder + cost attribution
 //	spottune -workload LoR -resilience adaptive -deadline 24h  # recovery strategy + degradation ladder
@@ -54,7 +56,6 @@ func run() error {
 		tunName = flag.String("tuner", search.SpotTuneName,
 			"search strategy: "+strings.Join(search.Names(), ", "))
 		eta      = flag.Int("eta", 0, "halving factor η for successive-halving/hyperband (0 = default 3)")
-		baseline = flag.String("baseline", "", "run the legacy Single-Spot baseline loop on this instance type instead of a policy")
 		pred     = flag.String("pred", "constant", "revocation predictor: revpred, tributary, logreg, oracle, constant, none")
 		seed     = flag.Uint64("seed", 1, "seed for markets, noise, and bids")
 		scale    = flag.Float64("scale", 0.5, "workload scale")
@@ -123,10 +124,6 @@ func run() error {
 	}
 
 	if *svc > 0 {
-		if *baseline != "" {
-			return fmt.Errorf("-service and -baseline are mutually exclusive " +
-				"(the legacy baseline loop runs one solo campaign)")
-		}
 		if *mcnt != 3 || *conc != 1 || *eta != 0 || *alloc != "" {
 			return fmt.Errorf("-service and -mcnt/-concurrent/-eta/-alloc are mutually exclusive " +
 				"(tenants run with campaign defaults; -policy/-tuner/-resilience are forwarded per-tenant)")
@@ -139,51 +136,26 @@ func run() error {
 		})
 	}
 
-	var rep *core.Report
 	var rec *obs.Recording
-	if *baseline != "" {
-		if *polName != policy.SpotTuneName {
-			return fmt.Errorf("-baseline and -policy are mutually exclusive "+
-				"(the legacy baseline loop ignores policies; did you mean -policy %s alone?)", *polName)
-		}
-		if *tunName != search.SpotTuneName {
-			return fmt.Errorf("-baseline and -tuner are mutually exclusive "+
-				"(the legacy baseline loop ignores tuners; did you mean -tuner %s alone?)", *tunName)
-		}
-		if *trace != "" {
-			return fmt.Errorf("-baseline and -trace are mutually exclusive " +
-				"(the legacy baseline loop predates the flight recorder)")
-		}
-		if *resName != resilience.FixedName || *deadline != 0 || *budget != 0 {
-			return fmt.Errorf("-baseline and -resilience/-deadline/-budget are mutually exclusive " +
-				"(the legacy baseline loop predates the recovery-strategy layer)")
-		}
-		if *baseType != "" || *alloc != "" {
-			return fmt.Errorf("-baseline and -basetype/-alloc are mutually exclusive " +
-				"(the legacy baseline loop predates the catalog layer)")
-		}
-		rep, err = env.RunSingleSpot(bench, curves, *baseline, *seed)
-	} else {
-		rep, err = env.RunPolicy(bench, curves, campaign.Options{
-			Theta:         *theta,
-			MCnt:          *mcnt,
-			MaxConcurrent: *conc,
-			Seed:          *seed,
-			Policy:        *polName,
-			Tuner:         *tunName,
-			TunerParams:   search.Params{Eta: *eta},
-			Resilience:    *resName,
-			Deadline:      *deadline,
-			Budget:        *budget,
-			BaseType:      *baseType,
-			PolicyParams:  policy.Params{Allocation: *alloc},
-			Trace:         *trace != "",
-			Inspect: func(d *campaign.RunDetail) error {
-				rec = d.Trace
-				return nil
-			},
-		})
-	}
+	rep, err := env.RunPolicy(bench, curves, campaign.Options{
+		Theta:         *theta,
+		MCnt:          *mcnt,
+		MaxConcurrent: *conc,
+		Seed:          *seed,
+		Policy:        *polName,
+		Tuner:         *tunName,
+		TunerParams:   search.Params{Eta: *eta},
+		Resilience:    *resName,
+		Deadline:      *deadline,
+		Budget:        *budget,
+		BaseType:      *baseType,
+		PolicyParams:  policy.Params{Allocation: *alloc},
+		Trace:         *trace != "",
+		Inspect: func(d *campaign.RunDetail) error {
+			rec = d.Trace
+			return nil
+		},
+	})
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,8 @@ import (
 
 // Example runs a miniature SpotTune campaign end to end: synthetic markets,
 // a scaled-down LoR workload with synthetic curves, early shutdown at
-// θ=0.7, and the cheapest Single-Spot baseline for comparison.
+// θ=0.7, and the cheapest Single-Spot baseline (the cheapest-spot policy at
+// θ=1) for comparison.
 func Example() {
 	env, err := spottune.NewEnvironment(spottune.EnvOptions{
 		Seed:      7,
@@ -30,7 +31,8 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := env.RunSingleSpot(bench, curves, "r4.large", 7)
+	base, err := env.RunPolicy(bench, curves, spottune.CampaignOptions{
+		Policy: spottune.PolicyCheapest, Theta: 1, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,6 @@
 // Quickstart: run one simulated SpotTune campaign end to end through the
-// public API and compare it with the two Single-Spot baselines of the paper.
+// public API and compare it with the paper's two Single-Spot baselines, run
+// as the cheapest-spot and fastest-spot policies on the same orchestrator.
 //
 //	go run ./examples/quickstart
 package main
@@ -42,16 +43,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Run SpotTune with early shutdown at θ=0.7 and both baselines.
+	// 4. Run SpotTune with early shutdown at θ=0.7 and both baselines:
+	//    the Single-Spot policies train every trial to the end (θ=1) on
+	//    one never-revoked spot type, r4.large or m4.4xlarge.
 	st, err := env.RunSpotTune(bench, curves, spottune.CampaignOptions{Theta: 0.7, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cheap, err := env.RunSingleSpot(bench, curves, "r4.large", 42)
+	cheap, err := env.RunPolicy(bench, curves, spottune.CampaignOptions{
+		Policy: spottune.PolicyCheapest, Theta: 1, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fast, err := env.RunSingleSpot(bench, curves, "m4.4xlarge", 42)
+	fast, err := env.RunPolicy(bench, curves, spottune.CampaignOptions{
+		Policy: spottune.PolicyFastest, Theta: 1, Seed: 42, BaseType: "m4.4xlarge"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -592,26 +592,6 @@ func (r *Run) Finish() (*core.Report, error) {
 	return rep, nil
 }
 
-// RunSingleSpot executes the Single-Spot Tune baseline on the given type
-// via the §IV-A4 loop (core.RunSingleSpot). The same strategies are
-// available as policies ("cheapest-spot"/"fastest-spot") over the shared
-// orchestrator through RunPolicy; golden tests in internal/core bound the
-// gap between the two.
-func (e *Environment) RunSingleSpot(b *workload.Benchmark, curves workload.Curves, typeName string, seed uint64) (*core.Report, error) {
-	if b == nil {
-		return nil, errors.New("campaign: nil benchmark")
-	}
-	cluster, err := e.NewCluster()
-	if err != nil {
-		return nil, err
-	}
-	trials, err := b.Trials(curves, seed+0xbead)
-	if err != nil {
-		return nil, err
-	}
-	return core.RunSingleSpot(cluster, trials, typeName)
-}
-
 // TrueFinals exposes ground-truth final metrics and the true best HP.
 func TrueFinals(b *workload.Benchmark, curves workload.Curves) (map[string]float64, string, error) {
 	trials, err := b.Trials(curves, 0)

@@ -90,7 +90,7 @@ func TestRunSpotTuneAndBaselineAgainstSameMarkets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := env.RunSingleSpot(bench, curves, "r4.large", 2)
+	base, err := env.RunPolicy(bench, curves, Options{Policy: policy.CheapestName, Theta: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +130,6 @@ func TestRunSpotTuneWithSLAQTrend(t *testing.T) {
 func TestRunNilBenchmark(t *testing.T) {
 	env := quickEnv(t, PredictorNone)
 	if _, err := env.RunSpotTune(nil, nil, Options{}); err == nil {
-		t.Error("nil benchmark accepted")
-	}
-	if _, err := env.RunSingleSpot(nil, nil, "r4.large", 1); err == nil {
 		t.Error("nil benchmark accepted")
 	}
 }

@@ -181,52 +181,13 @@ func TestValidatePoolWiring(t *testing.T) {
 	}
 }
 
-func TestSingleSpotBaseline(t *testing.T) {
-	w := newWorld(t, false)
-	trials := mkTrials(t, w, 3, 100, 10)
-	rep, err := RunSingleSpot(w.cluster, trials, "fast")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 trials × 100 steps × 1 s/step = 300s.
-	if rep.JCT < 280*time.Second || rep.JCT > 400*time.Second {
-		t.Fatalf("JCT = %v, want ~300s", rep.JCT)
-	}
-	wantCost := 0.2 * rep.JCT.Hours()
-	if math.Abs(rep.NetCost-wantCost) > 1e-9 {
-		t.Fatalf("cost %v, want %v", rep.NetCost, wantCost)
-	}
-	if rep.Best != idFor(0) {
-		t.Fatalf("best = %s, want %s", rep.Best, idFor(0))
-	}
-	if rep.TotalSteps != 300 || rep.FreeSteps != 0 {
-		t.Fatalf("steps %d free %d", rep.TotalSteps, rep.FreeSteps)
-	}
-	if rep.Refund != 0 {
-		t.Fatal("baseline got a refund")
-	}
-}
-
-func TestSingleSpotUnknownType(t *testing.T) {
-	w := newWorld(t, false)
-	trials := mkTrials(t, w, 1, 50, 10)
-	if _, err := RunSingleSpot(w.cluster, trials, "nope"); err == nil {
-		t.Fatal("unknown type accepted")
-	}
-	if _, err := RunSingleSpot(w.cluster, nil, "fast"); err == nil {
-		t.Fatal("no trials accepted")
-	}
-}
-
 func orchCfg(theta float64) Config {
 	return Config{
 		Theta:         theta,
 		MCnt:          2,
 		MaxConcurrent: 1,
 		PollInterval:  5 * time.Second,
-		RestartAfter:  time.Hour,
 		StartupDelay:  10 * time.Second,
-		C0:            16,
 	}
 }
 

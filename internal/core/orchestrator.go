@@ -16,6 +16,27 @@ import (
 	"spottune/internal/trial"
 )
 
+// Fixed orchestrator settings.
+const (
+	// restartAfter is the proactive restart horizon: the refund-window
+	// boundary of Fig. 4.
+	restartAfter = time.Hour
+	// c0 initializes the performance matrix to c0/CPUs seconds per step.
+	c0 = 16
+	// checkpointSetupTime/restoreSetupTime are fixed per-event costs beyond
+	// raw transfer time: snapshotting the training process, remounting the
+	// object store, restarting the runtime. These dominate Fig. 12 for
+	// small-model workloads, matching the paper's nonzero overhead on
+	// linear models.
+	checkpointSetupTime = 15 * time.Second
+	restoreSetupTime    = 30 * time.Second
+	// convergeWindow/convergeTol detect plateaued trials (§III-C). The
+	// tolerance is tight enough that plateau noise on near-tied configs
+	// does not truncate observation before the ranking that depends on it.
+	convergeWindow = 8
+	convergeTol    = 5e-4
+)
+
 // Config tunes the orchestrator. Zero values select the paper's settings.
 type Config struct {
 	// Theta is the early-shutdown rate θ ∈ (0, 1] (Table I).
@@ -33,22 +54,9 @@ type Config struct {
 	// strategy retries blackout-rejected spot requests on this grid, and the
 	// campaign-start trace event carries it as its B payload.
 	PollInterval time.Duration
-	// RestartAfter is the proactive restart horizon (default 1h — the
-	// refund-window boundary of Fig. 4).
-	RestartAfter time.Duration
 	// StartupDelay models instance boot time before training can begin
 	// (default 60s).
 	StartupDelay time.Duration
-	// C0 initializes the performance matrix to C0/CPUs seconds per step
-	// (default 16).
-	C0 float64
-	// CheckpointSetup/RestoreSetup are fixed per-event costs beyond raw
-	// transfer time: snapshotting the training process, remounting the
-	// object store, restarting the runtime (defaults 20s / 40s). These
-	// dominate Fig. 12 for small-model workloads, matching the paper's
-	// nonzero overhead on linear models.
-	CheckpointSetup time.Duration
-	RestoreSetup    time.Duration
 	// PeriodicCheckpoint is the cadence for trials whose checkpoint is
 	// too large to upload inside the two-minute revocation notice
 	// (§IV-F's max-model-size limit). Such trials checkpoint on this
@@ -59,9 +67,6 @@ type Config struct {
 	// Trend predicts final metrics from partial curves (default
 	// EarlyCurve with paper constants).
 	Trend earlycurve.TrendPredictor
-	// ConvergeWindow/ConvergeTol detect plateaued trials (§III-C).
-	ConvergeWindow int
-	ConvergeTol    float64
 	// Tuner owns the trial lifecycle: which trials (re)activate each
 	// round, their step budgets, when the search stops, and the final
 	// ranking/selection. Nil selects the paper's Algorithm 1 schedule
@@ -118,36 +123,16 @@ func (c Config) withDefaults() Config {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 10 * time.Second
 	}
-	if c.RestartAfter <= 0 {
-		c.RestartAfter = time.Hour
-	}
 	if c.StartupDelay < 0 {
 		c.StartupDelay = 0
 	} else if c.StartupDelay == 0 {
 		c.StartupDelay = time.Minute
 	}
-	if c.C0 <= 0 {
-		c.C0 = 16
-	}
 	if c.Trend == nil {
 		c.Trend = &earlycurve.Predictor{}
 	}
-	if c.CheckpointSetup <= 0 {
-		c.CheckpointSetup = 15 * time.Second
-	}
-	if c.RestoreSetup <= 0 {
-		c.RestoreSetup = 30 * time.Second
-	}
 	if c.PeriodicCheckpoint <= 0 {
 		c.PeriodicCheckpoint = 10 * time.Minute
-	}
-	if c.ConvergeWindow <= 0 {
-		c.ConvergeWindow = 8
-	}
-	if c.ConvergeTol <= 0 {
-		// Tight enough that plateau noise on near-tied configs does not
-		// truncate observation before the ranking that depends on it.
-		c.ConvergeTol = 5e-4
 	}
 	if c.Tracer == nil {
 		c.Tracer = obs.Nop{}
@@ -418,7 +403,7 @@ func NewPolicyOrchestrator(
 		pol:      pol,
 		pool:     append([]string(nil), pool...),
 		approach: approach,
-		perf:     NewPerfMatrix(cluster.Catalog(), cfg.withDefaults().C0),
+		perf:     NewPerfMatrix(cluster.Catalog(), c0),
 		ts:       make([]*trialState, 0, len(trials)),
 		byID:     make(map[string]*trialState, len(trials)),
 		order:    make([]string, 0, len(trials)),
@@ -581,7 +566,7 @@ func (v *tunerView) Status(id string) search.TrialStatus {
 		ID:             id,
 		CompletedSteps: tr.CompletedSteps(),
 		MaxSteps:       tr.MaxSteps(),
-		Plateaued:      tr.Plateaued(v.o.cfg.ConvergeWindow, v.o.cfg.ConvergeTol),
+		Plateaued:      tr.Plateaued(convergeWindow, convergeTol),
 	}
 	if p, ok := tr.LastPoint(); ok {
 		st.HasPoint, st.LastValue = true, p.Value
@@ -724,7 +709,7 @@ func (o *Orchestrator) handleTriggers(now time.Time) {
 		// minimal-prefix precheck plus the exact re-check) — the same call
 		// the tuner-visible TrialStatus goes through, so the round executor
 		// and the tuner can never disagree about a trial's plateau.
-		converged := tr.Plateaued(o.cfg.ConvergeWindow, o.cfg.ConvergeTol)
+		converged := tr.Plateaued(convergeWindow, convergeTol)
 		switch {
 		case tr.CompletedSteps() >= lim || converged:
 			// Early shutdown / completion (lines 27–30).
@@ -733,7 +718,7 @@ func (o *Orchestrator) handleTriggers(now time.Time) {
 			t.finished = true
 			t.forgetRecoveryState()
 			o.pending--
-		case !a.inst.OnDemand && now.Sub(a.deployedAt) >= o.cfg.RestartAfter:
+		case !a.inst.OnDemand && now.Sub(a.deployedAt) >= restartAfter:
 			// Hourly refund-farming restart (lines 31–34). Spot only:
 			// on-demand instances are never refunded, so restarting them
 			// would buy nothing but checkpoint/redeploy overhead — they
@@ -985,7 +970,7 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 		// checkpoint cadence from the checkpoint's write cost and the
 		// market's observed revocation rate (fixed: the configured
 		// default; adaptive: Young/Daly).
-		ckptSecs := o.cfg.CheckpointSetup.Seconds() +
+		ckptSecs := checkpointSetupTime.Seconds() +
 			tr.CheckpointMB()/cloudsim.UploadSpeedMBps(inst.Type.CPUs)
 		a.cadence = o.res.CheckpointInterval(resilience.CadenceContext{
 			TrialID:            id,
@@ -1031,14 +1016,14 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 			}
 			a.stepsBefore = tr.CompletedSteps()
 			a.lastCkptSteps = tr.CompletedSteps()
-			busy = busy.Add(d + o.cfg.RestoreSetup)
-			o.restoreSetup += o.cfg.RestoreSetup
+			busy = busy.Add(d + restoreSetupTime)
+			o.restoreSetup += restoreSetupTime
 			o.trc.Emit(obs.Event{
 				VT:    now,
 				Kind:  obs.KindRestore,
 				Trial: id,
 				Inst:  inst.ID,
-				A:     (d + o.cfg.RestoreSetup).Seconds(),
+				A:     (d + restoreSetupTime).Seconds(),
 				N:     int64(tr.CompletedSteps()),
 			})
 		}
@@ -1077,7 +1062,7 @@ func (o *Orchestrator) trendFor(t *trialState) earlycurve.TrendPredictor {
 // first (§III-C's convergence special case).
 func (o *Orchestrator) stepTarget(t *trialState) int {
 	target := t.limit
-	if cs, ok := t.tr.ConvergeStep(o.cfg.ConvergeWindow, o.cfg.ConvergeTol); ok && cs < target {
+	if cs, ok := t.tr.ConvergeStep(convergeWindow, convergeTol); ok && cs < target {
 		target = cs
 	}
 	return target
@@ -1093,7 +1078,7 @@ func (o *Orchestrator) stepTarget(t *trialState) int {
 func (o *Orchestrator) assignmentTrigger(a *assignment) time.Time {
 	var next time.Time
 	if !a.inst.OnDemand {
-		next = a.deployedAt.Add(o.cfg.RestartAfter)
+		next = a.deployedAt.Add(restartAfter)
 	}
 	if a.oversized {
 		if p := a.lastCkptAt.Add(a.cadence); next.IsZero() || p.Before(next) {
@@ -1272,7 +1257,7 @@ func (o *Orchestrator) checkpoint(a *assignment, _ time.Time) {
 		cpus = a.inst.Type.CPUs
 	}
 	o.store.PutSized(a.st.ckpt, o.ckptBuf, a.tr.CheckpointMB(), cpus)
-	o.ckptSetup += o.cfg.CheckpointSetup
+	o.ckptSetup += checkpointSetupTime
 	a.lastCkptAt = o.cluster.Clock().Now()
 	a.lastCkptSteps = a.tr.CompletedSteps()
 	instID := ""

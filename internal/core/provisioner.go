@@ -1,8 +1,9 @@
 // Package core implements SpotTune itself: the Algorithm 1 Orchestrator with
 // notice-driven checkpointing, hourly refund-farming restarts and
 // EarlyCurve-based early shutdown, driven by a pluggable provisioning policy
-// (the paper's Eq. 1–2 provisioner is policy "spottune"); plus the legacy
-// Single-Spot baseline loop of §IV-A4 and campaign reports.
+// (the paper's Eq. 1–2 provisioner is policy "spottune"; the §IV-A4
+// Single-Spot baselines are policies "cheapest-spot" and "fastest-spot"),
+// and campaign reports.
 package core
 
 import (

@@ -7,15 +7,15 @@ import (
 
 	"spottune/internal/cloudsim"
 	"spottune/internal/obs"
+	"spottune/internal/trial"
 )
 
 // Report summarizes one HPT campaign — every quantity the paper's evaluation
 // plots is derivable from it.
 type Report struct {
-	Approach string // "SpotTune", "SingleSpot(<type>)", ...
+	Approach string // "SpotTune", "Policy(<policy name>)"
 	// Tuner is the search strategy that drove the trial lifecycle
-	// ("spottune", "hyperband", ...; empty for legacy baseline loops that
-	// predate the tuner engine).
+	// ("spottune", "hyperband", ...).
 	Tuner string
 	Theta float64
 
@@ -163,12 +163,8 @@ func (o *Orchestrator) buildReport() *Report {
 			revocations++
 		}
 	}
-	segments := o.segments
-	if segments == nil {
-		segments = []SegmentRecord{} // a run that deployed nothing still carries attribution
-	}
 	total, free := 0, 0
-	for _, seg := range segments {
+	for _, seg := range o.segments {
 		total += seg.Steps
 		if _, ok := refunded[seg.InstanceID]; ok {
 			free += seg.Steps
@@ -197,7 +193,7 @@ func (o *Orchestrator) buildReport() *Report {
 		Top:                 out.Top,
 		Best:                out.Best,
 		PerfObservations:    o.perf.Snapshot(),
-		Segments:            segments,
+		Segments:            o.segments,
 		Resilience:          o.res.Name(),
 		BaseType:            o.cfg.BaseType,
 		LostSteps:           o.lostSteps,
@@ -241,4 +237,25 @@ func (o *Orchestrator) buildReport() *Report {
 		})
 	}
 	return rep
+}
+
+// TrueBest returns the trial ID with the lowest ground-truth final metric —
+// the reference for Fig. 8c accuracy.
+func TrueBest(trials []*trial.Replay) (string, float64) {
+	best, val := "", math.Inf(1)
+	for _, tr := range trials {
+		if f := tr.TrueFinal(); f < val {
+			best, val = tr.ID(), f
+		}
+	}
+	return best, val
+}
+
+// TrueFinals maps every trial to its ground-truth final metric.
+func TrueFinals(trials []*trial.Replay) map[string]float64 {
+	out := make(map[string]float64, len(trials))
+	for _, tr := range trials {
+		out[tr.ID()] = tr.TrueFinal()
+	}
+	return out
 }

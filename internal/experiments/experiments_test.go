@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"spottune/internal/campaign"
+	"spottune/internal/core"
+	"spottune/internal/policy"
 )
 
 func quickCtx() *Context {
@@ -123,6 +125,57 @@ func TestFig7ShapeTargets(t *testing.T) {
 			t.Errorf("%s: baseline PCR not below SpotTune(0.7): %+v", wl, m)
 		}
 	}
+}
+
+// TestFig7FastestBaselineStaysOnM4_4xlarge fails if Fig 7 drops the
+// fastest baseline's BaseType: on this ResNet world the fastest-spot policy
+// left unanchored moves trials onto m4.2xlarge at hourly-restart redeploys,
+// and Fig 7's anchored run must rent m4.4xlarge only. The report's perf
+// observations name every type a trial ran on.
+func TestFig7FastestBaselineStaysOnM4_4xlarge(t *testing.T) {
+	ctx := NewContext(Options{Seed: 1, Scale: 0.3, Quick: true, Days: 8, Workloads: []string{"ResNet"}})
+	rented := func(rep *core.Report) map[string]bool {
+		types := map[string]bool{}
+		for _, e := range rep.PerfObservations {
+			types[e.TypeName] = true
+		}
+		return types
+	}
+
+	env, err := ctx.Env(campaign.PredictorConstant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := ctx.Bench("ResNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves, err := ctx.Curves("ResNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, err := env.RunPolicy(bench, curves, campaign.Options{Policy: policy.FastestName, Theta: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rented(free)["m4.2xlarge"] {
+		t.Fatalf("unanchored fastest-spot rented %v; the fixture no longer shows the drift", rented(free))
+	}
+
+	rows, err := Fig7(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Approach != ApproachFastest {
+			continue
+		}
+		if got := rented(r.Report); len(got) != 1 || !got["m4.4xlarge"] {
+			t.Fatalf("Fig 7 fastest baseline rented %v, want m4.4xlarge only", got)
+		}
+		return
+	}
+	t.Fatal("Fig 7 has no fastest baseline row")
 }
 
 func TestFig8ThetaTrends(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"spottune/internal/core"
 	"spottune/internal/earlycurve"
 	"spottune/internal/market"
+	"spottune/internal/policy"
 	"spottune/internal/revpred"
 	"spottune/internal/stats"
 )
@@ -156,6 +157,10 @@ type Fig7Row struct {
 
 // Fig7 runs the full cost/JCT/PCR comparison: SpotTune at θ=0.7 and θ=1.0
 // versus the cheapest and fastest single-spot baselines, on every workload.
+// The baselines are the cheapest-spot and fastest-spot policies at θ=1
+// through the same orchestrator as SpotTune, so they pay the same boot,
+// checkpoint, restore and hourly-restart overheads and get its plateau
+// stop.
 // The (workload × approach) grid fans out over a campaign.Sweep worker pool;
 // rows come back in the same deterministic order the sequential loop
 // produced them in.
@@ -190,10 +195,16 @@ func Fig7(ctx *Context) ([]Fig7Row, error) {
 				return env.RunSpotTune(bench, curves, campaign.Options{Theta: 1.0, Seed: ctx.Opts.Seed})
 			}},
 			{ApproachCheapest, func(*rand.Rand) (*core.Report, error) {
-				return env.RunSingleSpot(bench, curves, "r4.large", ctx.Opts.Seed)
+				return env.RunPolicy(bench, curves, campaign.Options{
+					Policy: policy.CheapestName, Theta: 1, Seed: ctx.Opts.Seed})
 			}},
 			{ApproachFastest, func(*rand.Rand) (*core.Report, error) {
-				return env.RunSingleSpot(bench, curves, "m4.4xlarge", ctx.Opts.Seed)
+				// m4.4xlarge is the only catalog type compatible with
+				// itself. Without the anchor, a trial whose measured
+				// m4.4xlarge step time exceeds another type's unmeasured
+				// estimate moves there at its hourly-restart redeploy.
+				return env.RunPolicy(bench, curves, campaign.Options{
+					Policy: policy.FastestName, Theta: 1, Seed: ctx.Opts.Seed, BaseType: "m4.4xlarge"})
 			}},
 		} {
 			cells = append(cells, cell{workload: name, approach: spec.label})
@@ -308,7 +319,7 @@ func Fig8(ctx *Context) ([]Fig8Row, []Fig8Accuracy, error) {
 		rep, c := res.Report, cells[i]
 		top1 := len(rep.Ranked) > 0 && rep.Ranked[0] == c.trueBest
 		top3 := false
-		for _, id := range rep.Ranked[:minInt(3, len(rep.Ranked))] {
+		for _, id := range rep.Ranked[:min(3, len(rep.Ranked))] {
 			if id == c.trueBest {
 				top3 = true
 			}
@@ -588,11 +599,4 @@ func CheckpointSpeeds() []CheckpointSpeedRow {
 		})
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

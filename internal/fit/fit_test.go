@@ -195,14 +195,12 @@ func TestLevenbergMarquardtExponential(t *testing.T) {
 		ts[i] = float64(i) * 0.3
 		ys[i] = 2 * math.Exp(-0.5*ts[i])
 	}
-	resFn := func(p []float64) []float64 {
-		out := make([]float64, len(ts))
+	resFn := func(p, out []float64) {
 		for i := range ts {
 			out[i] = p[0]*math.Exp(-p[1]*ts[i]) - ys[i]
 		}
-		return out
 	}
-	got, err := LevenbergMarquardt(resFn, []float64{1, 1}, LMOptions{})
+	got, err := LevenbergMarquardtInto(resFn, len(ts), []float64{1, 1}, LMOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +224,12 @@ func TestLevenbergMarquardtRational(t *testing.T) {
 		ks[i] = float64(i + 1)
 		ys[i] = model(truth, ks[i])
 	}
-	resFn := func(p []float64) []float64 {
-		out := make([]float64, len(ks))
+	resFn := func(p, out []float64) {
 		for i := range ks {
 			out[i] = model(p, ks[i]) - ys[i]
 		}
-		return out
 	}
-	got, err := LevenbergMarquardt(resFn, []float64{0.01, 0.01, 1, 0.1}, LMOptions{MaxIterations: 500})
+	got, err := LevenbergMarquardtInto(resFn, len(ks), []float64{0.01, 0.01, 1, 0.1}, LMOptions{MaxIterations: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +244,8 @@ func TestLevenbergMarquardtRational(t *testing.T) {
 }
 
 func TestLevenbergMarquardtBadStart(t *testing.T) {
-	resFn := func(p []float64) []float64 { return []float64{math.NaN()} }
-	if _, err := LevenbergMarquardt(resFn, []float64{1}, LMOptions{}); err == nil {
+	resFn := func(p, out []float64) { out[0] = math.NaN() }
+	if _, err := LevenbergMarquardtInto(resFn, 1, []float64{1}, LMOptions{}); err == nil {
 		t.Fatal("LM with NaN residual at start did not error")
 	}
 }
@@ -265,16 +261,16 @@ func TestLMMonotoneCostProperty(t *testing.T) {
 			ts[i] = float64(i) * 0.2
 			ys[i] = a*math.Exp(-b*ts[i]) + 0.01*rng.NormFloat64()
 		}
-		resFn := func(p []float64) []float64 {
-			out := make([]float64, len(ts))
+		resFn := func(p, out []float64) {
 			for i := range ts {
 				out[i] = p[0]*math.Exp(-p[1]*ts[i]) - ys[i]
 			}
-			return out
 		}
 		start := []float64{rng.Float64() * 4, rng.Float64()}
-		startCost := half2(resFn(start))
-		res, err := LevenbergMarquardt(resFn, start, LMOptions{MaxIterations: 50})
+		r0 := make([]float64, len(ts))
+		resFn(start, r0)
+		startCost := half2(r0)
+		res, err := LevenbergMarquardtInto(resFn, len(ts), start, LMOptions{MaxIterations: 50})
 		if err != nil {
 			return true
 		}

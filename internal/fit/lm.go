@@ -7,13 +7,9 @@ import (
 	"spottune/internal/kernels"
 )
 
-// ResidualFunc maps parameters to a residual vector r(θ); Levenberg–Marquardt
-// minimizes ||r(θ)||².
-type ResidualFunc func(params []float64) []float64
-
-// ResidualInto writes the residual vector for params into out — the
-// allocation-free form of ResidualFunc. The residual length is fixed by the
-// caller of LevenbergMarquardtInto.
+// ResidualInto writes the residual vector r(θ) for params into out;
+// Levenberg–Marquardt minimizes ||r(θ)||². The residual length is fixed by
+// the caller of LevenbergMarquardtInto.
 type ResidualInto func(params []float64, out []float64)
 
 // LMOptions tunes the Levenberg–Marquardt solver. Zero values select
@@ -58,8 +54,6 @@ type LMResult struct {
 // the starting point.
 var ErrBadResidual = errors.New("fit: residual function returned non-finite values at start")
 
-var errResidualLen = errors.New("fit: residual length changed during LM")
-
 // lmScratch holds every buffer one LM run needs; all of them are sized once
 // and reused across iterations, so the solver allocates nothing per
 // iteration regardless of how many damping retries it burns.
@@ -90,57 +84,18 @@ func newLMScratch(m, n int) *lmScratch {
 	}
 }
 
-// lmLenPanic aborts a wrapped LM run the moment the legacy ResidualFunc
-// changes its output length mid-run.
-type lmLenPanic struct{}
-
-// LevenbergMarquardt minimizes ½||r(θ)||² starting from init. The residual
-// function must return a fixed-length vector. The Jacobian is estimated by
-// forward differences. The returned cost is monotonically non-increasing
-// relative to the starting cost (steps that would increase it are rejected).
-func LevenbergMarquardt(r ResidualFunc, init []float64, opts LMOptions) (res LMResult, err error) {
-	first := r(init)
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := rec.(lmLenPanic); ok {
-				res, err = LMResult{}, errResidualLen
-				return
-			}
-			panic(rec)
-		}
-	}()
-	rInto := func(params, out []float64) {
-		v := r(params)
-		if len(v) != len(out) {
-			panic(lmLenPanic{})
-		}
-		copy(out, v)
-	}
-	return levenbergMarquardt(rInto, len(first), init, opts, first)
-}
-
-// LevenbergMarquardtInto is LevenbergMarquardt over a ResidualInto of fixed
-// residual length m. All solver state lives in one preallocated scratch, so
-// hot callers (EarlyCurve's staged refits) pay no per-iteration
-// allocations. The arithmetic — Jacobian estimation, normal equations,
-// damping schedule — is identical to the original solver.
+// LevenbergMarquardtInto minimizes ½||r(θ)||² starting from init, over a
+// residual of fixed length m. The Jacobian is estimated by forward
+// differences. The returned cost is monotonically non-increasing relative
+// to the starting cost (steps that would increase it are rejected). All
+// solver state lives in one preallocated scratch, so hot callers
+// (EarlyCurve's staged refits) pay no per-iteration allocations.
 func LevenbergMarquardtInto(r ResidualInto, m int, init []float64, opts LMOptions) (LMResult, error) {
-	return levenbergMarquardt(r, m, init, opts, nil)
-}
-
-// levenbergMarquardt is the shared solver core; res0, when non-nil, is the
-// already-evaluated residual at init (the legacy wrapper probes it to learn
-// the residual length and passes it on rather than evaluating twice).
-func levenbergMarquardt(r ResidualInto, m int, init []float64, opts LMOptions, res0 []float64) (LMResult, error) {
 	opts = opts.withDefaults()
 	n := len(init)
 	sc := newLMScratch(m, n)
 	params := append([]float64(nil), init...)
-	if res0 != nil {
-		copy(sc.res, res0)
-	} else {
-		r(params, sc.res)
-	}
+	r(params, sc.res)
 	if !allFinite(sc.res) {
 		return LMResult{}, ErrBadResidual
 	}

@@ -259,13 +259,9 @@ func checkReconciliation(st State, c *collector) {
 }
 
 // checkSegments audits step attribution: all progress ran on instances the
-// ledger saw alive, and the free-step split matches the refund split. Skipped
-// when the report carries no attribution (legacy baseline runs).
+// ledger saw alive, and the free-step split matches the refund split.
 func checkSegments(st State, c *collector) {
 	rep := st.Report
-	if rep.Segments == nil {
-		return
-	}
 	usage := make(map[string]int, len(st.Ledger.Records)) // ledger index per instance
 	for i, u := range st.Ledger.Records {
 		usage[u.InstanceID] = i

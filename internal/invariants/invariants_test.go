@@ -194,6 +194,11 @@ func TestEachCorruptionRaisesItsOwnCode(t *testing.T) {
 		{"step sum drift", CodeStepMismatch, func(t *testing.T, st *State) {
 			st.Report.TotalSteps = 500
 		}},
+		{"nil segments", CodeStepMismatch, func(t *testing.T, st *State) {
+			// Every report attributes its steps: progress without
+			// segments is unaccounted work.
+			st.Report.Segments = nil
+		}},
 		{"free step drift", CodeFreeStepMismatch, func(t *testing.T, st *State) {
 			st.Report.FreeSteps = 33
 		}},
@@ -275,14 +280,6 @@ func TestEachCorruptionRaisesItsOwnCode(t *testing.T) {
 func TestNilStateRejected(t *testing.T) {
 	if vs := Check(State{}); len(vs) == 0 {
 		t.Fatal("empty state passed")
-	}
-}
-
-func TestSegmentsOptionalForLegacyReports(t *testing.T) {
-	st := soundState(t)
-	st.Report.Segments = nil // legacy baseline runs carry no attribution
-	if vs := Check(st); len(vs) != 0 {
-		t.Fatalf("legacy report rejected: %v", vs)
 	}
 }
 

@@ -4,24 +4,25 @@ import "math"
 
 // The §IV-A4 Single-Spot baselines as policies over the shared orchestrator:
 // pick one instance type by a static criterion and bid so far above the
-// on-demand price that the instance is effectively never revoked. Unlike the
-// legacy core.RunSingleSpot loop they inherit the orchestrator's full trial
-// accounting (checkpoints, startup delays, per-segment throughput
-// observations), so baselines and SpotTune are measured by identical
-// machinery.
+// on-demand price that the instance is effectively never revoked. Run at
+// θ=1 they are the paper's Cheapest and Fastest baselines, measured by the
+// same machinery as SpotTune: boot, checkpoint, restore and hourly-restart
+// overheads, per-segment throughput observations, and the plateau stop.
+// fastest-spot ranks by the live perf estimate, so a campaign that must
+// stay on m4.4xlarge anchors it with BaseType "m4.4xlarge".
 
 func init() {
 	Register(CheapestName,
 		"Single-Spot baseline: cheapest type by on-demand price, never-revoked bid",
 		func(p Params) (Policy, error) {
 			return &singleSpot{name: CheapestName, pool: append([]string(nil), p.Pool...),
-				factor: p.MaxPriceFactor, pick: pickCheapest}, nil
+				pick: pickCheapest}, nil
 		})
 	Register(FastestName,
 		"Single-Spot baseline: fastest type by current perf estimate, never-revoked bid",
 		func(p Params) (Policy, error) {
 			return &singleSpot{name: FastestName, pool: append([]string(nil), p.Pool...),
-				factor: p.MaxPriceFactor, pick: pickFastest}, nil
+				pick: pickFastest}, nil
 		})
 	Register(OnDemandName,
 		"on-demand only: reliable capacity at the fixed quote, min cost per step",
@@ -31,12 +32,12 @@ func init() {
 }
 
 // singleSpot rents one statically chosen type on spot with a bid of
-// MaxPriceFactor × its on-demand price (the paper's no-preemption setup).
+// DefaultMaxPriceFactor × its on-demand price (the paper's no-preemption
+// setup).
 type singleSpot struct {
-	name   string
-	pool   []string
-	factor float64
-	pick   func(ctx Context, pool []string) (string, error)
+	name string
+	pool []string
+	pick func(ctx Context, pool []string) (string, error)
 }
 
 func (s *singleSpot) Name() string { return s.name }
@@ -56,7 +57,7 @@ func (s *singleSpot) Decide(ctx Context) (Request, error) {
 	}
 	return Request{
 		TypeName: name,
-		MaxPrice: od * s.factor,
+		MaxPrice: od * DefaultMaxPriceFactor,
 		AvgPrice: avg,
 		StepCost: ctx.SecPerStep(name) * avg,
 	}, nil

@@ -150,9 +150,6 @@ type Params struct {
 	// DeltaLow/DeltaHigh bound the spot bid delta (defaults to the
 	// paper's interval when DeltaHigh <= 0).
 	DeltaLow, DeltaHigh float64
-	// MaxPriceFactor is the baseline never-revoked bid multiple
-	// (default 1000).
-	MaxPriceFactor float64
 	// FallbackAfter is the consecutive spot-failure count after which the
 	// fallback policy swaps to on-demand (default 2).
 	FallbackAfter int
@@ -179,9 +176,6 @@ type Params struct {
 func (p Params) withDefaults() Params {
 	if p.DeltaHigh <= 0 {
 		p.DeltaLow, p.DeltaHigh = DefaultDeltaLow, DefaultDeltaHigh
-	}
-	if p.MaxPriceFactor <= 0 {
-		p.MaxPriceFactor = DefaultMaxPriceFactor
 	}
 	if p.FallbackAfter <= 0 {
 		p.FallbackAfter = 2

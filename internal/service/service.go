@@ -18,11 +18,13 @@
 // ErrTenantPanicked, its running instances are terminated, and the rest of
 // its wave runs on.
 //
-// Memory is bounded per shard, not per tenant: one event-node pool and one
-// curve-fit memo per shard, one ground-truth perf cache per in-flight slot,
-// and results stream out through an in-order emitter exactly like the
-// scenario matrix runner — a 10k-tenant day holds shard-count × in-flight
-// state, never 10k campaign states.
+// Memory is bounded per shard, not per tenant: one event-node pool per
+// shard, and results stream out through an in-order emitter exactly like
+// the scenario matrix runner — a 10k-tenant day holds shard-count ×
+// in-flight state, never 10k campaign states. Shards own no caches: every
+// tenant has its own seed, so per-shard ground-truth caches would never
+// hit, and tenants solve their EarlyCurve fits on the environment's shared
+// stage-fit memo.
 package service
 
 import (
@@ -37,13 +39,11 @@ import (
 	"spottune/internal/campaign"
 	"spottune/internal/cloudsim"
 	"spottune/internal/core"
-	"spottune/internal/earlycurve"
 	"spottune/internal/invariants"
 	"spottune/internal/obs"
 	"spottune/internal/scenario"
 	"spottune/internal/simclock"
 	"spottune/internal/stats"
-	"spottune/internal/trial"
 	"spottune/internal/workload"
 )
 
@@ -210,7 +210,6 @@ type pendingTenant struct {
 	emit  int // admission position: the emitter's ordering key
 	rank  int // admitted-only rank: the backpressure key
 	wave  int
-	slot  int // in-wave slot = per-shard PerfCache identity
 }
 
 // flow is the emitter-side backpressure valve: shards may not open a wave
@@ -249,16 +248,12 @@ func (f *flow) wait(maxRank, window int) {
 	f.mu.Unlock()
 }
 
-// shardState is the per-shard bounded working set: the event-node pool and
-// fit memo persist across the shard's whole run; perf caches are per
-// in-flight slot because ground-truth curves are world-keyed (a slot hosts
-// one tenant per wave, so its cache is never shared mid-campaign).
+// shardState is the per-shard bounded working set: the event-node pool
+// persists across the shard's whole run.
 type shardState struct {
 	idx   int
 	queue []pendingTenant
 	pool  *simclock.NodePool
-	memo  *earlycurve.FitMemo
-	perf  []*trial.PerfCache
 }
 
 // Run executes the tenant battery against the environment and streams
@@ -312,15 +307,7 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 	// Admission caps, shard assignment, and wave layout.
 	shards := make([]*shardState, cfg.Shards)
 	for s := range shards {
-		shards[s] = &shardState{
-			idx:  s,
-			pool: simclock.NewNodePool(),
-			memo: earlycurve.NewFitMemo(),
-			perf: make([]*trial.PerfCache, cfg.MaxInFlight),
-		}
-		for k := range shards[s].perf {
-			shards[s].perf[k] = trial.NewPerfCache()
-		}
+		shards[s] = &shardState{idx: s, pool: simclock.NewNodePool()}
 	}
 	type decision struct {
 		admitted bool
@@ -345,7 +332,7 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 			qpos := len(sh.queue)
 			d.wave = qpos / cfg.MaxInFlight
 			sh.queue = append(sh.queue, pendingTenant{
-				t: t, index: i, emit: pos, rank: next, wave: d.wave, slot: qpos % cfg.MaxInFlight,
+				t: t, index: i, emit: pos, rank: next, wave: d.wave,
 			})
 			next++
 		}
@@ -502,7 +489,7 @@ func runWave(env *campaign.Environment, bench *workload.Benchmark, curves worklo
 
 	clk := simclock.NewVirtual(env.CampaignStart)
 	clk.SetNodePool(sh.pool)
-	w := &waveWorld{env: env, bench: bench, curves: curves, sh: sh, cfg: cfg,
+	w := &waveWorld{env: env, bench: bench, curves: curves, cfg: cfg,
 		world: &campaign.World{Clock: clk}}
 	if capMarkets != nil {
 		w.world.Markets = capMarkets
@@ -557,7 +544,6 @@ type waveWorld struct {
 	env    *campaign.Environment
 	bench  *workload.Benchmark
 	curves workload.Curves
-	sh     *shardState
 	world  *campaign.World
 	cfg    Config
 }
@@ -612,8 +598,7 @@ func (w *waveWorld) turn(tr *tenantRun) (over bool) {
 	return true
 }
 
-// start assembles the slot's campaign inside the wave's shared world, on
-// the shard's fit memo and the slot's perf cache.
+// start assembles the slot's campaign inside the wave's shared world.
 func (w *waveWorld) start(tr *tenantRun) (*campaign.Run, error) {
 	p := tr.p
 	opt := campaign.Options{
@@ -625,8 +610,6 @@ func (w *waveWorld) start(tr *tenantRun) (*campaign.Run, error) {
 		Deadline:   p.t.Deadline,
 		Budget:     p.t.Budget,
 		BaseType:   p.t.BaseType,
-		Trend:      &earlycurve.Predictor{Memo: w.sh.memo},
-		PerfCache:  w.sh.perf[p.slot],
 		World:      w.world,
 		Trace:      w.cfg.TraceTenant != "" && w.cfg.TraceTenant == p.t.ID,
 	}

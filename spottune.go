@@ -18,12 +18,14 @@
 // simulated transient cloud (synthetic spot markets, EC2-like
 // revocation/refund semantics, on-demand capacity, an S3-like object
 // store), the Table II workload suite backed by real pure-Go trainers, and
-// runners for SpotTune and the paper's Single-Spot baselines. Provisioning
-// is a pluggable policy engine: Eq. 1–2 is the "spottune" policy, and the
-// registry also ships Single-Spot baselines, a pure on-demand strategy, an
-// AutoSpotting-style spot-with-on-demand fallback, and a DeepVM-style mixed
-// fleet — all runnable through the same orchestrator and comparable via
-// Environment.RunPolicy or policy-dimension sweeps. The search strategy is
+// one campaign runner for SpotTune and every baseline. Provisioning is a
+// pluggable policy engine: Eq. 1–2 is the "spottune" policy, and the
+// registry also ships the paper's Single-Spot baselines (PolicyCheapest,
+// and PolicyFastest anchored with BaseType "m4.4xlarge", both at θ=1), a
+// pure on-demand strategy, an AutoSpotting-style spot-with-on-demand
+// fallback, and a DeepVM-style mixed fleet — all runnable through the same
+// orchestrator and comparable via Environment.RunPolicy or
+// policy-dimension sweeps. The search strategy is
 // equally pluggable: the trial lifecycle (round budgets, early shutdown,
 // final ranking) is owned by a tuner from the search registry — the paper's
 // Algorithm 1 schedule ("spottune", the default), successive halving,
@@ -77,7 +79,7 @@ type (
 	EnvOptions = campaign.EnvOptions
 	// Environment is an assembled simulated cloud.
 	Environment = campaign.Environment
-	// CampaignOptions tunes one SpotTune run.
+	// CampaignOptions tunes one campaign run.
 	CampaignOptions = campaign.Options
 	// TrendPredictor extrapolates final metrics from partial curves.
 	TrendPredictor = earlycurve.TrendPredictor
@@ -123,7 +125,9 @@ const (
 
 // Registered provisioning-policy names (Environment.RunPolicy /
 // CampaignOptions.Policy). PolicySpotTune is the paper's Eq. 1–2
-// provisioner and the default.
+// provisioner and the default. PolicyCheapest and PolicyFastest at Theta 1
+// are the §IV-A4 Single-Spot baselines; Fig. 7 anchors PolicyFastest with
+// BaseType "m4.4xlarge" so it never leaves that type.
 const (
 	PolicySpotTune   = policy.SpotTuneName
 	PolicyCheapest   = policy.CheapestName

@@ -50,11 +50,11 @@ func TestEndToEndCampaignAndBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cheap, err := env.RunSingleSpot(bench, curves, "r4.large", 1)
+	cheap, err := env.RunPolicy(bench, curves, CampaignOptions{Policy: PolicyCheapest, Theta: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := env.RunSingleSpot(bench, curves, "m4.4xlarge", 1)
+	fast, err := env.RunPolicy(bench, curves, CampaignOptions{Policy: PolicyFastest, Theta: 1, Seed: 1, BaseType: "m4.4xlarge"})
 	if err != nil {
 		t.Fatal(err)
 	}
