@@ -36,6 +36,7 @@ import (
 	"spottune/internal/service"
 	"spottune/internal/simclock"
 	"spottune/internal/trial"
+	"spottune/internal/workload"
 
 	"math/rand/v2"
 )
@@ -369,6 +370,93 @@ func BenchmarkGBTRound(b *testing.B) {
 		m := mltrain.NewGBTRegressor(5, 4)
 		m.TrainStep(train, idx, 0.3)
 	}
+}
+
+// BenchmarkStoreQuotes measures the packed market store's three quotes over
+// a generated 3-day DefaultSpecs set: a trailing-hour AvgOver (the price
+// term of Eq. 1), PriceAt, and FirstExceed with bids up to 50% over the
+// current price. One op is 1,024 queries at seeded instants; ns/quote is
+// the cost of one call.
+func BenchmarkStoreQuotes(b *testing.B) {
+	specs, err := market.DefaultSpecs(market.DefaultCatalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := campaign.DefaultStart()
+	set, err := market.GenerateSet(specs, start, start.Add(72*time.Hour), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := market.NewStore(set)
+	type query struct {
+		ti  int
+		at  time.Time
+		bid float64
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	qs := make([]query, 1024)
+	for i := range qs {
+		ti := rng.IntN(len(store.Names()))
+		at := start.Add(time.Hour + time.Duration(rng.Int64N(int64(70*time.Hour))))
+		p, _ := store.PriceAt(ti, at)
+		qs[i] = query{ti: ti, at: at, bid: p * (1 + 0.5*rng.Float64())}
+	}
+	for _, bc := range []struct {
+		name  string
+		quote func(q query) float64
+	}{
+		{"AvgOver", func(q query) float64 {
+			avg, _ := store.AvgOver(q.ti, q.at.Add(-time.Hour), q.at)
+			return avg
+		}},
+		{"PriceAt", func(q query) float64 { p, _ := store.PriceAt(q.ti, q.at); return p }},
+		{"FirstExceed", func(q query) float64 {
+			at, _ := store.FirstExceed(q.ti, q.at, q.bid)
+			return float64(at.Unix())
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, q := range qs {
+					benchSink += bc.quote(q)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/quote")
+		})
+	}
+}
+
+// benchSink keeps the micro benchmarks' results live.
+var benchSink float64
+
+// BenchmarkStepNoise measures ground-truth step-time draws through the LoR
+// benchmark's noisy perf model: one op walks 64 steps on each of 4 instance
+// types × 4 HP settings, one pair at a time as Replay.cumFor does (1,024
+// draws); ns/draw is the cost of one StepSeconds call.
+func BenchmarkStepNoise(b *testing.B) {
+	bench := workload.LoR(workload.Config{Scale: 0.05})
+	perf := bench.PerfModel(1)
+	cat := market.DefaultCatalog()
+	var types []market.InstanceType
+	for _, name := range cat.Names()[:4] {
+		it, _ := cat.Lookup(name)
+		types = append(types, it)
+	}
+	hps := bench.HPs[:4]
+	const steps = 64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, it := range types {
+			for _, hp := range hps {
+				for step := 0; step < steps; step++ {
+					benchSink += perf.StepSeconds(it, hp.ID, step)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(types)*len(hps)*steps), "ns/draw")
 }
 
 // BenchmarkRevPredInference measures one provisioning-time probability

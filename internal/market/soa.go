@@ -7,30 +7,64 @@ import (
 	"time"
 )
 
+const (
+	// bucketRecords caps the mean number of records per time bucket of a
+	// trace's record index: a query lands in its bucket in O(1) and bisects
+	// at most a handful of records there.
+	bucketRecords = 8
+	// blockRecords is how many consecutive records of the flat buffers one
+	// FirstExceed price maximum covers.
+	blockRecords = 16
+)
+
 // Store is a TraceSet packed into structure-of-arrays form: every trace's
-// timestamps and prices live in two shared flat buffers, addressed by
-// per-trace offset spans. The hot simulator queries (PriceAt, AvgOver,
-// firstExceed) then run as binary searches and linear walks over contiguous
-// int64/float64 arrays instead of per-record time.Time comparisons through
-// sort.Search closures — the dominant cost of a sweep cell before this
-// layout existed.
+// timestamps and prices live in shared flat buffers, addressed by per-trace
+// spans. The hot simulator queries (PriceAt, AvgOver, FirstExceed) run over
+// contiguous int64/float64 arrays instead of per-record time.Time
+// comparisons through sort.Search closures.
+//
+// Three derived arrays make each query cheap:
+//
+//   - a record index per trace: the trace's time span cut into equal
+//     power-of-two buckets holding at most bucketRecords records on average,
+//     each bucket storing the first record at or after its start, so an
+//     instant's record is one shift and a short bisection away;
+//   - secs, each record's whole segment to the next record in seconds
+//     (time.Duration.Seconds of the spacing), so AvgOver's interior is a
+//     branch-free sum;
+//   - blockMax, the highest price of every blockRecords-record block, so
+//     FirstExceed skips blocks that cannot beat the bid.
+//
+// Timestamps are kept only as Unix nanoseconds, so FirstExceed returns a
+// record's instant in UTC.
 //
 // Every query is arithmetic-identical to its Trace counterpart: same
 // floating-point operations in the same order, so a campaign driven through
 // a Store is bit-identical to one driven through the Traces it was packed
-// from. trace_test.go pins that equivalence property-style.
+// from. soa_test.go and FuzzStoreMatchesTrace pin that equivalence.
 //
 // A Store is immutable after NewStore and safe for concurrent readers, so
 // one Store is shared by every cluster (and every sweep worker) built from
 // the same environment.
 type Store struct {
-	atNanos []int64   // all traces' timestamps, trace-major
-	prices  []float64 // parallel to atNanos
-	ats     []time.Time
+	atNanos  []int64   // all traces' timestamps, trace-major
+	prices   []float64 // parallel to atNanos
+	secs     []float64 // parallel to atNanos; 0 on each trace's last record
+	blockMax []float64 // max of prices[k·blockRecords : (k+1)·blockRecords]
+	buckets  []int32   // every trace's bucket boundaries into the flat buffers
+	traces   []traceIndex
 
-	names   []string // sorted trace names
-	offsets []int32  // len(names)+1 span boundaries into the flat buffers
-	index   map[string]int
+	names []string // sorted trace names
+	index map[string]int
+}
+
+// traceIndex locates one trace in the flat buffers and its record index in
+// Store.buckets.
+type traceIndex struct {
+	lo, hi      int32 // [lo, hi) span into the flat buffers
+	bucket      int32 // the trace's first boundary in Store.buckets
+	shift       uint8 // buckets are 1<<shift nanoseconds wide
+	first, last int64 // first and last record timestamps
 }
 
 // NewStore packs a validated TraceSet. Traces are laid out in sorted-name
@@ -44,23 +78,64 @@ func NewStore(ts TraceSet) *Store {
 	}
 	sort.Strings(names)
 	s := &Store{
-		atNanos: make([]int64, 0, total),
-		prices:  make([]float64, 0, total),
-		ats:     make([]time.Time, 0, total),
-		names:   names,
-		offsets: make([]int32, 1, len(names)+1),
-		index:   make(map[string]int, len(names)),
+		atNanos:  make([]int64, 0, total),
+		prices:   make([]float64, 0, total),
+		secs:     make([]float64, total),
+		blockMax: make([]float64, (total+blockRecords-1)/blockRecords),
+		traces:   make([]traceIndex, len(names)),
+		names:    names,
+		index:    make(map[string]int, len(names)),
 	}
 	for i, name := range names {
 		s.index[name] = i
+		lo := len(s.atNanos)
 		for _, r := range ts[name].Records {
 			s.atNanos = append(s.atNanos, r.At.UnixNano())
 			s.prices = append(s.prices, r.Price)
-			s.ats = append(s.ats, r.At)
 		}
-		s.offsets = append(s.offsets, int32(len(s.atNanos)))
+		s.indexTrace(&s.traces[i], lo, len(s.atNanos))
+	}
+	for k := range s.atNanos {
+		if b := k / blockRecords; k%blockRecords == 0 || s.prices[k] > s.blockMax[b] {
+			s.blockMax[b] = s.prices[k]
+		}
 	}
 	return s
+}
+
+// indexTrace fills one trace's spacing seconds and bucket boundaries. The
+// buckets are the widest power of two that keeps the mean at or below
+// bucketRecords records; boundary b counts the records before bucket b's
+// start. The boundary sweep only moves forward, so the boundaries stay
+// ordered (and every query in range) even for timestamps that are not.
+func (s *Store) indexTrace(tr *traceIndex, lo, hi int) {
+	tr.lo, tr.hi, tr.bucket = int32(lo), int32(hi), int32(len(s.buckets))
+	if lo == hi {
+		return
+	}
+	at := s.atNanos
+	for k := lo; k+1 < hi; k++ {
+		s.secs[k] = time.Duration(at[k+1] - at[k]).Seconds()
+	}
+	tr.first, tr.last = at[lo], at[hi-1]
+	span := uint64(tr.last) - uint64(tr.first)
+	want := uint64((hi - lo + bucketRecords - 1) / bucketRecords)
+	shift := uint8(63)
+	for shift > 0 && span>>shift+1 < want {
+		shift--
+	}
+	tr.shift = shift
+	nb := span>>shift + 1
+	s.buckets = append(s.buckets, int32(lo))
+	k := lo
+	for b := uint64(1); b < nb; b++ {
+		start := b << shift
+		for k < hi && uint64(at[k])-uint64(tr.first) < start {
+			k++
+		}
+		s.buckets = append(s.buckets, int32(k))
+	}
+	s.buckets = append(s.buckets, int32(hi))
 }
 
 // Lookup resolves a trace name to its index. Hot paths resolve once and then
@@ -73,22 +148,34 @@ func (s *Store) Lookup(name string) (int, bool) {
 // Names returns the packed trace names in layout (sorted) order.
 func (s *Store) Names() []string { return s.names }
 
-// span returns the trace's [lo, hi) window into the flat buffers.
-func (s *Store) span(ti int) (lo, hi int) {
-	return int(s.offsets[ti]), int(s.offsets[ti+1])
-}
-
-// searchAfter returns the first index in at with a timestamp strictly after
-// tNanos — the flat-buffer equivalent of sort.Search over Record.At.After.
-func searchAfter(at []int64, tNanos int64) int {
-	lo, hi := 0, len(at)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if at[mid] <= tNanos {
-			lo = mid + 1
-		} else {
-			hi = mid
+// searchAfter returns the flat index of the trace's first record strictly
+// after tNanos (tr.hi when there is none) — the flat-buffer equivalent of
+// sort.Search over Record.At.After. An instant inside the trace's span
+// falls in bucket (tNanos−first)>>shift, whose boundaries bracket the
+// answer; a bisection between them finds it.
+func (s *Store) searchAfter(tr *traceIndex, tNanos int64) int {
+	if tNanos < tr.first {
+		return int(tr.lo)
+	}
+	if tNanos >= tr.last {
+		return int(tr.hi)
+	}
+	b := int(tr.bucket) + int((uint64(tNanos)-uint64(tr.first))>>tr.shift)
+	lo, n := int(s.buckets[b]), int(s.buckets[b+1]-s.buckets[b])
+	if n == 0 {
+		return lo
+	}
+	// Bisect, keeping the answer in [lo, lo+n].
+	at := s.atNanos
+	for n > 1 {
+		half := n >> 1
+		if at[lo+half] <= tNanos {
+			lo += half
 		}
+		n -= half
+	}
+	if at[lo] <= tNanos {
+		lo++
 	}
 	return lo
 }
@@ -97,13 +184,13 @@ func searchAfter(at []int64, tNanos int64) int {
 // or before t, extrapolating the first record backward (ok=false) and the
 // last record forward (hold-last-price, ok=true).
 func (s *Store) PriceAt(ti int, t time.Time) (price float64, ok bool) {
-	lo, hi := s.span(ti)
-	if lo == hi {
+	tr := &s.traces[ti]
+	if tr.lo == tr.hi {
 		return 0, false
 	}
-	i := lo + searchAfter(s.atNanos[lo:hi], t.UnixNano())
-	if i == lo {
-		return s.prices[lo], false
+	i := s.searchAfter(tr, t.UnixNano())
+	if i == int(tr.lo) {
+		return s.prices[i], false
 	}
 	return s.prices[i-1], true
 }
@@ -111,69 +198,59 @@ func (s *Store) PriceAt(ti int, t time.Time) (price float64, ok bool) {
 // AvgOver is Trace.AvgOver by trace index: the time-weighted average price
 // over [from, to), segment by segment in the same floating-point order.
 //
-// Each segment's seconds value is time.Duration.Seconds of its spacing, as
-// in Trace.AvgOver. Consecutive segments of equal spacing (the 1-minute grid
-// of every generated trace) reuse the value computed for the previous one
-// instead of converting again: the conversion is a pure function of the
-// spacing, so the reuse is exact and the sum runs the same multiplies and
-// adds in the same order.
+// Records i..j−1 fall inside (from, to). The window is the partial segment
+// [from, at[i]) at the price in force at from, the whole segments
+// [at[k], at[k+1]) for k in [i, j−1) at prices[k] × secs[k], and the
+// closing partial [at[j−1], to); with no record inside, it is one segment.
+// Every seconds value is time.Duration.Seconds of the same spacing
+// Trace.AvgOver converts, so the sum runs the same multiplies and adds in
+// the same order.
 func (s *Store) AvgOver(ti int, from, to time.Time) (float64, error) {
 	if !from.Before(to) {
 		return 0, fmt.Errorf("market: AvgOver with from %v >= to %v", from, to)
 	}
-	lo, hi := s.span(ti)
-	if lo == hi {
+	tr := &s.traces[ti]
+	if tr.lo == tr.hi {
 		return 0, errors.New("market: trace has no records")
 	}
-	at := s.atNanos[lo:hi]
-	pr := s.prices[lo:hi]
-	n := len(at)
 	fromNanos, toNanos := from.UnixNano(), to.UnixNano()
-	// Equal lengths let the compiler drop the bounds check on pr[i] below.
-	pr = pr[:n]
-
-	i := searchAfter(at, fromNanos)
-	var p float64
-	if i == 0 {
-		p = pr[0]
-	} else {
-		p = pr[i-1]
-	}
+	i := s.searchAfter(tr, fromNanos)
+	j := s.searchAfter(tr, toNanos-1) // first record at or after to
+	p := s.prices[max(i-1, int(tr.lo))]
 	sum := 0.0 // price·seconds
-	cursor := fromNanos
-	// span/secs cache the last segment's spacing and its seconds value; the
-	// zero spacing converts to zero seconds, so the initial pair is exact too.
-	var span int64
-	secs := 0.0
-	// Segments that end on a record inside the window: [from, at[i]),
-	// [at[i], at[i+1]), ... — each priced at the record in force before it.
-	for ; i < n && at[i] < toNanos; i++ {
-		if d := at[i] - cursor; d != span {
-			span, secs = d, time.Duration(d).Seconds()
+	if j <= i {
+		sum += p * time.Duration(toNanos-fromNanos).Seconds()
+	} else {
+		sum += p * time.Duration(s.atNanos[i]-fromNanos).Seconds()
+		pr := s.prices[i : j-1]
+		secs := s.secs[i : j-1]
+		secs = secs[:len(pr)] // equal lengths drop the bounds check below
+		for k := range pr {
+			sum += pr[k] * secs[k]
 		}
-		sum += p * secs
-		cursor, p = at[i], pr[i]
+		sum += s.prices[j-1] * time.Duration(toNanos-s.atNanos[j-1]).Seconds()
 	}
-	// The closing segment [cursor, to).
-	if d := toNanos - cursor; d != span {
-		secs = time.Duration(d).Seconds()
-	}
-	sum += p * secs
 	return sum / time.Duration(toNanos-fromNanos).Seconds(), nil
 }
 
 // FirstExceed returns the first instant strictly after `after` at which the
 // market price rises above maxPrice, under the hold-last-price contract: a
 // trace whose remaining records never exceed maxPrice reports found=false
-// (the held final price cannot cross it). The returned time is the original
-// record timestamp, so downstream scheduling is identical to the Trace path.
+// (the held final price cannot cross it). Blocks whose maximum does not
+// exceed maxPrice are skipped whole. The instant is the record's timestamp
+// in UTC; callers compare instants only, so scheduling is identical to the
+// Trace path.
 func (s *Store) FirstExceed(ti int, after time.Time, maxPrice float64) (time.Time, bool) {
-	lo, hi := s.span(ti)
-	at := s.atNanos[lo:hi]
-	i := lo + searchAfter(at, after.UnixNano())
-	for ; i < hi; i++ {
-		if s.prices[i] > maxPrice {
-			return s.ats[i], true
+	tr := &s.traces[ti]
+	i, hi := s.searchAfter(tr, after.UnixNano()), int(tr.hi)
+	for i < hi {
+		switch {
+		case i%blockRecords == 0 && s.blockMax[i/blockRecords] <= maxPrice:
+			i += blockRecords
+		case s.prices[i] > maxPrice:
+			return time.Unix(0, s.atNanos[i]).UTC(), true
+		default:
+			i++
 		}
 	}
 	return time.Time{}, false

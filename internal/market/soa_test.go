@@ -71,7 +71,9 @@ func queryInstants(rng *rand.Rand, tr *Trace, n int) []time.Time {
 	}
 	span := tr.End().Sub(tr.Start())
 	for i := 0; i < n; i++ {
-		out = append(out, tr.Start().Add(time.Duration(rng.Int64N(int64(span)))))
+		if span > 0 { // a one-record trace has no inside
+			out = append(out, tr.Start().Add(time.Duration(rng.Int64N(int64(span)))))
+		}
 		// Record boundaries and their 1ns neighbours are the step edges.
 		r := tr.Records[rng.IntN(len(tr.Records))]
 		out = append(out, r.At, r.At.Add(-time.Nanosecond), r.At.Add(time.Nanosecond))

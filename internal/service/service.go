@@ -99,8 +99,9 @@ var ErrTenantPanicked = errors.New("service: tenant panicked")
 // Config tunes one service run.
 type Config struct {
 	// Shards is the number of independent world shards (default 1). Each
-	// shard owns its own clock epoch, capacity domain, node pool, and fit
-	// memo; tenants are assigned round-robin in admission order.
+	// shard runs its waves in turn on one goroutine and owns an event-node
+	// pool but no caches; every wave gets its own clock epoch and capacity
+	// domain. Tenants are assigned round-robin in admission order.
 	Shards int
 	// MaxInFlight caps concurrently-open campaigns per shard (default 8):
 	// a shard runs its tenants in waves of this size, each wave sharing

@@ -21,7 +21,7 @@ import (
 
 // testWorld builds the small shared fixture: a 5-day calm market with a
 // constant predictor and quick synthetic curves.
-func testWorld(t *testing.T) (*campaign.Environment, *workload.Benchmark, workload.Curves) {
+func testWorld(t testing.TB) (*campaign.Environment, *workload.Benchmark, workload.Curves) {
 	t.Helper()
 	env, err := campaign.NewEnvironment(campaign.EnvOptions{
 		Seed: 11, Days: 5, TrainDays: 2, Predictor: campaign.PredictorConstant,

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"spottune/internal/earlycurve"
 	"spottune/internal/market"
@@ -547,19 +548,24 @@ type NoisyPerf struct {
 	Seed uint64
 
 	// lastInst/lastHP memoize the step-invariant parts of the last
-	// (instance, hp) pair scored: the base seconds and the hash prefix over
-	// the identifying strings. Callers walk steps of one pair at a time
-	// (Replay.cumFor), so a single entry removes the per-step base model
-	// call and half the string hashing. One campaign owns one NoisyPerf on
-	// one goroutine, so the memo needs no locking.
+	// (instance, hp) pair scored: the base seconds, the hash prefix over
+	// the identifying strings, and the two strings' FNV tables. Callers
+	// walk steps of one pair at a time (Replay.cumFor), so a single entry
+	// removes the per-step base model call and table lookups. One campaign
+	// owns one NoisyPerf on one goroutine, so the memo needs no locking.
 	lastInst, lastHP string
 	lastBase         float64
 	lastPre          uint64
+	instFold, hpFold *fnvString
 }
 
 var _ PerfModel = (*NoisyPerf)(nil)
 
-// StepSeconds implements PerfModel.
+// StepSeconds implements PerfModel. The noise is a Box–Muller transform
+// over two hash-derived uniforms: u1 from the (seed, inst, hp) prefix and
+// the step's bytes, u2 from a second FNV-1a pass over u1's state, the hp
+// and instance names and a scrambled step. The name folds run through
+// fnvString tables, bit-identical to folding byte by byte.
 func (n *NoisyPerf) StepSeconds(it market.InstanceType, hpID string, step int) float64 {
 	if n.COV <= 0 {
 		return n.Base(it, hpID)
@@ -567,9 +573,17 @@ func (n *NoisyPerf) StepSeconds(it market.InstanceType, hpID string, step int) f
 	if it.Name != n.lastInst || hpID != n.lastHP {
 		n.lastInst, n.lastHP = it.Name, hpID
 		n.lastBase = n.Base(it, hpID)
-		n.lastPre = fnvPrefix(n.Seed, it.Name, hpID)
+		n.instFold, n.hpFold = fnvStringOf(it.Name), fnvStringOf(hpID)
+		n.lastPre = n.hpFold.fold(n.instFold.fold(fnvOffset ^ n.Seed))
 	}
-	z := hashGaussPre(n.lastPre, it.Name, hpID, step)
+	h := fnvTail(n.lastPre, uint64(step))
+	u1 := float64(h>>11) / float64(1<<53)
+	h2 := fnvTail(n.instFold.fold(n.hpFold.fold(fnvOffset^h)), uint64(step)*2654435761)
+	u2 := float64(h2>>11) / float64(1<<53)
+	if u1 < 1e-12 {
+		u1 = 1e-12
+	}
+	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	f := 1 + n.COV*z
 	if f < 0.5 {
 		f = 0.5
@@ -577,39 +591,17 @@ func (n *NoisyPerf) StepSeconds(it market.InstanceType, hpID string, step int) f
 	return n.lastBase * f
 }
 
-// hashGauss maps the tuple to a deterministic standard-normal-ish value via
-// a Box–Muller transform over two hash-derived uniforms.
-func hashGauss(seed uint64, inst, hp string, step int) float64 {
-	return hashGaussPre(fnvPrefix(seed, inst, hp), inst, hp, step)
-}
+const (
+	fnvOffset uint64 = 1469598103934665603
+	fnvPrime  uint64 = 1099511628211
+)
 
-// hashGaussPre is hashGauss with the (seed, inst, hp) hash prefix already
-// mixed — bit-identical, since FNV folds bytes strictly left to right.
-func hashGaussPre(pre uint64, inst, hp string, step int) float64 {
-	h := fnvTail(pre, uint64(step))
-	u1 := float64(h>>11) / float64(1<<53)
-	h2 := fnv64(h, hp, inst, uint64(step)*2654435761)
-	u2 := float64(h2>>11) / float64(1<<53)
-	if u1 < 1e-12 {
-		u1 = 1e-12
-	}
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
-func fnv64(seed uint64, a, b string, c uint64) uint64 {
-	return fnvTail(fnvPrefix(seed, a, b), c)
-}
-
-// fnvPrefix folds the two strings into the seeded FNV-1a state.
-func fnvPrefix(seed uint64, a, b string) uint64 {
-	h := uint64(1469598103934665603) ^ seed
-	for i := 0; i < len(a); i++ {
-		h ^= uint64(a[i])
-		h *= 1099511628211
-	}
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
+// fnvFold folds the bytes of s into the running FNV-1a state, one xor and
+// one multiply a byte. It is the reference fnvString reproduces.
+func fnvFold(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
 	}
 	return h
 }
@@ -618,7 +610,48 @@ func fnvPrefix(seed uint64, a, b string) uint64 {
 func fnvTail(h, c uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h ^= uint64(byte(c >> (8 * i)))
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
+}
+
+// fnvString is fnvFold over one fixed string as an affine map of the
+// incoming state, f_s(h) = h·mul + add[h&0xff] (mod 2^64) with
+// mul = P^len(s): xor with a byte changes only the state's low byte, and a
+// product's low byte depends only on its factors' low bytes, so the fold of
+// h differs from h·mul by a term that depends on h&0xff alone (DESIGN.md,
+// "Step-noise identity").
+type fnvString struct {
+	mul uint64
+	add [256]uint64
+}
+
+func newFNVString(s string) *fnvString {
+	t := &fnvString{mul: 1}
+	for range len(s) {
+		t.mul *= fnvPrime
+	}
+	for x := range t.add {
+		t.add[x] = fnvFold(uint64(x), s) - uint64(x)*t.mul
+	}
+	return t
+}
+
+// fold is fnvFold(h, s) for the table's string s.
+func (t *fnvString) fold(h uint64) uint64 { return h*t.mul + t.add[byte(h)] }
+
+// fnvStrings holds one table per distinct string, built on first use and
+// shared by every campaign: instance type names and HP IDs are few, and a
+// table is about 2 KB.
+var fnvStrings sync.Map // string → *fnvString
+
+// fnvStringOf returns the shared table for s, building it on first use.
+// Goroutines racing on a new string build equal tables, and all of them get
+// the one stored first.
+func fnvStringOf(s string) *fnvString {
+	if t, ok := fnvStrings.Load(s); ok {
+		return t.(*fnvString)
+	}
+	t, _ := fnvStrings.LoadOrStore(s, newFNVString(s))
+	return t.(*fnvString)
 }
