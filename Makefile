@@ -29,10 +29,10 @@ test-short:
 # -benchmem into BENCH_perf.json (ns/op + allocs/op, diffed against the
 # committed pre-optimization baseline in BENCH_baseline.json — benchperf
 # prints the delta table and fails the recipe when any tracked benchmark
-# regresses past its threshold; StoreQuotes and StepNoise have no baseline
-# entry, so they are recorded, not gated; the CI lane runs at 20% because shared
-# 1–2 core runners jitter close to the 10% default). All JSON artifacts
-# are uploaded by CI.
+# regresses past its threshold; StoreQuotes, StepNoise and Environment
+# have no baseline entry, so they are recorded, not gated; the CI lane runs
+# at 20% because shared 1–2 core runners jitter close to the 10% default).
+# All JSON artifacts are uploaded by CI.
 # Benchmark output goes through temp files, not pipes, so a failing
 # benchmark binary fails the recipe instead of being masked by benchperf's
 # exit status.
@@ -41,7 +41,7 @@ bench:
 	cat BENCH_all.txt
 	grep '^BenchmarkMatrixStreaming' BENCH_all.txt | $(GO) run ./cmd/benchperf -out BENCH_matrix.json
 	rm -f BENCH_all.txt
-	$(GO) test -bench '^(BenchmarkLSTMForwardBackward|BenchmarkRevPredInference|BenchmarkEarlyCurveFit|BenchmarkMarketGenerate|BenchmarkEventQueue|BenchmarkGBTRound|BenchmarkStoreQuotes|BenchmarkStepNoise)$$' -run '^$$' -benchmem -benchtime 100x . > BENCH_perf.txt
+	$(GO) test -bench '^(BenchmarkLSTMForwardBackward|BenchmarkRevPredInference|BenchmarkEarlyCurveFit|BenchmarkMarketGenerate|BenchmarkEventQueue|BenchmarkGBTRound|BenchmarkStoreQuotes|BenchmarkStepNoise|BenchmarkEnvironment)$$' -run '^$$' -benchmem -benchtime 100x . > BENCH_perf.txt
 	$(GO) run ./cmd/benchperf -baseline BENCH_baseline.json -threshold 0.2 -out BENCH_perf.json < BENCH_perf.txt
 	rm -f BENCH_perf.txt
 	$(GO) run ./cmd/benchfigs -fig none -quick -out results -policyjson BENCH_policy.json -tunerjson BENCH_tuner.json

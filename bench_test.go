@@ -427,6 +427,31 @@ func BenchmarkStoreQuotes(b *testing.B) {
 	}
 }
 
+// BenchmarkEnvironment measures assembling a constant-predictor campaign
+// environment: trace generation, validation, the packed store and the pool
+// grids, which build no arrays because nothing reads their features. Two
+// cases: the 5-day environment quick-fidelity scenario batteries build, and
+// the 2-day one the contended service region builds. B/op and allocs/op
+// are the environment's setup cost.
+func BenchmarkEnvironment(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		opts campaign.EnvOptions
+	}{
+		{"Quick5Day", campaign.EnvOptions{Seed: 1, Days: 5, TrainDays: 2, Predictor: campaign.PredictorConstant}},
+		{"Tenants2Day", campaign.EnvOptions{Seed: 1, Days: 2, TrainDays: 1, Predictor: campaign.PredictorConstant}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := campaign.NewEnvironment(bc.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchSink keeps the micro benchmarks' results live.
 var benchSink float64
 
@@ -488,7 +513,7 @@ func BenchmarkRevPredInference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := revpred.HistorySteps + i%(g.Len()-2*revpred.HistorySteps)
-		m.Predict(g, idx, g.Prices[idx]+0.05)
+		m.Predict(g, idx, g.Price(idx)+0.05)
 	}
 }
 

@@ -80,13 +80,17 @@ func (o EnvOptions) withDefaults() EnvOptions {
 // deterministic markets.
 type Environment struct {
 	Catalog *market.Catalog
-	Traces  market.TraceSet
-	// Store is the SoA packing of Traces, built once per environment and
-	// shared read-only by every cluster (and sweep worker) assembled from it.
+	// Store is the environment's markets, packed once from the generated
+	// traces (which are not kept) and shared read-only by every cluster,
+	// grid and sweep worker assembled from it: the only raw copy of the
+	// environment's prices.
 	Store *market.Store
 	// markets resolves Catalog against Store once per environment; every
 	// cluster NewCluster builds quotes through it.
-	markets    *cloudsim.Markets
+	markets *cloudsim.Markets
+	// Grids are the pool markets' per-minute views over Store. A grid
+	// builds its arrays when a predictor first reads its features
+	// (training one does), so feature-free predictors never pay for them.
 	Grids      map[string]*market.Grid
 	Predictors map[string]revpred.Predictor
 	// revProb pairs Grids with Predictors once per environment; every
@@ -109,22 +113,18 @@ type Environment struct {
 }
 
 // NewEnvironment generates markets and trains predictors per the options.
+// The generated traces are validated and packed into Store, and no
+// reference to them is kept.
 func NewEnvironment(opts EnvOptions) (*Environment, error) {
 	opts = opts.withDefaults()
 	catalog := market.DefaultCatalog()
-	specs, err := market.DefaultSpecs(catalog)
+	start := DefaultStart()
+	end := start.Add(time.Duration(opts.Days) * 24 * time.Hour)
+	traces, err := opts.generate(catalog, start, end)
 	if err != nil {
 		return nil, err
 	}
-	start := DefaultStart()
-	end := start.Add(time.Duration(opts.Days) * 24 * time.Hour)
-	var traces market.TraceSet
-	if opts.Regime != "" {
-		traces, err = market.GenerateRegime(opts.Regime, catalog, start, end, opts.Seed)
-	} else {
-		traces, err = market.GenerateSet(specs, start, end, opts.Seed)
-	}
-	if err != nil {
+	if err := traces.Validate(); err != nil {
 		return nil, err
 	}
 	pool := opts.Pool
@@ -133,7 +133,6 @@ func NewEnvironment(opts EnvOptions) (*Environment, error) {
 	}
 	env := &Environment{
 		Catalog:       catalog,
-		Traces:        traces,
 		Store:         market.NewStore(traces),
 		Grids:         make(map[string]*market.Grid, len(pool)),
 		Predictors:    make(map[string]revpred.Predictor, len(pool)),
@@ -143,7 +142,7 @@ func NewEnvironment(opts EnvOptions) (*Environment, error) {
 		End:           end,
 		CampaignStart: start.Add(time.Duration(opts.TrainDays) * 24 * time.Hour),
 	}
-	if env.markets, err = cloudsim.NewMarkets(catalog, traces, env.Store); err != nil {
+	if env.markets, err = cloudsim.NewMarkets(catalog, env.Store); err != nil {
 		return nil, err
 	}
 	for _, name := range pool {
@@ -151,11 +150,7 @@ func NewEnvironment(opts EnvOptions) (*Environment, error) {
 		if !ok {
 			return nil, fmt.Errorf("campaign: unknown pool instance %q", name)
 		}
-		tr, ok := traces[name]
-		if !ok {
-			return nil, fmt.Errorf("campaign: no trace for %q", name)
-		}
-		g, err := market.NewGrid(it, tr, start, end)
+		g, err := market.NewStoreGrid(it, env.Store, start, end)
 		if err != nil {
 			return nil, err
 		}
@@ -168,6 +163,20 @@ func NewEnvironment(opts EnvOptions) (*Environment, error) {
 	}
 	env.revProb = core.GridRevProb(env.Grids, env.Predictors)
 	return env, nil
+}
+
+// generate builds the options' synthetic trace set over [start, end): the
+// regime's markets when one is named, the paper's baseline personalities
+// otherwise.
+func (o EnvOptions) generate(cat *market.Catalog, start, end time.Time) (market.TraceSet, error) {
+	if o.Regime != "" {
+		return market.GenerateRegime(o.Regime, cat, start, end, o.Seed)
+	}
+	specs, err := market.DefaultSpecs(cat)
+	if err != nil {
+		return nil, err
+	}
+	return market.GenerateSet(specs, start, end, o.Seed)
 }
 
 func buildPredictor(g *market.Grid, opts EnvOptions) (revpred.Predictor, error) {
@@ -224,15 +233,15 @@ func (e *Environment) applyHooks(cluster *cloudsim.Cluster) error {
 	return nil
 }
 
-// Markets resolves a catalog against the environment's traces and store:
-// the table a World shares across every cluster built in it. Resolve once
-// per world, not per cluster. A nil catalog (or the environment's own)
-// returns the environment's table.
+// Markets resolves a catalog against the environment's store: the table a
+// World shares across every cluster built in it. Resolve once per world,
+// not per cluster. A nil catalog (or the environment's own) returns the
+// environment's table.
 func (e *Environment) Markets(cat *market.Catalog) (*cloudsim.Markets, error) {
 	if cat == nil || cat == e.Catalog {
 		return e.markets, nil
 	}
-	return cloudsim.NewMarkets(cat, e.Traces, e.Store)
+	return cloudsim.NewMarkets(cat, e.Store)
 }
 
 // World is a shared simulated region several campaigns run inside at once:
@@ -256,8 +265,8 @@ type World struct {
 	Domain *cloudsim.CapacityDomain
 }
 
-// NewClusterIn builds a fresh cluster inside a shared world: same store,
-// traces, and fault hooks as NewCluster, but on the world's clock, under its
+// NewClusterIn builds a fresh cluster inside a shared world: same store and
+// fault hooks as NewCluster, but on the world's clock, under its
 // catalog override, attached to its capacity domain.
 func (e *Environment) NewClusterIn(w *World) (*cloudsim.Cluster, error) {
 	if w == nil || w.Clock == nil {

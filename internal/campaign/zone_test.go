@@ -39,17 +39,19 @@ func readCSVIn(t *testing.T, set market.TraceSet, names []string, loc *time.Loca
 // markets, grids and revocation-probability table.
 func withTraces(t *testing.T, env *Environment, traces market.TraceSet) *Environment {
 	t.Helper()
+	if err := traces.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	cp := *env
-	cp.Traces = traces
 	cp.Store = market.NewStore(traces)
 	var err error
-	if cp.markets, err = cloudsim.NewMarkets(cp.Catalog, traces, cp.Store); err != nil {
+	if cp.markets, err = cloudsim.NewMarkets(cp.Catalog, cp.Store); err != nil {
 		t.Fatal(err)
 	}
 	cp.Grids = make(map[string]*market.Grid, len(cp.Pool))
 	for _, name := range cp.Pool {
 		it, _ := cp.Catalog.Lookup(name)
-		if cp.Grids[name], err = market.NewGrid(it, traces[name], cp.Start, cp.End); err != nil {
+		if cp.Grids[name], err = market.NewStoreGrid(it, cp.Store, cp.Start, cp.End); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,14 +105,28 @@ func runZoned(t *testing.T, env *Environment, pol string) zoneRun {
 
 // TestNonUTCTracesMatchUTC pins that a trace set read with +08:00
 // timestamps drives a campaign exactly like the same set in UTC: the same
-// report, the same revocation instants and the same flight-recorder bytes.
-// The packed store keeps Unix nanoseconds only and FirstExceed returns UTC
-// instants, so a record's own zone must not reach the simulation.
+// report, the same revocation instants and the same flight-recorder bytes,
+// and the same next price tick at every hour of the campaign window. The
+// packed store keeps Unix nanoseconds only, and FirstExceed and
+// NextPriceTick return UTC instants, so a record's own zone must not reach
+// the simulation. The environment keeps no traces, so the test regenerates
+// them from its options and checks they pack to its store.
 func TestNonUTCTracesMatchUTC(t *testing.T) {
-	env := quickEnv(t, PredictorConstant)
+	opts := EnvOptions{Seed: 11, Days: 5, TrainDays: 2, Predictor: PredictorConstant}
+	env, err := NewEnvironment(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := opts.generate(env.Catalog, env.Start, env.End)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(market.NewStore(traces), env.Store) {
+		t.Fatal("regenerated traces do not pack to the environment's store")
+	}
 	names := env.Catalog.Names()
-	utc := withTraces(t, env, readCSVIn(t, env.Traces, names, time.UTC))
-	plus8 := readCSVIn(t, env.Traces, names, time.FixedZone("", 8*3600))
+	utc := withTraces(t, env, readCSVIn(t, traces, names, time.UTC))
+	plus8 := readCSVIn(t, traces, names, time.FixedZone("", 8*3600))
 	if _, off := plus8[names[0]].Records[0].At.Zone(); off != 8*3600 {
 		t.Fatalf("ReadCSV kept offset %ds, want +08:00", off)
 	}
@@ -136,5 +152,33 @@ func TestNonUTCTracesMatchUTC(t *testing.T) {
 	}
 	if revoked == 0 {
 		t.Fatal("no campaign saw a revocation: the pin would not reach FirstExceed's instants")
+	}
+
+	cu, err := utc.NewCluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cz, err := zoned.NewCluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticks := 0
+	for at := env.CampaignStart; at.Before(env.End); at = at.Add(time.Hour) {
+		cu.Clock().AdvanceTo(at)
+		cz.Clock().AdvanceTo(at)
+		a, aok := cu.NextMarketTick(env.Pool)
+		b, bok := cz.NextMarketTick(env.Pool)
+		if aok != bok || !a.Equal(b) {
+			t.Fatalf("NextMarketTick at %v: %v,%v in UTC, %v,%v at +08:00", at, a, aok, b, bok)
+		}
+		if bok && b.Location() != time.UTC {
+			t.Fatalf("NextMarketTick at %v returned %v, not a UTC instant", at, b)
+		}
+		if aok {
+			ticks++
+		}
+	}
+	if ticks == 0 {
+		t.Fatal("no hour of the campaign window had a next price tick")
 	}
 }

@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -45,10 +46,26 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 }
 
+// TestRequestSpotRejectsLowMax: a bid under the market price fails with an
+// error that matches ErrPriceAboveMax and reads as the quote it lost to.
+// The rejection is a typed value that formats only when read, so it costs
+// one allocation and no fmt call.
 func TestRequestSpotRejectsLowMax(t *testing.T) {
 	c, _ := fixture(t)
-	if _, err := c.RequestSpot("r4.large", 0.01, nil); err == nil {
-		t.Fatal("request below market accepted")
+	_, err := c.RequestSpot("r4.large", 0.01, nil)
+	if !errors.Is(err, ErrPriceAboveMax) {
+		t.Fatalf("request below market: got %v, want ErrPriceAboveMax", err)
+	}
+	const want = "cloudsim: market price above requested maximum: r4.large at 0.0400 > max 0.0100"
+	if err.Error() != want {
+		t.Fatalf("message %q, want %q", err.Error(), want)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := c.RequestSpot("r4.large", 0.01, nil); err == nil {
+			t.Fatal("request below market accepted")
+		}
+	}); avg != 1 {
+		t.Errorf("a price rejection allocates %.1f times, want 1 (the error value)", avg)
 	}
 	if _, err := c.RequestSpot("nope", 1, nil); err == nil {
 		t.Fatal("unknown type accepted")

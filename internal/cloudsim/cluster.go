@@ -177,11 +177,10 @@ type NoticeFunc func(inst *Instance, now time.Time)
 // the billing machinery.
 type Cluster struct {
 	clk *simclock.Virtual
-	// markets holds the catalog, the traces and their SoA store (every
-	// price query runs against it, bit-identical to the Trace methods), and
-	// resolves type names to catalog entries and trace slots. It is
-	// immutable and shared by every cluster built from one environment or
-	// world.
+	// markets holds the catalog and the SoA store (every price query runs
+	// against it, bit-identical to the Trace methods), and resolves type
+	// names to catalog entries and trace slots. It is immutable and shared
+	// by every cluster built from one environment or world.
 	markets *Markets
 
 	// instances holds every instance the cluster launched, in launch
@@ -211,15 +210,18 @@ type Cluster struct {
 	trc obs.Tracer
 }
 
-// NewCluster builds a cluster over the given catalog and per-market traces,
-// resolving a private Markets table. Every catalog type must have a trace.
-// Environments that build many clusters share one table through
-// NewClusterOn instead.
+// NewCluster builds a cluster over the given catalog and per-market traces:
+// it validates and packs the traces and resolves a private Markets table.
+// Every catalog type must have a trace. Environments that build many
+// clusters share one table through NewClusterOn instead.
 func NewCluster(clk *simclock.Virtual, cat *market.Catalog, traces market.TraceSet) (*Cluster, error) {
 	if clk == nil {
 		return nil, errors.New("cloudsim: nil clock")
 	}
-	m, err := NewMarkets(cat, traces, nil)
+	if err := traces.Validate(); err != nil {
+		return nil, err
+	}
+	m, err := NewMarkets(cat, market.NewStore(traces))
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +365,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 	}
 	cur, _ := c.markets.store.PriceAt(ti, now)
 	if cur > maxPrice {
-		return nil, fmt.Errorf("%w: %s at %.4f > max %.4f", ErrPriceAboveMax, typeName, cur, maxPrice)
+		return nil, &priceError{typeName: typeName, price: cur, max: maxPrice}
 	}
 	inst := c.launch(&Instance{
 		Type:       it,

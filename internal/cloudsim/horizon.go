@@ -1,9 +1,6 @@
 package cloudsim
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // This file is the cluster's "next interesting instant" surface: instead of
 // being sampled every poll tick, the cluster tells schedulers when its state
@@ -17,19 +14,14 @@ import (
 // trace is flat for the rest of the simulation (or the type is unknown).
 // ok=false is the hold-last-price contract, not an error: a trace that ends
 // before the campaign horizon holds its final price forever, so the market
-// is genuinely quiescent and schedulers must not expect another tick.
+// is genuinely quiescent and schedulers must not expect another tick. The
+// store answers (market.Store.NextAfter), so the instant is in UTC.
 func (c *Cluster) NextPriceTick(typeName string) (time.Time, bool) {
-	tr, ok := c.markets.traces[typeName]
+	ti, ok := c.markets.store.Lookup(typeName)
 	if !ok {
 		return time.Time{}, false
 	}
-	now := c.clk.Now()
-	n := len(tr.Records)
-	i := sort.Search(n, func(i int) bool { return tr.Records[i].At.After(now) })
-	if i >= n {
-		return time.Time{}, false
-	}
-	return tr.Records[i].At, true
+	return c.markets.store.NextAfter(ti, c.clk.Now())
 }
 
 // NextMarketTick returns the earliest upcoming price change across the given

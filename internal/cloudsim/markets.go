@@ -10,14 +10,14 @@ import (
 // catalog type, at its catalog index, the catalog entry, the trace's slot in
 // the packed store, and the capacity-miss errors a spot request for it can
 // return. A quote resolves its type name with one lookup (Catalog.Index) and
-// reads everything else by index.
+// reads everything else by index. The store is the table's only copy of the
+// prices: quotes, bills, revocation instants and price ticks all read it.
 //
 // A Markets is immutable and safe for concurrent readers. Build one per
 // environment or world (NewMarkets) and share it across every cluster built
 // there (NewClusterOn); NewCluster builds a private one.
 type Markets struct {
 	catalog *market.Catalog
-	traces  market.TraceSet
 	store   *market.Store
 	slots   []marketSlot
 }
@@ -31,24 +31,15 @@ type marketSlot struct {
 	blackedOut, atCapacity, sharedFull *capacityError
 }
 
-// NewMarkets resolves every catalog type against the traces and their packed
-// store (a nil store is packed here). Every catalog type must have a trace.
-func NewMarkets(cat *market.Catalog, traces market.TraceSet, store *market.Store) (*Markets, error) {
-	if store == nil {
-		if err := traces.Validate(); err != nil {
-			return nil, err
-		}
-		store = market.NewStore(traces)
-	}
-	m := &Markets{catalog: cat, traces: traces, store: store, slots: make([]marketSlot, cat.Len())}
+// NewMarkets resolves every catalog type against a packed store. Every
+// catalog type must have a trace in the store.
+func NewMarkets(cat *market.Catalog, store *market.Store) (*Markets, error) {
+	m := &Markets{catalog: cat, store: store, slots: make([]marketSlot, cat.Len())}
 	for i := range m.slots {
 		it := cat.TypeAt(i)
-		if _, ok := traces[it.Name]; !ok {
-			return nil, fmt.Errorf("cloudsim: no price trace for instance type %q", it.Name)
-		}
 		ti, ok := store.Lookup(it.Name)
 		if !ok {
-			return nil, fmt.Errorf("cloudsim: store has no trace for instance type %q", it.Name)
+			return nil, fmt.Errorf("cloudsim: no price trace for instance type %q", it.Name)
 		}
 		m.slots[i] = marketSlot{
 			it:         it,
@@ -73,3 +64,18 @@ func (e *capacityError) Error() string { return e.msg }
 
 // Unwrap makes the error match ErrCapacityUnavailable.
 func (e *capacityError) Unwrap() error { return ErrCapacityUnavailable }
+
+// priceError is the ErrPriceAboveMax a spot request gets when the market
+// price is above its maximum. It keeps the quote and formats only in Error,
+// so a rejection (every failed bid of a deploy pass) costs no formatting.
+type priceError struct {
+	typeName   string
+	price, max float64
+}
+
+func (e *priceError) Error() string {
+	return fmt.Sprintf("%v: %s at %.4f > max %.4f", ErrPriceAboveMax, e.typeName, e.price, e.max)
+}
+
+// Unwrap makes the error match ErrPriceAboveMax.
+func (e *priceError) Unwrap() error { return ErrPriceAboveMax }

@@ -2,6 +2,7 @@ package market
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"spottune/internal/stats"
@@ -16,52 +17,97 @@ const FeatureCount = 6
 // the present one covers one hour).
 const LookbackMinutes = 60
 
-// Grid is a 1-minute-resampled view of one market's trace with O(1) feature
-// extraction. It is the unit RevPred trains on. A Grid is immutable once
-// NewGrid returns: predictors memoize results per grid, so callers must not
-// modify Prices.
+// Grid is the 1-minute resampling of one market's sparse trace (§IV-A1):
+// minute i holds the price in force at Start + i minutes, with O(1) feature
+// extraction. It is the unit RevPred trains on, and the view every
+// revocation predictor is handed.
+//
+// A grid's per-minute arrays are built once, by the first read that needs
+// them (Price, Features, FluctuationDelta, ExceedsWithin), under a
+// sync.Once that makes concurrent first reads safe. Len, Index, TimeAt and
+// MaxLabelIndex need only the start and the minute count, so a grid that no
+// predictor reads features from never allocates its arrays. A grid's values
+// are fixed when it is constructed and its arrays are built at most once, so
+// predictors may memoize results per grid pointer. Share grids by pointer;
+// a Grid must not be copied.
 type Grid struct {
-	Type   InstanceType
-	Start  time.Time
-	Prices []float64 // one entry per minute
+	Type  InstanceType
+	Start time.Time
 
-	// changedAt[i] is the minute index at which Prices[i] was last set
+	minutes int
+	// priceAt is the price-at-instant source the arrays are sampled from;
+	// build drops it.
+	priceAt func(time.Time) (float64, bool)
+	once    sync.Once
+
+	prices []float64 // one entry per minute
+	// changedAt[i] is the minute index at which prices[i] was last set
 	// (i.e. the start of the current price plateau).
 	changedAt []int
-	// cumPrice[i] = sum of Prices[0..i-1] for O(1) window averages.
+	// cumPrice[i] = sum of prices[0..i-1] for O(1) window averages.
 	cumPrice []float64
-	// cumChanges[i] = number of price changes in Prices[1..i-1].
+	// cumChanges[i] = number of price changes in prices[1..i-1].
 	cumChanges []int
 }
 
-// NewGrid interpolates tr onto a 1-minute grid over [from, to) and
-// precomputes feature accumulators.
+// NewGrid resamples tr onto a 1-minute grid over [from, to) after
+// validating it. The arrays are built before NewGrid returns, so the grid
+// keeps no reference to tr.
 func NewGrid(it InstanceType, tr *Trace, from, to time.Time) (*Grid, error) {
 	if it.Name != tr.Type {
 		return nil, fmt.Errorf("market: grid type %q does not match trace %q", it.Name, tr.Type)
 	}
-	resampled, err := tr.InterpolateMinutes(from, to)
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	g, err := newGrid(it, from, to, tr.PriceAt)
 	if err != nil {
 		return nil, err
 	}
-	g := &Grid{Type: it, Start: from}
-	g.Prices = make([]float64, len(resampled.Records))
-	for i, r := range resampled.Records {
-		g.Prices[i] = r.Price
+	g.once.Do(g.build)
+	return g, nil
+}
+
+// NewStoreGrid is the 1-minute grid of a packed market over [from, to),
+// sampled from s.PriceAt when a read first needs its arrays. The store is
+// immutable, so the grid's values are the same whenever that happens.
+func NewStoreGrid(it InstanceType, s *Store, from, to time.Time) (*Grid, error) {
+	ti, ok := s.Lookup(it.Name)
+	if !ok {
+		return nil, fmt.Errorf("market: store has no trace for grid type %q", it.Name)
 	}
-	n := len(g.Prices)
+	return newGrid(it, from, to, func(t time.Time) (float64, bool) { return s.PriceAt(ti, t) })
+}
+
+// newGrid is a grid over [from, to) with its arrays not yet built: one
+// minute for every from + k·1m before to.
+func newGrid(it InstanceType, from, to time.Time, priceAt func(time.Time) (float64, bool)) (*Grid, error) {
+	if !from.Before(to) {
+		return nil, fmt.Errorf("market: grid from %v >= to %v", from, to)
+	}
+	span := to.Sub(from)
+	minutes := int(span / time.Minute)
+	if span%time.Minute != 0 {
+		minutes++
+	}
+	return &Grid{Type: it, Start: from, minutes: minutes, priceAt: priceAt}, nil
+}
+
+// build samples the source at every minute and fills the feature
+// accumulators. It runs once, under g.once.
+func (g *Grid) build() {
+	n := g.minutes
+	g.prices = make([]float64, n)
 	g.changedAt = make([]int, n)
 	g.cumPrice = make([]float64, n+1)
 	g.cumChanges = make([]int, n+1)
 	for i := 0; i < n; i++ {
-		g.cumPrice[i+1] = g.cumPrice[i] + g.Prices[i]
+		g.prices[i], _ = g.priceAt(g.TimeAt(i))
+		g.cumPrice[i+1] = g.cumPrice[i] + g.prices[i]
 		if i == 0 {
-			g.changedAt[i] = 0
-			g.cumChanges[i+1] = 0
 			continue
 		}
-		changed := g.Prices[i] != g.Prices[i-1]
-		if changed {
+		if g.prices[i] != g.prices[i-1] {
 			g.changedAt[i] = i
 			g.cumChanges[i+1] = g.cumChanges[i] + 1
 		} else {
@@ -69,11 +115,11 @@ func NewGrid(it InstanceType, tr *Trace, from, to time.Time) (*Grid, error) {
 			g.cumChanges[i+1] = g.cumChanges[i]
 		}
 	}
-	return g, nil
+	g.priceAt = nil
 }
 
 // Len returns the number of minutes in the grid.
-func (g *Grid) Len() int { return len(g.Prices) }
+func (g *Grid) Len() int { return g.minutes }
 
 // TimeAt returns the wall time of minute i.
 func (g *Grid) TimeAt(i int) time.Time { return g.Start.Add(time.Duration(i) * time.Minute) }
@@ -86,15 +132,22 @@ func (g *Grid) Index(t time.Time) (int, error) {
 		return 0, fmt.Errorf("market: time %v before grid start %v", t, g.Start)
 	}
 	i := int(d / time.Minute)
-	if i >= len(g.Prices) {
+	if i >= g.minutes {
 		return 0, fmt.Errorf("market: time %v beyond grid end", t)
 	}
 	return i, nil
 }
 
+// Price returns the market price in force at minute i.
+func (g *Grid) Price(i int) float64 {
+	g.once.Do(g.build)
+	return g.prices[i]
+}
+
 // Features returns the six engineered features for minute i. Lookback
 // windows are truncated at the grid start.
 func (g *Grid) Features(i int) [FeatureCount]float64 {
+	g.once.Do(g.build)
 	lo := i - LookbackMinutes + 1
 	if lo < 0 {
 		lo = 0
@@ -109,7 +162,7 @@ func (g *Grid) Features(i int) [FeatureCount]float64 {
 		workday = 1
 	}
 	return [FeatureCount]float64{
-		g.Prices[i],       // (1) current spot market price
+		g.prices[i],       // (1) current spot market price
 		avg,               // (2) average price in the past hour
 		changes,           // (3) number of price changes in the past hour
 		sinceSet,          // (4) minutes since the current price was set
@@ -129,6 +182,7 @@ func (g *Grid) Features(i int) [FeatureCount]float64 {
 // (zero diffs are just the gaps between sparse records and would drown the
 // statistic).
 func (g *Grid) FluctuationDelta(i int) float64 {
+	g.once.Do(g.build)
 	lo := i - LookbackMinutes + 1
 	if lo < 1 {
 		lo = 1
@@ -138,7 +192,7 @@ func (g *Grid) FluctuationDelta(i int) float64 {
 	}
 	deltas := make([]float64, 0, i-lo+1)
 	for j := lo; j <= i; j++ {
-		d := g.Prices[j] - g.Prices[j-1]
+		d := g.prices[j] - g.prices[j-1]
 		if d < 0 {
 			d = -d
 		}
@@ -158,12 +212,13 @@ func (g *Grid) FluctuationDelta(i int) float64 {
 // AWS revokes a spot instance once the market price passes the user's
 // maximum price.
 func (g *Grid) ExceedsWithin(i int, maxPrice float64, horizon int) bool {
+	g.once.Do(g.build)
 	hi := i + horizon
-	if hi >= len(g.Prices) {
-		hi = len(g.Prices) - 1
+	if hi >= g.minutes {
+		hi = g.minutes - 1
 	}
 	for j := i + 1; j <= hi; j++ {
-		if g.Prices[j] > maxPrice {
+		if g.prices[j] > maxPrice {
 			return true
 		}
 	}
@@ -171,4 +226,4 @@ func (g *Grid) ExceedsWithin(i int, maxPrice float64, horizon int) bool {
 }
 
 // MaxLabelIndex returns the largest minute index with a full label horizon.
-func (g *Grid) MaxLabelIndex(horizon int) int { return len(g.Prices) - horizon - 1 }
+func (g *Grid) MaxLabelIndex(horizon int) int { return g.minutes - horizon - 1 }

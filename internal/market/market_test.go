@@ -222,29 +222,6 @@ func TestAvgOverTimeWeighted(t *testing.T) {
 	}
 }
 
-func TestInterpolateMinutes(t *testing.T) {
-	tr := mkTrace(1.0, 2.0)
-	g, err := tr.InterpolateMinutes(t0, t0.Add(20*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Records) != 20 {
-		t.Fatalf("interpolated %d records, want 20", len(g.Records))
-	}
-	for i, r := range g.Records {
-		want := 1.0
-		if i >= 10 {
-			want = 2.0
-		}
-		if r.Price != want {
-			t.Fatalf("minute %d price = %v, want %v", i, r.Price, want)
-		}
-		if wantAt := t0.Add(time.Duration(i) * time.Minute); !r.At.Equal(wantAt) {
-			t.Fatalf("minute %d at %v, want %v", i, r.At, wantAt)
-		}
-	}
-}
-
 func TestWindowAndMaxOver(t *testing.T) {
 	tr := mkTrace(1, 5, 2)
 	w := tr.Window(t0.Add(5*time.Minute), t0.Add(15*time.Minute))
@@ -553,25 +530,6 @@ func TestGridFeatureRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: interpolation preserves PriceAt semantics on grid points.
-func TestInterpolationConsistencyProperty(t *testing.T) {
-	it, _ := DefaultCatalog().Lookup("r4.xlarge")
-	tr, err := Generate(MarketSpec{Type: it}, t0, t0.Add(12*time.Hour), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := tr.InterpolateMinutes(t0, t0.Add(12*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range g.Records {
-		want, _ := tr.PriceAt(r.At)
-		if r.Price != want {
-			t.Fatalf("minute %d: interpolated %v, PriceAt %v", i, r.Price, want)
-		}
 	}
 }
 

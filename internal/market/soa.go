@@ -19,9 +19,9 @@ const (
 
 // Store is a TraceSet packed into structure-of-arrays form: every trace's
 // timestamps and prices live in shared flat buffers, addressed by per-trace
-// spans. The hot simulator queries (PriceAt, AvgOver, FirstExceed) run over
-// contiguous int64/float64 arrays instead of per-record time.Time
-// comparisons through sort.Search closures.
+// spans. The hot simulator queries (PriceAt, AvgOver, FirstExceed,
+// NextAfter) run over contiguous int64/float64 arrays instead of per-record
+// time.Time comparisons through sort.Search closures.
 //
 // Three derived arrays make each query cheap:
 //
@@ -35,8 +35,8 @@ const (
 //   - blockMax, the highest price of every blockRecords-record block, so
 //     FirstExceed skips blocks that cannot beat the bid.
 //
-// Timestamps are kept only as Unix nanoseconds, so FirstExceed returns a
-// record's instant in UTC.
+// Timestamps are kept only as Unix nanoseconds, so FirstExceed and
+// NextAfter return a record's instant in UTC.
 //
 // Every query is arithmetic-identical to its Trace counterpart: same
 // floating-point operations in the same order, so a campaign driven through
@@ -44,8 +44,8 @@ const (
 // from. soa_test.go and FuzzStoreMatchesTrace pin that equivalence.
 //
 // A Store is immutable after NewStore and safe for concurrent readers, so
-// one Store is shared by every cluster (and every sweep worker) built from
-// the same environment.
+// one Store is shared by every cluster, grid (NewStoreGrid) and sweep worker
+// built from the same environment.
 type Store struct {
 	atNanos  []int64   // all traces' timestamps, trace-major
 	prices   []float64 // parallel to atNanos
@@ -254,4 +254,17 @@ func (s *Store) FirstExceed(ti int, after time.Time, maxPrice float64) (time.Tim
 		}
 	}
 	return time.Time{}, false
+}
+
+// NextAfter returns the instant of the trace's first record strictly after
+// t: the next price tick. ok=false when no record follows t (the trace holds
+// its last price from there on). Like FirstExceed, the instant is the
+// record's timestamp in UTC.
+func (s *Store) NextAfter(ti int, t time.Time) (time.Time, bool) {
+	tr := &s.traces[ti]
+	i := s.searchAfter(tr, t.UnixNano())
+	if i >= int(tr.hi) {
+		return time.Time{}, false
+	}
+	return time.Unix(0, s.atNanos[i]).UTC(), true
 }

@@ -63,7 +63,8 @@ func fuzzTraceSet(seed uint64, shape []byte) TraceSet {
 
 // FuzzStoreMatchesTrace pins the packed store to the Trace reference on
 // fuzzed trace sets: PriceAt and AvgOver bit for bit, FirstExceed to the
-// linear scan's instant, at instants on, next to and between record
+// linear scan's instant and NextAfter to the first record strictly after
+// the query (both in UTC), at instants on, next to and between record
 // boundaries and outside the trace, over arbitrary and trailing-hour
 // windows, with bids at, just under and just over record prices.
 func FuzzStoreMatchesTrace(f *testing.F) {
@@ -90,6 +91,11 @@ func FuzzStoreMatchesTrace(f *testing.F) {
 					t.Fatalf("%s: PriceAt(%v) = %v,%v want %v,%v", name, at, gotP, gotOK, wantP, wantOK)
 				}
 				assertAvgOverBits(t, store, ti, tr, at.Add(-time.Hour), at)
+				wantNext, wantOK := nextAfterRef(tr, at)
+				gotNext, gotOK := store.NextAfter(ti, at)
+				if wantOK != gotOK || !wantNext.Equal(gotNext) || (gotOK && gotNext.Location() != time.UTC) {
+					t.Fatalf("%s: NextAfter(%v) = %v,%v want %v,%v in UTC", name, at, gotNext, gotOK, wantNext, wantOK)
+				}
 				r := tr.Records[rng.IntN(len(tr.Records))]
 				for _, bid := range []float64{r.Price, math.Nextafter(r.Price, 0), math.Nextafter(r.Price, 1), 0} {
 					wantAt, wantOK := firstExceedRef(tr, at, bid)

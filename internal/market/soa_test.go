@@ -3,6 +3,7 @@ package market
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"time"
 )
@@ -154,6 +155,16 @@ func firstExceedRef(tr *Trace, after time.Time, maxPrice float64) (time.Time, bo
 		}
 	}
 	return time.Time{}, false
+}
+
+// nextAfterRef is the reference next price tick: the first record strictly
+// after t, found as Cluster.NextPriceTick did over the Trace.
+func nextAfterRef(tr *Trace, t time.Time) (time.Time, bool) {
+	i := sort.Search(len(tr.Records), func(i int) bool { return tr.Records[i].At.After(t) })
+	if i == len(tr.Records) {
+		return time.Time{}, false
+	}
+	return tr.Records[i].At, true
 }
 
 func TestStoreFirstExceedMatchesReference(t *testing.T) {

@@ -107,25 +107,6 @@ func (tr *Trace) AvgOver(from, to time.Time) (float64, error) {
 	return sum / total.Seconds(), nil
 }
 
-// InterpolateMinutes resamples the trace onto a fixed 1-minute grid covering
-// [from, to), carrying the last price forward — the paper's preprocessing
-// step for the sparse Kaggle dataset (§IV-A1). The timestamps of the result
-// are exactly from, from+1m, from+2m, ...
-func (tr *Trace) InterpolateMinutes(from, to time.Time) (*Trace, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if !from.Before(to) {
-		return nil, fmt.Errorf("market: InterpolateMinutes with from %v >= to %v", from, to)
-	}
-	out := &Trace{Type: tr.Type}
-	for t := from; t.Before(to); t = t.Add(time.Minute) {
-		p, _ := tr.PriceAt(t)
-		out.Records = append(out.Records, Record{At: t, Price: p})
-	}
-	return out, nil
-}
-
 // Window returns the records with timestamps in [from, to).
 func (tr *Trace) Window(from, to time.Time) []Record {
 	n := len(tr.Records)

@@ -21,12 +21,12 @@ func TestPredictAllocBudget(t *testing.T) {
 	}
 	i := HistorySteps + 100
 	// Warm the pool so scratch construction is not billed to steady state.
-	m.Predict(g, i, g.Prices[i]+0.05)
+	m.Predict(g, i, g.Price(i)+0.05)
 	n := 0
 	avg := testing.AllocsPerRun(50, func() {
 		idx := i + n%50 // slide the window forward, as the provisioner does
 		n++
-		m.Predict(g, idx, g.Prices[idx]+0.05)
+		m.Predict(g, idx, g.Price(idx)+0.05)
 	})
 	if avg > 0 {
 		t.Errorf("Model.Predict allocates %.1f times per query, want 0", avg)
@@ -53,7 +53,7 @@ func TestPredictMemoHitZeroAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		idx := i + n%10
 		n++
-		m.Predict(g, idx, g.Prices[idx]+float64(n%7)*0.01)
+		m.Predict(g, idx, g.Price(idx)+float64(n%7)*0.01)
 	})
 	if avg != 0 {
 		t.Errorf("warm-memo Model.Predict allocates %.2f times per query, want 0", avg)

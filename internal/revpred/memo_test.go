@@ -19,7 +19,7 @@ func coldScores(t *testing.T, m *Model, g *market.Grid) [][]float64 {
 	out := make([][]float64, g.Len())
 	for i := HistorySteps; i < g.Len(); i++ {
 		for _, d := range memoBids {
-			s, err := sampleAt(g, i, g.Prices[i]+d)
+			s, err := sampleAt(g, i, g.Price(i)+d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestPredictMemoMatchesColdScore(t *testing.T) {
 				for n := 0; n < g.Len()-HistorySteps; n++ {
 					i := HistorySteps + (n*(2*w+1)+w*37)%(g.Len()-HistorySteps)
 					for b, d := range memoBids {
-						check(i, b, m.Predict(g, i, g.Prices[i]+d))
+						check(i, b, m.Predict(g, i, g.Price(i)+d))
 					}
 				}
 			}(w)
@@ -84,7 +84,7 @@ func TestPredictMemoKeepsGridsApart(t *testing.T) {
 	differ := false
 	for i := HistorySteps; i < a.Len(); i++ {
 		for k, d := range memoBids {
-			ga, gb := m.Predict(a, i, a.Prices[i]+d), m.Predict(b, i, b.Prices[i]+d)
+			ga, gb := m.Predict(a, i, a.Price(i)+d), m.Predict(b, i, b.Price(i)+d)
 			if math.Float64bits(ga) != math.Float64bits(wantA[i][k]) {
 				t.Fatalf("grid a minute %d bid %d: Predict %v, cold Score %v", i, k, ga, wantA[i][k])
 			}

@@ -27,8 +27,8 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 			loaded.PhiPos, loaded.PhiNeg, m.PhiPos, m.PhiNeg)
 	}
 	for _, i := range []int{HistorySteps, 400, 900} {
-		want := m.Predict(g, i, g.Prices[i]+0.05)
-		got := loaded.Predict(g, i, g.Prices[i]+0.05)
+		want := m.Predict(g, i, g.Price(i)+0.05)
+		got := loaded.Predict(g, i, g.Price(i)+0.05)
 		if got != want {
 			t.Fatalf("prediction differs after reload at %d: %v vs %v", i, got, want)
 		}

@@ -176,7 +176,7 @@ func BuildSamples(g *market.Grid, from, to, stride int, mode DeltaMode, rng *ran
 		default:
 			return nil, fmt.Errorf("revpred: unknown delta mode %d", mode)
 		}
-		b := g.Prices[i] + delta
+		b := g.Price(i) + delta
 		hist := make([][]float64, HistorySteps)
 		for k := 0; k < HistorySteps; k++ {
 			hist[k] = normalizeFeatures(g.Features(i-HistorySteps+k), g.Type)

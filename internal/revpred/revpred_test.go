@@ -98,7 +98,7 @@ func TestBuildSamplesShape(t *testing.T) {
 		if len(s.Present) != PresentFeatures {
 			t.Fatalf("present width %d", len(s.Present))
 		}
-		if s.MaxPrice < g.Prices[0]*0.01 {
+		if s.MaxPrice < g.Price(0)*0.01 {
 			t.Fatalf("implausible max price %v", s.MaxPrice)
 		}
 	}
@@ -192,7 +192,7 @@ func TestTrainPredictPipeline(t *testing.T) {
 	}
 	// Predictions must be valid probabilities.
 	for _, i := range []int{HistorySteps, 500, 1200, g.Len() - 61} {
-		p := m.Predict(g, i, g.Prices[i]+0.01)
+		p := m.Predict(g, i, g.Price(i)+0.01)
 		if p < 0 || p > 1 || math.IsNaN(p) {
 			t.Fatalf("Predict at %d = %v", i, p)
 		}
@@ -213,8 +213,8 @@ func TestTrainDeterministicAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := m1.Predict(g, 800, g.Prices[800]+0.05)
-	p2 := m2.Predict(g, 800, g.Prices[800]+0.05)
+	p1 := m1.Predict(g, 800, g.Price(800)+0.05)
+	p2 := m2.Predict(g, 800, g.Price(800)+0.05)
 	if p1 != p2 {
 		t.Fatalf("same seed produced different models: %v vs %v", p1, p2)
 	}
@@ -302,7 +302,7 @@ func TestTributaryPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := m.Predict(g, 700, g.Prices[700]+0.05)
+	p := m.Predict(g, 700, g.Price(700)+0.05)
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		t.Fatalf("Tributary Predict = %v", p)
 	}
@@ -318,7 +318,7 @@ func TestLogRegPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := m.Predict(g, 700, g.Prices[700]+0.05)
+	p := m.Predict(g, 700, g.Price(700)+0.05)
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		t.Fatalf("LogReg Predict = %v", p)
 	}
