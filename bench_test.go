@@ -350,9 +350,9 @@ func BenchmarkEventQueue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clk := simclock.NewVirtual(campaign.DefaultStart())
 		for j := 0; j < 1000; j++ {
-			clk.ScheduleAfter(time.Duration(j%97)*time.Second, func(time.Time) {})
+			clk.Schedule(clk.Now().Add(time.Duration(j%97)*time.Second), func(time.Time) {})
 		}
-		clk.Sleep(time.Minute * 2)
+		clk.AdvanceTo(clk.Now().Add(2 * time.Minute))
 	}
 }
 

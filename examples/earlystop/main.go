@@ -35,7 +35,7 @@ func main() {
 
 	const maxSteps = 600
 	const theta = 0.7
-	ec := &earlycurve.Predictor{}
+	ec := &earlycurve.Predictor{Memo: earlycurve.NewFitMemo()}
 
 	fmt.Printf("training two ResNet-like configs to %.0f%% of %d steps, then extrapolating:\n\n",
 		theta*100, maxSteps)
@@ -53,10 +53,10 @@ func main() {
 			log.Fatal(err)
 		}
 		// Observe θ·maxSteps in streaming chunks, refitting as points
-		// arrive — the Tracker re-solves only the growing tail stage per
-		// refit (and skips refits entirely when no new points landed),
-		// exactly how the Orchestrator consumes EarlyCurve.
-		tracker := ec.NewTracker()
+		// arrive. The stage-fit memo hands back every stage an earlier
+		// refit already solved, so each refit solves only the stages that
+		// changed. A campaign asks once per trial, at θ·max_trial_steps,
+		// through its environment's shared memo.
 		var pred float64
 		target := int(theta * maxSteps)
 		for done := 0; done < target; {
@@ -66,7 +66,7 @@ func main() {
 			}
 			tr.RunSteps(chunk)
 			done += chunk
-			pred, err = tracker.PredictFinal(tr.Curve(), maxSteps)
+			pred, err = ec.PredictFinal(tr.Curve(), maxSteps)
 		}
 		observed := tr.Curve()
 		if err != nil {

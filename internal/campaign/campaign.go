@@ -86,7 +86,7 @@ type Environment struct {
 	// environment's prices.
 	Store *market.Store
 	// markets resolves Catalog against Store once per environment; every
-	// cluster NewCluster builds quotes through it.
+	// cluster built outside a catalog-overriding World quotes through it.
 	markets *cloudsim.Markets
 	// Grids are the pool markets' per-minute views over Store. A grid
 	// builds its arrays when a predictor first reads its features
@@ -105,7 +105,7 @@ type Environment struct {
 	Start, End    time.Time
 	CampaignStart time.Time
 
-	// ClusterHooks run on every fresh cluster NewCluster assembles, in
+	// ClusterHooks run on every fresh cluster NewClusterIn assembles, in
 	// order — scenario specs install deterministic fault injections
 	// (blackout windows, scheduled mass preemptions) through them, so each
 	// campaign run replays the same faults on its own cluster.
@@ -213,26 +213,6 @@ func (e *Environment) WithPredictors(preds map[string]revpred.Predictor) (*Envir
 	return &cp, nil
 }
 
-// NewCluster builds a fresh simulated cluster at the campaign boundary and
-// applies the environment's cluster hooks (fault injections).
-func (e *Environment) NewCluster() (*cloudsim.Cluster, error) {
-	cluster, err := cloudsim.NewClusterOn(simclock.NewVirtual(e.CampaignStart), e.markets)
-	if err != nil {
-		return nil, err
-	}
-	return cluster, e.applyHooks(cluster)
-}
-
-// applyHooks runs the environment's cluster hooks on a fresh cluster.
-func (e *Environment) applyHooks(cluster *cloudsim.Cluster) error {
-	for _, hook := range e.ClusterHooks {
-		if err := hook(cluster); err != nil {
-			return fmt.Errorf("campaign: cluster hook: %w", err)
-		}
-	}
-	return nil
-}
-
 // Markets resolves a catalog against the environment's store: the table a
 // World shares across every cluster built in it. Resolve once per world,
 // not per cluster. A nil catalog (or the environment's own) returns the
@@ -244,15 +224,15 @@ func (e *Environment) Markets(cat *market.Catalog) (*cloudsim.Markets, error) {
 	return cloudsim.NewMarkets(cat, e.Store)
 }
 
-// World is a shared simulated region several campaigns run inside at once:
-// one virtual clock they cooperatively advance, an optional catalog override
-// (typically market.Catalog.WithCapacity for a finite region), and an
-// optional capacity domain coupling their spot fleets. A nil World (the
-// default) keeps every campaign in its own private universe — NewCluster
-// semantics, bit-identical to historical runs.
+// World is a simulated region campaigns run inside: one virtual clock they
+// cooperatively advance, an optional catalog override (typically
+// market.Catalog.WithCapacity for a finite region), and an optional
+// capacity domain coupling their spot fleets. A campaign run without one
+// gets a private World: its own clock at the campaign start, the
+// environment's catalog and no capacity domain.
 type World struct {
-	// Clock is the region's shared virtual time. Its engine has one owner,
-	// so campaigns in the same world take turns on one goroutine: a service
+	// Clock is the region's virtual time. A clock has one owner, so
+	// campaigns in the same world take turns on one goroutine: a service
 	// shard steps whichever campaign's next clock advance is earliest.
 	Clock *simclock.Virtual
 	// Markets, when non-nil, is the catalog override, resolved once
@@ -265,9 +245,9 @@ type World struct {
 	Domain *cloudsim.CapacityDomain
 }
 
-// NewClusterIn builds a fresh cluster inside a shared world: same store and
-// fault hooks as NewCluster, but on the world's clock, under its
-// catalog override, attached to its capacity domain.
+// NewClusterIn builds a fresh cluster inside a world: on the world's clock,
+// under its catalog override, attached to its capacity domain, with the
+// environment's fault hooks applied.
 func (e *Environment) NewClusterIn(w *World) (*cloudsim.Cluster, error) {
 	if w == nil || w.Clock == nil {
 		return nil, errors.New("campaign: world without a clock")
@@ -283,7 +263,12 @@ func (e *Environment) NewClusterIn(w *World) (*cloudsim.Cluster, error) {
 	if err := cluster.SetCapacityDomain(w.Domain); err != nil {
 		return nil, err
 	}
-	return cluster, e.applyHooks(cluster)
+	for _, hook := range e.ClusterHooks {
+		if err := hook(cluster); err != nil {
+			return nil, fmt.Errorf("campaign: cluster hook: %w", err)
+		}
+	}
+	return cluster, nil
 }
 
 // Options tunes one campaign run.
@@ -350,7 +335,8 @@ type Options struct {
 	// multi-tenant service's shard) instead of a private one: the cluster
 	// is built on the world's clock, catalog, and capacity domain. Campaigns
 	// sharing a world must never execute concurrently; they are built with
-	// NewRun and stepped in turn on one goroutine.
+	// NewRun and stepped in turn on one goroutine. Nil runs the campaign in
+	// a private World of its own.
 	World *World
 }
 
@@ -457,25 +443,24 @@ type Run struct {
 }
 
 // NewRun assembles one campaign under the provisioning policy named by
-// opt.Policy without running it: a fresh cluster (in opt.World when set),
-// object store, trials, policy, tuner, recovery strategy and orchestrator.
-// The campaign starts at its first Step.
+// opt.Policy without running it: a fresh cluster (in opt.World, or in a
+// private world when that is nil), object store, trials, policy, tuner,
+// recovery strategy and orchestrator. The campaign starts at its first
+// Step.
 func (e *Environment) NewRun(b *workload.Benchmark, curves workload.Curves, opt Options) (*Run, error) {
 	if b == nil {
 		return nil, errors.New("campaign: nil benchmark")
 	}
-	var cluster *cloudsim.Cluster
-	var err error
-	if opt.World != nil {
-		cluster, err = e.NewClusterIn(opt.World)
-		// The policy must quote and rank under the world's (possibly
-		// capacity-capped) catalog, not the environment default.
-		if opt.World.Markets != nil && opt.PolicyParams.Catalog == nil {
-			opt.PolicyParams.Catalog = opt.World.Markets.Catalog()
-		}
-	} else {
-		cluster, err = e.NewCluster()
+	world := opt.World
+	if world == nil {
+		world = &World{Clock: simclock.NewVirtual(e.CampaignStart)}
 	}
+	// The policy must quote and rank under the world's (possibly
+	// capacity-capped) catalog, not the environment default.
+	if world.Markets != nil && opt.PolicyParams.Catalog == nil {
+		opt.PolicyParams.Catalog = world.Markets.Catalog()
+	}
+	cluster, err := e.NewClusterIn(world)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"spottune/internal/market"
 	"spottune/internal/obs"
 	"spottune/internal/policy"
+	"spottune/internal/simclock"
 	"spottune/internal/workload"
 )
 
@@ -154,11 +155,11 @@ func TestNonUTCTracesMatchUTC(t *testing.T) {
 		t.Fatal("no campaign saw a revocation: the pin would not reach FirstExceed's instants")
 	}
 
-	cu, err := utc.NewCluster()
+	cu, err := utc.NewClusterIn(&World{Clock: simclock.NewVirtual(utc.CampaignStart)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cz, err := zoned.NewCluster()
+	cz, err := zoned.NewClusterIn(&World{Clock: simclock.NewVirtual(zoned.CampaignStart)})
 	if err != nil {
 		t.Fatal(err)
 	}

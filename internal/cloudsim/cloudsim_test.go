@@ -205,7 +205,7 @@ func TestTerminateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk.Sleep(time.Minute)
+	clk.AdvanceTo(clk.Now().Add(time.Minute))
 	if err := c.Terminate(inst.ID); err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestDomainSurgePricing(t *testing.T) {
 	}
 
 	// Billing integrates trace price × launch surge.
-	clk.Sleep(2 * time.Hour)
+	clk.AdvanceTo(clk.Now().Add(2 * time.Hour))
 	if err := a.Terminate(ia.ID); err != nil {
 		t.Fatal(err)
 	}

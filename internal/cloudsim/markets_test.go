@@ -15,7 +15,7 @@ import (
 // still matches ErrCapacityUnavailable.
 func TestQuotePathAllocationFree(t *testing.T) {
 	clk, a, b, _ := domainWorld(t, 0.5)
-	clk.Sleep(90 * time.Second) // off the record grid: quote windows start and end between records
+	clk.AdvanceTo(clk.Now().Add(90 * time.Second)) // off the record grid: quote windows start and end between records
 	for i := 0; i < 2; i++ {
 		if _, err := a.RequestSpot("r4.large", 1.0, nil); err != nil {
 			t.Fatal(err)

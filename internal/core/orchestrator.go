@@ -153,7 +153,7 @@ func (c Config) withDefaults() Config {
 type assignment struct {
 	st          *trialState
 	tr          *trial.Replay
-	inst        *cloudsim.Instance
+	inst        *cloudsim.Instance // set at deploy, never nil
 	deployedAt  time.Time
 	busyAt      time.Time // boot + restore complete
 	lastAdvance time.Time
@@ -265,10 +265,6 @@ type trialState struct {
 	// lastNoticed is the market that most recently revoked the trial; under
 	// diversified-spot degradation the next decision excludes it.
 	lastNoticed string
-
-	// trend is the trial's incremental EarlyCurve tracker (lazily built
-	// when cfg.Trend is the production Predictor; see trendFor).
-	trend earlycurve.TrendPredictor
 
 	// secPerStep is the trial's performance-matrix row M[·][hp] handed to
 	// every policy decision; onNotice routes the cluster's termination
@@ -582,13 +578,7 @@ func (v *tunerView) Points(id string) []earlycurve.MetricPoint {
 	return t.tr.Points()
 }
 
-func (v *tunerView) Trend(id string) earlycurve.TrendPredictor {
-	t, ok := v.o.byID[id]
-	if !ok {
-		return v.o.cfg.Trend
-	}
-	return v.o.trendFor(t)
-}
+func (v *tunerView) Trend(string) earlycurve.TrendPredictor { return v.o.cfg.Trend }
 
 // openRound starts one tuner round: every directed trial is (re)activated
 // — cleared from the finished set and queued in directive order — and is
@@ -713,8 +703,8 @@ func (o *Orchestrator) handleTriggers(now time.Time) {
 		switch {
 		case tr.CompletedSteps() >= lim || converged:
 			// Early shutdown / completion (lines 27–30).
-			o.checkpoint(a, now)
-			o.endAssignment(a, true)
+			o.checkpoint(a)
+			o.endAssignment(a)
 			t.finished = true
 			t.forgetRecoveryState()
 			o.pending--
@@ -723,14 +713,14 @@ func (o *Orchestrator) handleTriggers(now time.Time) {
 			// on-demand instances are never refunded, so restarting them
 			// would buy nothing but checkpoint/redeploy overhead — they
 			// run until their trial-side trigger instead.
-			o.checkpoint(a, now)
-			o.endAssignment(a, true)
+			o.checkpoint(a)
+			o.endAssignment(a)
 			o.waiting = append(o.waiting, t)
 		case a.oversized && now.Sub(a.lastCkptAt) >= a.cadence:
 			// Periodic checkpointing: this trial's state cannot be
 			// saved inside the revocation notice, so snapshot on a
 			// schedule and accept losing at most one period.
-			o.checkpoint(a, now)
+			o.checkpoint(a)
 		}
 	}
 	// Reap dead assignments.
@@ -1002,7 +992,7 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 		// before the first periodic snapshot would have nothing to
 		// rewind to.
 		if a.oversized && !o.store.Exists(t.ckpt) {
-			o.checkpoint(a, now)
+			o.checkpoint(a)
 		}
 		// Restore from checkpoint when one exists (line 41 deploys
 		// either a fresh job or a checkpointed one).
@@ -1036,25 +1026,6 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 		o.waiting = o.waiting[1:]
 	}
 	return time.Time{}, false, nil
-}
-
-// trendFor returns the trend predictor to use for one trial: a per-trial
-// incremental Tracker when the configured predictor is the production
-// EarlyCurve (warm-starting refits and skipping them outright when no new
-// points arrived), or the configured TrendPredictor as-is otherwise. A
-// tracker memoizes its last staged fit, so repeated progress evaluations
-// over an unchanged curve return the cached extrapolation and an appended
-// curve re-solves only the growing tail stage — bit-identical to a cold
-// refit either way.
-func (o *Orchestrator) trendFor(t *trialState) earlycurve.TrendPredictor {
-	p, ok := o.cfg.Trend.(*earlycurve.Predictor)
-	if !ok {
-		return o.cfg.Trend
-	}
-	if t.trend == nil {
-		t.trend = p.NewTracker()
-	}
-	return t.trend
 }
 
 // stepTarget is the whole-step count at which the trial stops in this
@@ -1181,7 +1152,7 @@ func (o *Orchestrator) observeSegment(a *assignment) {
 // market immediately, overlapping the restore with the remaining notice
 // lead time instead of waiting out the redeploy spacing.
 func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
-	if a.dead || a.inst == nil {
+	if a.dead {
 		return
 	}
 	t := a.st
@@ -1208,7 +1179,7 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 		N:     int64(t.spotFailures),
 	})
 	if !a.oversized {
-		o.checkpoint(a, at)
+		o.checkpoint(a)
 	}
 	// Feed the revocation-rate estimate: this segment's spot exposure
 	// ended in a revocation.
@@ -1250,25 +1221,17 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 // checkpoint writes the trial's state to object storage. The encode reuses
 // one orchestrator-owned buffer across the campaign (the store copies on
 // Put), so checkpointing never allocates in steady state.
-func (o *Orchestrator) checkpoint(a *assignment, _ time.Time) {
+func (o *Orchestrator) checkpoint(a *assignment) {
 	o.ckptBuf = a.tr.AppendCheckpoint(o.ckptBuf[:0])
-	cpus := 1
-	if a.inst != nil {
-		cpus = a.inst.Type.CPUs
-	}
-	o.store.PutSized(a.st.ckpt, o.ckptBuf, a.tr.CheckpointMB(), cpus)
+	o.store.PutSized(a.st.ckpt, o.ckptBuf, a.tr.CheckpointMB(), a.inst.Type.CPUs)
 	o.ckptSetup += checkpointSetupTime
 	a.lastCkptAt = o.cluster.Clock().Now()
 	a.lastCkptSteps = a.tr.CompletedSteps()
-	instID := ""
-	if a.inst != nil {
-		instID = a.inst.ID
-	}
 	o.trc.Emit(obs.Event{
 		VT:    a.lastCkptAt,
 		Kind:  obs.KindCheckpoint,
 		Trial: a.tr.ID(),
-		Inst:  instID,
+		Inst:  a.inst.ID,
 		A:     a.tr.CheckpointMB(),
 		B:     a.cadence.Seconds(),
 		N:     int64(a.tr.CompletedSteps()),
@@ -1277,13 +1240,13 @@ func (o *Orchestrator) checkpoint(a *assignment, _ time.Time) {
 
 // endAssignment terminates the instance (user-initiated) and records the
 // step segment.
-func (o *Orchestrator) endAssignment(a *assignment, terminate bool) {
+func (o *Orchestrator) endAssignment(a *assignment) {
 	if a.dead {
 		return
 	}
 	o.recordSegment(a)
 	a.dead = true
-	if a.inst != nil && !a.inst.OnDemand {
+	if !a.inst.OnDemand {
 		// Survived spot time drives the revocation-rate denominator just
 		// like revoked time does — without it the estimator would see
 		// only doomed segments and overshoot the rate.
@@ -1300,7 +1263,7 @@ func (o *Orchestrator) endAssignment(a *assignment, terminate bool) {
 		}
 		a.st.spotFailures = 0
 	}
-	if terminate && a.inst != nil && a.inst.Running() {
+	if a.inst.Running() {
 		// Termination failures would mean double bookkeeping bugs.
 		if err := o.cluster.Terminate(a.inst.ID); err != nil {
 			panic(fmt.Sprintf("core: terminating %s: %v", a.inst.ID, err))
@@ -1314,16 +1277,12 @@ func (o *Orchestrator) recordSegment(a *assignment) {
 	if steps < 0 {
 		steps = 0
 	}
-	instID := ""
-	if a.inst != nil {
-		instID = a.inst.ID
-	}
-	o.segments = append(o.segments, SegmentRecord{InstanceID: instID, TrialID: a.tr.ID(), Steps: steps})
+	o.segments = append(o.segments, SegmentRecord{InstanceID: a.inst.ID, TrialID: a.tr.ID(), Steps: steps})
 	o.trc.Emit(obs.Event{
 		VT:    o.cluster.Clock().Now(),
 		Kind:  obs.KindSegment,
 		Trial: a.tr.ID(),
-		Inst:  instID,
+		Inst:  a.inst.ID,
 		N:     int64(steps),
 	})
 }
@@ -1333,7 +1292,7 @@ func (o *Orchestrator) recordSegment(a *assignment) {
 func (o *Orchestrator) activeOnDemand() int {
 	n := 0
 	for _, t := range o.ts {
-		if a := t.active; a != nil && !a.dead && a.inst != nil && a.inst.OnDemand {
+		if a := t.active; a != nil && !a.dead && a.inst.OnDemand {
 			n++
 		}
 	}

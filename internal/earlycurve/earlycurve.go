@@ -166,14 +166,15 @@ const minStagePoints = 4
 // given detector for stage boundaries. Points must be in increasing step
 // order.
 func FitCurve(points []MetricPoint, det Detector) (*Fit, error) {
-	f, _, err := fitCurveReuse(points, det, nil, nil)
-	return f, err
+	return fitCurve(points, det, nil)
 }
 
-// FitMemo is a content-addressed cache of solved stage fits, shared across
-// trackers (and across whole campaign cells in the streaming matrix runner,
-// where thousands of cells replay the same deterministic trial curves and
-// would otherwise re-run the same Levenberg–Marquardt solves). Results live
+// FitMemo is a content-addressed cache of solved stage fits: EarlyCurve's
+// one reuse layer. An environment shares one across every campaign it runs,
+// and the streaming matrix runner one per worker, where thousands of cells
+// replay the same deterministic trial curves and would otherwise re-run the
+// same Levenberg–Marquardt solves. Each refit of a growing curve finds its
+// settled stages here and solves only the stage that changed. Results live
 // in one flat arena slice; the index maps segment identity to arena slots.
 //
 // fitStage is a pure function of its segment, so a memo hit returns the same
@@ -237,11 +238,27 @@ func segKey(seg []MetricPoint) memoKey {
 	}
 }
 
+// fit returns the stage fit of one segment: the cached solve when the memo
+// holds one, else a fresh fitStage, which it then caches. A nil memo always
+// solves.
+func (m *FitMemo) fit(seg []MetricPoint) (StageFit, error) {
+	if m == nil {
+		return fitStage(seg)
+	}
+	key := segKey(seg)
+	if sf, ok := m.lookup(key); ok {
+		return sf, nil
+	}
+	sf, err := fitStage(seg)
+	if err != nil {
+		return StageFit{}, err
+	}
+	m.store(key, sf)
+	return sf, nil
+}
+
 // lookup returns the cached fit for a segment, if present.
 func (m *FitMemo) lookup(key memoKey) (StageFit, bool) {
-	if m == nil {
-		return StageFit{}, false
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if i, ok := m.index[key]; ok {
@@ -252,9 +269,6 @@ func (m *FitMemo) lookup(key memoKey) (StageFit, bool) {
 
 // store caches a solved fit unless the memo is full.
 func (m *FitMemo) store(key memoKey, sf StageFit) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.fits) >= memoFitCap {
@@ -277,30 +291,16 @@ func (m *FitMemo) Len() int {
 	return len(m.fits)
 }
 
-// trackedStage is one fitted stage annotated with the point-index range it
-// was fitted over, so an incremental refit can prove a cached fit is still
-// exact (same segment of an append-only stream ⇒ same fitStage output,
-// bit for bit) and reuse it without running the solver.
-type trackedStage struct {
-	startIdx, endIdx   int // point-index range [startIdx, endIdx)
-	startStep, endStep int // step values at the range edges, for validation
-	fit                StageFit
-}
-
-// fitCurveReuse is FitCurve with two exact reuse layers: any stage whose
-// point range matches a previous fit's exactly is copied instead of
-// re-solved (prev — the per-tracker incremental memo), and any segment whose
-// full content matches an earlier solve anywhere is served from the shared
-// FitMemo (memo — the cross-tracker arena; nil disables it). fitStage is a
-// pure function of its segment, so the result is bit-identical to a cold
-// fit — the reuse layers change cost, never values.
-func fitCurveReuse(points []MetricPoint, det Detector, prev []trackedStage, memo *FitMemo) (*Fit, []trackedStage, error) {
+// fitCurve is FitCurve with every stage fitted through memo (nil solves
+// each stage). fitStage is a pure function of its segment, so the result is
+// bit-identical to a cold fit: the memo changes cost, never values.
+func fitCurve(points []MetricPoint, det Detector, memo *FitMemo) (*Fit, error) {
 	if len(points) < minStagePoints {
-		return nil, nil, fmt.Errorf("%w: %d", ErrTooFewPoints, len(points))
+		return nil, fmt.Errorf("%w: %d", ErrTooFewPoints, len(points))
 	}
 	for i := 1; i < len(points); i++ {
 		if points[i].Step <= points[i-1].Step {
-			return nil, nil, fmt.Errorf("earlycurve: points not strictly increasing at %d", i)
+			return nil, fmt.Errorf("earlycurve: points not strictly increasing at %d", i)
 		}
 	}
 	bounds := det.Boundaries(points)
@@ -313,61 +313,21 @@ func fitCurveReuse(points []MetricPoint, det Detector, prev []trackedStage, memo
 		merged = append(merged, b)
 	}
 	f := &Fit{}
-	tracked := make([]trackedStage, 0, len(merged))
 	for si, start := range merged {
 		end := len(points)
 		if si+1 < len(merged) {
 			end = merged[si+1]
 		}
 		seg := points[start:end]
-		sf, ok := reuseStage(prev, si, start, end, seg)
-		if !ok && memo != nil {
-			key := segKey(seg)
-			if sf, ok = memo.lookup(key); !ok {
-				var err error
-				sf, err = fitStage(seg)
-				if err != nil {
-					return nil, nil, fmt.Errorf("earlycurve: fitting stage %d: %w", si, err)
-				}
-				memo.store(key, sf)
-				ok = true
-			}
-		}
-		if !ok {
-			var err error
-			sf, err = fitStage(seg)
-			if err != nil {
-				return nil, nil, fmt.Errorf("earlycurve: fitting stage %d: %w", si, err)
-			}
+		sf, err := memo.fit(seg)
+		if err != nil {
+			return nil, fmt.Errorf("earlycurve: fitting stage %d: %w", si, err)
 		}
 		sf.L = seg[0].Step
 		sf.R = seg[len(seg)-1].Step + 1
 		f.Stages = append(f.Stages, sf)
-		tracked = append(tracked, trackedStage{
-			startIdx:  start,
-			endIdx:    end,
-			startStep: seg[0].Step,
-			endStep:   seg[len(seg)-1].Step,
-			fit:       sf,
-		})
 	}
-	return f, tracked, nil
-}
-
-// reuseStage reports whether the si-th previous stage covered exactly the
-// same segment and returns its fit if so. Index bounds alone identify the
-// segment on an append-only stream; the edge steps double-check that the
-// caller really is appending, not rewriting.
-func reuseStage(prev []trackedStage, si, start, end int, seg []MetricPoint) (StageFit, bool) {
-	if si >= len(prev) {
-		return StageFit{}, false
-	}
-	p := prev[si]
-	if p.startIdx != start || p.endIdx != end ||
-		p.startStep != seg[0].Step || p.endStep != seg[len(seg)-1].Step {
-		return StageFit{}, false
-	}
-	return p.fit, true
+	return f, nil
 }
 
 // fitStage fits 1/(a0·k'² + a1·k' + a2) + a3 with non-negative coefficients
@@ -448,8 +408,9 @@ type TrendPredictor interface {
 type Predictor struct {
 	// Detector tunes stage detection; zero value uses paper defaults.
 	Detector Detector
-	// Memo optionally shares solved stage fits across every tracker spawned
-	// from this predictor (see FitMemo). Nil disables sharing.
+	// Memo, when set, serves and caches every stage fit (see FitMemo), so
+	// a refit of a grown curve solves only the stages that changed. Nil
+	// solves every stage.
 	Memo *FitMemo
 }
 
@@ -462,22 +423,15 @@ var _ TrendPredictor = (*Predictor)(nil)
 // falls back to the tail mean. Validation metrics extrapolate downward or
 // sideways, almost never upward past their recent ceiling.
 func (p *Predictor) PredictFinal(points []MetricPoint, finalStep int) (float64, error) {
-	f, _, err := fitCurveReuse(points, p.Detector.withDefaults(), nil, p.Memo)
+	f, err := fitCurve(points, p.Detector.withDefaults(), p.Memo)
 	if err != nil {
 		return 0, err
 	}
 	return guardedPredict(f, points, finalStep)
 }
 
-// NewTracker returns an incremental predictor for one append-only metric
-// stream, seeded with this predictor's detector settings and sharing its
-// stage-fit memo (when set).
-func (p *Predictor) NewTracker() *Tracker {
-	return &Tracker{Detector: p.Detector, Memo: p.Memo}
-}
-
-// guardedPredict extrapolates the fitted curve to finalStep and applies the
-// tail sanity guards shared by Predictor and Tracker.
+// guardedPredict extrapolates the fitted curve to finalStep and applies
+// Predictor's tail sanity guards.
 func guardedPredict(f *Fit, points []MetricPoint, finalStep int) (float64, error) {
 	pred, err := f.Predict(finalStep)
 	if err != nil {
@@ -518,61 +472,6 @@ func guardedPredict(f *Fit, points []MetricPoint, finalStep int) (float64, error
 		pred = floor
 	}
 	return pred, nil
-}
-
-// Tracker is an incremental TrendPredictor for one append-only metric
-// stream — the orchestrator keeps one per trial. Two exact optimizations
-// sit behind the TrendPredictor interface:
-//
-//   - When no new points arrived since the previous call (same length, same
-//     last point, same finalStep), the cached prediction is returned and no
-//     refit runs at all.
-//   - When points were appended, only stages whose segment changed are
-//     re-solved; settled stages (everything but the growing tail stage, as
-//     long as boundary detection kept them intact) reuse the previous fit.
-//
-// fitStage is a pure function of its segment, so both paths return results
-// bit-identical to a cold Predictor.PredictFinal with the same detector.
-// Tracker assumes the point stream is append-only; a rewritten history is
-// detected via boundary/step mismatches and simply refits from scratch.
-type Tracker struct {
-	// Detector tunes stage detection; zero value uses paper defaults.
-	Detector Detector
-	// Memo optionally consults a shared stage-fit cache before solving (see
-	// FitMemo); hits are bit-identical to fresh solves.
-	Memo *FitMemo
-
-	lastLen   int
-	lastStep  int
-	lastValue float64
-	lastFinal int
-	pred      float64
-	err       error
-	stages    []trackedStage
-}
-
-var _ TrendPredictor = (*Tracker)(nil)
-
-// PredictFinal implements TrendPredictor incrementally.
-func (t *Tracker) PredictFinal(points []MetricPoint, finalStep int) (float64, error) {
-	n := len(points)
-	if n > 0 && n == t.lastLen && finalStep == t.lastFinal &&
-		points[n-1].Step == t.lastStep && points[n-1].Value == t.lastValue {
-		return t.pred, t.err
-	}
-	f, tracked, err := fitCurveReuse(points, t.Detector.withDefaults(), t.stages, t.Memo)
-	if err != nil {
-		t.stages = nil
-		t.pred, t.err = 0, err
-	} else {
-		t.stages = tracked
-		t.pred, t.err = guardedPredict(f, points, finalStep)
-	}
-	t.lastLen, t.lastFinal = n, finalStep
-	if n > 0 {
-		t.lastStep, t.lastValue = points[n-1].Step, points[n-1].Value
-	}
-	return t.pred, t.err
 }
 
 // tailSlope is the least-squares per-step slope over the given points.

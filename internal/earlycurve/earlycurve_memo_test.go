@@ -1,6 +1,7 @@
 package earlycurve
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -22,8 +23,22 @@ func syntheticCurve(seed uint64, n int) []MetricPoint {
 	return pts
 }
 
+// streamCurve builds a noiseless two-stage rational-decay curve of n
+// points (stage switch at half).
+func streamCurve(n int) []MetricPoint {
+	pts := make([]MetricPoint, n)
+	for k := 1; k <= n; k++ {
+		v := 1/(0.05*float64(k)+1.2) + 0.8
+		if k >= n/2 {
+			v = 1/(2.0*float64(k-n/2+1)+5.0) + 0.2
+		}
+		pts[k-1] = MetricPoint{Step: k, Value: v}
+	}
+	return pts
+}
+
 // TestFitMemoBitIdentical: predictions served through a shared FitMemo must
-// equal the memo-free path bit for bit, across multiple trackers replaying
+// equal the memo-free path bit for bit, across repeated replays of
 // overlapping prefixes of the same curves.
 func TestFitMemoBitIdentical(t *testing.T) {
 	memo := NewFitMemo()
@@ -32,10 +47,9 @@ func TestFitMemoBitIdentical(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		curve := syntheticCurve(seed, 60)
 		for rep := 0; rep < 3; rep++ { // later reps replay memoized segments
-			trkWith, trkWithout := pWith.NewTracker(), pWithout.NewTracker()
 			for _, n := range []int{10, 25, 40, 60} {
-				a, errA := trkWith.PredictFinal(curve[:n], 300)
-				b, errB := trkWithout.PredictFinal(curve[:n], 300)
+				a, errA := pWith.PredictFinal(curve[:n], 300)
+				b, errB := pWithout.PredictFinal(curve[:n], 300)
 				if (errA == nil) != (errB == nil) {
 					t.Fatalf("seed %d n %d: err mismatch %v vs %v", seed, n, errA, errB)
 				}
@@ -47,6 +61,73 @@ func TestFitMemoBitIdentical(t *testing.T) {
 	}
 	if memo.Len() == 0 {
 		t.Fatal("memo never cached a fit")
+	}
+}
+
+// TestMemoStreamingMatchesColdFit: streaming ever-longer prefixes of one
+// curve through a memoized predictor reproduces the memo-free predictor
+// exactly — stage reuse is memoization, not approximation.
+func TestMemoStreamingMatchesColdFit(t *testing.T) {
+	curve := streamCurve(160)
+	cold := &Predictor{}
+	memo := &Predictor{Memo: NewFitMemo()}
+	for n := minStagePoints; n <= len(curve); n += 7 {
+		prefix := curve[:n]
+		want, wantErr := cold.PredictFinal(prefix, 300)
+		got, gotErr := memo.PredictFinal(prefix, 300)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("n=%d: err mismatch: cold %v, memo %v", n, wantErr, gotErr)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: memo %v != cold %v", n, got, want)
+		}
+	}
+}
+
+// TestMemoRefitsOnlyTailStage: once the memo has fitted a prefix whose
+// first stage has settled, appending points adds exactly one fit to the
+// memo — the growing tail stage's.
+func TestMemoRefitsOnlyTailStage(t *testing.T) {
+	curve := streamCurve(160)
+	if f, err := FitCurve(curve[:150], DefaultDetector()); err != nil || len(f.Stages) != 2 {
+		t.Fatalf("fixture: want a two-stage prefix, got %v (err %v)", f, err)
+	}
+	memo := NewFitMemo()
+	p := &Predictor{Memo: memo}
+	if _, err := p.PredictFinal(curve[:150], 300); err != nil {
+		t.Fatal(err)
+	}
+	if got := memo.Len(); got != 2 {
+		t.Fatalf("memo holds %d fits after a two-stage prefix, want 2", got)
+	}
+	if _, err := p.PredictFinal(curve[:156], 300); err != nil {
+		t.Fatal(err)
+	}
+	if got := memo.Len(); got != 3 {
+		t.Fatalf("memo holds %d fits after the append, want 3 (one new tail stage)", got)
+	}
+}
+
+// TestMemoErrorThenRecovers: a memoized predictor reports too few points
+// until enough arrive, then fits.
+func TestMemoErrorThenRecovers(t *testing.T) {
+	curve := streamCurve(80)
+	p := &Predictor{Memo: NewFitMemo()}
+	for i := 0; i < 2; i++ {
+		if _, err := p.PredictFinal(curve[:2], 200); !errors.Is(err, ErrTooFewPoints) {
+			t.Fatalf("call %d: err = %v, want ErrTooFewPoints", i, err)
+		}
+	}
+	got, err := p.PredictFinal(curve, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(got) {
+		t.Fatal("NaN after recovery")
+	}
+	want, err := (&Predictor{}).PredictFinal(curve, 200)
+	if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("recovered prediction %v, memo-free %v (err %v)", got, want, err)
 	}
 }
 
@@ -65,18 +146,16 @@ func TestFitMemoCapStopsGrowth(t *testing.T) {
 }
 
 // TestFitMemoConcurrent: one FitMemo shared by several goroutines, each
-// replaying the same curves through its own trackers, serves every
-// goroutine the memo-free path's bits (run under -race to check the
-// locking).
+// replaying the same curves, serves every goroutine the memo-free path's
+// bits (run under -race to check the locking).
 func TestFitMemoConcurrent(t *testing.T) {
 	curves := [][]MetricPoint{syntheticCurve(1, 60), syntheticCurve(2, 60), syntheticCurve(3, 60)}
 	prefixes := []int{10, 25, 40, 60}
 	want := make([][]float64, len(curves))
 	cold := &Predictor{}
 	for c, curve := range curves {
-		trk := cold.NewTracker()
 		for _, n := range prefixes {
-			v, err := trk.PredictFinal(curve[:n], 300)
+			v, err := cold.PredictFinal(curve[:n], 300)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,9 +171,8 @@ func TestFitMemoConcurrent(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				for k := range curves {
 					c := (k + w) % len(curves) // goroutines start on different curves
-					trk := shared.NewTracker()
 					for j, n := range prefixes {
-						v, err := trk.PredictFinal(curves[c][:n], 300)
+						v, err := shared.PredictFinal(curves[c][:n], 300)
 						if err != nil {
 							t.Error(err)
 							return

@@ -80,9 +80,9 @@ type State interface {
 	// is read-only: it may view the trial's curve, which other campaigns
 	// share. Its capacity ends at its length, so appending to it copies.
 	Points(id string) []earlycurve.MetricPoint
-	// Trend returns the engine's trend predictor for one trial — the
-	// per-trial incremental EarlyCurve tracker in production, or whatever
-	// custom TrendPredictor the campaign was configured with.
+	// Trend returns the trend predictor for one trial: the campaign's
+	// configured TrendPredictor, the same for every trial. In production
+	// that is EarlyCurve on the environment's shared stage-fit memo.
 	Trend(id string) earlycurve.TrendPredictor
 }
 

@@ -18,10 +18,10 @@
 // ErrTenantPanicked, its running instances are terminated, and the rest of
 // its wave runs on.
 //
-// Memory is bounded per shard, not per tenant: one event-node pool per
-// shard, and results stream out through an in-order emitter exactly like
-// the scenario matrix runner — a 10k-tenant day holds shard-count ×
-// in-flight state, never 10k campaign states. Shards own no caches: every
+// Memory is bounded per shard, not per tenant: one clock per shard, reset
+// and reused by every wave, and results stream out through an in-order
+// emitter exactly like the scenario matrix runner — a 10k-tenant day holds
+// shard-count × in-flight state, never 10k campaign states. Shards own no caches: every
 // tenant has its own seed, so per-shard ground-truth caches would never
 // hit, and tenants solve their EarlyCurve fits on the environment's shared
 // stage-fit memo.
@@ -99,9 +99,10 @@ var ErrTenantPanicked = errors.New("service: tenant panicked")
 // Config tunes one service run.
 type Config struct {
 	// Shards is the number of independent world shards (default 1). Each
-	// shard runs its waves in turn on one goroutine and owns an event-node
-	// pool but no caches; every wave gets its own clock epoch and capacity
-	// domain. Tenants are assigned round-robin in admission order.
+	// shard runs its waves in turn on one goroutine and owns one clock but
+	// no caches; every wave resets the clock to the campaign start and gets
+	// its own capacity domain. Tenants are assigned round-robin in
+	// admission order.
 	Shards int
 	// MaxInFlight caps concurrently-open campaigns per shard (default 8):
 	// a shard runs its tenants in waves of this size, each wave sharing
@@ -249,12 +250,13 @@ func (f *flow) wait(maxRank, window int) {
 	f.mu.Unlock()
 }
 
-// shardState is the per-shard bounded working set: the event-node pool
-// persists across the shard's whole run.
+// shardState is the per-shard bounded working set: the clock persists
+// across the shard's whole run, and each wave reuses the event slots the
+// waves before it freed.
 type shardState struct {
 	idx   int
 	queue []pendingTenant
-	pool  *simclock.NodePool
+	clk   *simclock.Virtual
 }
 
 // Run executes the tenant battery against the environment and streams
@@ -308,7 +310,7 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 	// Admission caps, shard assignment, and wave layout.
 	shards := make([]*shardState, cfg.Shards)
 	for s := range shards {
-		shards[s] = &shardState{idx: s, pool: simclock.NewNodePool()}
+		shards[s] = &shardState{idx: s, clk: simclock.NewVirtual(env.CampaignStart)}
 	}
 	type decision struct {
 		admitted bool
@@ -474,8 +476,8 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 	return sum, nil
 }
 
-// runWave executes one shard wave on the calling goroutine: a fresh clock
-// epoch at the campaign start, a fresh capacity domain, and the wave's
+// runWave executes one shard wave on the calling goroutine: the shard's
+// clock at the campaign start, a fresh capacity domain, and the wave's
 // campaigns taking turns in next-event order. Returns the wave's
 // cross-tenant capacity audit findings (contention mode only).
 //
@@ -488,10 +490,8 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 func runWave(env *campaign.Environment, bench *workload.Benchmark, curves workload.Curves,
 	sh *shardState, wave []pendingTenant, capMarkets *cloudsim.Markets, cfg Config, results chan<- Result) []invariants.Violation {
 
-	clk := simclock.NewVirtual(env.CampaignStart)
-	clk.SetNodePool(sh.pool)
 	w := &waveWorld{env: env, bench: bench, curves: curves, cfg: cfg,
-		world: &campaign.World{Clock: clk}}
+		world: &campaign.World{Clock: sh.clk}}
 	if capMarkets != nil {
 		w.world.Markets = capMarkets
 		w.world.Domain = cloudsim.NewCapacityDomain(cfg.SurgeSlope)
@@ -530,9 +530,10 @@ func runWave(env *campaign.Environment, bench *workload.Benchmark, curves worklo
 			q.down(0)
 		}
 	}
-	// Reclaim event nodes the wave scheduled but never fired (pending
-	// revocations past campaign end) so the next wave reuses the slab.
-	clk.ReleaseNodes()
+	// Drop the events the wave scheduled but never fired (pending
+	// revocations past campaign end) and rewind to the campaign start, so
+	// the next wave starts clean and reuses their slots.
+	sh.clk.Reset(env.CampaignStart)
 
 	if capMarkets == nil {
 		return nil

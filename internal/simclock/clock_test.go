@@ -14,23 +14,6 @@ func TestVirtualNow(t *testing.T) {
 	}
 }
 
-func TestVirtualSleepAdvances(t *testing.T) {
-	v := NewVirtual(t0)
-	v.Sleep(90 * time.Second)
-	want := t0.Add(90 * time.Second)
-	if got := v.Now(); !got.Equal(want) {
-		t.Fatalf("Now() after Sleep = %v, want %v", got, want)
-	}
-}
-
-func TestVirtualSleepNegativeNoop(t *testing.T) {
-	v := NewVirtual(t0)
-	v.Sleep(-time.Minute)
-	if got := v.Now(); !got.Equal(t0) {
-		t.Fatalf("Now() after negative Sleep = %v, want %v", got, t0)
-	}
-}
-
 func TestScheduleFiresInOrder(t *testing.T) {
 	v := NewVirtual(t0)
 	var order []int
@@ -105,7 +88,7 @@ func TestCallbackCanScheduleMore(t *testing.T) {
 
 func TestAdvanceToPastIsNoop(t *testing.T) {
 	v := NewVirtual(t0)
-	v.Sleep(time.Hour)
+	v.AdvanceTo(t0.Add(time.Hour))
 	v.AdvanceTo(t0) // earlier than now
 	if got := v.Now(); !got.Equal(t0.Add(time.Hour)) {
 		t.Fatalf("AdvanceTo(past) moved clock to %v", got)
@@ -116,12 +99,12 @@ func TestPendingEvents(t *testing.T) {
 	v := NewVirtual(t0)
 	e1 := v.Schedule(t0.Add(time.Minute), func(time.Time) {})
 	v.Schedule(t0.Add(2*time.Minute), func(time.Time) {})
-	if got := v.PendingEvents(); got != 2 {
-		t.Fatalf("PendingEvents = %d, want 2", got)
+	if got := v.pendingEvents(); got != 2 {
+		t.Fatalf("pending events = %d, want 2", got)
 	}
 	e1.Cancel()
-	if got := v.PendingEvents(); got != 1 {
-		t.Fatalf("PendingEvents after cancel = %d, want 1", got)
+	if got := v.pendingEvents(); got != 1 {
+		t.Fatalf("pending events after cancel = %d, want 1", got)
 	}
 }
 
@@ -138,50 +121,5 @@ func TestNextEventTime(t *testing.T) {
 	e.Cancel()
 	if _, ok := v.NextEventTime(); ok {
 		t.Fatal("NextEventTime returned cancelled event")
-	}
-}
-
-func TestRunUntilIdle(t *testing.T) {
-	v := NewVirtual(t0)
-	count := 0
-	for i := 1; i <= 4; i++ {
-		v.Schedule(t0.Add(time.Duration(i)*time.Hour), func(time.Time) { count++ })
-	}
-	fired, err := v.RunUntilIdle(100)
-	if err != nil {
-		t.Fatalf("RunUntilIdle: %v", err)
-	}
-	if fired != 4 || count != 4 {
-		t.Fatalf("fired=%d count=%d, want 4", fired, count)
-	}
-}
-
-func TestRunUntilIdleLimit(t *testing.T) {
-	v := NewVirtual(t0)
-	var rearm func(now time.Time)
-	rearm = func(now time.Time) { v.Schedule(now.Add(time.Second), rearm) }
-	v.Schedule(t0.Add(time.Second), rearm)
-	if _, err := v.RunUntilIdle(10); err == nil {
-		t.Fatal("RunUntilIdle with self-scheduling events did not error at limit")
-	}
-}
-
-func TestScheduleAfter(t *testing.T) {
-	v := NewVirtual(t0)
-	var seen time.Time
-	v.ScheduleAfter(30*time.Second, func(now time.Time) { seen = now })
-	v.Sleep(time.Minute)
-	if want := t0.Add(30 * time.Second); !seen.Equal(want) {
-		t.Fatalf("ScheduleAfter fired at %v, want %v", seen, want)
-	}
-}
-
-func TestWallClock(t *testing.T) {
-	w := Wall{}
-	before := time.Now()
-	got := w.Now()
-	after := time.Now()
-	if got.Before(before) || got.After(after) {
-		t.Fatalf("Wall.Now() = %v outside [%v, %v]", got, before, after)
 	}
 }
