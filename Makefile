@@ -120,13 +120,16 @@ storm:
 # in BENCH_service.json (uploaded by CI). Then a 1k-tenant contention
 # battery through cmd/scenarios: shared per-type capacity, surge pricing,
 # weighted-fair admission, audited by the capacity-oversubscription
-# invariant — exits non-zero on any violation. Same temp-file discipline as
-# bench: a failing benchmark binary fails the recipe.
+# invariant — exits non-zero on any violation. Last the smallest smoke: 8
+# tenants, whose per-tenant attribution table is printed, with tenant
+# t-00003's campaign flight-recorded (the explain-this-tenant path). Same
+# temp-file discipline as bench: a failing benchmark binary fails the recipe.
 service:
 	$(GO) test -bench '^BenchmarkServiceThroughput$$' -run '^$$' -benchtime 1x . > BENCH_service.txt
 	grep '^BenchmarkServiceThroughput' BENCH_service.txt | $(GO) run ./cmd/benchperf -out BENCH_service.json
 	rm -f BENCH_service.txt
 	$(GO) run ./cmd/scenarios -quick -tenants 1000 -shards 8 -admission weighted-fair
+	$(GO) run ./cmd/scenarios -quick -tenants 8 -shards 2 -trace-tenant t-00003 -trace results/t-00003.jsonl
 
 # Native fuzz targets, run briefly (CI runs the same lane). Corpus finds are
 # committed under the packages' testdata/fuzz directories.

@@ -624,7 +624,7 @@ func (f *multiDayFixture) run(b testing.TB) *core.Report {
 		b.Fatal(err)
 	}
 	orch, err := core.NewPolicyOrchestrator(cluster, cloudsim.NewObjectStore(), pol, pool, trials, core.Config{
-		Theta: 0.7, MCnt: 2, StartupDelay: 30 * time.Second,
+		Theta: 0.7, MCnt: 2,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -638,7 +638,7 @@ func (f *multiDayFixture) run(b testing.TB) *core.Report {
 
 // BenchmarkCampaign measures one controlled multi-day SpotTune campaign.
 // loop_iters is the event loop's turn count: one per real scheduling event,
-// not one per PollInterval of virtual time.
+// not one per poll interval of virtual time.
 func BenchmarkCampaign(b *testing.B) {
 	f := newMultiDayFixture(b)
 	b.ReportAllocs()

@@ -11,7 +11,8 @@
 //	benchfigs -fig none -quick -policy                         # cross-policy study only
 //	benchfigs -fig none -quick -policyjson BENCH_policy.json   # + JSON artifact
 //	benchfigs -fig none -quick -tunerjson BENCH_tuner.json     # cross-tuner study + artifact
-//	benchfigs -fig none -quick -scenarios all                  # scenario x policy matrix
+//
+// The scenario x policy matrix runs through `scenarios`.
 package main
 
 import (
@@ -34,21 +35,20 @@ func main() {
 
 func run() error {
 	var (
-		figFlag    = flag.String("fig", "all", "comma-separated figure numbers (1,5,6,7,8,9,10,11,12) or 'all'")
-		outDir     = flag.String("out", "results", "output directory for CSV files")
-		seed       = flag.Uint64("seed", 1, "experiment seed")
-		scale      = flag.Float64("scale", 1.0, "workload scale (dataset sizes and horizons)")
-		quick      = flag.Bool("quick", false, "fast mode: synthetic curves, tiny predictors, short traces")
-		ablation   = flag.Bool("ablation", false, "also run the predictor ablation (none vs trained vs oracle)")
-		policyS    = flag.Bool("policy", false, "also run the cross-policy provisioning study")
-		policyJS   = flag.String("policyjson", "", "write the cross-policy study rows as JSON to this path (implies -policy)")
-		tunerS     = flag.Bool("tuner", false, "also run the cross-tuner search-strategy study")
-		tunerJS    = flag.String("tunerjson", "", "write the cross-tuner study rows as JSON to this path (implies -tuner)")
-		scenariosF = flag.String("scenarios", "none", "also run the scenario x policy matrix: comma-separated scenario names, 'all', or 'none'")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with `go tool pprof`)")
-		memProf    = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		trace      = flag.String("trace", "", "flight-recorder output path for the cross-policy study (implies -policy; one recording per policy row)")
-		traceFmt   = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome")
+		figFlag  = flag.String("fig", "all", "comma-separated figure numbers (1,5,6,7,8,9,10,11,12) or 'all'")
+		outDir   = flag.String("out", "results", "output directory for CSV files")
+		seed     = flag.Uint64("seed", 1, "experiment seed")
+		scale    = flag.Float64("scale", 1.0, "workload scale (dataset sizes and horizons)")
+		quick    = flag.Bool("quick", false, "fast mode: synthetic curves, tiny predictors, short traces")
+		ablation = flag.Bool("ablation", false, "also run the predictor ablation (none vs trained vs oracle)")
+		policyS  = flag.Bool("policy", false, "also run the cross-policy provisioning study")
+		policyJS = flag.String("policyjson", "", "write the cross-policy study rows as JSON to this path (implies -policy)")
+		tunerS   = flag.Bool("tuner", false, "also run the cross-tuner search-strategy study")
+		tunerJS  = flag.String("tunerjson", "", "write the cross-tuner study rows as JSON to this path (implies -tuner)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with `go tool pprof`)")
+		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		trace    = flag.String("trace", "", "flight-recorder output path for the cross-policy study (implies -policy; one recording per policy row)")
+		traceFmt = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome")
 	)
 	flag.Parse()
 
@@ -154,11 +154,6 @@ func run() error {
 	if *tunerS || *tunerJS != "" {
 		if err := runTunerStudy(ctx, w, *tunerJS); err != nil {
 			return fmt.Errorf("tuner study: %w", err)
-		}
-	}
-	if *scenariosF != "none" && *scenariosF != "" {
-		if err := runScenarioMatrix(opts, w, *scenariosF); err != nil {
-			return fmt.Errorf("scenario matrix: %w", err)
 		}
 	}
 	fmt.Printf("\nCSV outputs written to %s/\n", *outDir)

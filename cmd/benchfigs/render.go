@@ -11,7 +11,6 @@ import (
 
 	"spottune/internal/experiments"
 	"spottune/internal/obs"
-	"spottune/internal/scenario"
 )
 
 // writer persists CSV files into the output directory.
@@ -563,52 +562,4 @@ func runTunerStudy(ctx *experiments.Context, w *writer, jsonPath string) error {
 		return err
 	}
 	return os.WriteFile(jsonPath, append(blob, '\n'), 0o644)
-}
-
-// runScenarioMatrix executes the scenario x policy matrix (every registered
-// policy across the named scenarios from the default battery), writes the
-// per-cell scenarios.csv, and prints a cost leaderboard per scenario. Cells
-// are invariant-audited; violations fail the command.
-func runScenarioMatrix(opts experiments.Options, w *writer, names string) error {
-	specs, err := scenario.ParseSpecList(names)
-	if err != nil {
-		return err
-	}
-	workloadName := "LoR"
-	if len(opts.Workloads) > 0 {
-		workloadName = opts.Workloads[0]
-	}
-	res, err := scenario.Matrix{Specs: specs}.Run(scenario.Options{
-		Seed:     opts.Seed,
-		Quick:    opts.Quick,
-		Scale:    opts.Scale,
-		Workload: workloadName,
-	})
-	if err != nil {
-		return err
-	}
-	if err := res.WriteCSVFile(filepath.Join(w.dir, "scenarios.csv")); err != nil {
-		return err
-	}
-
-	maxCost := 0.0
-	for _, c := range res.Cells {
-		if c.Cost > maxCost {
-			maxCost = c.Cost
-		}
-	}
-	last := ""
-	for _, c := range res.Cells {
-		if c.Scenario != last {
-			fmt.Printf("\n== Scenario %s (regime %s) ==\n", c.Scenario, c.Regime)
-			last = c.Scenario
-		}
-		fmt.Printf("  %-17s cost $%7.3f %-24s JCT %6.2fh  refund %5.1f%%\n",
-			c.Policy, c.Cost, bar(c.Cost, maxCost, 24), c.JCTHours, 100*c.RefundFrac)
-	}
-	if err := res.ViolationError(os.Stderr); err != nil {
-		return err
-	}
-	fmt.Println("\nscenario invariant audit: every cell sound")
-	return nil
 }

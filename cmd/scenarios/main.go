@@ -19,11 +19,13 @@
 //	scenarios -list                           # what's available
 //	scenarios -seed 7 -out results            # full fidelity (slow: trains predictors per scenario)
 //
-// Every run goes through the streaming matrix runner: cells are written to
-// the CSV as they finish (memory stays flat no matter how many replicates),
-// and the default single-replicate grid is bit-identical to the legacy
-// buffered path. -stream swaps the per-cell table for a live progress line
-// plus quantile summaries; there the per-cell CSV is opt-in via -percell.
+// Every matrix run goes through the streaming matrix runner: cells are
+// written to the CSV as they finish, so memory stays flat no matter how many
+// replicates. -stream swaps the per-cell table for a live progress line plus
+// quantile summaries; there the per-cell CSV is opt-in via -percell.
+//
+// -tenants switches to service mode, the command's second engine. Each mode
+// rejects the flags only the other one reads, before anything runs.
 package main
 
 import (
@@ -34,6 +36,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -76,7 +79,7 @@ func run() error {
 		stratsF   = flag.String("strategies", resilience.FixedName, "comma-separated recovery strategy names, or 'all' for every registered strategy")
 		resJSON   = flag.String("resiliencejson", "", "write battery-wide resilience metrics (survival rate, lost-work percentiles, degradation transitions) to this JSON file")
 		trace     = flag.String("trace", "", "flight-recorder output path; turns tracing on (same seed, byte-identical file)")
-		traceFmt  = flag.String("trace-format", "jsonl", "trace format: jsonl, chrome, or all (with 'all', chrome lands next to -trace with a .trace.json suffix)")
+		traceFmt  = flag.String("trace-format", "jsonl", "trace format: jsonl, chrome, or (matrix mode only) all, which writes chrome next to -trace with a .trace.json suffix")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with `go tool pprof`)")
 		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
 
@@ -90,6 +93,26 @@ func run() error {
 		traceTen  = flag.String("trace-tenant", "", "service mode: flight-record exactly this tenant's campaign and write it to -trace (the explain-this-tenant workflow)")
 	)
 	flag.Parse()
+
+	// Reject what the run would ignore or fail on at the end before any
+	// output file or environment exists.
+	serviceMode := *tenants > 0
+	if err := checkModeFlags(serviceMode); err != nil {
+		return err
+	}
+	if !slices.Contains(obs.TraceFormats, *traceFmt) && (serviceMode || *traceFmt != "all") {
+		return fmt.Errorf("-trace-format %q: want jsonl, chrome, or (matrix mode only) all", *traceFmt)
+	}
+	var battery []service.Tenant
+	if serviceMode {
+		battery = service.DefaultBattery(*tenants, *seed)
+	}
+	if *traceTen != "" && *trace == "" {
+		return fmt.Errorf("-trace-tenant needs -trace for the recording")
+	}
+	if *traceTen != "" && !slices.ContainsFunc(battery, func(t service.Tenant) bool { return t.ID == *traceTen }) {
+		return fmt.Errorf("-trace-tenant %q: no such tenant in the %d-tenant battery", *traceTen, len(battery))
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -122,22 +145,14 @@ func run() error {
 		return nil
 	}
 
-	if *tenants > 0 {
-		// Service mode replaces the matrix wholesale, like -storm replaces
-		// the named battery: mixing the two would silently drop one.
-		if *stormF != "" || *names != "all" {
-			return fmt.Errorf("-tenants (service mode) and -storm/-scenarios are mutually exclusive")
-		}
-		return runServiceMode(serviceArgs{
+	if serviceMode {
+		return runServiceMode(battery, serviceArgs{
 			workload: *workloadF, seed: *seed, quick: *quick,
-			tenants: *tenants, shards: *shards, inflight: *inflight,
+			shards: *shards, inflight: *inflight,
 			admission: *admission, capacity: *capacity, surge: *surge,
 			maxBudget: *maxBudget, traceTenant: *traceTen,
 			tracePath: *trace, traceFmt: *traceFmt,
 		})
-	}
-	if *traceTen != "" {
-		return fmt.Errorf("-trace-tenant requires -tenants (service mode)")
 	}
 
 	if *theta <= 0 || *theta > 1 {
@@ -156,7 +171,7 @@ func run() error {
 		}
 		specs, err = scenario.StormSpecs(*stormF, *chaosSeed)
 	} else {
-		specs, err = scenario.ParseSpecList(*names)
+		specs, err = scenario.SpecsByName(splitArg(*names))
 	}
 	if err != nil {
 		return err
@@ -197,17 +212,7 @@ func run() error {
 		chromeW *obs.ChromeWriter
 	)
 	if *trace != "" {
-		wantJSONL, wantChrome := false, false
-		switch *traceFmt {
-		case "jsonl":
-			wantJSONL = true
-		case "chrome":
-			wantChrome = true
-		case "all":
-			wantJSONL, wantChrome = true, true
-		default:
-			return fmt.Errorf("-trace-format %q: want jsonl, chrome, or all", *traceFmt)
-		}
+		wantJSONL, wantChrome := *traceFmt != "chrome", *traceFmt != "jsonl"
 		if dir := filepath.Dir(*trace); dir != "." {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				return err
@@ -350,12 +355,39 @@ func run() error {
 	return nil
 }
 
+// matrixOnly and serviceOnly name the flags only one mode reads.
+var (
+	matrixOnly = []string{"scenarios", "policies", "tuners", "theta", "out", "replicates",
+		"stream", "percell", "storm", "chaos-seed", "strategies", "resiliencejson"}
+	serviceOnly = []string{"shards", "inflight", "admission", "capacity", "surge",
+		"max-budget", "trace-tenant"}
+)
+
+// checkModeFlags rejects every explicitly set flag the chosen mode does not
+// read, naming them all in one error: a flag the run would silently ignore
+// is a different experiment than the one asked for.
+func checkModeFlags(serviceMode bool) error {
+	mode, foreign := "matrix mode", serviceOnly
+	if serviceMode {
+		mode, foreign = "service mode (-tenants)", matrixOnly
+	}
+	var bad []string
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(foreign, f.Name) {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	if len(bad) > 0 {
+		return fmt.Errorf("%s does not read %s", mode, strings.Join(bad, ", "))
+	}
+	return nil
+}
+
 // serviceArgs carries the service-mode flag values.
 type serviceArgs struct {
 	workload         string
 	seed             uint64
 	quick            bool
-	tenants          int
 	shards, inflight int
 	admission        string
 	capacity         int
@@ -371,10 +403,7 @@ type serviceArgs struct {
 // shared per-type spot capacity with demand-surge pricing. Any capacity
 // oversubscription, per-campaign invariant violation, or failed campaign
 // makes the command exit non-zero — the same audit contract as the matrix.
-func runServiceMode(a serviceArgs) error {
-	if a.traceTenant != "" && a.tracePath == "" {
-		return fmt.Errorf("-trace-tenant needs -trace for the recording")
-	}
+func runServiceMode(battery []service.Tenant, a serviceArgs) error {
 	scale := 0.5
 	envOpt := campaign.EnvOptions{Seed: a.seed, Days: 8, TrainDays: 2}
 	if a.quick {
@@ -391,7 +420,6 @@ func runServiceMode(a serviceArgs) error {
 	}
 	curves := bench.SyntheticCurves(a.seed)
 
-	battery := service.DefaultBattery(a.tenants, a.seed)
 	if a.maxBudget > 0 {
 		// The default battery leaves budgets unconstrained, which a capped
 		// region rejects wholesale; cycle budgets around the cap instead so
@@ -416,7 +444,7 @@ func runServiceMode(a serviceArgs) error {
 		mode = fmt.Sprintf("shared capacity %d/type, surge slope %.2f", a.capacity, a.surge)
 	}
 	fmt.Printf("service: %d tenants on %d shards (in-flight %d, admission %s, %s)\n",
-		a.tenants, a.shards, a.inflight, a.admission, mode)
+		len(battery), a.shards, a.inflight, a.admission, mode)
 
 	var tenantTrace *obs.Recording
 	if a.traceTenant != "" {
@@ -445,7 +473,7 @@ func runServiceMode(a serviceArgs) error {
 			row.name, row.s.Quantile(0.5), row.s.Quantile(0.9), row.s.Quantile(0.99), row.s.Max())
 	}
 	fmt.Printf("total spend $%.2f, cost gini %.3f\n", sum.TotalCost, sum.CostGini)
-	if a.tenants <= 32 {
+	if len(battery) <= 32 {
 		fmt.Println("\nper-tenant attribution (trace-derived):")
 		if err := obs.AttributeTenants(sum.Trace).WriteTable(os.Stdout); err != nil {
 			return err
@@ -457,7 +485,7 @@ func runServiceMode(a serviceArgs) error {
 		what := "service-level trace"
 		if a.traceTenant != "" {
 			if tenantTrace == nil {
-				return fmt.Errorf("-trace-tenant %q: no such tenant in the battery", a.traceTenant)
+				return fmt.Errorf("-trace-tenant %q: the tenant was rejected at admission or its campaign failed", a.traceTenant)
 			}
 			rec = tenantTrace
 			what = "tenant " + a.traceTenant + " campaign trace"

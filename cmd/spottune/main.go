@@ -15,15 +15,16 @@
 //	spottune -workload GBTR -theta 0.5 -pred oracle -real
 //	spottune -workload LoR -trace campaign.jsonl          # flight recorder + cost attribution
 //	spottune -workload LoR -resilience adaptive -deadline 24h  # recovery strategy + degradation ladder
-//	spottune -workload LoR -service 8                     # multi-tenant service smoke: 8 tenants on shared markets
 //
-// Run with -help to see the registered policies and tuners.
+// Run with -help to see the registered policies and tuners. Multi-tenant
+// service batteries run through `scenarios -tenants`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -34,7 +35,6 @@ import (
 	"spottune/internal/policy"
 	"spottune/internal/resilience"
 	"spottune/internal/search"
-	"spottune/internal/service"
 	"spottune/internal/workload"
 )
 
@@ -70,7 +70,6 @@ func run() error {
 		budget   = flag.Float64("budget", 0, "campaign spend cap in USD for ladder decisions; 0 = unconstrained")
 		baseType = flag.String("basetype", "", "catalog compatibility anchor: narrow the fleet to types at least as powerful as this one (\"\" = whole catalog)")
 		alloc    = flag.String("alloc", "", "diversified-spot allocation strategy: "+strings.Join(policy.AllocationNames(), ", ")+" (\"\" = lowest-price)")
-		svc      = flag.Int("service", 0, "multi-tenant service smoke: run this many tenant campaigns on shared contended spot markets instead of one campaign (0 = off)")
 	)
 	flag.Usage = func() {
 		out := flag.CommandLine.Output()
@@ -92,6 +91,9 @@ func run() error {
 	flag.Parse()
 	if !(*theta > 0 && *theta <= 1) {
 		return fmt.Errorf("-theta %v is outside (0, 1]", *theta)
+	}
+	if !slices.Contains(obs.TraceFormats, *traceFmt) {
+		return fmt.Errorf("-trace-format %q: want %s", *traceFmt, strings.Join(obs.TraceFormats, " or "))
 	}
 
 	bench, err := workload.SuiteByName(*wl, workload.Config{Seed: *seed, Scale: *scale})
@@ -121,19 +123,6 @@ func run() error {
 	})
 	if err != nil {
 		return err
-	}
-
-	if *svc > 0 {
-		if *mcnt != 3 || *conc != 1 || *eta != 0 || *alloc != "" {
-			return fmt.Errorf("-service and -mcnt/-concurrent/-eta/-alloc are mutually exclusive " +
-				"(tenants run with campaign defaults; -policy/-tuner/-resilience are forwarded per-tenant)")
-		}
-		return runServiceSmoke(env, bench, curves, serviceSmokeOpts{
-			tenants: *svc, seed: *seed,
-			policy: *polName, tuner: *tunName, resilience: *resName,
-			deadline: *deadline, budget: *budget, baseType: *baseType,
-			trace: *trace, traceFmt: *traceFmt,
-		})
 	}
 
 	var rec *obs.Recording
@@ -178,84 +167,6 @@ func run() error {
 			return err
 		}
 	}
-	return nil
-}
-
-// serviceSmokeOpts carries the per-tenant knobs forwarded into the smoke
-// battery.
-type serviceSmokeOpts struct {
-	tenants    int
-	seed       uint64
-	policy     string
-	tuner      string
-	resilience string
-	deadline   time.Duration
-	budget     float64
-	baseType   string
-	trace      string
-	traceFmt   string
-}
-
-// runServiceSmoke runs a small multi-tenant battery through the sharded
-// world engine with contention on — co-resident tenants share per-type spot
-// capacity and demand-surge pricing — then prints the service summary and
-// the trace-derived per-tenant attribution table.
-func runServiceSmoke(env *campaign.Environment, bench *workload.Benchmark, curves workload.Curves, o serviceSmokeOpts) error {
-	battery := service.DefaultBattery(o.tenants, o.seed)
-	for i := range battery {
-		battery[i].Policy = o.policy
-		battery[i].Tuner = o.tuner
-		battery[i].Resilience = o.resilience
-		battery[i].Deadline = o.deadline
-		battery[i].Budget = o.budget
-		battery[i].BaseType = o.baseType
-	}
-	cfg := service.Config{
-		Shards:      2,
-		MaxInFlight: 4,
-		Contention:  true,
-		Capacity:    4,
-		SurgeSlope:  0.5,
-		Trace:       true,
-	}
-	fmt.Printf("\nservice smoke: %d tenants on %d shards (in-flight %d, shared capacity %d/type, surge slope %.2f)\n",
-		o.tenants, cfg.Shards, cfg.MaxInFlight, cfg.Capacity, cfg.SurgeSlope)
-	sum, err := service.Run(env, bench, curves, battery, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("admitted %d, rejected %d, failed %d across %d waves; total spend $%.4f, cost gini %.3f\n",
-		sum.Admitted, sum.Rejected, sum.Failed, sum.Waves, sum.TotalCost, sum.CostGini)
-	fmt.Println("\nper-tenant attribution (trace-derived):")
-	if err := obs.AttributeTenants(sum.Trace).WriteTable(os.Stdout); err != nil {
-		return err
-	}
-	if o.trace != "" {
-		f, err := os.Create(o.trace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := obs.WriteTrace(f, o.traceFmt, sum.Trace); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\nservice trace (%d events) written to %s (format %s)\n", sum.Trace.Len(), o.trace, o.traceFmt)
-	}
-	for _, v := range sum.Capacity {
-		fmt.Fprintf(os.Stderr, "capacity audit: %s: %s\n", v.Code, v.Detail)
-	}
-	switch {
-	case len(sum.Capacity) > 0:
-		return fmt.Errorf("%d capacity-oversubscription violations", len(sum.Capacity))
-	case sum.Violations > 0:
-		return fmt.Errorf("%d per-campaign invariant violations", sum.Violations)
-	case sum.Failed > 0:
-		return fmt.Errorf("%d campaigns failed", sum.Failed)
-	}
-	fmt.Println("invariant audit: every tenant sound")
 	return nil
 }
 

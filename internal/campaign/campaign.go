@@ -318,9 +318,6 @@ type Options struct {
 	// retry behavior, bit-identical to pre-resilience campaigns). A fresh
 	// strategy instance is constructed per run.
 	Resilience string
-	// ResilienceParams tunes strategy construction (retry budget, backoff
-	// cap, minimum cadence). Seed is always supplied from Options.Seed.
-	ResilienceParams resilience.Params
 	// Deadline/Budget are the campaign's completion target and spend cap,
 	// forwarded to core.Config (zero = unconstrained).
 	Deadline time.Duration
@@ -504,9 +501,7 @@ func (e *Environment) NewRun(b *workload.Benchmark, curves workload.Curves, opt 
 	// Strategies may be stateful (adaptive cadence learns revocation
 	// rates), so each run constructs a fresh instance; the jitter seed is
 	// derived from the run seed so replays are exact.
-	rp := opt.ResilienceParams
-	rp.Seed = opt.Seed + 0x5e5
-	res, err := resilience.New(opt.Resilience, rp)
+	res, err := resilience.New(opt.Resilience, resilience.Params{Seed: opt.Seed + 0x5e5})
 	if err != nil {
 		return nil, err
 	}

@@ -51,14 +51,6 @@ func (c *Cluster) AddBlackout(b Blackout) error {
 	return nil
 }
 
-// Blackouts returns a copy of every installed blackout window, in
-// installation order. The chaos harness uses it to audit that a generated
-// fault schedule was installed as specced (windows anchored where the
-// generator put them) before running campaigns against it.
-func (c *Cluster) Blackouts() []Blackout {
-	return append([]Blackout(nil), c.blackouts...)
-}
-
 // blackedOut reports whether a spot request for typeName fails at instant t.
 func (c *Cluster) blackedOut(typeName string, t time.Time) bool {
 	for _, b := range c.blackouts {

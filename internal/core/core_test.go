@@ -186,8 +186,6 @@ func orchCfg(theta float64) Config {
 		Theta:         theta,
 		MCnt:          2,
 		MaxConcurrent: 1,
-		PollInterval:  5 * time.Second,
-		StartupDelay:  10 * time.Second,
 	}
 }
 

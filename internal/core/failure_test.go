@@ -7,10 +7,24 @@ import (
 	"spottune/internal/cloudsim"
 	"spottune/internal/earlycurve"
 	"spottune/internal/market"
+	"spottune/internal/resilience"
 	"spottune/internal/revpred"
 	"spottune/internal/simclock"
 	"spottune/internal/trial"
 )
+
+// cadenceStrategy runs a campaign at a periodic-checkpoint cadence other
+// than the orchestrator's: it hands the wrapped strategy every as
+// CadenceContext.Default, and the wrapped strategy decides as usual.
+type cadenceStrategy struct {
+	resilience.Strategy
+	every time.Duration
+}
+
+func (s cadenceStrategy) CheckpointInterval(ctx resilience.CadenceContext) time.Duration {
+	ctx.Default = s.every
+	return s.Strategy.CheckpointInterval(ctx)
+}
 
 // mkBigTrial builds one trial whose checkpoint exceeds every Table III
 // instance's two-minute upload capacity, forcing periodic checkpointing.
@@ -35,7 +49,7 @@ func TestOversizedTrialSurvivesRevocationsViaPeriodicCheckpoints(t *testing.T) {
 	w := newWorld(t, true) // spiky market: revocations guaranteed
 	big := mkBigTrial(t, w, 1200, 50)
 	cfg := orchCfg(1.0)
-	cfg.PeriodicCheckpoint = 5 * time.Minute
+	cfg.Resilience = cadenceStrategy{resilience.Default(), 5 * time.Minute}
 	rep, err := w.orchestrator(t, []string{"slow"}, 3, []*trial.Replay{big}, cfg).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +80,7 @@ func TestOversizedCheckpointSkippedAtNotice(t *testing.T) {
 	w := newWorld(t, true)
 	big := mkBigTrial(t, w, 300, 25)
 	cfg := orchCfg(1.0)
-	cfg.PeriodicCheckpoint = 2 * time.Hour // effectively never: baseline only
+	cfg.Resilience = cadenceStrategy{resilience.Default(), 2 * time.Hour} // effectively never: baseline only
 	if _, err := w.orchestrator(t, []string{"slow"}, 4, []*trial.Replay{big}, cfg).Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,22 @@ const (
 	// does not truncate observation before the ranking that depends on it.
 	convergeWindow = 8
 	convergeTol    = 5e-4
+	// pollInterval is the event loop's retry quantum, the sleep of the
+	// paper's Algorithm 1. A trial noticed at the current instant waits one
+	// interval before it redeploys, the fixed resilience strategy retries
+	// blackout-rejected spot requests on this grid, and the campaign-start
+	// trace event carries it as its B payload.
+	pollInterval = 10 * time.Second
+	// startupDelay models instance boot time before training can begin.
+	startupDelay = time.Minute
+	// periodicCheckpoint is the default cadence for trials whose checkpoint
+	// is too large to upload inside the two-minute revocation notice
+	// (§IV-F's max-model-size limit). Such trials checkpoint on a schedule
+	// instead of at notice time, losing at most one period of work per
+	// revocation — the "periodically checkpointing" extension the paper
+	// leaves as future work. The resilience strategy receives it as
+	// CadenceContext.Default and may tighten it per assignment.
+	periodicCheckpoint = 10 * time.Minute
 )
 
 // Config tunes the orchestrator. Zero values select the paper's settings.
@@ -48,22 +64,6 @@ type Config struct {
 	// evaluation processes trials one at a time (default 1); higher
 	// values exercise the elastic fan-out Algorithm 1 permits.
 	MaxConcurrent int
-	// PollInterval is the event loop's retry quantum (default 10s; the
-	// sleep of the paper's Algorithm 1). A trial noticed at the current
-	// instant waits one interval before it redeploys, the fixed resilience
-	// strategy retries blackout-rejected spot requests on this grid, and the
-	// campaign-start trace event carries it as its B payload.
-	PollInterval time.Duration
-	// StartupDelay models instance boot time before training can begin
-	// (default 60s).
-	StartupDelay time.Duration
-	// PeriodicCheckpoint is the cadence for trials whose checkpoint is
-	// too large to upload inside the two-minute revocation notice
-	// (§IV-F's max-model-size limit). Such trials checkpoint on this
-	// schedule instead of at notice time, losing at most one period of
-	// work per revocation — the "periodically checkpointing" extension
-	// the paper leaves as future work. Default 10 minutes.
-	PeriodicCheckpoint time.Duration
 	// Trend predicts final metrics from partial curves (default
 	// EarlyCurve with paper constants).
 	Trend earlycurve.TrendPredictor
@@ -120,19 +120,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 1
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 10 * time.Second
-	}
-	if c.StartupDelay < 0 {
-		c.StartupDelay = 0
-	} else if c.StartupDelay == 0 {
-		c.StartupDelay = time.Minute
-	}
 	if c.Trend == nil {
 		c.Trend = &earlycurve.Predictor{}
-	}
-	if c.PeriodicCheckpoint <= 0 {
-		c.PeriodicCheckpoint = 10 * time.Minute
 	}
 	if c.Tracer == nil {
 		c.Tracer = obs.Nop{}
@@ -165,7 +154,7 @@ type assignment struct {
 	oversized  bool
 	lastCkptAt time.Time
 	// cadence is the periodic-checkpoint interval the resilience strategy
-	// chose for this assignment (fixed: Config.PeriodicCheckpoint;
+	// chose for this assignment (fixed: periodicCheckpoint;
 	// adaptive: Young/Daly from the market's observed revocation rate).
 	// Decided once at deploy so the schedule is stable for the segment.
 	cadence time.Duration
@@ -228,14 +217,14 @@ type trialState struct {
 	// noticedAt is the trial's most recent termination notice (zero when
 	// none, or after the trial leaves the waiting/active cycle). A trial
 	// noticed at the current instant is not redeployed until one
-	// PollInterval later: an instance bought inside its market's doom window
+	// pollInterval later: an instance bought inside its market's doom window
 	// is noticed the moment it launches, and without this spacing the event
 	// loop would deploy-notice-requeue forever at one instant.
 	noticedAt time.Time
 
 	// blackoutRetryAt paces blackout-rejected spot requests onto the retry
 	// schedule the resilience strategy chose (the fixed strategy picks the
-	// PollInterval grid; zero when no retry is pending). The rejection count
+	// pollInterval grid; zero when no retry is pending). The rejection count
 	// feeds the policy-visible spot-failure streak, so the attempt cadence
 	// must come from the strategy alone: without this gate the event loop
 	// would retry at every interesting instant (price ticks, other trials'
@@ -528,7 +517,7 @@ func (o *Orchestrator) begin() {
 		Type:  o.tuner.Name(),
 		Label: o.approach,
 		A:     o.cfg.Theta,
-		B:     o.cfg.PollInterval.Seconds(),
+		B:     pollInterval.Seconds(),
 		N:     int64(len(o.order)),
 	})
 	o.view = &tunerView{o: o}
@@ -650,7 +639,7 @@ func (o *Orchestrator) closeRound() {
 // point, proactive-restart horizon, periodic-checkpoint tick, plateau step,
 // notice, revocation, or price tick — or closed once every directed trial
 // has finished. The turn count is the number of real events, not
-// campaign-duration/PollInterval.
+// campaign-duration/pollInterval.
 func (o *Orchestrator) turn() (next time.Time, closed bool, err error) {
 	// 5M turns in one round means livelock (e.g. a trial that can never
 	// recover past its checkpoint).
@@ -803,7 +792,7 @@ func (o *Orchestrator) familyOf(typeName string) string {
 // price below market), in which case the caller should retry after the next
 // price tick; a non-zero retryAt asks the caller to try again at that
 // instant (a trial noticed at the current instant is spaced out by one
-// PollInterval — unless the resilience strategy asked for
+// pollInterval — unless the resilience strategy asked for
 // migration-on-notice, which deploys the replacement inside the notice
 // window). Trials whose retry budget the resilience strategy exhausts are
 // abandoned here (give-up), decrementing pending.
@@ -819,7 +808,7 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 		// A zero noticedAt/blackoutRetryAt (none pending) lies before every
 		// instant, so neither gate holds.
 		if !t.migrating && !t.noticedAt.Before(now) {
-			return now.Add(o.cfg.PollInterval), false, nil
+			return now.Add(pollInterval), false, nil
 		}
 		if now.Before(t.blackoutRetryAt) {
 			return t.blackoutRetryAt, false, nil
@@ -883,7 +872,7 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 				// spot-failure streak so fallback policies can swap to
 				// on-demand instead of waiting the window out. The retry
 				// pacing comes from the resilience strategy: the fixed
-				// strategy keeps the PollInterval grid; adaptive strategies
+				// strategy keeps the pollInterval grid; adaptive strategies
 				// back off exponentially and may exhaust the trial's retry
 				// budget, abandoning it (give-up) rather than spinning
 				// through a blackout the deadline cannot absorb.
@@ -901,7 +890,7 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 				dec := o.res.Retry(resilience.RetryContext{
 					TrialID:      id,
 					Attempt:      attempt,
-					PollInterval: o.cfg.PollInterval,
+					PollInterval: pollInterval,
 				})
 				if dec.GiveUp {
 					o.trc.Emit(obs.Event{
@@ -920,7 +909,7 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 				}
 				delay := dec.Delay
 				if delay <= 0 {
-					delay = o.cfg.PollInterval
+					delay = pollInterval
 				}
 				o.trc.Emit(obs.Event{
 					VT:    now,
@@ -958,8 +947,8 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 		a.oversized = oversizedFor(tr.CheckpointMB(), inst.Type.CPUs)
 		// The resilience strategy decides this assignment's periodic
 		// checkpoint cadence from the checkpoint's write cost and the
-		// market's observed revocation rate (fixed: the configured
-		// default; adaptive: Young/Daly).
+		// market's observed revocation rate (fixed: periodicCheckpoint;
+		// adaptive: Young/Daly, at most periodicCheckpoint).
 		ckptSecs := checkpointSetupTime.Seconds() +
 			tr.CheckpointMB()/cloudsim.UploadSpeedMBps(inst.Type.CPUs)
 		a.cadence = o.res.CheckpointInterval(resilience.CadenceContext{
@@ -967,10 +956,10 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 			TypeName:           inst.Type.Name,
 			CheckpointSecs:     ckptSecs,
 			RevocationsPerHour: o.rates.RevocationsPerHour(inst.Type.Name),
-			Default:            o.cfg.PeriodicCheckpoint,
+			Default:            periodicCheckpoint,
 		})
 		if a.cadence <= 0 {
-			a.cadence = o.cfg.PeriodicCheckpoint
+			a.cadence = periodicCheckpoint
 		}
 		deployLabel, deployPrice := "spot", req.MaxPrice
 		if req.OnDemand {
@@ -986,7 +975,7 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 			A:     deployPrice,
 			N:     int64(tr.CompletedSteps()),
 		})
-		busy := now.Add(o.cfg.StartupDelay)
+		busy := now.Add(startupDelay)
 		// Oversized trials need a baseline recovery point before
 		// any revocation can strike: without it, a notice arriving
 		// before the first periodic snapshot would have nothing to

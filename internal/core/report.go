@@ -46,7 +46,7 @@ type Report struct {
 	Revocations         int
 
 	// LoopIterations counts the event loop's scheduler turns across all
-	// phases: one per real scheduling event, not one per PollInterval of
+	// phases: one per real scheduling event, not one per pollInterval of
 	// virtual time.
 	LoopIterations int
 

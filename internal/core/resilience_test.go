@@ -320,8 +320,7 @@ func TestAdaptiveCadenceBoundsLostWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := orchCfg(1.0)
-	cfg.Resilience = res
-	cfg.PeriodicCheckpoint = 5 * time.Minute
+	cfg.Resilience = cadenceStrategy{res, 5 * time.Minute}
 	rep, rec := runTraced(t, w, []*trial.Replay{big}, cfg, []string{"slow"})
 	if big.CompletedSteps() != big.MaxSteps() {
 		t.Fatalf("oversized trial stalled at %d/%d", big.CompletedSteps(), big.MaxSteps())

@@ -80,13 +80,6 @@ func OuterAcc(g []float64, rows, cols int, dy, x []float64) {
 	outerAccImpl(g, rows, cols, dy, x)
 }
 
-// Scale multiplies every element of x by alpha.
-func Scale(x []float64, alpha float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Zero clears x.
 func Zero(x []float64) {
 	for i := range x {

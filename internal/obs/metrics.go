@@ -7,15 +7,14 @@ import (
 	"spottune/internal/stats"
 )
 
-// Metrics is a small deterministic metrics registry: named counters, gauges,
-// and QuantileSketch-backed histograms. Everything about it is
+// Metrics is a small deterministic metrics registry: named counters and
+// QuantileSketch-backed histograms. Everything about it is
 // order-independent — counters add, sketches merge bucket-wise — so metrics
 // aggregated across streamed cells in scheduling-dependent order equal
 // metrics aggregated sequentially, bit for bit (the same contract
 // stats.QuantileSketch gives the matrix summary).
 type Metrics struct {
 	counters map[string]int64
-	gauges   map[string]float64
 	hists    map[string]*stats.QuantileSketch
 }
 
@@ -23,16 +22,12 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	return &Metrics{
 		counters: map[string]int64{},
-		gauges:   map[string]float64{},
 		hists:    map[string]*stats.QuantileSketch{},
 	}
 }
 
 // Count adds delta to a counter.
 func (m *Metrics) Count(name string, delta int64) { m.counters[name] += delta }
-
-// SetGauge records a point-in-time value (last write wins).
-func (m *Metrics) SetGauge(name string, v float64) { m.gauges[name] = v }
 
 // Observe adds one sample to a histogram, creating it at
 // stats.DefaultSketchAlpha on first use.
@@ -48,20 +43,13 @@ func (m *Metrics) Observe(name string, v float64) {
 // Counter returns a counter's value (0 when never counted).
 func (m *Metrics) Counter(name string) int64 { return m.counters[name] }
 
-// Gauge returns a gauge's value and whether it was ever set.
-func (m *Metrics) Gauge(name string) (float64, bool) {
-	v, ok := m.gauges[name]
-	return v, ok
-}
-
 // Histogram returns a histogram by name, or nil.
 func (m *Metrics) Histogram(name string) *stats.QuantileSketch { return m.hists[name] }
 
-// CounterNames/GaugeNames/HistogramNames list registered names in sorted
-// order — the iteration order every exporter and printer uses, so output
-// never depends on map ordering.
+// CounterNames/HistogramNames list registered names in sorted order — the
+// iteration order every exporter and printer uses, so output never depends
+// on map ordering.
 func (m *Metrics) CounterNames() []string   { return sortedNames(m.counters) }
-func (m *Metrics) GaugeNames() []string     { return sortedNames(m.gauges) }
 func (m *Metrics) HistogramNames() []string { return sortedNames(m.hists) }
 
 func sortedNames[V any](mp map[string]V) []string {
@@ -73,19 +61,13 @@ func sortedNames[V any](mp map[string]V) []string {
 	return names
 }
 
-// Merge folds other into m: counters add, histograms merge bucket-wise,
-// gauges keep the most recently merged value. Gauges are point-in-time
-// numbers — to aggregate one across cells, observe it into a histogram
-// instead (CampaignMetrics does this for cost and JCT).
+// Merge folds other into m: counters add and histograms merge bucket-wise.
 func (m *Metrics) Merge(other *Metrics) error {
 	if other == nil {
 		return nil
 	}
 	for n, v := range other.counters {
 		m.counters[n] += v
-	}
-	for n, v := range other.gauges {
-		m.gauges[n] = v
 	}
 	for _, n := range other.HistogramNames() {
 		h, ok := m.hists[n]
@@ -103,9 +85,8 @@ func (m *Metrics) Merge(other *Metrics) error {
 // CampaignMetrics derives the standard per-campaign metric set from a
 // recording. Counters count events by kind (deploys split by market tier),
 // histograms sketch the economic distributions (posting dollars, segment
-// steps, checkpoint sizes) plus the headline cost/JCT outcomes so merged
-// cell metrics stream straight into battery-level percentiles, and gauges
-// carry the campaign's point outcomes.
+// steps, checkpoint sizes) plus the headline cost/JCT outcomes, so merged
+// cell metrics stream straight into battery-level percentiles.
 //
 // Derivation is a pure fold over the event slice, so two byte-identical
 // traces always produce identical metrics.
@@ -167,9 +148,6 @@ func CampaignMetrics(r *Recording) *Metrics {
 		case KindEliminate:
 			m.Count("eliminations", 1)
 		case KindCampaignEnd:
-			m.SetGauge("net_cost_usd", e.A)
-			m.SetGauge("jct_hours", e.B)
-			m.SetGauge("loop_iterations", float64(e.N))
 			m.Observe("cell_net_cost_usd", e.A)
 			m.Observe("cell_jct_hours", e.B)
 		}

@@ -29,7 +29,7 @@ type Kind uint8
 const (
 	KindUnknown Kind = iota
 	// KindCampaignStart opens a recording: Label=approach, Type=tuner name,
-	// A=theta, B=the orchestrator's PollInterval in seconds (the trigger
+	// A=theta, B=the orchestrator's poll interval in seconds (the trigger
 	// detection slop auditors allow on cadence bounds), N=trial count.
 	KindCampaignStart
 	// KindRoundOpen begins a tuner round: Label=round label, N=directive

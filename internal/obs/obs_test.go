@@ -274,8 +274,8 @@ func TestCampaignMetricsAndMerge(t *testing.T) {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}
 	}
-	if v, ok := m.Gauge("net_cost_usd"); !ok || v != 0.51 {
-		t.Errorf("gauge net_cost_usd = %v (%v), want 0.51", v, ok)
+	if h := m.Histogram("cell_net_cost_usd"); h == nil || h.Count() != 1 || h.Max() != 0.51 {
+		t.Errorf("cell_net_cost_usd histogram %+v, want one sample of 0.51", h)
 	}
 	if h := m.Histogram("posting_gross_usd"); h == nil || h.Count() != 3 {
 		t.Errorf("posting_gross_usd histogram %+v", h)

@@ -1,11 +1,10 @@
 package obs
 
 // TraceQuery answers "what happened to this trial / this instance?" over a
-// finished recording: it reconstructs per-trial timelines (a trial's own
-// events plus everything that happened on the instances that served it) and
-// extracts the last K relevant events before the end of the trace — the
-// context internal/invariants attaches to violations so an audit code
-// arrives with its story.
+// finished recording: a trial's events are its own plus everything that
+// happened on the instances that served it, and LastK extracts the last K
+// of them before the end of the trace — the context internal/invariants
+// attaches to violations so an audit code arrives with its story.
 type TraceQuery struct {
 	events    []Event
 	instTrial map[string]string
@@ -33,17 +32,6 @@ func (q *TraceQuery) relevant(e Event, trial string) bool {
 		return true
 	}
 	return e.Inst != "" && q.instTrial[e.Inst] == trial
-}
-
-// Timeline returns every event relevant to a trial, in sequence order.
-func (q *TraceQuery) Timeline(trial string) []Event {
-	var out []Event
-	for _, e := range q.events {
-		if q.relevant(e, trial) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // LastK returns the last k events relevant to the given subject, in

@@ -76,7 +76,7 @@ func AttributeTenants(r *Recording) TenantAttribution {
 }
 
 // WriteTable renders the per-tenant breakdown as an aligned text table (the
-// CLI's --service view).
+// view `scenarios -tenants` prints for batteries of up to 32 tenants).
 func (ta TenantAttribution) WriteTable(w io.Writer) error {
 	width := len("tenant")
 	for _, row := range ta.Rows {

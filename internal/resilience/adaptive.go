@@ -20,11 +20,11 @@ func (a *adaptive) Name() string { return AdaptiveName }
 
 // CheckpointInterval is the Young/Daly first-order optimum τ = √(2·δ·MTBF):
 // δ is the modeled checkpoint cost on this instance and MTBF the inverse of
-// the market's observed revocation rate. With no evidence yet the configured
-// default stands; with evidence the result is clamped to
-// [MinCadence, Default] — the estimate can only ever tighten the cadence,
-// never relax it past the configured bound (which is what keeps the
-// lost-work invariant's per-notice bound monotone in the configuration).
+// the market's observed revocation rate. With no evidence yet ctx.Default
+// stands; with evidence the result is clamped to [MinCadence, Default] —
+// the estimate can only ever tighten the cadence, never relax it past the
+// orchestrator's bound (which is what keeps the lost-work invariant's
+// per-notice bound monotone in the default).
 func (a *adaptive) CheckpointInterval(ctx CadenceContext) time.Duration {
 	if ctx.RevocationsPerHour <= 0 || ctx.CheckpointSecs <= 0 {
 		return ctx.Default

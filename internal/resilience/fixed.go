@@ -17,10 +17,10 @@ type fixed struct{}
 
 func (fixed) Name() string { return FixedName }
 
-// CheckpointInterval keeps the configured fixed cadence.
+// CheckpointInterval keeps the orchestrator's fixed cadence.
 func (fixed) CheckpointInterval(ctx CadenceContext) time.Duration { return ctx.Default }
 
-// OnNotice re-queues passively; the orchestrator's PollInterval spacing
+// OnNotice re-queues passively; the orchestrator's poll-interval spacing
 // applies as it always has.
 func (fixed) OnNotice(NoticeContext) NoticeAction { return NoticeAction{} }
 

@@ -6,15 +6,15 @@
 // a registry, and the orchestrator consults it at each of those moments.
 //
 // Two strategies ship built in. "fixed" reproduces the orchestrator's
-// historical behavior bit for bit: the configured periodic checkpoint
-// cadence, passive post-notice re-queueing spaced by one PollInterval, and
-// blackout retries paced on the PollInterval grid forever. "adaptive" makes
-// all three decisions from observed market state: a Young/Daly-style
-// checkpoint cadence driven by an online per-market revocation-rate
-// estimate, migration-on-notice into a different market with the restore
-// overlapping the remaining notice lead time, and capped exponential backoff
-// with deterministic jitter under a per-trial retry budget that ends in an
-// explicit give-up.
+// historical behavior bit for bit: the orchestrator's fixed periodic
+// checkpoint cadence, passive post-notice re-queueing spaced by one poll
+// interval, and blackout retries paced on the poll-interval grid forever.
+// "adaptive" makes all three decisions from observed market state: a
+// Young/Daly-style checkpoint cadence driven by an online per-market
+// revocation-rate estimate, migration-on-notice into a different market
+// with the restore overlapping the remaining notice lead time, and capped
+// exponential backoff with deterministic jitter under a per-trial retry
+// budget that ends in an explicit give-up.
 //
 // Strategies must be deterministic given their construction Params and the
 // sequence of calls — they may not read wall clocks or draw from global
@@ -43,9 +43,9 @@ type CadenceContext struct {
 	// revocation rate (revocations per spot instance-hour observed so
 	// far; 0 before any evidence).
 	RevocationsPerHour float64
-	// Default is the configured fixed cadence (Config.PeriodicCheckpoint)
-	// — the fallback when there is no evidence and the upper clamp when
-	// there is.
+	// Default is the orchestrator's fixed cadence (10 minutes) — the
+	// fallback when there is no evidence and the upper clamp when there
+	// is.
 	Default time.Duration
 }
 
@@ -90,7 +90,7 @@ type RetryContext struct {
 	// 1-based and including the rejection being decided; it resets when a
 	// deployment succeeds.
 	Attempt int
-	// PollInterval is the orchestrator's configured poll grid — the
+	// PollInterval is the orchestrator's poll grid (10 seconds) — the
 	// historical retry pace and the natural delay unit.
 	PollInterval time.Duration
 }
@@ -112,7 +112,7 @@ type Strategy interface {
 	// Name is the registry name the strategy was constructed under.
 	Name() string
 	// CheckpointInterval picks the periodic checkpoint cadence for one
-	// assignment. Returning ctx.Default preserves the configured fixed
+	// assignment. Returning ctx.Default preserves the orchestrator's fixed
 	// cadence.
 	CheckpointInterval(ctx CadenceContext) time.Duration
 	// OnNotice decides what to do inside the two-minute notice window.

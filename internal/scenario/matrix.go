@@ -4,10 +4,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
-	"strings"
 
 	"spottune/internal/campaign"
 	"spottune/internal/experiments"
@@ -100,28 +98,14 @@ type Cell struct {
 	// single-strategy grid must stay byte-identical.
 	Strategy string
 	// Replicate is the cell's index on the streaming runner's seed axis
-	// (always 0 for Matrix.Run and for single-replicate streams; it does
-	// not appear in the CSV schema, whose row order encodes it).
+	// (always 0 for single-replicate streams; it does not appear in the
+	// CSV schema, whose row order encodes it).
 	Replicate int
 	experiments.CrossPolicyRow
 	Violations []invariants.Violation
 	// Trace is the cell's flight recording (nil unless Options.Trace). Meta
 	// carries the cell coordinates.
 	Trace *obs.Recording
-}
-
-// Result is a completed matrix.
-type Result struct {
-	Cells []Cell
-}
-
-// ViolationCount sums invariant violations across all cells.
-func (r *Result) ViolationCount() int {
-	n := 0
-	for _, c := range r.Cells {
-		n += len(c.Violations)
-	}
-	return n
 }
 
 // Header is the per-cell CSV schema.
@@ -132,10 +116,10 @@ var Header = []string{
 	"violations",
 }
 
-// CellWriter renders cells to CSV one at a time — the incremental form of
-// Result.WriteCSV, for streamed grids where the full cell table never exists
-// in memory. Writing the same cells in the same order produces bytes
-// identical to Result.WriteCSV (which is implemented on top of it).
+// CellWriter renders cells to CSV one at a time, so a streamed grid's full
+// cell table never exists in memory. The encoding is fully deterministic
+// (fixed float precision, one row per cell in the order written), so two
+// runs of the same seeded matrix produce bit-identical files.
 type CellWriter struct {
 	cw  *csv.Writer
 	row []string
@@ -173,70 +157,9 @@ func (w *CellWriter) Flush() error {
 	return w.cw.Error()
 }
 
-// WriteCSV renders the per-cell table. The encoding is fully deterministic
-// (fixed float precision, cells in scenario-then-policy order as run), so
-// two runs of the same seeded matrix produce bit-identical files.
-func (r *Result) WriteCSV(w io.Writer) error {
-	cw, err := NewCellWriter(w)
-	if err != nil {
-		return err
-	}
-	for _, c := range r.Cells {
-		if err := cw.Write(c); err != nil {
-			return err
-		}
-	}
-	return cw.Flush()
-}
-
-// WriteCSVFile writes the per-cell table to path (shared by cmd/scenarios
-// and benchfigs so both emit byte-identical artifacts).
-func (r *Result) WriteCSVFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ViolationError dumps every invariant violation to w (prefixed per cell)
-// and returns an error summarizing the count, or nil when the matrix is
-// sound.
-func (r *Result) ViolationError(w io.Writer) error {
-	n := r.ViolationCount()
-	if n == 0 {
-		return nil
-	}
-	for _, c := range r.Cells {
-		for _, v := range c.Violations {
-			fmt.Fprintf(w, "%s/%s/%s: invariant violated: %v\n", c.Scenario, c.Tuner, c.Policy, v)
-		}
-	}
-	return fmt.Errorf("%d invariant violations across the matrix", n)
-}
-
 // Matrix is a scenario × tuner × strategy × policy study.
 type Matrix struct {
 	Specs []Spec
-}
-
-// Run executes every scenario × tuner × strategy × policy combination and
-// collects the cells: Stream at one replicate, with an OnCell that appends.
-// Cells come back in scenario-then-tuner-then-strategy-then-policy order,
-// deterministically for a fixed seed.
-func (m Matrix) Run(opt Options) (*Result, error) {
-	res := &Result{}
-	if _, err := m.Stream(StreamOptions{Options: opt, OnCell: func(c Cell) error {
-		res.Cells = append(res.Cells, c)
-		return nil
-	}}); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // StateFor assembles the invariant checker's input from a campaign run's
@@ -265,27 +188,6 @@ func storeBlobs(d *campaign.RunDetail) map[string][]byte {
 		out[key] = blob
 	}
 	return out
-}
-
-// ParseSpecList resolves a comma-separated scenario list ("", "all", or
-// names from the default battery) — the shared flag syntax of cmd/scenarios
-// and benchfigs.
-func ParseSpecList(s string) ([]Spec, error) {
-	if strings.TrimSpace(s) == "" {
-		return SpecsByName(nil)
-	}
-	var names []string
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimSpace(p)
-		if p == "all" {
-			// "all" anywhere in the list selects the whole battery.
-			return SpecsByName(nil)
-		}
-		if p != "" {
-			names = append(names, p)
-		}
-	}
-	return SpecsByName(names)
 }
 
 // SpecsByName filters the default battery down to the named scenarios, in

@@ -104,7 +104,7 @@ func TestMetamorphicLoopEquivalence(t *testing.T) {
 
 // TestMetamorphicQuantizationOnReliableCapacity: on reliable on-demand
 // capacity nothing makes the event loop wait on its retry quantum — no
-// notice spaces a redeploy by PollInterval, no blackout rejection retries on
+// notice spaces a redeploy by a poll tick, no blackout rejection retries on
 // its grid — so its turns count real events, not poll ticks, and a spec's
 // faults cannot move the campaign. Every randomized scenario, faults and
 // all, must run the same campaign as its fault-free twin. The only trace a
@@ -171,7 +171,7 @@ func TestMetamorphicQuantizationOnReliableCapacity(t *testing.T) {
 		}
 		// One turn per deployment's trigger and at most one per round
 		// opening (every round deploys), plus the preemption wakeups — a
-		// polling loop would need JCT/PollInterval turns, thousands here.
+		// polling loop would need JCT/poll-interval turns, thousands here.
 		if max := 2*faulted.Deployments + preemptions; faulted.LoopIterations > max {
 			t.Errorf("spec %d (%s θ=%v): %d loop turns for %d deployments and %d preemptions (max %d)",
 				i, s.Regime, theta, faulted.LoopIterations, faulted.Deployments, preemptions, max)

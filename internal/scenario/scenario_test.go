@@ -16,6 +16,25 @@ func quickOpts() Options {
 	return Options{Seed: 1, Quick: true, Workload: "LoR"}
 }
 
+// cellsCSV renders cells through CellWriter, one row per cell in order.
+func cellsCSV(t *testing.T, cells []Cell) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw, err := NewCellWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if err := cw.Write(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestMatrixQuickIsSelfVerifyingAndDeterministic is the engine's acceptance
 // test: a ≥4-regime × ≥3-policy matrix runs in quick mode with zero
 // invariant violations, and the rendered CSV is bit-identical across two
@@ -27,35 +46,28 @@ func TestMatrixQuickIsSelfVerifyingAndDeterministic(t *testing.T) {
 	}
 	opt := quickOpts()
 	opt.Policies = []string{policy.SpotTuneName, policy.CheapestName, policy.FallbackName}
-	run := func() (*Result, []byte) {
-		res, err := Matrix{Specs: specs}.Run(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := res.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res, buf.Bytes()
+	run := func() ([]Cell, *StreamSummary, []byte) {
+		cells, sum := streamAll(t, Matrix{Specs: specs}, StreamOptions{Options: opt})
+		return cells, sum, cellsCSV(t, cells)
 	}
-	res, csv1 := run()
-	if got, want := len(res.Cells), len(specs)*len(opt.Policies); got != want {
+	cells, sum, csv1 := run()
+	if got, want := len(cells), len(specs)*len(opt.Policies); got != want {
 		t.Fatalf("%d cells, want %d", got, want)
 	}
-	if n := res.ViolationCount(); n != 0 {
-		for _, c := range res.Cells {
+	if n := sum.Violations; n != 0 {
+		for _, c := range cells {
 			for _, v := range c.Violations {
 				t.Errorf("%s/%s: %v", c.Scenario, c.Policy, v)
 			}
 		}
 		t.Fatalf("%d invariant violations in a healthy matrix", n)
 	}
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		if c.Cost <= 0 || c.JCTHours <= 0 {
 			t.Errorf("%s/%s: degenerate cost/JCT %v/%v", c.Scenario, c.Policy, c.Cost, c.JCTHours)
 		}
 	}
-	_, csv2 := run()
+	_, _, csv2 := run()
 	if !bytes.Equal(csv1, csv2) {
 		t.Fatal("same seed produced different matrix CSVs")
 	}
@@ -72,14 +84,11 @@ func TestMassPreemptionScenarioShowsUpInReports(t *testing.T) {
 	}
 	opt := quickOpts()
 	opt.Policies = []string{policy.CheapestName}
-	res, err := Matrix{Specs: specs}.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.ViolationCount(); n != 0 {
+	cells, sum := streamAll(t, Matrix{Specs: specs}, StreamOptions{Options: opt})
+	if n := sum.Violations; n != 0 {
 		t.Fatalf("%d invariant violations", n)
 	}
-	calm, faulted := res.Cells[0], res.Cells[1]
+	calm, faulted := cells[0], cells[1]
 	if faulted.Notices <= calm.Notices {
 		t.Errorf("mass preemption produced %d notices vs calm %d — fault not observable",
 			faulted.Notices, calm.Notices)
@@ -101,15 +110,12 @@ func TestBlackoutScenarioDrivesFallbackOnDemand(t *testing.T) {
 	}
 	opt := quickOpts()
 	opt.Policies = []string{policy.CheapestName, policy.FallbackName}
-	res, err := Matrix{Specs: []Spec{spec}}.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.ViolationCount(); n != 0 {
+	cells, sum := streamAll(t, Matrix{Specs: []Spec{spec}}, StreamOptions{Options: opt})
+	if n := sum.Violations; n != 0 {
 		t.Fatalf("%d invariant violations", n)
 	}
 	var cheapest, fallback Cell
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		switch c.Policy {
 		case policy.CheapestName:
 			cheapest = c
@@ -147,12 +153,9 @@ func TestFamilyCrunchRewardsDiversification(t *testing.T) {
 	}
 	opt := quickOpts()
 	opt.Policies = []string{policy.CheapestName, policy.DiversifiedSpotName}
-	res, err := Matrix{Specs: specs}.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.ViolationCount(); n != 0 {
-		for _, c := range res.Cells {
+	cells, sum := streamAll(t, Matrix{Specs: specs}, StreamOptions{Options: opt})
+	if n := sum.Violations; n != 0 {
+		for _, c := range cells {
 			for _, v := range c.Violations {
 				t.Errorf("%s/%s: %v", c.Scenario, c.Policy, v)
 			}
@@ -160,7 +163,7 @@ func TestFamilyCrunchRewardsDiversification(t *testing.T) {
 		t.Fatalf("%d invariant violations under family crunch", n)
 	}
 	var cheapest, div Cell
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		switch c.Policy {
 		case policy.CheapestName:
 			cheapest = c
@@ -169,7 +172,7 @@ func TestFamilyCrunchRewardsDiversification(t *testing.T) {
 		}
 	}
 	if cheapest.Report == nil || div.Report == nil {
-		t.Fatalf("missing cells: %+v", res.Cells)
+		t.Fatalf("missing cells: %+v", cells)
 	}
 	// The compatibility anchor narrowed both fleets; the constraint is
 	// echoed for the invariant audit.
@@ -264,11 +267,11 @@ func TestSpecValidation(t *testing.T) {
 }
 
 func TestMatrixRejectsBadInput(t *testing.T) {
-	if _, err := (Matrix{}).Run(quickOpts()); err == nil {
+	if _, err := (Matrix{}).Stream(StreamOptions{Options: quickOpts()}); err == nil {
 		t.Error("empty matrix accepted")
 	}
 	dup := []Spec{{Name: "a", Regime: "calm"}, {Name: "a", Regime: "volatile"}}
-	if _, err := (Matrix{Specs: dup}).Run(quickOpts()); err == nil {
+	if _, err := (Matrix{Specs: dup}).Stream(StreamOptions{Options: quickOpts()}); err == nil {
 		t.Error("duplicate spec names accepted")
 	}
 	if _, err := SpecsByName([]string{"no-such-scenario"}); err == nil {
@@ -296,23 +299,16 @@ func TestMatrixCrossTunerAxis(t *testing.T) {
 	opt := quickOpts()
 	opt.Policies = []string{policy.SpotTuneName, policy.FallbackName}
 	opt.Tuners = search.Names()
-	run := func() (*Result, []byte) {
-		res, err := Matrix{Specs: specs}.Run(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := res.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res, buf.Bytes()
+	run := func() ([]Cell, *StreamSummary, []byte) {
+		cells, sum := streamAll(t, Matrix{Specs: specs}, StreamOptions{Options: opt})
+		return cells, sum, cellsCSV(t, cells)
 	}
-	res, csv1 := run()
-	if got, want := len(res.Cells), len(specs)*len(opt.Tuners)*len(opt.Policies); got != want {
+	cells, sum, csv1 := run()
+	if got, want := len(cells), len(specs)*len(opt.Tuners)*len(opt.Policies); got != want {
 		t.Fatalf("%d cells, want %d", got, want)
 	}
-	if n := res.ViolationCount(); n != 0 {
-		for _, c := range res.Cells {
+	if n := sum.Violations; n != 0 {
+		for _, c := range cells {
 			for _, v := range c.Violations {
 				t.Errorf("%s/%s/%s: %v", c.Scenario, c.Tuner, c.Policy, v)
 			}
@@ -320,7 +316,7 @@ func TestMatrixCrossTunerAxis(t *testing.T) {
 		t.Fatalf("%d invariant violations under tuner churn", n)
 	}
 	seenTuner := map[string]bool{}
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		seenTuner[c.Tuner] = true
 		if c.Cost <= 0 || c.JCTHours <= 0 {
 			t.Errorf("%s/%s/%s: degenerate cost/JCT %v/%v", c.Scenario, c.Tuner, c.Policy, c.Cost, c.JCTHours)
@@ -334,7 +330,7 @@ func TestMatrixCrossTunerAxis(t *testing.T) {
 			t.Errorf("tuner %s missing from the matrix", name)
 		}
 	}
-	_, csv2 := run()
+	_, _, csv2 := run()
 	if !bytes.Equal(csv1, csv2) {
 		t.Fatal("same seed produced different cross-tuner CSVs")
 	}
@@ -352,19 +348,16 @@ func TestSpecTunerPinOverridesAxis(t *testing.T) {
 	opt := quickOpts()
 	opt.Policies = []string{policy.SpotTuneName}
 	opt.Tuners = search.Names()
-	res, err := Matrix{Specs: specs}.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 1 || res.Cells[0].Tuner != search.FullTrainName {
-		t.Fatalf("pinned spec produced cells %+v", res.Cells)
+	cells, _ := streamAll(t, Matrix{Specs: specs}, StreamOptions{Options: opt})
+	if len(cells) != 1 || cells[0].Tuner != search.FullTrainName {
+		t.Fatalf("pinned spec produced cells %+v", cells)
 	}
 
 	bad := Spec{Name: "x", Regime: "calm", Tuner: "nope"}
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown tuner name accepted")
 	}
-	if _, err := (Matrix{Specs: specs}).Run(Options{Seed: 1, Quick: true, Tuners: []string{"nope"}}); err == nil {
+	if _, err := (Matrix{Specs: specs}).Stream(StreamOptions{Options: Options{Seed: 1, Quick: true, Tuners: []string{"nope"}}}); err == nil {
 		t.Error("unknown tuner axis accepted")
 	}
 }

@@ -19,8 +19,8 @@ import (
 
 // replicateStride derives replicate seeds from a spec seed (splitmix64's
 // odd increment, so streams never collide for realistic replicate counts).
-// Replicate 0 uses the spec seed unchanged, so a one-replicate stream (and
-// Matrix.Run) runs each spec at its own seed.
+// Replicate 0 uses the spec seed unchanged, so a one-replicate stream runs
+// each spec at its own seed.
 const replicateStride = 0x9E3779B97F4A7C15
 
 // ReplicateSeed is the campaign seed of replicate r of a spec — exported so
@@ -48,11 +48,8 @@ type StreamOptions struct {
 	// independent of grid size.
 	OnCell func(Cell) error
 	// Progress, when set, receives a live single-line progress report
-	// (carriage-return terminated) roughly every ProgressEvery cells.
+	// (carriage-return terminated) about 200 times across the grid.
 	Progress io.Writer
-	// ProgressEvery is the progress cadence in cells (default: ~200 updates
-	// across the grid).
-	ProgressEvery int
 }
 
 // StreamSummary is the bounded-memory aggregate of a streamed grid: exact
@@ -154,13 +151,7 @@ func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 	for _, b := range blocks {
 		total += reps * len(b.tuners) * len(b.strategies) * len(o.Policies)
 	}
-	progressEvery := opt.ProgressEvery
-	if progressEvery <= 0 {
-		progressEvery = total / 200
-		if progressEvery < 1 {
-			progressEvery = 1
-		}
-	}
+	progressEvery := max(total/200, 1)
 
 	summary := &StreamSummary{
 		Cost:       stats.NewQuantileSketch(stats.DefaultSketchAlpha),

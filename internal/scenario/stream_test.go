@@ -125,13 +125,13 @@ func TestMetamorphicStreamEquivalence(t *testing.T) {
 			opt.Tuners = append(opt.Tuners, search.HalvingName)
 		}
 
-		cold := &Result{Cells: coldCells(t, m, opt)}
+		cold := coldCells(t, m, opt)
 		streamed, _ := streamAll(t, m, StreamOptions{Options: opt, Workers: 4})
 
-		if len(streamed) != len(cold.Cells) {
-			t.Fatalf("round %d: %d streamed cells vs %d cold", i, len(streamed), len(cold.Cells))
+		if len(streamed) != len(cold) {
+			t.Fatalf("round %d: %d streamed cells vs %d cold", i, len(streamed), len(cold))
 		}
-		for j, want := range cold.Cells {
+		for j, want := range cold {
 			got := streamed[j]
 			if got.Scenario != want.Scenario || got.Tuner != want.Tuner || got.Policy != want.Policy {
 				t.Fatalf("round %d cell %d: (%s,%s,%s) vs cold (%s,%s,%s)", i, j,
@@ -164,15 +164,7 @@ func TestMetamorphicStreamEquivalence(t *testing.T) {
 			}
 		}
 		// The rendered CSVs must also agree byte for byte.
-		stream2 := &Result{Cells: streamed}
-		var a, b bytes.Buffer
-		if err := cold.WriteCSV(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := stream2.WriteCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		if !bytes.Equal(cellsCSV(t, cold), cellsCSV(t, streamed)) {
 			t.Errorf("round %d: streamed CSV differs from cold CSV", i)
 		}
 	}
@@ -216,23 +208,20 @@ func TestStreamReplicatesAndSummary(t *testing.T) {
 		}
 	}
 	// Replicate 0 must equal the one-replicate grid.
-	single, err := m.Run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single, _ := streamAll(t, m, StreamOptions{Options: opt})
 	li := 0
 	for _, c := range cells {
 		if c.Replicate != 0 {
 			continue
 		}
-		want := single.Cells[li]
+		want := single[li]
 		li++
 		if math.Float64bits(c.Cost) != math.Float64bits(want.Cost) {
 			t.Errorf("replicate 0 cell %s/%s diverges from the one-replicate grid", c.Scenario, c.Policy)
 		}
 	}
-	if li != len(single.Cells) {
-		t.Fatalf("matched %d replicate-0 cells, the one-replicate grid has %d", li, len(single.Cells))
+	if li != len(single) {
+		t.Fatalf("matched %d replicate-0 cells, the one-replicate grid has %d", li, len(single))
 	}
 	// Different replicates must actually explore different seeds.
 	varied := false

@@ -70,8 +70,6 @@ type Tenant struct {
 	// Config.MaxDeadline) audit these before the campaign ever runs.
 	Deadline time.Duration
 	Budget   float64
-	// BaseType is the compatibility anchor forwarded to the campaign.
-	BaseType string
 }
 
 // Admission policy names.
@@ -611,7 +609,6 @@ func (w *waveWorld) start(tr *tenantRun) (*campaign.Run, error) {
 		Resilience: p.t.Resilience,
 		Deadline:   p.t.Deadline,
 		Budget:     p.t.Budget,
-		BaseType:   p.t.BaseType,
 		World:      w.world,
 		Trace:      w.cfg.TraceTenant != "" && w.cfg.TraceTenant == p.t.ID,
 	}
