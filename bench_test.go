@@ -372,9 +372,10 @@ func BenchmarkGBTRound(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreQuotes measures the packed market store's three quotes over
-// a generated 3-day DefaultSpecs set: a trailing-hour AvgOver (the price
-// term of Eq. 1), PriceAt, and FirstExceed with bids up to 50% over the
+// BenchmarkStoreQuotes measures the packed market store's quotes over a
+// generated 3-day DefaultSpecs set: a trailing-hour AvgOver (the price term
+// of Eq. 1), a day-long AvgOver inside the trace (an instance's bill over a
+// day of records), PriceAt, and FirstExceed with bids up to 50% over the
 // current price. One op is 1,024 queries at seeded instants; ns/quote is
 // the cost of one call.
 func BenchmarkStoreQuotes(b *testing.B) {
@@ -392,14 +393,16 @@ func BenchmarkStoreQuotes(b *testing.B) {
 		ti  int
 		at  time.Time
 		bid float64
+		day time.Time // start of the day-long window
 	}
-	rng := rand.New(rand.NewPCG(1, 2))
+	rng, dayRng := rand.New(rand.NewPCG(1, 2)), rand.New(rand.NewPCG(3, 4))
 	qs := make([]query, 1024)
 	for i := range qs {
 		ti := rng.IntN(len(store.Names()))
 		at := start.Add(time.Hour + time.Duration(rng.Int64N(int64(70*time.Hour))))
 		p, _ := store.PriceAt(ti, at)
-		qs[i] = query{ti: ti, at: at, bid: p * (1 + 0.5*rng.Float64())}
+		day := start.Add(time.Duration(dayRng.Int64N(int64(48 * time.Hour))))
+		qs[i] = query{ti: ti, at: at, bid: p * (1 + 0.5*rng.Float64()), day: day}
 	}
 	for _, bc := range []struct {
 		name  string
@@ -407,6 +410,10 @@ func BenchmarkStoreQuotes(b *testing.B) {
 	}{
 		{"AvgOver", func(q query) float64 {
 			avg, _ := store.AvgOver(q.ti, q.at.Add(-time.Hour), q.at)
+			return avg
+		}},
+		{"AvgOver24h", func(q query) float64 {
+			avg, _ := store.AvgOver(q.ti, q.day, q.day.Add(24*time.Hour))
 			return avg
 		}},
 		{"PriceAt", func(q query) float64 { p, _ := store.PriceAt(q.ti, q.at); return p }},

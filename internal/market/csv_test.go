@@ -93,6 +93,8 @@ func TestReadCSVErrors(t *testing.T) {
 		"bad timestamp": "not-a-time,x,0.3",
 		"bad price":     "2017-04-26T00:00:00Z,x,abc",
 		"bad value":     "2017-04-26T00:00:00Z,x,-1",
+		"off-grid":      "2017-04-26T00:00:00Z,x,0.1\n2017-04-26T01:00:00Z,x,0.1234567",
+		"above cap":     "2017-04-26T00:00:00Z,x,2147.483648",
 	}
 	for name, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in)); err == nil {

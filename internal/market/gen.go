@@ -322,11 +322,15 @@ func GenerateSetShared(specs []MarketSpec, from, to time.Time, seed uint64, shar
 	return set, nil
 }
 
+// quantize rounds a price to the quantum, then onto the micro-dollar grid.
 func quantize(p, quantum float64) float64 {
-	q := math.Round(p/quantum) * quantum
-	// Round to avoid float dust in equality comparisons.
-	return math.Round(q*1e6) / 1e6
+	return onGrid(math.Round(p/quantum) * quantum)
 }
+
+// onGrid rounds a price to the nearest whole micro-dollar, the grid
+// Trace.Validate requires. It also clears the float dust quantum steps
+// leave, so equal prices compare equal.
+func onGrid(p float64) float64 { return math.Round(p*microPerUSD) / microPerUSD }
 
 func isWorkday(t time.Time) bool {
 	wd := t.Weekday()

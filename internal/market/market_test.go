@@ -2,6 +2,7 @@ package market
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -176,6 +177,32 @@ func TestTraceValidate(t *testing.T) {
 	}}
 	if err := outOfOrder.Validate(); err == nil {
 		t.Error("out-of-order records accepted")
+	}
+}
+
+// TestTraceValidatePriceGrid pins the store's input contract: prices are
+// whole micro-dollars per hour up to the int32 cap, and a rejection names
+// the record.
+func TestTraceValidatePriceGrid(t *testing.T) {
+	for _, tc := range []struct {
+		price float64
+		want  string // "" accepts
+	}{
+		{0.123456, ""},
+		{0.000001, ""},
+		{2147.483647, ""},
+		{0.1234567, "record 2 price 0.1234567 is not a whole number of micro-dollars"},
+		{1.0 / 3, "record 2 price 0.3333333333333333 is not a whole number of micro-dollars"},
+		{2147.483648, "record 2 price 2147.483648 is above the $2147.483647/h cap"},
+		{1e300, "record 2 price 1e+300 is above the $2147.483647/h cap"},
+	} {
+		err := mkTrace(1, 2, tc.price).Validate()
+		if tc.want == "" && err != nil {
+			t.Errorf("price %v rejected: %v", tc.price, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("price %v: error %v, want %q", tc.price, err, tc.want)
+		}
 	}
 }
 

@@ -293,8 +293,10 @@ func InversionWindow(from, to time.Time, seed uint64) (start, end time.Time) {
 // is at least floor, leaving the step function elsewhere untouched: a record
 // at start lifts the held price onto the floor, in-window records are
 // clamped up, and a record at end restores the price that would otherwise
-// have been in effect.
+// have been in effect. The floor is rounded onto the micro-dollar grid
+// first, as the generator rounds every price.
 func raisePriceWindow(tr *Trace, start, end time.Time, floor float64) {
+	floor = onGrid(floor)
 	atStart, _ := tr.PriceAt(start)
 	atEnd, _ := tr.PriceAt(end) // pre-rewrite price effective at end
 	var out []Record

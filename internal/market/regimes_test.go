@@ -11,33 +11,38 @@ var (
 	regTo   = regFrom.Add(4 * 24 * time.Hour)
 )
 
+// TestEveryRegimeGeneratesValidDeterministicTraces also pins that every
+// regime emits prices the packed store holds exactly (Validate's
+// micro-dollar grid), at two seeds.
 func TestEveryRegimeGeneratesValidDeterministicTraces(t *testing.T) {
 	cat := DefaultCatalog()
-	for _, name := range RegimeNames() {
-		set1, err := GenerateRegime(name, cat, regFrom, regTo, 7)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := set1.Validate(); err != nil {
-			t.Fatalf("%s: invalid traces: %v", name, err)
-		}
-		if len(set1) != cat.Len() {
-			t.Fatalf("%s: %d traces, want %d", name, len(set1), cat.Len())
-		}
-		// Bit-identical regeneration under the same seed.
-		set2, err := GenerateRegime(name, cat, regFrom, regTo, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b1, b2 bytes.Buffer
-		if err := WriteSetCSV(&b1, set1); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteSetCSV(&b2, set2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Errorf("%s: same seed produced different traces", name)
+	for _, seed := range []uint64{1, 7} {
+		for _, name := range RegimeNames() {
+			set1, err := GenerateRegime(name, cat, regFrom, regTo, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if err := set1.Validate(); err != nil {
+				t.Fatalf("%s seed %d: invalid traces: %v", name, seed, err)
+			}
+			if len(set1) != cat.Len() {
+				t.Fatalf("%s: %d traces, want %d", name, len(set1), cat.Len())
+			}
+			// Bit-identical regeneration under the same seed.
+			set2, err := GenerateRegime(name, cat, regFrom, regTo, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b1, b2 bytes.Buffer
+			if err := WriteSetCSV(&b1, set1); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteSetCSV(&b2, set2); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+				t.Errorf("%s: same seed produced different traces", name)
+			}
 		}
 	}
 	if _, err := GenerateRegime("nope", cat, regFrom, regTo, 7); err == nil {

@@ -11,9 +11,9 @@ import (
 // to the current trace by its low two bits — a 1-minute run of 1+b>>2
 // records, one sub-second gap, one gap of 1+b>>2 hours plus random
 // nanoseconds — or (b&3 == 3) closes the trace, so consecutive closes make
-// one-record traces. Prices random-walk and sometimes repeat, so bids that
-// equal a price test the strict comparison. Sets hold at most 8 traces and
-// 4,096 records.
+// one-record traces. Prices random-walk on the micro-dollar grid and
+// sometimes repeat, so bids that equal a price test the strict comparison.
+// Sets hold at most 8 traces and 4,096 records.
 func fuzzTraceSet(seed uint64, shape []byte) TraceSet {
 	rng := rand.New(rand.NewPCG(seed, 0xf022))
 	at := time.Date(2023, 4, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(rng.Int64N(int64(24 * time.Hour))))
@@ -26,7 +26,7 @@ func fuzzTraceSet(seed uint64, shape []byte) TraceSet {
 			tr = &Trace{Type: string(rune('a'+len(ts))) + ".large"}
 			ts[tr.Type] = tr
 		}
-		tr.Records = append(tr.Records, Record{At: at, Price: price})
+		tr.Records = append(tr.Records, Record{At: at, Price: onGrid(price)})
 		total++
 		at = at.Add(gap)
 		if rng.IntN(4) > 0 {
@@ -66,7 +66,8 @@ func fuzzTraceSet(seed uint64, shape []byte) TraceSet {
 // linear scan's instant and NextAfter to the first record strictly after
 // the query (both in UTC), at instants on, next to and between record
 // boundaries and outside the trace, over arbitrary and trailing-hour
-// windows, with bids at, just under and just over record prices.
+// windows, with bids at, just under and just over record prices and the
+// edge bids of edgeBids.
 func FuzzStoreMatchesTrace(f *testing.F) {
 	f.Add(uint64(1), []byte{0xfc, 1, 2, 0x40, 5, 3, 3, 0x7c, 6})
 	f.Add(uint64(7), []byte{3, 3, 3, 0, 3, 1, 1, 1, 3, 0x0a})
@@ -97,7 +98,8 @@ func FuzzStoreMatchesTrace(f *testing.F) {
 					t.Fatalf("%s: NextAfter(%v) = %v,%v want %v,%v in UTC", name, at, gotNext, gotOK, wantNext, wantOK)
 				}
 				r := tr.Records[rng.IntN(len(tr.Records))]
-				for _, bid := range []float64{r.Price, math.Nextafter(r.Price, 0), math.Nextafter(r.Price, 1), 0} {
+				bids := append([]float64{r.Price, math.Nextafter(r.Price, 0), math.Nextafter(r.Price, math.Inf(1))}, edgeBids...)
+				for _, bid := range bids {
 					wantAt, wantOK := firstExceedRef(tr, at, bid)
 					gotAt, gotOK := store.FirstExceed(ti, at, bid)
 					if wantOK != gotOK || !wantAt.Equal(gotAt) {

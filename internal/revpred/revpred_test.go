@@ -232,7 +232,7 @@ func rampGrid(t *testing.T, days int) *market.Grid {
 		day := t0.Add(time.Duration(d) * 24 * time.Hour)
 		recs = append(recs, market.Record{At: day, Price: 0.08})
 		for m := 1; m <= 60; m++ {
-			p := 0.08 + float64(m)*(0.4-0.08)/60
+			p := math.Round((0.08+float64(m)*(0.4-0.08)/60)*1e6) / 1e6 // on the micro-dollar grid
 			recs = append(recs, market.Record{
 				At:    day.Add(11*time.Hour + time.Duration(m)*time.Minute),
 				Price: p,

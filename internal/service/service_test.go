@@ -168,8 +168,8 @@ func TestServiceContendedDigest(t *testing.T) {
 		shards, inFlight int
 		want             string
 	}{
-		{1, 6, "bec59deabd01d03e900fb950839d887224a5f2cf82b48c7ce5724d024dc6d593"},
-		{2, 3, "564d861e8b193ca962b20d5ed0e23273e60fdcda6508aac78075a4017228fe4d"},
+		{1, 6, "b2b3448ab4eec4038ecc4e240a70743f5e080b856c5997623eb91b979becac46"},
+		{2, 3, "db64342615a0aa836a73d581b9500f40106d473a04c8614bc2999df9297c7681"},
 	} {
 		sum, got := runService(t, env, bench, curves, tenants, Config{
 			Shards: tc.shards, MaxInFlight: tc.inFlight, Contention: true, Capacity: 2, SurgeSlope: 0.5,
