@@ -4,7 +4,7 @@ GO ?= go
 # target (and CI's coverage lane) fail if the suite drops below it.
 COVER_FLOOR ?= 73.0
 
-.PHONY: all vet build test test-short bench bench-campaign bench-obs trace goldens goldens-gen goldens-update scenarios storm service fuzz cover ci
+.PHONY: all vet build test test-short bench bench-campaign bench-obs trace goldens goldens-gen goldens-update scenarios storm service profile fuzz cover ci
 
 all: ci
 
@@ -131,12 +131,23 @@ service:
 	$(GO) run ./cmd/scenarios -quick -tenants 1000 -shards 8 -admission weighted-fair
 	$(GO) run ./cmd/scenarios -quick -tenants 8 -shards 2 -trace-tenant t-00003 -trace results/t-00003.jsonl
 
+# Deploy-path CPU profile: a contended service run (4,096 tenants on 2
+# shards, 8 in flight each, shared capacity 4 per type, surge slope 0.5),
+# the service settings of the tenants-contended benchmark workload, profiled
+# into results/deploy.pprof; then the cumulative profile, the table the
+# ROADMAP's per-call-path CPU shares are read from.
+profile:
+	mkdir -p results
+	$(GO) run ./cmd/scenarios -quick -tenants 4096 -shards 2 -inflight 8 -capacity 4 -surge 0.5 -cpuprofile results/deploy.pprof
+	$(GO) tool pprof -top -cum results/deploy.pprof
+
 # Native fuzz targets, run briefly (CI runs the same lane). Corpus finds are
 # committed under the packages' testdata/fuzz directories.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceCSVRoundTrip -fuzztime 10s ./internal/market
 	$(GO) test -run '^$$' -fuzz FuzzCatalog -fuzztime 10s ./internal/market
 	$(GO) test -run '^$$' -fuzz FuzzStoreMatchesTrace -fuzztime 10s ./internal/market
+	$(GO) test -run '^$$' -fuzz FuzzCursorMatchesStore -fuzztime 10s ./internal/market
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointCodec -fuzztime 10s ./internal/trial
 	$(GO) test -run '^$$' -fuzz FuzzChaosSchedule -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzServiceConfig -fuzztime 10s ./internal/service

@@ -376,8 +376,11 @@ func BenchmarkGBTRound(b *testing.B) {
 // generated 3-day DefaultSpecs set: a trailing-hour AvgOver (the price term
 // of Eq. 1), a day-long AvgOver inside the trace (an instance's bill over a
 // day of records), PriceAt, and FirstExceed with bids up to 50% over the
-// current price. One op is 1,024 queries at seeded instants; ns/quote is
-// the cost of one call.
+// current price, each at seeded instants; and AvgOverCursor, the
+// trailing-hour quote a cluster makes, through each market's pair of
+// cursors advanced in 10 s hops (round-robin over the markets, back to the
+// start after 70 hours). One op is 1,024 queries; ns/quote is the cost of
+// one call.
 func BenchmarkStoreQuotes(b *testing.B) {
 	specs, err := market.DefaultSpecs(market.DefaultCatalog())
 	if err != nil {
@@ -432,6 +435,30 @@ func BenchmarkStoreQuotes(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/quote")
 		})
 	}
+	b.Run("AvgOverCursor", func(b *testing.B) {
+		n := len(store.Names())
+		near, far := make([]market.Cursor, n), make([]market.Cursor, n)
+		for ti := range near {
+			near[ti], far[ti] = store.NewCursor(ti), store.NewCursor(ti)
+		}
+		first := start.Add(time.Hour).UnixNano()
+		at := first
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range qs {
+				ti := j % n
+				if ti == 0 {
+					if at += int64(10 * time.Second); at >= first+int64(70*time.Hour) {
+						at = first
+					}
+				}
+				avg, _ := store.AvgOverCursors(&far[ti], &near[ti], at-int64(time.Hour), at)
+				benchSink += avg
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/quote")
+	})
 }
 
 // BenchmarkEnvironment measures assembling a constant-predictor campaign

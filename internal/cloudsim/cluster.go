@@ -192,6 +192,11 @@ type Cluster struct {
 	// the catalog's per-type Capacity cap (0 = unlimited). On-demand
 	// capacity is never capped.
 	runningSpot []int
+	// cursors holds, per catalog index, the market cursors every query at
+	// the clock's current instant runs through (see quoteCursors); spare
+	// serves a traced market outside the catalog.
+	cursors []quoteCursors
+	spare   quoteCursors
 
 	// domain, when attached (SetCapacityDomain), shares per-type spot
 	// capacity and demand-pressure pricing with every other cluster on the
@@ -238,12 +243,31 @@ func NewClusterOn(clk *simclock.Virtual, m *Markets) (*Cluster, error) {
 	if m == nil {
 		return nil, errors.New("cloudsim: nil markets")
 	}
-	return &Cluster{
+	c := &Cluster{
 		clk:         clk,
 		markets:     m,
 		runningSpot: make([]int, len(m.slots)),
+		cursors:     make([]quoteCursors, len(m.slots)),
 		trc:         obs.Nop{},
-	}, nil
+	}
+	for i := range c.cursors {
+		c.cursors[i] = m.cursorsOn(m.slots[i].trace)
+	}
+	return c, nil
+}
+
+// quoteCursors are one market's two cursors into the shared store: now
+// answers every query at the clock's current instant (quotes, the spot
+// price check, the revocation search and the next price tick), hourAgo the
+// far end of the trailing-hour average. The clock only moves forward, so
+// each cursor mostly answers inside the record it last stood on or a few
+// records later (market.Cursor); billing and grids, whose instants jump,
+// keep the store's search.
+type quoteCursors struct{ now, hourAgo market.Cursor }
+
+// cursorsOn is a fresh cursor pair over the store's trace ti.
+func (m *Markets) cursorsOn(ti int) quoteCursors {
+	return quoteCursors{now: m.store.NewCursor(ti), hourAgo: m.store.NewCursor(ti)}
 }
 
 // SetTracer installs the flight recorder billing events flow through
@@ -271,17 +295,26 @@ func (c *Cluster) SetCapacityDomain(d *CapacityDomain) error {
 	return nil
 }
 
-// quote resolves a type name for a price quote: its trace slot and the
-// live demand-pressure multiplier (1 without a domain). Catalog types take
-// one name lookup; a traced market outside the catalog quotes flat.
-func (c *Cluster) quote(typeName string) (trace int, surge float64, ok bool) {
+// quote resolves a type name for a price quote: the cursor pair it runs
+// through and the live demand-pressure multiplier (1 without a domain).
+// Catalog types take one name lookup and their slot's cursors; a traced
+// market outside the catalog quotes flat through the spare pair, re-aimed
+// at its trace, so its queries re-seed from the search.
+func (c *Cluster) quote(typeName string) (cur *quoteCursors, surge float64, ok bool) {
 	if i, ok := c.markets.catalog.Index(typeName); ok {
-		sl := &c.markets.slots[i]
-		return sl.trace, c.domain.surge(i, sl.it.Capacity), true
+		return &c.cursors[i], c.domain.surge(i, c.markets.slots[i].it.Capacity), true
 	}
-	trace, ok = c.markets.store.Lookup(typeName)
-	return trace, 1, ok
+	ti, ok := c.markets.store.Lookup(typeName)
+	if !ok {
+		return nil, 0, false
+	}
+	c.spare = c.markets.cursorsOn(ti)
+	return &c.spare, 1, true
 }
+
+// nowNanos is the clock's current instant in Unix nanoseconds, the unit the
+// cursors take.
+func (c *Cluster) nowNanos() int64 { return c.clk.Now().UnixNano() }
 
 // Clock exposes the cluster's virtual clock.
 func (c *Cluster) Clock() *simclock.Virtual { return c.clk }
@@ -299,23 +332,23 @@ func (c *Cluster) Ledger() *Ledger { return &c.ledger }
 
 // CurrentPrice returns the spot market price of a type right now.
 func (c *Cluster) CurrentPrice(typeName string) (float64, error) {
-	ti, surge, ok := c.quote(typeName)
+	cur, surge, ok := c.quote(typeName)
 	if !ok {
 		return 0, fmt.Errorf("cloudsim: unknown market %q", typeName)
 	}
-	p, _ := c.markets.store.PriceAt(ti, c.clk.Now())
+	p, _ := c.markets.store.PriceAtCursor(&cur.now, c.nowNanos())
 	return p * surge, nil
 }
 
 // AvgPriceLastHour returns the time-weighted average market price over the
 // past hour — the price term of Eq. 1.
 func (c *Cluster) AvgPriceLastHour(typeName string) (float64, error) {
-	ti, surge, ok := c.quote(typeName)
+	cur, surge, ok := c.quote(typeName)
 	if !ok {
 		return 0, fmt.Errorf("cloudsim: unknown market %q", typeName)
 	}
-	now := c.clk.Now()
-	avg, err := c.markets.store.AvgOver(ti, now.Add(-time.Hour), now)
+	now := c.nowNanos()
+	avg, err := c.markets.store.AvgOverCursors(&cur.hourAgo, &cur.now, now-int64(time.Hour), now)
 	return avg * surge, err
 }
 
@@ -347,7 +380,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 		return nil, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
 	sl := &c.markets.slots[slot]
-	it, ti := sl.it, sl.trace
+	it, cur := sl.it, &c.cursors[slot].now
 	now := c.clk.Now()
 	if c.blackedOut(typeName, now) {
 		return nil, sl.blackedOut
@@ -363,9 +396,10 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 	if c.domain != nil && !c.domain.hasRoom(slot, it.Capacity) {
 		return nil, sl.sharedFull
 	}
-	cur, _ := c.markets.store.PriceAt(ti, now)
-	if cur > maxPrice {
-		return nil, &priceError{typeName: typeName, price: cur, max: maxPrice}
+	nowNanos := now.UnixNano()
+	price, _ := c.markets.store.PriceAtCursor(cur, nowNanos)
+	if price > maxPrice {
+		return nil, &priceError{typeName: typeName, price: price, max: maxPrice}
 	}
 	inst := c.launch(&Instance{
 		Type:       it,
@@ -384,7 +418,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 		inst.Surge = c.domain.surge(slot, it.Capacity)
 	}
 
-	if exceedAt, found := c.markets.store.FirstExceed(ti, now, maxPrice); found {
+	if exceedAt, found := c.markets.store.FirstExceedCursor(cur, nowNanos, maxPrice); found {
 		noticeAt := exceedAt.Add(-NoticeLeadTime)
 		if noticeAt.Before(now) {
 			noticeAt = now

@@ -15,13 +15,14 @@ import "time"
 // ok=false is the hold-last-price contract, not an error: a trace that ends
 // before the campaign horizon holds its final price forever, so the market
 // is genuinely quiescent and schedulers must not expect another tick. The
-// store answers (market.Store.NextAfter), so the instant is in UTC.
+// store answers through the market's now cursor (market.Store.NextAfter),
+// so the instant is in UTC.
 func (c *Cluster) NextPriceTick(typeName string) (time.Time, bool) {
-	ti, ok := c.markets.store.Lookup(typeName)
+	cur, _, ok := c.quote(typeName)
 	if !ok {
 		return time.Time{}, false
 	}
-	return c.markets.store.NextAfter(ti, c.clk.Now())
+	return c.markets.store.NextAfterCursor(&cur.now, c.nowNanos())
 }
 
 // NextMarketTick returns the earliest upcoming price change across the given

@@ -2,6 +2,8 @@ package cloudsim
 
 import (
 	"errors"
+	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -66,6 +68,73 @@ func TestQuotePathAllocationFree(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("RequestSpot blackout miss allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestClusterQuotesMatchStore walks a cluster's clock forward in hops of
+// seconds to hours and checks every query it answers through its cursors
+// against the store's search, bit for bit: CurrentPrice, AvgPriceLastHour
+// and NextPriceTick for a catalog market and for a traced market outside
+// the catalog (queried in turn, so the spare cursor pair is re-aimed), and
+// the revocation instant RequestSpot schedules for a bid just over the
+// current price.
+func TestClusterQuotesMatchStore(t *testing.T) {
+	start := time.Date(2017, 4, 26, 0, 0, 0, 0, time.UTC)
+	rng := rand.New(rand.NewPCG(3, 5))
+	traces := market.TraceSet{}
+	for _, name := range []string{"r4.large", "x1.off", "x2.off"} {
+		tr := &market.Trace{Type: name}
+		for at := start.Add(-2 * time.Hour); at.Before(start.Add(30 * time.Hour)); at = at.Add(time.Duration(1+rng.IntN(7)) * time.Minute) {
+			tr.Records = append(tr.Records, market.Record{At: at, Price: float64(20000+rng.IntN(40000)) / 1e6})
+		}
+		traces[name] = tr
+	}
+	cat := market.MustNewCatalog([]market.InstanceType{
+		{Name: "r4.large", CPUs: 2, MemoryGB: 15, OnDemandPrice: 0.133},
+	})
+	clk := simclock.NewVirtual(start)
+	c, err := NewCluster(clk, cat, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := c.markets.store
+	hops := []time.Duration{0, time.Second, 90 * time.Second, 10 * time.Minute, 2 * time.Hour}
+	for step := 0; step < 400; step++ {
+		clk.AdvanceTo(clk.Now().Add(hops[rng.IntN(len(hops))]))
+		now := clk.Now()
+		for _, name := range []string{"r4.large", "x1.off", "r4.large", "x2.off"} {
+			ti, _ := store.Lookup(name)
+			wantP, _ := store.PriceAt(ti, now)
+			wantAvg, _ := store.AvgOver(ti, now.Add(-time.Hour), now)
+			wantNext, wantOK := store.NextAfter(ti, now)
+			gotP, err := c.CurrentPrice(name)
+			if err != nil || math.Float64bits(gotP) != math.Float64bits(wantP) {
+				t.Fatalf("%v %s: CurrentPrice = %v, %v; want %v", now, name, gotP, err, wantP)
+			}
+			gotAvg, err := c.AvgPriceLastHour(name)
+			if err != nil || math.Float64bits(gotAvg) != math.Float64bits(wantAvg) {
+				t.Fatalf("%v %s: AvgPriceLastHour = %v, %v; want %v", now, name, gotAvg, err, wantAvg)
+			}
+			if gotNext, gotOK := c.NextPriceTick(name); gotOK != wantOK || !gotNext.Equal(wantNext) {
+				t.Fatalf("%v %s: NextPriceTick = %v, %v; want %v, %v", now, name, gotNext, gotOK, wantNext, wantOK)
+			}
+		}
+		if step%4 == 0 {
+			ti, _ := store.Lookup("r4.large")
+			p, _ := store.PriceAt(ti, now)
+			bid := p * 1.3
+			inst, err := c.RequestSpot("r4.large", bid, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := store.FirstExceed(ti, now, bid)
+			if !inst.RevokeAt.Equal(want) {
+				t.Fatalf("%v: RequestSpot schedules revocation at %v, want %v", now, inst.RevokeAt, want)
+			}
+			if err := c.Terminate(inst.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

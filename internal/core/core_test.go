@@ -11,6 +11,7 @@ import (
 	"spottune/internal/market"
 	"spottune/internal/policy"
 	"spottune/internal/revpred"
+	"spottune/internal/search"
 	"spottune/internal/simclock"
 	"spottune/internal/trial"
 )
@@ -305,6 +306,65 @@ func TestOrchestratorSurvivesRevocations(t *testing.T) {
 	}
 	if rep.Best != idFor(0) {
 		t.Fatalf("best = %q", rep.Best)
+	}
+}
+
+// TestIncumbentMemoMatchesScan steps a revocation-heavy campaign and checks
+// after every Step that the memoized incumbent is what a fresh scan of
+// every trial's last point returns. Two trials share the spiky market: an
+// oversized one, which rewinds to its last periodic checkpoint at every
+// restore after a notice, with a metric that alternates between 0.4 and
+// 0.6 from step to step, and a small one whose metric holds at 0.5. A
+// restore that rewinds the oversized trial by an odd number of steps hands
+// the lead over with no trial advancing, so the memo must be cleared there
+// as well as after every advance.
+func TestIncumbentMemoMatchesScan(t *testing.T) {
+	w := newWorld(t, true)
+	const steps = 1200
+	var zigzag, flat []earlycurve.MetricPoint
+	for s := 1; s <= steps; s++ {
+		zigzag = append(zigzag, earlycurve.MetricPoint{Step: s, Value: 0.4 + 0.2*float64(s%2)})
+		flat = append(flat, earlycurve.MetricPoint{Step: s, Value: 0.5})
+	}
+	big, err := trial.NewReplay("big-hp", steps, zigzag, w.perf, 12*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := trial.NewReplay("small-hp", steps, flat, w.perf, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials := []*trial.Replay{big, small}
+	cfg := orchCfg(1.0)
+	cfg.MaxConcurrent = 2
+	orch := w.orchestrator(t, []string{"slow"}, 7, trials, cfg)
+	fresh := func() int {
+		return search.BestIndexByLast(len(trials), func(i int) (float64, bool) {
+			p, ok := trials[i].LastPoint()
+			return p.Value, ok
+		})
+	}
+	handovers, prev := 0, -1
+	for step := 0; ; step++ {
+		next, done, err := orch.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := orch.incumbentBest(), fresh()
+		if got != want {
+			t.Fatalf("step %d: memoized incumbent %d, scan says %d", step, got, want)
+		}
+		if got != prev {
+			handovers++
+			prev = got
+		}
+		if done {
+			break
+		}
+		w.clk.AdvanceTo(next)
+	}
+	if rep := orch.Report(); rep.LostSteps == 0 || handovers < 3 {
+		t.Fatalf("%d steps rewound at restores and %d changes of lead; the fixture no longer moves the memo", rep.LostSteps, handovers)
 	}
 }
 

@@ -333,6 +333,12 @@ type Orchestrator struct {
 	// blobs on Put, so one buffer serves every write).
 	ckptBuf []byte
 
+	// incumbent memoizes incumbentBest while incumbentOK. A trial's last
+	// point is a function of its completed-step count, which only advance
+	// (RunFor) and the deploy-time Restore change, so those two clear it.
+	incumbent   int
+	incumbentOK bool
+
 	// tuner drives the round loop (Config.Tuner, or the default spottune
 	// schedule); trialState.limit holds the active round's step caps.
 	tuner search.Tuner
@@ -993,6 +999,7 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 			if err := tr.Restore(blob); err != nil {
 				return time.Time{}, false, fmt.Errorf("core: restoring %s: %w", id, err)
 			}
+			o.incumbentOK = false
 			a.stepsBefore = tr.CompletedSteps()
 			a.lastCkptSteps = tr.CompletedSteps()
 			busy = busy.Add(d + restoreSetupTime)
@@ -1117,7 +1124,10 @@ func (o *Orchestrator) advance(a *assignment, now time.Time) {
 		return
 	}
 	before := a.tr.Progress()
-	_, used := a.tr.RunFor(a.inst.Type, secs, a.st.limit)
+	steps, used := a.tr.RunFor(a.inst.Type, secs, a.st.limit)
+	if steps > 0 {
+		o.incumbentOK = false
+	}
 	a.lastAdvance = now
 	a.obsSecs += used
 	a.obsSteps += a.tr.Progress() - before
@@ -1293,10 +1303,16 @@ func (o *Orchestrator) activeOnDemand() int {
 // reported a point. MixedFleet-style policies pin it on reliable capacity.
 // Delegates to the engine-wide leaderboard rule (search.BestIndexByLast)
 // through the memoized LastPoint accessor — this runs at every deployment
-// decision, so it must not pay for the full tuner-facing status snapshot.
+// decision, so it must not pay for the full tuner-facing status snapshot —
+// and rescans only after some trial's completed-step count changed: a
+// capacity spin retries many times with no trial moving.
 func (o *Orchestrator) incumbentBest() int {
-	return search.BestIndexByLast(len(o.ts), func(i int) (float64, bool) {
-		p, ok := o.ts[i].tr.LastPoint()
-		return p.Value, ok
-	})
+	if !o.incumbentOK {
+		o.incumbent = search.BestIndexByLast(len(o.ts), func(i int) (float64, bool) {
+			p, ok := o.ts[i].tr.LastPoint()
+			return p.Value, ok
+		})
+		o.incumbentOK = true
+	}
+	return o.incumbent
 }

@@ -128,10 +128,10 @@ func TestBlackoutRetryBookkeeping(t *testing.T) {
 	}
 }
 
-// TestAdaptiveGiveUpUnderBlackout: with a tiny retry budget and a blackout
-// far longer than the budget's backoff can outlast, the adaptive strategy
-// must abandon trials through the explicit give-up path — visible in the
-// trace with attempt counts equal to the budget — rather than spin.
+// TestAdaptiveGiveUpUnderBlackout: with a blackout far longer than the
+// retry budget's backoff can outlast, the adaptive strategy must abandon
+// trials through the explicit give-up path — visible in the trace with
+// attempt counts equal to the budget — rather than spin.
 func TestAdaptiveGiveUpUnderBlackout(t *testing.T) {
 	w := newWorld(t, false)
 	if err := w.cluster.AddBlackout(cloudsim.Blackout{
@@ -140,8 +140,8 @@ func TestAdaptiveGiveUpUnderBlackout(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	budget := 3
-	res, err := resilience.New(resilience.AdaptiveName, resilience.Params{Seed: 1, RetryBudget: budget})
+	budget := resilience.RetryBudget
+	res, err := resilience.New(resilience.AdaptiveName, resilience.Params{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestAdaptiveGiveUpUnderBlackout(t *testing.T) {
 		}
 	}
 	if giveUps == 0 {
-		t.Fatal("no give-up events despite a 3h blackout and a 3-attempt budget")
+		t.Fatalf("no give-up events despite a 3h blackout and a %d-attempt budget", budget)
 	}
 	// Give-ups surface in the report: every trial the campaign ended on a
 	// give-up is listed.

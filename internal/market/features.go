@@ -35,6 +35,10 @@ type Grid struct {
 	Start time.Time
 
 	minutes int
+	// end is the first instant past the grid, Start + minutes·1m, and
+	// startNanos is Start in Unix nanoseconds: Index's bounds and origin.
+	end        time.Time
+	startNanos int64
 	// priceAt is the price-at-instant source the arrays are sampled from;
 	// build drops it.
 	priceAt func(time.Time) (float64, bool)
@@ -90,7 +94,14 @@ func newGrid(it InstanceType, from, to time.Time, priceAt func(time.Time) (float
 	if span%time.Minute != 0 {
 		minutes++
 	}
-	return &Grid{Type: it, Start: from, minutes: minutes, priceAt: priceAt}, nil
+	return &Grid{
+		Type:       it,
+		Start:      from,
+		minutes:    minutes,
+		end:        from.Add(time.Duration(minutes) * time.Minute),
+		startNanos: from.UnixNano(),
+		priceAt:    priceAt,
+	}, nil
 }
 
 // build samples the source at every minute and fills the feature
@@ -125,17 +136,17 @@ func (g *Grid) Len() int { return g.minutes }
 func (g *Grid) TimeAt(i int) time.Time { return g.Start.Add(time.Duration(i) * time.Minute) }
 
 // Index maps a timestamp to its minute index (floor). It errors when t is
-// outside the grid.
+// outside the grid. Inside it the offset from Start is below the grid's
+// span, so the difference of the two Unix-nanosecond counts is exact even
+// where each count alone would overflow.
 func (g *Grid) Index(t time.Time) (int, error) {
-	d := t.Sub(g.Start)
-	if d < 0 {
+	if t.Before(g.Start) {
 		return 0, fmt.Errorf("market: time %v before grid start %v", t, g.Start)
 	}
-	i := int(d / time.Minute)
-	if i >= g.minutes {
+	if !t.Before(g.end) {
 		return 0, fmt.Errorf("market: time %v beyond grid end", t)
 	}
-	return i, nil
+	return int((t.UnixNano() - g.startNanos) / int64(time.Minute)), nil
 }
 
 // Price returns the market price in force at minute i.

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -189,6 +190,51 @@ func TestStoreGridBuildsOnFirstRead(t *testing.T) {
 	}
 	if len(g.prices) != 60 || g.priceAt != nil {
 		t.Fatalf("first feature read left %d prices, source kept %v", len(g.prices), g.priceAt != nil)
+	}
+}
+
+// indexBySub is Grid.Index as first written, through time.Time.Sub, whose
+// saturating difference the comparisons with Start and end replace.
+func indexBySub(g *Grid, t time.Time) (int, error) {
+	d := t.Sub(g.Start)
+	if d < 0 {
+		return 0, fmt.Errorf("market: time %v before grid start %v", t, g.Start)
+	}
+	i := int(d / time.Minute)
+	if i >= g.minutes {
+		return 0, fmt.Errorf("market: time %v beyond grid end", t)
+	}
+	return i, nil
+}
+
+// TestGridIndexMatchesSub pins Index to the Sub-based form, index and error
+// message alike, at −1 ns, 0 and +1 ns around the grid start, a minute
+// boundary and the grid end, on a whole-minute grid, a grid whose last
+// minute is cut short and a grid in +08:00, and at the zero time.Time, an
+// instant after 2262 and a +08:00 instant inside a UTC grid.
+func TestGridIndexMatchesSub(t *testing.T) {
+	tr := mkTrace(1, 2, 3)
+	east := time.FixedZone("UTC+8", 8*60*60)
+	for _, span := range []struct {
+		name     string
+		from, to time.Time
+	}{
+		{"whole minutes", t0, t0.Add(time.Hour)},
+		{"ragged last minute", t0, t0.Add(time.Hour + 30*time.Second)},
+		{"+08:00", t0.In(east).Add(7 * time.Second), t0.In(east).Add(2 * time.Hour)},
+	} {
+		g := storeGridOf(t, InstanceType{Name: tr.Type}, tr, span.from, span.to)
+		instants := []time.Time{{}, time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC), t0.Add(30 * time.Minute).In(east)}
+		for _, edge := range []time.Time{g.Start, g.TimeAt(17), g.TimeAt(g.Len() - 1), g.end} {
+			instants = append(instants, edge.Add(-time.Nanosecond), edge, edge.Add(time.Nanosecond))
+		}
+		for _, at := range instants {
+			want, wantErr := indexBySub(g, at)
+			got, gotErr := g.Index(at)
+			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: Index(%v) = %d, %v; want %d, %v", span.name, at, got, gotErr, want, wantErr)
+			}
+		}
 	}
 }
 

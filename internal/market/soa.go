@@ -224,13 +224,19 @@ func (s *Store) AvgOver(ti int, from, to time.Time) (float64, error) {
 
 // integralAt is the integral of the trace's price from its first record to
 // tNanos, negative before that record (whose price extends backward) and
-// wrapping modulo 2^128 like every i128. It starts from the stored integral
-// of the block holding the record in force at tNanos, or from 0 when that
-// block opens in an earlier trace, and adds the at most blockRecords−1 whole
-// segments up to that record and the partial one after it.
+// wrapping modulo 2^128 like every i128: the integral up to the record in
+// force at tNanos plus the partial segment after it.
 func (s *Store) integralAt(tr *traceIndex, tNanos int64) i128 {
+	i := max(s.searchAfter(tr, tNanos)-1, int(tr.lo))
+	return s.integralTo(tr, i).add(priceTimes(s.micro[i], tNanos-s.atNanos[i]))
+}
+
+// integralTo is the integral of the trace's price from its first record to
+// record i's instant. It starts from the stored integral of the block
+// holding record i, or from 0 when that block opens in an earlier trace,
+// and adds the at most blockRecords−1 whole segments up to record i.
+func (s *Store) integralTo(tr *traceIndex, i int) i128 {
 	lo := int(tr.lo)
-	i := max(s.searchAfter(tr, tNanos)-1, lo)
 	var sum i128
 	k := i / blockRecords * blockRecords
 	if k >= lo {
@@ -242,7 +248,7 @@ func (s *Store) integralAt(tr *traceIndex, tNanos int64) i128 {
 	for j := 0; j+1 < len(at); j++ {
 		sum = sum.add(priceTimes(micro[j], at[j+1]-at[j]))
 	}
-	return sum.add(priceTimes(s.micro[i], tNanos-s.atNanos[i]))
+	return sum
 }
 
 // FirstExceed returns the first instant strictly after `after` at which the
@@ -260,7 +266,12 @@ func (s *Store) FirstExceed(ti int, after time.Time, maxPrice float64) (time.Tim
 		return time.Time{}, false
 	}
 	tr := &s.traces[ti]
-	i, hi := s.searchAfter(tr, after.UnixNano()), int(tr.hi)
+	return s.firstExceedFrom(s.searchAfter(tr, after.UnixNano()), int(tr.hi), m)
+}
+
+// firstExceedFrom is FirstExceed's scan over the flat records [i, hi) for
+// the first micro-price at or above m.
+func (s *Store) firstExceedFrom(i, hi int, m int32) (time.Time, bool) {
 	for i < hi {
 		switch {
 		case i%blockRecords == 0 && s.blockMax[i/blockRecords] < m:

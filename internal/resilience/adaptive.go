@@ -8,12 +8,12 @@ import (
 func init() {
 	Register(AdaptiveName,
 		"Young/Daly cadence from online revocation rates, migration-on-notice, budgeted exponential backoff with give-up",
-		func(p Params) (Strategy, error) { return &adaptive{p: p}, nil })
+		func(p Params) (Strategy, error) { return &adaptive{seed: p.Seed}, nil })
 }
 
 // adaptive makes all three recovery decisions from observed market state.
 type adaptive struct {
-	p Params
+	seed uint64 // drives the backoff jitter
 }
 
 func (a *adaptive) Name() string { return AdaptiveName }
@@ -21,7 +21,7 @@ func (a *adaptive) Name() string { return AdaptiveName }
 // CheckpointInterval is the Young/Daly first-order optimum τ = √(2·δ·MTBF):
 // δ is the modeled checkpoint cost on this instance and MTBF the inverse of
 // the market's observed revocation rate. With no evidence yet ctx.Default
-// stands; with evidence the result is clamped to [MinCadence, Default] —
+// stands; with evidence the result is clamped to [minCadence, Default] —
 // the estimate can only ever tighten the cadence, never relax it past the
 // orchestrator's bound (which is what keeps the lost-work invariant's
 // per-notice bound monotone in the default).
@@ -34,8 +34,8 @@ func (a *adaptive) CheckpointInterval(ctx CadenceContext) time.Duration {
 	if tau > ctx.Default {
 		tau = ctx.Default
 	}
-	if tau < a.p.MinCadence {
-		tau = a.p.MinCadence
+	if tau < minCadence {
+		tau = minCadence
 	}
 	return tau
 }
@@ -57,27 +57,31 @@ func (a *adaptive) OnNotice(ctx NoticeContext) NoticeAction {
 	return act
 }
 
-// Retry backs off exponentially — PollInterval · 2^(attempt−1), capped at
-// MaxBackoff — plus a deterministic jitter in [0, PollInterval) hashed from
-// (seed, trial, attempt) so synchronized trials spread out without any
-// shared randomness. Once the attempt count reaches RetryBudget the trial
-// gives up for this round.
+// Retry gives up once the attempt count reaches RetryBudget, and otherwise
+// waits the backoff.
 func (a *adaptive) Retry(ctx RetryContext) RetryDecision {
-	if ctx.Attempt >= a.p.RetryBudget {
+	if ctx.Attempt >= RetryBudget {
 		return RetryDecision{GiveUp: true}
 	}
+	return RetryDecision{Delay: backoff(a.seed, ctx)}
+}
+
+// backoff is the adaptive retry delay: PollInterval · 2^(attempt−1), capped
+// at maxBackoff, plus a deterministic jitter in [0, PollInterval) hashed
+// from (seed, trial, attempt) so synchronized trials spread out without any
+// shared randomness.
+func backoff(seed uint64, ctx RetryContext) time.Duration {
 	shift := ctx.Attempt - 1
 	if shift < 0 {
 		shift = 0
 	} else if shift > 16 {
-		shift = 16 // past MaxBackoff for any sane PollInterval; avoid overflow
+		shift = 16 // past maxBackoff for any sane PollInterval; avoid overflow
 	}
 	delay := ctx.PollInterval << uint(shift)
-	if delay > a.p.MaxBackoff || delay <= 0 {
-		delay = a.p.MaxBackoff
+	if delay > maxBackoff || delay <= 0 {
+		delay = maxBackoff
 	}
-	jitter := time.Duration(jitterFrac(a.p.Seed, ctx.TrialID, ctx.Attempt) * float64(ctx.PollInterval))
-	return RetryDecision{Delay: delay + jitter}
+	return delay + time.Duration(jitterFrac(seed, ctx.TrialID, ctx.Attempt)*float64(ctx.PollInterval))
 }
 
 // jitterFrac maps (seed, trial, attempt) to a uniform fraction in [0, 1)

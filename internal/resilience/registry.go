@@ -51,10 +51,6 @@ func New(name string, p Params) (Strategy, error) {
 	if !ok {
 		return nil, fmt.Errorf("resilience: unknown strategy %q (registered: %v)", name, Names())
 	}
-	p = p.withDefaults()
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	return f(p)
 }
 

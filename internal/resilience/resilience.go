@@ -23,10 +23,7 @@
 // trace level regardless of host scheduling.
 package resilience
 
-import (
-	"errors"
-	"time"
-)
+import "time"
 
 // CadenceContext carries the inputs to one when-to-checkpoint decision,
 // made per assignment at deploy time (the segment's market and instance are
@@ -121,38 +118,21 @@ type Strategy interface {
 	Retry(ctx RetryContext) RetryDecision
 }
 
-// Params configures strategy construction. Zero values select defaults.
+// Params configures strategy construction.
 type Params struct {
 	// Seed drives the deterministic backoff jitter.
 	Seed uint64
-	// RetryBudget is the consecutive blackout rejections a trial may
-	// accrue before the adaptive strategy gives up (default 8; the fixed
-	// strategy never gives up).
-	RetryBudget int
-	// MaxBackoff caps the adaptive strategy's exponential retry delay
-	// (default 5 minutes).
-	MaxBackoff time.Duration
-	// MinCadence floors the adaptive checkpoint interval so a noisy early
-	// rate estimate cannot drive checkpoint thrash (default 1 minute).
-	MinCadence time.Duration
 }
 
-func (p Params) withDefaults() Params {
-	if p.RetryBudget <= 0 {
-		p.RetryBudget = 8
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 5 * time.Minute
-	}
-	if p.MinCadence <= 0 {
-		p.MinCadence = time.Minute
-	}
-	return p
-}
-
-func (p Params) validate() error {
-	if p.MaxBackoff < 0 || p.MinCadence < 0 {
-		return errors.New("resilience: negative duration parameter")
-	}
-	return nil
-}
+// The adaptive strategy's fixed limits.
+const (
+	// RetryBudget is the consecutive blackout rejections a trial may accrue
+	// before the adaptive strategy gives up (the fixed strategy never gives
+	// up).
+	RetryBudget = 8
+	// maxBackoff caps the adaptive strategy's exponential retry delay.
+	maxBackoff = 5 * time.Minute
+	// minCadence floors the adaptive checkpoint interval so a noisy early
+	// rate estimate cannot drive checkpoint thrash.
+	minCadence = time.Minute
+)

@@ -92,10 +92,10 @@ func TestAdaptiveCadenceYoungDaly(t *testing.T) {
 		t.Fatalf("calm-market cadence %v exceeds configured %v", calm, 5*time.Minute)
 	}
 
-	// A storm-swept market must floor at MinCadence, not thrash.
+	// A storm-swept market must floor at minCadence, not thrash.
 	storm := s.CheckpointInterval(CadenceContext{Default: def, CheckpointSecs: 30, RevocationsPerHour: 10000})
-	if storm != time.Minute {
-		t.Fatalf("storm cadence %v, want MinCadence floor %v", storm, time.Minute)
+	if storm != minCadence {
+		t.Fatalf("storm cadence %v, want minCadence floor %v", storm, minCadence)
 	}
 
 	// More hostile markets never get a longer cadence.
@@ -132,21 +132,20 @@ func TestAdaptiveMigratesExceptWhenDoomed(t *testing.T) {
 }
 
 func TestAdaptiveBackoffShapeAndBudget(t *testing.T) {
-	p := Params{Seed: 42, RetryBudget: 5, MaxBackoff: 4 * time.Minute}
-	s, err := New(AdaptiveName, p)
+	s, err := New(AdaptiveName, Params{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	poll := 30 * time.Second
 	var prevBase time.Duration
-	for attempt := 1; attempt < p.RetryBudget; attempt++ {
+	for attempt := 1; attempt < RetryBudget; attempt++ {
 		d := s.Retry(RetryContext{TrialID: "hp-1", Attempt: attempt, PollInterval: poll})
 		if d.GiveUp {
-			t.Fatalf("gave up at attempt %d, budget is %d", attempt, p.RetryBudget)
+			t.Fatalf("gave up at attempt %d, budget is %d", attempt, RetryBudget)
 		}
 		base := poll << uint(attempt-1)
-		if base > p.MaxBackoff {
-			base = p.MaxBackoff
+		if base > maxBackoff {
+			base = maxBackoff
 		}
 		if d.Delay < base || d.Delay >= base+poll {
 			t.Fatalf("attempt %d delay %v outside [%v, %v)", attempt, d.Delay, base, base+poll)
@@ -156,15 +155,13 @@ func TestAdaptiveBackoffShapeAndBudget(t *testing.T) {
 		}
 		prevBase = base
 	}
-	d := s.Retry(RetryContext{TrialID: "hp-1", Attempt: p.RetryBudget, PollInterval: poll})
+	d := s.Retry(RetryContext{TrialID: "hp-1", Attempt: RetryBudget, PollInterval: poll})
 	if !d.GiveUp {
-		t.Fatalf("attempt %d did not give up, budget is %d", p.RetryBudget, p.RetryBudget)
+		t.Fatalf("attempt %d did not give up, budget is %d", RetryBudget, RetryBudget)
 	}
 	// Huge attempt counts must not overflow into negative delays.
-	s2, _ := New(AdaptiveName, Params{RetryBudget: 1 << 30})
-	d = s2.Retry(RetryContext{TrialID: "hp-1", Attempt: 60, PollInterval: poll})
-	if d.GiveUp || d.Delay <= 0 || d.Delay > 5*time.Minute+poll {
-		t.Fatalf("large-attempt delay %v (giveUp=%v)", d.Delay, d.GiveUp)
+	if d := backoff(42, RetryContext{TrialID: "hp-1", Attempt: 60, PollInterval: poll}); d <= 0 || d > maxBackoff+poll {
+		t.Fatalf("large-attempt delay %v", d)
 	}
 }
 
