@@ -4,7 +4,7 @@ GO ?= go
 # target (and CI's coverage lane) fail if the suite drops below it.
 COVER_FLOOR ?= 73.0
 
-.PHONY: all vet build test test-short bench bench-campaign bench-obs trace goldens goldens-gen goldens-update scenarios storm service profile fuzz cover ci
+.PHONY: all vet build test test-short bench bench-campaign bench-obs trace goldens goldens-gen goldens-update scenarios storm service profile fma-lint fuzz cover ci
 
 all: ci
 
@@ -29,8 +29,9 @@ test-short:
 # -benchmem into BENCH_perf.json (ns/op + allocs/op, diffed against the
 # committed pre-optimization baseline in BENCH_baseline.json — benchperf
 # prints the delta table and fails the recipe when any tracked benchmark
-# regresses past its threshold; StoreQuotes, StepNoise and Environment
-# have no baseline entry, so they are recorded, not gated; the CI lane runs
+# regresses past its threshold; StoreQuotes, StepNoise, Environment and
+# RevPredScore have no baseline entry, so they are recorded, not gated; the
+# CI lane runs
 # at 20% because shared 1–2 core runners jitter close to the 10% default).
 # All JSON artifacts are uploaded by CI.
 # Benchmark output goes through temp files, not pipes, so a failing
@@ -41,7 +42,7 @@ bench:
 	cat BENCH_all.txt
 	grep '^BenchmarkMatrixStreaming' BENCH_all.txt | $(GO) run ./cmd/benchperf -out BENCH_matrix.json
 	rm -f BENCH_all.txt
-	$(GO) test -bench '^(BenchmarkLSTMForwardBackward|BenchmarkRevPredInference|BenchmarkEarlyCurveFit|BenchmarkMarketGenerate|BenchmarkEventQueue|BenchmarkGBTRound|BenchmarkStoreQuotes|BenchmarkStepNoise|BenchmarkEnvironment)$$' -run '^$$' -benchmem -benchtime 100x . > BENCH_perf.txt
+	$(GO) test -bench '^(BenchmarkLSTMForwardBackward|BenchmarkRevPredInference|BenchmarkEarlyCurveFit|BenchmarkMarketGenerate|BenchmarkEventQueue|BenchmarkGBTRound|BenchmarkStoreQuotes|BenchmarkStepNoise|BenchmarkEnvironment|BenchmarkRevPredScore)$$' -run '^$$' -benchmem -benchtime 100x . > BENCH_perf.txt
 	$(GO) run ./cmd/benchperf -baseline BENCH_baseline.json -threshold 0.2 -out BENCH_perf.json < BENCH_perf.txt
 	rm -f BENCH_perf.txt
 	$(GO) run ./cmd/benchfigs -fig none -quick -out results -policyjson BENCH_policy.json -tunerjson BENCH_tuner.json
@@ -131,15 +132,34 @@ service:
 	$(GO) run ./cmd/scenarios -quick -tenants 1000 -shards 8 -admission weighted-fair
 	$(GO) run ./cmd/scenarios -quick -tenants 8 -shards 2 -trace-tenant t-00003 -trace results/t-00003.jsonl
 
-# Deploy-path CPU profile: a contended service run (4,096 tenants on 2
-# shards, 8 in flight each, shared capacity 4 per type, surge slope 0.5),
-# the service settings of the tenants-contended benchmark workload, profiled
-# into results/deploy.pprof; then the cumulative profile, the table the
-# ROADMAP's per-call-path CPU shares are read from.
+# CPU profiles, each followed by its cumulative table, the tables the
+# ROADMAP's per-call-path CPU shares are read from. First the deploy path:
+# a contended service run (4,096 tenants on 2 shards, 8 in flight each,
+# shared capacity 4 per type, surge slope 0.5), the service settings of the
+# tenants-contended benchmark workload, into results/deploy.pprof. Then the
+# solo path: BenchmarkSoloCampaigns, which mirrors the solo-revpred
+# workload (sequential RunPolicy campaigns on trained RevPred predictors),
+# 200 ops of 64 campaigns into results/solo.pprof; its test binary goes to
+# results/ too, not the working directory.
 profile:
 	mkdir -p results
 	$(GO) run ./cmd/scenarios -quick -tenants 4096 -shards 2 -inflight 8 -capacity 4 -surge 0.5 -cpuprofile results/deploy.pprof
 	$(GO) tool pprof -top -cum results/deploy.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkSoloCampaigns$$' -benchtime 200x -cpuprofile results/solo.pprof -o results/solo.test .
+	$(GO) tool pprof -top -cum results/solo.pprof
+
+# Fused multiply-add lint. The generic kernels promise the SSE2 kernels'
+# bits on every platform, so each product must round before it is added
+# (written float64(a*b)); a bare a*b + c is fused into one FMADDD by the
+# arm64 compiler. Cross-compiles ./internal/kernels for arm64 and fails on
+# any fused instruction in its assembly listing.
+fma-lint:
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/kernels 2>&1) || { echo "$$asm"; exit 1; }; \
+	echo "$$asm" | grep -q 'STEXT' || { echo "fma-lint: no assembly listing for ./internal/kernels"; exit 1; }; \
+	if echo "$$asm" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'; then \
+		echo "fma-lint: fused multiply-adds in the arm64 build of ./internal/kernels"; exit 1; \
+	fi; \
+	echo "fma-lint: no fused multiply-adds in the arm64 build of ./internal/kernels"
 
 # Native fuzz targets, run briefly (CI runs the same lane). Corpus finds are
 # committed under the packages' testdata/fuzz directories.

@@ -26,13 +26,16 @@ import (
 	"spottune/internal/core"
 	"spottune/internal/earlycurve"
 	"spottune/internal/experiments"
+	"spottune/internal/invariants"
 	"spottune/internal/market"
 	"spottune/internal/mltrain"
 	"spottune/internal/nn"
 	"spottune/internal/obs"
 	"spottune/internal/policy"
+	"spottune/internal/resilience"
 	"spottune/internal/revpred"
 	"spottune/internal/scenario"
+	"spottune/internal/search"
 	"spottune/internal/service"
 	"spottune/internal/simclock"
 	"spottune/internal/trial"
@@ -518,9 +521,11 @@ func BenchmarkStepNoise(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(types)*len(hps)*steps), "ns/draw")
 }
 
-// BenchmarkRevPredInference measures one provisioning-time probability
-// query (feature assembly + LSTM forward).
-func BenchmarkRevPredInference(b *testing.B) {
+// revpredBenchModel trains a small RevPred model of the given width on the
+// first day of a generated 2-day m4.2xlarge market and returns it with the
+// market's grid.
+func revpredBenchModel(b *testing.B, hidden int) (*market.Grid, *revpred.Model) {
+	b.Helper()
 	it, _ := market.DefaultCatalog().Lookup("m4.2xlarge")
 	specs, _ := market.DefaultSpecs(market.DefaultCatalog())
 	var spec market.MarketSpec
@@ -539,15 +544,41 @@ func BenchmarkRevPredInference(b *testing.B) {
 		b.Fatal(err)
 	}
 	m, err := revpred.Train(g, revpred.HistorySteps, 24*60,
-		revpred.Config{Hidden: 8, Depth: 2, Epochs: 1, Stride: 10, Seed: 1})
+		revpred.Config{Hidden: hidden, Depth: 2, Epochs: 1, Stride: 10, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return g, m
+}
+
+// BenchmarkRevPredInference measures one provisioning-time probability
+// query (feature assembly + LSTM forward).
+func BenchmarkRevPredInference(b *testing.B) {
+	g, m := revpredBenchModel(b, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := revpred.HistorySteps + i%(g.Len()-2*revpred.HistorySteps)
 		m.Predict(g, idx, g.Price(idx)+0.05)
+	}
+}
+
+// BenchmarkRevPredScore measures one probability query on a warm memo, the
+// path campaigns take: the 100 minutes it cycles through are memoized
+// before the timer starts, so each call runs only the maximum price's
+// column, the rest of the present branch and the head. Hidden 12, as on the
+// solo-revpred benchmark workload; every call asks a different bid.
+func BenchmarkRevPredScore(b *testing.B) {
+	g, m := revpredBenchModel(b, 12)
+	const minutes = 100
+	for k := 0; k < minutes; k++ {
+		m.Predict(g, revpred.HistorySteps+k, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := revpred.HistorySteps + i%minutes
+		benchSink += m.Predict(g, idx, g.Price(idx)+float64(i%997)*0.0002)
 	}
 }
 
@@ -682,6 +713,60 @@ func BenchmarkCampaign(b *testing.B) {
 		b.ReportMetric(rep.JCT.Hours(), "virtual_jct_hours")
 		b.ReportMetric(float64(rep.LoopIterations), "loop_iters")
 	}
+}
+
+// BenchmarkSoloCampaigns mirrors the solo-revpred benchmark workload, the
+// one path where RevPred inference runs: one op is 64 sequential
+// single-user RunPolicy campaigns (spottune policy and tuner, fixed
+// recovery strategy, θ=0.7) of LoR at scale 0.2 on a 4-day region at seed
+// 1, whose markets carry trained RevPred models (Hidden 12, Depth 2,
+// Epochs 1, Stride 8), each campaign audited by invariants.Check in
+// Inspect. Environment assembly, training and one warm-up round, which
+// fills most of the RevPred memos, run before the timer. `make profile`
+// profiles it into results/solo.pprof.
+func BenchmarkSoloCampaigns(b *testing.B) {
+	env, err := campaign.NewEnvironment(campaign.EnvOptions{
+		Seed: 1, Days: 4, TrainDays: 2, Predictor: campaign.PredictorRevPred,
+		RevPred: revpred.Config{Hidden: 12, Depth: 2, Epochs: 1, Stride: 8, Seed: 1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bench, err := BenchmarkByName("LoR", WorkloadConfig{Seed: 1, Scale: 0.2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	curves := bench.SyntheticCurves(1)
+	var violations []invariants.Violation
+	opt := campaign.Options{
+		Theta:      0.7,
+		Policy:     policy.SpotTuneName,
+		Tuner:      search.SpotTuneName,
+		Resilience: resilience.FixedName,
+		Inspect: func(d *campaign.RunDetail) error {
+			violations = invariants.Check(scenario.StateFor(d))
+			return nil
+		},
+	}
+	const campaigns = 64
+	round := func(r int) {
+		for c := 0; c < campaigns; c++ {
+			opt.Seed = scenario.ReplicateSeed(uint64(r), c)
+			if _, err := env.RunPolicy(bench, curves, opt); err != nil {
+				b.Fatal(err)
+			}
+			if len(violations) > 0 {
+				b.Fatalf("round %d campaign %d: %d invariant violations, first: %v", r, c, len(violations), violations[0])
+			}
+		}
+	}
+	round(0) // fills most of the RevPred memos, as the workload's first rounds do
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		round(i)
+	}
+	b.ReportMetric(float64(b.N*campaigns)/b.Elapsed().Seconds(), "campaigns/s")
 }
 
 // BenchmarkCampaignEnv measures one full synthetic-environment campaign (16

@@ -41,6 +41,13 @@ type testWorld struct {
 
 func newWorld(t *testing.T, spiky bool) *testWorld {
 	t.Helper()
+	return newWorldAt(t, spiky, t0)
+}
+
+// newWorldAt is newWorld with the clock started at start, t0 in any zone:
+// the markets stay in UTC.
+func newWorldAt(t *testing.T, spiky bool, start time.Time) *testWorld {
+	t.Helper()
 	cat := market.MustNewCatalog([]market.InstanceType{
 		{Name: "slow", CPUs: 2, MemoryGB: 8, OnDemandPrice: 0.1},
 		{Name: "fast", CPUs: 16, MemoryGB: 64, OnDemandPrice: 0.8},
@@ -65,7 +72,7 @@ func newWorld(t *testing.T, spiky bool) *testWorld {
 		t.Fatal(err)
 	}
 
-	clk := simclock.NewVirtual(t0)
+	clk := simclock.NewVirtual(start)
 	cluster, err := cloudsim.NewCluster(clk, cat, traces)
 	if err != nil {
 		t.Fatal(err)

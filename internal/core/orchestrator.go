@@ -339,6 +339,11 @@ type Orchestrator struct {
 	incumbent   int
 	incumbentOK bool
 
+	// unboundedWakeup prices every step trigger as far as its assignment's
+	// horizon, ignoring nextWakeup's bound: the reference tests step the
+	// bounded computation against.
+	unboundedWakeup bool
+
 	// tuner drives the round loop (Config.Tuner, or the default spottune
 	// schedule); trialState.limit holds the active round's step caps.
 	tuner search.Tuner
@@ -666,7 +671,7 @@ func (o *Orchestrator) turn() (next time.Time, closed bool, err error) {
 	if o.pending == 0 {
 		return time.Time{}, true, nil
 	}
-	next, ok := o.nextWakeup(now, blocked)
+	next, ok := o.nextWakeup(now, blocked, retryAt)
 	if !retryAt.IsZero() && (!ok || retryAt.Before(next)) {
 		next, ok = retryAt, true
 	}
@@ -1035,14 +1040,11 @@ func (o *Orchestrator) stepTarget(t *trialState) int {
 	return target
 }
 
-// assignmentTrigger computes the next instant at which the assignment needs
-// attention: trigger-step completion (or plateau), the proactive-restart
-// horizon (spot only — on-demand instances have no refund to farm), or —
-// for oversized trials — the next periodic-checkpoint tick. Completion is
-// only priced out as far as the earlier of those horizons, so the per-trial
-// step-cost prefix sums grow incrementally with actual progress instead of
-// being built for the whole trajectory up front.
-func (o *Orchestrator) assignmentTrigger(a *assignment) time.Time {
+// horizon is the earlier of the assignment's proactive-restart horizon
+// (spot only — on-demand instances have no refund to farm) and, for
+// oversized trials, its next periodic-checkpoint tick; zero when it has
+// neither.
+func (a *assignment) horizon() time.Time {
 	var next time.Time
 	if !a.inst.OnDemand {
 		next = a.deployedAt.Add(restartAfter)
@@ -1052,6 +1054,18 @@ func (o *Orchestrator) assignmentTrigger(a *assignment) time.Time {
 			next = p
 		}
 	}
+	return next
+}
+
+// assignmentTrigger computes the next instant at which the assignment needs
+// attention: its horizon, or trigger-step completion (or plateau) if that
+// comes first. Completion is only priced out as far as the earlier of the
+// horizon and bound (when set), so the per-trial step-cost prefix sums grow
+// with actual progress instead of being built for the whole trajectory up
+// front. A completion the bound cuts off lies after the bound, which the
+// caller guarantees is no earlier than its answer; see nextWakeup.
+func (o *Orchestrator) assignmentTrigger(a *assignment, bound time.Time) time.Time {
+	next := a.horizon()
 	from := a.lastAdvance
 	if from.Before(a.busyAt) {
 		from = a.busyAt
@@ -1059,6 +1073,9 @@ func (o *Orchestrator) assignmentTrigger(a *assignment) time.Time {
 	cap := math.Inf(1)
 	if !next.IsZero() {
 		cap = next.Sub(from).Seconds()
+	}
+	if !bound.IsZero() {
+		cap = min(cap, bound.Sub(from).Seconds()+wakeupSlack)
 	}
 	if cap >= 0 {
 		if need, ok := a.tr.SecondsToReachCapped(a.inst.Type, o.stepTarget(a.st), cap); ok {
@@ -1073,10 +1090,27 @@ func (o *Orchestrator) assignmentTrigger(a *assignment) time.Time {
 	return next
 }
 
+// wakeupSlack is how far past nextWakeup's bound, in seconds, a step
+// trigger is still priced: far above the rounding of the prefix sums and
+// of a seconds count under an hour, so a completion at or before the bound
+// is never cut off, and a cut-off one lies about a microsecond after it.
+const wakeupSlack = 1e-6
+
 // nextWakeup returns the earliest instant at which anything can happen: an
 // assignment trigger, a scheduled cluster event (notice/revocation), or —
-// when deployment is blocked on the market — the next price tick.
-func (o *Orchestrator) nextWakeup(now time.Time, blocked bool) (time.Time, bool) {
+// when deployment is blocked on the market — the next price tick. retryAt
+// (zero when none) is the caller's deploy retry instant, which it weighs
+// against the answer.
+//
+// Step triggers are priced only up to a bound B: the earliest of retryAt,
+// the clock's next event and every live assignment's horizon. Each of those
+// is itself a candidate, here or in the caller, so the answer is at most
+// B. A trigger priced in full gets the same bits it would unbounded, and
+// one the bound cuts off lies about a microsecond after B, so it can
+// neither be the minimum nor tie it: the answer, down to which tied time.Time
+// wins, is the unbounded one. How far a prefix was built never changes a
+// result, because RunFor clamps against cum[stepLimit].
+func (o *Orchestrator) nextWakeup(now time.Time, blocked bool, retryAt time.Time) (time.Time, bool) {
 	var best time.Time
 	found := false
 	consider := func(at time.Time) {
@@ -1087,13 +1121,28 @@ func (o *Orchestrator) nextWakeup(now time.Time, blocked bool) (time.Time, bool)
 			best, found = at, true
 		}
 	}
-	for _, t := range o.ts {
-		if a := t.active; a != nil && !a.dead {
-			consider(o.assignmentTrigger(a))
+	clockAt, clockOK := o.cluster.Clock().NextEventTime()
+	var bound time.Time
+	if !o.unboundedWakeup {
+		bound = retryAt
+		if clockOK && (bound.IsZero() || clockAt.Before(bound)) {
+			bound = clockAt
+		}
+		for _, t := range o.ts {
+			if a := t.active; a != nil && !a.dead {
+				if h := a.horizon(); !h.IsZero() && (bound.IsZero() || h.Before(bound)) {
+					bound = h
+				}
+			}
 		}
 	}
-	if at, ok := o.cluster.Clock().NextEventTime(); ok {
-		consider(at)
+	for _, t := range o.ts {
+		if a := t.active; a != nil && !a.dead {
+			consider(o.assignmentTrigger(a, bound))
+		}
+	}
+	if clockOK {
+		consider(clockAt)
 	}
 	if blocked {
 		// A rejected spot request can only succeed once the cluster's

@@ -23,7 +23,7 @@ func matVecAccPtr(y, a, x *float64, rows, cols int)
 func axpyImpl(y []float64, alpha float64, x []float64) {
 	if len(x) < 4 {
 		for i, v := range x {
-			y[i] += alpha * v
+			y[i] += float64(alpha * v)
 		}
 		return
 	}

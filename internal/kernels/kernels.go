@@ -7,7 +7,9 @@
 //
 // Every kernel accumulates in strict ascending index order, so replacing a
 // naive loop with the kernel is bit-for-bit equivalent — no hidden
-// reassociation. Where a caller *chooses* a different loop nesting (e.g. the
+// reassociation — and rounds every product before adding it (Go code
+// writes float64(a*b), which no compiler may fuse into an FMA), so the
+// results are the same bits on every architecture. Where a caller *chooses* a different loop nesting (e.g. the
 // LSTM backward pass switching from gate-interleaved to row-major order),
 // the reordering happens in the caller and is documented there, not smuggled
 // in here.
@@ -21,7 +23,7 @@ func Dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for i, av := range a {
-		s += av * b[i]
+		s += float64(av * b[i])
 	}
 	return s
 }

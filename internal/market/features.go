@@ -2,6 +2,7 @@ package market
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -46,12 +47,14 @@ type Grid struct {
 
 	prices []float64 // one entry per minute
 	// changedAt[i] is the minute index at which prices[i] was last set
-	// (i.e. the start of the current price plateau).
-	changedAt []int
+	// (i.e. the start of the current price plateau). A grid spans fewer
+	// minutes than math.MaxInt32 (see newGrid), so minute indices and
+	// change counts fit in int32.
+	changedAt []int32
 	// cumPrice[i] = sum of prices[0..i-1] for O(1) window averages.
 	cumPrice []float64
 	// cumChanges[i] = number of price changes in prices[1..i-1].
-	cumChanges []int
+	cumChanges []int32
 }
 
 // NewGrid resamples tr onto a 1-minute grid over [from, to) after
@@ -84,12 +87,19 @@ func NewStoreGrid(it InstanceType, s *Store, from, to time.Time) (*Grid, error) 
 }
 
 // newGrid is a grid over [from, to) with its arrays not yet built: one
-// minute for every from + k·1m before to.
+// minute for every from + k·1m before to. A span must be shorter than the
+// longest time.Duration (about 292 years), which to.Sub(from) saturates
+// at: the grid's end and offsets are Durations. That cap is 153,722,867
+// minutes, so minute indices and change counts fit the int32 arrays; every
+// span of more than math.MaxInt32 minutes is rejected with it.
 func newGrid(it InstanceType, from, to time.Time, priceAt func(time.Time) (float64, bool)) (*Grid, error) {
 	if !from.Before(to) {
 		return nil, fmt.Errorf("market: grid from %v >= to %v", from, to)
 	}
 	span := to.Sub(from)
+	if span == math.MaxInt64 {
+		return nil, fmt.Errorf("market: grid from %v to %v is longer than a time.Duration", from, to)
+	}
 	minutes := int(span / time.Minute)
 	if span%time.Minute != 0 {
 		minutes++
@@ -109,9 +119,9 @@ func newGrid(it InstanceType, from, to time.Time, priceAt func(time.Time) (float
 func (g *Grid) build() {
 	n := g.minutes
 	g.prices = make([]float64, n)
-	g.changedAt = make([]int, n)
+	g.changedAt = make([]int32, n)
 	g.cumPrice = make([]float64, n+1)
-	g.cumChanges = make([]int, n+1)
+	g.cumChanges = make([]int32, n+1)
 	for i := 0; i < n; i++ {
 		g.prices[i], _ = g.priceAt(g.TimeAt(i))
 		g.cumPrice[i+1] = g.cumPrice[i] + g.prices[i]
@@ -119,7 +129,7 @@ func (g *Grid) build() {
 			continue
 		}
 		if g.prices[i] != g.prices[i-1] {
-			g.changedAt[i] = i
+			g.changedAt[i] = int32(i)
 			g.cumChanges[i+1] = g.cumChanges[i] + 1
 		} else {
 			g.changedAt[i] = g.changedAt[i-1]
@@ -166,7 +176,7 @@ func (g *Grid) Features(i int) [FeatureCount]float64 {
 	window := float64(i - lo + 1)
 	avg := (g.cumPrice[i+1] - g.cumPrice[lo]) / window
 	changes := float64(g.cumChanges[i+1] - g.cumChanges[lo])
-	sinceSet := float64(i - g.changedAt[i])
+	sinceSet := float64(i - int(g.changedAt[i]))
 	t := g.TimeAt(i)
 	workday := 0.0
 	if isWorkday(t) {

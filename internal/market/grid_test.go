@@ -3,6 +3,7 @@ package market
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -284,8 +285,10 @@ func TestGridFirstReadConcurrent(t *testing.T) {
 }
 
 // TestGridConstructorErrors pins the constructors' rejections: an empty or
-// inverted span, a store without the grid's type, and (trace-backed) a
-// mismatched or invalid trace.
+// inverted span, a span of more than math.MaxInt32 minutes or past the
+// longest time.Duration, a store without the grid's type, and
+// (trace-backed) a mismatched or invalid trace. The longest span accepted
+// keeps its minute count exact.
 func TestGridConstructorErrors(t *testing.T) {
 	tr := mkTrace(1, 2)
 	it := InstanceType{Name: tr.Type}
@@ -295,6 +298,19 @@ func TestGridConstructorErrors(t *testing.T) {
 	}
 	if _, err := NewGrid(it, tr, t0.Add(time.Minute), t0); err == nil {
 		t.Error("trace grid over an inverted span accepted")
+	}
+	longest := time.Duration(math.MaxInt64 - 1).Truncate(time.Minute)
+	for _, to := range []time.Time{t0.AddDate(5000, 0, 0), t0.Add(longest).Add(time.Minute)} {
+		if _, err := NewStoreGrid(it, store, t0, to); err == nil || !strings.Contains(err.Error(), "longer than") {
+			t.Errorf("store grid from %v to %v: err %v, want a span rejection", t0, to, err)
+		}
+	}
+	g, err := NewStoreGrid(it, store, t0, t0.Add(longest))
+	if err != nil {
+		t.Fatalf("store grid over the longest whole-minute span: %v", err)
+	}
+	if got, want := g.Len(), int(longest/time.Minute); got != want || want > math.MaxInt32 {
+		t.Errorf("longest grid has %d minutes, want %d (at most math.MaxInt32)", got, want)
 	}
 	if _, err := NewStoreGrid(InstanceType{Name: "missing"}, store, t0, t0.Add(time.Hour)); err == nil {
 		t.Error("store grid for a type the store lacks accepted")

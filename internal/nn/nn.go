@@ -198,25 +198,6 @@ func (d *Dense) ForwardWS(ws *Workspace, x []float64) ([]float64, *DenseCache) {
 	return y, &DenseCache{x: x, y: y}
 }
 
-// ForwardInferWS is ForwardWS without the backward cache — the inference
-// path for hot loops that never train. Same kernels in the same order, so
-// the output is bit-identical to ForwardWS; the only difference is that no
-// per-call cache header reaches the heap.
-func (d *Dense) ForwardInferWS(ws *Workspace, x []float64) []float64 {
-	if len(x) != d.In {
-		panic(fmt.Sprintf("nn: dense %s expects input %d, got %d", d.W.Name, d.In, len(x)))
-	}
-	y := ws.take(d.Out)
-	copy(y, d.B.W)
-	kernels.MatVecAcc(y, d.W.W, d.Out, d.In, x)
-	if d.Act != Identity {
-		for o, v := range y {
-			y[o] = d.Act.apply(v)
-		}
-	}
-	return y
-}
-
 // Backward accumulates parameter gradients for upstream gradient dy and
 // returns the gradient w.r.t. the input.
 func (d *Dense) Backward(cache *DenseCache, dy []float64) []float64 {
@@ -303,15 +284,6 @@ func (m *MLP) ForwardWS(ws *Workspace, x []float64) ([]float64, *MLPCache) {
 		c.caches = append(c.caches, dc)
 	}
 	return x, c
-}
-
-// ForwardInferWS applies every layer through the cache-free inference path;
-// bit-identical to ForwardWS (see Dense.ForwardInferWS).
-func (m *MLP) ForwardInferWS(ws *Workspace, x []float64) []float64 {
-	for _, l := range m.Layers {
-		x = l.ForwardInferWS(ws, x)
-	}
-	return x
 }
 
 // Backward walks the layers in reverse, accumulating gradients.

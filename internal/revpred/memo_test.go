@@ -1,6 +1,7 @@
 package revpred
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -29,45 +30,51 @@ func coldScores(t *testing.T, m *Model, g *market.Grid) [][]float64 {
 	return out
 }
 
-// TestPredictMemoMatchesColdScore: Predict through the history memo equals
+// TestPredictMemoMatchesColdScore: Predict through the minute memo equals
 // a cold Score bit for bit at every minute of a grid and several bids,
 // while 4 goroutines fill and read the memo at once in different minute
-// orders, and again once the memo is warm. The last page is clipped to the
-// grid, so the memo holds at most grid.Len() × Hidden float64s.
+// orders, and again once the memo is warm. It runs at odd and even widths,
+// so MatVecAcc's four-row blocks and single rows both meet the memoized
+// lane sums. The last page is clipped to the grid, so the memo holds at
+// most grid.Len() × 3·Hidden float64s.
 func TestPredictMemoMatchesColdScore(t *testing.T) {
-	m, err := Train(spikyGrid(t, 3), 0, 3*1440, Config{Hidden: 6, Depth: 2, Epochs: 1, BatchSize: 16, Stride: 12, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := genGrid(t, "r4.large", 4, 3) // 240 minutes: three full pages and a clipped one
-	want := coldScores(t, m, g)
-	check := func(i, b int, got float64) {
-		if w := want[i][b]; math.Float64bits(got) != math.Float64bits(w) {
-			t.Errorf("minute %d bid %d: Predict %x, cold Score %x", i, b, math.Float64bits(got), math.Float64bits(w))
-		}
-	}
-	for pass := 0; pass < 2; pass++ { // cold memo, then warm
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for n := 0; n < g.Len()-HistorySteps; n++ {
-					i := HistorySteps + (n*(2*w+1)+w*37)%(g.Len()-HistorySteps)
-					for b, d := range memoBids {
-						check(i, b, m.Predict(g, i, g.Price(i)+d))
-					}
+	for _, hidden := range []int{1, 5, 6} {
+		t.Run(fmt.Sprintf("hidden%d", hidden), func(t *testing.T) {
+			m, err := Train(spikyGrid(t, 3), 0, 3*1440, Config{Hidden: hidden, Depth: 2, Epochs: 1, BatchSize: 16, Stride: 12, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := genGrid(t, "r4.large", 4, 3) // 240 minutes: three full pages and a clipped one
+			want := coldScores(t, m, g)
+			check := func(i, b int, got float64) {
+				if w := want[i][b]; math.Float64bits(got) != math.Float64bits(w) {
+					t.Errorf("minute %d bid %d: Predict %x, cold Score %x", i, b, math.Float64bits(got), math.Float64bits(w))
 				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	rows := 0
-	for _, p := range m.memo.grids[g] {
-		rows += len(p.rows)
-	}
-	if limit := g.Len() * m.Hidden; rows > limit {
-		t.Errorf("memo holds %d float64s for a %d-minute grid, want at most %d", rows, g.Len(), limit)
+			}
+			for pass := 0; pass < 2; pass++ { // cold memo, then warm
+				var wg sync.WaitGroup
+				for w := 0; w < 4; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for n := 0; n < g.Len()-HistorySteps; n++ {
+							i := HistorySteps + (n*(2*w+1)+w*37)%(g.Len()-HistorySteps)
+							for b, d := range memoBids {
+								check(i, b, m.Predict(g, i, g.Price(i)+d))
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+			}
+			rows := 0
+			for _, p := range m.memo.grids[g] {
+				rows += len(p.rows)
+			}
+			if limit := g.Len() * 3 * m.Hidden; rows > limit {
+				t.Errorf("memo holds %d float64s for a %d-minute grid, want at most %d", rows, g.Len(), limit)
+			}
+		})
 	}
 }
 

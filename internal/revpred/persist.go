@@ -71,5 +71,6 @@ func LoadModel(r io.Reader, it market.InstanceType) (*Model, error) {
 	if err := nn.LoadBytes(blob, m.Params()); err != nil {
 		return nil, err
 	}
+	m.packHit()
 	return m, nil
 }

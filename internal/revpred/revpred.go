@@ -15,6 +15,7 @@ import (
 	"math/rand/v2"
 	"sync"
 
+	"spottune/internal/kernels"
 	"spottune/internal/market"
 	"spottune/internal/nn"
 )
@@ -212,8 +213,8 @@ func classBalance(samples []Sample) (phiPos, phiNeg float64) {
 // Model is a trained RevPred network for one spot market. Its weights are
 // fixed once Train or LoadModel returns; nothing mutates them afterwards.
 // Predict is safe for concurrent use: per-call scratch (feature rows,
-// forward workspace) comes from a pool, and the history memo is guarded by
-// its own mutex.
+// forward workspace, activation buffers) comes from a pool, and the minute
+// memo is guarded by its own mutex.
 type Model struct {
 	Type   market.InstanceType
 	Hidden int
@@ -226,18 +227,21 @@ type Model struct {
 	// loss weighting and the Eq. 3 odds recalibration.
 	PhiPos, PhiNeg float64
 
-	// memo holds the history branch's output per (grid, minute); see
-	// historyMemo.
+	// memo holds, per (grid, minute), everything Predict computes that the
+	// maximum price does not enter; see historyMemo.
 	memo historyMemo
+	// hit is a copy of the weights a memo hit reads, packed by packHit.
+	hit []float64
 }
 
 // inferScratch is the per-call inference state: buffers only, no cached
-// results, and nothing sized by a model, so every model draws from one
-// pool.
+// results. Only act is sized by a model, and it grows to the widest model
+// it has served, so every model draws from one pool.
 type inferScratch struct {
 	ws      *nn.Workspace
 	hist    [][]float64 // HistorySteps rows of FeatureCount, one backing buffer
-	present []float64   // PresentFeatures assembly buffer
+	present []float64   // the minute's FeatureCount normalized features
+	act     []float64   // a memo hit's activations; see Model.scoreRow
 }
 
 // scratchPool holds *inferScratch values. One pool for all models keeps
@@ -249,7 +253,7 @@ var scratchPool = sync.Pool{New: func() any {
 	sc := &inferScratch{
 		ws:      nn.NewWorkspace(),
 		hist:    make([][]float64, HistorySteps),
-		present: make([]float64, PresentFeatures),
+		present: make([]float64, F),
 	}
 	for k := range sc.hist {
 		sc.hist[k] = buf[k*F : (k+1)*F]
@@ -257,20 +261,22 @@ var scratchPool = sync.Pool{New: func() any {
 	return sc
 }}
 
-// historyPageMinutes is how many minutes one history memo page covers. It
-// equals the width of one bitset word, so a page's fill bits are one uint64.
+// historyPageMinutes is how many minutes one memo page covers. It equals
+// the width of one bitset word, so a page's fill bits are one uint64.
 const historyPageMinutes = 64
 
-// historyMemo memoizes the history branch's last hidden state. That state
-// is a pure function of the frozen weights, the grid and the minute (the
-// maximum price only enters the present branch), so a memoized row holds
-// the same bits a fresh LSTM pass returns. Rows are kept per grid, indexed
-// by minute, in pages of historyPageMinutes rows that are allocated the
-// first time one of their minutes is asked; the last page is clipped to
-// the grid, so a (model, grid) pair holds at most grid.Len() × Hidden × 8
-// bytes of rows. Grids are immutable, so the grid pointer is the key. A
-// filled row is never written again, so a caller may read it after the
-// mutex is released.
+// historyMemo memoizes, per (grid, minute), a row of 3·Hidden float64s:
+// the history branch's last hidden state, then the two lane sums
+// kernels.MatVecAcc builds over the present branch's first six columns
+// (see Model.row). Both are pure functions of the frozen weights, the grid
+// and the minute (the maximum price only enters the present branch's last
+// column), so a memoized row holds the same bits a fresh pass returns.
+// Rows are kept per grid, indexed by minute, in pages of historyPageMinutes
+// rows that are allocated the first time one of their minutes is asked;
+// the last page is clipped to the grid, so a (model, grid) pair holds at
+// most grid.Len() × 3·Hidden × 8 bytes of rows. Grids are immutable, so
+// the grid pointer is the key. A filled row is never written again, so a
+// caller may read it after the mutex is released.
 type historyMemo struct {
 	mu    sync.Mutex
 	grids map[*market.Grid][]historyPage
@@ -427,11 +433,13 @@ func (m *Model) Score(s *Sample) float64 { return m.Calibrate(m.RawScore(s)) }
 // maximum price and returns the calibrated revocation probability.
 //
 // This is the provisioning hot path (one call per candidate market per
-// deployment decision). The history branch's output comes from the model's
-// history memo, so the 59-step LSTM pass runs once per (grid, minute) for
-// the model's lifetime; only the present branch and the joint head run per
-// call. A memo hit allocates nothing, and every path returns the same bits
-// as Score on a freshly assembled sample.
+// deployment decision). Everything the maximum price does not enter comes
+// from the model's minute memo, so the 59-step LSTM pass, the feature
+// assembly and most of the present branch's first layer run once per
+// (grid, minute) for the model's lifetime; per call, only the maximum
+// price's column, the rest of the present branch and the joint head run. A
+// memo hit allocates nothing, and every path returns the same bits as
+// Score on a freshly assembled sample.
 func (m *Model) Predict(g *market.Grid, i int, maxPrice float64) float64 {
 	if i < HistorySteps || i >= g.Len() {
 		// Not enough history yet: fall back to the base rate.
@@ -439,38 +447,116 @@ func (m *Model) Predict(g *market.Grid, i int, maxPrice float64) float64 {
 	}
 	sc := scratchPool.Get().(*inferScratch)
 	defer scratchPool.Put(sc)
-	return m.scoreAt(sc, g, i, m.history(sc, g, i), maxPrice)
+	return m.scoreRow(sc, m.row(sc, g, i), maxPrice/g.Type.OnDemandPrice)
 }
 
-// history returns the history branch's last hidden state at minute i of g,
-// from the memo or, on a miss, from one LSTM pass on sc that it then
-// memoizes. The pass runs outside the memo's mutex, so concurrent misses
-// do not serialize. The caller must have range-checked i.
-func (m *Model) history(sc *inferScratch, g *market.Grid, i int) []float64 {
-	if row := m.memo.lookup(g, i, m.Hidden); row != nil {
+// row returns minute i's memo row [hidden | lane0 | lane1], from the memo
+// or, on a miss, built in sc and then memoized. hidden is the history
+// branch's last hidden state. lane0 and lane1 are, per unit of the present
+// branch's first layer, the even- and odd-column partial sums
+// kernels.MatVecAcc builds over the six normalized features before it
+// reaches the maximum-price column: lane by column parity, each lane in
+// ascending order from zero, every product rounded before it is added.
+// The passes run outside the memo's mutex, so concurrent misses do not
+// serialize. The caller must have range-checked i.
+func (m *Model) row(sc *inferScratch, g *market.Grid, i int) []float64 {
+	h := m.Hidden
+	if row := m.memo.lookup(g, i, 3*h); row != nil {
 		return row
 	}
 	for k := range sc.hist {
 		normalizeFeaturesInto(sc.hist[k], g.Features(i-HistorySteps+k), g.Type)
 	}
+	normalizeFeaturesInto(sc.present, g.Features(i), g.Type)
 	sc.ws.Reset()
 	hs := m.hist.ForwardSeqInferWS(sc.ws, sc.hist)
-	return m.memo.store(g, i, hs[len(hs)-1])
+	row := sc.ws.Take(3 * h)
+	copy(row, hs[len(hs)-1])
+	l := m.present.Layers[0]
+	for o := 0; o < h; o++ {
+		w := l.W.W[o*l.In:][:market.FeatureCount]
+		var s0, s1 float64
+		for k, x := range sc.present {
+			if k%2 == 0 {
+				s0 += float64(w[k] * x)
+			} else {
+				s1 += float64(w[k] * x)
+			}
+		}
+		row[h+o], row[2*h+o] = s0, s1
+	}
+	return m.memo.store(g, i, row)
 }
 
-// scoreAt runs the present branch and joint head for one maximum price
-// against the history branch's output hidden.
-func (m *Model) scoreAt(sc *inferScratch, g *market.Grid, i int, hidden []float64, maxPrice float64) float64 {
-	const F = market.FeatureCount
-	normalizeFeaturesInto(sc.present, g.Features(i), g.Type)
-	sc.present[F] = maxPrice / g.Type.OnDemandPrice
-	sc.ws.Reset()
-	emb := m.present.ForwardInferWS(sc.ws, sc.present)
-	joint := sc.ws.Take(2 * m.Hidden)
-	copy(joint[:m.Hidden], hidden)
-	copy(joint[m.Hidden:], emb)
-	z := m.head.ForwardInferWS(sc.ws, joint)
+// scoreRow finishes the present branch and runs the joint head for one
+// normalized maximum price x against a memo row. The first layer's units
+// end as MatVecAcc ends a row whose last (even) column is x: that product
+// joins lane 0, then the lanes add, then the bias takes their sum. The
+// other layers run on MatVecAcc over biases copied into sc.act, so every
+// bit matches Dense.ForwardWS on the assembled sample. The weights come
+// from m.hit; the architecture is newModel's, ReLU everywhere except the
+// head's linear output.
+func (m *Model) scoreRow(sc *inferScratch, row []float64, x float64) float64 {
+	h := m.Hidden
+	if len(sc.act) < 5*h+1 {
+		sc.act = make([]float64, 5*h+1)
+	}
+	// act: joint [hidden | embedding], two present-branch layers, the
+	// head's hidden layer and the logit.
+	joint, a0, a1 := sc.act[:2*h], sc.act[2*h:3*h], sc.act[3*h:4*h]
+	hh, z := sc.act[4*h:5*h], sc.act[5*h:5*h+1]
+	copy(joint[:h], row[:h])
+	tail, b0, w := m.hit[:h], m.hit[h:2*h], m.hit[2*h:]
+	lane0, lane1 := row[h:2*h], row[2*h:3*h]
+	for o := range a0 {
+		a0[o] = relu(b0[o] + ((lane0[o] + float64(tail[o]*x)) + lane1[o]))
+	}
+	w = denseInto(a1, w, a0)
+	w = denseInto(joint[h:], w, a1)
+	w = denseInto(hh, w, joint)
+	z[0] = w[h] // the linear output layer: its bias, then W·hh
+	kernels.MatVecAcc(z, w[:h], 1, h, hh)
 	return m.Calibrate(nn.Logistic(z[0]))
+}
+
+// denseInto is a ReLU dense layer over caller-owned y, in Dense.ForwardWS's
+// order: y = relu(b + W·x), where w starts with W (len(y) rows of len(x))
+// and then b. It returns the rest of w.
+func denseInto(y, w, x []float64) []float64 {
+	n := len(y) * len(x)
+	copy(y, w[n:n+len(y)])
+	kernels.MatVecAcc(y, w[:n], len(y), len(x), x)
+	for o, v := range y {
+		y[o] = relu(v)
+	}
+	return w[n+len(y):]
+}
+
+// packHit copies the weights a memo hit reads into m.hit, contiguous and
+// in the order scoreRow reads them: the present branch's first-layer
+// maximum-price column and biases, then each later layer's weights and
+// biases. Train and LoadModel call it once the weights are final.
+func (m *Model) packHit() {
+	l := m.present.Layers[0]
+	var w []float64
+	for o := 0; o < l.Out; o++ {
+		w = append(w, l.W.W[o*l.In+market.FeatureCount])
+	}
+	w = append(w, l.B.W...)
+	for _, l := range [...]*nn.Dense{m.present.Layers[1], m.present.Layers[2], m.head.Layers[0], m.head.Layers[1]} {
+		w = append(w, l.W.W...)
+		w = append(w, l.B.W...)
+	}
+	m.hit = w
+}
+
+// relu is nn.ReLU's activation: negative inputs become zero, everything
+// else (NaN and −0 included) passes through.
+func relu(v float64) float64 {
+	if v < 0 {
+		return 0
+	}
+	return v
 }
 
 // sampleAt assembles an unlabeled sample for inference.
@@ -568,5 +654,6 @@ func Train(g *market.Grid, from, to int, cfg Config) (*Model, error) {
 			opt.Step(params)
 		}
 	}
+	m.packHit()
 	return m, nil
 }
