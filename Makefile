@@ -139,14 +139,19 @@ service:
 # tenants-contended benchmark workload, into results/deploy.pprof. Then the
 # solo path: BenchmarkSoloCampaigns, which mirrors the solo-revpred
 # workload (sequential RunPolicy campaigns on trained RevPred predictors),
-# 200 ops of 64 campaigns into results/solo.pprof; its test binary goes to
-# results/ too, not the working directory.
+# 200 ops of 64 campaigns into results/solo.pprof. Last the battery path:
+# BenchmarkBatteryStream, which mirrors the battery-stream workload (every
+# regime and fault scenario × policy × tuner × strategy streamed on 2
+# workers), 5 ops of 8 replicates into results/battery.pprof. The test
+# binaries go to results/ too, not the working directory.
 profile:
 	mkdir -p results
 	$(GO) run ./cmd/scenarios -quick -tenants 4096 -shards 2 -inflight 8 -capacity 4 -surge 0.5 -cpuprofile results/deploy.pprof
 	$(GO) tool pprof -top -cum results/deploy.pprof
 	$(GO) test -run '^$$' -bench '^BenchmarkSoloCampaigns$$' -benchtime 200x -cpuprofile results/solo.pprof -o results/solo.test .
 	$(GO) tool pprof -top -cum results/solo.pprof
+	$(GO) test -run '^$$' -bench '^BenchmarkBatteryStream$$' -benchtime 5x -cpuprofile results/battery.pprof -o results/battery.test .
+	$(GO) tool pprof -top -cum results/battery.pprof
 
 # Fused multiply-add lint. The generic kernels promise the SSE2 kernels'
 # bits on every platform, so each product must round before it is added

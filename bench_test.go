@@ -551,14 +551,33 @@ func revpredBenchModel(b *testing.B, hidden int) (*market.Grid, *revpred.Model) 
 	return g, m
 }
 
-// BenchmarkRevPredInference measures one provisioning-time probability
-// query (feature assembly + LSTM forward).
+// BenchmarkRevPredInference measures one cold provisioning-time
+// probability query (feature assembly + LSTM forward): every call asks a
+// minute the model's memo does not hold. The calls cycle through the
+// grid's minutes, and each time the cycle wraps the model is re-loaded
+// from its saved bytes with the timer stopped, dropping the memo, so every
+// op is a miss at any -benchtime. BenchmarkRevPredScore measures the warm
+// path.
 func BenchmarkRevPredInference(b *testing.B) {
 	g, m := revpredBenchModel(b, 8)
+	var saved bytes.Buffer
+	if err := m.Save(&saved); err != nil {
+		b.Fatal(err)
+	}
+	minutes := g.Len() - 2*revpred.HistorySteps
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx := revpred.HistorySteps + i%(g.Len()-2*revpred.HistorySteps)
+		k := i % minutes
+		if k == 0 && i > 0 {
+			b.StopTimer()
+			var err error
+			if m, err = revpred.LoadModel(bytes.NewReader(saved.Bytes()), m.Type); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		idx := revpred.HistorySteps + k
 		m.Predict(g, idx, g.Price(idx)+0.05)
 	}
 }
@@ -767,6 +786,47 @@ func BenchmarkSoloCampaigns(b *testing.B) {
 		round(i)
 	}
 	b.ReportMetric(float64(b.N*campaigns)/b.Elapsed().Seconds(), "campaigns/s")
+}
+
+// BenchmarkBatteryStream mirrors the battery-stream benchmark workload:
+// one op streams scenario.DefaultSpecs (every regime and fault scenario, at
+// seed 1) at quick fidelity through every registered policy × tuner ×
+// recovery strategy, LoR at scale 0.2, on 2 workers, with the runner's
+// invariant audit on every cell. Each op is one workload round: 8
+// replicates at the op's own seed. `make profile` profiles it into
+// results/battery.pprof.
+func BenchmarkBatteryStream(b *testing.B) {
+	specs := scenario.DefaultSpecs()
+	for i := range specs {
+		specs[i].Seed = 1
+	}
+	opt := scenario.StreamOptions{
+		Options: scenario.Options{
+			Quick:      true,
+			Workload:   "LoR",
+			Scale:      0.2,
+			Policies:   policy.Names(),
+			Tuners:     search.Names(),
+			Strategies: resilience.Names(),
+		},
+		Replicates: 8,
+		Workers:    2,
+	}
+	cells := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Seed = uint64(i + 1)
+		sum, err := scenario.Matrix{Specs: specs}.Stream(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum.Violations != 0 {
+			b.Fatalf("op %d: %d invariant violations", i, sum.Violations)
+		}
+		cells += sum.Cells
+	}
+	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
 }
 
 // BenchmarkCampaignEnv measures one full synthetic-environment campaign (16

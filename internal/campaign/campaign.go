@@ -95,7 +95,7 @@ type Environment struct {
 	Predictors map[string]revpred.Predictor
 	// revProb pairs Grids with Predictors once per environment; every
 	// policy NewPolicy builds predicts through it.
-	revProb policy.RevProbFunc
+	revProb policy.RevProbSource
 	// fits is the stage-fit memo every campaign RunPolicy runs with the
 	// default EarlyCurve predictor shares. Copies made by WithPredictors
 	// share it too: a stage fit depends only on its segment.
@@ -445,6 +445,12 @@ type Run struct {
 // recovery strategy and orchestrator. The campaign starts at its first
 // Step.
 func (e *Environment) NewRun(b *workload.Benchmark, curves workload.Curves, opt Options) (*Run, error) {
+	return e.newRun(b, curves, opt, nil)
+}
+
+// newRun is NewRun with the run's policy passed through wrap, when wrap is
+// not nil, before the orchestrator sees it.
+func (e *Environment) newRun(b *workload.Benchmark, curves workload.Curves, opt Options, wrap func(policy.Policy) policy.Policy) (*Run, error) {
 	if b == nil {
 		return nil, errors.New("campaign: nil benchmark")
 	}
@@ -488,6 +494,9 @@ func (e *Environment) NewRun(b *workload.Benchmark, curves workload.Curves, opt 
 	pol, err := e.NewPolicy(opt.Policy, opt.Seed+0x51d, opt.PolicyParams)
 	if err != nil {
 		return nil, err
+	}
+	if wrap != nil {
+		pol = wrap(pol)
 	}
 	// Tuners are stateful and single-use: construct a fresh instance per
 	// run with the same θ/MCnt clamping the orchestrator config applies,

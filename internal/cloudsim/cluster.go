@@ -192,11 +192,9 @@ type Cluster struct {
 	// the catalog's per-type Capacity cap (0 = unlimited). On-demand
 	// capacity is never capped.
 	runningSpot []int
-	// cursors holds, per catalog index, the market cursors every query at
-	// the clock's current instant runs through (see quoteCursors); spare
-	// serves a traced market outside the catalog.
+	// cursors holds, per market slot (Markets), the market cursors every
+	// query at the clock's current instant runs through (see quoteCursors).
 	cursors []quoteCursors
-	spare   quoteCursors
 
 	// domain, when attached (SetCapacityDomain), shares per-type spot
 	// capacity and demand-pressure pricing with every other cluster on the
@@ -246,7 +244,7 @@ func NewClusterOn(clk *simclock.Virtual, m *Markets) (*Cluster, error) {
 	c := &Cluster{
 		clk:         clk,
 		markets:     m,
-		runningSpot: make([]int, len(m.slots)),
+		runningSpot: make([]int, m.catalog.Len()),
 		cursors:     make([]quoteCursors, len(m.slots)),
 		trc:         obs.Nop{},
 	}
@@ -284,7 +282,8 @@ func (c *Cluster) SetTracer(t obs.Tracer) {
 // SetCapacityDomain attaches the cluster to a shared capacity/demand domain
 // (nil detaches). Attach before any spot request: the domain must see every
 // live spot instance to keep its accounting conserved. Every cluster on one
-// domain must use a catalog of the same layout (the world's catalog).
+// domain must use a catalog of the same layout, the same type names with
+// the same capacities in the same order (the world's catalog).
 func (c *Cluster) SetCapacityDomain(d *CapacityDomain) error {
 	if d != nil {
 		if err := d.bind(c.markets.catalog); err != nil {
@@ -293,23 +292,6 @@ func (c *Cluster) SetCapacityDomain(d *CapacityDomain) error {
 	}
 	c.domain = d
 	return nil
-}
-
-// quote resolves a type name for a price quote: the cursor pair it runs
-// through and the live demand-pressure multiplier (1 without a domain).
-// Catalog types take one name lookup and their slot's cursors; a traced
-// market outside the catalog quotes flat through the spare pair, re-aimed
-// at its trace, so its queries re-seed from the search.
-func (c *Cluster) quote(typeName string) (cur *quoteCursors, surge float64, ok bool) {
-	if i, ok := c.markets.catalog.Index(typeName); ok {
-		return &c.cursors[i], c.domain.surge(i, c.markets.slots[i].it.Capacity), true
-	}
-	ti, ok := c.markets.store.Lookup(typeName)
-	if !ok {
-		return nil, 0, false
-	}
-	c.spare = c.markets.cursorsOn(ti)
-	return &c.spare, 1, true
 }
 
 // nowNanos is the clock's current instant in Unix nanoseconds, the unit the
@@ -324,6 +306,14 @@ func (c *Cluster) Clock() *simclock.Virtual { return c.clk }
 // policy.MarketView).
 func (c *Cluster) Now() time.Time { return c.clk.Now() }
 
+// Slot resolves a type name to the slot its quotes are keyed by: a catalog
+// type's catalog index, or for a traced market outside the catalog a slot
+// after the catalog's. With CurrentPriceBySlot, AvgPriceLastHourBySlot and
+// OnDemandPriceBySlot it makes the cluster a policy.SlotMarket: policies
+// resolve their pools once per campaign and quote by slot. Each name-keyed
+// quote is this lookup plus its slot method.
+func (c *Cluster) Slot(typeName string) (int, bool) { return c.markets.slot(typeName) }
+
 // Catalog exposes the instance catalog.
 func (c *Cluster) Catalog() *market.Catalog { return c.markets.catalog }
 
@@ -332,34 +322,60 @@ func (c *Cluster) Ledger() *Ledger { return &c.ledger }
 
 // CurrentPrice returns the spot market price of a type right now.
 func (c *Cluster) CurrentPrice(typeName string) (float64, error) {
-	cur, surge, ok := c.quote(typeName)
+	slot, ok := c.markets.slot(typeName)
 	if !ok {
 		return 0, fmt.Errorf("cloudsim: unknown market %q", typeName)
 	}
-	p, _ := c.markets.store.PriceAtCursor(&cur.now, c.nowNanos())
-	return p * surge, nil
+	return c.CurrentPriceBySlot(slot)
+}
+
+// CurrentPriceBySlot is CurrentPrice for the market at a slot from Slot:
+// the trace price through the slot's now cursor times the slot's
+// demand-pressure multiplier (1 without a capacity domain and outside the
+// catalog). It never fails.
+func (c *Cluster) CurrentPriceBySlot(slot int) (float64, error) {
+	p, _ := c.markets.store.PriceAtCursor(&c.cursors[slot].now, c.nowNanos())
+	return p * c.domain.surge(slot), nil
 }
 
 // AvgPriceLastHour returns the time-weighted average market price over the
 // past hour — the price term of Eq. 1.
 func (c *Cluster) AvgPriceLastHour(typeName string) (float64, error) {
-	cur, surge, ok := c.quote(typeName)
+	slot, ok := c.markets.slot(typeName)
 	if !ok {
 		return 0, fmt.Errorf("cloudsim: unknown market %q", typeName)
 	}
+	return c.AvgPriceLastHourBySlot(slot)
+}
+
+// AvgPriceLastHourBySlot is AvgPriceLastHour for the market at a slot from
+// Slot, scaled like CurrentPriceBySlot.
+func (c *Cluster) AvgPriceLastHourBySlot(slot int) (float64, error) {
+	cur := &c.cursors[slot]
 	now := c.nowNanos()
 	avg, err := c.markets.store.AvgOverCursors(&cur.hourAgo, &cur.now, now-int64(time.Hour), now)
-	return avg * surge, err
+	return avg * c.domain.surge(slot), err
 }
 
 // OnDemandPrice returns the fixed hourly on-demand quote for a type — the
 // reliable-capacity price provisioning policies weigh spot bids against.
 func (c *Cluster) OnDemandPrice(typeName string) (float64, error) {
-	i, ok := c.markets.catalog.Index(typeName)
+	slot, ok := c.markets.slot(typeName)
 	if !ok {
 		return 0, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
-	return c.markets.slots[i].it.OnDemandPrice, nil
+	return c.OnDemandPriceBySlot(slot)
+}
+
+// OnDemandPriceBySlot is OnDemandPrice for the type at a slot from Slot. A
+// traced market outside the catalog has no on-demand offer: it fails as
+// OnDemandPrice fails for an unknown type.
+func (c *Cluster) OnDemandPriceBySlot(slot int) (float64, error) {
+	sl := &c.markets.slots[slot]
+	if slot >= c.markets.catalog.Len() {
+		return 0, fmt.Errorf("cloudsim: unknown instance type %q", sl.it.Name)
+	}
+	return sl.it.OnDemandPrice, nil
 }
 
 // ErrPriceAboveMax is returned when a spot request's maximum price is below
@@ -415,7 +431,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 		// Sampled after acquiring, so an instance's own demand is part of
 		// the pressure it is billed under.
 		c.domain.acquire(slot)
-		inst.Surge = c.domain.surge(slot, it.Capacity)
+		inst.Surge = c.domain.surge(slot)
 	}
 
 	if exceedAt, found := c.markets.store.FirstExceedCursor(cur, nowNanos, maxPrice); found {
@@ -464,8 +480,24 @@ func (c *Cluster) RequestOnDemand(typeName string) (*Instance, error) {
 // launch names a new instance and records it.
 func (c *Cluster) launch(inst *Instance) *Instance {
 	c.instances = append(c.instances, inst)
-	inst.ID = fmt.Sprintf("i-%06d", len(c.instances))
+	inst.ID = instanceID(len(c.instances))
 	return inst
+}
+
+// instanceID is the ID of the cluster's n-th instance (n >= 1): "i-" and n
+// in decimal, zero-padded to six digits, the bytes fmt.Sprintf("i-%06d", n)
+// formats, built in one allocation.
+func instanceID(n int) string {
+	var b [2 + 20]byte
+	i := len(b)
+	for digits := 0; n > 0 || digits < 6; digits++ {
+		i--
+		b[i] = byte('0' + n%10)
+		n /= 10
+	}
+	i -= 2
+	b[i], b[i+1] = 'i', '-'
+	return string(b[i:])
 }
 
 // Terminate shuts an instance down at the user's request (full charge, no

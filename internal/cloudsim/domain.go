@@ -16,8 +16,11 @@ import (
 //
 // The per-type counters are a slice indexed by catalog index (market.Catalog
 // Index), laid out by the catalog of the first attached cluster; every
-// attached cluster must share that catalog's layout (same type names in the
-// same order — a world's clusters all use the world's catalog).
+// attached cluster must share that catalog's layout (same type names with
+// the same capacities in the same order — a world's clusters all use the
+// world's catalog). Beside each counter the domain keeps the type's surge
+// multiplier, recomputed whenever the counter moves, so a quote reads it
+// instead of dividing.
 //
 // A domain belongs to one shard wave, whose campaigns take turns on the
 // shard's goroutine, so it carries no locking and is NOT safe for concurrent
@@ -32,6 +35,8 @@ type CapacityDomain struct {
 	slope   float64
 	catalog *market.Catalog
 	inUse   []int
+	// surges[i] is type i's multiplier at its current inUse (see setSurge).
+	surges []float64
 }
 
 // NewCapacityDomain returns an empty domain. surgeSlope is the demand
@@ -42,22 +47,30 @@ func NewCapacityDomain(surgeSlope float64) *CapacityDomain {
 	return &CapacityDomain{slope: surgeSlope}
 }
 
+// errForeignLayout refuses a cluster whose catalog is laid out differently.
+var errForeignLayout = errors.New("cloudsim: capacity domain shared across catalogs of different layouts")
+
 // bind lays the counters out by the attaching cluster's catalog, or checks
-// that the catalog matches the layout already bound.
+// that the catalog matches the layout already bound: the same names with
+// the same capacities, since one cached multiplier serves every cluster.
 func (d *CapacityDomain) bind(cat *market.Catalog) error {
 	if d.catalog == nil {
-		d.catalog, d.inUse = cat, make([]int, cat.Len())
+		d.catalog, d.inUse, d.surges = cat, make([]int, cat.Len()), make([]float64, cat.Len())
+		for i := range d.surges {
+			d.setSurge(i)
+		}
 		return nil
 	}
 	if d.catalog == cat {
 		return nil
 	}
 	if d.catalog.Len() != cat.Len() {
-		return errors.New("cloudsim: capacity domain shared across catalogs of different layouts")
+		return errForeignLayout
 	}
 	for i := 0; i < cat.Len(); i++ {
-		if d.catalog.TypeAt(i).Name != cat.TypeAt(i).Name {
-			return errors.New("cloudsim: capacity domain shared across catalogs of different layouts")
+		bound, it := d.catalog.TypeAt(i), cat.TypeAt(i)
+		if bound.Name != it.Name || bound.Capacity != it.Capacity {
+			return errForeignLayout
 		}
 	}
 	return nil
@@ -84,17 +97,36 @@ func (d *CapacityDomain) hasRoom(i, capacity int) bool {
 
 // acquire counts one launched spot instance. The caller must have checked
 // hasRoom under the same shard turn.
-func (d *CapacityDomain) acquire(i int) { d.inUse[i]++ }
+func (d *CapacityDomain) acquire(i int) {
+	d.inUse[i]++
+	d.setSurge(i)
+}
 
 // release returns one spot instance's capacity at settlement.
-func (d *CapacityDomain) release(i int) { d.inUse[i]-- }
+func (d *CapacityDomain) release(i int) {
+	d.inUse[i]--
+	d.setSurge(i)
+}
 
-// surge is the demand-pressure price multiplier for the type at catalog
-// index i right now: 1 + slope·(inUse/capacity). A nil domain, uncapped
-// types (capacity 0) and a zero slope quote the flat trace price.
-func (d *CapacityDomain) surge(i, capacity int) float64 {
-	if d == nil || d.slope == 0 || capacity <= 0 {
+// setSurge recomputes the demand-pressure price multiplier of the type at
+// catalog index i from its count: 1 + slope·(inUse/capacity), and 1 for an
+// uncapped type (capacity 0) or a zero slope. Only acquire, release and
+// bind move a count, so surges[i] always equals this expression.
+func (d *CapacityDomain) setSurge(i int) {
+	capacity := d.catalog.TypeAt(i).Capacity
+	if d.slope == 0 || capacity <= 0 {
+		d.surges[i] = 1
+		return
+	}
+	d.surges[i] = 1 + d.slope*float64(d.inUse[i])/float64(capacity)
+}
+
+// surge is the demand-pressure price multiplier of the market at slot i
+// right now. A nil domain and markets outside the catalog quote the flat
+// trace price.
+func (d *CapacityDomain) surge(i int) float64 {
+	if d == nil || i >= len(d.surges) {
 		return 1
 	}
-	return 1 + d.slope*float64(d.inUse[i])/float64(capacity)
+	return d.surges[i]
 }

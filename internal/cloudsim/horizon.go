@@ -18,11 +18,11 @@ import "time"
 // store answers through the market's now cursor (market.Store.NextAfter),
 // so the instant is in UTC.
 func (c *Cluster) NextPriceTick(typeName string) (time.Time, bool) {
-	cur, _, ok := c.quote(typeName)
+	slot, ok := c.markets.slot(typeName)
 	if !ok {
 		return time.Time{}, false
 	}
-	return c.markets.store.NextAfterCursor(&cur.now, c.nowNanos())
+	return c.markets.store.NextAfterCursor(&c.cursors[slot].now, c.nowNanos())
 }
 
 // NextMarketTick returns the earliest upcoming price change across the given

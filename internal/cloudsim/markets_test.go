@@ -74,8 +74,8 @@ func TestQuotePathAllocationFree(t *testing.T) {
 // TestClusterQuotesMatchStore walks a cluster's clock forward in hops of
 // seconds to hours and checks every query it answers through its cursors
 // against the store's search, bit for bit: CurrentPrice, AvgPriceLastHour
-// and NextPriceTick for a catalog market and for a traced market outside
-// the catalog (queried in turn, so the spare cursor pair is re-aimed), and
+// and NextPriceTick for a catalog market and for two traced markets outside
+// the catalog (queried in turn, each through its own slot's cursors), and
 // the revocation instant RequestSpot schedules for a bid just over the
 // current price.
 func TestClusterQuotesMatchStore(t *testing.T) {
@@ -156,7 +156,9 @@ func emptyCluster(t *testing.T, clk *simclock.Virtual) *Cluster {
 }
 
 // TestCapacityDomainRejectsForeignLayout pins the domain's layout contract:
-// clusters on one domain must index their catalogs the same way.
+// clusters on one domain must index their catalogs the same way, with the
+// same per-type capacities, since the domain keeps one surge multiplier per
+// type for all of them.
 func TestCapacityDomainRejectsForeignLayout(t *testing.T) {
 	clk, _, _, dom := domainWorld(t, 0)
 	start := time.Date(2017, 4, 26, 0, 0, 0, 0, time.UTC)
@@ -173,8 +175,21 @@ func TestCapacityDomainRejectsForeignLayout(t *testing.T) {
 	if err := c.SetCapacityDomain(dom); err == nil {
 		t.Fatal("domain accepted a cluster with a different catalog layout")
 	}
+	// The same names under another capacity are a different layout.
+	uncapped := emptyCluster(t, clk)
+	if err := uncapped.SetCapacityDomain(dom); err == nil {
+		t.Fatal("domain accepted a cluster whose catalog caps the same types differently")
+	}
 	// The same layout in a different catalog value is accepted.
-	same := emptyCluster(t, clk)
+	capped := market.MustNewCatalog([]market.InstanceType{
+		{Name: "r4.large", CPUs: 2, MemoryGB: 15, OnDemandPrice: 0.133, Capacity: 2},
+	})
+	same, err := NewCluster(clk, capped, market.TraceSet{
+		"r4.large": {Type: "r4.large", Records: []market.Record{{At: start.Add(-time.Hour), Price: 0.04}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := same.SetCapacityDomain(dom); err != nil {
 		t.Fatalf("same layout rejected: %v", err)
 	}

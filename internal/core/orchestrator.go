@@ -284,6 +284,7 @@ type Orchestrator struct {
 	store    *cloudsim.ObjectStore
 	pol      policy.Policy
 	pool     []string
+	odPool   *policy.Pool // pool, quoted for the degradation ladder's on-demand choice
 	approach string
 	perf     *PerfMatrix
 
@@ -398,6 +399,7 @@ func NewPolicyOrchestrator(
 		store:    store,
 		pol:      pol,
 		pool:     append([]string(nil), pool...),
+		odPool:   policy.NewPool(pool),
 		approach: approach,
 		perf:     NewPerfMatrix(cluster.Catalog(), c0),
 		ts:       make([]*trialState, 0, len(trials)),
@@ -854,7 +856,7 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 		}
 		var req policy.Request
 		if o.slack.Level() >= resilience.LevelOnDemand {
-			req, err = policy.CheapestOnDemand(ctx, o.pool)
+			req, err = o.odPool.CheapestOnDemand(ctx)
 		} else {
 			req, err = o.pol.Decide(ctx)
 		}
@@ -872,11 +874,12 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 			o.odDeployments++
 		} else {
 			inst, err = o.cluster.RequestSpot(req.TypeName, req.MaxPrice, t.onNotice)
-			if errors.Is(err, cloudsim.ErrPriceAboveMax) {
+			miss := cloudsim.MissOf(err)
+			if miss == cloudsim.PriceMiss {
 				// Market moved against us inside this tick; retry later.
 				return time.Time{}, true, nil
 			}
-			if errors.Is(err, cloudsim.ErrCapacityUnavailable) {
+			if miss == cloudsim.CapacityMiss {
 				// Capacity blackout: retriable market state, but unlike a
 				// price rejection the failed API call is evidence the
 				// market is hostile — count it toward the trial's

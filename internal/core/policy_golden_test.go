@@ -178,11 +178,13 @@ func TestFallbackBlackoutStreakSwapsToOnDemandAndBack(t *testing.T) {
 	pol, err := policy.New(policy.FallbackName, policy.Params{
 		Pool: pool,
 		Seed: 7,
-		RevProb: func(_ string, at time.Time, _ float64) float64 {
-			if at.Before(blackoutEnd) {
-				return 0.45
+		RevProb: func(string) policy.RevProbFunc {
+			return func(at time.Time, _ float64) float64 {
+				if at.Before(blackoutEnd) {
+					return 0.45
+				}
+				return 0.05
 			}
-			return 0.05
 		},
 	})
 	if err != nil {
@@ -270,8 +272,8 @@ func TestFallbackDoomWindowSkipsSpotEntirely(t *testing.T) {
 	pol, err := policy.New(policy.FallbackName, policy.Params{
 		Pool: pool,
 		Seed: 7,
-		RevProb: func(string, time.Time, float64) float64 {
-			return 0.95
+		RevProb: func(string) policy.RevProbFunc {
+			return func(time.Time, float64) float64 { return 0.95 }
 		},
 	})
 	if err != nil {

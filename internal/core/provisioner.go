@@ -35,33 +35,27 @@ func ValidatePoolWiring(pool []string, grids map[string]*market.Grid, predictors
 	return nil
 }
 
-// GridRevProb builds a policy.RevProbFunc over per-market feature grids and
-// trained revocation predictors — the Eq. 1 probability term. Markets
-// without a grid entry or a predictor (or instants outside the grid) predict
-// 0. The pairing is resolved here, once, so each prediction costs one name
-// lookup; later changes to the maps are not seen, so build it after the
+// GridRevProb builds a policy.RevProbSource over per-market feature grids
+// and trained revocation predictors — the Eq. 1 probability term. Each
+// market's prediction pairs its grid with its predictor, built here once per
+// market, so a policy resolving its pool at construction gets the function
+// itself and a prediction makes no name lookup. Markets without a grid entry
+// or a predictor resolve to nil and predict 0, as do instants outside the
+// grid. Later changes to the maps are not seen, so build it after the
 // environment is assembled.
-func GridRevProb(grids map[string]*market.Grid, predictors map[string]revpred.Predictor) policy.RevProbFunc {
-	type gridPred struct {
-		grid *market.Grid
-		pred revpred.Predictor
-	}
-	table := make(map[string]gridPred, len(grids))
+func GridRevProb(grids map[string]*market.Grid, predictors map[string]revpred.Predictor) policy.RevProbSource {
+	table := make(map[string]policy.RevProbFunc, len(grids))
 	for name, g := range grids {
 		if pred, ok := predictors[name]; ok {
-			table[name] = gridPred{grid: g, pred: pred}
+			table[name] = func(at time.Time, maxPrice float64) float64 {
+				if idx, err := g.Index(at); err == nil {
+					return pred.Predict(g, idx, maxPrice)
+				}
+				return 0
+			}
 		}
 	}
-	return func(typeName string, at time.Time, maxPrice float64) float64 {
-		m, ok := table[typeName]
-		if !ok {
-			return 0
-		}
-		if idx, err := m.grid.Index(at); err == nil {
-			return m.pred.Predict(m.grid, idx, maxPrice)
-		}
-		return 0
-	}
+	return func(typeName string) policy.RevProbFunc { return table[typeName] }
 }
 
 // PerfMatrix is the online performance model M of Algorithm 1: estimated

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -147,6 +148,34 @@ func TestCatalogNamesSorted(t *testing.T) {
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			t.Fatalf("Names not sorted: %v", names)
+		}
+	}
+}
+
+// TestCatalogIndexScanMatchesMap pins Index's scan against the name map:
+// every catalog size resolves each of its names, given as the catalog's own
+// string or as a copy with bytes of its own, to its construction index, as
+// the map does, and misses names it does not hold.
+func TestCatalogIndexScanMatchesMap(t *testing.T) {
+	for n := 1; n <= 16; n++ {
+		types := make([]InstanceType, n)
+		for i := range types {
+			types[i] = InstanceType{Name: fmt.Sprintf("t%d.x%dlarge", i%3, i), CPUs: 1 + i, MemoryGB: 1, OnDemandPrice: 0.1}
+		}
+		c := MustNewCatalog(types)
+		for i, it := range types {
+			for _, name := range []string{it.Name, strings.Clone(it.Name)} {
+				got, ok := c.Index(name)
+				want, wantOK := c.byKey[name]
+				if got != i || !ok || got != want || ok != wantOK {
+					t.Fatalf("size %d: Index(%q) = %d, %v; want %d, true", n, name, got, ok, i)
+				}
+			}
+		}
+		for _, name := range []string{"", "t0", "t0.x0large ", "T0.x0large", "m4.4xlarge"} {
+			if got, ok := c.Index(name); ok || got != 0 {
+				t.Fatalf("size %d: Index(%q) = %d, %v; want a miss", n, name, got, ok)
+			}
 		}
 	}
 }

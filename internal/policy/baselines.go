@@ -15,19 +15,17 @@ func init() {
 	Register(CheapestName,
 		"Single-Spot baseline: cheapest type by on-demand price, never-revoked bid",
 		func(p Params) (Policy, error) {
-			return &singleSpot{name: CheapestName, pool: append([]string(nil), p.Pool...),
-				pick: pickCheapest}, nil
+			return &singleSpot{name: CheapestName, pool: newPool(p.Pool), pick: pickCheapest}, nil
 		})
 	Register(FastestName,
 		"Single-Spot baseline: fastest type by current perf estimate, never-revoked bid",
 		func(p Params) (Policy, error) {
-			return &singleSpot{name: FastestName, pool: append([]string(nil), p.Pool...),
-				pick: pickFastest}, nil
+			return &singleSpot{name: FastestName, pool: newPool(p.Pool), pick: pickFastest}, nil
 		})
 	Register(OnDemandName,
 		"on-demand only: reliable capacity at the fixed quote, min cost per step",
 		func(p Params) (Policy, error) {
-			return &onDemandOnly{pool: append([]string(nil), p.Pool...)}, nil
+			return &onDemandOnly{pool: newPool(p.Pool)}, nil
 		})
 }
 
@@ -36,25 +34,32 @@ func init() {
 // setup).
 type singleSpot struct {
 	name string
-	pool []string
-	pick func(ctx Context, pool []string) (string, error)
+	pool Pool
+	// pick returns the index of the chosen member, or -1 when none ranks
+	// below +Inf.
+	pick func(ctx Context, q quotes, names []string) (int, error)
 }
 
 func (s *singleSpot) Name() string { return s.name }
 
 func (s *singleSpot) Decide(ctx Context) (Request, error) {
-	name, err := s.pick(ctx, s.pool)
+	q := s.pool.on(ctx.Market)
+	k, err := s.pick(ctx, q, s.pool.names)
 	if err != nil {
 		return Request{}, err
 	}
-	od, err := ctx.Market.OnDemandPrice(name)
+	if k < 0 {
+		return Request{}, errNoViable
+	}
+	od, err := q.onDemandPrice(k)
 	if err != nil {
 		return Request{}, err
 	}
-	avg, err := ctx.Market.AvgPriceLastHour(name)
+	avg, err := q.avgPriceLastHour(k)
 	if err != nil {
 		return Request{}, err
 	}
+	name := s.pool.names[k]
 	return Request{
 		TypeName: name,
 		MaxPrice: od * DefaultMaxPriceFactor,
@@ -65,15 +70,15 @@ func (s *singleSpot) Decide(ctx Context) (Request, error) {
 
 // pickCheapest ranks by on-demand catalog price (the paper's "Cheapest" is
 // r4.large, the lowest-priced Table III type), ties by pool order.
-func pickCheapest(ctx Context, pool []string) (string, error) {
-	best, bestPrice := "", math.Inf(1)
-	for _, name := range pool {
-		od, err := ctx.Market.OnDemandPrice(name)
+func pickCheapest(_ Context, q quotes, names []string) (int, error) {
+	best, bestPrice := -1, math.Inf(1)
+	for k := range names {
+		od, err := q.onDemandPrice(k)
 		if err != nil {
-			return "", err
+			return -1, err
 		}
 		if od < bestPrice {
-			best, bestPrice = name, od
+			best, bestPrice = k, od
 		}
 	}
 	return best, nil
@@ -81,11 +86,11 @@ func pickCheapest(ctx Context, pool []string) (string, error) {
 
 // pickFastest ranks by the current seconds-per-step estimate (the paper's
 // "Fastest" is m4.4xlarge, the most-core type), ties by pool order.
-func pickFastest(ctx Context, pool []string) (string, error) {
-	best, bestSec := "", math.Inf(1)
-	for _, name := range pool {
+func pickFastest(ctx Context, _ quotes, names []string) (int, error) {
+	best, bestSec := -1, math.Inf(1)
+	for k, name := range names {
 		if sec := ctx.SecPerStep(name); sec < bestSec {
-			best, bestSec = name, sec
+			best, bestSec = k, sec
 		}
 	}
 	return best, nil
@@ -94,11 +99,11 @@ func pickFastest(ctx Context, pool []string) (string, error) {
 // onDemandOnly never touches the spot market: every deployment is reliable
 // on-demand capacity on the type with the least expected cost per step.
 type onDemandOnly struct {
-	pool []string
+	pool Pool
 }
 
 func (o *onDemandOnly) Name() string { return OnDemandName }
 
 func (o *onDemandOnly) Decide(ctx Context) (Request, error) {
-	return bestOnDemand(ctx, o.pool)
+	return o.pool.CheapestOnDemand(ctx)
 }

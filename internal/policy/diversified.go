@@ -46,10 +46,10 @@ func init() {
 // outside those families exists, so a homogeneous pool degrades to plain
 // lowest-cost selection rather than failing.
 type diversifiedSpot struct {
-	candidates []string          // sorted; iteration order pins lexicographic ties
+	candidates Pool              // sorted; iteration order pins lexicographic ties
 	families   map[string]string // candidate name → family
 	allocation string
-	revProb    RevProbFunc
+	revProb    []RevProbFunc // each candidate's predictor
 	deltaLow   float64
 	deltaHigh  float64
 	rng        *rand.Rand
@@ -99,10 +99,10 @@ func newDiversifiedSpot(p Params) (Policy, error) {
 		fams[n] = market.FamilyOf(n)
 	}
 	return &diversifiedSpot{
-		candidates: cands,
+		candidates: newPool(cands),
 		families:   fams,
 		allocation: alloc,
-		revProb:    p.RevProb,
+		revProb:    resolveRevProb(p.RevProb, cands),
 		deltaLow:   p.DeltaLow,
 		deltaHigh:  p.DeltaHigh,
 		rng:        newRNG(p.Seed),
@@ -137,8 +137,9 @@ func (d *diversifiedSpot) avoidedFamilies(t TrialInfo) map[string]bool {
 // the lexicographically smaller name (strict < over sorted iteration).
 func (d *diversifiedSpot) Decide(ctx Context) (Request, error) {
 	now := ctx.Market.Now()
+	q := d.candidates.on(ctx.Market)
 	exclude := ctx.Trial.Exclude
-	if len(d.candidates) < 2 {
+	if len(d.candidates.names) < 2 {
 		exclude = ""
 	}
 	avoid := d.avoidedFamilies(ctx.Trial)
@@ -149,8 +150,8 @@ func (d *diversifiedSpot) Decide(ctx Context) (Request, error) {
 	best := Request{StepCost: math.Inf(1)}
 	bestDiv := Request{StepCost: math.Inf(1)}
 	divCount := 0
-	for _, name := range d.candidates {
-		cur, err := ctx.Market.CurrentPrice(name)
+	for k, name := range d.candidates.names {
+		cur, err := q.currentPrice(k)
 		if err != nil {
 			return Request{}, err
 		}
@@ -159,13 +160,8 @@ func (d *diversifiedSpot) Decide(ctx Context) (Request, error) {
 			continue
 		}
 		maxPrice := cur + delta
-		prob := d.revProb(name, now, maxPrice)
-		if prob < 0 {
-			prob = 0
-		} else if prob > 1 {
-			prob = 1
-		}
-		avg, err := ctx.Market.AvgPriceLastHour(name)
+		prob := clampProb(d.revProb[k](now, maxPrice))
+		avg, err := q.avgPriceLastHour(k)
 		if err != nil {
 			return Request{}, err
 		}
@@ -193,7 +189,7 @@ func (d *diversifiedSpot) Decide(ctx Context) (Request, error) {
 		}
 	}
 	if math.IsInf(best.StepCost, 1) {
-		return Request{}, errors.New("policy: no viable instance in pool")
+		return Request{}, errNoViable
 	}
 	if math.IsInf(bestDiv.StepCost, 1) {
 		// Every candidate sits in an avoided family: nothing to diversify

@@ -35,11 +35,12 @@ type fallback struct {
 func (f *fallback) Name() string { return FallbackName }
 
 func (f *fallback) Decide(ctx Context) (Request, error) {
-	spot, err := f.bestSpot(ctx)
+	q := f.pool.on(ctx.Market)
+	spot, k, err := f.bestSpot(ctx, q)
 	if err != nil {
 		return Request{}, err
 	}
-	cur, err := ctx.Market.CurrentPrice(spot.TypeName)
+	cur, err := q.currentPrice(k)
 	if err != nil {
 		return Request{}, err
 	}
@@ -61,7 +62,7 @@ func (f *fallback) Decide(ctx Context) (Request, error) {
 				N:     int64(ctx.Trial.SpotFailures),
 			})
 		}
-		return bestOnDemand(ctx, f.pool)
+		return f.pool.CheapestOnDemand(ctx)
 	}
 	if ctx.Tracer != nil && ctx.Trial.SpotFailures >= f.fallbackAfter && calm {
 		// The streak alone would have trapped us on on-demand; the calm

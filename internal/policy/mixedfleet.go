@@ -24,7 +24,8 @@ func (m *mixedFleet) Name() string { return MixedFleetName }
 
 func (m *mixedFleet) Decide(ctx Context) (Request, error) {
 	if ctx.Trial.Incumbent && ctx.ActiveOnDemand == 0 {
-		return bestOnDemand(ctx, m.pool)
+		return m.pool.CheapestOnDemand(ctx)
 	}
-	return m.bestSpot(ctx)
+	req, _, err := m.bestSpot(ctx, m.pool.on(ctx.Market))
+	return req, err
 }

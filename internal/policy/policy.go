@@ -38,7 +38,7 @@ const (
 const DefaultMaxPriceFactor = 1000
 
 // MarketView is what a policy can observe about the cloud at decision time.
-// *cloudsim.Cluster implements it directly.
+// *cloudsim.Cluster implements it directly, and its SlotMarket upgrade.
 type MarketView interface {
 	// Now is the current (virtual) instant.
 	Now() time.Time
@@ -48,6 +48,25 @@ type MarketView interface {
 	AvgPriceLastHour(typeName string) (float64, error)
 	// OnDemandPrice is the fixed hourly on-demand quote for a type.
 	OnDemandPrice(typeName string) (float64, error)
+}
+
+// SlotMarket is the slot-keyed upgrade of a MarketView. A policy that finds
+// it on Context.Market resolves each pool member's name to a slot once per
+// view and quotes every later decision by slot, with no name lookup; a view
+// without it is quoted by name (see Pool). *cloudsim.Cluster implements it.
+// Policies key the resolved slots by the view, so an implementation must be
+// comparable (a pointer) and must keep its slots for as long as it is used.
+type SlotMarket interface {
+	MarketView
+	// Slot resolves a type name to its slot; ok is false for a market the
+	// view does not know.
+	Slot(typeName string) (slot int, ok bool)
+	// CurrentPriceBySlot, AvgPriceLastHourBySlot and OnDemandPriceBySlot
+	// return what CurrentPrice, AvgPriceLastHour and OnDemandPrice return
+	// for the name the slot was resolved from, bit for bit.
+	CurrentPriceBySlot(slot int) (float64, error)
+	AvgPriceLastHourBySlot(slot int) (float64, error)
+	OnDemandPriceBySlot(slot int) (float64, error)
 }
 
 // TrialInfo describes the trial being (re)deployed.
@@ -136,8 +155,13 @@ type Policy interface {
 }
 
 // RevProbFunc predicts the revocation probability within the hour for a bid
-// of maxPrice on typeName's market at the given instant.
-type RevProbFunc func(typeName string, at time.Time, maxPrice float64) float64
+// of maxPrice on one market at the given instant.
+type RevProbFunc func(at time.Time, maxPrice float64) float64
+
+// RevProbSource resolves a market's RevProbFunc by type name; nil means the
+// market has no predictor and predicts 0. Policies resolve every pool member
+// once, when they are built, so a decision looks up no name to predict.
+type RevProbSource func(typeName string) RevProbFunc
 
 // Params configures policy construction. Zero values select defaults.
 type Params struct {
@@ -145,8 +169,9 @@ type Params struct {
 	Pool []string
 	// Seed drives bid-delta sampling.
 	Seed uint64
-	// RevProb supplies revocation predictions (nil means always 0).
-	RevProb RevProbFunc
+	// RevProb supplies each pool member's revocation predictions (nil
+	// means always 0).
+	RevProb RevProbSource
 	// DeltaLow/DeltaHigh bound the spot bid delta (defaults to the
 	// paper's interval when DeltaHigh <= 0).
 	DeltaLow, DeltaHigh float64
@@ -186,9 +211,6 @@ func (p Params) withDefaults() Params {
 	if p.CalmProb <= 0 {
 		p.CalmProb = 0.3
 	}
-	if p.RevProb == nil {
-		p.RevProb = func(string, time.Time, float64) float64 { return 0 }
-	}
 	return p
 }
 
@@ -209,25 +231,57 @@ func newRNG(seed uint64) *rand.Rand {
 }
 
 // spotChooser is the shared Eq. 1–2 spot-selection state: every policy that
-// bids on the spot market embeds one, so the pool copy, predictor hook, bid
+// bids on the spot market embeds one, so the pool, predictor hooks, bid
 // deltas, and rng stream are defined exactly once.
 type spotChooser struct {
-	pool      []string
-	revProb   RevProbFunc
+	pool Pool
+	// revProb is each pool member's predictor, resolved at construction.
+	revProb   []RevProbFunc
 	deltaLow  float64
 	deltaHigh float64
 	rng       *rand.Rand
 }
 
 func newSpotChooser(p Params) spotChooser {
+	pool := newPool(p.Pool)
 	return spotChooser{
-		pool:      append([]string(nil), p.Pool...),
-		revProb:   p.RevProb,
+		pool:      pool,
+		revProb:   resolveRevProb(p.RevProb, pool.names),
 		deltaLow:  p.DeltaLow,
 		deltaHigh: p.DeltaHigh,
 		rng:       newRNG(p.Seed),
 	}
 }
+
+// resolveRevProb resolves each named market's predictor from src; a nil
+// source or a market it does not know predicts 0.
+func resolveRevProb(src RevProbSource, names []string) []RevProbFunc {
+	out := make([]RevProbFunc, len(names))
+	for k, name := range names {
+		if src != nil {
+			out[k] = src(name)
+		}
+		if out[k] == nil {
+			out[k] = noRevProb
+		}
+	}
+	return out
+}
+
+func noRevProb(time.Time, float64) float64 { return 0 }
+
+// clampProb bounds a predicted probability to [0, 1].
+func clampProb(p float64) float64 {
+	if p < 0 {
+		return 0
+	} else if p > 1 {
+		return 1
+	}
+	return p
+}
+
+// errNoViable is the decision error when no pool member scores below +Inf.
+var errNoViable = errors.New("policy: no viable instance in pool")
 
 // bestSpot is Eq. 1–2 over the pool: for each member, bid the current price
 // plus a uniform delta, predict the revocation probability at that bid, and
@@ -235,21 +289,23 @@ func newSpotChooser(p Params) spotChooser {
 // the trailing-hour average price — plus a small undamped term so
 // near-certain revocations (p → 1, expected cost → 0) still tie-break toward
 // the cheap-and-fast choice instead of argmin order. Exactly one delta is
-// drawn per pool member per call, in pool order (determinism contract).
-func (s *spotChooser) bestSpot(ctx Context) (Request, error) {
+// drawn per pool member per call, in pool order (determinism contract). It
+// quotes through q, the pool's quotes on ctx.Market, and returns the chosen
+// member's index beside its request.
+func (s *spotChooser) bestSpot(ctx Context, q quotes) (Request, int, error) {
 	now := ctx.Market.Now()
 	// An exclusion only binds when the pool offers an alternative: with a
 	// single-market pool there is nowhere else to go, so the request
 	// proceeds as if unexcluded.
 	exclude := ctx.Trial.Exclude
-	if len(s.pool) < 2 {
+	if len(s.pool.names) < 2 {
 		exclude = ""
 	}
-	best := Request{StepCost: math.Inf(1)}
-	for _, name := range s.pool {
-		cur, err := ctx.Market.CurrentPrice(name)
+	best, bestK := Request{StepCost: math.Inf(1)}, -1
+	for k, name := range s.pool.names {
+		cur, err := q.currentPrice(k)
 		if err != nil {
-			return Request{}, err
+			return Request{}, -1, err
 		}
 		delta := s.deltaLow + s.rng.Float64()*(s.deltaHigh-s.deltaLow)
 		if name == exclude {
@@ -259,60 +315,25 @@ func (s *spotChooser) bestSpot(ctx Context) (Request, error) {
 			continue
 		}
 		maxPrice := cur + delta
-		prob := s.revProb(name, now, maxPrice)
-		if prob < 0 {
-			prob = 0
-		} else if prob > 1 {
-			prob = 1
-		}
-		avg, err := ctx.Market.AvgPriceLastHour(name)
+		prob := clampProb(s.revProb[k](now, maxPrice))
+		avg, err := q.avgPriceLastHour(k)
 		if err != nil {
-			return Request{}, err
+			return Request{}, -1, err
 		}
 		raw := ctx.SecPerStep(name) * avg
 		sCost := raw*(1-prob) + 0.02*raw
 		if sCost < best.StepCost {
-			best = Request{
+			best, bestK = Request{
 				TypeName: name,
 				MaxPrice: maxPrice,
 				RevProb:  prob,
 				AvgPrice: avg,
 				StepCost: sCost,
-			}
+			}, k
 		}
 	}
-	if math.IsInf(best.StepCost, 1) {
-		return Request{}, errors.New("policy: no viable instance in pool")
+	if bestK < 0 {
+		return Request{}, -1, errNoViable
 	}
-	return best, nil
-}
-
-// CheapestOnDemand picks the pool member with the least expected on-demand
-// cost per step for the context's trial — the choice every policy's
-// on-demand path makes, exported so the orchestrator's degradation ladder
-// can force reliable capacity without bypassing the shared selection rule
-// (and without touching any policy's rng stream: on-demand selection draws
-// nothing).
-func CheapestOnDemand(ctx Context, pool []string) (Request, error) {
-	return bestOnDemand(ctx, pool)
-}
-
-// bestOnDemand picks the pool member with the least expected on-demand cost
-// per step (M[inst][hp] · on-demand price), ties broken by pool order.
-func bestOnDemand(ctx Context, pool []string) (Request, error) {
-	best := Request{OnDemand: true, StepCost: math.Inf(1)}
-	for _, name := range pool {
-		od, err := ctx.Market.OnDemandPrice(name)
-		if err != nil {
-			return Request{}, err
-		}
-		if sCost := ctx.SecPerStep(name) * od; sCost < best.StepCost {
-			best.TypeName = name
-			best.StepCost = sCost
-		}
-	}
-	if math.IsInf(best.StepCost, 1) {
-		return Request{}, errors.New("policy: no viable instance in pool")
-	}
-	return best, nil
+	return best, bestK, nil
 }

@@ -132,11 +132,13 @@ func TestSpotTunePicksMinStepCost(t *testing.T) {
 
 func TestSpotTuneFavorsLikelyRevoked(t *testing.T) {
 	// fast: p=0.95 → expected cost (1-0.95+0.02)·0.2·1 = 0.014 < slow 0.0816.
-	revProb := func(name string, _ time.Time, _ float64) float64 {
-		if name == "fast" {
-			return 0.95
+	revProb := func(name string) RevProbFunc {
+		return func(time.Time, float64) float64 {
+			if name == "fast" {
+				return 0.95
+			}
+			return 0
 		}
-		return 0
 	}
 	pol := mustNew(t, SpotTuneName, Params{Pool: pool(), Seed: 7, RevProb: revProb})
 	req, err := pol.Decide(testCtx())
@@ -207,7 +209,9 @@ func TestOnDemandOnly(t *testing.T) {
 
 func TestFallbackSwitchesAndRecovers(t *testing.T) {
 	prob := 0.0
-	revProb := func(string, time.Time, float64) float64 { return prob }
+	revProb := func(string) RevProbFunc {
+		return func(time.Time, float64) float64 { return prob }
+	}
 	pol := mustNew(t, FallbackName, Params{
 		Pool: pool(), Seed: 1, RevProb: revProb,
 		FallbackAfter: 2, DoomProb: 0.6, CalmProb: 0.3,

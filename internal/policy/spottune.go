@@ -19,5 +19,6 @@ type spotTune struct {
 func (s *spotTune) Name() string { return SpotTuneName }
 
 func (s *spotTune) Decide(ctx Context) (Request, error) {
-	return s.bestSpot(ctx)
+	req, _, err := s.bestSpot(ctx, s.pool.on(ctx.Market))
+	return req, err
 }
