@@ -70,14 +70,18 @@ trace:
 
 # Byte-identical goldens: the cross-policy (BENCH_policy.json) and
 # cross-tuner (BENCH_tuner.json) studies, the quick scenario battery CSV
-# (scenarios.csv) and the battery's flight-recorder trace (battery.jsonl),
+# (scenarios.csv), the battery's flight-recorder trace (battery.jsonl) and
+# the standard output of every program under examples/ (example-<name>.txt;
+# revpred-eval is the only golden that trains and runs RevPred),
 # regenerated into $(GOLDEN_DIR) and checked against the committed sha256
 # manifest goldens.sha256. CI runs it in the default build and again with
 # GOFLAGS=-tags=purego; both must reproduce every file byte for byte. A
 # change that moves a golden on purpose rewrites the manifest with
 # `make goldens-update` and says why in CHANGES.md.
 GOLDEN_DIR ?= results/goldens
-GOLDEN_FILES = BENCH_policy.json BENCH_tuner.json scenarios.csv battery.jsonl
+EXAMPLES = earlystop quickstart revpred-eval theta-sweep
+GOLDEN_FILES = BENCH_policy.json BENCH_tuner.json scenarios.csv battery.jsonl \
+	$(patsubst %,example-%.txt,$(EXAMPLES))
 
 goldens-gen:
 	rm -rf $(GOLDEN_DIR)
@@ -85,6 +89,9 @@ goldens-gen:
 		-policyjson $(GOLDEN_DIR)/BENCH_policy.json -tunerjson $(GOLDEN_DIR)/BENCH_tuner.json
 	$(GO) run ./cmd/scenarios -quick -tuners all -out $(GOLDEN_DIR)
 	$(GO) run ./cmd/scenarios -quick -out $(GOLDEN_DIR)/trace -trace $(GOLDEN_DIR)/battery.jsonl
+	for ex in $(EXAMPLES); do \
+		$(GO) run ./examples/$$ex > $(GOLDEN_DIR)/example-$$ex.txt || exit 1; \
+	done
 
 goldens: goldens-gen
 	cd $(GOLDEN_DIR) && sha256sum -c $(CURDIR)/goldens.sha256

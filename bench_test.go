@@ -937,8 +937,10 @@ func BenchmarkCampaignSweep(b *testing.B) {
 			}
 		}
 		res := campaign.Sweep(tasks, campaign.SweepOptions{Seed: uint64(i)})
-		if err := campaign.FirstErr(res); err != nil {
-			b.Fatal(err)
+		for _, r := range res {
+			if r.Err != nil {
+				b.Fatalf("%s: %v", r.Key, r.Err)
+			}
 		}
 		iters := 0
 		for _, r := range res {

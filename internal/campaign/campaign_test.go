@@ -193,8 +193,10 @@ func TestPolicyTasksSweep(t *testing.T) {
 		t.Fatalf("only %d policy tasks", len(tasks))
 	}
 	results := Sweep(tasks, SweepOptions{Seed: 7})
-	if err := FirstErr(results); err != nil {
-		t.Fatal(err)
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Key, r.Err)
+		}
 	}
 	for i, res := range results {
 		if res.Key != policy.Names()[i] {

@@ -134,8 +134,10 @@ func TestSharedEnvironmentMatchesFreshEnvironments(t *testing.T) {
 		}
 	}
 	res := Sweep(tasks, SweepOptions{Workers: 4, Seed: 3})
-	if err := FirstErr(res); err != nil {
-		t.Fatal(err)
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Key, r.Err)
+		}
 	}
 	got := make([]*core.Report, len(res))
 	for i, r := range res {

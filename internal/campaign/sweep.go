@@ -126,13 +126,3 @@ dispatch:
 	}
 	return results
 }
-
-// FirstErr returns the first failed result (in task order), or nil.
-func FirstErr(results []SweepResult) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("campaign: sweep %q: %w", r.Key, r.Err)
-		}
-	}
-	return nil
-}

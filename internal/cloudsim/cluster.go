@@ -136,9 +136,6 @@ type Usage struct {
 	Refunded   float64 // refund granted under the first-hour rule, USD
 }
 
-// NetCost is what the user actually pays.
-func (u Usage) NetCost() float64 { return u.GrossCost - u.Refunded }
-
 // Duration is the instance lifetime.
 func (u Usage) Duration() time.Duration { return u.Ended.Sub(u.Launched) }
 

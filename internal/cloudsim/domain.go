@@ -76,19 +76,6 @@ func (d *CapacityDomain) bind(cat *market.Catalog) error {
 	return nil
 }
 
-// InUse reports the live spot instances of a type across every attached
-// cluster.
-func (d *CapacityDomain) InUse(typeName string) int {
-	if d == nil || d.catalog == nil {
-		return 0
-	}
-	i, ok := d.catalog.Index(typeName)
-	if !ok {
-		return 0
-	}
-	return d.inUse[i]
-}
-
 // hasRoom reports whether one more spot instance of the type at catalog
 // index i fits under the given per-type limit (0 = unlimited).
 func (d *CapacityDomain) hasRoom(i, capacity int) bool {

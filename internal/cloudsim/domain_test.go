@@ -46,8 +46,9 @@ func TestDomainSharedCapacity(t *testing.T) {
 	if _, err := b.RequestSpot("r4.large", 1.0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if dom.InUse("r4.large") != 2 {
-		t.Fatalf("domain in-use %d, want 2", dom.InUse("r4.large"))
+	// r4.large is the catalog's only type, slot 0.
+	if dom.inUse[0] != 2 {
+		t.Fatalf("domain in-use %d, want 2", dom.inUse[0])
 	}
 	// The region is full across tenants, even though each cluster privately
 	// holds only one of the two slots.
@@ -57,8 +58,8 @@ func TestDomainSharedCapacity(t *testing.T) {
 	if err := a.Terminate(ia.ID); err != nil {
 		t.Fatal(err)
 	}
-	if dom.InUse("r4.large") != 1 {
-		t.Fatalf("domain in-use %d after settlement, want 1", dom.InUse("r4.large"))
+	if dom.inUse[0] != 1 {
+		t.Fatalf("domain in-use %d after settlement, want 1", dom.inUse[0])
 	}
 	if _, err := b.RequestSpot("r4.large", 1.0, nil); err != nil {
 		t.Fatalf("request after release failed: %v", err)

@@ -47,8 +47,8 @@ type ObjectStore struct {
 }
 
 // object is one stored blob and the size its transfers are modeled at.
-// The store never hands data out (Get copies), so a Put over an existing
-// key reuses its buffer.
+// The store never hands data out (Get copies), so a PutSized over an
+// existing key reuses its buffer.
 type object struct {
 	data   []byte
 	sizeMB float64
@@ -69,24 +69,12 @@ type TransferStats struct {
 	GetTime  time.Duration
 }
 
-// TotalTime is the combined checkpoint+restore wall time.
-func (s TransferStats) TotalTime() time.Duration { return s.PutTime + s.GetTime }
-
-// Put stores data under key from an instance with the given core count and
-// returns the modeled upload duration.
-func (o *ObjectStore) Put(key string, data []byte, cpus int) time.Duration {
-	return o.putSized(key, data, float64(len(data))/(1<<20), cpus)
-}
-
-// PutSized stores data but models the transfer as if it were sizeMB large.
-// Simulated trials carry small bookkeeping blobs while their checkpoints
-// represent multi-hundred-megabyte model state; this keeps the timing model
-// faithful without allocating gigabytes.
+// PutSized stores data under key from an instance with the given core
+// count, models the transfer as if it were sizeMB large and returns the
+// modeled upload duration. Simulated trials carry small bookkeeping blobs
+// while their checkpoints represent multi-hundred-megabyte model state;
+// this keeps the timing model faithful without allocating gigabytes.
 func (o *ObjectStore) PutSized(key string, data []byte, sizeMB float64, cpus int) time.Duration {
-	return o.putSized(key, data, sizeMB, cpus)
-}
-
-func (o *ObjectStore) putSized(key string, data []byte, sizeMB float64, cpus int) time.Duration {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	obj := o.blobs[key]
@@ -138,13 +126,6 @@ func (o *ObjectStore) Exists(key string) bool {
 	defer o.mu.Unlock()
 	_, ok := o.blobs[key]
 	return ok
-}
-
-// Delete removes a blob (no-op when absent).
-func (o *ObjectStore) Delete(key string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	delete(o.blobs, key)
 }
 
 // Stats returns cumulative transfer statistics.

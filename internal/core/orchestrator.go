@@ -331,7 +331,7 @@ type Orchestrator struct {
 	restoreSetup time.Duration
 
 	// ckptBuf is the reusable checkpoint-encode buffer (the store copies
-	// blobs on Put, so one buffer serves every write).
+	// blobs on PutSized, so one buffer serves every write).
 	ckptBuf []byte
 
 	// incumbent memoizes incumbentBest while incumbentOK. A trial's last
@@ -1271,7 +1271,7 @@ func (o *Orchestrator) onNotice(a *assignment, at time.Time) {
 
 // checkpoint writes the trial's state to object storage. The encode reuses
 // one orchestrator-owned buffer across the campaign (the store copies on
-// Put), so checkpointing never allocates in steady state.
+// PutSized), so checkpointing never allocates in steady state.
 func (o *Orchestrator) checkpoint(a *assignment) {
 	o.ckptBuf = a.tr.AppendCheckpoint(o.ckptBuf[:0])
 	o.store.PutSized(a.st.ckpt, o.ckptBuf, a.tr.CheckpointMB(), a.inst.Type.CPUs)

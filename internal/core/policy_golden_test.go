@@ -155,7 +155,7 @@ func TestFallbackPolicySurvivesStormViaOnDemand(t *testing.T) {
 // spot-failure streak (not reset it — each retry is a fresh Decide, so a
 // reset would leave the fallback trying spot through the whole window).
 // With a single blacked-out market and a predictor hostile during the
-// window, the streak reaches FallbackAfter within two poll-grid retries,
+// window, the streak reaches the fallback threshold within two poll-grid retries,
 // the policy traps the trial on on-demand ("streak" fallback event with the
 // accumulated count), and — because on-demand segments end only at schedule
 // boundaries — the θ-truncated explore segment hands the same trial back
@@ -173,7 +173,7 @@ func TestFallbackBlackoutStreakSwapsToOnDemandAndBack(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Above CalmProb (0.3) while the blackout holds — so the streak traps —
+	// Above the calm threshold (0.3) while the blackout holds — so the streak traps —
 	// and calm afterwards so the trial is sent back to spot.
 	pol, err := policy.New(policy.FallbackName, policy.Params{
 		Pool: pool,
@@ -206,7 +206,7 @@ func TestFallbackBlackoutStreakSwapsToOnDemandAndBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The policy defaults FallbackAfter to 2 (policy.Params.withDefaults).
+	// The policy swaps to on-demand after 2 consecutive spot failures.
 	const fallbackAfter = 2
 	if got := trials[0].CompletedSteps(); got != trials[0].MaxSteps() {
 		t.Fatalf("trial stalled at %d steps", got)
@@ -230,7 +230,7 @@ func TestFallbackBlackoutStreakSwapsToOnDemandAndBack(t *testing.T) {
 				trapped = true
 				// The streak the policy acted on is the accumulated
 				// blackout-rejection count — a streak reset on the
-				// retriable error would never reach FallbackAfter.
+				// retriable error would never reach the threshold.
 				if e.N < int64(fallbackAfter) {
 					t.Errorf("trapped at streak %d, below the %d threshold",
 						e.N, fallbackAfter)

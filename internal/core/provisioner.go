@@ -48,7 +48,7 @@ func GridRevProb(grids map[string]*market.Grid, predictors map[string]revpred.Pr
 	for name, g := range grids {
 		if pred, ok := predictors[name]; ok {
 			table[name] = func(at time.Time, maxPrice float64) float64 {
-				if idx, err := g.Index(at); err == nil {
+				if idx, ok := g.Index(at); ok {
 					return pred.Predict(g, idx, maxPrice)
 				}
 				return 0

@@ -26,33 +26,15 @@ type MetricPoint struct {
 	Value float64
 }
 
-// Detector implements the Eq. 7 stage-boundary heuristic: a new stage starts
-// at point i when the relative metric change ζ_i exceeds Xi after at least
-// Window consecutive steady points (ζ < Epsilon).
-type Detector struct {
-	// Xi is the jump threshold ξ (paper default 0.5).
-	Xi float64
-	// Epsilon is the steadiness threshold ε (paper default 0.01).
-	Epsilon float64
-	// Window is how many trailing points must be steady (paper uses 5).
-	Window int
-}
-
-// DefaultDetector returns the paper's constants.
-func DefaultDetector() Detector { return Detector{Xi: 0.5, Epsilon: 0.01, Window: 5} }
-
-func (d Detector) withDefaults() Detector {
-	if d.Xi <= 0 {
-		d.Xi = 0.5
-	}
-	if d.Epsilon <= 0 {
-		d.Epsilon = 0.01
-	}
-	if d.Window <= 0 {
-		d.Window = 5
-	}
-	return d
-}
+// The paper's constants for the Eq. 7 stage-boundary heuristic: a new
+// stage starts at point i when the relative metric change ζ_i exceeds
+// stageXi after at least stageWindow consecutive steady points
+// (ζ < stageEpsilon).
+const (
+	stageXi      = 0.5  // jump threshold ξ
+	stageEpsilon = 0.01 // steadiness threshold ε
+	stageWindow  = 5    // trailing steady points
+)
 
 // changeRate returns ζ_i = |L_i − L_{i−1}| / max(|L_{i−1}|, floor). The
 // floor keeps ζ meaningful when a curve approaches zero: without it, noise
@@ -81,11 +63,10 @@ func scaleFloor(points []MetricPoint) float64 {
 	return 0.01 * maxAbs
 }
 
-// Boundaries returns the indices (into points) where new stages begin. The
-// first stage always begins at 0, so the result always starts with 0 and is
-// strictly increasing.
-func (d Detector) Boundaries(points []MetricPoint) []int {
-	d = d.withDefaults()
+// Boundaries returns the indices (into points) where new stages begin,
+// detected with the Eq. 7 heuristic. The first stage always begins at 0, so
+// the result always starts with 0 and is strictly increasing.
+func Boundaries(points []MetricPoint) []int {
 	bounds := []int{0}
 	if len(points) < 2 {
 		return bounds
@@ -94,12 +75,12 @@ func (d Detector) Boundaries(points []MetricPoint) []int {
 	steady := 0
 	for i := 1; i < len(points); i++ {
 		z := changeRate(points[i-1].Value, points[i].Value, floor)
-		if z > d.Xi && steady >= d.Window {
+		if z > stageXi && steady >= stageWindow {
 			bounds = append(bounds, i)
 			steady = 0
 			continue
 		}
-		if z < d.Epsilon {
+		if z < stageEpsilon {
 			steady++
 		} else {
 			steady = 0
@@ -161,13 +142,6 @@ var ErrTooFewPoints = errors.New("earlycurve: too few metric points to fit")
 
 // minStagePoints is the fewest observations a stage needs for a stable fit.
 const minStagePoints = 4
-
-// FitCurve fits the staged model of Eq. 4 to the observed points using the
-// given detector for stage boundaries. Points must be in increasing step
-// order.
-func FitCurve(points []MetricPoint, det Detector) (*Fit, error) {
-	return fitCurve(points, det, nil)
-}
 
 // FitMemo is a content-addressed cache of solved stage fits: EarlyCurve's
 // one reuse layer. An environment shares one across every campaign it runs,
@@ -281,20 +255,12 @@ func (m *FitMemo) store(key memoKey, sf StageFit) {
 	m.index[key] = int32(len(m.fits) - 1)
 }
 
-// Len reports how many stage fits are cached.
-func (m *FitMemo) Len() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.fits)
-}
-
-// fitCurve is FitCurve with every stage fitted through memo (nil solves
-// each stage). fitStage is a pure function of its segment, so the result is
-// bit-identical to a cold fit: the memo changes cost, never values.
-func fitCurve(points []MetricPoint, det Detector, memo *FitMemo) (*Fit, error) {
+// fitCurve fits the staged model of Eq. 4 to the observed points, in
+// strictly increasing step order, with stage boundaries from Boundaries and
+// every stage fitted through memo (nil solves each stage). fitStage is a
+// pure function of its segment, so the result is bit-identical to a cold
+// fit: the memo changes cost, never values.
+func fitCurve(points []MetricPoint, memo *FitMemo) (*Fit, error) {
 	if len(points) < minStagePoints {
 		return nil, fmt.Errorf("%w: %d", ErrTooFewPoints, len(points))
 	}
@@ -303,7 +269,7 @@ func fitCurve(points []MetricPoint, det Detector, memo *FitMemo) (*Fit, error) {
 			return nil, fmt.Errorf("earlycurve: points not strictly increasing at %d", i)
 		}
 	}
-	bounds := det.Boundaries(points)
+	bounds := Boundaries(points)
 	// Merge stages too short to fit into their predecessor.
 	merged := []int{0}
 	for _, b := range bounds[1:] {
@@ -406,8 +372,6 @@ type TrendPredictor interface {
 
 // Predictor is the production EarlyCurve predictor.
 type Predictor struct {
-	// Detector tunes stage detection; zero value uses paper defaults.
-	Detector Detector
 	// Memo, when set, serves and caches every stage fit (see FitMemo), so
 	// a refit of a grown curve solves only the stages that changed. Nil
 	// solves every stage.
@@ -423,7 +387,7 @@ var _ TrendPredictor = (*Predictor)(nil)
 // falls back to the tail mean. Validation metrics extrapolate downward or
 // sideways, almost never upward past their recent ceiling.
 func (p *Predictor) PredictFinal(points []MetricPoint, finalStep int) (float64, error) {
-	f, err := fitCurve(points, p.Detector.withDefaults(), p.Memo)
+	f, err := fitCurve(points, p.Memo)
 	if err != nil {
 		return 0, err
 	}

@@ -59,7 +59,7 @@ func TestFitMemoBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if memo.Len() == 0 {
+	if len(memo.fits) == 0 {
 		t.Fatal("memo never cached a fit")
 	}
 }
@@ -89,7 +89,7 @@ func TestMemoStreamingMatchesColdFit(t *testing.T) {
 // memo — the growing tail stage's.
 func TestMemoRefitsOnlyTailStage(t *testing.T) {
 	curve := streamCurve(160)
-	if f, err := FitCurve(curve[:150], DefaultDetector()); err != nil || len(f.Stages) != 2 {
+	if f, err := fitCurve(curve[:150], nil); err != nil || len(f.Stages) != 2 {
 		t.Fatalf("fixture: want a two-stage prefix, got %v (err %v)", f, err)
 	}
 	memo := NewFitMemo()
@@ -97,13 +97,13 @@ func TestMemoRefitsOnlyTailStage(t *testing.T) {
 	if _, err := p.PredictFinal(curve[:150], 300); err != nil {
 		t.Fatal(err)
 	}
-	if got := memo.Len(); got != 2 {
+	if got := len(memo.fits); got != 2 {
 		t.Fatalf("memo holds %d fits after a two-stage prefix, want 2", got)
 	}
 	if _, err := p.PredictFinal(curve[:156], 300); err != nil {
 		t.Fatal(err)
 	}
-	if got := memo.Len(); got != 3 {
+	if got := len(memo.fits); got != 3 {
 		t.Fatalf("memo holds %d fits after the append, want 3 (one new tail stage)", got)
 	}
 }
@@ -137,8 +137,8 @@ func TestFitMemoCapStopsGrowth(t *testing.T) {
 	m.fits = make([]StageFit, memoFitCap)
 	key := segKey(syntheticCurve(9, 8))
 	m.store(key, StageFit{})
-	if m.Len() != memoFitCap {
-		t.Fatalf("capped memo grew to %d", m.Len())
+	if len(m.fits) != memoFitCap {
+		t.Fatalf("capped memo grew to %d", len(m.fits))
 	}
 	if _, ok := m.lookup(key); ok {
 		t.Fatal("rejected entry should not be retrievable")
@@ -186,7 +186,7 @@ func TestFitMemoConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if shared.Memo.Len() == 0 {
+	if len(shared.Memo.fits) == 0 {
 		t.Fatal("memo never cached a fit")
 	}
 }

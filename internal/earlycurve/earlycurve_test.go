@@ -59,7 +59,7 @@ func pointsOf(values ...float64) []MetricPoint {
 
 func TestDetectorSingleStage(t *testing.T) {
 	pts := synthCurve([4]float64{0, 0.05, 1.0, 0.3}, 100)
-	b := DefaultDetector().Boundaries(pts)
+	b := Boundaries(pts)
 	if len(b) != 1 || b[0] != 0 {
 		t.Fatalf("smooth curve boundaries = %v, want [0]", b)
 	}
@@ -67,7 +67,7 @@ func TestDetectorSingleStage(t *testing.T) {
 
 func TestDetectorTwoStage(t *testing.T) {
 	pts := twoStageCurve(200, 100, 0.8, 0.2)
-	b := DefaultDetector().Boundaries(pts)
+	b := Boundaries(pts)
 	if len(b) != 2 {
 		t.Fatalf("two-stage curve boundaries = %v, want 2 stages", b)
 	}
@@ -80,18 +80,17 @@ func TestDetectorTwoStage(t *testing.T) {
 func TestDetectorNeedsSteadyPrefix(t *testing.T) {
 	// A jump in the still-noisy early phase must not split stages.
 	pts := pointsOf(10, 5, 2.4, 1.1, 0.6, 0.58, 0.57, 0.565, 0.562, 0.561)
-	b := DefaultDetector().Boundaries(pts)
+	b := Boundaries(pts)
 	if len(b) != 1 {
 		t.Fatalf("early-jump boundaries = %v, want [0]", b)
 	}
 }
 
 func TestDetectorEmptyAndTiny(t *testing.T) {
-	d := DefaultDetector()
-	if got := d.Boundaries(nil); len(got) != 1 || got[0] != 0 {
+	if got := Boundaries(nil); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Boundaries(nil) = %v", got)
 	}
-	if got := d.Boundaries(pointsOf(1)); len(got) != 1 {
+	if got := Boundaries(pointsOf(1)); len(got) != 1 {
 		t.Errorf("Boundaries(single) = %v", got)
 	}
 }
@@ -113,7 +112,7 @@ func TestConverged(t *testing.T) {
 func TestFitCurveRecoversSingleStage(t *testing.T) {
 	truth := [4]float64{0.0001, 0.05, 1.0, 0.35}
 	pts := synthCurve(truth, 80)
-	f, err := FitCurve(pts, DefaultDetector())
+	f, err := fitCurve(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestFitCurveTwoStagePrediction(t *testing.T) {
 	pts := twoStageCurve(300, 150, 0.8, 0.2)
 	// Observe only the first 70%.
 	obs := pts[:210]
-	f, err := FitCurve(obs, DefaultDetector())
+	f, err := fitCurve(obs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +162,15 @@ func TestFitCurveTwoStagePrediction(t *testing.T) {
 }
 
 func TestFitCurveErrors(t *testing.T) {
-	if _, err := FitCurve(nil, DefaultDetector()); err == nil {
+	if _, err := fitCurve(nil, nil); err == nil {
 		t.Error("empty points accepted")
 	}
 	short := synthCurve([4]float64{0, 0.1, 1, 0.2}, 3)
-	if _, err := FitCurve(short, DefaultDetector()); err == nil {
+	if _, err := fitCurve(short, nil); err == nil {
 		t.Error("3 points accepted")
 	}
 	bad := []MetricPoint{{1, 1}, {1, 0.9}, {2, 0.8}, {3, 0.7}, {4, 0.6}}
-	if _, err := FitCurve(bad, DefaultDetector()); err == nil {
+	if _, err := fitCurve(bad, nil); err == nil {
 		t.Error("non-increasing steps accepted")
 	}
 }
@@ -181,7 +180,7 @@ func TestPredictBeforeFirstStage(t *testing.T) {
 	for i := range pts {
 		pts[i] = MetricPoint{Step: i + 100, Value: 1/(0.1*float64(i+1)+1) + 0.3}
 	}
-	f, err := FitCurve(pts, DefaultDetector())
+	f, err := fitCurve(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +267,7 @@ func TestFitCurveWithNoise(t *testing.T) {
 	}
 }
 
-// Property: stage intervals from FitCurve partition the observed step range
+// Property: stage intervals from fitCurve partition the observed step range
 // without overlap (the Eq. 6 condition).
 func TestStagePartitionProperty(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -278,7 +277,7 @@ func TestStagePartitionProperty(t *testing.T) {
 		p1 := 0.4 + rng.Float64()
 		p2 := p1 * (0.1 + 0.4*rng.Float64())
 		pts := twoStageCurve(n, jump, p1, p2)
-		fitres, err := FitCurve(pts, DefaultDetector())
+		fitres, err := fitCurve(pts, nil)
 		if err != nil {
 			return true // fit failures are allowed, overlap is not
 		}
@@ -306,7 +305,7 @@ func TestNonNegativeCoefficientsProperty(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 23))
 		a := [4]float64{0, 0.01 + 0.2*rng.Float64(), 0.5 + rng.Float64(), rng.Float64()}
 		pts := synthCurve(a, 40+rng.IntN(100))
-		fitres, err := FitCurve(pts, DefaultDetector())
+		fitres, err := fitCurve(pts, nil)
 		if err != nil {
 			return true
 		}

@@ -259,16 +259,3 @@ func SolveNNLS(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// Dot returns the inner product of two equal-length vectors (strict
-// in-order accumulation; see kernels.Dot).
-func Dot(a, b []float64) float64 { return kernels.Dot(a, b) }
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}

@@ -172,22 +172,12 @@ func LevenbergMarquardtInto(r ResidualInto, m int, init []float64, opts LMOption
 	return LMResult{Params: params, Cost: cost, Iterations: opts.MaxIterations, Converged: false}, nil
 }
 
-// solveSquare solves the square system A·x = b via Gaussian elimination with
-// partial pivoting. A and b are not modified.
-func solveSquare(a *Matrix, b []float64) ([]float64, error) {
-	x := make([]float64, len(b))
-	if err := solveSquareInto(a, b, x, NewMatrix(a.Rows, a.Cols), make([]float64, len(b))); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// solveSquareInto is solveSquare with caller-owned scratch: work receives a
-// copy of A, rhs a copy of b, and the solution lands in x. a and b are not
-// modified.
+// solveSquareInto solves the square system A·x = b via Gaussian elimination
+// with partial pivoting, in caller-owned scratch: work receives a copy of A,
+// rhs a copy of b, and the solution lands in x. a and b are not modified.
 func solveSquareInto(a *Matrix, b, x []float64, work *Matrix, rhs []float64) error {
 	if a.Rows != a.Cols || a.Rows != len(b) {
-		return errors.New("fit: solveSquare needs a square system")
+		return errors.New("fit: solveSquareInto needs a square system")
 	}
 	n := a.Rows
 	m := work

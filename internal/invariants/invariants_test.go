@@ -33,12 +33,7 @@ func mkTrial(t *testing.T, id string, progress float64) *trial.Replay {
 
 func ckptBlob(t *testing.T, id string, progress float64) []byte {
 	t.Helper()
-	tr := mkTrial(t, id, progress)
-	blob, err := tr.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
+	return mkTrial(t, id, progress).AppendCheckpoint(nil)
 }
 
 // soundState builds a minimal internally consistent campaign state: one

@@ -64,13 +64,3 @@ func (a *Arena) TakeRaw(n int) []float64 {
 	a.off = n
 	return s
 }
-
-// Footprint returns the total float64 capacity currently held by the arena
-// (diagnostics and tests).
-func (a *Arena) Footprint() int {
-	n := 0
-	for _, c := range a.chunks {
-		n += len(c)
-	}
-	return n
-}

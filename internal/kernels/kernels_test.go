@@ -150,8 +150,8 @@ func TestArenaReuseAndZeroing(t *testing.T) {
 			t.Fatalf("Take returned dirty memory at %d: %v", i, v)
 		}
 	}
-	if a.Footprint() != arenaMinChunk {
-		t.Fatalf("footprint %d, want %d", a.Footprint(), arenaMinChunk)
+	if len(a.chunks) != 1 || len(a.chunks[0]) != arenaMinChunk {
+		t.Fatalf("arena holds %d chunks, want one of %d", len(a.chunks), arenaMinChunk)
 	}
 }
 

@@ -9,35 +9,10 @@ import (
 	"time"
 )
 
-// WriteCSV serializes a trace as `timestamp,instance_type,price` rows, the
-// layout of the Kaggle "AWS Spot Pricing Market" dataset the paper trains
-// on (§IV-A1).
-func (tr *Trace) WriteCSV(w io.Writer) error {
-	if err := tr.Validate(); err != nil {
-		return err
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"timestamp", "instance_type", "price"}); err != nil {
-		return err
-	}
-	for _, r := range tr.Records {
-		err := cw.Write([]string{
-			r.At.UTC().Format(time.RFC3339),
-			tr.Type,
-			strconv.FormatFloat(r.Price, 'f', -1, 64),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses one or more markets from the CSV layout WriteCSV produces
-// (and the Kaggle dataset uses). Rows may arrive unsorted and may interleave
-// instance types; they are grouped and sorted per market. Duplicate
-// timestamps within one market keep the last row.
+// ReadCSV parses one or more markets from the CSV layout WriteSetCSV
+// produces (and the Kaggle dataset uses). Rows may arrive unsorted and may
+// interleave instance types; they are grouped and sorted per market.
+// Duplicate timestamps within one market keep the last row.
 func ReadCSV(r io.Reader) (TraceSet, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -87,8 +62,9 @@ func ReadCSV(r io.Reader) (TraceSet, error) {
 	return set, nil
 }
 
-// WriteSetCSV serializes a whole TraceSet into one interleaved CSV, markets
-// in name order.
+// WriteSetCSV serializes a TraceSet as `timestamp,instance_type,price`
+// rows, the layout of the Kaggle "AWS Spot Pricing Market" dataset the
+// paper trains on (§IV-A1), markets in name order.
 func WriteSetCSV(w io.Writer, set TraceSet) error {
 	if err := set.Validate(); err != nil {
 		return err

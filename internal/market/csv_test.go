@@ -14,7 +14,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
+	if err := WriteSetCSV(&buf, TraceSet{"r3.xlarge": tr}); err != nil {
 		t.Fatal(err)
 	}
 	set, err := ReadCSV(&buf)
@@ -105,7 +105,7 @@ func TestReadCSVErrors(t *testing.T) {
 
 func TestWriteCSVInvalidTrace(t *testing.T) {
 	var buf bytes.Buffer
-	if err := (&Trace{Type: "x"}).WriteCSV(&buf); err == nil {
+	if err := WriteSetCSV(&buf, TraceSet{"x": {Type: "x"}}); err == nil {
 		t.Error("empty trace written")
 	}
 }

@@ -145,18 +145,15 @@ func (g *Grid) Len() int { return g.minutes }
 // TimeAt returns the wall time of minute i.
 func (g *Grid) TimeAt(i int) time.Time { return g.Start.Add(time.Duration(i) * time.Minute) }
 
-// Index maps a timestamp to its minute index (floor). It errors when t is
-// outside the grid. Inside it the offset from Start is below the grid's
-// span, so the difference of the two Unix-nanosecond counts is exact even
-// where each count alone would overflow.
-func (g *Grid) Index(t time.Time) (int, error) {
-	if t.Before(g.Start) {
-		return 0, fmt.Errorf("market: time %v before grid start %v", t, g.Start)
+// Index maps a timestamp to its minute index (floor), or reports ok=false
+// when t is outside the grid. Inside it the offset from Start is below the
+// grid's span, so the difference of the two Unix-nanosecond counts is exact
+// even where each count alone would overflow.
+func (g *Grid) Index(t time.Time) (i int, ok bool) {
+	if t.Before(g.Start) || !t.Before(g.end) {
+		return 0, false
 	}
-	if !t.Before(g.end) {
-		return 0, fmt.Errorf("market: time %v beyond grid end", t)
-	}
-	return int((t.UnixNano() - g.startNanos) / int64(time.Minute)), nil
+	return int((t.UnixNano() - g.startNanos) / int64(time.Minute)), true
 }
 
 // Price returns the market price in force at minute i.

@@ -51,22 +51,6 @@ func (tr *Trace) Validate() error {
 	return nil
 }
 
-// Start returns the first record's timestamp.
-func (tr *Trace) Start() time.Time {
-	if len(tr.Records) == 0 {
-		return time.Time{}
-	}
-	return tr.Records[0].At
-}
-
-// End returns the last record's timestamp.
-func (tr *Trace) End() time.Time {
-	if len(tr.Records) == 0 {
-		return time.Time{}
-	}
-	return tr.Records[len(tr.Records)-1].At
-}
-
 // PriceAt returns the market price effective at t: the price of the latest
 // record at or before t. Querying before the first record returns the first
 // record's price (ok=false flags the extrapolation).
@@ -126,20 +110,12 @@ func (tr *Trace) integral(from, to time.Time) i128 {
 	return sum.add(priceTimes(toMicro(price), int64(to.Sub(cursor))))
 }
 
-// Window returns the records with timestamps in [from, to).
-func (tr *Trace) Window(from, to time.Time) []Record {
-	n := len(tr.Records)
-	lo := sort.Search(n, func(i int) bool { return !tr.Records[i].At.Before(from) })
-	hi := sort.Search(n, func(i int) bool { return !tr.Records[i].At.Before(to) })
-	return append([]Record(nil), tr.Records[lo:hi]...)
-}
-
 // MaxOver returns the maximum price in force over the half-open window
 // [from, to): the step-function price entering the window (a change landing
 // exactly at `from` counts) plus every change strictly inside it; a change
-// exactly at `to` belongs to the next window, matching Window and AvgOver.
-// It is used to decide revocation labels: a spot request with maximum price
-// b is revoked within the window iff MaxOver > b.
+// exactly at `to` belongs to the next window, matching AvgOver.
+// A spot request with maximum price b is revoked within the window iff
+// MaxOver > b.
 func (tr *Trace) MaxOver(from, to time.Time) float64 {
 	maxP := 0.0
 	// The price effective at `from` counts (step function): it is what the

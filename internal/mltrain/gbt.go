@@ -1,14 +1,8 @@
 package mltrain
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"slices"
-)
+import "slices"
 
-// TreeNode is one node of a regression tree. Exported fields keep gob
-// serialization (checkpointing) straightforward.
+// TreeNode is one node of a regression tree.
 type TreeNode struct {
 	IsLeaf    bool
 	Value     float64 // leaf prediction
@@ -44,8 +38,7 @@ type GBTRegressor struct {
 	Weights []float64 // shrinkage per tree
 
 	// scratch is the per-node split-search buffer, reused across features,
-	// nodes, and boosting rounds (excluded from checkpoints — it is pure
-	// working memory).
+	// nodes, and boosting rounds.
 	scratch []featSample
 }
 
@@ -209,34 +202,3 @@ func (m *GBTRegressor) Loss(ds *Dataset) float64 {
 	}
 	return total / float64(len(ds.X))
 }
-
-// gbtState is the gob checkpoint form.
-type gbtState struct {
-	Base    float64
-	Started bool
-	Trees   []*TreeNode
-	Weights []float64
-}
-
-// Marshal implements Model.
-func (m *GBTRegressor) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	st := gbtState{Base: m.Base, Started: m.Started, Trees: m.Trees, Weights: m.Weights}
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("mltrain: encoding GBT: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal implements Model.
-func (m *GBTRegressor) Unmarshal(data []byte) error {
-	var st gbtState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("mltrain: decoding GBT: %w", err)
-	}
-	m.Base, m.Started, m.Trees, m.Weights = st.Base, st.Started, st.Trees, st.Weights
-	return nil
-}
-
-// NumTrees returns the ensemble size (boosting rounds so far).
-func (m *GBTRegressor) NumTrees() int { return len(m.Trees) }

@@ -1,9 +1,6 @@
 package mltrain
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"math"
 	"math/rand/v2"
 
@@ -11,19 +8,13 @@ import (
 )
 
 // Model is one trainable ML workload: it advances by minibatch SGD-style
-// steps, reports a validation metric (lower is better), and checkpoints to
-// bytes (SpotTune serializes intermediate state to object storage on
-// revocation notices).
+// steps and reports a validation metric (lower is better).
 type Model interface {
 	// TrainStep performs one optimization step on the given examples of
 	// ds at learning rate lr.
 	TrainStep(ds *Dataset, idx []int, lr float64)
 	// Loss returns the model's metric over an entire dataset.
 	Loss(ds *Dataset) float64
-	// Marshal serializes the trainable state.
-	Marshal() ([]byte, error)
-	// Unmarshal restores state produced by Marshal.
-	Unmarshal(data []byte) error
 }
 
 var (
@@ -31,31 +22,6 @@ var (
 	_ Model = (*LinearRegression)(nil)
 	_ Model = (*SVM)(nil)
 )
-
-// linearState is the gob form shared by the linear models.
-type linearState struct {
-	W []float64
-	B float64
-}
-
-func marshalLinear(w []float64, b float64) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(linearState{W: w, B: b}); err != nil {
-		return nil, fmt.Errorf("mltrain: encoding linear model: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func unmarshalLinear(data []byte, dim int) ([]float64, float64, error) {
-	var st linearState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return nil, 0, fmt.Errorf("mltrain: decoding linear model: %w", err)
-	}
-	if len(st.W) != dim {
-		return nil, 0, fmt.Errorf("mltrain: checkpoint dim %d, want %d", len(st.W), dim)
-	}
-	return st.W, st.B, nil
-}
 
 // LogisticRegression is binary logistic regression trained with SGD on
 // cross-entropy (the paper's LoR workload on the Epsilon dataset).
@@ -115,30 +81,6 @@ func (m *LogisticRegression) Loss(ds *Dataset) float64 {
 	return total / float64(len(ds.X))
 }
 
-// Accuracy returns classification accuracy at threshold 0.5.
-func (m *LogisticRegression) Accuracy(ds *Dataset) float64 {
-	hit := 0
-	for i, x := range ds.X {
-		if (m.predict(x) >= 0.5) == (ds.Y[i] > 0.5) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(ds.X))
-}
-
-// Marshal implements Model.
-func (m *LogisticRegression) Marshal() ([]byte, error) { return marshalLinear(m.W, m.B) }
-
-// Unmarshal implements Model.
-func (m *LogisticRegression) Unmarshal(data []byte) error {
-	w, b, err := unmarshalLinear(data, len(m.W))
-	if err != nil {
-		return err
-	}
-	m.W, m.B = w, b
-	return nil
-}
-
 // LinearRegression is least-squares regression trained with SGD (the
 // paper's LiR workload on YearPredictionMSD).
 type LinearRegression struct {
@@ -189,19 +131,6 @@ func (m *LinearRegression) Loss(ds *Dataset) float64 {
 		total += d * d
 	}
 	return total / float64(len(ds.X))
-}
-
-// Marshal implements Model.
-func (m *LinearRegression) Marshal() ([]byte, error) { return marshalLinear(m.W, m.B) }
-
-// Unmarshal implements Model.
-func (m *LinearRegression) Unmarshal(data []byte) error {
-	w, b, err := unmarshalLinear(data, len(m.W))
-	if err != nil {
-		return err
-	}
-	m.W, m.B = w, b
-	return nil
 }
 
 // SVM is a soft-margin linear SVM trained by SGD on the hinge loss. Kernel
@@ -260,19 +189,6 @@ func (m *SVM) Loss(ds *Dataset) float64 {
 		}
 	}
 	return total / float64(len(ds.X))
-}
-
-// Marshal implements Model.
-func (m *SVM) Marshal() ([]byte, error) { return marshalLinear(m.W, m.B) }
-
-// Unmarshal implements Model.
-func (m *SVM) Unmarshal(data []byte) error {
-	w, b, err := unmarshalLinear(data, len(m.W))
-	if err != nil {
-		return err
-	}
-	m.W, m.B = w, b
-	return nil
 }
 
 // RFFTransform approximates an RBF (Gaussian) kernel with random Fourier

@@ -109,30 +109,6 @@ func (m *MLPClassifier) Loss(ds *Dataset) float64 {
 	return total / float64(len(ds.X))
 }
 
-// Accuracy returns top-1 classification accuracy.
-func (m *MLPClassifier) Accuracy(ds *Dataset) float64 {
-	hit := 0
-	for i, x := range ds.X {
-		logits, _ := m.net.Forward(x)
-		best := 0
-		for j, v := range logits {
-			if v > logits[best] {
-				best = j
-			}
-		}
-		if best == int(ds.Y[i]) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(ds.X))
-}
-
-// Marshal implements Model.
-func (m *MLPClassifier) Marshal() ([]byte, error) { return nn.SaveBytes(m.net.Params()) }
-
-// Unmarshal implements Model.
-func (m *MLPClassifier) Unmarshal(data []byte) error { return nn.LoadBytes(data, m.net.Params()) }
-
 // resBlock is one residual block: out = x + fc2(relu-act fc1(x)), with an
 // optional post-addition ReLU ("version 1" in Table II's ResNet HPs; version
 // 2 is the identity-shortcut variant).
@@ -315,9 +291,3 @@ func (m *ResMLPClassifier) Accuracy(ds *Dataset) float64 {
 	}
 	return float64(hit) / float64(len(ds.X))
 }
-
-// Marshal implements Model.
-func (m *ResMLPClassifier) Marshal() ([]byte, error) { return nn.SaveBytes(m.Params()) }
-
-// Unmarshal implements Model.
-func (m *ResMLPClassifier) Unmarshal(data []byte) error { return nn.LoadBytes(data, m.Params()) }

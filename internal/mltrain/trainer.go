@@ -1,8 +1,6 @@
 package mltrain
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"spottune/internal/earlycurve"
@@ -66,9 +64,6 @@ func NewTrainer(m Model, train, val *Dataset, cfg TrainerConfig) (*Trainer, erro
 	}, nil
 }
 
-// StepCount returns the number of optimization steps taken.
-func (t *Trainer) StepCount() int { return t.step }
-
 // Curve returns the recorded validation-metric points (shared slice; do not
 // mutate).
 func (t *Trainer) Curve() []earlycurve.MetricPoint { return t.curve }
@@ -90,41 +85,4 @@ func (t *Trainer) RunSteps(n int) []earlycurve.MetricPoint {
 		}
 	}
 	return t.curve[start:]
-}
-
-// trainerState is the gob checkpoint form: the model blob plus progress and
-// the recorded curve, which SpotTune needs intact across revocations.
-type trainerState struct {
-	ModelBlob []byte
-	Step      int
-	Curve     []earlycurve.MetricPoint
-}
-
-// Checkpoint serializes the trainer (model weights, step counter, curve).
-func (t *Trainer) Checkpoint() ([]byte, error) {
-	blob, err := t.Model.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	st := trainerState{ModelBlob: blob, Step: t.step, Curve: t.curve}
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("mltrain: encoding trainer: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Restore loads a checkpoint produced by Checkpoint. The trainer must be
-// built with the same model architecture and datasets.
-func (t *Trainer) Restore(data []byte) error {
-	var st trainerState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("mltrain: decoding trainer: %w", err)
-	}
-	if err := t.Model.Unmarshal(st.ModelBlob); err != nil {
-		return err
-	}
-	t.step = st.Step
-	t.curve = st.Curve
-	return nil
 }

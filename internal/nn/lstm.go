@@ -18,8 +18,6 @@ type LSTM struct {
 	B          *Param
 }
 
-var _ Layer = (*LSTM)(nil)
-
 // NewLSTM builds an LSTM layer with Xavier-initialized weights and the
 // customary +1 forget-gate bias (helps gradient flow early in training).
 func NewLSTM(name string, in, hidden int, rng *rand.Rand) *LSTM {
@@ -38,7 +36,7 @@ func NewLSTM(name string, in, hidden int, rng *rand.Rand) *LSTM {
 	return l
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
 // GradShadow returns a view of the layer that shares its weights but owns a
@@ -61,20 +59,14 @@ type LSTMCache struct {
 	tanhC []float64   // t × H tanh(c), saved so backward skips the recompute
 }
 
-// ForwardSeq runs the layer over a sequence, starting from zero state, and
-// returns the hidden state at every step. Equivalent to ForwardSeqWS with a
-// private scratch allocation per call.
-func (l *LSTM) ForwardSeq(xs [][]float64) ([][]float64, *LSTMCache) {
-	return l.ForwardSeqWS(nil, xs)
-}
-
-// ForwardSeqWS is ForwardSeq with an explicit workspace: all transient
-// buffers (and the returned hidden views) are carved from ws and remain
-// valid until ws.Reset. Each gate row accumulates bias, then input terms,
-// then hidden terms; within each term group the sum follows
-// kernels.MatVecAcc's documented pairwise order, so outputs are
-// deterministic and identical across platforms (and between the WS and
-// plain paths), though not bit-identical to the pre-kernels scalar code —
+// ForwardSeqWS runs the layer over a sequence, starting from zero state,
+// and returns the hidden state at every step. All transient buffers (and
+// the returned hidden views) are carved from ws and remain valid until
+// ws.Reset; a nil ws allocates them per call. Each gate row accumulates
+// bias, then input terms, then hidden terms; within each term group the sum
+// follows kernels.MatVecAcc's documented pairwise order, so outputs are
+// deterministic and identical across platforms (and between a workspace
+// and a nil one), though not bit-identical to the pre-kernels scalar code —
 // see DESIGN.md, "Kernels layer".
 func (l *LSTM) ForwardSeqWS(ws *Workspace, xs [][]float64) ([][]float64, *LSTMCache) {
 	T := len(xs)
@@ -154,11 +146,6 @@ func (l *LSTM) ForwardSeqInferWS(ws *Workspace, xs [][]float64) [][]float64 {
 		hPrev, cPrev = h, c
 	}
 	return outs
-}
-
-// BackwardSeq backpropagates through time; see BackwardSeqWS.
-func (l *LSTM) BackwardSeq(cache *LSTMCache, dhs [][]float64) [][]float64 {
-	return l.BackwardSeqWS(nil, cache, dhs)
 }
 
 // BackwardSeqWS backpropagates through time using the given workspace for
@@ -243,8 +230,6 @@ type StackedLSTM struct {
 	Layers []*LSTM
 }
 
-var _ Layer = (*StackedLSTM)(nil)
-
 // NewStackedLSTM builds depth LSTM layers of the same hidden width.
 func NewStackedLSTM(name string, in, hidden, depth int, rng *rand.Rand) *StackedLSTM {
 	if depth < 1 {
@@ -261,7 +246,7 @@ func NewStackedLSTM(name string, in, hidden, depth int, rng *rand.Rand) *Stacked
 	return s
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (s *StackedLSTM) Params() []*Param {
 	var ps []*Param
 	for _, l := range s.Layers {

@@ -66,14 +66,6 @@ func (p *Param) AddGrad(src *Param) {
 	kernels.Axpy(p.G, 1, src.G)
 }
 
-// At returns W[r][c].
-func (p *Param) At(r, c int) float64 { return p.W[r*p.Cols+c] }
-
-// Layer is anything owning trainable parameters.
-type Layer interface {
-	Params() []*Param
-}
-
 // Activation selects a dense-layer nonlinearity.
 type Activation int
 
@@ -143,8 +135,6 @@ type Dense struct {
 	Act     Activation
 }
 
-var _ Layer = (*Dense)(nil)
-
 // NewDense builds a dense layer with Xavier-initialized weights.
 func NewDense(name string, in, out int, act Activation, rng *rand.Rand) *Dense {
 	d := &Dense{
@@ -158,7 +148,7 @@ func NewDense(name string, in, out int, act Activation, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 // GradShadow returns a weight-sharing copy of the layer with private
@@ -226,8 +216,6 @@ type MLP struct {
 	Layers []*Dense
 }
 
-var _ Layer = (*MLP)(nil)
-
 // NewMLP builds len(sizes)-1 dense layers; hidden layers use hiddenAct and
 // the final layer uses finalAct.
 func NewMLP(name string, sizes []int, hiddenAct, finalAct Activation, rng *rand.Rand) *MLP {
@@ -246,7 +234,7 @@ func NewMLP(name string, sizes []int, hiddenAct, finalAct Activation, rng *rand.
 	return m
 }
 
-// Params implements Layer.
+// Params returns the trainable parameters.
 func (m *MLP) Params() []*Param {
 	var ps []*Param
 	for _, l := range m.Layers {
@@ -375,35 +363,6 @@ func (a *Adam) Step(params []*Param) {
 			mHat := m[i] / bc1
 			vHat := v[i] / bc2
 			p.W[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
-		}
-	}
-}
-
-// SGD is plain stochastic gradient descent with optional momentum, used by
-// the classical trainers in mltrain.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel map[*Param][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param][]float64)}
-}
-
-// Step applies one SGD update using accumulated gradients.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		vel, ok := s.vel[p]
-		if !ok {
-			vel = make([]float64, len(p.W))
-			s.vel[p] = vel
-		}
-		for i, g := range p.G {
-			vel[i] = s.Momentum*vel[i] - s.LR*g
-			p.W[i] += vel[i]
 		}
 	}
 }

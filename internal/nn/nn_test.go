@@ -173,7 +173,7 @@ func TestMLPGradCheck(t *testing.T) {
 func TestLSTMForwardShapes(t *testing.T) {
 	l := NewLSTM("l", 3, 4, newRng())
 	xs := [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-	hs, _ := l.ForwardSeq(xs)
+	hs, _ := l.ForwardSeqWS(nil, xs)
 	if len(hs) != 3 {
 		t.Fatalf("got %d hidden outputs, want 3", len(hs))
 	}
@@ -197,7 +197,7 @@ func TestLSTMGradCheck(t *testing.T) {
 	l := NewLSTM("l", 2, 3, newRng())
 	xs := [][]float64{{0.5, -0.1}, {0.2, 0.7}, {-0.4, 0.3}, {0.1, 0.1}}
 	loss := func() float64 {
-		hs, _ := l.ForwardSeq(xs)
+		hs, _ := l.ForwardSeqWS(nil, xs)
 		last := hs[len(hs)-1]
 		s := 0.0
 		for _, v := range last {
@@ -205,10 +205,10 @@ func TestLSTMGradCheck(t *testing.T) {
 		}
 		return s
 	}
-	hs, cache := l.ForwardSeq(xs)
+	hs, cache := l.ForwardSeqWS(nil, xs)
 	last := hs[len(hs)-1]
 	ZeroGrads(l.Params())
-	l.BackwardSeq(cache, LastHiddenGrad(len(xs), 3, last))
+	l.BackwardSeqWS(nil, cache, LastHiddenGrad(len(xs), 3, last))
 	checkParamGrads(t, "lstm", l.Params(), loss, 1e-4)
 }
 
@@ -217,7 +217,7 @@ func TestLSTMAllStepGradCheck(t *testing.T) {
 	l := NewLSTM("l", 2, 2, newRng())
 	xs := [][]float64{{0.3, -0.2}, {0.1, 0.4}, {-0.5, 0.2}}
 	loss := func() float64 {
-		hs, _ := l.ForwardSeq(xs)
+		hs, _ := l.ForwardSeqWS(nil, xs)
 		s := 0.0
 		for _, h := range hs {
 			for _, v := range h {
@@ -226,13 +226,13 @@ func TestLSTMAllStepGradCheck(t *testing.T) {
 		}
 		return s
 	}
-	hs, cache := l.ForwardSeq(xs)
+	hs, cache := l.ForwardSeqWS(nil, xs)
 	dhs := make([][]float64, len(xs))
 	for t0, h := range hs {
 		dhs[t0] = append([]float64(nil), h...)
 	}
 	ZeroGrads(l.Params())
-	l.BackwardSeq(cache, dhs)
+	l.BackwardSeqWS(nil, cache, dhs)
 	checkParamGrads(t, "lstm-all", l.Params(), loss, 1e-4)
 }
 
@@ -243,7 +243,7 @@ func TestLSTMInputGradCheck(t *testing.T) {
 		return [][]float64{{flat[0], flat[1]}, {flat[2], flat[3]}}
 	}
 	loss := func() float64 {
-		hs, _ := l.ForwardSeq(rebuild())
+		hs, _ := l.ForwardSeqWS(nil, rebuild())
 		last := hs[len(hs)-1]
 		s := 0.0
 		for _, v := range last {
@@ -251,10 +251,10 @@ func TestLSTMInputGradCheck(t *testing.T) {
 		}
 		return s
 	}
-	hs, cache := l.ForwardSeq(rebuild())
+	hs, cache := l.ForwardSeqWS(nil, rebuild())
 	last := hs[len(hs)-1]
 	ZeroGrads(l.Params())
-	dxs := l.BackwardSeq(cache, LastHiddenGrad(2, 3, last))
+	dxs := l.BackwardSeqWS(nil, cache, LastHiddenGrad(2, 3, last))
 	got := []float64{dxs[0][0], dxs[0][1], dxs[1][0], dxs[1][1]}
 	for i := range flat {
 		want := numericGrad(loss, flat, i)
@@ -362,23 +362,6 @@ func TestAdamReducesLoss(t *testing.T) {
 	}
 }
 
-func TestSGDReducesLoss(t *testing.T) {
-	d := NewDense("d", 1, 1, Identity, newRng())
-	opt := NewSGD(0.05, 0.9)
-	for epoch := 0; epoch < 100; epoch++ {
-		ZeroGrads(d.Params())
-		for i := 0; i < 8; i++ {
-			x := float64(i)/4 - 1
-			y, cache := d.Forward([]float64{x})
-			d.Backward(cache, []float64{(y[0] - 3*x) / 8})
-		}
-		opt.Step(d.Params())
-	}
-	if math.Abs(d.W.W[0]-3) > 0.2 {
-		t.Errorf("SGD learned weight %v, want ~3", d.W.W[0])
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := NewMLP("m", []int{3, 4, 2}, ReLU, Identity, newRng())
 	var buf bytes.Buffer
@@ -451,12 +434,12 @@ func TestLSTMLearnsToggle(t *testing.T) {
 		const batch = 32
 		for b := 0; b < batch; b++ {
 			xs, label := sample()
-			hs, cache := l.ForwardSeq(xs)
+			hs, cache := l.ForwardSeqWS(nil, xs)
 			z, hc := head.Forward(hs[len(hs)-1])
 			loss, dz := bce.Loss(z[0], label)
 			total += loss
 			dh := head.Backward(hc, []float64{dz / batch})
-			l.BackwardSeq(cache, LastHiddenGrad(len(xs), 8, dh))
+			l.BackwardSeqWS(nil, cache, LastHiddenGrad(len(xs), 8, dh))
 		}
 		ClipGradNorm(params, 5)
 		opt.Step(params)

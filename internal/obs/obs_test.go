@@ -213,8 +213,8 @@ func TestAttributeUnattributedPosting(t *testing.T) {
 
 func TestTraceQueryLastK(t *testing.T) {
 	q := NewTraceQuery(sampleRecording())
-	if got := q.TrialOf("i-000003"); got != "hp-1" {
-		t.Fatalf("TrialOf(i-000003) = %q, want hp-1", got)
+	if got := q.instTrial["i-000003"]; got != "hp-1" {
+		t.Fatalf("instance i-000003 served %q, want hp-1", got)
 	}
 	// Instance-only subject resolves to its trial's timeline: the posting
 	// for i-000001 names no trial, but must appear for trial hp-1.

@@ -21,10 +21,6 @@ func NewTraceQuery(r *Recording) *TraceQuery {
 	return q
 }
 
-// TrialOf returns the trial an instance served, or "" when the instance
-// never appeared in a deploy event.
-func (q *TraceQuery) TrialOf(inst string) string { return q.instTrial[inst] }
-
 // relevant reports whether an event belongs on the given trial's timeline:
 // it names the trial directly, or it names an instance that served it.
 func (q *TraceQuery) relevant(e Event, trial string) bool {

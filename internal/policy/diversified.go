@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"spottune/internal/market"
@@ -46,12 +47,10 @@ func init() {
 // outside those families exists, so a homogeneous pool degrades to plain
 // lowest-cost selection rather than failing.
 type diversifiedSpot struct {
-	candidates Pool              // sorted; iteration order pins lexicographic ties
-	families   map[string]string // candidate name → family
+	candidates Pool     // sorted; iteration order pins lexicographic ties
+	families   []string // each candidate's family
 	allocation string
 	revProb    []RevProbFunc // each candidate's predictor
-	deltaLow   float64
-	deltaHigh  float64
 	rng        *rand.Rand
 }
 
@@ -88,45 +87,59 @@ func newDiversifiedSpot(p Params) (Policy, error) {
 		}
 		cands = kept
 	}
-	fams := make(map[string]string, len(cands))
-	for _, n := range cands {
+	fams := make([]string, len(cands))
+	for k, n := range cands {
 		if p.Catalog != nil {
 			if it, ok := p.Catalog.Lookup(n); ok {
-				fams[n] = it.Family
+				fams[k] = it.Family
 				continue
 			}
 		}
-		fams[n] = market.FamilyOf(n)
+		fams[k] = market.FamilyOf(n)
 	}
 	return &diversifiedSpot{
 		candidates: newPool(cands),
 		families:   fams,
 		allocation: alloc,
 		revProb:    resolveRevProb(p.RevProb, cands),
-		deltaLow:   p.DeltaLow,
-		deltaHigh:  p.DeltaHigh,
 		rng:        newRNG(p.Seed),
 	}, nil
 }
 
 func (d *diversifiedSpot) Name() string { return DiversifiedSpotName }
 
+// familySet is a decision's avoid-set: at most two families.
+type familySet struct {
+	fams [2]string
+	n    int
+}
+
+func (s *familySet) add(fam string) { s.fams[s.n], s.n = fam, s.n+1 }
+
+func (s *familySet) has(fam string) bool { return slices.Contains(s.fams[:s.n], fam) }
+
 // avoidedFamilies is the per-decision family avoid-set: the resilience
 // layer's explicit exclusion plus — while the trial's spot-failure streak is
 // alive — the family that last revoked it.
-func (d *diversifiedSpot) avoidedFamilies(t TrialInfo) map[string]bool {
-	avoid := map[string]bool{}
+func (d *diversifiedSpot) avoidedFamilies(t TrialInfo) familySet {
+	var avoid familySet
 	if t.ExcludeFamily != "" {
-		avoid[t.ExcludeFamily] = true
+		avoid.add(t.ExcludeFamily)
 	}
 	if t.SpotFailures > 0 && t.LastRevoked != "" {
-		if fam, ok := d.families[t.LastRevoked]; ok {
-			avoid[fam] = true
-		} else {
-			avoid[market.FamilyOf(t.LastRevoked)] = true
-		}
+		avoid.add(d.familyOf(t.LastRevoked))
 	}
 	return avoid
+}
+
+// familyOf is a type's family: a candidate's resolved family, else the one
+// its name implies.
+func (d *diversifiedSpot) familyOf(name string) string {
+	names := d.candidates.names
+	if k := sort.SearchStrings(names, name); k < len(names) && names[k] == name {
+		return d.families[k]
+	}
+	return market.FamilyOf(name)
 }
 
 // Decide scores every candidate by the active allocation strategy and picks
@@ -147,7 +160,7 @@ func (d *diversifiedSpot) Decide(ctx Context) (Request, error) {
 	// best ranks all non-excluded candidates; bestDiv only those outside the
 	// avoided families. When bestDiv exists the fleet decorrelates; when the
 	// avoid-set covers every candidate, best is the graceful fallback.
-	best := Request{StepCost: math.Inf(1)}
+	best, bestK := Request{StepCost: math.Inf(1)}, -1
 	bestDiv := Request{StepCost: math.Inf(1)}
 	divCount := 0
 	for k, name := range d.candidates.names {
@@ -155,7 +168,7 @@ func (d *diversifiedSpot) Decide(ctx Context) (Request, error) {
 		if err != nil {
 			return Request{}, err
 		}
-		delta := d.deltaLow + d.rng.Float64()*(d.deltaHigh-d.deltaLow)
+		delta := deltaLow + d.rng.Float64()*(deltaHigh-deltaLow)
 		if name == exclude {
 			continue
 		}
@@ -179,9 +192,9 @@ func (d *diversifiedSpot) Decide(ctx Context) (Request, error) {
 			StepCost: score,
 		}
 		if score < best.StepCost {
-			best = req
+			best, bestK = req, k
 		}
-		if !avoid[d.families[name]] {
+		if !avoid.has(d.families[k]) {
 			divCount++
 			if score < bestDiv.StepCost {
 				bestDiv = req
@@ -202,7 +215,7 @@ func (d *diversifiedSpot) Decide(ctx Context) (Request, error) {
 			VT:    now,
 			Trial: ctx.Trial.ID,
 			Type:  bestDiv.TypeName,
-			Label: d.families[best.TypeName],
+			Label: d.families[bestK],
 			A:     bestDiv.StepCost,
 			N:     int64(divCount),
 		})

@@ -34,7 +34,7 @@ func TestDiversifiedPicksLowestScore(t *testing.T) {
 	if req.TypeName != "r4.xlarge" || req.OnDemand {
 		t.Fatalf("chose %+v, want spot r4.xlarge", req)
 	}
-	if req.MaxPrice <= 0.05 || req.MaxPrice > 0.05+DefaultDeltaHigh+1e-9 {
+	if req.MaxPrice <= 0.05 || req.MaxPrice > 0.05+deltaHigh+1e-9 {
 		t.Fatalf("max price %v outside bid window", req.MaxPrice)
 	}
 }
@@ -109,6 +109,39 @@ func TestDiversifiedAvoidsLastRevokedFamily(t *testing.T) {
 	}
 	if rec2.Len() != 0 {
 		t.Fatalf("unexpected events after streak clear: %+v", rec2.Events())
+	}
+}
+
+// TestDiversifiedDecideZeroAllocs pins a decision to no heap allocation,
+// with and without an avoid set: families resolve once, when the policy is
+// built, and the avoid set holds its at most two families in place.
+func TestDiversifiedDecideZeroAllocs(t *testing.T) {
+	pol := mustNew(t, DiversifiedSpotName, Params{Pool: divPool(), Seed: 3})
+	avoiding := divCtx()
+	avoiding.Trial.ExcludeFamily = "c4"
+	avoiding.Trial.LastRevoked = "r4.xlarge"
+	avoiding.Trial.SpotFailures = 1
+	for _, c := range []struct {
+		name string
+		ctx  Context
+		want string
+	}{
+		{"no avoid set", divCtx(), "r4.xlarge"},
+		{"avoid set", avoiding, "m4.xlarge"},
+	} {
+		var req Request
+		avg := testing.AllocsPerRun(100, func() {
+			var err error
+			if req, err = pol.Decide(c.ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if req.TypeName != c.want {
+			t.Errorf("%s: chose %q, want %q", c.name, req.TypeName, c.want)
+		}
+		if avg != 0 {
+			t.Errorf("%s: Decide allocates %.1f times, want 0", c.name, avg)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ package policy
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"time"
@@ -26,11 +25,11 @@ import (
 	"spottune/internal/obs"
 )
 
-// Default bid-delta interval (Algorithm 1 line 4): a spot maximum price is
-// the current market price plus a uniform delta from this range, in USD.
+// The bid-delta interval (Algorithm 1 line 4): a spot maximum price is the
+// current market price plus a uniform delta from this range, in USD.
 const (
-	DefaultDeltaLow  = 0.00001
-	DefaultDeltaHigh = 0.2
+	deltaLow  = 0.00001
+	deltaHigh = 0.2
 )
 
 // DefaultMaxPriceFactor is the §IV-A4 baseline bid: the on-demand price
@@ -172,18 +171,6 @@ type Params struct {
 	// RevProb supplies each pool member's revocation predictions (nil
 	// means always 0).
 	RevProb RevProbSource
-	// DeltaLow/DeltaHigh bound the spot bid delta (defaults to the
-	// paper's interval when DeltaHigh <= 0).
-	DeltaLow, DeltaHigh float64
-	// FallbackAfter is the consecutive spot-failure count after which the
-	// fallback policy swaps to on-demand (default 2).
-	FallbackAfter int
-	// DoomProb is the predicted revocation probability at or above which
-	// the fallback policy treats the market as a doom window (default 0.6).
-	DoomProb float64
-	// CalmProb is the probability at or below which the fallback policy
-	// considers the market calm again and retries spot (default 0.3).
-	CalmProb float64
 	// Catalog supplies instance-type metadata (family, AZ, shape) for
 	// catalog-aware policies. Nil degrades gracefully: families derive
 	// from name prefixes and compatibility constraints cannot be applied.
@@ -198,28 +185,9 @@ type Params struct {
 	Allocation string
 }
 
-func (p Params) withDefaults() Params {
-	if p.DeltaHigh <= 0 {
-		p.DeltaLow, p.DeltaHigh = DefaultDeltaLow, DefaultDeltaHigh
-	}
-	if p.FallbackAfter <= 0 {
-		p.FallbackAfter = 2
-	}
-	if p.DoomProb <= 0 {
-		p.DoomProb = 0.6
-	}
-	if p.CalmProb <= 0 {
-		p.CalmProb = 0.3
-	}
-	return p
-}
-
 func (p Params) validate() error {
 	if len(p.Pool) == 0 {
 		return errors.New("policy: empty instance pool")
-	}
-	if p.DeltaLow < 0 || p.DeltaLow >= p.DeltaHigh {
-		return fmt.Errorf("policy: invalid delta interval [%v, %v]", p.DeltaLow, p.DeltaHigh)
 	}
 	return nil
 }
@@ -236,20 +204,16 @@ func newRNG(seed uint64) *rand.Rand {
 type spotChooser struct {
 	pool Pool
 	// revProb is each pool member's predictor, resolved at construction.
-	revProb   []RevProbFunc
-	deltaLow  float64
-	deltaHigh float64
-	rng       *rand.Rand
+	revProb []RevProbFunc
+	rng     *rand.Rand
 }
 
 func newSpotChooser(p Params) spotChooser {
 	pool := newPool(p.Pool)
 	return spotChooser{
-		pool:      pool,
-		revProb:   resolveRevProb(p.RevProb, pool.names),
-		deltaLow:  p.DeltaLow,
-		deltaHigh: p.DeltaHigh,
-		rng:       newRNG(p.Seed),
+		pool:    pool,
+		revProb: resolveRevProb(p.RevProb, pool.names),
+		rng:     newRNG(p.Seed),
 	}
 }
 
@@ -307,7 +271,7 @@ func (s *spotChooser) bestSpot(ctx Context, q quotes) (Request, int, error) {
 		if err != nil {
 			return Request{}, -1, err
 		}
-		delta := s.deltaLow + s.rng.Float64()*(s.deltaHigh-s.deltaLow)
+		delta := deltaLow + s.rng.Float64()*(deltaHigh-deltaLow)
 		if name == exclude {
 			// The delta is drawn (one draw per pool member per call —
 			// the stream-alignment contract) but the market is not a

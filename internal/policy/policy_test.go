@@ -95,9 +95,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(SpotTuneName, Params{}); err == nil {
 		t.Error("empty pool accepted")
 	}
-	if _, err := New(SpotTuneName, Params{Pool: pool(), DeltaLow: 0.3, DeltaHigh: 0.1}); err == nil {
-		t.Error("inverted delta interval accepted")
-	}
 }
 
 func TestSpotTunePicksMinStepCost(t *testing.T) {
@@ -111,7 +108,7 @@ func TestSpotTunePicksMinStepCost(t *testing.T) {
 	if req.TypeName != "slow" || req.OnDemand {
 		t.Fatalf("chose %+v, want spot slow", req)
 	}
-	if req.MaxPrice <= 0.02 || req.MaxPrice > 0.02+DefaultDeltaHigh+1e-9 {
+	if req.MaxPrice <= 0.02 || req.MaxPrice > 0.02+deltaHigh+1e-9 {
 		t.Fatalf("max price %v outside bid window", req.MaxPrice)
 	}
 	// Make fast dramatically faster so it wins: 0.05s × 0.2 = 0.01 < 0.08.
@@ -212,10 +209,7 @@ func TestFallbackSwitchesAndRecovers(t *testing.T) {
 	revProb := func(string) RevProbFunc {
 		return func(time.Time, float64) float64 { return prob }
 	}
-	pol := mustNew(t, FallbackName, Params{
-		Pool: pool(), Seed: 1, RevProb: revProb,
-		FallbackAfter: 2, DoomProb: 0.6, CalmProb: 0.3,
-	})
+	pol := mustNew(t, FallbackName, Params{Pool: pool(), Seed: 1, RevProb: revProb})
 	ctx := testCtx()
 
 	// Calm market, no failures: spot.

@@ -51,7 +51,6 @@ func New(name string, p Params) (Policy, error) {
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, Names())
 	}
-	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, err
 	}

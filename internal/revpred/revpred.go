@@ -374,11 +374,7 @@ func (m *Model) forwardWS(ws *nn.Workspace, s *Sample) (float64, *nn.StackedCach
 	return z[0], hc, pc, hcHead
 }
 
-// backward pushes dz through the net, accumulating gradients.
-func (m *Model) backward(s *Sample, hc *nn.StackedCache, pc *nn.MLPCache, hcHead *nn.MLPCache, dz float64) {
-	m.backwardWS(nil, s, hc, pc, hcHead, dz)
-}
-
+// backwardWS pushes dz through the net, accumulating gradients.
 func (m *Model) backwardWS(ws *nn.Workspace, _ *Sample, hc *nn.StackedCache, pc *nn.MLPCache, hcHead *nn.MLPCache, dz float64) {
 	dJoint := m.head.BackwardWS(ws, hcHead, []float64{dz})
 	dLast := dJoint[:m.Hidden]

@@ -95,11 +95,9 @@ type Spec struct {
 	// resilience registry name); "" follows the matrix's strategy axis
 	// (Options.Strategies).
 	Resilience string
-	// Deadline/Budget constrain every campaign of this scenario: the
-	// completion target that drives the degradation ladder and the spend
-	// cap that bounds its escalation (zero = unconstrained).
+	// Deadline constrains every campaign of this scenario: the completion
+	// target that drives the degradation ladder (zero = unconstrained).
 	Deadline time.Duration
-	Budget   float64
 	// BaseType anchors the catalog compatibility constraint: every cell's
 	// instance pool is narrowed to types at least as powerful as this one
 	// before any policy sees it ("" = unconstrained).

@@ -342,7 +342,6 @@ func runCell(job cellJob, o Options, memo *earlycurve.FitMemo, perfc *trial.Perf
 		Policy:     job.policy,
 		Resilience: job.strategy,
 		Deadline:   b.spec.Deadline,
-		Budget:     b.spec.Budget,
 		BaseType:   b.spec.BaseType,
 		PolicyParams: policy.Params{
 			Allocation: b.spec.Allocation,

@@ -63,7 +63,6 @@ func coldCells(t *testing.T, m Matrix, opt Options) []Cell {
 						Policy:       pol,
 						Resilience:   strategy,
 						Deadline:     s.Deadline,
-						Budget:       s.Budget,
 						BaseType:     s.BaseType,
 						PolicyParams: policy.Params{Allocation: s.Allocation},
 						Trend:        &earlycurve.Predictor{},

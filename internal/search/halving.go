@@ -145,9 +145,6 @@ func (h *sha) directives(s State) []Directive {
 	return ds
 }
 
-// done reports whether every rung has run.
-func (h *sha) done() bool { return h.started && h.rung >= h.rungs }
-
 // halving is the standalone successive-halving tuner.
 type halving struct {
 	sha

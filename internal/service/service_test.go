@@ -114,8 +114,10 @@ func TestServiceMatchesSweep(t *testing.T) {
 		}}
 	}
 	res := campaign.Sweep(tasks, campaign.SweepOptions{Workers: 2, Seed: 23})
-	if err := campaign.FirstErr(res); err != nil {
-		t.Fatal(err)
+	for _, r := range res {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Key, r.Err)
+		}
 	}
 	_, got := runService(t, env, bench, curves, tenants, Config{Shards: 2, MaxInFlight: 2})
 	for i := range tenants {

@@ -34,9 +34,3 @@ func (r *ExposureRate) Rate() float64 {
 	}
 	return r.events / r.exposure
 }
-
-// Events is the arrival count so far.
-func (r *ExposureRate) Events() float64 { return r.events }
-
-// Exposure is the accumulated observation time so far.
-func (r *ExposureRate) Exposure() float64 { return r.exposure }

@@ -17,12 +17,12 @@ func TestExposureRate(t *testing.T) {
 	if got := r.Rate(); got != 1 {
 		t.Fatalf("2 events over 2 units → %v, want 1", got)
 	}
-	if r.Events() != 2 || r.Exposure() != 2 {
-		t.Fatalf("accessors (%v, %v), want (2, 2)", r.Events(), r.Exposure())
+	if r.events != 2 || r.exposure != 2 {
+		t.Fatalf("(events, exposure) = (%v, %v), want (2, 2)", r.events, r.exposure)
 	}
 	// Negative exposure is ignored: observation time cannot run backwards.
 	r.AddExposure(-100)
-	if r.Exposure() != 2 {
-		t.Fatalf("negative exposure accepted: %v", r.Exposure())
+	if r.exposure != 2 {
+		t.Fatalf("negative exposure accepted: %v", r.exposure)
 	}
 }

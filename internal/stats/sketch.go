@@ -136,14 +136,6 @@ func (s *QuantileSketch) Mean() float64 {
 	return s.sum / float64(s.count)
 }
 
-// Min returns the exact minimum, or 0 when empty.
-func (s *QuantileSketch) Min() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.min
-}
-
 // Max returns the exact maximum, or 0 when empty.
 func (s *QuantileSketch) Max() float64 {
 	if s.count == 0 {
@@ -220,15 +212,4 @@ func sortedKeys(m map[int32]uint64) []int32 {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
-}
-
-// Buckets returns the number of occupied buckets — the sketch's actual
-// memory footprint, which tests pin as bounded while counts grow without
-// limit.
-func (s *QuantileSketch) Buckets() int {
-	n := len(s.pos) + len(s.neg)
-	if s.zeros > 0 {
-		n++
-	}
-	return n
 }

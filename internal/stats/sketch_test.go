@@ -42,8 +42,8 @@ func TestSketchRelativeErrorBound(t *testing.T) {
 		if s.Count() != len(xs) {
 			t.Errorf("Count = %d, want %d", s.Count(), len(xs))
 		}
-		if got, want := s.Min(), exactQuantile(xs, 0); got != want {
-			t.Errorf("Min = %v want %v", got, want)
+		if got, want := s.Quantile(0), exactQuantile(xs, 0); got != want {
+			t.Errorf("Quantile(0) = %v want %v", got, want)
 		}
 		if got, want := s.Max(), exactQuantile(xs, 1); got != want {
 			t.Errorf("Max = %v want %v", got, want)
@@ -120,11 +120,11 @@ func TestSketchBoundedMemory(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		s.Add(math.Exp(rng.Float64()*8 - 4)) // fixed dynamic range
 		if i == 10000 {
-			at10k = s.Buckets()
+			at10k = len(s.pos) + len(s.neg)
 		}
 	}
-	if s.Buckets() > at10k+8 {
-		t.Errorf("buckets grew with samples: %d at 10k, %d at 200k", at10k, s.Buckets())
+	if n := len(s.pos) + len(s.neg); n > at10k+8 {
+		t.Errorf("buckets grew with samples: %d at 10k, %d at 200k", at10k, n)
 	}
 	if s.Count() != 200000 {
 		t.Errorf("Count = %d", s.Count())
@@ -147,8 +147,8 @@ func TestSketchEdgeCases(t *testing.T) {
 		}
 	}
 	s.Add(-5)
-	if s.Min() != -5 || s.Max() != 5 {
-		t.Errorf("envelope: [%v, %v]", s.Min(), s.Max())
+	if s.Quantile(0) != -5 || s.Max() != 5 {
+		t.Errorf("envelope: [%v, %v]", s.Quantile(0), s.Max())
 	}
 	if q := s.Quantile(0.5); q < -5 || q > 5 {
 		t.Errorf("median %v outside envelope", q)

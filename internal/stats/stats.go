@@ -75,34 +75,6 @@ func TrimmedMean(xs []float64, lo, hi float64) (float64, error) {
 	return Mean(sorted[start:end]), nil
 }
 
-// Min returns the minimum of xs. It returns ErrEmpty for empty input.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. It returns ErrEmpty for empty input.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // ArgMin returns the index of the smallest element, or -1 for empty input.
 func ArgMin(xs []float64) int {
 	idx := -1
@@ -187,79 +159,6 @@ func TopK(xs []float64, k int) []int {
 		k = 0
 	}
 	return idx[:k]
-}
-
-// TopKAccuracy reports whether the index of the true best (smallest truth)
-// appears within the predicted top-k (smallest predicted values). This is
-// the Fig. 8c metric: did EarlyCurve's ranking keep the truly best HP in
-// its top-k shortlist?
-func TopKAccuracy(predicted, truth []float64, k int) bool {
-	if len(predicted) != len(truth) || len(predicted) == 0 {
-		return false
-	}
-	best := ArgMin(truth)
-	for _, i := range TopK(predicted, k) {
-		if i == best {
-			return true
-		}
-	}
-	return false
-}
-
-// Normalize scales xs so that xs[ref] becomes 1 (the Fig. 7c PCR
-// normalization, where SpotTune θ=0.7 is fixed at 1). A zero reference
-// value leaves xs unchanged.
-func Normalize(xs []float64, ref int) []float64 {
-	out := append([]float64(nil), xs...)
-	if ref < 0 || ref >= len(xs) || xs[ref] == 0 {
-		return out
-	}
-	r := xs[ref]
-	for i := range out {
-		out[i] /= r
-	}
-	return out
-}
-
-// MAE returns the mean absolute error between two equal-length series.
-func MAE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for i := range pred {
-		sum += math.Abs(pred[i] - truth[i])
-	}
-	return sum / float64(len(pred)), nil
-}
-
-// RMSE returns the root-mean-square error between two equal-length series.
-func RMSE(pred, truth []float64) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for i := range pred {
-		d := pred[i] - truth[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred))), nil
-}
-
-// RelativeError returns |pred-truth| / max(|truth|, eps): the per-config
-// prediction-error metric of Fig. 11b.
-func RelativeError(pred, truth, eps float64) float64 {
-	den := math.Abs(truth)
-	if den < eps {
-		den = eps
-	}
-	return math.Abs(pred-truth) / den
 }
 
 // Gini is the Gini coefficient of a non-negative sample — the service

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,23 +88,11 @@ func TestTrimmedMeanTinyInput(t *testing.T) {
 
 func TestMinMaxArgMin(t *testing.T) {
 	xs := []float64{3, 1, 4, 1.5}
-	if m, err := Min(xs); err != nil || m != 1 {
-		t.Errorf("Min = %v, %v", m, err)
-	}
-	if m, err := Max(xs); err != nil || m != 4 {
-		t.Errorf("Max = %v, %v", m, err)
-	}
 	if got := ArgMin(xs); got != 1 {
 		t.Errorf("ArgMin = %d, want 1", got)
 	}
 	if got := ArgMin(nil); got != -1 {
 		t.Errorf("ArgMin(nil) = %d, want -1", got)
-	}
-	if _, err := Min(nil); err == nil {
-		t.Error("Min(nil) did not error")
-	}
-	if _, err := Max(nil); err == nil {
-		t.Error("Max(nil) did not error")
 	}
 }
 
@@ -173,77 +162,6 @@ func TestTopKStableTies(t *testing.T) {
 	}
 }
 
-func TestTopKAccuracy(t *testing.T) {
-	truth := []float64{0.5, 0.2, 0.9, 0.4} // best is index 1
-	predGood := []float64{0.6, 0.1, 0.8, 0.5}
-	predBad := []float64{0.1, 0.9, 0.2, 0.3}
-	if !TopKAccuracy(predGood, truth, 1) {
-		t.Error("TopKAccuracy(good, k=1) = false, want true")
-	}
-	if TopKAccuracy(predBad, truth, 1) {
-		t.Error("TopKAccuracy(bad, k=1) = true, want false")
-	}
-	if !TopKAccuracy(predBad, truth, 4) {
-		t.Error("TopKAccuracy(bad, k=n) = false, want true")
-	}
-	if TopKAccuracy(nil, nil, 3) {
-		t.Error("TopKAccuracy on empty input = true")
-	}
-	if TopKAccuracy([]float64{1}, []float64{1, 2}, 1) {
-		t.Error("TopKAccuracy on mismatched input = true")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	xs := []float64{2, 4, 8}
-	got := Normalize(xs, 0)
-	want := []float64{1, 2, 4}
-	for i := range want {
-		if !almostEq(got[i], want[i], 1e-12) {
-			t.Fatalf("Normalize = %v, want %v", got, want)
-		}
-	}
-	if xs[0] != 2 {
-		t.Error("Normalize mutated its input")
-	}
-	// Degenerate refs leave values unchanged.
-	same := Normalize(xs, -1)
-	for i := range xs {
-		if same[i] != xs[i] {
-			t.Error("Normalize with bad ref changed values")
-		}
-	}
-}
-
-func TestMAERMSE(t *testing.T) {
-	pred := []float64{1, 2, 3}
-	truth := []float64{1, 4, 3}
-	mae, err := MAE(pred, truth)
-	if err != nil || !almostEq(mae, 2.0/3.0, 1e-12) {
-		t.Errorf("MAE = %v, %v", mae, err)
-	}
-	rmse, err := RMSE(pred, truth)
-	if err != nil || !almostEq(rmse, math.Sqrt(4.0/3.0), 1e-12) {
-		t.Errorf("RMSE = %v, %v", rmse, err)
-	}
-	if _, err := MAE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("MAE length mismatch did not error")
-	}
-	if _, err := RMSE(nil, nil); err == nil {
-		t.Error("RMSE empty did not error")
-	}
-}
-
-func TestRelativeError(t *testing.T) {
-	if got := RelativeError(1.1, 1.0, 1e-9); !almostEq(got, 0.1, 1e-9) {
-		t.Errorf("RelativeError = %v, want 0.1", got)
-	}
-	// Tiny truth falls back to eps denominator.
-	if got := RelativeError(0.5, 0, 0.5); !almostEq(got, 1.0, 1e-12) {
-		t.Errorf("RelativeError with eps = %v, want 1", got)
-	}
-}
-
 // Property: trimmed mean always lies within [min, max] of the input.
 func TestTrimmedMeanBoundsProperty(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -261,8 +179,7 @@ func TestTrimmedMeanBoundsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lo, _ := Min(xs)
-		hi, _ := Max(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		return tm >= lo-1e-9 && tm <= hi+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -43,8 +43,8 @@ type Replay struct {
 	// cumSecs caches, per instance type, prefix sums of per-step seconds
 	// (cum[k] = seconds for steps [0, k)). The perf model is a pure
 	// function of (type, hp, step), so the cache never invalidates; it
-	// turns SecondsToReach into O(1) after one O(maxSteps) build. A trial
-	// runs on a handful of types, so a slice scan finds the entry.
+	// turns SecondsToReachCapped into O(1) after one O(maxSteps) build.
+	// A trial runs on a handful of types, so a slice scan finds the entry.
 	cumSecs []typeCum
 	// cache, when set, replaces cumSecs with a cross-campaign store so
 	// replays of the same (seed, benchmark) world share one curve build.
@@ -275,27 +275,15 @@ func (r *Replay) RunFor(it market.InstanceType, seconds float64, stepLimit int) 
 	return int(r.progress) - startWhole, used
 }
 
-// SecondsToReach returns the compute seconds needed on the given instance
-// to advance from the current progress to targetSteps whole steps, without
-// mutating the trial. It sums the same per-step costs RunFor consumes, so
-// RunFor(it, SecondsToReach(it, n), limit>=n) lands on step n (up to float
+// SecondsToReachCapped returns the compute seconds needed on the given
+// instance to advance from the current progress to targetSteps whole steps,
+// without mutating the trial. It sums the same per-step costs RunFor
+// consumes, so RunFor(it, secs, limit>=n) lands on step n (up to float
 // dust, which RunFor snaps over). A target at or below current progress
-// costs zero. Amortized O(1) via cached per-type prefix sums.
-func (r *Replay) SecondsToReach(it market.InstanceType, targetSteps int) float64 {
-	if targetSteps > r.maxSteps {
-		targetSteps = r.maxSteps
-	}
-	if r.progress >= float64(targetSteps) {
-		return 0
-	}
-	cum := r.cumFor(it, targetSteps, -1)
-	return cum[targetSteps] - elapsedAt(cum, r.progress)
-}
-
-// SecondsToReachCapped is SecondsToReach with an early exit: it reports
-// ok=false as soon as the needed time provably exceeds capSecs, building
-// prefix sums only that far. Schedulers use it to ask "does this trial
-// finish before its restart horizon?" without pricing the whole trajectory.
+// costs zero. It reports ok=false as soon as the needed time provably
+// exceeds capSecs, building prefix sums only that far: schedulers use it to
+// ask "does this trial finish before its restart horizon?" without pricing
+// the whole trajectory. Amortized O(1) via cached per-type prefix sums.
 func (r *Replay) SecondsToReachCapped(it market.InstanceType, targetSteps int, capSecs float64) (secs float64, ok bool) {
 	if targetSteps > r.maxSteps {
 		targetSteps = r.maxSteps
@@ -386,22 +374,6 @@ func (r *Replay) observed() int {
 // TrueFinal returns the ground-truth final metric (the curve's last value).
 func (r *Replay) TrueFinal() float64 { return r.curve[len(r.curve)-1].Value }
 
-// MetricAtOrBefore returns the last ground-truth metric at or before step,
-// or ok=false when the curve has no point that early.
-func (r *Replay) MetricAtOrBefore(step int) (float64, bool) {
-	var (
-		val   float64
-		found bool
-	)
-	for _, p := range r.curve {
-		if p.Step > step {
-			break
-		}
-		val, found = p.Value, true
-	}
-	return val, found
-}
-
 // ckptMagic guards the checkpoint wire format: a version byte, the trial ID
 // (uvarint length prefix), and the progress float bits. Campaigns write a
 // checkpoint every hourly restart and revocation notice, so the codec is
@@ -417,11 +389,6 @@ func appendCheckpoint(dst []byte, id string, progress float64) []byte {
 	dst = append(dst, id...)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(progress))
 	return dst
-}
-
-// encodeCheckpoint serializes one (id, progress) pair into a fresh buffer.
-func encodeCheckpoint(id string, progress float64) []byte {
-	return appendCheckpoint(make([]byte, 0, 1+binary.MaxVarintLen64+len(id)+8), id, progress)
 }
 
 // DecodeCheckpoint parses a checkpoint blob without applying it: the trial
@@ -457,41 +424,16 @@ func DecodeCheckpoint(data []byte) (id string, progress float64, err error) {
 	return id, progress, nil
 }
 
-// Checkpoint serializes progress (SpotTune checkpoints on revocation
-// notices, hourly restarts, and early shutdowns).
-func (r *Replay) Checkpoint() ([]byte, error) {
-	return encodeCheckpoint(r.id, r.progress), nil
-}
-
-// AppendCheckpoint is Checkpoint in append form: the blob is written onto
+// AppendCheckpoint serializes progress (SpotTune checkpoints on revocation
+// notices, hourly restarts, and early shutdowns): the blob is written onto
 // dst and the extended slice returned, so a caller that checkpoints every
 // hourly restart and revocation can reuse one buffer for the whole campaign
-// (the object store copies blobs on Put). Byte-identical to Checkpoint.
+// (the object store copies blobs on PutSized).
 func (r *Replay) AppendCheckpoint(dst []byte) []byte {
 	return appendCheckpoint(dst, r.id, r.progress)
 }
 
-// StepsBehind reports how many whole completed steps the trial's live state
-// is ahead of the given checkpoint blob — the work a revocation would lose
-// by rewinding to it (0 when the blob is current or ahead). The resilience
-// harness uses it to audit that lost work never exceeds the active
-// checkpoint cadence's step bound.
-func (r *Replay) StepsBehind(data []byte) (int, error) {
-	id, progress, err := DecodeCheckpoint(data)
-	if err != nil {
-		return 0, err
-	}
-	if id != r.id {
-		return 0, fmt.Errorf("trial: checkpoint for %q audited against %q", id, r.id)
-	}
-	behind := r.CompletedSteps() - int(progress)
-	if behind < 0 {
-		behind = 0
-	}
-	return behind, nil
-}
-
-// Restore loads a Checkpoint blob. Progress can only move backward if the
+// Restore loads an AppendCheckpoint blob. Progress can only move backward if the
 // checkpoint is older than current state — which is exactly what happens
 // when an instance dies without a checkpoint and the trial resumes from an
 // earlier one.

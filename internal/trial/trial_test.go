@@ -2,6 +2,7 @@ package trial
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -151,22 +152,12 @@ func TestTrueFinalAndMetricAt(t *testing.T) {
 	if got := r.TrueFinal(); got != 0.01 {
 		t.Fatalf("TrueFinal = %v", got)
 	}
-	v, ok := r.MetricAtOrBefore(35)
-	if !ok || v != 1.0/30 {
-		t.Fatalf("MetricAtOrBefore(35) = %v, %v", v, ok)
-	}
-	if _, ok := r.MetricAtOrBefore(5); ok {
-		t.Fatal("MetricAtOrBefore(5) found a point")
-	}
 }
 
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	r := mkReplay(t)
 	r.RunFor(small, 31, 0) // 15.5 steps
-	blob, err := r.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := r.AppendCheckpoint(nil)
 	r2 := mkReplay(t)
 	if err := r2.Restore(blob); err != nil {
 		t.Fatal(err)
@@ -187,10 +178,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 
 func TestRestoreRejectsMalformedBlobs(t *testing.T) {
 	r := mkReplay(t)
-	good, err := r.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := r.AppendCheckpoint(nil)
 	bad := [][]byte{
 		nil,
 		{0x00},
@@ -212,10 +200,7 @@ func TestRestoreRewindsProgress(t *testing.T) {
 	// An instance dying WITHOUT checkpoint loses work since the last one.
 	r := mkReplay(t)
 	r.RunFor(small, 40, 0) // 20 steps
-	blob, err := r.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := r.AppendCheckpoint(nil)
 	r.RunFor(small, 40, 0) // 40 steps now
 	if err := r.Restore(blob); err != nil {
 		t.Fatal(err)
@@ -367,18 +352,17 @@ func TestPlateauedAgreesWithExactConverged(t *testing.T) {
 	}
 }
 
-// TestAppendCheckpointMatchesCheckpoint pins the append-form encoder to the
-// allocating one byte for byte, and to zero steady-state allocations when
-// the destination has capacity (the orchestrator reuses one buffer across
-// every hourly restart and revocation write).
+// TestAppendCheckpointMatchesCheckpoint pins the encoder to the checkpoint
+// wire format byte for byte (magic, uvarint ID length, ID, big-endian
+// progress bits), and to zero steady-state allocations when the destination
+// has capacity (the orchestrator reuses one buffer across every hourly
+// restart and revocation write).
 func TestAppendCheckpointMatchesCheckpoint(t *testing.T) {
 	r := mkReplay(t)
 	for _, p := range []float64{0, 0.5, 17.25, 100} {
 		r.progress = p
-		want, err := r.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := append([]byte{ckptMagic, byte(len(r.ID()))}, r.ID()...)
+		want = binary.BigEndian.AppendUint64(want, math.Float64bits(p))
 		got := r.AppendCheckpoint(nil)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("progress %v: append form %x, checkpoint %x", p, got, want)
@@ -436,8 +420,9 @@ func TestRunForWarmCacheMatchesCold(t *testing.T) {
 	cache := warmCache(t)
 	for _, limit := range []int{1, 7, 50, 123, 399} {
 		probe := noisyReplay(t, nil)
-		need := probe.SecondsToReach(small, limit)
-		step := probe.SecondsToReach(small, limit+1) - need
+		need, _ := probe.SecondsToReachCapped(small, limit, math.Inf(1))
+		next, _ := probe.SecondsToReachCapped(small, limit+1, math.Inf(1))
+		step := next - need
 		for _, frac := range []float64{-1e-3, -1e-10, 0, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-3, 0.5, 3} {
 			secs := need + frac*step
 			cold := noisyReplay(t, nil)
@@ -462,7 +447,7 @@ func TestSecondsToReachCappedWarmCacheMatchesCold(t *testing.T) {
 		for _, target := range []int{5, 60, 250, 400} {
 			probe := noisyReplay(t, nil)
 			probe.RunFor(small, start, 0)
-			need := probe.SecondsToReach(small, target)
+			need, _ := probe.SecondsToReachCapped(small, target, math.Inf(1))
 			for _, capSecs := range []float64{-1, 0, need / 2, need * (1 - 1e-15), need, need * (1 + 1e-15), need * 2} {
 				cold := noisyReplay(t, nil)
 				warm := noisyReplay(t, cache)

@@ -128,8 +128,11 @@ type Benchmark struct {
 	BaseStepSeconds float64
 	HPs             []HP
 
-	cfg        Config
+	cfg Config
+	// newTrainer builds the real pure-Go trainer for one HP setting.
 	newTrainer func(hp HP) (*mltrain.Trainer, error)
+	// timeFactor is the HP-dependent multiplier on per-step time (bigger
+	// batches, deeper models and RBF feature maps cost more per step).
 	timeFactor func(hp HP) float64
 }
 
@@ -142,13 +145,6 @@ func (b *Benchmark) HPByID(id string) (HP, bool) {
 	}
 	return HP{}, false
 }
-
-// NewTrainer builds the real pure-Go trainer for one HP setting.
-func (b *Benchmark) NewTrainer(hp HP) (*mltrain.Trainer, error) { return b.newTrainer(hp) }
-
-// TimeFactor is the HP-dependent multiplier on per-step time (bigger
-// batches, deeper models and RBF feature maps cost more per step).
-func (b *Benchmark) TimeFactor(hp HP) float64 { return b.timeFactor(hp) }
 
 // InstanceSpeedup is the ground-truth training speedup of each Table III
 // instance relative to r4.large. Deliberately non-monotone in price — the

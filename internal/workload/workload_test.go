@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"spottune/internal/earlycurve"
 	"spottune/internal/market"
 	"spottune/internal/stats"
 )
@@ -137,7 +136,7 @@ func TestSVMKernelTimeFactor(t *testing.T) {
 	if rbf.ID == "" || lin.ID == "" {
 		t.Fatal("kernel HPs not found")
 	}
-	if b.TimeFactor(rbf) <= b.TimeFactor(lin) {
+	if b.timeFactor(rbf) <= b.timeFactor(lin) {
 		t.Error("RBF kernel not slower than linear")
 	}
 }
@@ -258,7 +257,7 @@ func TestResNetCurvesAreTwoStage(t *testing.T) {
 	// produces a detectable second stage (the Fig. 5b shape).
 	b := ResNet(Config{Seed: 2, Scale: 0.5})
 	hp := b.HPs[0]
-	tr, err := b.NewTrainer(hp)
+	tr, err := b.newTrainer(hp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +274,4 @@ func TestResNetCurvesAreTwoStage(t *testing.T) {
 	if vals[len(vals)-1] >= vals[0]*0.9 {
 		t.Errorf("ResNet stand-in did not learn: %v -> %v", vals[0], vals[len(vals)-1])
 	}
-	_ = earlycurve.DefaultDetector()
 }
