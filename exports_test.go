@@ -30,12 +30,9 @@ var testOnlySurvivors = map[string]string{
 	"market.ReadCSV":                "reads the paper's real trace format; fuzzed by FuzzTraceCSVRoundTrip",
 	"market.WriteSetCSV":            "writes the paper's real trace format; fuzzed by FuzzTraceCSVRoundTrip",
 	"market.Trace.AvgOver":          "the segment-walk reference the store's block integrals are compared against",
-	"market.Trace.MaxOver":          "test-only since its one caller, the tracegen CLI, went; deleting it deletes TestWindowAndMaxOver and TestMaxOverHalfOpenBoundaries, left for a later change",
 	"obs.SchemaJSON":                "renders the trace schema that TestSchemaGolden diffs against the committed fixture",
 	"revpred.Model.Save":            "with LoadModel, lets BenchmarkRevPredInference empty a model's memo",
 	"revpred.LoadModel":             "with Save, lets BenchmarkRevPredInference empty a model's memo",
-	"stats.ArgMin":                  "test-only since TopKAccuracy went; deleting it deletes TestMinMaxArgMin, left for a later change",
-	"stats.TopK":                    "test-only since TopKAccuracy went; deleting it deletes three TopK tests, left for a later change",
 }
 
 // TestNoTestOnlyExports fails on every exported function or method under

@@ -239,6 +239,17 @@ type trialState struct {
 	blackoutRetries int
 	blackoutStreak  int
 
+	// held is the trial's last capacity-refused spot request (zero TypeName
+	// when none), passed to the policy as TrialInfo.Held. The hold starts at
+	// a refusal made while none was held and lasts until the first attempt
+	// at or after heldUntil, the cluster's next interesting instant over the
+	// pool at that refusal (zero when the cluster was quiescent: no instant
+	// ends it), or until the degradation ladder leaves heldLevel. A deploy,
+	// a price miss, a give-up or a finish drops it.
+	held      policy.Request
+	heldUntil time.Time
+	heldLevel int
+
 	// gaveUp marks a trial abandoned by the resilience strategy's retry
 	// budget (cleared if a later round deploys it successfully).
 	gaveUp bool
@@ -271,6 +282,7 @@ func (t *trialState) forgetRecoveryState() {
 	t.blackoutRetryAt = time.Time{}
 	t.blackoutStreak = 0
 	t.migrating, t.migrateExclude = false, ""
+	t.held = policy.Request{}
 }
 
 // Orchestrator drives one HPT campaign per Algorithm 1. Deployment
@@ -652,16 +664,20 @@ func (o *Orchestrator) closeRound() {
 // point, proactive-restart horizon, periodic-checkpoint tick, plateau step,
 // notice, revocation, or price tick — or closed once every directed trial
 // has finished. The turn count is the number of real events, not
-// campaign-duration/pollInterval.
+// campaign-duration/pollInterval. While a held request waits with nothing
+// live the turn is a turn-free retry instead (retryHeld).
 func (o *Orchestrator) turn() (next time.Time, closed bool, err error) {
 	// 5M turns in one round means livelock (e.g. a trial that can never
-	// recover past its checkpoint).
+	// recover past its checkpoint). Turn-free retries count too.
 	if o.turns > 5_000_000 {
 		return time.Time{}, false, errors.New("core: orchestrator did not converge (runaway loop)")
 	}
 	o.turns++
-	o.iterations++
 	now := o.cluster.Clock().Now()
+	if o.retrying() {
+		return o.retryHeld(now)
+	}
+	o.iterations++
 	o.handleTriggers(now)
 	if o.pending == 0 {
 		return time.Time{}, true, nil
@@ -670,8 +686,65 @@ func (o *Orchestrator) turn() (next time.Time, closed bool, err error) {
 	if err != nil {
 		return time.Time{}, false, err
 	}
+	return o.endTurn(now, retryAt, blocked)
+}
+
+// fullTurnsOnly turns the turn-free retries off, so every retry instant
+// runs a full turn: the reference the exactness tests step the turn-free
+// retries against. Only tests set it, while no campaign runs.
+var fullTurnsOnly bool
+
+// retrying reports whether the next turn may be a turn-free retry: no
+// assignment exists (live, or dead and not yet reaped), the campaign has no
+// deadline ladder, and the head waiting trial holds a capacity-refused
+// request. A full turn would then find nothing for handleTriggers to
+// advance or reap and nothing for assessDegradation to assess, and the
+// only wakeups nextWakeup could put before the head's retry instant are
+// clock events. None of them reaches this campaign: with no assignment it
+// has no instance a notice or preemption could reach, and the revocation of
+// one already noticed settles at its own instant whenever it fires. Events
+// of other campaigns on a shared clock fire before any turn at or after
+// their instants either way. So the head's attempts at its retry instants
+// alone make the calls, and leave the state, that the full turns make.
+func (o *Orchestrator) retrying() bool {
+	return !fullTurnsOnly && o.nActive == 0 && o.slack == nil &&
+		len(o.waiting) > 0 && o.waiting[0].held.TypeName != ""
+}
+
+// retryHeld is a turn-free retry: the head waiting trial's deploy attempt
+// and nothing else. Another refusal returns the next retry instant at once;
+// any other outcome goes on as the rest of a full turn at this instant, so
+// it counts as one in Report.LoopIterations.
+func (o *Orchestrator) retryHeld(now time.Time) (next time.Time, closed bool, err error) {
+	incumbent := o.incumbentBest()
+	retryAt, blocked, wait, err := o.attempt(o.waiting[0], now, incumbent)
+	if err != nil {
+		return time.Time{}, false, err
+	}
+	if wait && !blocked {
+		return retryAt, false, nil
+	}
+	o.iterations++
+	if !wait {
+		if retryAt, blocked, err = o.deployQueue(now, incumbent); err != nil {
+			return time.Time{}, false, err
+		}
+	}
+	return o.endTurn(now, retryAt, blocked)
+}
+
+// endTurn closes the round once every directed trial has finished, and
+// otherwise returns the turn's wakeup: the earlier of the deploy retry
+// instant and nextWakeup's answer, or the retry instant alone when the next
+// turn will be a turn-free retry (see retrying for why nothing earlier can
+// matter then).
+func (o *Orchestrator) endTurn(now, retryAt time.Time, blocked bool) (next time.Time, closed bool, err error) {
 	if o.pending == 0 {
 		return time.Time{}, true, nil
+	}
+	if !blocked && o.retrying() {
+		// The head is waiting with a slot free, so retryAt is its pacing.
+		return retryAt, false, nil
 	}
 	next, ok := o.nextWakeup(now, blocked, retryAt)
 	if !retryAt.IsZero() && (!ok || retryAt.Before(next)) {
@@ -810,33 +883,94 @@ func (o *Orchestrator) familyOf(typeName string) string {
 // window). Trials whose retry budget the resilience strategy exhausts are
 // abandoned here (give-up), decrementing pending.
 func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked bool, err error) {
-	incumbent := -1
-	if len(o.waiting) > 0 {
-		incumbent = o.incumbentBest()
-		o.assessDegradation(now)
+	if len(o.waiting) == 0 {
+		return time.Time{}, false, nil
 	}
+	incumbent := o.incumbentBest()
+	o.assessDegradation(now)
+	return o.deployQueue(now, incumbent)
+}
+
+// deployQueue makes deploy attempts for the head of the waiting queue, with
+// the turn's incumbent, until the queue is empty, the concurrency budget is
+// spent or an attempt has to wait, whose retryAt and blocked it returns.
+func (o *Orchestrator) deployQueue(now time.Time, incumbent int) (retryAt time.Time, blocked bool, err error) {
 	for len(o.waiting) > 0 && o.nActive < o.cfg.MaxConcurrent {
-		t := o.waiting[0]
-		id, tr := t.id, t.tr
-		// A zero noticedAt/blackoutRetryAt (none pending) lies before every
-		// instant, so neither gate holds.
-		if !t.migrating && !t.noticedAt.Before(now) {
-			return now.Add(pollInterval), false, nil
+		retryAt, blocked, wait, err := o.attempt(o.waiting[0], now, incumbent)
+		if err != nil || wait {
+			return retryAt, blocked, err
 		}
-		if now.Before(t.blackoutRetryAt) {
-			return t.blackoutRetryAt, false, nil
+	}
+	return time.Time{}, false, nil
+}
+
+// attempt is one deploy attempt for t, the head of the waiting queue. wait
+// reports that the queue has to wait: until retryAt (a redeploy spacing, a
+// retry pacing or a capacity refusal) or, when blocked, until the market's
+// next change (a price miss). Otherwise t has left the queue, deployed or
+// given up.
+func (o *Orchestrator) attempt(t *trialState, now time.Time, incumbent int) (retryAt time.Time, blocked, wait bool, err error) {
+	// A zero noticedAt/blackoutRetryAt (none pending) lies before every
+	// instant, so neither gate holds.
+	if !t.migrating && !t.noticedAt.Before(now) {
+		return now.Add(pollInterval), false, true, nil
+	}
+	if now.Before(t.blackoutRetryAt) {
+		return t.blackoutRetryAt, false, true, nil
+	}
+	req, err := o.decide(t, now, incumbent)
+	if err != nil {
+		return time.Time{}, false, false, fmt.Errorf("core: provisioning %s: %w", t.id, err)
+	}
+	var inst *cloudsim.Instance
+	if req.OnDemand {
+		inst, err = o.cluster.RequestOnDemand(req.TypeName)
+		if err != nil {
+			// On-demand requests only fail on unknown types — a policy
+			// configuration error, not market state.
+			return time.Time{}, false, false, fmt.Errorf("core: provisioning %s: %w", t.id, err)
 		}
-		// The resilience layer narrows the policy's choice: a migrating
-		// trial avoids the market that just revoked it, and under
-		// diversified-spot degradation every redeploy avoids the trial's
-		// last revoker. At the ladder's top the policy is bypassed
-		// entirely for reliable capacity.
-		exclude := t.migrateExclude
-		if exclude == "" && o.slack.Level() >= resilience.LevelDiversified {
-			exclude = t.lastNoticed
+		o.odDeployments++
+	} else {
+		inst, err = o.cluster.RequestSpot(req.TypeName, req.MaxPrice, t.onNotice)
+		switch cloudsim.MissOf(err) {
+		case cloudsim.PriceMiss:
+			// Market moved against us inside this tick; retry later.
+			t.held = policy.Request{}
+			return time.Time{}, true, true, nil
+		case cloudsim.CapacityMiss:
+			retryAt, wait = o.refused(t, now, req)
+			return retryAt, false, wait, nil
 		}
-		info := policy.TrialInfo{
-			ID:             id,
+		if err != nil {
+			// Anything else (unknown type from a custom policy) is a
+			// configuration error — surface it instead of spinning.
+			return time.Time{}, false, false, fmt.Errorf("core: provisioning %s: %w", t.id, err)
+		}
+	}
+	return time.Time{}, false, false, o.deploy(t, now, req, inst)
+}
+
+// decide asks the policy for t's request, or, at the degradation ladder's
+// top, takes the cheapest on-demand type without it. The resilience layer
+// narrows the policy's choice: a migrating trial avoids the market that just
+// revoked it, and under diversified-spot degradation every redeploy avoids
+// the trial's last revoker. A hold that has expired or outlived its ladder
+// level is dropped first; a live one rides along as TrialInfo.Held.
+func (o *Orchestrator) decide(t *trialState, now time.Time, incumbent int) (policy.Request, error) {
+	level := o.slack.Level()
+	if t.held.TypeName != "" && (!t.heldUntil.IsZero() && !now.Before(t.heldUntil) || level != t.heldLevel) {
+		t.held = policy.Request{}
+	}
+	exclude := t.migrateExclude
+	if exclude == "" && level >= resilience.LevelDiversified {
+		exclude = t.lastNoticed
+	}
+	tr := t.tr
+	ctx := policy.Context{
+		Market: o.cluster,
+		Trial: policy.TrialInfo{
+			ID:             t.id,
 			CompletedSteps: tr.CompletedSteps(),
 			MaxSteps:       tr.MaxSteps(),
 			Deployments:    t.deployments,
@@ -845,191 +979,185 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 			Exclude:        exclude,
 			ExcludeFamily:  o.familyOf(exclude),
 			LastRevoked:    t.lastNoticed,
-		}
-		ctx := policy.Context{
-			Market:         o.cluster,
-			Trial:          info,
-			ActiveOnDemand: o.activeOnDemand(),
-			SecPerStep:     t.secPerStep,
-			RevRate:        o.revRate,
-			Tracer:         o.trc,
-		}
-		var req policy.Request
-		if o.slack.Level() >= resilience.LevelOnDemand {
-			req, err = o.odPool.CheapestOnDemand(ctx)
-		} else {
-			req, err = o.pol.Decide(ctx)
-		}
-		if err != nil {
-			return time.Time{}, false, fmt.Errorf("core: provisioning %s: %w", id, err)
-		}
-		var inst *cloudsim.Instance
-		if req.OnDemand {
-			inst, err = o.cluster.RequestOnDemand(req.TypeName)
-			if err != nil {
-				// On-demand requests only fail on unknown types — a
-				// policy configuration error, not market state.
-				return time.Time{}, false, fmt.Errorf("core: provisioning %s: %w", id, err)
-			}
-			o.odDeployments++
-		} else {
-			inst, err = o.cluster.RequestSpot(req.TypeName, req.MaxPrice, t.onNotice)
-			miss := cloudsim.MissOf(err)
-			if miss == cloudsim.PriceMiss {
-				// Market moved against us inside this tick; retry later.
-				return time.Time{}, true, nil
-			}
-			if miss == cloudsim.CapacityMiss {
-				// Capacity blackout: retriable market state, but unlike a
-				// price rejection the failed API call is evidence the
-				// market is hostile — count it toward the trial's
-				// spot-failure streak so fallback policies can swap to
-				// on-demand instead of waiting the window out. The retry
-				// pacing comes from the resilience strategy: the fixed
-				// strategy keeps the pollInterval grid; adaptive strategies
-				// back off exponentially and may exhaust the trial's retry
-				// budget, abandoning it (give-up) rather than spinning
-				// through a blackout the deadline cannot absorb.
-				t.spotFailures++
-				t.blackoutRetries++
-				t.blackoutStreak++
-				attempt := t.blackoutStreak
-				o.trc.Emit(obs.Event{
-					VT:    now,
-					Kind:  obs.KindBlackoutRetry,
-					Trial: id,
-					Type:  req.TypeName,
-					N:     int64(t.spotFailures),
-				})
-				dec := o.res.Retry(resilience.RetryContext{
-					TrialID:      id,
-					Attempt:      attempt,
-					PollInterval: pollInterval,
-				})
-				if dec.GiveUp {
-					o.trc.Emit(obs.Event{
-						VT:    now,
-						Kind:  obs.KindGiveUp,
-						Trial: id,
-						Type:  req.TypeName,
-						N:     int64(attempt),
-					})
-					t.gaveUp = true
-					t.finished = true
-					t.forgetRecoveryState()
-					o.waiting = o.waiting[1:]
-					o.pending--
-					continue
-				}
-				delay := dec.Delay
-				if delay <= 0 {
-					delay = pollInterval
-				}
-				o.trc.Emit(obs.Event{
-					VT:    now,
-					Kind:  obs.KindBackoff,
-					Trial: id,
-					Type:  req.TypeName,
-					A:     delay.Seconds(),
-					N:     int64(attempt),
-				})
-				t.blackoutRetryAt = now.Add(delay)
-				return now.Add(delay), false, nil
-			}
-			if err != nil {
-				// Anything else (unknown type from a custom policy) is a
-				// configuration error — surface it instead of spinning.
-				return time.Time{}, false, fmt.Errorf("core: provisioning %s: %w", id, err)
-			}
-		}
-		o.deployments++
-		t.deployments++
-		t.blackoutRetryAt = time.Time{}
-		t.blackoutStreak = 0
-		t.migrating, t.migrateExclude = false, ""
-		t.gaveUp = false
-		a := &t.seg
-		*a = assignment{
-			st:            t,
-			tr:            tr,
-			inst:          inst,
-			deployedAt:    now,
-			lastCkptAt:    now,
-			stepsBefore:   tr.CompletedSteps(),
-			lastCkptSteps: tr.CompletedSteps(),
-		}
-		a.oversized = oversizedFor(tr.CheckpointMB(), inst.Type.CPUs)
-		// The resilience strategy decides this assignment's periodic
-		// checkpoint cadence from the checkpoint's write cost and the
-		// market's observed revocation rate (fixed: periodicCheckpoint;
-		// adaptive: Young/Daly, at most periodicCheckpoint).
-		ckptSecs := checkpointSetupTime.Seconds() +
-			tr.CheckpointMB()/cloudsim.UploadSpeedMBps(inst.Type.CPUs)
-		a.cadence = o.res.CheckpointInterval(resilience.CadenceContext{
-			TrialID:            id,
-			TypeName:           inst.Type.Name,
-			CheckpointSecs:     ckptSecs,
-			RevocationsPerHour: o.rates.RevocationsPerHour(inst.Type.Name),
-			Default:            periodicCheckpoint,
-		})
-		if a.cadence <= 0 {
-			a.cadence = periodicCheckpoint
-		}
-		deployLabel, deployPrice := "spot", req.MaxPrice
-		if req.OnDemand {
-			deployLabel, deployPrice = "on-demand", inst.Type.OnDemandPrice
-		}
+			Held:           t.held,
+		},
+		ActiveOnDemand: o.activeOnDemand(),
+		SecPerStep:     t.secPerStep,
+		RevRate:        o.revRate,
+		Tracer:         o.trc,
+	}
+	if level >= resilience.LevelOnDemand {
+		return o.odPool.CheapestOnDemand(ctx)
+	}
+	return o.pol.Decide(ctx)
+}
+
+// refused handles a capacity refusal of t's spot request (a full type, a
+// full shared domain or a blackout): retriable market state, but unlike a
+// price rejection the failed API call is evidence the market is hostile, so
+// it counts toward the trial's spot-failure streak and fallback policies
+// can swap to on-demand instead of waiting the window out. The retry pacing
+// comes from the resilience strategy: the fixed strategy keeps the
+// pollInterval grid; adaptive strategies back off exponentially and may
+// exhaust the trial's retry budget, abandoning it (give-up, wait=false)
+// rather than spinning through a blackout the deadline cannot absorb.
+// Otherwise t holds req until its next attempt at or after the pool's next
+// interesting instant, and waits until retryAt.
+func (o *Orchestrator) refused(t *trialState, now time.Time, req policy.Request) (retryAt time.Time, wait bool) {
+	t.spotFailures++
+	t.blackoutRetries++
+	t.blackoutStreak++
+	attempt := t.blackoutStreak
+	if o.trc.Enabled() {
 		o.trc.Emit(obs.Event{
 			VT:    now,
-			Kind:  obs.KindDeploy,
+			Kind:  obs.KindBlackoutRetry,
+			Trial: t.id,
+			Type:  req.TypeName,
+			N:     int64(t.spotFailures),
+		})
+	}
+	dec := o.res.Retry(resilience.RetryContext{
+		TrialID:      t.id,
+		Attempt:      attempt,
+		PollInterval: pollInterval,
+	})
+	if dec.GiveUp {
+		o.trc.Emit(obs.Event{
+			VT:    now,
+			Kind:  obs.KindGiveUp,
+			Trial: t.id,
+			Type:  req.TypeName,
+			N:     int64(attempt),
+		})
+		t.gaveUp = true
+		t.finished = true
+		t.forgetRecoveryState()
+		o.waiting = o.waiting[1:]
+		o.pending--
+		return time.Time{}, false
+	}
+	delay := dec.Delay
+	if delay <= 0 {
+		delay = pollInterval
+	}
+	if o.trc.Enabled() {
+		o.trc.Emit(obs.Event{
+			VT:    now,
+			Kind:  obs.KindBackoff,
+			Trial: t.id,
+			Type:  req.TypeName,
+			A:     delay.Seconds(),
+			N:     int64(attempt),
+		})
+	}
+	t.blackoutRetryAt = now.Add(delay)
+	if t.held.TypeName == "" {
+		// Eq. 1–2 sees no capacity, and the trace prices it reads stand
+		// still until the pool's next price tick, so the spot chooser
+		// repeats the refused request until then, or until a blackout edge
+		// or instance event. A quiescent cluster answers the zero instant,
+		// which never ends the hold.
+		t.heldUntil, _ = o.cluster.NextInterestingAt(o.pool)
+		t.heldLevel = o.slack.Level()
+	}
+	t.held = req
+	return t.blackoutRetryAt, true
+}
+
+// deploy starts t's assignment on the instance its request launched:
+// periodic-checkpoint cadence, restore from the trial's checkpoint when one
+// exists, and boot delay. t leaves the waiting queue.
+func (o *Orchestrator) deploy(t *trialState, now time.Time, req policy.Request, inst *cloudsim.Instance) error {
+	id, tr := t.id, t.tr
+	o.deployments++
+	t.deployments++
+	t.blackoutRetryAt = time.Time{}
+	t.blackoutStreak = 0
+	t.migrating, t.migrateExclude = false, ""
+	t.gaveUp = false
+	t.held = policy.Request{}
+	a := &t.seg
+	*a = assignment{
+		st:            t,
+		tr:            tr,
+		inst:          inst,
+		deployedAt:    now,
+		lastCkptAt:    now,
+		stepsBefore:   tr.CompletedSteps(),
+		lastCkptSteps: tr.CompletedSteps(),
+	}
+	a.oversized = oversizedFor(tr.CheckpointMB(), inst.Type.CPUs)
+	// The resilience strategy decides this assignment's periodic
+	// checkpoint cadence from the checkpoint's write cost and the
+	// market's observed revocation rate (fixed: periodicCheckpoint;
+	// adaptive: Young/Daly, at most periodicCheckpoint).
+	ckptSecs := checkpointSetupTime.Seconds() +
+		tr.CheckpointMB()/cloudsim.UploadSpeedMBps(inst.Type.CPUs)
+	a.cadence = o.res.CheckpointInterval(resilience.CadenceContext{
+		TrialID:            id,
+		TypeName:           inst.Type.Name,
+		CheckpointSecs:     ckptSecs,
+		RevocationsPerHour: o.rates.RevocationsPerHour(inst.Type.Name),
+		Default:            periodicCheckpoint,
+	})
+	if a.cadence <= 0 {
+		a.cadence = periodicCheckpoint
+	}
+	deployLabel, deployPrice := "spot", req.MaxPrice
+	if req.OnDemand {
+		deployLabel, deployPrice = "on-demand", inst.Type.OnDemandPrice
+	}
+	o.trc.Emit(obs.Event{
+		VT:    now,
+		Kind:  obs.KindDeploy,
+		Trial: id,
+		Inst:  inst.ID,
+		Type:  inst.Type.Name,
+		Label: deployLabel,
+		A:     deployPrice,
+		N:     int64(tr.CompletedSteps()),
+	})
+	busy := now.Add(startupDelay)
+	// Oversized trials need a baseline recovery point before
+	// any revocation can strike: without it, a notice arriving
+	// before the first periodic snapshot would have nothing to
+	// rewind to.
+	if a.oversized && !o.store.Exists(t.ckpt) {
+		o.checkpoint(a)
+	}
+	// Restore from checkpoint when one exists (line 41 deploys
+	// either a fresh job or a checkpointed one).
+	if o.store.Exists(t.ckpt) {
+		blob, d, err := o.store.Get(t.ckpt, inst.Type.CPUs)
+		if err != nil {
+			return fmt.Errorf("core: restoring %s: %w", id, err)
+		}
+		if err := tr.Restore(blob); err != nil {
+			return fmt.Errorf("core: restoring %s: %w", id, err)
+		}
+		o.incumbentOK = false
+		a.stepsBefore = tr.CompletedSteps()
+		a.lastCkptSteps = tr.CompletedSteps()
+		busy = busy.Add(d + restoreSetupTime)
+		o.restoreSetup += restoreSetupTime
+		o.trc.Emit(obs.Event{
+			VT:    now,
+			Kind:  obs.KindRestore,
 			Trial: id,
 			Inst:  inst.ID,
-			Type:  inst.Type.Name,
-			Label: deployLabel,
-			A:     deployPrice,
+			A:     (d + restoreSetupTime).Seconds(),
 			N:     int64(tr.CompletedSteps()),
 		})
-		busy := now.Add(startupDelay)
-		// Oversized trials need a baseline recovery point before
-		// any revocation can strike: without it, a notice arriving
-		// before the first periodic snapshot would have nothing to
-		// rewind to.
-		if a.oversized && !o.store.Exists(t.ckpt) {
-			o.checkpoint(a)
-		}
-		// Restore from checkpoint when one exists (line 41 deploys
-		// either a fresh job or a checkpointed one).
-		if o.store.Exists(t.ckpt) {
-			blob, d, err := o.store.Get(t.ckpt, inst.Type.CPUs)
-			if err != nil {
-				return time.Time{}, false, fmt.Errorf("core: restoring %s: %w", id, err)
-			}
-			if err := tr.Restore(blob); err != nil {
-				return time.Time{}, false, fmt.Errorf("core: restoring %s: %w", id, err)
-			}
-			o.incumbentOK = false
-			a.stepsBefore = tr.CompletedSteps()
-			a.lastCkptSteps = tr.CompletedSteps()
-			busy = busy.Add(d + restoreSetupTime)
-			o.restoreSetup += restoreSetupTime
-			o.trc.Emit(obs.Event{
-				VT:    now,
-				Kind:  obs.KindRestore,
-				Trial: id,
-				Inst:  inst.ID,
-				A:     (d + restoreSetupTime).Seconds(),
-				N:     int64(tr.CompletedSteps()),
-			})
-		}
-		a.busyAt = busy
-		a.lastAdvance = busy
-		if t.active == nil {
-			o.nActive++
-		}
-		t.active = a
-		o.waiting = o.waiting[1:]
 	}
-	return time.Time{}, false, nil
+	a.busyAt = busy
+	a.lastAdvance = busy
+	if t.active == nil {
+		o.nActive++
+	}
+	t.active = a
+	o.waiting = o.waiting[1:]
+	return nil
 }
 
 // stepTarget is the whole-step count at which the trial stops in this

@@ -57,8 +57,8 @@ func (tr *Trace) Validate() error {
 //
 // Hold-last-price contract: querying at or after the final record returns
 // that record's price with ok=true — a trace that ends before the horizon
-// of interest holds its last price forever. AvgOver, MaxOver, and the
-// cloudsim billing/revocation machinery all inherit this extension.
+// of interest holds its last price forever. AvgOver and the cloudsim
+// billing/revocation machinery inherit this extension.
 //
 // A validated price is a whole number m of micro-dollars, so the price
 // returned is float64(m)/1e6 bit for bit: what Store.PriceAt computes.
@@ -108,27 +108,6 @@ func (tr *Trace) integral(from, to time.Time) i128 {
 		price, cursor = recs[i].Price, recs[i].At
 	}
 	return sum.add(priceTimes(toMicro(price), int64(to.Sub(cursor))))
-}
-
-// MaxOver returns the maximum price in force over the half-open window
-// [from, to): the step-function price entering the window (a change landing
-// exactly at `from` counts) plus every change strictly inside it; a change
-// exactly at `to` belongs to the next window, matching AvgOver.
-// A spot request with maximum price b is revoked within the window iff
-// MaxOver > b.
-func (tr *Trace) MaxOver(from, to time.Time) float64 {
-	maxP := 0.0
-	// The price effective at `from` counts (step function): it is what the
-	// window opens at even when the last change predates the window.
-	if p, ok := tr.PriceAt(from); ok && p > maxP {
-		maxP = p
-	}
-	for _, r := range tr.Records {
-		if !r.At.Before(from) && r.At.Before(to) && r.Price > maxP {
-			maxP = r.Price
-		}
-	}
-	return maxP
 }
 
 // TraceSet maps instance type names to traces, the in-memory equivalent of

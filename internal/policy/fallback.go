@@ -30,7 +30,10 @@ const (
 // not spiking above its trailing-hour average (the observable signal that
 // works even under an uninformative predictor). The failure streak only
 // clears when a spot segment survives, so a failed retry swaps straight
-// back.
+// back. A held request (TrialInfo.Held) comes back as it is only while the
+// streak is below fallbackAfter and the probability predicted for it is
+// outside the doom window, so the policy still swaps at the same streak
+// count; at or past the streak it decides afresh.
 type fallback struct {
 	spotChooser
 }
@@ -38,6 +41,9 @@ type fallback struct {
 func (f *fallback) Name() string { return FallbackName }
 
 func (f *fallback) Decide(ctx Context) (Request, error) {
+	if h, ok := f.held(ctx.Trial); ok && ctx.Trial.SpotFailures < fallbackAfter && h.RevProb < doomProb {
+		return h, nil
+	}
 	q := f.pool.on(ctx.Market)
 	spot, k, err := f.bestSpot(ctx, q)
 	if err != nil {

@@ -15,7 +15,8 @@ func init() {
 // capacity. The pin follows the incumbent at deployment decisions, with at
 // most one trial pinned at a time: a dethroned incumbent finishes its
 // current segment on its reliable instance, and the new leader takes the
-// pin at its next deployment once that segment drains.
+// pin at its next deployment once that segment drains. An explorer's held
+// request (TrialInfo.Held) comes back as it is; the pin is checked first.
 type mixedFleet struct {
 	spotChooser
 }
@@ -25,6 +26,9 @@ func (m *mixedFleet) Name() string { return MixedFleetName }
 func (m *mixedFleet) Decide(ctx Context) (Request, error) {
 	if ctx.Trial.Incumbent && ctx.ActiveOnDemand == 0 {
 		return m.pool.CheapestOnDemand(ctx)
+	}
+	if h, ok := m.held(ctx.Trial); ok {
+		return h, nil
 	}
 	req, _, err := m.bestSpot(ctx, m.pool.on(ctx.Market))
 	return req, err

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"time"
 
 	"spottune/internal/market"
@@ -103,6 +104,16 @@ type TrialInfo struct {
 	// requests nothing: diversified-spot avoids the family of LastRevoked
 	// while the failure streak is alive.
 	LastRevoked string
+	// Held is the trial's last spot request when the provider refused it
+	// for want of capacity (zero TypeName when none). The orchestrator
+	// passes it at every retry before the first one at or after the
+	// cluster's next interesting instant over the pool at the refusal (a
+	// price tick, blackout edge, instance event or refund boundary), and
+	// drops it when the degradation ladder moves. The shared spot chooser
+	// returns it as it is, with no quotes, predictions or bid-delta draws,
+	// unless Exclude is set or the type is not in its pool; the other
+	// policies ignore it.
+	Held Request
 }
 
 // Context carries one deployment decision's inputs.
@@ -242,6 +253,19 @@ func clampProb(p float64) float64 {
 		return 1
 	}
 	return p
+}
+
+// held returns the trial's held request (TrialInfo.Held) when the chooser
+// may repeat it: Eq. 1–2 sees no capacity, so a fresh decision before the
+// pool's next price tick would score the same trace prices again and spend
+// one bid delta per member. It may not when the decision excludes a market
+// or the held type is not a pool member.
+func (s *spotChooser) held(t TrialInfo) (Request, bool) {
+	h := t.Held
+	if h.TypeName == "" || t.Exclude != "" || !slices.Contains(s.pool.names, h.TypeName) {
+		return Request{}, false
+	}
+	return h, true
 }
 
 // errNoViable is the decision error when no pool member scores below +Inf.

@@ -16,6 +16,7 @@ import (
 	"spottune/internal/core"
 	"spottune/internal/obs"
 	"spottune/internal/policy"
+	"spottune/internal/resilience"
 	"spottune/internal/workload"
 )
 
@@ -162,32 +163,63 @@ func TestServiceContention(t *testing.T) {
 // contention on, the order in which co-resident campaigns take their turns
 // decides who gets capacity and at what surge, so every tenant's economics,
 // shard and wave are hashed and compared with digests recorded from the
-// scheduler this test was written against.
+// scheduler this test was written against. Each spot policy that holds a
+// capacity-refused request (policy.TrialInfo.Held) runs under both recovery
+// strategies, whose retry pacing decides how often a held request is tried.
 func TestServiceContendedDigest(t *testing.T) {
 	env, bench, curves := testWorld(t)
-	tenants := DefaultBattery(12, 31)
+	configs := []struct{ shards, inFlight int }{{1, 6}, {2, 3}}
 	for _, tc := range []struct {
-		shards, inFlight int
-		want             string
+		policy, strategy string
+		want             [2]string // one per config
 	}{
-		{1, 6, "b2b3448ab4eec4038ecc4e240a70743f5e080b856c5997623eb91b979becac46"},
-		{2, 3, "db64342615a0aa836a73d581b9500f40106d473a04c8614bc2999df9297c7681"},
+		{policy.SpotTuneName, resilience.FixedName, [2]string{
+			"8c59b81be0619e09e43372e8bcacd7daabe2d34b00deaaf1ce25ea9280adb5b9",
+			"854878a49512d5c2e604c77dae69f4f0080bae14fe5a1997d0e7b27d84b74f0f",
+		}},
+		{policy.SpotTuneName, resilience.AdaptiveName, [2]string{
+			"9f4be7b24725501f32cc40651947a234f133a451322d6da1545514f7a9f05dc3",
+			"bd26584f718ee8dbbb17984752bed8b30402c85d0f7c5182d987425e12fcaccd",
+		}},
+		{policy.FallbackName, resilience.FixedName, [2]string{
+			"8d0035a3673eccb6c6babeffc1f2864160abf7498e575b7c781d08e56a90696e",
+			"5bbd5105d15c842b9e25843aecbf72da6e5fa40c47911308b85434b3b7496ff0",
+		}},
+		{policy.FallbackName, resilience.AdaptiveName, [2]string{
+			"f5cc12aba19ca312175368864355868ca338bf2eab6e5559c6981eba51a41213",
+			"5456492fbd08b59b238c2a78d5f035d64365953140610958fb7773c7a3b649e5",
+		}},
+		{policy.MixedFleetName, resilience.FixedName, [2]string{
+			"469d21c483a79738adb618fca81d3040af69e36ebaa692816bbc2d12e3564c05",
+			"ba0748da716c6eacee1d7118d8c0c04e04357fa9202fadb14f6c6a1de2f9d02c",
+		}},
+		{policy.MixedFleetName, resilience.AdaptiveName, [2]string{
+			"8ce582790fa2e38d82e10cbd3c5457461a8ca8250c93621dfa0b5061abbeabab",
+			"0888396a9555f30729288fe5741195b7f2921cfa754b910b53d7e1334a82ccd0",
+		}},
 	} {
-		sum, got := runService(t, env, bench, curves, tenants, Config{
-			Shards: tc.shards, MaxInFlight: tc.inFlight, Contention: true, Capacity: 2, SurgeSlope: 0.5,
-		})
-		if sum.Admitted != len(tenants) || len(sum.Capacity) != 0 {
-			t.Fatalf("shards=%d: summary %+v", tc.shards, sum)
+		tenants := DefaultBattery(12, 31)
+		for i := range tenants {
+			tenants[i].Policy, tenants[i].Resilience = tc.policy, tc.strategy
 		}
-		h := sha256.New()
-		for _, r := range got {
-			if r.Err != nil {
-				t.Fatalf("shards=%d tenant %s: %v", tc.shards, r.Tenant.ID, r.Err)
+		for k, sc := range configs {
+			sum, got := runService(t, env, bench, curves, tenants, Config{
+				Shards: sc.shards, MaxInFlight: sc.inFlight, Contention: true, Capacity: 2, SurgeSlope: 0.5,
+			})
+			if sum.Admitted != len(tenants) || len(sum.Capacity) != 0 {
+				t.Fatalf("%s/%s shards=%d: summary %+v", tc.policy, tc.strategy, sc.shards, sum)
 			}
-			fmt.Fprintf(h, "%s %d %d %s\n", r.Tenant.ID, r.Shard, r.Wave, reportKey(r.Report))
-		}
-		if digest := hex.EncodeToString(h.Sum(nil)); digest != tc.want {
-			t.Errorf("shards=%d in-flight=%d: digest %s, want %s", tc.shards, tc.inFlight, digest, tc.want)
+			h := sha256.New()
+			for _, r := range got {
+				if r.Err != nil {
+					t.Fatalf("%s/%s shards=%d tenant %s: %v", tc.policy, tc.strategy, sc.shards, r.Tenant.ID, r.Err)
+				}
+				fmt.Fprintf(h, "%s %d %d %s\n", r.Tenant.ID, r.Shard, r.Wave, reportKey(r.Report))
+			}
+			if digest := hex.EncodeToString(h.Sum(nil)); digest != tc.want[k] {
+				t.Errorf("%s/%s shards=%d in-flight=%d: digest %s, want %s",
+					tc.policy, tc.strategy, sc.shards, sc.inFlight, digest, tc.want[k])
+			}
 		}
 	}
 }

@@ -75,18 +75,6 @@ func TrimmedMean(xs []float64, lo, hi float64) (float64, error) {
 	return Mean(sorted[start:end]), nil
 }
 
-// ArgMin returns the index of the smallest element, or -1 for empty input.
-func ArgMin(xs []float64) int {
-	idx := -1
-	best := math.Inf(1)
-	for i, x := range xs {
-		if x < best {
-			best, idx = x, i
-		}
-	}
-	return idx
-}
-
 // BinaryScores accumulates a confusion matrix for a binary classifier.
 // The zero value is ready to use.
 type BinaryScores struct {
@@ -142,23 +130,6 @@ func (b *BinaryScores) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// TopK returns the indices of the k smallest values (ties broken by index),
-// ordered ascending by value. k larger than len(xs) returns all indices.
-func TopK(xs []float64, k int) []int {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return idx[:k]
 }
 
 // Gini is the Gini coefficient of a non-negative sample — the service

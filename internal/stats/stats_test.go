@@ -86,16 +86,6 @@ func TestTrimmedMeanTinyInput(t *testing.T) {
 	}
 }
 
-func TestMinMaxArgMin(t *testing.T) {
-	xs := []float64{3, 1, 4, 1.5}
-	if got := ArgMin(xs); got != 1 {
-		t.Errorf("ArgMin = %d, want 1", got)
-	}
-	if got := ArgMin(nil); got != -1 {
-		t.Errorf("ArgMin(nil) = %d, want -1", got)
-	}
-}
-
 func TestBinaryScores(t *testing.T) {
 	var b BinaryScores
 	// 3 TP, 1 FP, 4 TN, 2 FN
@@ -134,34 +124,6 @@ func TestBinaryScoresEmpty(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	got := TopK(xs, 3)
-	want := []int{1, 3, 2}
-	if len(got) != 3 {
-		t.Fatalf("TopK len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TopK = %v, want %v", got, want)
-		}
-	}
-	if got := TopK(xs, 99); len(got) != len(xs) {
-		t.Errorf("TopK with k>n returned %d items", len(got))
-	}
-	if got := TopK(xs, -1); len(got) != 0 {
-		t.Errorf("TopK with k<0 returned %d items", len(got))
-	}
-}
-
-func TestTopKStableTies(t *testing.T) {
-	xs := []float64{2, 2, 2}
-	got := TopK(xs, 2)
-	if got[0] != 0 || got[1] != 1 {
-		t.Errorf("TopK tie-break not stable: %v", got)
-	}
-}
-
 // Property: trimmed mean always lies within [min, max] of the input.
 func TestTrimmedMeanBoundsProperty(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -195,29 +157,6 @@ func TestBinaryScoresRangeProperty(t *testing.T) {
 		return acc >= 0 && acc <= 1 && f1 >= 0 && f1 <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: TopK returns indices sorted by value.
-func TestTopKSortedProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) {
-				xs = append(xs, x)
-			}
-		}
-		k := len(xs) / 2
-		idx := TopK(xs, k)
-		for i := 1; i < len(idx); i++ {
-			if xs[idx[i-1]] > xs[idx[i]] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
