@@ -302,12 +302,6 @@ type Options struct {
 	// Called from whatever goroutine runs the campaign (sweeps run many
 	// concurrently), so implementations must be safe for concurrent use.
 	Inspect func(*RunDetail) error
-	// PerfCache, when set, shares ground-truth step-time curves across
-	// sequential campaigns replaying the same seed and benchmark (the
-	// streaming matrix runner attaches one per worker). The cache is
-	// single-goroutine state: never put one in an Options value handed to
-	// concurrent sweep tasks.
-	PerfCache *trial.PerfCache
 	// Trace turns on the flight recorder: each run gets its own fresh
 	// obs.Recording (so the same Options value stays safe across concurrent
 	// sweep tasks) and hands it back through RunDetail.Trace. Off by
@@ -471,12 +465,6 @@ func (e *Environment) newRun(b *workload.Benchmark, curves workload.Curves, opt 
 	trials, err := b.Trials(curves, opt.Seed+0xbead)
 	if err != nil {
 		return nil, err
-	}
-	if opt.PerfCache != nil {
-		opt.PerfCache.Use(opt.Seed+0xbead, b.Name)
-		for _, tr := range trials {
-			tr.SharePerfCache(opt.PerfCache)
-		}
 	}
 	// The compatibility constraint narrows the pool before any policy (or
 	// the orchestrator's degradation ladder) sees it, so even catalog-blind

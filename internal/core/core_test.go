@@ -21,8 +21,9 @@ var t0 = time.Date(2017, 5, 4, 0, 0, 0, 0, time.UTC)
 // constPerf is a noise-free perf model with per-instance speed.
 type constPerf map[string]float64
 
-func (p constPerf) StepSeconds(it market.InstanceType, _ string, _ int) float64 {
-	return p[it.Name]
+func (p constPerf) Steps(it market.InstanceType, _ string) trial.StepTimes {
+	d := time.Duration(p[it.Name] * float64(time.Second))
+	return func(int) time.Duration { return d }
 }
 
 // testWorld is a deterministic two-market fixture: "slow" (cheap, flat at

@@ -162,13 +162,13 @@ type assignment struct {
 	// checkpoint — the rewind point a revocation loses work back to.
 	lastCkptSteps int
 
-	// obsSecs/obsSteps accumulate this segment's compute and fractional
+	// obsTime/obsSteps accumulate this segment's compute and fractional
 	// step progress. The seconds-per-step sample (line 36 of Algorithm 1)
 	// is folded into the performance matrix once per segment: per-slice
 	// ratios with whole-step counts are biased whenever a scheduler slice
 	// is shorter than a step, and slice lengths depend on which unrelated
 	// events happen to wake the loop.
-	obsSecs  float64
+	obsTime  time.Duration
 	obsSteps float64
 }
 
@@ -1191,41 +1191,32 @@ func (a *assignment) horizon() time.Time {
 // assignmentTrigger computes the next instant at which the assignment needs
 // attention: its horizon, or trigger-step completion (or plateau) if that
 // comes first. Completion is only priced out as far as the earlier of the
-// horizon and bound (when set), so the per-trial step-cost prefix sums grow
-// with actual progress instead of being built for the whole trajectory up
-// front. A completion the bound cuts off lies after the bound, which the
-// caller guarantees is no earlier than its answer; see nextWakeup.
+// horizon and bound (when set), so the trial draws step times only as far
+// as its actual progress can reach. A completion the bound cuts off lies
+// after the bound, which the caller guarantees is no earlier than its
+// answer; see nextWakeup.
 func (o *Orchestrator) assignmentTrigger(a *assignment, bound time.Time) time.Time {
 	next := a.horizon()
 	from := a.lastAdvance
 	if from.Before(a.busyAt) {
 		from = a.busyAt
 	}
-	cap := math.Inf(1)
+	limit := time.Duration(math.MaxInt64)
 	if !next.IsZero() {
-		cap = next.Sub(from).Seconds()
+		limit = next.Sub(from)
 	}
 	if !bound.IsZero() {
-		cap = min(cap, bound.Sub(from).Seconds()+wakeupSlack)
+		limit = min(limit, bound.Sub(from))
 	}
-	if cap >= 0 {
-		if need, ok := a.tr.SecondsToReachCapped(a.inst.Type, o.stepTarget(a.st), cap); ok {
-			// Round up so the advance slice is never a hair short of the
-			// step boundary (RunFor snaps the residual dust).
-			t := from.Add(time.Duration(math.Ceil(need * float64(time.Second))))
-			if next.IsZero() || t.Before(next) {
+	if limit >= 0 {
+		if need, ok := a.tr.TimeToReach(a.inst.Type, o.stepTarget(a.st), limit); ok {
+			if t := from.Add(need); next.IsZero() || t.Before(next) {
 				next = t
 			}
 		}
 	}
 	return next
 }
-
-// wakeupSlack is how far past nextWakeup's bound, in seconds, a step
-// trigger is still priced: far above the rounding of the prefix sums and
-// of a seconds count under an hour, so a completion at or before the bound
-// is never cut off, and a cut-off one lies about a microsecond after it.
-const wakeupSlack = 1e-6
 
 // nextWakeup returns the earliest instant at which anything can happen: an
 // assignment trigger, a scheduled cluster event (notice/revocation), or —
@@ -1299,27 +1290,27 @@ func (o *Orchestrator) advance(a *assignment, now time.Time) {
 	if from.Before(a.busyAt) {
 		from = a.busyAt
 	}
-	secs := now.Sub(from).Seconds()
-	if secs <= 0 {
+	budget := now.Sub(from)
+	if budget <= 0 {
 		return
 	}
 	before := a.tr.Progress()
-	steps, used := a.tr.RunFor(a.inst.Type, secs, a.st.limit)
+	steps, used := a.tr.RunFor(a.inst.Type, budget, a.st.limit)
 	if steps > 0 {
 		o.incumbentOK = false
 	}
 	a.lastAdvance = now
-	a.obsSecs += used
+	a.obsTime += used
 	a.obsSteps += a.tr.Progress() - before
 }
 
 // observeSegment folds the finished segment's measured seconds-per-step
 // into the performance matrix (line 36 of Algorithm 1).
 func (o *Orchestrator) observeSegment(a *assignment) {
-	if a.obsSteps > 1e-9 && a.obsSecs > 0 {
-		o.perf.observe(a.inst.Type.Name, a.st.col, a.obsSecs/a.obsSteps)
+	if a.obsSteps > 1e-9 && a.obsTime > 0 {
+		o.perf.observe(a.inst.Type.Name, a.st.col, a.obsTime.Seconds()/a.obsSteps)
 	}
-	a.obsSecs, a.obsSteps = 0, 0
+	a.obsTime, a.obsSteps = 0, 0
 }
 
 // onNotice handles a termination notice (lines 24–26): bring the trial up to

@@ -15,12 +15,30 @@ import (
 // countingPerf is constPerf that counts its step-time draws.
 type countingPerf struct {
 	constPerf
-	draws *int
+	n *drawCounts
 }
 
-func (p countingPerf) StepSeconds(it market.InstanceType, hp string, step int) float64 {
-	*p.draws++
-	return p.constPerf.StepSeconds(it, hp, step)
+// drawCounts are a countingPerf's tallies: every draw, the draws of a step
+// behind the trial's completed steps, and the (trial, type) pairs first
+// priced after the trial had completed steps elsewhere: type switches.
+// trials maps IDs to the trials drawing.
+type drawCounts struct {
+	draws, behind, switches int
+	trials                  map[string]*trial.Replay
+}
+
+func (p countingPerf) Steps(it market.InstanceType, hp string) trial.StepTimes {
+	steps, tr := p.constPerf.Steps(it, hp), p.n.trials[hp]
+	if tr.CompletedSteps() > 0 {
+		p.n.switches++
+	}
+	return func(k int) time.Duration {
+		p.n.draws++
+		if k < tr.CompletedSteps() {
+			p.n.behind++
+		}
+		return steps(k)
+	}
 }
 
 // TestBoundedWakeupMatchesUnbounded pins nextWakeup's bound: pricing step
@@ -33,14 +51,17 @@ func (p countingPerf) StepSeconds(it market.InstanceType, hp string, step int) f
 // same time.Time, value and location, and the reports must match. The
 // bounded twin must also have drawn fewer step times, or the bound cut
 // nothing and the case shows nothing; the tie case instead checks that its
-// first wakeup is the tie.
+// first wakeup is the tie. Neither twin may draw a step behind the drawing
+// trial's progress, and some trial must move to a new type after running
+// steps, or that check shows nothing.
 func TestBoundedWakeupMatchesUnbounded(t *testing.T) {
 	east := time.FixedZone("UTC+8", 8*60*60)
 	type campaign struct {
-		orch  *Orchestrator
-		w     *testWorld
-		draws int
+		orch *Orchestrator
+		w    *testWorld
+		n    drawCounts
 	}
+	switches := 0
 	for _, tc := range []struct {
 		name     string
 		start    time.Time
@@ -68,7 +89,7 @@ func TestBoundedWakeupMatchesUnbounded(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				perf := countingPerf{c.w.perf, &c.draws}
+				perf := countingPerf{c.w.perf, &c.n}
 				var trials []*trial.Replay
 				for i := 0; i < 3 && !tc.tie; i++ {
 					trials = append(trials, mkTrial(t, idFor(i), 4000, 100, 0.1*float64(i+1), perf, 10))
@@ -78,6 +99,10 @@ func TestBoundedWakeupMatchesUnbounded(t *testing.T) {
 				}
 				if tc.big {
 					trials = append(trials, mkTrial(t, "huge-hp", 3000, 100, 0.2, perf, 16*1024))
+				}
+				c.n.trials = map[string]*trial.Replay{}
+				for _, tr := range trials {
+					c.n.trials[tr.ID()] = tr
 				}
 				cfg := orchCfg(tc.theta)
 				cfg.MaxConcurrent = 2
@@ -128,11 +153,21 @@ func TestBoundedWakeupMatchesUnbounded(t *testing.T) {
 			if tc.big && !periodic {
 				t.Fatal("no oversized assignment was live: nothing checkpointed periodically")
 			}
-			if !tc.tie && bounded.draws >= ref.draws {
-				t.Fatalf("bounded pricing drew %d step times, unbounded %d: the bound cut nothing", bounded.draws, ref.draws)
+			if !tc.tie && bounded.n.draws >= ref.n.draws {
+				t.Fatalf("bounded pricing drew %d step times, unbounded %d: the bound cut nothing", bounded.n.draws, ref.n.draws)
 			}
-			t.Logf("%d steps, %d notices; step-time draws %d bounded, %d unbounded", steps, want.Notices, bounded.draws, ref.draws)
+			for _, c := range []*campaign{bounded, ref} {
+				if c.n.behind != 0 {
+					t.Fatalf("%d of %d draws lay behind the drawing trial's progress", c.n.behind, c.n.draws)
+				}
+			}
+			switches += ref.n.switches
+			t.Logf("%d steps, %d notices, %d type switches; step-time draws %d bounded, %d unbounded",
+				steps, want.Notices, ref.n.switches, bounded.n.draws, ref.n.draws)
 		})
+	}
+	if switches == 0 {
+		t.Fatal("no trial moved to a new type after running steps")
 	}
 }
 

@@ -121,9 +121,10 @@ func Fig6(ctx *Context) ([]Fig6Row, error) {
 	cat := market.DefaultCatalog()
 	var rows []Fig6Row
 	for _, it := range cat.Types() {
+		steps := perf.Steps(it, b.HPs[0].ID)
 		var xs []float64
 		for step := 0; step < 200; step++ {
-			xs = append(xs, perf.StepSeconds(it, b.HPs[0].ID, step))
+			xs = append(xs, steps(step).Seconds())
 		}
 		rows = append(rows, Fig6Row{
 			TypeName:   it.Name,

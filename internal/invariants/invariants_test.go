@@ -15,7 +15,9 @@ var t0 = time.Date(2017, 5, 4, 0, 0, 0, 0, time.UTC)
 
 type flatPerf struct{}
 
-func (flatPerf) StepSeconds(market.InstanceType, string, int) float64 { return 1 }
+func (flatPerf) Steps(market.InstanceType, string) trial.StepTimes {
+	return func(int) time.Duration { return time.Second }
+}
 
 func mkTrial(t *testing.T, id string, progress float64) *trial.Replay {
 	t.Helper()
@@ -26,7 +28,7 @@ func mkTrial(t *testing.T, id string, progress float64) *trial.Replay {
 		t.Fatal(err)
 	}
 	if progress > 0 {
-		tr.RunFor(market.InstanceType{Name: "a", CPUs: 2}, progress, 100)
+		tr.RunFor(market.InstanceType{Name: "a", CPUs: 2}, time.Duration(progress*float64(time.Second)), 100)
 	}
 	return tr
 }

@@ -13,7 +13,6 @@ import (
 	"spottune/internal/obs"
 	"spottune/internal/policy"
 	"spottune/internal/stats"
-	"spottune/internal/trial"
 	"spottune/internal/workload"
 )
 
@@ -170,14 +169,12 @@ func (m Matrix) Stream(opt StreamOptions) (*StreamSummary, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One fit memo and one perf cache per worker: every campaign
-			// this worker runs shares solved EarlyCurve stage fits and
-			// ground-truth step-time curves (both content-addressed and
+			// One fit memo per worker: every campaign this worker runs
+			// shares solved EarlyCurve stage fits (content-addressed and
 			// size-capped, so reuse is bit-identical and bounded).
 			memo := earlycurve.NewFitMemo()
-			perfc := trial.NewPerfCache()
 			for job := range jobs {
-				cell, err := runCell(job, o, memo, perfc)
+				cell, err := runCell(job, o, memo)
 				select {
 				case outcomes <- cellOutcome{idx: job.idx, cell: cell, err: err}:
 				case <-stop:
@@ -331,7 +328,7 @@ func (m Matrix) buildBlocks(o Options) ([]*specBlock, error) {
 // runCell executes one campaign cell against its spec's shared world,
 // auditing the final simulator state in place (no state is retained past the
 // returned Cell).
-func runCell(job cellJob, o Options, memo *earlycurve.FitMemo, perfc *trial.PerfCache) (Cell, error) {
+func runCell(job cellJob, o Options, memo *earlycurve.FitMemo) (Cell, error) {
 	b := job.block
 	var violations []invariants.Violation
 	var rec *obs.Recording
@@ -347,12 +344,10 @@ func runCell(job cellJob, o Options, memo *earlycurve.FitMemo, perfc *trial.Perf
 			Allocation: b.spec.Allocation,
 		},
 		Trace: o.Trace,
-		// The worker's shared fit memo rides in on the trend predictor, and
-		// its perf cache shares ground-truth step curves across same-seed
-		// cells; both reuses are bit-identical to cold builds, so this
-		// changes wall-clock only.
-		Trend:     &earlycurve.Predictor{Memo: memo},
-		PerfCache: perfc,
+		// The worker's shared fit memo rides in on the trend predictor;
+		// its reuse is bit-identical to cold fits, so this changes
+		// wall-clock only.
+		Trend: &earlycurve.Predictor{Memo: memo},
 	}
 	copt.Inspect = func(d *campaign.RunDetail) error {
 		if rec = d.Trace; rec != nil {

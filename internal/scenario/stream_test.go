@@ -34,9 +34,8 @@ func streamAll(t *testing.T, m Matrix, opt StreamOptions) ([]Cell, *StreamSummar
 
 // coldCells is the streaming runner's reference: every cell of the
 // one-replicate grid, in grid order, run alone on a freshly built
-// environment through RunPolicy, with a memo-free EarlyCurve predictor and
-// no perf cache. It covers the axes randomSpec draws (no tuner or strategy
-// pins).
+// environment through RunPolicy, with a memo-free EarlyCurve predictor. It
+// covers the axes randomSpec draws (no tuner or strategy pins).
 func coldCells(t *testing.T, m Matrix, opt Options) []Cell {
 	t.Helper()
 	opt = opt.withDefaults()
@@ -103,7 +102,7 @@ func coldCells(t *testing.T, m Matrix, opt Options) []Cell {
 // to running every cell cold on seeded random scenario specs: same cells in
 // the same order, same costs/JCT/refunds to the last bit, same winner per
 // cell, and agreeing invariant audits — under concurrent workers that reuse
-// one EarlyCurve fit memo and one perf cache each across their cells.
+// one EarlyCurve fit memo each across their cells.
 func TestMetamorphicStreamEquivalence(t *testing.T) {
 	iters := 3
 	if testing.Short() {

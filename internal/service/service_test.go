@@ -174,28 +174,28 @@ func TestServiceContendedDigest(t *testing.T) {
 		want             [2]string // one per config
 	}{
 		{policy.SpotTuneName, resilience.FixedName, [2]string{
-			"8c59b81be0619e09e43372e8bcacd7daabe2d34b00deaaf1ce25ea9280adb5b9",
-			"854878a49512d5c2e604c77dae69f4f0080bae14fe5a1997d0e7b27d84b74f0f",
+			"75a58a8cc8c810ad71a1537d55599d9577443d82da48da5fde48f564af8ff8bb",
+			"30f959b6eb104fac8ab162eca8e3b34c28e4b15a9120fff71edf12f8b51551c9",
 		}},
 		{policy.SpotTuneName, resilience.AdaptiveName, [2]string{
-			"9f4be7b24725501f32cc40651947a234f133a451322d6da1545514f7a9f05dc3",
-			"bd26584f718ee8dbbb17984752bed8b30402c85d0f7c5182d987425e12fcaccd",
+			"fbebe4342ea1e5d8d5eaa1177a137dcca381604f08a91c755db3a7ddb4f30d9c",
+			"9580d384abfcd18cd850071f985002c264cbc6ccd304b734006200ea0c42ceec",
 		}},
 		{policy.FallbackName, resilience.FixedName, [2]string{
-			"8d0035a3673eccb6c6babeffc1f2864160abf7498e575b7c781d08e56a90696e",
-			"5bbd5105d15c842b9e25843aecbf72da6e5fa40c47911308b85434b3b7496ff0",
+			"f089191cdf4e58080ff5b885cbf739689f1705aad80fde954e6a8cfb0401c439",
+			"be63fa773e3f91c13f26a98016270e723544e0302ba58b1953b56b3a2a13a8ac",
 		}},
 		{policy.FallbackName, resilience.AdaptiveName, [2]string{
-			"f5cc12aba19ca312175368864355868ca338bf2eab6e5559c6981eba51a41213",
-			"5456492fbd08b59b238c2a78d5f035d64365953140610958fb7773c7a3b649e5",
+			"8695ba819589944e79d160a6181238110046f104a024abcd0a41f0d11c090759",
+			"9d94db5b2dd0425699843330f0deab70aabac3bea884169286b818c3631a9969",
 		}},
 		{policy.MixedFleetName, resilience.FixedName, [2]string{
-			"469d21c483a79738adb618fca81d3040af69e36ebaa692816bbc2d12e3564c05",
-			"ba0748da716c6eacee1d7118d8c0c04e04357fa9202fadb14f6c6a1de2f9d02c",
+			"31c51ee9190c3dd1a7515b111e0cb5ce0c922c5cd4f53ae307955242824dd5ac",
+			"21f75afb7bb795b1bd517cd5f6f07326fee5be99836bad671e95dd9bae112960",
 		}},
 		{policy.MixedFleetName, resilience.AdaptiveName, [2]string{
-			"8ce582790fa2e38d82e10cbd3c5457461a8ca8250c93621dfa0b5061abbeabab",
-			"0888396a9555f30729288fe5741195b7f2921cfa754b910b53d7e1334a82ccd0",
+			"a4b8c44b3e51441d98da11aae7027b02be22b7fd9c6f64760e384a6b6593c3ce",
+			"600830d78a30219828d73e2ff3cefc3b23508bbb2b776a2556773ab7e8a7a44e",
 		}},
 	} {
 		tenants := DefaultBattery(12, 31)

@@ -14,20 +14,27 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
+	"time"
 
 	"spottune/internal/earlycurve"
 	"spottune/internal/market"
 )
 
-// PerfModel is the ground-truth cost of one training step: seconds to run
-// one step of trial hp on the given instance type. Implementations add
+// PerfModel is the ground-truth cost of training steps. Implementations add
 // step-level noise with a small coefficient of variation (the paper
 // validates COV < 0.1 in §IV-A5).
 type PerfModel interface {
-	StepSeconds(it market.InstanceType, hpID string, step int) float64
+	// Steps returns trial hpID's step times on the given instance type.
+	// Replay asks once per (trial, type) pair, when it first prices a step
+	// there, so a model can resolve names to keys here.
+	Steps(it market.InstanceType, hpID string) StepTimes
 }
+
+// StepTimes is one (trial, type) pair's ground truth: the duration of
+// (zero-based) step k, a pure function of k.
+type StepTimes func(k int) time.Duration
 
 // Replay is a trial whose metric curve is precomputed. It tracks fractional
 // step progress so arbitrary time slices advance it deterministically.
@@ -40,15 +47,10 @@ type Replay struct {
 
 	progress float64 // fractional completed steps
 
-	// cumSecs caches, per instance type, prefix sums of per-step seconds
-	// (cum[k] = seconds for steps [0, k)). The perf model is a pure
-	// function of (type, hp, step), so the cache never invalidates; it
-	// turns SecondsToReachCapped into O(1) after one O(maxSteps) build.
-	// A trial runs on a handful of types, so a slice scan finds the entry.
-	cumSecs []typeCum
-	// cache, when set, replaces cumSecs with a cross-campaign store so
-	// replays of the same (seed, benchmark) world share one curve build.
-	cache *PerfCache
+	// prefixes caches, per instance type, exact sums of step times from
+	// the step where the trial first ran there (see prefix). A trial runs
+	// on a handful of types, so a slice scan finds the entry.
+	prefixes []prefix
 	// convergeAt caches ConvergeStep results per (window, tol) — the
 	// observed prefix is a pure function of the fixed curve. Campaigns ask
 	// one or two (window, tol) pairs, so a slice scan finds the entry.
@@ -59,10 +61,93 @@ type Replay struct {
 	lastOK            bool
 }
 
-// typeCum is one instance type's step-time prefix sums.
-type typeCum struct {
-	name string
-	cum  []float64
+// prefix is one instance type's step-time prefix sums for one trial:
+// cum[j] is the time of steps [start, start+j), so cum[0] = 0. The sums are
+// exact int64 nanoseconds, and every answer Replay derives from a prefix
+// is a difference of two of them, or a float taken on such a difference.
+// So no answer depends on where the prefix starts or how far it was built,
+// and a prefix may start wherever the trial is when it first needs it.
+type prefix struct {
+	name  string
+	steps StepTimes
+	start int
+	cum   []int64
+}
+
+// end is the first step the prefix has not drawn.
+func (p *prefix) end() int { return p.start + len(p.cum) - 1 }
+
+// at is the prefix sum up to step k, for start ≤ k ≤ end.
+func (p *prefix) at(k int) int64 { return p.cum[k-p.start] }
+
+// extend draws steps until the prefix covers upto or its last sum passes
+// limit. A step takes at least 1 ns, so the sums strictly increase.
+func (p *prefix) extend(upto int, limit int64) {
+	last := p.cum[len(p.cum)-1]
+	for k := p.end(); k < upto && last <= limit; k++ {
+		last += max(int64(p.steps(k)), 1)
+		p.cum = append(p.cum, last)
+	}
+}
+
+// prefixFor returns the trial's prefix on it, made to cover the in-flight
+// step cur (cur < maxSteps). A new prefix starts at cur. One whose drawn
+// steps all lie behind cur restarts there, so no step behind the trial's
+// progress is ever drawn; one that starts after cur (a Restore rewound the
+// trial) is extended backward, keeping the steps it holds ahead of cur.
+// Prefixes are allocated at the capacity they can ever need from their
+// start, so extending one forward never reallocates.
+func (r *Replay) prefixFor(it market.InstanceType, cur int) *prefix {
+	var p *prefix
+	for i := range r.prefixes {
+		if r.prefixes[i].name == it.Name {
+			p = &r.prefixes[i]
+			break
+		}
+	}
+	switch {
+	case p == nil:
+		if r.prefixes == nil {
+			r.prefixes = make([]prefix, 0, 4) // a trial runs on a handful of types
+		}
+		r.prefixes = append(r.prefixes, prefix{
+			name:  it.Name,
+			steps: r.perf.Steps(it, r.id),
+			start: cur,
+			cum:   make([]int64, 1, r.maxSteps-cur+1),
+		})
+		p = &r.prefixes[len(r.prefixes)-1]
+	case cur > p.end():
+		p.start, p.cum = cur, p.cum[:1]
+	case cur < p.start:
+		cum := make([]int64, p.start-cur+1, r.maxSteps-cur+1)
+		for k := cur; k < p.start; k++ {
+			cum[k-cur+1] = cum[k-cur] + max(int64(p.steps(k)), 1)
+		}
+		shift := cum[len(cum)-1]
+		for _, c := range p.cum[1:] {
+			cum = append(cum, shift+c)
+		}
+		p.start, p.cum = cur, cum
+	}
+	p.extend(cur+1, math.MaxInt64)
+	return p
+}
+
+// position returns the trial's prefix on it and where the trial stands on
+// that prefix's scale: the sum up to the current whole step plus the time
+// already spent inside it, the fractional progress times that step's
+// duration, rounded to the nanosecond. RunFor writes a fraction as such a
+// time over the step's duration, so the rounding recovers it exactly
+// unless the trial has run on the order of 2^52 ns (52 days) of steps.
+func (r *Replay) position(it market.InstanceType) (*prefix, int64) {
+	cur := int(r.progress)
+	p := r.prefixFor(it, cur)
+	at := p.at(cur)
+	if frac := r.progress - float64(cur); frac > 0 {
+		at += int64(math.Round(frac * float64(p.at(cur+1)-at)))
+	}
+	return p, at
 }
 
 type convKey struct {
@@ -122,190 +207,87 @@ func (r *Replay) CompletedSteps() int { return int(r.progress) }
 // them (whole-step counting over short slices biases seconds-per-step).
 func (r *Replay) Progress() float64 { return r.progress }
 
-// cumFor returns the per-step-seconds prefix sums for the given instance
-// type (cum[k] = seconds for steps [0, k)), extended on demand: the slice
-// grows until it covers uptoStep, or — when capSecs >= 0 — until the
-// cumulative total passes capSecs. The perf model is a pure function of
-// (type, hp, step), so entries never invalidate and every extension is paid
-// for once per (trial, type) across the whole campaign.
-//
-// Each prefix is allocated once, at its full maxSteps+1 capacity, so
-// extending it never reallocates.
-func (r *Replay) cumFor(it market.InstanceType, uptoStep int, capSecs float64) []float64 {
-	if uptoStep > r.maxSteps {
-		uptoStep = r.maxSteps
+// plus is base + d, saturating at the largest int64 rather than wrapping.
+func plus(base int64, d time.Duration) int64 {
+	if int64(d) > math.MaxInt64-base {
+		return math.MaxInt64
 	}
-	var cum []float64
-	slot := -1
-	if r.cache != nil {
-		cum = r.cache.cum[perfCacheKey{inst: it.Name, hp: r.id}]
-	} else {
-		for i := range r.cumSecs {
-			if r.cumSecs[i].name == it.Name {
-				slot, cum = i, r.cumSecs[i].cum
-				break
-			}
-		}
-	}
-	if cum == nil {
-		cum = make([]float64, 1, r.maxSteps+1)
-	}
-	for k := len(cum) - 1; k < uptoStep; k++ {
-		if capSecs >= 0 && cum[k] > capSecs {
-			break
-		}
-		sec := r.perf.StepSeconds(it, r.id, k)
-		if sec <= 0 {
-			sec = 1e-6
-		}
-		cum = append(cum, cum[k]+sec)
-	}
-	switch {
-	case r.cache != nil:
-		r.cache.cum[perfCacheKey{inst: it.Name, hp: r.id}] = cum
-	case slot >= 0:
-		r.cumSecs[slot].cum = cum
-	default:
-		r.cumSecs = append(r.cumSecs, typeCum{name: it.Name, cum: cum})
-	}
-	return cum
+	return base + int64(d)
 }
 
-// PerfCache shares ground-truth step-time prefix sums across campaigns that
-// replay the same (perf seed, benchmark) world — e.g. every tuner × policy
-// cell of one scenario replicate, which would otherwise rebuild identical
-// curves from scratch. The cache is owned by a single goroutine (one stream
-// worker); Use resets it whenever the world changes, so memory stays bounded
-// by one world's curves no matter how many cells flow through.
-type PerfCache struct {
-	seed  uint64
-	bench string
-	valid bool
-	cum   map[perfCacheKey][]float64
-}
-
-type perfCacheKey struct {
-	inst, hp string
-}
-
-// NewPerfCache returns an empty cache.
-func NewPerfCache() *PerfCache {
-	return &PerfCache{cum: map[perfCacheKey][]float64{}}
-}
-
-// Use readies the cache for campaigns replaying the given perf seed and
-// benchmark, dropping every stored curve when either changes. Curves are
-// pure functions of (seed, benchmark, instance, hp, step), so reuse under a
-// matching key is bit-identical to a cold rebuild.
-func (c *PerfCache) Use(seed uint64, bench string) {
-	if c.valid && c.seed == seed && c.bench == bench {
-		return
-	}
-	c.seed, c.bench, c.valid = seed, bench, true
-	clear(c.cum)
-}
-
-// SharePerfCache routes this replay's step-time prefix sums through a
-// cross-campaign cache instead of the private per-replay store. The caller
-// must have pointed the cache at this replay's world via PerfCache.Use and
-// must not share it across concurrent campaigns.
-func (r *Replay) SharePerfCache(c *PerfCache) { r.cache = c }
-
-// elapsedAt maps fractional progress to cumulative compute seconds on the
-// cum scale (linear interpolation inside the current step).
-func elapsedAt(cum []float64, p float64) float64 {
-	cur := int(p)
-	if cur >= len(cum)-1 {
-		return cum[len(cum)-1]
-	}
-	return cum[cur] + (p-float64(cur))*(cum[cur+1]-cum[cur])
-}
-
-// RunFor advances the trial on the given instance for at most seconds of
+// RunFor advances the trial on the given instance for at most budget of
 // compute, stopping at stepLimit (or MaxSteps, whichever is lower). It
-// returns the whole steps completed in this slice and the seconds actually
-// consumed. The advance is a binary search over the cached prefix sums —
-// O(log steps) per call after the one-time cum build — instead of a walk
-// over every step in the slice.
-func (r *Replay) RunFor(it market.InstanceType, seconds float64, stepLimit int) (steps int, used float64) {
+// returns the whole steps completed in this slice and the time actually
+// consumed. The advance is a binary search over the type's prefix sums,
+// drawn only as far as the budget reaches. The slice's end is an integer
+// nanosecond on the prefix, so a budget split across slices ends on the
+// same progress as spent at once, and a slice that ends on a step boundary
+// leaves the progress on that whole step.
+func (r *Replay) RunFor(it market.InstanceType, budget time.Duration, stepLimit int) (steps int, used time.Duration) {
 	if stepLimit <= 0 || stepLimit > r.maxSteps {
 		stepLimit = r.maxSteps
 	}
-	if seconds <= 0 || r.progress >= float64(stepLimit) {
+	if budget <= 0 || r.progress >= float64(stepLimit) {
 		return 0, 0
 	}
 	startWhole := int(r.progress)
-	cur := int(r.progress)
-	cum := r.cumFor(it, cur+1, -1) // cover the in-flight step
-	base := elapsedAt(cum, r.progress)
-	target := base + seconds
-	cum = r.cumFor(it, stepLimit, target) // extend only within the budget
+	pf, base := r.position(it)
+	target := plus(base, budget)
+	pf.extend(stepLimit, target)
 
 	var p float64
-	used = seconds
-	if len(cum) > stepLimit && target > cum[stepLimit] {
-		// The budget outruns the step limit: the trial finishes the slice
-		// early. Decided against cum[stepLimit] rather than the built length,
-		// so a prefix some earlier caller extended past the limit (a shared
-		// PerfCache) clamps exactly like a cold one that stopped there.
+	used = budget
+	if pf.end() >= stepLimit && pf.at(stepLimit) <= target {
+		// The budget reaches the step limit: the trial finishes the slice
+		// there, early unless it lands on the limit exactly.
 		p = float64(stepLimit)
-		used = cum[stepLimit] - base
-	} else if i := sort.SearchFloat64s(cum, target); cum[i] == target {
-		p = float64(i)
-	} else if i == 0 {
-		p = 0
+		used = time.Duration(pf.at(stepLimit) - base)
 	} else {
-		p = float64(i-1) + (target-cum[i-1])/(cum[i]-cum[i-1])
-	}
-	// Snap progress sitting within float dust of a whole step onto it, so
-	// splitting a time budget across slices completes the same steps as
-	// spending it at once.
-	if sn := math.Round(p); sn != p && math.Abs(p-sn) < 1e-9 {
-		p = sn
+		// The sums strictly increase and cum[startWhole] ≤ base < target,
+		// so one j has cum[j] ≤ target < cum[j+1]: step start+j is in
+		// flight, or complete when the sum equals the target.
+		lo, hi := startWhole-pf.start, min(pf.end(), stepLimit)-pf.start
+		j, exact := slices.BinarySearch(pf.cum[lo:hi+1], target)
+		if j += lo; exact {
+			p = float64(pf.start + j)
+		} else {
+			j--
+			p = float64(pf.start+j) + float64(target-pf.cum[j])/float64(pf.cum[j+1]-pf.cum[j])
+		}
 	}
 	if p < r.progress {
 		p = r.progress
 	}
 	r.progress = p
-	if used > seconds {
-		used = seconds
-	} else if used < 0 {
-		used = 0
-	}
 	return int(r.progress) - startWhole, used
 }
 
-// SecondsToReachCapped returns the compute seconds needed on the given
-// instance to advance from the current progress to targetSteps whole steps,
-// without mutating the trial. It sums the same per-step costs RunFor
-// consumes, so RunFor(it, secs, limit>=n) lands on step n (up to float
-// dust, which RunFor snaps over). A target at or below current progress
-// costs zero. It reports ok=false as soon as the needed time provably
-// exceeds capSecs, building prefix sums only that far: schedulers use it to
-// ask "does this trial finish before its restart horizon?" without pricing
-// the whole trajectory. Amortized O(1) via cached per-type prefix sums.
-func (r *Replay) SecondsToReachCapped(it market.InstanceType, targetSteps int, capSecs float64) (secs float64, ok bool) {
+// TimeToReach returns the compute time needed on the given instance to
+// advance from the current progress to targetSteps whole steps, without
+// mutating the trial: RunFor(it, need, limit ≥ targetSteps) lands on
+// targetSteps exactly. A target at or below current progress costs zero.
+// It reports ok=false as soon as the need provably exceeds limit, drawing
+// steps only that far: schedulers use it to ask "does this trial finish
+// before its restart horizon?" without pricing the whole trajectory.
+func (r *Replay) TimeToReach(it market.InstanceType, targetSteps int, limit time.Duration) (need time.Duration, ok bool) {
 	if targetSteps > r.maxSteps {
 		targetSteps = r.maxSteps
 	}
 	if r.progress >= float64(targetSteps) {
 		return 0, true
 	}
-	if capSecs < 0 {
+	if limit < 0 {
 		return 0, false
 	}
-	cur := int(r.progress)
-	cum := r.cumFor(it, cur+1, -1)
-	base := elapsedAt(cum, r.progress)
-	cum = r.cumFor(it, targetSteps, base+capSecs)
-	if len(cum)-1 < targetSteps {
-		return 0, false // ran past the cap before reaching the target
+	pf, base := r.position(it)
+	pf.extend(targetSteps, plus(base, limit))
+	if pf.end() < targetSteps {
+		return 0, false // ran past the limit before reaching the target
 	}
-	need := cum[targetSteps] - base
-	if need > capSecs {
-		return 0, false
+	if d := pf.at(targetSteps) - base; d <= int64(limit) {
+		return time.Duration(d), true
 	}
-	return need, true
+	return 0, false
 }
 
 // ConvergeStep returns the smallest whole-step count at which the observed
@@ -476,124 +458,4 @@ func (r *Replay) Plateaued(window int, tol float64) bool {
 // prechecks via the memoized ConvergeStep before paying for this.
 func (r *Replay) Converged(window int, tol float64) bool {
 	return earlycurve.Converged(r.Points(), window, tol)
-}
-
-// NoisyPerf is a PerfModel with deterministic per-(instance, hp, step)
-// multiplicative noise around a base model, keeping COV small (<0.1) as the
-// paper measures.
-type NoisyPerf struct {
-	// Base returns noise-free seconds per step.
-	Base func(it market.InstanceType, hpID string) float64
-	// COV is the coefficient of variation of the noise (e.g. 0.05).
-	COV float64
-	// Seed decorrelates campaigns.
-	Seed uint64
-
-	// lastInst/lastHP memoize the step-invariant parts of the last
-	// (instance, hp) pair scored: the base seconds, the hash prefix over
-	// the identifying strings, and the two strings' FNV tables. Callers
-	// walk steps of one pair at a time (Replay.cumFor), so a single entry
-	// removes the per-step base model call and table lookups. One campaign
-	// owns one NoisyPerf on one goroutine, so the memo needs no locking.
-	lastInst, lastHP string
-	lastBase         float64
-	lastPre          uint64
-	instFold, hpFold *fnvString
-}
-
-var _ PerfModel = (*NoisyPerf)(nil)
-
-// StepSeconds implements PerfModel. The noise is a Box–Muller transform
-// over two hash-derived uniforms: u1 from the (seed, inst, hp) prefix and
-// the step's bytes, u2 from a second FNV-1a pass over u1's state, the hp
-// and instance names and a scrambled step. The name folds run through
-// fnvString tables, bit-identical to folding byte by byte.
-func (n *NoisyPerf) StepSeconds(it market.InstanceType, hpID string, step int) float64 {
-	if n.COV <= 0 {
-		return n.Base(it, hpID)
-	}
-	if it.Name != n.lastInst || hpID != n.lastHP {
-		n.lastInst, n.lastHP = it.Name, hpID
-		n.lastBase = n.Base(it, hpID)
-		n.instFold, n.hpFold = fnvStringOf(it.Name), fnvStringOf(hpID)
-		n.lastPre = n.hpFold.fold(n.instFold.fold(fnvOffset ^ n.Seed))
-	}
-	h := fnvTail(n.lastPre, uint64(step))
-	u1 := float64(h>>11) / float64(1<<53)
-	h2 := fnvTail(n.instFold.fold(n.hpFold.fold(fnvOffset^h)), uint64(step)*2654435761)
-	u2 := float64(h2>>11) / float64(1<<53)
-	if u1 < 1e-12 {
-		u1 = 1e-12
-	}
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	f := 1 + n.COV*z
-	if f < 0.5 {
-		f = 0.5
-	}
-	return n.lastBase * f
-}
-
-const (
-	fnvOffset uint64 = 1469598103934665603
-	fnvPrime  uint64 = 1099511628211
-)
-
-// fnvFold folds the bytes of s into the running FNV-1a state, one xor and
-// one multiply a byte. It is the reference fnvString reproduces.
-func fnvFold(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-// fnvTail folds the 8 little-endian bytes of c into the running state.
-func fnvTail(h, c uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(c >> (8 * i)))
-		h *= fnvPrime
-	}
-	return h
-}
-
-// fnvString is fnvFold over one fixed string as an affine map of the
-// incoming state, f_s(h) = h·mul + add[h&0xff] (mod 2^64) with
-// mul = P^len(s): xor with a byte changes only the state's low byte, and a
-// product's low byte depends only on its factors' low bytes, so the fold of
-// h differs from h·mul by a term that depends on h&0xff alone (DESIGN.md,
-// "Step-noise identity").
-type fnvString struct {
-	mul uint64
-	add [256]uint64
-}
-
-func newFNVString(s string) *fnvString {
-	t := &fnvString{mul: 1}
-	for range len(s) {
-		t.mul *= fnvPrime
-	}
-	for x := range t.add {
-		t.add[x] = fnvFold(uint64(x), s) - uint64(x)*t.mul
-	}
-	return t
-}
-
-// fold is fnvFold(h, s) for the table's string s.
-func (t *fnvString) fold(h uint64) uint64 { return h*t.mul + t.add[byte(h)] }
-
-// fnvStrings holds one table per distinct string, built on first use and
-// shared by every campaign: instance type names and HP IDs are few, and a
-// table is about 2 KB.
-var fnvStrings sync.Map // string → *fnvString
-
-// fnvStringOf returns the shared table for s, building it on first use.
-// Goroutines racing on a new string build equal tables, and all of them get
-// the one stored first.
-func fnvStringOf(s string) *fnvString {
-	if t, ok := fnvStrings.Load(s); ok {
-		return t.(*fnvString)
-	}
-	t, _ := fnvStrings.LoadOrStore(s, newFNVString(s))
-	return t.(*fnvString)
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"spottune/internal/earlycurve"
 	"spottune/internal/market"
@@ -17,12 +19,16 @@ var (
 	big   = market.InstanceType{Name: "big", CPUs: 16, OnDemandPrice: 0.8}
 )
 
-// constPerf runs steps at a fixed rate per instance.
+// constPerf runs steps at a fixed rate per instance, in seconds.
 type constPerf map[string]float64
 
-func (p constPerf) StepSeconds(it market.InstanceType, _ string, _ int) float64 {
-	return p[it.Name]
+func (p constPerf) Steps(it market.InstanceType, _ string) StepTimes {
+	d := secs(p[it.Name])
+	return func(int) time.Duration { return d }
 }
+
+// secs converts seconds to a Duration.
+func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 func mkCurve(maxSteps, every int) []earlycurve.MetricPoint {
 	var out []earlycurve.MetricPoint
@@ -62,15 +68,15 @@ func TestNewReplayValidation(t *testing.T) {
 
 func TestRunForAdvancesByTime(t *testing.T) {
 	r := mkReplay(t)
-	steps, used := r.RunFor(small, 20, 0) // 2 s/step -> 10 steps
-	if steps != 10 || used != 20 {
+	steps, used := r.RunFor(small, secs(20), 0) // 2 s/step -> 10 steps
+	if steps != 10 || used != secs(20) {
 		t.Fatalf("RunFor = %d steps, %v used", steps, used)
 	}
 	if r.CompletedSteps() != 10 {
 		t.Fatalf("CompletedSteps = %d", r.CompletedSteps())
 	}
 	// Faster instance.
-	steps, _ = r.RunFor(big, 10, 0) // 0.5 s/step -> 20 steps
+	steps, _ = r.RunFor(big, secs(10), 0) // 0.5 s/step -> 20 steps
 	if steps != 20 {
 		t.Fatalf("big RunFor = %d steps", steps)
 	}
@@ -78,11 +84,11 @@ func TestRunForAdvancesByTime(t *testing.T) {
 
 func TestRunForFractionalProgress(t *testing.T) {
 	r := mkReplay(t)
-	r.RunFor(small, 3, 0) // 1.5 steps
+	r.RunFor(small, secs(3), 0) // 1.5 steps
 	if r.CompletedSteps() != 1 {
 		t.Fatalf("CompletedSteps = %d, want 1", r.CompletedSteps())
 	}
-	r.RunFor(small, 1, 0) // completes step 2
+	r.RunFor(small, secs(1), 0) // completes step 2
 	if r.CompletedSteps() != 2 {
 		t.Fatalf("CompletedSteps = %d, want 2", r.CompletedSteps())
 	}
@@ -90,20 +96,20 @@ func TestRunForFractionalProgress(t *testing.T) {
 
 func TestRunForStopsAtLimit(t *testing.T) {
 	r := mkReplay(t)
-	steps, used := r.RunFor(small, 1e9, 30)
+	steps, used := r.RunFor(small, secs(1e9), 30)
 	if steps != 30 {
 		t.Fatalf("steps = %d, want 30", steps)
 	}
-	if used >= 1e9 || used < 59 {
-		t.Fatalf("used = %v, want ~60", used)
+	if used != secs(60) {
+		t.Fatalf("used = %v, want 60s", used)
 	}
 	// Already at limit: no movement.
-	steps, used = r.RunFor(small, 100, 30)
+	steps, used = r.RunFor(small, secs(100), 30)
 	if steps != 0 || used != 0 {
 		t.Fatalf("at-limit RunFor = %d, %v", steps, used)
 	}
 	// Limit beyond maxSteps clamps to maxSteps.
-	steps, _ = r.RunFor(small, 1e9, 1000)
+	steps, _ = r.RunFor(small, secs(1e9), 1000)
 	if r.CompletedSteps() != 100 {
 		t.Fatalf("CompletedSteps = %d, want 100", r.CompletedSteps())
 	}
@@ -115,7 +121,7 @@ func TestPointsVisibility(t *testing.T) {
 	if got := r.Points(); len(got) != 0 {
 		t.Fatalf("fresh trial has %d points", len(got))
 	}
-	r.RunFor(small, 50, 0) // 25 steps
+	r.RunFor(small, secs(50), 0) // 25 steps
 	pts := r.Points()
 	if len(pts) != 2 { // steps 10, 20
 		t.Fatalf("points after 25 steps = %d, want 2", len(pts))
@@ -130,7 +136,7 @@ func TestPointsVisibility(t *testing.T) {
 // must copy, never write past the observed prefix.
 func TestPointsIsAllocationFreeReadOnlyView(t *testing.T) {
 	r := mkReplay(t)
-	r.RunFor(small, 50, 0) // 25 steps: points at steps 10 and 20
+	r.RunFor(small, secs(50), 0) // 25 steps: points at steps 10 and 20
 	if avg := testing.AllocsPerRun(100, func() { _ = r.Points() }); avg != 0 {
 		t.Errorf("Points allocates %.1f times per call, want 0", avg)
 	}
@@ -140,7 +146,7 @@ func TestPointsIsAllocationFreeReadOnlyView(t *testing.T) {
 	}
 	grown := append(pts, earlycurve.MetricPoint{Step: 25, Value: -1})
 	grown[0].Value = -1
-	r.RunFor(small, 1e9, 0)
+	r.RunFor(small, secs(1e9), 0)
 	all := r.Points()
 	if len(all) != 10 || all[0].Value != 1.0/10 || all[2].Step != 30 || all[2].Value != 1.0/30 {
 		t.Fatalf("appending to Points changed the curve: %+v", all)
@@ -156,7 +162,7 @@ func TestTrueFinalAndMetricAt(t *testing.T) {
 
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	r := mkReplay(t)
-	r.RunFor(small, 31, 0) // 15.5 steps
+	r.RunFor(small, secs(31), 0) // 15.5 steps
 	blob := r.AppendCheckpoint(nil)
 	r2 := mkReplay(t)
 	if err := r2.Restore(blob); err != nil {
@@ -199,9 +205,9 @@ func TestRestoreRejectsMalformedBlobs(t *testing.T) {
 func TestRestoreRewindsProgress(t *testing.T) {
 	// An instance dying WITHOUT checkpoint loses work since the last one.
 	r := mkReplay(t)
-	r.RunFor(small, 40, 0) // 20 steps
+	r.RunFor(small, secs(40), 0) // 20 steps
 	blob := r.AppendCheckpoint(nil)
-	r.RunFor(small, 40, 0) // 40 steps now
+	r.RunFor(small, secs(40), 0) // 40 steps now
 	if err := r.Restore(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -220,45 +226,49 @@ func TestConvergedDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.RunFor(small, 80, 0)
+	r.RunFor(small, secs(80), 0)
 	if !r.Converged(5, 0.01) {
 		t.Error("flat curve not converged")
 	}
 	r2 := mkReplay(t)
-	r2.RunFor(small, 80, 0)
+	r2.RunFor(small, secs(80), 0)
 	if r2.Converged(5, 0.01) {
 		t.Error("1/x curve wrongly converged early")
 	}
 }
 
+// TestNoisyPerfCOV checks the draw's distribution on every catalog type
+// (the paper's §IV-A5 profile has COV < 0.1): over 20,000 steps the mean is
+// within 1% of the base, the COV within 0.05 ± 0.005, and no step falls
+// below the 0.5 floor. A redraw gives the same bits, and zero COV passes
+// the base through.
 func TestNoisyPerfCOV(t *testing.T) {
-	base := func(it market.InstanceType, _ string) float64 {
-		if it.Name == "big" {
-			return 0.5
-		}
-		return 2.0
-	}
+	base := func(it market.InstanceType, _ string) float64 { return 16 / float64(it.CPUs) }
 	p := &NoisyPerf{Base: base, COV: 0.05, Seed: 7}
-	var xs []float64
-	for step := 0; step < 500; step++ {
-		xs = append(xs, p.StepSeconds(small, "hp1", step))
-	}
-	cov := stats.COV(xs)
-	if cov <= 0 || cov > 0.1 {
-		t.Fatalf("observed COV %v, want (0, 0.1] per §IV-A5", cov)
-	}
-	if m := stats.Mean(xs); math.Abs(m-2.0) > 0.05 {
-		t.Fatalf("noisy mean %v, want ~2.0", m)
-	}
-	// Deterministic.
-	again := p.StepSeconds(small, "hp1", 42)
-	if again != xs[42] {
-		t.Fatal("NoisyPerf not deterministic")
+	for _, it := range market.DefaultCatalog().Types() {
+		steps := p.Steps(it, "hp1")
+		want := base(it, "hp1")
+		xs := make([]float64, 20000)
+		for k := range xs {
+			xs[k] = steps(k).Seconds()
+			if xs[k] < 0.5*want {
+				t.Fatalf("%s step %d: %v s below the floor %v s", it.Name, k, xs[k], 0.5*want)
+			}
+		}
+		if m := stats.Mean(xs); math.Abs(m/want-1) > 0.01 {
+			t.Errorf("%s: mean %v s, want within 1%% of %v s", it.Name, m, want)
+		}
+		if cov := stats.COV(xs); math.Abs(cov-0.05) > 0.005 {
+			t.Errorf("%s: COV %v, want 0.05 ± 0.005", it.Name, cov)
+		}
+		if again := p.Steps(it, "hp1")(42); again != steps(42) {
+			t.Fatalf("%s: step 42 redrawn as %v, first %v", it.Name, again, steps(42))
+		}
 	}
 	// Zero COV passes base through.
 	p0 := &NoisyPerf{Base: base}
-	if got := p0.StepSeconds(big, "hp", 0); got != 0.5 {
-		t.Fatalf("zero-COV StepSeconds = %v", got)
+	if got := p0.Steps(big, "hp")(0); got != time.Second {
+		t.Fatalf("zero-COV step = %v, want 1s", got)
 	}
 }
 
@@ -272,9 +282,9 @@ func TestRunForConservationProperty(t *testing.T) {
 		}
 		prev := 0
 		for _, s := range slices {
-			sec := float64(s%40) / 3
+			sec := secs(float64(s%40) / 3)
 			steps, used := r.RunFor(small, sec, 0)
-			if used > sec+1e-9 || steps < 0 {
+			if used > sec || steps < 0 {
 				return false
 			}
 			if r.CompletedSteps() < prev {
@@ -293,8 +303,8 @@ func TestRunForConservationProperty(t *testing.T) {
 // spending it at once (determinism of fractional bookkeeping, no noise).
 func TestRunForSplitEquivalenceProperty(t *testing.T) {
 	f := func(aRaw, bRaw uint8) bool {
-		a := float64(aRaw%60) / 4
-		b := float64(bRaw%60) / 4
+		a := secs(float64(aRaw%60) / 4)
+		b := secs(float64(bRaw%60) / 4)
 		one, err := NewReplay("p", 50, mkCurve(50, 5), constPerf{"small": 1.5}, 1)
 		if err != nil {
 			return false
@@ -381,89 +391,6 @@ func TestAppendCheckpointMatchesCheckpoint(t *testing.T) {
 	}
 }
 
-// noisyReplay builds a replay over a noisy perf model, optionally routed
-// through a shared step-time cache.
-func noisyReplay(t *testing.T, cache *PerfCache) *Replay {
-	t.Helper()
-	perf := &NoisyPerf{
-		Base: func(it market.InstanceType, _ string) float64 { return 16 / float64(it.CPUs) },
-		COV:  0.05,
-		Seed: 9,
-	}
-	r, err := NewReplay("hp-warm", 400, mkCurve(400, 10), perf, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache != nil {
-		cache.Use(9, "bench")
-		r.SharePerfCache(cache)
-	}
-	return r
-}
-
-// warmCache returns a cache whose prefix for (small, hp-warm) covers every
-// step — what an earlier campaign on the same worker leaves behind.
-func warmCache(t *testing.T) *PerfCache {
-	t.Helper()
-	cache := NewPerfCache()
-	noisyReplay(t, cache).RunFor(small, 1e9, 0)
-	return cache
-}
-
-// TestRunForWarmCacheMatchesCold pins that a slice run on a step-time prefix
-// an earlier campaign extended past the step limit ends exactly like the
-// same slice on a cold prefix: same progress, same seconds used, bit for
-// bit. The budgets straddle the limit by amounts inside the 1e-9 progress
-// snap, where a prefix-length-dependent clamp used to report the whole
-// budget as used on the warm path only.
-func TestRunForWarmCacheMatchesCold(t *testing.T) {
-	cache := warmCache(t)
-	for _, limit := range []int{1, 7, 50, 123, 399} {
-		probe := noisyReplay(t, nil)
-		need, _ := probe.SecondsToReachCapped(small, limit, math.Inf(1))
-		next, _ := probe.SecondsToReachCapped(small, limit+1, math.Inf(1))
-		step := next - need
-		for _, frac := range []float64{-1e-3, -1e-10, 0, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-3, 0.5, 3} {
-			secs := need + frac*step
-			cold := noisyReplay(t, nil)
-			warm := noisyReplay(t, cache)
-			cs, cu := cold.RunFor(small, secs, limit)
-			ws, wu := warm.RunFor(small, secs, limit)
-			if cs != ws || math.Float64bits(cu) != math.Float64bits(wu) ||
-				math.Float64bits(cold.Progress()) != math.Float64bits(warm.Progress()) {
-				t.Fatalf("limit %d, budget need%+g·step: cold (%d steps, %x used, progress %v), warm (%d steps, %x used, progress %v)",
-					limit, frac, cs, math.Float64bits(cu), cold.Progress(), ws, math.Float64bits(wu), warm.Progress())
-			}
-		}
-	}
-}
-
-// TestSecondsToReachCappedWarmCacheMatchesCold pins the capped horizon query
-// to the same length independence: caps on both sides of the exact need give
-// the same verdict and seconds on a cold and on a fully built prefix.
-func TestSecondsToReachCappedWarmCacheMatchesCold(t *testing.T) {
-	cache := warmCache(t)
-	for _, start := range []float64{0, 3.25, 40} {
-		for _, target := range []int{5, 60, 250, 400} {
-			probe := noisyReplay(t, nil)
-			probe.RunFor(small, start, 0)
-			need, _ := probe.SecondsToReachCapped(small, target, math.Inf(1))
-			for _, capSecs := range []float64{-1, 0, need / 2, need * (1 - 1e-15), need, need * (1 + 1e-15), need * 2} {
-				cold := noisyReplay(t, nil)
-				warm := noisyReplay(t, cache)
-				cold.RunFor(small, start, 0)
-				warm.RunFor(small, start, 0)
-				cn, cok := cold.SecondsToReachCapped(small, target, capSecs)
-				wn, wok := warm.SecondsToReachCapped(small, target, capSecs)
-				if cok != wok || math.Float64bits(cn) != math.Float64bits(wn) {
-					t.Fatalf("start %v, target %d, cap %v: cold (%v, %v), warm (%v, %v)",
-						start, target, capSecs, cn, cok, wn, wok)
-				}
-			}
-		}
-	}
-}
-
 // TestLastPointMemoFollowsProgress pins the memoized leaderboard accessor to
 // the plain search through forward progress, repeated calls, and rewinds.
 func TestLastPointMemoFollowsProgress(t *testing.T) {
@@ -486,6 +413,199 @@ func TestLastPointMemoFollowsProgress(t *testing.T) {
 			want, wok := ref()
 			if got != want || gok != wok {
 				t.Fatalf("progress %v: LastPoint = %v,%v want %v,%v", p, got, gok, want, wok)
+			}
+		}
+	}
+}
+
+// noisyReplay returns a 400-step noisy trial. A warm one has its step-time
+// prefix on small already built over every step, as a long earlier run on
+// that type leaves it; a cold one draws its prefixes as slices need them.
+func noisyReplay(t *testing.T, warm bool) *Replay {
+	t.Helper()
+	perf := &NoisyPerf{
+		Base: func(it market.InstanceType, _ string) float64 { return 16 / float64(it.CPUs) },
+		COV:  0.05,
+		Seed: 9,
+	}
+	r, err := NewReplay("hp-warm", 400, mkCurve(400, 10), perf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm {
+		r.prefixFor(small, 0).extend(400, math.MaxInt64)
+	}
+	return r
+}
+
+// TestRunForWarmCacheMatchesCold pins that a slice run on a step-time prefix
+// built past the step limit ends exactly like the same slice on a cold
+// prefix: same steps, same time used, same progress bits. The budgets
+// straddle the exact time to the limit by a nanosecond or two, where a
+// clamp that depends on the prefix's length would split the two.
+func TestRunForWarmCacheMatchesCold(t *testing.T) {
+	for _, limit := range []int{1, 7, 50, 123, 399} {
+		probe := noisyReplay(t, false)
+		need, _ := probe.TimeToReach(small, limit, math.MaxInt64)
+		next, _ := probe.TimeToReach(small, limit+1, math.MaxInt64)
+		step := next - need
+		for _, off := range []time.Duration{-step / 2, -2, -1, 0, 1, 2, step / 2, 3 * step} {
+			budget := need + off
+			cold := noisyReplay(t, false)
+			warm := noisyReplay(t, true)
+			cs, cu := cold.RunFor(small, budget, limit)
+			ws, wu := warm.RunFor(small, budget, limit)
+			if cs != ws || cu != wu || math.Float64bits(cold.Progress()) != math.Float64bits(warm.Progress()) {
+				t.Fatalf("limit %d, budget need%+v: cold (%d steps, %v used, progress %v), warm (%d steps, %v used, progress %v)",
+					limit, off, cs, cu, cold.Progress(), ws, wu, warm.Progress())
+			}
+		}
+	}
+}
+
+// TestSecondsToReachCappedWarmCacheMatchesCold pins the capped reach query,
+// TimeToReach with a limit, to the same answer on a warm prefix as on a
+// cold one, from several starting points and with limits on both sides of
+// the need.
+func TestSecondsToReachCappedWarmCacheMatchesCold(t *testing.T) {
+	for _, start := range []time.Duration{0, secs(3.25), secs(40)} {
+		for _, target := range []int{5, 60, 250, 400} {
+			probe := noisyReplay(t, false)
+			probe.RunFor(small, start, 0)
+			need, _ := probe.TimeToReach(small, target, math.MaxInt64)
+			for _, limit := range []time.Duration{-1, 0, need / 2, need - 1, need, need + 1, need * 2} {
+				cold := noisyReplay(t, false)
+				warm := noisyReplay(t, true)
+				cold.RunFor(small, start, 0)
+				warm.RunFor(small, start, 0)
+				cn, cok := cold.TimeToReach(small, target, limit)
+				wn, wok := warm.TimeToReach(small, target, limit)
+				if cok != wok || cn != wn || cok && cn != need {
+					t.Fatalf("start %v, target %d, limit %v: cold (%v, %v), warm (%v, %v), need %v",
+						start, target, limit, cn, cok, wn, wok, need)
+				}
+			}
+		}
+	}
+}
+
+// aheadPerf wraps a perf model and fails the test when a draw lies behind
+// the trial's completed steps: a type switch may draw only steps ahead.
+type aheadPerf struct {
+	PerfModel
+	t *testing.T
+	r *Replay
+}
+
+func (p *aheadPerf) Steps(it market.InstanceType, hp string) StepTimes {
+	steps := p.PerfModel.Steps(it, hp)
+	return func(k int) time.Duration {
+		if done := p.r.CompletedSteps(); k < done {
+			p.t.Fatalf("%s drew step %d with %d steps done", it.Name, k, done)
+		}
+		return steps(k)
+	}
+}
+
+// TestPrefixStartAndLengthDoNotChangeResults drives three replays of one
+// noisy trial through the same random operations: slices with random
+// budgets and step limits on random types (some budgets exactly the time to
+// a step), reach queries with limits on both sides of the need, and Restore
+// rewinds to earlier checkpoints. The first replay builds its prefixes as a
+// campaign does, from where the trial is, and must never draw a step behind
+// it; before every operation the second has each type's prefix start at
+// step 0 and cover the in-flight step, and the third has it built to
+// MaxSteps. Every result must agree bit for bit. A fourth replay spends
+// each slice's budget in two random parts and must end on the same
+// progress bits, steps and time used.
+func TestPrefixStartAndLengthDoNotChangeResults(t *testing.T) {
+	const maxSteps = 300
+	types := []market.InstanceType{small, big, {Name: "mid", CPUs: 5}}
+	rng := rand.New(rand.NewPCG(28, 1))
+	for run := 0; run < 100; run++ {
+		perf := &NoisyPerf{
+			Base: func(it market.InstanceType, _ string) float64 { return 16 / float64(it.CPUs) },
+			COV:  []float64{0.05, 3}[run%2],
+			Seed: rng.Uint64(),
+		}
+		mk := func(pm PerfModel) *Replay {
+			r, err := NewReplay("hp-prop", maxSteps, mkCurve(maxSteps, 10), pm, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		ahead := &aheadPerf{PerfModel: perf, t: t}
+		natural, origin, far, split := mk(ahead), mk(perf), mk(perf), mk(perf)
+		ahead.r = natural
+		prep := func(r *Replay, upto int) {
+			if cur := int(r.progress); cur < maxSteps {
+				for _, it := range types {
+					r.prefixFor(it, 0).extend(max(upto, cur+1), math.MaxInt64)
+				}
+			}
+		}
+		var ckpts [][]byte
+		for op := 0; op < 60; op++ {
+			prep(origin, 0)
+			prep(far, maxSteps)
+			it := types[rng.IntN(len(types))]
+			target := rng.IntN(maxSteps + 3)
+			switch rng.IntN(4) {
+			case 0, 1:
+				budget := time.Duration(rng.Int64N(int64(40 * time.Second)))
+				limit := rng.IntN(maxSteps + 10)
+				landing := -1 // the whole step an exact budget must land on
+				if rng.IntN(3) == 0 {
+					budget, _ = natural.TimeToReach(it, target, math.MaxInt64)
+					if lim := min(maxSteps, limit); limit > 0 && target <= lim && budget > 0 {
+						landing = target
+					}
+				}
+				s0, u0 := natural.RunFor(it, budget, limit)
+				if landing >= 0 && natural.progress != float64(landing) {
+					t.Fatalf("run %d op %d: a budget of exactly the time to step %d left progress %v", run, op, landing, natural.progress)
+				}
+				s1, u1 := origin.RunFor(it, budget, limit)
+				s2, u2 := far.RunFor(it, budget, limit)
+				part := time.Duration(rng.Int64N(int64(budget) + 1))
+				sa, ua := split.RunFor(it, part, limit)
+				sb, ub := split.RunFor(it, budget-part, limit)
+				if sa+sb != s0 || ua+ub != u0 || math.Float64bits(split.progress) != math.Float64bits(natural.progress) {
+					t.Fatalf("run %d op %d: RunFor(%s, %v, %d) = (%d, %v, progress %v), in parts of %v: (%d, %v, %v)",
+						run, op, it.Name, budget, limit, s0, u0, natural.progress, part, sa+sb, ua+ub, split.progress)
+				}
+				if s0 != s1 || s0 != s2 || u0 != u1 || u0 != u2 ||
+					math.Float64bits(natural.progress) != math.Float64bits(origin.progress) ||
+					math.Float64bits(natural.progress) != math.Float64bits(far.progress) {
+					t.Fatalf("run %d op %d: RunFor(%s, %v, %d) = (%d, %v, progress %v), (%d, %v, %v), (%d, %v, %v)",
+						run, op, it.Name, budget, limit, s0, u0, natural.progress, s1, u1, origin.progress, s2, u2, far.progress)
+				}
+				if rng.IntN(2) == 0 {
+					ckpts = append(ckpts, natural.AppendCheckpoint(nil))
+				}
+			case 2:
+				need, _ := natural.TimeToReach(it, target, math.MaxInt64)
+				reached := natural.progress >= float64(min(target, maxSteps))
+				for _, limit := range []time.Duration{-1, 0, need / 2, need - 1, need, need + 1, math.MaxInt64} {
+					n0, ok0 := natural.TimeToReach(it, target, limit)
+					n1, ok1 := origin.TimeToReach(it, target, limit)
+					n2, ok2 := far.TimeToReach(it, target, limit)
+					if n0 != n1 || n0 != n2 || ok0 != ok1 || ok0 != ok2 || ok0 != (reached || limit >= need) || ok0 && n0 != need {
+						t.Fatalf("run %d op %d: TimeToReach(%s, %d, %v) = (%v, %v), (%v, %v), (%v, %v), need %v",
+							run, op, it.Name, target, limit, n0, ok0, n1, ok1, n2, ok2, need)
+					}
+				}
+			case 3:
+				if len(ckpts) == 0 {
+					continue
+				}
+				blob := ckpts[rng.IntN(len(ckpts))]
+				for _, r := range []*Replay{natural, origin, far, split} {
+					if err := r.Restore(blob); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"testing"
+	"time"
 
 	"spottune/internal/market"
 	"spottune/internal/stats"
@@ -223,7 +224,7 @@ func TestTrialsFromCurves(t *testing.T) {
 	cat := market.DefaultCatalog()
 	ref, _ := cat.Lookup("r4.large")
 	tr := trials[0]
-	steps, _ := tr.RunFor(ref, 10*float64(tr.MaxSteps())*b.BaseStepSeconds, 0)
+	steps, _ := tr.RunFor(ref, time.Duration(10*float64(tr.MaxSteps())*b.BaseStepSeconds)*time.Second, 0)
 	if steps != b.MaxTrialSteps {
 		t.Fatalf("trial ran %d steps, want %d", steps, b.MaxTrialSteps)
 	}
@@ -240,9 +241,10 @@ func TestPerfModelCOVUnderTenPercent(t *testing.T) {
 	perf := b.PerfModel(3)
 	cat := market.DefaultCatalog()
 	it, _ := cat.Lookup("m4.2xlarge")
+	steps := perf.Steps(it, b.HPs[0].ID)
 	var xs []float64
 	for step := 0; step < 400; step++ {
-		xs = append(xs, perf.StepSeconds(it, b.HPs[0].ID, step))
+		xs = append(xs, steps(step).Seconds())
 	}
 	if cov := stats.COV(xs); cov >= 0.1 {
 		t.Fatalf("per-step time COV %v >= 0.1", cov)
