@@ -934,13 +934,13 @@ func BenchmarkCampaignSweep(b *testing.B) {
 				theta, seed := theta, uint64(i*4+s)
 				tasks = append(tasks, campaign.Task{
 					Key: fmt.Sprintf("θ=%.2f/seed=%d", theta, seed),
-					Run: func(*rand.Rand) (*core.Report, error) {
+					Run: func() (*core.Report, error) {
 						return env.RunSpotTune(bench, curves, campaign.Options{Theta: theta, Seed: seed})
 					},
 				})
 			}
 		}
-		res := campaign.Sweep(tasks, campaign.SweepOptions{Seed: uint64(i)})
+		res := campaign.Sweep(tasks, campaign.SweepOptions{})
 		for _, r := range res {
 			if r.Err != nil {
 				b.Fatalf("%s: %v", r.Key, r.Err)
@@ -1061,7 +1061,9 @@ var serviceBenchPeak1k float64
 // campaigns/s plus the peak live heap observed while streaming results.
 // The gate reads the runtime's live-heap metric (the heap the last GC
 // marked), not HeapAlloc, which also counts garbage not yet collected and
-// so lands anywhere on the GC sawtooth. `make service` exports these
+// so lands anywhere on the GC sawtooth. Both sizes take the same number of
+// readings, one every tenants/64 results plus one at the end, so the gate
+// compares maxima over equally many samples. `make service` exports these
 // numbers to BENCH_service.json.
 func BenchmarkServiceThroughput(b *testing.B) {
 	for _, tenants := range []int{1000, 10000} {
@@ -1092,6 +1094,7 @@ func benchServiceThroughput(b *testing.B, tenants int) {
 		SurgeSlope:  0.5,
 	}
 	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	every := tenants / 64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var (
@@ -1109,7 +1112,7 @@ func benchServiceThroughput(b *testing.B, tenants int) {
 			if len(r.Violations) != 0 {
 				b.Fatalf("tenant %s: %d invariant violations, first: %v", r.Tenant.ID, len(r.Violations), r.Violations[0])
 			}
-			if seen++; seen%16 == 0 {
+			if seen++; seen%every == 0 {
 				sample()
 			}
 		}

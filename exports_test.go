@@ -23,16 +23,17 @@ import (
 // that no non-test file references and that stay on purpose, keyed as
 // TestNoTestOnlyExports names them.
 var testOnlySurvivors = map[string]string{
-	"cloudsim.NewCluster":           "the cluster fixture that the tests of several packages share",
-	"cloudsim.InstanceState.String": "fmt.Stringer: instance states print by name",
-	"cloudsim.capacityError.Unwrap": "errors.Is matches a capacity rejection to ErrCapacityUnavailable, RequestSpot's documented contract",
-	"cloudsim.priceError.Unwrap":    "errors.Is matches a price rejection to ErrPriceAboveMax, RequestSpot's documented contract",
-	"market.ReadCSV":                "reads the paper's real trace format; fuzzed by FuzzTraceCSVRoundTrip",
-	"market.WriteSetCSV":            "writes the paper's real trace format; fuzzed by FuzzTraceCSVRoundTrip",
-	"market.Trace.AvgOver":          "the segment-walk reference the store's block integrals are compared against",
-	"obs.SchemaJSON":                "renders the trace schema that TestSchemaGolden diffs against the committed fixture",
-	"revpred.Model.Save":            "with LoadModel, lets BenchmarkRevPredInference empty a model's memo",
-	"revpred.LoadModel":             "with Save, lets BenchmarkRevPredInference empty a model's memo",
+	"cloudsim.NewCluster":            "the cluster fixture that the tests of several packages share",
+	"cloudsim.InstanceState.String":  "fmt.Stringer: instance states print by name",
+	"cloudsim.capacityError.Unwrap":  "errors.Is matches a capacity rejection to ErrCapacityUnavailable, RequestSpot's documented contract",
+	"cloudsim.priceError.Unwrap":     "errors.Is matches a price rejection to ErrPriceAboveMax, RequestSpot's documented contract",
+	"market.ReadCSV":                 "reads the paper's real trace format; fuzzed by FuzzTraceCSVRoundTrip",
+	"market.WriteSetCSV":             "writes the paper's real trace format; fuzzed by FuzzTraceCSVRoundTrip",
+	"market.Trace.AvgOver":           "the segment-walk reference the store's block integrals are compared against",
+	"obs.SchemaJSON":                 "renders the trace schema that TestSchemaGolden diffs against the committed fixture",
+	"revpred.Model.Save":             "with LoadModel, lets BenchmarkRevPredInference empty a model's memo",
+	"revpred.LoadModel":              "with Save, lets BenchmarkRevPredInference empty a model's memo",
+	"simclock.Virtual.NextEventTime": "the reference Cluster.NextEventTime must equal in a private world (TestClusterEventsAreClockEventsInPrivateWorld)",
 }
 
 // TestNoTestOnlyExports fails on every exported function or method under

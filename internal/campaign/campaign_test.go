@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
@@ -172,7 +171,7 @@ func axisTasks(env *Environment, bench *workload.Benchmark, curves workload.Curv
 	for i, name := range names {
 		o := opt
 		set(&o, name)
-		tasks[i] = Task{Key: name, Run: func(*rand.Rand) (*core.Report, error) {
+		tasks[i] = Task{Key: name, Run: func() (*core.Report, error) {
 			return env.RunPolicy(bench, curves, o)
 		}}
 	}
@@ -192,7 +191,7 @@ func TestPolicyTasksSweep(t *testing.T) {
 	if len(tasks) < 6 {
 		t.Fatalf("only %d policy tasks", len(tasks))
 	}
-	results := Sweep(tasks, SweepOptions{Seed: 7})
+	results := Sweep(tasks, SweepOptions{})
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Key, r.Err)
@@ -266,7 +265,7 @@ func TestTunerTasksSweepEveryRegisteredTuner(t *testing.T) {
 	names := search.Names()
 	run := func() []SweepResult {
 		return Sweep(axisTasks(env, bench, curves, names, opt,
-			func(o *Options, name string) { o.Tuner = name }), SweepOptions{Seed: 3})
+			func(o *Options, name string) { o.Tuner = name }), SweepOptions{})
 	}
 	results := run()
 	if len(results) != len(names) {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strings"
@@ -130,10 +129,10 @@ func TestSharedEnvironmentMatchesFreshEnvironments(t *testing.T) {
 		o := opt(seed)
 		tasks[i] = Task{
 			Key: fmt.Sprint(seed),
-			Run: func(*rand.Rand) (*core.Report, error) { return swept.RunPolicy(bench, curves, o) },
+			Run: func() (*core.Report, error) { return swept.RunPolicy(bench, curves, o) },
 		}
 	}
-	res := Sweep(tasks, SweepOptions{Workers: 4, Seed: 3})
+	res := Sweep(tasks, SweepOptions{Workers: 4})
 	for _, r := range res {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Key, r.Err)

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 
@@ -11,12 +10,12 @@ import (
 )
 
 // Task is one independent campaign run inside a Sweep: a label for the
-// result row plus the closure that executes it. The rng passed to Run is the
-// task's private stream — derived from (sweep seed, task index), so results
-// do not depend on which worker picks the task up or in what order.
+// result row plus the closure that executes it. A campaign draws its
+// randomness from its own options (Options.Seed), so a task's result does
+// not depend on which worker picks it up or in what order.
 type Task struct {
 	Key string
-	Run func(rng *rand.Rand) (*core.Report, error)
+	Run func() (*core.Report, error)
 }
 
 // SweepResult is one task's outcome, at the same index as its Task.
@@ -30,8 +29,6 @@ type SweepResult struct {
 type SweepOptions struct {
 	// Workers caps concurrent campaigns (default GOMAXPROCS).
 	Workers int
-	// Seed is the base of every task's private rand stream.
-	Seed uint64
 	// Context, when set, cancels the sweep: tasks not yet handed to a
 	// worker stop dispatching, in-flight tasks run to completion (campaign
 	// runs are not interruptible mid-simulation), and every undispatched
@@ -51,10 +48,10 @@ type SweepOptions struct {
 // Their exact memos (RevPred history rows, EarlyCurve stage fits) are
 // locked, and a memoized answer is the same bits as a recomputed one.
 //
-// Determinism: the i-th task always receives rand.NewPCG(seed, i), and the
-// i-th result slot always holds the i-th task's outcome. A sweep over a
-// fixed environment and seed is therefore reproducible run to run and
-// identical to executing the tasks sequentially.
+// Determinism: the i-th result slot always holds the i-th task's outcome.
+// A sweep of seeded campaigns over a fixed environment is therefore
+// reproducible run to run and identical to executing the tasks
+// sequentially.
 //
 // Cancellation (SweepOptions.Context / FailFast) drains rather than aborts:
 // workers finish the task in their hands, then Sweep returns with every
@@ -96,7 +93,7 @@ func Sweep(tasks []Task, opt SweepOptions) []SweepResult {
 							res.Err = fmt.Errorf("campaign: sweep task %q panicked: %v", t.Key, r)
 						}
 					}()
-					res.Report, res.Err = t.Run(rand.New(rand.NewPCG(opt.Seed, uint64(i))))
+					res.Report, res.Err = t.Run()
 				}()
 				results[i] = res
 				if res.Err != nil && cancel != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sync/atomic"
 	"testing"
 
@@ -13,37 +12,28 @@ import (
 )
 
 func TestSweepDeterministicOrderAndStreams(t *testing.T) {
-	// Record the first draw of each task's rng; it must depend only on the
-	// task index, and results must land at their task's index.
+	// Results must land at their task's index however the workers pick the
+	// tasks up, run after run.
 	const n = 20
-	run := func() ([]SweepResult, []uint64) {
-		draws := make([]uint64, n)
+	run := func() []SweepResult {
 		tasks := make([]Task, n)
 		for i := range tasks {
-			i := i
 			tasks[i] = Task{
 				Key: fmt.Sprintf("t%d", i),
-				Run: func(rng *rand.Rand) (*core.Report, error) {
-					draws[i] = rng.Uint64()
+				Run: func() (*core.Report, error) {
 					return &core.Report{TotalSteps: i}, nil
 				},
 			}
 		}
-		return Sweep(tasks, SweepOptions{Workers: 4, Seed: 99}), draws
+		return Sweep(tasks, SweepOptions{Workers: 4})
 	}
-	res1, draws1 := run()
-	res2, draws2 := run()
+	res1, res2 := run(), run()
 	for i := 0; i < n; i++ {
-		if res1[i].Key != fmt.Sprintf("t%d", i) || res1[i].Report.TotalSteps != i {
-			t.Fatalf("result %d out of order: %+v", i, res1[i])
-		}
-		if draws1[i] != draws2[i] {
-			t.Fatalf("task %d rand stream not deterministic: %d vs %d", i, draws1[i], draws2[i])
-		}
-	}
-	for i := range res1 {
 		if res1[i].Err != nil {
 			t.Fatal(res1[i].Err)
+		}
+		if res1[i].Key != fmt.Sprintf("t%d", i) || res1[i].Report.TotalSteps != i {
+			t.Fatalf("result %d out of order: %+v", i, res1[i])
 		}
 		if res2[i].Report.TotalSteps != res1[i].Report.TotalSteps {
 			t.Fatalf("re-run diverged at %d", i)
@@ -54,9 +44,9 @@ func TestSweepDeterministicOrderAndStreams(t *testing.T) {
 func TestSweepErrorAndPanicIsolation(t *testing.T) {
 	boom := errors.New("boom")
 	tasks := []Task{
-		{Key: "ok", Run: func(*rand.Rand) (*core.Report, error) { return &core.Report{}, nil }},
-		{Key: "fails", Run: func(*rand.Rand) (*core.Report, error) { return nil, boom }},
-		{Key: "panics", Run: func(*rand.Rand) (*core.Report, error) { panic("kaput") }},
+		{Key: "ok", Run: func() (*core.Report, error) { return &core.Report{}, nil }},
+		{Key: "fails", Run: func() (*core.Report, error) { return nil, boom }},
+		{Key: "panics", Run: func() (*core.Report, error) { panic("kaput") }},
 	}
 	res := Sweep(tasks, SweepOptions{Workers: 3})
 	if res[0].Err != nil || res[0].Report == nil {
@@ -103,13 +93,13 @@ func TestSweepMatchesSequentialCampaigns(t *testing.T) {
 		theta := theta
 		tasks[i] = Task{
 			Key: fmt.Sprintf("theta=%.1f", theta),
-			Run: func(*rand.Rand) (*core.Report, error) {
+			Run: func() (*core.Report, error) {
 				launched.Add(1)
 				return env.RunSpotTune(bench, curves, Options{Theta: theta, Seed: 11})
 			},
 		}
 	}
-	res := Sweep(tasks, SweepOptions{Workers: 3, Seed: 11})
+	res := Sweep(tasks, SweepOptions{Workers: 3})
 	for _, r := range res {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Key, r.Err)
@@ -149,7 +139,7 @@ func TestSweepCancelMidFlight(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{
 			Key: fmt.Sprintf("t%d", i),
-			Run: func(*rand.Rand) (*core.Report, error) {
+			Run: func() (*core.Report, error) {
 				if started.Add(1) == 10 { // 16 workers guarantee 10 concurrent starts
 					cancel() // cancel mid-flight from inside a worker
 					close(release)
@@ -159,7 +149,7 @@ func TestSweepCancelMidFlight(t *testing.T) {
 			},
 		}
 	}
-	res := Sweep(tasks, SweepOptions{Workers: 16, Seed: 7, Context: ctx})
+	res := Sweep(tasks, SweepOptions{Workers: 16, Context: ctx})
 	ran, cancelled := 0, 0
 	for i, r := range res {
 		switch {
@@ -196,7 +186,7 @@ func TestSweepFailFast(t *testing.T) {
 		i := i
 		tasks[i] = Task{
 			Key: fmt.Sprintf("t%d", i),
-			Run: func(*rand.Rand) (*core.Report, error) {
+			Run: func() (*core.Report, error) {
 				if i == 0 {
 					return nil, boom
 				}
@@ -204,7 +194,7 @@ func TestSweepFailFast(t *testing.T) {
 			},
 		}
 	}
-	res := Sweep(tasks, SweepOptions{Workers: 1, Seed: 1, FailFast: true})
+	res := Sweep(tasks, SweepOptions{Workers: 1, FailFast: true})
 	if !errors.Is(res[0].Err, boom) {
 		t.Fatalf("failing slot holds %v, want boom", res[0].Err)
 	}

@@ -185,6 +185,11 @@ type Cluster struct {
 	instances []*Instance
 	ledger    Ledger
 
+	// events are the events the cluster put on its clock (notices,
+	// revocations, mass preemptions), in schedule order. NextEventTime
+	// drops the ones that fired, were cancelled or were reset away.
+	events []simclock.EventRef
+
 	// runningSpot counts live spot instances per catalog index, enforcing
 	// the catalog's per-type Capacity cap (0 = unlimited). On-demand
 	// capacity is never capped.
@@ -438,7 +443,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 		}
 		inst.NoticeAt = noticeAt
 		inst.RevokeAt = exceedAt
-		inst.noticeEv = c.clk.Schedule(noticeAt, func(at time.Time) {
+		inst.noticeEv = c.schedule(noticeAt, func(at time.Time) {
 			if !inst.Running() || inst.State == StateNoticed {
 				return
 			}
@@ -447,7 +452,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 				inst.onNotice(inst, at)
 			}
 		})
-		inst.revokeEv = c.clk.Schedule(exceedAt, func(at time.Time) {
+		inst.revokeEv = c.schedule(exceedAt, func(at time.Time) {
 			if !inst.Running() {
 				return
 			}

@@ -121,7 +121,7 @@ func (c *Cluster) SchedulePreemption(at time.Time, typeName string) error {
 	if at.Before(c.clk.Now()) {
 		return fmt.Errorf("cloudsim: preemption at %v is in the past (now %v)", at, c.clk.Now())
 	}
-	c.clk.Schedule(at, func(now time.Time) {
+	c.schedule(at, func(now time.Time) {
 		// RunningInstances sorts by ID, so notice delivery order — and with
 		// it every downstream orchestration decision — is deterministic.
 		for _, inst := range c.RunningInstances() {
@@ -161,7 +161,7 @@ func (c *Cluster) preempt(inst *Instance, now time.Time) {
 			inst.onNotice(inst, now)
 		}
 	}
-	inst.revokeEv = c.clk.Schedule(revokeAt, func(at time.Time) {
+	inst.revokeEv = c.schedule(revokeAt, func(at time.Time) {
 		if !inst.Running() {
 			return
 		}

@@ -1,6 +1,10 @@
 package cloudsim
 
-import "time"
+import (
+	"time"
+
+	"spottune/internal/simclock"
+)
 
 // This file is the cluster's "next interesting instant" surface: instead of
 // being sampled every poll tick, the cluster tells schedulers when its state
@@ -69,6 +73,38 @@ func (c *Cluster) NextInstanceEvent() (time.Time, bool) {
 		consider(inst.RevokeAt)
 	}
 	return best, found
+}
+
+// schedule puts fn on the cluster's clock and keeps the event for
+// NextEventTime.
+func (c *Cluster) schedule(at time.Time, fn func(now time.Time)) simclock.EventRef {
+	ev := c.clk.Schedule(at, fn)
+	c.events = append(c.events, ev)
+	return ev
+}
+
+// NextEventTime returns the due time of the earliest pending event the
+// cluster put on its clock (a notice, a revocation, a mass preemption), the
+// first scheduled among equal instants, or ok=false when none is pending.
+// Events that fired, were cancelled or were dropped by the clock's Reset
+// leave the answer, and so do the events of other clusters sharing the
+// clock: in a private world the answer is the clock's NextEventTime, to the
+// bit.
+func (c *Cluster) NextEventTime() (at time.Time, ok bool) {
+	n := 0
+	for _, ev := range c.events {
+		due, pending := ev.Pending()
+		if !pending {
+			continue
+		}
+		c.events[n] = ev
+		n++
+		if !ok || due.Before(at) {
+			at, ok = due, true
+		}
+	}
+	c.events = c.events[:n]
+	return at, ok
 }
 
 // NextInterestingAt returns the earliest instant at which the cluster's

@@ -660,24 +660,20 @@ func (o *Orchestrator) closeRound() {
 
 // turn is one scheduler turn of Algorithm 1 as a discrete-event loop: it
 // handles everything due now, then returns the next instant at which any
-// trigger or cluster event can fire — trigger-step completion, θ-shutdown
-// point, proactive-restart horizon, periodic-checkpoint tick, plateau step,
-// notice, revocation, or price tick — or closed once every directed trial
-// has finished. The turn count is the number of real events, not
-// campaign-duration/pollInterval. While a held request waits with nothing
-// live the turn is a turn-free retry instead (retryHeld).
+// trigger or event of the campaign's own cluster can fire — trigger-step
+// completion, θ-shutdown point, proactive-restart horizon,
+// periodic-checkpoint tick, plateau step, notice, revocation, price tick or
+// deploy retry — or closed once every directed trial has finished. The turn
+// count is the number of real events, not campaign-duration/pollInterval.
 func (o *Orchestrator) turn() (next time.Time, closed bool, err error) {
 	// 5M turns in one round means livelock (e.g. a trial that can never
-	// recover past its checkpoint). Turn-free retries count too.
+	// recover past its checkpoint).
 	if o.turns > 5_000_000 {
 		return time.Time{}, false, errors.New("core: orchestrator did not converge (runaway loop)")
 	}
 	o.turns++
-	now := o.cluster.Clock().Now()
-	if o.retrying() {
-		return o.retryHeld(now)
-	}
 	o.iterations++
+	now := o.cluster.Clock().Now()
 	o.handleTriggers(now)
 	if o.pending == 0 {
 		return time.Time{}, true, nil
@@ -686,65 +682,8 @@ func (o *Orchestrator) turn() (next time.Time, closed bool, err error) {
 	if err != nil {
 		return time.Time{}, false, err
 	}
-	return o.endTurn(now, retryAt, blocked)
-}
-
-// fullTurnsOnly turns the turn-free retries off, so every retry instant
-// runs a full turn: the reference the exactness tests step the turn-free
-// retries against. Only tests set it, while no campaign runs.
-var fullTurnsOnly bool
-
-// retrying reports whether the next turn may be a turn-free retry: no
-// assignment exists (live, or dead and not yet reaped), the campaign has no
-// deadline ladder, and the head waiting trial holds a capacity-refused
-// request. A full turn would then find nothing for handleTriggers to
-// advance or reap and nothing for assessDegradation to assess, and the
-// only wakeups nextWakeup could put before the head's retry instant are
-// clock events. None of them reaches this campaign: with no assignment it
-// has no instance a notice or preemption could reach, and the revocation of
-// one already noticed settles at its own instant whenever it fires. Events
-// of other campaigns on a shared clock fire before any turn at or after
-// their instants either way. So the head's attempts at its retry instants
-// alone make the calls, and leave the state, that the full turns make.
-func (o *Orchestrator) retrying() bool {
-	return !fullTurnsOnly && o.nActive == 0 && o.slack == nil &&
-		len(o.waiting) > 0 && o.waiting[0].held.TypeName != ""
-}
-
-// retryHeld is a turn-free retry: the head waiting trial's deploy attempt
-// and nothing else. Another refusal returns the next retry instant at once;
-// any other outcome goes on as the rest of a full turn at this instant, so
-// it counts as one in Report.LoopIterations.
-func (o *Orchestrator) retryHeld(now time.Time) (next time.Time, closed bool, err error) {
-	incumbent := o.incumbentBest()
-	retryAt, blocked, wait, err := o.attempt(o.waiting[0], now, incumbent)
-	if err != nil {
-		return time.Time{}, false, err
-	}
-	if wait && !blocked {
-		return retryAt, false, nil
-	}
-	o.iterations++
-	if !wait {
-		if retryAt, blocked, err = o.deployQueue(now, incumbent); err != nil {
-			return time.Time{}, false, err
-		}
-	}
-	return o.endTurn(now, retryAt, blocked)
-}
-
-// endTurn closes the round once every directed trial has finished, and
-// otherwise returns the turn's wakeup: the earlier of the deploy retry
-// instant and nextWakeup's answer, or the retry instant alone when the next
-// turn will be a turn-free retry (see retrying for why nothing earlier can
-// matter then).
-func (o *Orchestrator) endTurn(now, retryAt time.Time, blocked bool) (next time.Time, closed bool, err error) {
 	if o.pending == 0 {
 		return time.Time{}, true, nil
-	}
-	if !blocked && o.retrying() {
-		// The head is waiting with a slot free, so retryAt is its pacing.
-		return retryAt, false, nil
 	}
 	next, ok := o.nextWakeup(now, blocked, retryAt)
 	if !retryAt.IsZero() && (!ok || retryAt.Before(next)) {
@@ -754,14 +693,19 @@ func (o *Orchestrator) endTurn(now, retryAt time.Time, blocked bool) (next time.
 		return time.Time{}, false, errors.New("core: stalled with no future trigger (market quiescent while trials wait)")
 	}
 	// Advancing fires any notice/revocation events in (now, next], so the
-	// loop never skips past a cluster state change: nextWakeup bounds the
-	// hop by the clock's earliest scheduled event.
+	// loop never skips past a state change of its own cluster: nextWakeup
+	// bounds the hop by the cluster's earliest pending event.
 	return next, false, nil
 }
 
 // handleTriggers advances every live assignment to now and applies Algorithm
-// 1's per-trial triggers, in submission order for determinism.
+// 1's per-trial triggers, in submission order for determinism. With no
+// assignment (nActive counts every one, live or dead) there is nothing to
+// advance or reap.
 func (o *Orchestrator) handleTriggers(now time.Time) {
+	if o.nActive == 0 {
+		return
+	}
 	for _, t := range o.ts {
 		a := t.active
 		if a == nil || a.dead {
@@ -888,13 +832,6 @@ func (o *Orchestrator) deployWaiting(now time.Time) (retryAt time.Time, blocked 
 	}
 	incumbent := o.incumbentBest()
 	o.assessDegradation(now)
-	return o.deployQueue(now, incumbent)
-}
-
-// deployQueue makes deploy attempts for the head of the waiting queue, with
-// the turn's incumbent, until the queue is empty, the concurrency budget is
-// spent or an attempt has to wait, whose retryAt and blocked it returns.
-func (o *Orchestrator) deployQueue(now time.Time, incumbent int) (retryAt time.Time, blocked bool, err error) {
 	for len(o.waiting) > 0 && o.nActive < o.cfg.MaxConcurrent {
 		retryAt, blocked, wait, err := o.attempt(o.waiting[0], now, incumbent)
 		if err != nil || wait {
@@ -1218,20 +1155,23 @@ func (o *Orchestrator) assignmentTrigger(a *assignment, bound time.Time) time.Ti
 	return next
 }
 
-// nextWakeup returns the earliest instant at which anything can happen: an
-// assignment trigger, a scheduled cluster event (notice/revocation), or —
-// when deployment is blocked on the market — the next price tick. retryAt
-// (zero when none) is the caller's deploy retry instant, which it weighs
-// against the answer.
+// nextWakeup returns the earliest instant at which anything can happen to
+// the campaign: an assignment trigger, a pending event of its own cluster
+// (notice, revocation, mass preemption), or — when deployment is blocked on
+// the market — the next price tick. retryAt (zero when none) is the
+// caller's deploy retry instant, which it weighs against the answer. Events
+// of other clusters on a shared clock are not candidates: they change
+// nothing of this campaign's own, so waking at them would only make its
+// schedule depend on its co-tenants.
 //
 // Step triggers are priced only up to a bound B: the earliest of retryAt,
-// the clock's next event and every live assignment's horizon. Each of those
-// is itself a candidate, here or in the caller, so the answer is at most
-// B. A trigger priced in full gets the same bits it would unbounded, and
-// one the bound cuts off lies about a microsecond after B, so it can
-// neither be the minimum nor tie it: the answer, down to which tied time.Time
-// wins, is the unbounded one. How far a prefix was built never changes a
-// result, because RunFor clamps against cum[stepLimit].
+// the cluster's next event and every live assignment's horizon. Each of
+// those is itself a candidate, here or in the caller, so the answer is at
+// most B. A trigger priced in full gets the same bits it would unbounded,
+// and one the bound cuts off lies about a microsecond after B, so it can
+// neither be the minimum nor tie it: the answer, down to which tied
+// time.Time wins, is the unbounded one. How far a prefix was built never
+// changes a result, because RunFor clamps against cum[stepLimit].
 func (o *Orchestrator) nextWakeup(now time.Time, blocked bool, retryAt time.Time) (time.Time, bool) {
 	var best time.Time
 	found := false
@@ -1243,28 +1183,30 @@ func (o *Orchestrator) nextWakeup(now time.Time, blocked bool, retryAt time.Time
 			best, found = at, true
 		}
 	}
-	clockAt, clockOK := o.cluster.Clock().NextEventTime()
-	var bound time.Time
-	if !o.unboundedWakeup {
-		bound = retryAt
-		if clockOK && (bound.IsZero() || clockAt.Before(bound)) {
-			bound = clockAt
-		}
-		for _, t := range o.ts {
-			if a := t.active; a != nil && !a.dead {
-				if h := a.horizon(); !h.IsZero() && (bound.IsZero() || h.Before(bound)) {
-					bound = h
+	eventAt, eventOK := o.cluster.NextEventTime()
+	if o.nActive > 0 {
+		var bound time.Time
+		if !o.unboundedWakeup {
+			bound = retryAt
+			if eventOK && (bound.IsZero() || eventAt.Before(bound)) {
+				bound = eventAt
+			}
+			for _, t := range o.ts {
+				if a := t.active; a != nil && !a.dead {
+					if h := a.horizon(); !h.IsZero() && (bound.IsZero() || h.Before(bound)) {
+						bound = h
+					}
 				}
 			}
 		}
-	}
-	for _, t := range o.ts {
-		if a := t.active; a != nil && !a.dead {
-			consider(o.assignmentTrigger(a, bound))
+		for _, t := range o.ts {
+			if a := t.active; a != nil && !a.dead {
+				consider(o.assignmentTrigger(a, bound))
+			}
 		}
 	}
-	if clockOK {
-		consider(clockAt)
+	if eventOK {
+		consider(eventAt)
 	}
 	if blocked {
 		// A rejected spot request can only succeed once the cluster's

@@ -45,10 +45,9 @@ type Report struct {
 	Notices             int
 	Revocations         int
 
-	// LoopIterations counts the event loop's full scheduler turns across
-	// all phases: one per real scheduling event, not one per pollInterval
-	// of virtual time. A turn-free retry of a held request that is refused
-	// again is not one.
+	// LoopIterations counts the event loop's scheduler turns across all
+	// phases: one per real scheduling event of the campaign's own, not one
+	// per pollInterval of virtual time.
 	LoopIterations int
 
 	// Resilience is the recovery strategy that governed checkpoints,

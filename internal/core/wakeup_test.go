@@ -171,6 +171,65 @@ func TestBoundedWakeupMatchesUnbounded(t *testing.T) {
 	}
 }
 
+// TestClusterEventsAreClockEventsInPrivateWorld pins what makes own-event
+// wakes free in a private world: there the cluster's next event is the
+// clock's, the same time.Time to the location, before and after every Step
+// of a revocation-heavy campaign started in +08:00, with an opening blackout
+// and two mass preemptions (so notices, revocations, preemptions and their
+// revocations all sit on the clock, in UTC and in +08:00).
+func TestClusterEventsAreClockEventsInPrivateWorld(t *testing.T) {
+	east := time.FixedZone("UTC+8", 8*60*60)
+	start := t0.In(east)
+	w := spikyPairWorld(t, start)
+	if err := w.cluster.AddBlackout(cloudsim.Blackout{From: start, To: start.Add(20 * time.Minute)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []time.Duration{50 * time.Minute, 3 * time.Hour} {
+		if err := w.cluster.SchedulePreemption(start.Add(at), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var trials []*trial.Replay
+	for i := 0; i < 3; i++ {
+		trials = append(trials, mkTrial(t, idFor(i), 4000, 100, 0.1*float64(i+1), w.perf, 10))
+	}
+	cfg := orchCfg(0.7)
+	cfg.MaxConcurrent = 2
+	orch := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, cfg)
+	steps, pending := 0, 0
+	check := func(when string) {
+		t.Helper()
+		got, gotOK := w.cluster.NextEventTime()
+		want, wantOK := w.clk.NextEventTime()
+		if got != want || gotOK != wantOK {
+			t.Fatalf("step %d, %s: cluster's next event %v in %v (ok=%v), clock's %v in %v (ok=%v)",
+				steps, when, got, got.Location(), gotOK, want, want.Location(), wantOK)
+		}
+		if gotOK {
+			pending++
+		}
+	}
+	for {
+		check("before")
+		next, done, err := orch.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("after")
+		if done {
+			break
+		}
+		steps++
+		w.clk.AdvanceTo(next)
+	}
+	rep := orch.Report()
+	if rep.Notices < 3 || rep.Revocations == 0 || len(rep.BlackoutRetries) == 0 || pending == 0 {
+		t.Fatalf("%d notices, %d revocations, %d blackout-refused trials, %d checks with an event pending: the case shows nothing",
+			rep.Notices, rep.Revocations, len(rep.BlackoutRetries), pending)
+	}
+	t.Logf("%d steps, %d notices, %d revocations, %d checks with an event pending", steps, rep.Notices, rep.Revocations, pending)
+}
+
 // mkTrial builds one trial in mkTrials' curve family, final metric plateau,
 // on the given perf model with a checkpoint of ckptMB.
 func mkTrial(t *testing.T, id string, maxSteps, every int, plateau float64, perf trial.PerfModel, ckptMB float64) *trial.Replay {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -187,19 +186,19 @@ func Fig7(ctx *Context) ([]Fig7Row, error) {
 		}
 		for _, spec := range []struct {
 			label string
-			run   func(*rand.Rand) (*core.Report, error)
+			run   func() (*core.Report, error)
 		}{
-			{ApproachSpotTune07, func(*rand.Rand) (*core.Report, error) {
+			{ApproachSpotTune07, func() (*core.Report, error) {
 				return env.RunSpotTune(bench, curves, campaign.Options{Theta: 0.7, Seed: ctx.Opts.Seed})
 			}},
-			{ApproachSpotTune10, func(*rand.Rand) (*core.Report, error) {
+			{ApproachSpotTune10, func() (*core.Report, error) {
 				return env.RunSpotTune(bench, curves, campaign.Options{Theta: 1.0, Seed: ctx.Opts.Seed})
 			}},
-			{ApproachCheapest, func(*rand.Rand) (*core.Report, error) {
+			{ApproachCheapest, func() (*core.Report, error) {
 				return env.RunPolicy(bench, curves, campaign.Options{
 					Policy: policy.CheapestName, Theta: 1, Seed: ctx.Opts.Seed})
 			}},
-			{ApproachFastest, func(*rand.Rand) (*core.Report, error) {
+			{ApproachFastest, func() (*core.Report, error) {
 				// m4.4xlarge is the only catalog type compatible with
 				// itself. Without the anchor, a trial whose measured
 				// m4.4xlarge step time exceeds another type's unmeasured
@@ -212,7 +211,7 @@ func Fig7(ctx *Context) ([]Fig7Row, error) {
 			tasks = append(tasks, campaign.Task{Key: name + "/" + spec.label, Run: spec.run})
 		}
 	}
-	results := campaign.Sweep(tasks, campaign.SweepOptions{Seed: ctx.Opts.Seed})
+	results := campaign.Sweep(tasks, campaign.SweepOptions{})
 	var rows []Fig7Row
 	for i, res := range results {
 		if res.Err != nil {
@@ -305,13 +304,13 @@ func Fig8(ctx *Context) ([]Fig8Row, []Fig8Accuracy, error) {
 			cells = append(cells, cell{workload: name, theta: theta, trueBest: trueBest})
 			tasks = append(tasks, campaign.Task{
 				Key: fmt.Sprintf("%s/θ=%.1f", name, theta),
-				Run: func(*rand.Rand) (*core.Report, error) {
+				Run: func() (*core.Report, error) {
 					return env.RunSpotTune(bench, curves, campaign.Options{Theta: theta, Seed: ctx.Opts.Seed})
 				},
 			})
 		}
 	}
-	results := campaign.Sweep(tasks, campaign.SweepOptions{Seed: ctx.Opts.Seed})
+	results := campaign.Sweep(tasks, campaign.SweepOptions{})
 	var rows []Fig8Row
 	for i, res := range results {
 		if res.Err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sync"
 
 	"spottune/internal/campaign"
@@ -98,8 +97,7 @@ func crossPolicy(ctx *Context, opt campaign.Options) ([]CrossPolicyRow, error) {
 // Options.Workloads, on the default environment — fanned out through the
 // campaign.Sweep worker pool. set writes a name into its campaign's options;
 // axis names the axis in errors. It returns the workload's name and the
-// reports in name order; opt.Seed seeds both the campaigns and the sweep's
-// per-task rand streams.
+// reports in name order; opt.Seed seeds every campaign.
 func sweepAxis(ctx *Context, axis string, names []string, opt campaign.Options, set func(*campaign.Options, string)) (string, []*core.Report, error) {
 	if len(ctx.Opts.Workloads) == 0 {
 		return "", nil, errors.New("experiments: no study workload configured")
@@ -121,11 +119,11 @@ func sweepAxis(ctx *Context, axis string, names []string, opt campaign.Options, 
 	for i, name := range names {
 		o := opt
 		set(&o, name)
-		tasks[i] = campaign.Task{Key: name, Run: func(*rand.Rand) (*core.Report, error) {
+		tasks[i] = campaign.Task{Key: name, Run: func() (*core.Report, error) {
 			return env.RunPolicy(bench, curves, o)
 		}}
 	}
-	results := campaign.Sweep(tasks, campaign.SweepOptions{Seed: opt.Seed})
+	results := campaign.Sweep(tasks, campaign.SweepOptions{})
 	reps := make([]*core.Report, len(results))
 	for i, res := range results {
 		if res.Err != nil {

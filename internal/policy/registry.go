@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "spottune/internal/registry"
 
 // Registered built-in policy names.
 const (
@@ -20,36 +16,19 @@ const (
 type Factory func(Params) (Policy, error)
 
 // Info describes one registered policy for help text and study labels.
-type Info struct {
-	Name string
-	Doc  string
-}
+type Info = registry.Info
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-	docs     = map[string]string{}
-)
+var policies = registry.New[Factory]("policy", "policy")
 
 // Register adds a policy factory under a unique name. Built-ins register in
 // init(); external packages may add their own before campaign assembly.
-func Register(name, doc string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("policy: duplicate registration of %q", name))
-	}
-	registry[name] = f
-	docs[name] = doc
-}
+func Register(name, doc string, f Factory) { policies.Register(name, doc, f) }
 
 // New constructs a registered policy by name.
 func New(name string, p Params) (Policy, error) {
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (registered: %v)", name, Names())
+	f, err := policies.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -58,25 +37,7 @@ func New(name string, p Params) (Policy, error) {
 }
 
 // Names lists registered policy names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return policies.Names() }
 
 // Infos lists registered policies with their one-line docs, sorted by name.
-func Infos() []Info {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Info, 0, len(registry))
-	for name := range registry {
-		out = append(out, Info{Name: name, Doc: docs[name]})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func Infos() []Info { return policies.Infos() }

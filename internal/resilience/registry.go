@@ -2,8 +2,8 @@ package resilience
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+
+	"spottune/internal/registry"
 )
 
 // Registered built-in strategy names.
@@ -16,28 +16,13 @@ const (
 type Factory func(Params) (Strategy, error)
 
 // Info describes one registered strategy for help text and study labels.
-type Info struct {
-	Name string
-	Doc  string
-}
+type Info = registry.Info
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-	docs     = map[string]string{}
-)
+var strategies = registry.New[Factory]("resilience", "strategy")
 
 // Register adds a strategy factory under a unique name. Built-ins register
 // in init(); external packages may add their own before campaign assembly.
-func Register(name, doc string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("resilience: duplicate registration of %q", name))
-	}
-	registry[name] = f
-	docs[name] = doc
-}
+func Register(name, doc string, f Factory) { strategies.Register(name, doc, f) }
 
 // New constructs a registered strategy by name ("" selects the default
 // fixed strategy).
@@ -45,11 +30,9 @@ func New(name string, p Params) (Strategy, error) {
 	if name == "" {
 		name = FixedName
 	}
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("resilience: unknown strategy %q (registered: %v)", name, Names())
+	f, err := strategies.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(p)
 }
@@ -65,25 +48,7 @@ func Default() Strategy {
 }
 
 // Names lists registered strategy names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return strategies.Names() }
 
 // Infos lists registered strategies with their one-line docs, sorted by name.
-func Infos() []Info {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Info, 0, len(registry))
-	for name := range registry {
-		out = append(out, Info{Name: name, Doc: docs[name]})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func Infos() []Info { return strategies.Infos() }

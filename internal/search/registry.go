@@ -1,10 +1,6 @@
 package search
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "spottune/internal/registry"
 
 // Registered built-in tuner names.
 const (
@@ -46,28 +42,13 @@ func (p Params) withDefaults() Params {
 type Factory func(Params) (Tuner, error)
 
 // Info describes one registered tuner for help text and study labels.
-type Info struct {
-	Name string
-	Doc  string
-}
+type Info = registry.Info
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-	docs     = map[string]string{}
-)
+var tuners = registry.New[Factory]("search", "tuner")
 
 // Register adds a tuner factory under a unique name. Built-ins register in
 // init(); external packages may add their own before campaign assembly.
-func Register(name, doc string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("search: duplicate registration of %q", name))
-	}
-	registry[name] = f
-	docs[name] = doc
-}
+func Register(name, doc string, f Factory) { tuners.Register(name, doc, f) }
 
 // New constructs a registered tuner by name ("" selects spottune, the
 // paper's Algorithm 1 schedule).
@@ -75,11 +56,9 @@ func New(name string, p Params) (Tuner, error) {
 	if name == "" {
 		name = SpotTuneName
 	}
-	regMu.RLock()
-	f, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("search: unknown tuner %q (registered: %v)", name, Names())
+	f, err := tuners.Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(p.withDefaults())
 }
@@ -91,25 +70,7 @@ func Default(theta float64, mcnt int) Tuner {
 }
 
 // Names lists registered tuner names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return tuners.Names() }
 
 // Infos lists registered tuners with their one-line docs, sorted by name.
-func Infos() []Info {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Info, 0, len(registry))
-	for name := range registry {
-		out = append(out, Info{Name: name, Doc: docs[name]})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+func Infos() []Info { return tuners.Infos() }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"strings"
 	"testing"
 	"time"
@@ -23,9 +22,15 @@ import (
 // testWorld builds the small shared fixture: a 5-day calm market with a
 // constant predictor and quick synthetic curves.
 func testWorld(t testing.TB) (*campaign.Environment, *workload.Benchmark, workload.Curves) {
+	return testWorldIn(t, "")
+}
+
+// testWorldIn is testWorld with its market generated under the named regime
+// ("" is the paper's baseline).
+func testWorldIn(t testing.TB, regime string) (*campaign.Environment, *workload.Benchmark, workload.Curves) {
 	t.Helper()
 	env, err := campaign.NewEnvironment(campaign.EnvOptions{
-		Seed: 11, Days: 5, TrainDays: 2, Predictor: campaign.PredictorConstant,
+		Seed: 11, Days: 5, TrainDays: 2, Predictor: campaign.PredictorConstant, Regime: regime,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,44 +65,64 @@ func reportKey(r *core.Report) string {
 // TestServiceMatchesSoloCampaigns is the metamorphic pin: with contention
 // disabled, every tenant's economics are bit-identical across shard counts
 // {1, 4, 8} and to legacy solo campaign.Sweep execution — sharing a clock
-// changes scheduling, never results.
+// changes scheduling, never results. The volatile mixed-fleet battery is
+// the case co-tenants' events reach: its revocation-heavy market keeps
+// notices and revocations of other tenants pending on the shared clock, and
+// a campaign that woke at them would take its decisions at their instants
+// rather than its own (t-00006 would redeploy at a co-tenant's event instead
+// of one pollInterval after its own notice).
 func TestServiceMatchesSoloCampaigns(t *testing.T) {
-	env, bench, curves := testWorld(t)
-	tenants := DefaultBattery(8, 11)
-
-	solo := make([]string, len(tenants))
-	for i, ten := range tenants {
-		rep, err := env.RunPolicy(bench, curves, campaign.Options{Theta: ten.Theta, Seed: ten.Seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo[i] = reportKey(rep)
+	mixedFleet := DefaultBattery(16, 11)
+	for i := range mixedFleet {
+		mixedFleet[i].Policy = policy.MixedFleetName
 	}
-
-	for _, shards := range []int{1, 4, 8} {
-		sum, got := runService(t, env, bench, curves, tenants,
-			Config{Shards: shards, MaxInFlight: 3})
-		if sum.Admitted != len(tenants) || sum.Rejected != 0 || sum.Failed != 0 {
-			t.Fatalf("shards=%d: summary %+v", shards, sum)
-		}
-		if len(got) != len(tenants) {
-			t.Fatalf("shards=%d: %d results, want %d", shards, len(got), len(tenants))
-		}
-		for i, r := range got {
-			if r.Index != i {
-				t.Fatalf("shards=%d: results out of submission order at %d: %+v", shards, i, r)
+	for _, tc := range []struct {
+		name, regime string
+		tenants      []Tenant
+		configs      []Config
+	}{
+		{"calm", "", DefaultBattery(8, 11), []Config{
+			{Shards: 1, MaxInFlight: 3}, {Shards: 4, MaxInFlight: 3}, {Shards: 8, MaxInFlight: 3},
+		}},
+		{"volatile/mixed-fleet", "volatile", mixedFleet, []Config{{Shards: 1, MaxInFlight: 8}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, bench, curves := testWorldIn(t, tc.regime)
+			tenants := tc.tenants
+			solo := make([]string, len(tenants))
+			for i, ten := range tenants {
+				rep, err := env.RunPolicy(bench, curves, campaign.Options{Theta: ten.Theta, Seed: ten.Seed, Policy: ten.Policy})
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo[i] = reportKey(rep)
 			}
-			if r.Err != nil {
-				t.Fatalf("shards=%d tenant %s: %v", shards, r.Tenant.ID, r.Err)
+			for _, cfg := range tc.configs {
+				shards := cfg.Shards
+				sum, got := runService(t, env, bench, curves, tenants, cfg)
+				if sum.Admitted != len(tenants) || sum.Rejected != 0 || sum.Failed != 0 {
+					t.Fatalf("shards=%d: summary %+v", shards, sum)
+				}
+				if len(got) != len(tenants) {
+					t.Fatalf("shards=%d: %d results, want %d", shards, len(got), len(tenants))
+				}
+				for i, r := range got {
+					if r.Index != i {
+						t.Fatalf("shards=%d: results out of submission order at %d: %+v", shards, i, r)
+					}
+					if r.Err != nil {
+						t.Fatalf("shards=%d tenant %s: %v", shards, r.Tenant.ID, r.Err)
+					}
+					if len(r.Violations) != 0 {
+						t.Fatalf("shards=%d tenant %s: violations %v", shards, r.Tenant.ID, r.Violations)
+					}
+					if key := reportKey(r.Report); key != solo[i] {
+						t.Errorf("shards=%d tenant %s diverged from solo run:\n service %s\n solo    %s",
+							shards, r.Tenant.ID, key, solo[i])
+					}
+				}
 			}
-			if len(r.Violations) != 0 {
-				t.Fatalf("shards=%d tenant %s: violations %v", shards, r.Tenant.ID, r.Violations)
-			}
-			if key := reportKey(r.Report); key != solo[i] {
-				t.Errorf("shards=%d tenant %s diverged from solo run:\n service %s\n solo    %s",
-					shards, r.Tenant.ID, key, solo[i])
-			}
-		}
+		})
 	}
 }
 
@@ -110,11 +135,11 @@ func TestServiceMatchesSweep(t *testing.T) {
 	tasks := make([]campaign.Task, len(tenants))
 	for i, ten := range tenants {
 		opt := campaign.Options{Theta: ten.Theta, Seed: ten.Seed}
-		tasks[i] = campaign.Task{Key: ten.ID, Run: func(*rand.Rand) (*core.Report, error) {
+		tasks[i] = campaign.Task{Key: ten.ID, Run: func() (*core.Report, error) {
 			return env.RunPolicy(bench, curves, opt)
 		}}
 	}
-	res := campaign.Sweep(tasks, campaign.SweepOptions{Workers: 2, Seed: 23})
+	res := campaign.Sweep(tasks, campaign.SweepOptions{Workers: 2})
 	for _, r := range res {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Key, r.Err)

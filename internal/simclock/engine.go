@@ -94,6 +94,16 @@ func (r EventRef) Cancel() {
 	}
 }
 
+// Pending returns the event's due time while it waits in its clock's queue,
+// or ok=false once it has fired, been cancelled, or been dropped by Reset.
+// Safe to call on the zero EventRef and after the slot was recycled.
+func (r EventRef) Pending() (at time.Time, ok bool) {
+	if ev := r.ev; ev != nil && ev.gen == r.gen && ev.idx >= 0 {
+		return ev.at, true
+	}
+	return time.Time{}, false
+}
+
 // alloc hands out a pooled event slot. The slot's gen is preserved across
 // reuse so stale EventRefs keep failing their check.
 func (v *Virtual) alloc() *event {

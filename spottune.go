@@ -87,7 +87,7 @@ type (
 	SweepTask = campaign.Task
 	// SweepResult is one Sweep outcome, in task order.
 	SweepResult = campaign.SweepResult
-	// SweepOptions tunes Sweep parallelism and seeding.
+	// SweepOptions tunes Sweep parallelism and cancellation.
 	SweepOptions = campaign.SweepOptions
 	// ProvisioningPolicy decides deployments: spot (with a maximum price)
 	// or on-demand, per trial, given market state and the perf matrix.
@@ -198,7 +198,7 @@ func BenchmarkByName(name string, cfg WorkloadConfig) (*Benchmark, error) {
 }
 
 // Sweep runs independent campaigns on a worker pool with deterministic
-// result ordering and one private rand stream per task (see DESIGN.md).
+// result ordering (see DESIGN.md).
 func Sweep(tasks []SweepTask, opt SweepOptions) []SweepResult {
 	return campaign.Sweep(tasks, opt)
 }
