@@ -150,15 +150,21 @@ service:
 # BenchmarkBatteryStream, which mirrors the battery-stream workload (every
 # regime and fault scenario × policy × tuner × strategy streamed on 2
 # workers), 5 ops of 8 replicates into results/battery.pprof. The test
-# binaries go to results/ too, not the working directory.
+# binaries go to results/ too, not the working directory. Each run also
+# writes its allocation profile (results/deploy.mem, solo.mem, battery.mem),
+# printed as its alloc_space table, the tables allocation claims are read
+# from.
 profile:
 	mkdir -p results
-	$(GO) run ./cmd/scenarios -quick -tenants 4096 -shards 2 -inflight 8 -capacity 4 -surge 0.5 -cpuprofile results/deploy.pprof
+	$(GO) run ./cmd/scenarios -quick -tenants 4096 -shards 2 -inflight 8 -capacity 4 -surge 0.5 -cpuprofile results/deploy.pprof -memprofile results/deploy.mem
 	$(GO) tool pprof -top -cum results/deploy.pprof
-	$(GO) test -run '^$$' -bench '^BenchmarkSoloCampaigns$$' -benchtime 200x -cpuprofile results/solo.pprof -o results/solo.test .
+	$(GO) tool pprof -sample_index=alloc_space -top results/deploy.mem
+	$(GO) test -run '^$$' -bench '^BenchmarkSoloCampaigns$$' -benchtime 200x -cpuprofile results/solo.pprof -memprofile results/solo.mem -o results/solo.test .
 	$(GO) tool pprof -top -cum results/solo.pprof
-	$(GO) test -run '^$$' -bench '^BenchmarkBatteryStream$$' -benchtime 5x -cpuprofile results/battery.pprof -o results/battery.test .
+	$(GO) tool pprof -sample_index=alloc_space -top results/solo.mem
+	$(GO) test -run '^$$' -bench '^BenchmarkBatteryStream$$' -benchtime 5x -cpuprofile results/battery.pprof -memprofile results/battery.mem -o results/battery.test .
 	$(GO) tool pprof -top -cum results/battery.pprof
+	$(GO) tool pprof -sample_index=alloc_space -top results/battery.mem
 
 # Fused multiply-add lint. The generic kernels promise the SSE2 kernels'
 # bits on every platform, so each product must round before it is added

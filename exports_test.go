@@ -27,6 +27,7 @@ var testOnlySurvivors = map[string]string{
 	"cloudsim.InstanceState.String":  "fmt.Stringer: instance states print by name",
 	"cloudsim.capacityError.Unwrap":  "errors.Is matches a capacity rejection to ErrCapacityUnavailable, RequestSpot's documented contract",
 	"cloudsim.priceError.Unwrap":     "errors.Is matches a price rejection to ErrPriceAboveMax, RequestSpot's documented contract",
+	"earlycurve.Converged":           "the one-prefix plateau test that every entry of ConvergedPrefixes' table must equal (TestConvergedPrefixesMatchConverged)",
 	"market.ReadCSV":                 "reads the paper's real trace format; fuzzed by FuzzTraceCSVRoundTrip",
 	"market.WriteSetCSV":             "writes the paper's real trace format; fuzzed by FuzzTraceCSVRoundTrip",
 	"market.Trace.AvgOver":           "the segment-walk reference the store's block integrals are compared against",
@@ -34,6 +35,7 @@ var testOnlySurvivors = map[string]string{
 	"revpred.Model.Save":             "with LoadModel, lets BenchmarkRevPredInference empty a model's memo",
 	"revpred.LoadModel":              "with Save, lets BenchmarkRevPredInference empty a model's memo",
 	"simclock.Virtual.NextEventTime": "the reference Cluster.NextEventTime must equal in a private world (TestClusterEventsAreClockEventsInPrivateWorld)",
+	"trial.NewReplay":                "the one-off replay on a private template that the trial, core and invariants tests build their fixtures with",
 }
 
 // TestNoTestOnlyExports fails on every exported function or method under

@@ -100,7 +100,11 @@ type Environment struct {
 	// default EarlyCurve predictor shares. Copies made by WithPredictors
 	// share it too: a stage fit depends only on its segment.
 	fits *earlycurve.FitMemo
-	Pool []string
+	// templates holds the trial templates of the curves the environment's
+	// campaigns replay, shared the same way: a template depends only on
+	// its curve.
+	templates *workload.TemplateCache
+	Pool      []string
 
 	Start, End    time.Time
 	CampaignStart time.Time
@@ -137,6 +141,7 @@ func NewEnvironment(opts EnvOptions) (*Environment, error) {
 		Grids:         make(map[string]*market.Grid, len(pool)),
 		Predictors:    make(map[string]revpred.Predictor, len(pool)),
 		fits:          earlycurve.NewFitMemo(),
+		templates:     workload.NewTemplateCache(),
 		Pool:          pool,
 		Start:         start,
 		End:           end,
@@ -462,7 +467,7 @@ func (e *Environment) newRun(b *workload.Benchmark, curves workload.Curves, opt 
 		return nil, err
 	}
 	store := cloudsim.NewObjectStore()
-	trials, err := b.Trials(curves, opt.Seed+0xbead)
+	trials, err := e.templates.Trials(b, curves, opt.Seed+0xbead)
 	if err != nil {
 		return nil, err
 	}

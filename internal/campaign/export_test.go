@@ -16,3 +16,14 @@ func gridBuilt(g *market.Grid) bool {
 	}
 	return !prices.IsNil()
 }
+
+// templateCount is how many trial templates an environment's cache holds.
+// The cache exposes no accessor for it, so the hook reads the unexported
+// map's length through reflection.
+func templateCount(e *Environment) int {
+	tpls := reflect.ValueOf(e.templates).Elem().FieldByName("tpls")
+	if !tpls.IsValid() {
+		panic("campaign: workload.TemplateCache has no tpls field to inspect")
+	}
+	return tpls.Len()
+}

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -12,7 +13,9 @@ import (
 
 	"spottune/internal/core"
 	"spottune/internal/market"
+	"spottune/internal/obs"
 	"spottune/internal/revpred"
+	"spottune/internal/search"
 	"spottune/internal/workload"
 )
 
@@ -146,4 +149,153 @@ func TestSharedEnvironmentMatchesFreshEnvironments(t *testing.T) {
 	// compared as a multiset.
 	freshLog = sortedPredictions(freshLog)
 	same("4-worker sweep on one environment", got, sortedPredictions(sweptLog.out))
+}
+
+// tracedRun is one campaign's report and its flight recording as JSONL.
+type tracedRun struct {
+	rep   *core.Report
+	trace []byte
+}
+
+// runTraced runs one flight-recorded campaign.
+func runTraced(env *Environment, bench *workload.Benchmark, curves workload.Curves, opt Options) (tracedRun, error) {
+	var rec *obs.Recording
+	opt.Trace = true
+	opt.Inspect = func(d *RunDetail) error { rec = d.Trace; return nil }
+	rep, err := env.RunPolicy(bench, curves, opt)
+	if err != nil {
+		return tracedRun{}, err
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteJSONL(&buf, rec); err != nil {
+		return tracedRun{}, err
+	}
+	return tracedRun{rep: rep, trace: buf.Bytes()}, nil
+}
+
+// TestWarmTemplatesMatchColdEnvironments: campaigns on an environment whose
+// trial templates (plateau tables, EarlyCurve prediction memos) earlier
+// campaigns already built report and flight-record, byte for byte, what
+// the same campaigns do each on a fresh environment, under every tuner,
+// whether the warm campaigns run one after another or in a 4-worker Sweep.
+// The warm environment builds one template per HP and no more.
+func TestWarmTemplatesMatchColdEnvironments(t *testing.T) {
+	bench, err := workload.SuiteByName("LoR", workload.Config{Seed: 5, Scale: 0.15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := bench.SyntheticCurves(5)
+	type job struct {
+		tuner string
+		seed  uint64
+		theta float64
+	}
+	var jobs []job
+	for _, tuner := range []string{search.SpotTuneName, search.HyperbandName, search.HalvingName, search.FullTrainName} {
+		for _, seed := range []uint64{1, 2} {
+			jobs = append(jobs, job{tuner, seed, 0.4 + 0.3*float64(seed)})
+		}
+	}
+	opt := func(j job) Options { return Options{Theta: j.theta, Seed: j.seed, Tuner: j.tuner} }
+
+	cold := make([]tracedRun, len(jobs))
+	for i, j := range jobs {
+		if cold[i], err = runTraced(quickEnv(t, PredictorConstant), bench, curves, opt(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(how string, i int, got tracedRun) {
+		t.Helper()
+		if !reflect.DeepEqual(got.rep, cold[i].rep) {
+			t.Errorf("%s, %+v: report differs from a fresh environment's:\n got %+v\nwant %+v", how, jobs[i], got.rep, cold[i].rep)
+		}
+		if !bytes.Equal(got.trace, cold[i].trace) {
+			t.Errorf("%s, %+v: flight recording (%d bytes) differs from a fresh environment's (%d bytes)",
+				how, jobs[i], len(got.trace), len(cold[i].trace))
+		}
+	}
+
+	warm := quickEnv(t, PredictorConstant)
+	for round := 0; round < 2; round++ { // the first round builds the templates
+		for i, j := range jobs {
+			got, err := runTraced(warm, bench, curves, opt(j))
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("sequential round %d on one environment", round), i, got)
+		}
+	}
+	if n := templateCount(warm); n != len(bench.HPs) {
+		t.Errorf("the warm environment holds %d templates for %d HP curves", n, len(bench.HPs))
+	}
+
+	swept := quickEnv(t, PredictorConstant)
+	for _, j := range jobs {
+		if _, err := swept.RunPolicy(bench, curves, opt(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tasks := make([]Task, len(jobs))
+	runs := make([]tracedRun, len(jobs))
+	for i, j := range jobs {
+		tasks[i] = Task{Key: fmt.Sprintf("%+v", j), Run: func() (*core.Report, error) {
+			r, err := runTraced(swept, bench, curves, opt(j))
+			runs[i] = r
+			return r.rep, err
+		}}
+	}
+	for i, r := range Sweep(tasks, SweepOptions{Workers: 4}) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Key, r.Err)
+		}
+		same("4-worker sweep on a warm environment", i, runs[i])
+	}
+}
+
+// TestTemplatesFirstBuiltConcurrently: 8 goroutines start campaigns on one
+// fresh environment at once, so its trial templates, their plateau tables
+// and their prediction memos are first built under concurrency, and each
+// campaign reports what it reports alone on a fresh environment. The race
+// lane repeats it.
+func TestTemplatesFirstBuiltConcurrently(t *testing.T) {
+	bench, err := workload.SuiteByName("LoR", workload.Config{Seed: 7, Scale: 0.15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := bench.SyntheticCurves(7)
+	tuners := search.Names()
+	opts := make([]Options, 8)
+	want := make([]*core.Report, len(opts))
+	for i := range opts {
+		opts[i] = Options{Theta: 0.7, Seed: uint64(i + 1), Tuner: tuners[i%len(tuners)]}
+		if want[i], err = quickEnv(t, PredictorConstant).RunPolicy(bench, curves, opts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env := quickEnv(t, PredictorConstant)
+	got := make([]*core.Report, len(opts))
+	errs := make([]error, len(opts))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range opts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = env.RunPolicy(bench, curves, opts[i])
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range opts {
+		if errs[i] != nil {
+			t.Fatalf("%+v: %v", opts[i], errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%+v: report differs from a fresh environment's:\n got %+v\nwant %+v", opts[i], got[i], want[i])
+		}
+	}
+	if n := templateCount(env); n != len(bench.HPs) {
+		t.Errorf("the environment holds %d templates for %d HP curves", n, len(bench.HPs))
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"spottune/internal/market"
 	"spottune/internal/obs"
@@ -103,8 +104,10 @@ type Instance struct {
 	Surge float64
 
 	// slot is the type's catalog index in the cluster's Markets table (the
-	// key of its capacity counters and trace slot).
+	// key of its capacity counters and trace slot); n is the instance's
+	// launch index, the key of its events (instanceEvents).
 	slot int
+	n    int
 
 	noticeEv simclock.EventRef
 	revokeEv simclock.EventRef
@@ -165,6 +168,9 @@ func (l *Ledger) TotalRefunded() float64 {
 // TotalNet sums the user's actual spend.
 func (l *Ledger) TotalNet() float64 { return l.TotalGross() - l.TotalRefunded() }
 
+// ledgerChunk is the capacity a ledger's records start at.
+const ledgerChunk = 16
+
 // NoticeFunc is invoked when a termination notice is delivered for an
 // instance, NoticeLeadTime before revocation. It runs on the simulation
 // event thread and must not block.
@@ -181,14 +187,19 @@ type Cluster struct {
 	markets *Markets
 
 	// instances holds every instance the cluster launched, in launch
-	// order: instance i-N is instances[N-1].
+	// order: instance i-N is instances[N-1]. They are carved from slab
+	// blocks (see launch).
 	instances []*Instance
+	instSlab  []Instance
 	ledger    Ledger
 
-	// events are the events the cluster put on its clock (notices,
-	// revocations, mass preemptions), in schedule order. NextEventTime
-	// drops the ones that fired, were cancelled or were reset away.
-	events []simclock.EventRef
+	// events is a min-heap of the events the cluster put on its clock
+	// (notices, revocations, mass preemptions), by due time, then by
+	// eventSeq, their schedule order; compacted is its length after its
+	// last compaction (see track and NextEventTime).
+	events    []clusterEvent
+	eventSeq  uint64
+	compacted int
 
 	// runningSpot counts live spot instances per catalog index, enforcing
 	// the catalog's per-type Capacity cap (0 = unlimited). On-demand
@@ -419,7 +430,7 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 	if price > maxPrice {
 		return nil, &priceError{typeName: typeName, price: price, max: maxPrice}
 	}
-	inst := c.launch(&Instance{
+	inst := c.launch(Instance{
 		Type:       it,
 		MaxPrice:   maxPrice,
 		LaunchedAt: now,
@@ -443,23 +454,35 @@ func (c *Cluster) RequestSpot(typeName string, maxPrice float64, onNotice Notice
 		}
 		inst.NoticeAt = noticeAt
 		inst.RevokeAt = exceedAt
-		inst.noticeEv = c.schedule(noticeAt, func(at time.Time) {
-			if !inst.Running() || inst.State == StateNoticed {
-				return
-			}
-			inst.State = StateNoticed
-			if inst.onNotice != nil {
-				inst.onNotice(inst, at)
-			}
-		})
-		inst.revokeEv = c.schedule(exceedAt, func(at time.Time) {
-			if !inst.Running() {
-				return
-			}
-			c.finish(inst, at, EndRevoked)
-		})
+		inst.noticeEv = c.scheduleFor(noticeAt, 2*inst.n)
+		inst.revokeEv = c.scheduleFor(exceedAt, 2*inst.n+1)
 	}
 	return inst, nil
+}
+
+// instanceEvents is the cluster as the handler of its instances' notice
+// and revocation events, keyed by launch index: event 2n is the notice of
+// instances[n], 2n+1 its revocation.
+type instanceEvents Cluster
+
+// Fire delivers one instance event.
+func (e *instanceEvents) Fire(arg int, at time.Time) {
+	c := (*Cluster)(e)
+	inst := c.instances[arg/2]
+	if !inst.Running() {
+		return
+	}
+	if arg%2 == 1 {
+		c.finish(inst, at, EndRevoked)
+		return
+	}
+	if inst.State == StateNoticed {
+		return
+	}
+	inst.State = StateNoticed
+	if inst.onNotice != nil {
+		inst.onNotice(inst, at)
+	}
 }
 
 // RequestOnDemand launches a reliable on-demand instance billed at the fixed
@@ -469,7 +492,7 @@ func (c *Cluster) RequestOnDemand(typeName string) (*Instance, error) {
 	if !ok {
 		return nil, fmt.Errorf("cloudsim: unknown instance type %q", typeName)
 	}
-	return c.launch(&Instance{
+	return c.launch(Instance{
 		Type:       c.markets.slots[slot].it,
 		OnDemand:   true,
 		LaunchedAt: c.clk.Now(),
@@ -479,11 +502,26 @@ func (c *Cluster) RequestOnDemand(typeName string) (*Instance, error) {
 	}), nil
 }
 
-// launch names a new instance and records it.
-func (c *Cluster) launch(inst *Instance) *Instance {
-	c.instances = append(c.instances, inst)
-	inst.ID = instanceID(len(c.instances))
-	return inst
+// instSlab is how many instances a cluster carves from one block: as many
+// as fit in 2 KiB beside the 8-byte header the allocator puts on blocks
+// that hold pointers, so size-class rounding wastes little. A campaign
+// launches tens of instances, so a fixed block costs one allocation per
+// few deployments and leaves less than one block unused, where blocks that
+// doubled would leave up to half of the last one unused.
+const instSlab = (2048 - 8) / int(unsafe.Sizeof(Instance{}))
+
+// launch names a new instance, records it, and returns it.
+func (c *Cluster) launch(inst Instance) *Instance {
+	if len(c.instSlab) == 0 {
+		c.instSlab = make([]Instance, instSlab)
+	}
+	p := &c.instSlab[0]
+	c.instSlab = c.instSlab[1:]
+	*p = inst
+	p.n = len(c.instances)
+	c.instances = append(c.instances, p)
+	p.ID = instanceID(len(c.instances))
+	return p
 }
 
 // instanceID is the ID of the cluster's n-th instance (n >= 1): "i-" and n
@@ -560,6 +598,11 @@ func (c *Cluster) finish(inst *Instance, at time.Time, reason EndReason) {
 	// First-instance-hour refund: only provider revocations qualify.
 	if reason == EndRevoked && !inst.OnDemand && dur <= RefundWindow {
 		usage.Refunded = usage.GrossCost
+	}
+	if c.ledger.Records == nil {
+		// Most campaigns settle a few tens of instances: start the ledger
+		// at a chunk that holds them instead of growing through 1, 2, 4, ….
+		c.ledger.Records = make([]Usage, 0, ledgerChunk)
 	}
 	c.ledger.Records = append(c.ledger.Records, usage)
 	var od int64

@@ -161,10 +161,5 @@ func (c *Cluster) preempt(inst *Instance, now time.Time) {
 			inst.onNotice(inst, now)
 		}
 	}
-	inst.revokeEv = c.schedule(revokeAt, func(at time.Time) {
-		if !inst.Running() {
-			return
-		}
-		c.finish(inst, at, EndRevoked)
-	})
+	inst.revokeEv = c.scheduleFor(revokeAt, 2*inst.n+1)
 }

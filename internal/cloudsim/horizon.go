@@ -78,9 +78,76 @@ func (c *Cluster) NextInstanceEvent() (time.Time, bool) {
 // schedule puts fn on the cluster's clock and keeps the event for
 // NextEventTime.
 func (c *Cluster) schedule(at time.Time, fn func(now time.Time)) simclock.EventRef {
-	ev := c.clk.Schedule(at, fn)
-	c.events = append(c.events, ev)
+	return c.track(c.clk.Schedule(at, fn), at)
+}
+
+// scheduleFor puts instance event arg (see instanceEvents) on the
+// cluster's clock and keeps it for NextEventTime.
+func (c *Cluster) scheduleFor(at time.Time, arg int) simclock.EventRef {
+	return c.track(c.clk.ScheduleFor(at, (*instanceEvents)(c), arg), at)
+}
+
+// clusterEvent is one entry of the cluster's event heap: an event it put
+// on its clock, ordered by due time and then by schedule order.
+type clusterEvent struct {
+	at  int64 // due time, UnixNano
+	seq uint64
+	ref simclock.EventRef
+}
+
+func (a clusterEvent) before(b clusterEvent) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// track pushes a scheduled event onto the cluster's event heap. A heap
+// that has doubled since its last compaction first drops every event that
+// has left the clock, so it holds about twice the pending events at most.
+func (c *Cluster) track(ev simclock.EventRef, at time.Time) simclock.EventRef {
+	if len(c.events) >= 2*c.compacted+16 {
+		n := 0
+		for _, e := range c.events {
+			if _, ok := e.ref.Pending(); ok {
+				c.events[n] = e
+				n++
+			}
+		}
+		clear(c.events[n:])
+		c.events = c.events[:n]
+		for i := n/2 - 1; i >= 0; i-- {
+			c.siftDown(i)
+		}
+		c.compacted = n
+	}
+	c.eventSeq++
+	c.events = append(c.events, clusterEvent{at: at.UnixNano(), seq: c.eventSeq, ref: ev})
+	for i := len(c.events) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !c.events[i].before(c.events[p]) {
+			break
+		}
+		c.events[i], c.events[p] = c.events[p], c.events[i]
+		i = p
+	}
 	return ev
+}
+
+// siftDown restores the heap order below entry i.
+func (c *Cluster) siftDown(i int) {
+	h := c.events
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].before(h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // NextEventTime returns the due time of the earliest pending event the
@@ -90,21 +157,23 @@ func (c *Cluster) schedule(at time.Time, fn func(now time.Time)) simclock.EventR
 // leave the answer, and so do the events of other clusters sharing the
 // clock: in a private world the answer is the clock's NextEventTime, to the
 // bit.
+//
+// The events sit in a heap, earliest first, ties in schedule order. An
+// event leaves the clock without telling the cluster, so the heap's top is
+// checked here and dropped while it is no longer pending: each event is
+// pushed and dropped once, and a call costs a lookup plus the drops.
 func (c *Cluster) NextEventTime() (at time.Time, ok bool) {
-	n := 0
-	for _, ev := range c.events {
-		due, pending := ev.Pending()
-		if !pending {
-			continue
+	for len(c.events) > 0 {
+		if at, ok := c.events[0].ref.Pending(); ok {
+			return at, true
 		}
-		c.events[n] = ev
-		n++
-		if !ok || due.Before(at) {
-			at, ok = due, true
-		}
+		last := len(c.events) - 1
+		c.events[0] = c.events[last]
+		c.events[last] = clusterEvent{}
+		c.events = c.events[:last]
+		c.siftDown(0)
 	}
-	c.events = c.events[:n]
-	return at, ok
+	return time.Time{}, false
 }
 
 // NextInterestingAt returns the earliest instant at which the cluster's

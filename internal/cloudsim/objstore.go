@@ -46,9 +46,9 @@ type ObjectStore struct {
 	putTime, getTime   time.Duration
 }
 
-// object is one stored blob and the size its transfers are modeled at.
-// The store never hands data out (Get copies), so a PutSized over an
-// existing key reuses its buffer.
+// object is one stored blob and the size its transfers are modeled at. A
+// PutSized over an existing key reuses its buffer: Get hands out copies,
+// and View's read-only views last only until that put.
 type object struct {
 	data   []byte
 	sizeMB float64
@@ -91,9 +91,20 @@ func (o *ObjectStore) PutSized(key string, data []byte, sizeMB float64, cpus int
 	return d
 }
 
-// Get retrieves a blob and the modeled download duration (based on the
-// size it was stored with).
+// Get retrieves a copy of a blob and the modeled download duration (based
+// on the size it was stored with).
 func (o *ObjectStore) Get(key string, cpus int) ([]byte, time.Duration, error) {
+	data, d, err := o.View(key, cpus)
+	if err != nil {
+		return nil, 0, err
+	}
+	return append([]byte(nil), data...), d, nil
+}
+
+// View is Get without the copy: the blob is the store's own, read-only,
+// and valid until the next PutSized of the key. A restore decodes it in
+// place. The transfer is modeled and counted as Get's.
+func (o *ObjectStore) View(key string, cpus int) ([]byte, time.Duration, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	obj, ok := o.blobs[key]
@@ -104,7 +115,7 @@ func (o *ObjectStore) Get(key string, cpus int) ([]byte, time.Duration, error) {
 	o.getOps++
 	o.getBytes += int64(obj.sizeMB * (1 << 20))
 	o.getTime += d
-	return append([]byte(nil), obj.data...), d, nil
+	return obj.data, d, nil
 }
 
 // Keys lists stored keys in sorted order (invariant checkers scan every

@@ -151,8 +151,8 @@ func (w *testWorld) orchestrator(t *testing.T, pool []string, seed uint64, trial
 
 func TestPerfMatrixInitAndObserve(t *testing.T) {
 	w := newWorld(t, false)
-	m := NewPerfMatrix(w.cat, 16)
-	hp := m.column("hp")
+	m := NewPerfMatrix(w.cat, 16, []string{"hp"})
+	hp := 0
 	if got := m.get("slow", hp); got != 8 { // 16/2 cpus
 		t.Fatalf("init M[slow] = %v, want 8", got)
 	}

@@ -179,7 +179,7 @@ func oversizedFor(ckptMB float64, cpus int) bool {
 }
 
 // trialState is one submitted trial's orchestration state. The orchestrator
-// keeps one per trial in a slice in submission order, so the deploy path
+// keeps one per trial in one slab in submission order, so the deploy path
 // reaches a trial's state by pointer rather than by name, and every sweep
 // over trials (triggers, wakeups, the slack projection) runs in submission
 // order.
@@ -187,8 +187,7 @@ type trialState struct {
 	tr   *trial.Replay
 	id   string
 	ckpt string // object-store key of the trial's checkpoint
-	idx  int    // submission index
-	col  int    // performance-matrix column
+	idx  int    // submission index, and the trial's performance-matrix column
 
 	// limit is the active round's step cap; inRound marks the trials the
 	// round directed (limit is 0 for the others).
@@ -266,11 +265,10 @@ type trialState struct {
 	// diversified-spot degradation the next decision excludes it.
 	lastNoticed string
 
-	// secPerStep is the trial's performance-matrix row M[·][hp] handed to
-	// every policy decision; onNotice routes the cluster's termination
-	// notices to the trial's live assignment. Both are built once per trial.
-	secPerStep func(typeName string) float64
-	onNotice   cloudsim.NoticeFunc
+	// trend is the trial's trend predictor (tunerView.Trend): the
+	// campaign's, with EarlyCurve predictions over the trial's own curve
+	// answered from its template's memo.
+	trend trial.Trend
 }
 
 // forgetRecoveryState drops the per-trial recovery state once a trial
@@ -329,6 +327,14 @@ type Orchestrator struct {
 	slack *resilience.SlackTracker
 	// revRate is rates.RevocationsPerHour, bound once for policy contexts.
 	revRate func(typeName string) float64
+	// secPerStep is the deciding trial's performance-matrix column
+	// M[·][hp], handed to every policy decision: deciding is the column of
+	// the trial decide is asking for. noticed routes the cluster's
+	// termination notices to the live assignment of the trial whose
+	// instance is noticed. Both are built once per campaign.
+	secPerStep func(typeName string) float64
+	deciding   int
+	noticed    cloudsim.NoticeFunc
 
 	// lostSteps/migrations accumulate campaign-level resilience outcomes
 	// for the report: steps rewound at revocations (oversized trials
@@ -413,31 +419,38 @@ func NewPolicyOrchestrator(
 		pool:     append([]string(nil), pool...),
 		odPool:   policy.NewPool(pool),
 		approach: approach,
-		perf:     NewPerfMatrix(cluster.Catalog(), c0),
-		ts:       make([]*trialState, 0, len(trials)),
+		ts:       make([]*trialState, len(trials)),
+		// Every trial runs at least one segment.
+		segments: make([]SegmentRecord, 0, len(trials)),
 		byID:     make(map[string]*trialState, len(trials)),
-		order:    make([]string, 0, len(trials)),
+		order:    make([]string, len(trials)),
 		rates:    resilience.NewRateEstimator(),
 	}
 	o.res = o.cfg.Resilience
 	o.revRate = o.rates.RevocationsPerHour
-	for _, tr := range trials {
+	slab := make([]trialState, len(trials))
+	for i, tr := range trials {
 		id := tr.ID()
 		if _, dup := o.byID[id]; dup {
 			return nil, fmt.Errorf("core: duplicate trial %q", id)
 		}
-		t := &trialState{tr: tr, id: id, ckpt: ckptKey(id), idx: len(o.ts), col: o.perf.column(id)}
-		t.secPerStep = func(tn string) float64 { return o.perf.get(tn, t.col) }
-		t.onNotice = func(inst *cloudsim.Instance, at time.Time) {
-			// Only a trial's live instance is ever noticed; the check keeps
-			// a notice from reaching any other assignment.
+		t := &slab[i]
+		*t = trialState{tr: tr, id: id, ckpt: tr.CheckpointKey(), idx: i, trend: tr.Trend(o.cfg.Trend)}
+		o.ts[i] = t
+		o.byID[id] = t
+		o.order[i] = id
+	}
+	o.perf = NewPerfMatrix(cluster.Catalog(), c0, o.order)
+	o.secPerStep = func(tn string) float64 { return o.perf.get(tn, o.deciding) }
+	o.noticed = func(inst *cloudsim.Instance, at time.Time) {
+		// Only a trial's live instance is ever noticed; the match keeps a
+		// notice from reaching any other assignment.
+		for _, t := range o.ts {
 			if a := t.active; a != nil && a.inst == inst {
 				o.onNotice(a, at)
+				return
 			}
 		}
-		o.ts = append(o.ts, t)
-		o.byID[id] = t
-		o.order = append(o.order, id)
 	}
 	o.tuner = o.cfg.Tuner
 	if o.tuner == nil {
@@ -447,9 +460,6 @@ func NewPolicyOrchestrator(
 	cluster.SetTracer(o.trc)
 	return o, nil
 }
-
-// ckptKey is the object-store key for a trial's checkpoint.
-func ckptKey(trialID string) string { return "ckpt/" + trialID }
 
 // Run executes the full campaign as a generic round loop: the tuner emits
 // rounds (per-trial step budgets), each round runs against the simulated
@@ -592,7 +602,16 @@ func (v *tunerView) Points(id string) []earlycurve.MetricPoint {
 	return t.tr.Points()
 }
 
-func (v *tunerView) Trend(string) earlycurve.TrendPredictor { return v.o.cfg.Trend }
+// Trend is the trial's own predictor: the campaign's, with EarlyCurve
+// predictions over a prefix view of the trial's curve (what Points returns)
+// answered from the trial's template, which every campaign replaying the
+// curve shares. An unknown ID gets the campaign's predictor.
+func (v *tunerView) Trend(id string) earlycurve.TrendPredictor {
+	if t, ok := v.o.byID[id]; ok {
+		return &t.trend
+	}
+	return v.o.cfg.Trend
+}
 
 // openRound starts one tuner round: every directed trial is (re)activated
 // — cleared from the finished set and queued in directive order — and is
@@ -792,7 +811,7 @@ func (o *Orchestrator) remainingSecs() float64 {
 		}
 		best := math.Inf(1)
 		for _, tn := range o.pool {
-			if s := t.secPerStep(tn); s < best {
+			if s := o.perf.get(tn, t.idx); s < best {
 				best = s
 			}
 		}
@@ -869,7 +888,7 @@ func (o *Orchestrator) attempt(t *trialState, now time.Time, incumbent int) (ret
 		}
 		o.odDeployments++
 	} else {
-		inst, err = o.cluster.RequestSpot(req.TypeName, req.MaxPrice, t.onNotice)
+		inst, err = o.cluster.RequestSpot(req.TypeName, req.MaxPrice, o.noticed)
 		switch cloudsim.MissOf(err) {
 		case cloudsim.PriceMiss:
 			// Market moved against us inside this tick; retry later.
@@ -904,6 +923,7 @@ func (o *Orchestrator) decide(t *trialState, now time.Time, incumbent int) (poli
 		exclude = t.lastNoticed
 	}
 	tr := t.tr
+	o.deciding = t.idx
 	ctx := policy.Context{
 		Market: o.cluster,
 		Trial: policy.TrialInfo{
@@ -919,7 +939,7 @@ func (o *Orchestrator) decide(t *trialState, now time.Time, incumbent int) (poli
 			Held:           t.held,
 		},
 		ActiveOnDemand: o.activeOnDemand(),
-		SecPerStep:     t.secPerStep,
+		SecPerStep:     o.secPerStep,
 		RevRate:        o.revRate,
 		Tracer:         o.trc,
 	}
@@ -1066,7 +1086,7 @@ func (o *Orchestrator) deploy(t *trialState, now time.Time, req policy.Request, 
 	// Restore from checkpoint when one exists (line 41 deploys
 	// either a fresh job or a checkpointed one).
 	if o.store.Exists(t.ckpt) {
-		blob, d, err := o.store.Get(t.ckpt, inst.Type.CPUs)
+		blob, d, err := o.store.View(t.ckpt, inst.Type.CPUs)
 		if err != nil {
 			return fmt.Errorf("core: restoring %s: %w", id, err)
 		}
@@ -1250,7 +1270,7 @@ func (o *Orchestrator) advance(a *assignment, now time.Time) {
 // into the performance matrix (line 36 of Algorithm 1).
 func (o *Orchestrator) observeSegment(a *assignment) {
 	if a.obsSteps > 1e-9 && a.obsTime > 0 {
-		o.perf.observe(a.inst.Type.Name, a.st.col, a.obsTime.Seconds()/a.obsSteps)
+		o.perf.observe(a.inst.Type.Name, a.st.idx, a.obsTime.Seconds()/a.obsSteps)
 	}
 	a.obsTime, a.obsSteps = 0, 0
 }

@@ -62,29 +62,28 @@ func GridRevProb(grids map[string]*market.Grid, predictors map[string]revpred.Pr
 // seconds per step for every (instance type, HP) pair, initialized from core
 // counts and refined from observed throughput.
 //
-// Rows are catalog indices (market.Catalog.Index) and columns are HP ids in
-// registration order, so a quote resolves its type name with one lookup and
-// reads the cell by index. Types outside the catalog have no row: they quote
-// c0 and their observations are dropped.
+// Rows are catalog indices (market.Catalog.Index) and columns are the
+// campaign's HPs in submission order, so a quote resolves its type name with
+// one lookup and reads the cell by index. Types outside the catalog have no
+// row: they quote c0 and their observations are dropped.
 type PerfMatrix struct {
 	c0      float64
 	catalog *market.Catalog
 	alpha   float64
 	// prior[row] is the row's initial estimate, c0 / effective CPUs.
 	prior []float64
-	// cols maps HP ids to columns; hps is its inverse.
-	cols map[string]int
-	hps  []string
-	// est[row][col] is the estimate, NaN until the first observation (rows
-	// grow to a column only when it is observed).
+	// hps names the columns.
+	hps []string
+	// est[row][col] is the estimate, NaN until the first observation. A row
+	// is allocated whole, NaN-filled, at its type's first observation.
 	est [][]float64
 }
 
-// NewPerfMatrix builds M with M[inst][hp] initialized to c0 / effective
-// CPUs — cores scaled by the family's performance factor, so a newer
-// generation's prior is proportionally faster. At the default factor 1 this
-// is exactly c0 / CPUs.
-func NewPerfMatrix(catalog *market.Catalog, c0 float64) *PerfMatrix {
+// NewPerfMatrix builds M over the given HP columns with M[inst][hp]
+// initialized to c0 / effective CPUs — cores scaled by the family's
+// performance factor, so a newer generation's prior is proportionally
+// faster. At the default factor 1 this is exactly c0 / CPUs.
+func NewPerfMatrix(catalog *market.Catalog, c0 float64, hps []string) *PerfMatrix {
 	if c0 <= 0 {
 		c0 = 16
 	}
@@ -93,7 +92,7 @@ func NewPerfMatrix(catalog *market.Catalog, c0 float64) *PerfMatrix {
 		catalog: catalog,
 		alpha:   0.5,
 		prior:   make([]float64, catalog.Len()),
-		cols:    make(map[string]int),
+		hps:     hps,
 		est:     make([][]float64, catalog.Len()),
 	}
 	for row := range m.prior {
@@ -105,25 +104,14 @@ func NewPerfMatrix(catalog *market.Catalog, c0 float64) *PerfMatrix {
 	return m
 }
 
-// column returns the HP's column, registering it on first use.
-func (m *PerfMatrix) column(hpID string) int {
-	if c, ok := m.cols[hpID]; ok {
-		return c
-	}
-	c := len(m.hps)
-	m.cols[hpID] = c
-	m.hps = append(m.hps, hpID)
-	return c
-}
-
 // get returns the current seconds/step estimate of a type for the HP in
-// column col (from column): one name lookup.
+// column col: one name lookup.
 func (m *PerfMatrix) get(typeName string, col int) float64 {
 	row, ok := m.catalog.Index(typeName)
 	if !ok {
 		return m.c0
 	}
-	if r := m.est[row]; col >= 0 && col < len(r) && !math.IsNaN(r[col]) {
+	if r := m.est[row]; r != nil && !math.IsNaN(r[col]) {
 		return r[col]
 	}
 	return m.prior[row]
@@ -140,10 +128,13 @@ func (m *PerfMatrix) observe(typeName string, col int, secPerStep float64) {
 		return
 	}
 	r := m.est[row]
-	for len(r) <= col {
-		r = append(r, math.NaN())
+	if r == nil {
+		r = make([]float64, len(m.hps))
+		for i := range r {
+			r[i] = math.NaN()
+		}
+		m.est[row] = r
 	}
-	m.est[row] = r
 	if prev := r[col]; !math.IsNaN(prev) {
 		r[col] = (1-m.alpha)*prev + m.alpha*secPerStep
 	} else {

@@ -382,7 +382,7 @@ func TestRemainingSecsBitStable(t *testing.T) {
 	orch := w.orchestrator(t, []string{"slow", "fast"}, 7, trials, orchCfg(0.7))
 	for i, st := range orch.ts {
 		st.inRound, st.limit = true, 50+17*i
-		orch.perf.observe("fast", st.col, 0.1+math.Pow(3.7, float64(i%9))*1e-3/float64(i+1))
+		orch.perf.observe("fast", st.idx, 0.1+math.Pow(3.7, float64(i%9))*1e-3/float64(i+1))
 	}
 	orch.ts[5].finished = true
 	want := orch.remainingSecs()

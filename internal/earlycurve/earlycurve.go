@@ -95,11 +95,36 @@ func Boundaries(points []MetricPoint) []int {
 // SpotTune treats converged trials as finished even before
 // θ·max_trial_steps (§III-C).
 func Converged(points []MetricPoint, window int, tol float64) bool {
-	n := len(points)
-	if window < 2 || n < window {
+	if window < 2 || len(points) < window {
 		return false
 	}
-	floor := scaleFloor(points)
+	return convergedOver(points, window, tol, scaleFloor(points))
+}
+
+// ConvergedPrefixes returns Converged(points[:n], window, tol) for every
+// prefix length n, 0 ≤ n ≤ len(points), in one pass: the scale floor of a
+// prefix is a running maximum, and each verdict is the same test on the
+// same floor that Converged runs, so every entry equals Converged's answer
+// bit for bit. A curve's verdict table is a pure function of the curve, so
+// it can be built once and shared by every replay of the curve.
+func ConvergedPrefixes(points []MetricPoint, window int, tol float64) []bool {
+	out := make([]bool, len(points)+1)
+	maxAbs := 0.0
+	for n := 1; n <= len(points); n++ {
+		if a := math.Abs(points[n-1].Value); a > maxAbs {
+			maxAbs = a
+		}
+		if window >= 2 && n >= window {
+			out[n] = convergedOver(points[:n], window, tol, 0.01*maxAbs)
+		}
+	}
+	return out
+}
+
+// convergedOver is Converged's test on at least window points whose scale
+// floor is given.
+func convergedOver(points []MetricPoint, window int, tol, floor float64) bool {
+	n := len(points)
 	for i := n - window + 1; i < n; i++ {
 		if changeRate(points[i-1].Value, points[i].Value, floor) >= tol {
 			return false

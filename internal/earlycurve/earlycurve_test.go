@@ -322,3 +322,57 @@ func TestNonNegativeCoefficientsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// randomPlateauCurve draws a curve that plateaus, climbs, dips through zero
+// and sometimes holds NaN: values from a decaying base with flat runs,
+// negative stretches, exact zeros and noise at several scales, so the
+// running scale floor both grows and stays put across prefixes.
+func randomPlateauCurve(rng *rand.Rand, n int) []MetricPoint {
+	pts := make([]MetricPoint, n)
+	base := rng.Float64()*4 - 2
+	for k := range pts {
+		var v float64
+		switch rng.IntN(8) {
+		case 0:
+			v = 0
+		case 1:
+			v = -base
+		case 2:
+			if rng.IntN(4) == 0 {
+				v = math.NaN()
+			}
+		case 3, 4, 5:
+			if k > 0 {
+				v = pts[k-1].Value * (1 + 1e-4*(rng.Float64()-0.5)) // a plateau
+			}
+		default:
+			v = base/(0.2*float64(k)+1) + 0.01*rng.NormFloat64()
+		}
+		pts[k] = MetricPoint{Step: 5 * (k + 1), Value: v}
+	}
+	return pts
+}
+
+// TestConvergedPrefixesMatchConverged: every entry of the one-pass table is
+// Converged's verdict on that prefix, for windows below 2, at 2 and above,
+// and tolerances from tight to loose, on curves with zeros, negative values
+// and NaN.
+func TestConvergedPrefixesMatchConverged(t *testing.T) {
+	rng := rand.New(rand.NewPCG(32, 1))
+	for c := 0; c < 300; c++ {
+		pts := randomPlateauCurve(rng, 1+rng.IntN(60))
+		for _, window := range []int{-1, 0, 1, 2, 3, 5, 8, 70} {
+			for _, tol := range []float64{0, 5e-4, 1e-2, 0.5, math.Inf(1)} {
+				got := ConvergedPrefixes(pts, window, tol)
+				if len(got) != len(pts)+1 {
+					t.Fatalf("curve %d: %d verdicts for %d points", c, len(got), len(pts))
+				}
+				for n := range got {
+					if want := Converged(pts[:n], window, tol); got[n] != want {
+						t.Fatalf("curve %d, window %d, tol %v, prefix %d: table says %v, Converged %v", c, window, tol, n, got[n], want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -125,6 +125,7 @@ type Context struct {
 	// at most one trial pinned at a time.
 	ActiveOnDemand int
 	// SecPerStep is the performance matrix row M[·][hp] for this trial.
+	// It answers for this decision's trial only while Decide runs.
 	SecPerStep func(typeName string) float64
 	// RevRate is the observed revocation rate of a market (revocations per
 	// spot instance-hour so far; 0 before any evidence), fed from the

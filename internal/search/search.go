@@ -21,8 +21,10 @@
 package search
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"spottune/internal/earlycurve"
 )
@@ -120,18 +122,25 @@ type Tuner interface {
 // RankByValue returns the IDs of vals ascending by value, with exactly-equal
 // values tie-broken by ID. This is the engine-wide ranking rule: map
 // iteration order never leaks into the result, so rankings are reproducible
-// across runs and Go versions. (Regression-pinned in search_test.go.)
+// across runs and Go versions. (Regression-pinned in search_test.go.) It
+// sorts (ID, value) pairs, so a comparison reads no map; a NaN value ranks
+// before every number, as cmp.Compare orders it.
 func RankByValue(vals map[string]float64) []string {
-	ids := make([]string, 0, len(vals))
-	for id := range vals {
-		ids = append(ids, id)
+	type entry struct {
+		id string
+		v  float64
 	}
-	sort.SliceStable(ids, func(i, j int) bool {
-		if vals[ids[i]] != vals[ids[j]] {
-			return vals[ids[i]] < vals[ids[j]]
-		}
-		return ids[i] < ids[j]
+	es := make([]entry, 0, len(vals))
+	for id, v := range vals {
+		es = append(es, entry{id, v})
+	}
+	slices.SortFunc(es, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.v, b.v), strings.Compare(a.id, b.id))
 	})
+	ids := make([]string, len(es))
+	for i, e := range es {
+		ids[i] = e.id
+	}
 	return ids
 }
 

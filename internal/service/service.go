@@ -203,13 +203,53 @@ type Summary struct {
 	Trace *obs.Recording
 }
 
-// pendingTenant is one admitted tenant scheduled onto a shard.
-type pendingTenant struct {
-	t     Tenant
-	index int // submission index
-	emit  int // admission position: the emitter's ordering key
-	rank  int // admitted-only rank: the backpressure key
-	wave  int
+// battery is the caller's tenant slice, read in place, and its admission
+// order: order[pos] is the submission index of the tenant at admission
+// position pos (nil under FIFO, where the two coincide).
+type battery struct {
+	tenants []Tenant
+	order   []int32
+}
+
+// at is the submission index of the tenant at admission position pos.
+func (b *battery) at(pos int) int {
+	if b.order == nil {
+		return pos
+	}
+	return int(b.order[pos])
+}
+
+// tenant is tenant i with its defaults applied: ID "t-<i>", weight 1 and
+// θ 0.7, so events, results and traces agree on them.
+func (b *battery) tenant(i int) Tenant {
+	t := b.tenants[i]
+	if t.ID == "" {
+		t.ID = fmt.Sprintf("t-%d", i)
+	}
+	t.Weight = b.weight(i)
+	if t.Theta == 0 {
+		t.Theta = 0.7
+	}
+	return t
+}
+
+// weight is tenant i's fair-share weight, 1 when it sets none.
+func (b *battery) weight(i int) float64 {
+	if w := b.tenants[i].Weight; w > 0 {
+		return w
+	}
+	return 1
+}
+
+// refusal is the admission cap a tenant fails ("" when it is admitted).
+func (c Config) refusal(t Tenant) string {
+	switch {
+	case c.MaxBudget > 0 && (t.Budget <= 0 || t.Budget > c.MaxBudget):
+		return ReasonBudgetCap
+	case c.MaxDeadline > 0 && (t.Deadline <= 0 || t.Deadline > c.MaxDeadline):
+		return ReasonDeadlineCap
+	}
+	return ""
 }
 
 // flow is the emitter-side backpressure valve: shards may not open a wave
@@ -250,15 +290,20 @@ func (f *flow) wait(maxRank, window int) {
 
 // shardState is the per-shard bounded working set: the clock persists
 // across the shard's whole run, and each wave reuses the event slots the
-// waves before it freed.
+// waves before it freed. queue holds the admission positions of the
+// shard's tenants, in order: the k-th is admitted rank k·shards + idx and
+// runs in wave k / MaxInFlight.
 type shardState struct {
 	idx   int
-	queue []pendingTenant
+	queue []int32
 	clk   *simclock.Virtual
 }
 
 // Run executes the tenant battery against the environment and streams
-// per-tenant results through cfg.OnResult in submission order.
+// per-tenant results through cfg.OnResult in admission order. It reads
+// tenants in place, so the caller must not change the slice while Run
+// runs; what Run keeps per tenant is its admission position, so a battery
+// of any size costs a few bytes a tenant beyond the caller's own slice.
 func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.Curves, tenants []Tenant, cfg Config) (*Summary, error) {
 	cfg = cfg.withDefaults()
 	if env == nil || bench == nil {
@@ -273,71 +318,48 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 		return nil, fmt.Errorf("service: surge slope %v must be finite and non-negative", cfg.SurgeSlope)
 	}
 
-	// Normalize tenant identities once so events, results, and traces agree.
-	tens := make([]Tenant, len(tenants))
-	copy(tens, tenants)
-	for i := range tens {
-		if tens[i].ID == "" {
-			tens[i].ID = fmt.Sprintf("t-%d", i)
-		}
-		if tens[i].Weight <= 0 {
-			tens[i].Weight = 1
-		}
-		if tens[i].Theta == 0 {
-			tens[i].Theta = 0.7
-		}
-	}
-
+	bat := &battery{tenants: tenants}
 	// Admission order: FIFO is submission order; weighted-fair sorts by
 	// stride virtual finish time 1/Weight, ties by submission order, so
 	// heavier tenants land in earlier waves.
-	order := make([]int, len(tens))
-	for i := range order {
-		order[i] = i
-	}
 	if cfg.Admission == AdmissionWeightedFair {
-		sort.SliceStable(order, func(a, b int) bool {
-			fa, fb := 1/tens[order[a]].Weight, 1/tens[order[b]].Weight
+		bat.order = make([]int32, len(tenants))
+		for i := range bat.order {
+			bat.order[i] = int32(i)
+		}
+		sort.SliceStable(bat.order, func(a, b int) bool {
+			ia, ib := int(bat.order[a]), int(bat.order[b])
+			fa, fb := 1/bat.weight(ia), 1/bat.weight(ib)
 			if fa != fb {
 				return fa < fb
 			}
-			return order[a] < order[b]
+			return ia < ib
 		})
 	}
 
-	// Admission caps, shard assignment, and wave layout.
+	// Admission caps and shard assignment: admitted tenants go round-robin
+	// over the shards in admission order. A rejected tenant is stamped
+	// with the shard the next admitted one goes to. The decisions are a
+	// pure function of (tenants, config), so later passes replay them.
 	shards := make([]*shardState, cfg.Shards)
 	for s := range shards {
 		shards[s] = &shardState{idx: s, clk: simclock.NewVirtual(env.CampaignStart)}
 	}
-	type decision struct {
-		admitted bool
-		reason   string
-		shard    int
-		wave     int
-		emit     int // admission position: deterministic emission order
-	}
-	decisions := make([]decision, len(tens))
 	next := 0 // admitted counter: shard round-robin position
-	for pos, i := range order {
-		t := tens[i]
-		d := decision{shard: next % cfg.Shards, wave: -1, emit: pos}
-		switch {
-		case cfg.MaxBudget > 0 && (t.Budget <= 0 || t.Budget > cfg.MaxBudget):
-			d.reason = ReasonBudgetCap
-		case cfg.MaxDeadline > 0 && (t.Deadline <= 0 || t.Deadline > cfg.MaxDeadline):
-			d.reason = ReasonDeadlineCap
-		default:
-			d.admitted = true
-			sh := shards[d.shard]
-			qpos := len(sh.queue)
-			d.wave = qpos / cfg.MaxInFlight
-			sh.queue = append(sh.queue, pendingTenant{
-				t: t, index: i, emit: pos, rank: next, wave: d.wave,
-			})
+	var shardOf []int32
+	if cfg.Trace {
+		shardOf = make([]int32, len(tenants))
+	}
+	for pos := range tenants {
+		i := bat.at(pos)
+		if shardOf != nil {
+			shardOf[i] = int32(next % cfg.Shards)
+		}
+		if cfg.refusal(tenants[i]) == "" {
+			sh := shards[next%cfg.Shards]
+			sh.queue = append(sh.queue, int32(pos))
 			next++
 		}
-		decisions[i] = d
 	}
 
 	var rec *obs.Recording
@@ -346,13 +368,14 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 		// Admission events in submission order: the decision set is a pure
 		// function of (tenants, config), so the trace prefix is stable for
 		// any shard count.
-		for i, d := range decisions {
-			if d.admitted {
+		for i := range tenants {
+			t := bat.tenant(i)
+			if reason := cfg.refusal(t); reason == "" {
 				rec.Emit(obs.Event{VT: env.CampaignStart, Kind: obs.KindTenantAdmit,
-					Trial: tens[i].ID, Label: cfg.Admission, A: tens[i].Weight, N: int64(d.shard)})
+					Trial: t.ID, Label: cfg.Admission, A: t.Weight, N: int64(shardOf[i])})
 			} else {
 				rec.Emit(obs.Event{VT: env.CampaignStart, Kind: obs.KindTenantReject,
-					Trial: tens[i].ID, Label: d.reason, N: int64(d.shard)})
+					Trial: t.ID, Label: reason, N: int64(shardOf[i])})
 			}
 		}
 	}
@@ -369,7 +392,7 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 	}
 
 	sum := &Summary{
-		Tenants:    len(tens),
+		Tenants:    len(tenants),
 		Cost:       stats.NewQuantileSketch(stats.DefaultSketchAlpha),
 		JCTHours:   stats.NewQuantileSketch(stats.DefaultSketchAlpha),
 		RefundFrac: stats.NewQuantileSketch(stats.DefaultSketchAlpha),
@@ -438,9 +461,13 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 	}()
 
 	// Rejected tenants resolve immediately — no cluster, no ledger.
-	for i, d := range decisions {
-		if !d.admitted {
-			results <- Result{Tenant: tens[i], Index: i, Shard: d.shard, Wave: -1, Reason: d.reason, emit: d.emit}
+	admitted := 0
+	for pos := range tenants {
+		i := bat.at(pos)
+		if reason := cfg.refusal(tenants[i]); reason != "" {
+			results <- Result{Tenant: bat.tenant(i), Index: i, Shard: admitted % cfg.Shards, Wave: -1, Reason: reason, emit: pos}
+		} else {
+			admitted++
 		}
 	}
 
@@ -457,8 +484,8 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 				if hi > len(sh.queue) {
 					hi = len(sh.queue)
 				}
-				fl.wait(sh.queue[hi-1].rank, window)
-				caps := runWave(env, bench, curves, sh, sh.queue[lo:hi], capMarkets, cfg, results)
+				fl.wait((hi-1)*cfg.Shards+sh.idx, window)
+				caps := runWave(env, bench, curves, bat, sh, lo, hi, capMarkets, cfg, results)
 				capMu.Lock()
 				sum.Waves++
 				sum.Capacity = append(sum.Capacity, caps...)
@@ -474,9 +501,9 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 	return sum, nil
 }
 
-// runWave executes one shard wave on the calling goroutine: the shard's
-// clock at the campaign start, a fresh capacity domain, and the wave's
-// campaigns taking turns in next-event order. Returns the wave's
+// runWave executes one shard wave, the shard's queue[lo:hi], on the calling
+// goroutine: the shard's clock at the campaign start, a fresh capacity
+// domain, and the wave's campaigns taking turns in next-event order. Returns the wave's
 // cross-tenant capacity audit findings (contention mode only).
 //
 // The turn order is conservative discrete-event co-simulation. A min-heap
@@ -486,7 +513,7 @@ func Run(env *campaign.Environment, bench *workload.Benchmark, curves workload.C
 // campaign waits at the epoch before its first turn, so setups run in slot
 // order before any virtual time passes.
 func runWave(env *campaign.Environment, bench *workload.Benchmark, curves workload.Curves,
-	sh *shardState, wave []pendingTenant, capMarkets *cloudsim.Markets, cfg Config, results chan<- Result) []invariants.Violation {
+	bat *battery, sh *shardState, lo, hi int, capMarkets *cloudsim.Markets, cfg Config, results chan<- Result) []invariants.Violation {
 
 	w := &waveWorld{env: env, bench: bench, curves: curves, cfg: cfg,
 		world: &campaign.World{Clock: sh.clk}}
@@ -494,15 +521,18 @@ func runWave(env *campaign.Environment, bench *workload.Benchmark, curves worklo
 		w.world.Markets = capMarkets
 		w.world.Domain = cloudsim.NewCapacityDomain(cfg.SurgeSlope)
 	}
-	slots := make([]tenantRun, len(wave))
-	q := make(turnQueue, len(wave)) // equal keys in slot order: already a heap
-	for k, p := range wave {
-		slots[k] = tenantRun{p: p, res: Result{
-			Tenant: p.t, Index: p.index, Shard: sh.idx, Wave: p.wave, Admitted: true, emit: p.emit,
+	n := hi - lo
+	slots := make([]tenantRun, n)
+	q := make(turnQueue, n) // equal keys in slot order: already a heap
+	for k := range slots {
+		pos := int(sh.queue[lo+k])
+		i := bat.at(pos)
+		slots[k] = tenantRun{res: Result{
+			Tenant: bat.tenant(i), Index: i, Shard: sh.idx, Wave: lo / cfg.MaxInFlight, Admitted: true, emit: pos,
 		}}
 		q[k] = turnKey{at: env.CampaignStart.UnixNano(), slot: k}
 	}
-	ledgers := make([]*cloudsim.Ledger, len(wave))
+	ledgers := make([]*cloudsim.Ledger, n)
 	for len(q) > 0 {
 		k := q[0].slot
 		tr := &slots[k]
@@ -548,10 +578,10 @@ type waveWorld struct {
 	cfg    Config
 }
 
-// tenantRun is one wave slot: the tenant, its campaign once started, the
-// clock advance its next turn begins with, and the result it delivers.
+// tenantRun is one wave slot: its campaign once started, the clock advance
+// its next turn begins with, and the result it delivers, which names the
+// tenant.
 type tenantRun struct {
-	p    pendingTenant
 	run  *campaign.Run
 	next time.Time
 	res  Result
@@ -565,7 +595,7 @@ type tenantRun struct {
 func (w *waveWorld) turn(tr *tenantRun) (over bool) {
 	defer func() {
 		if v := recover(); v != nil {
-			tr.res.Err = fmt.Errorf("%w: %s: %v", ErrTenantPanicked, tr.p.t.ID, v)
+			tr.res.Err = fmt.Errorf("%w: %s: %v", ErrTenantPanicked, tr.res.Tenant.ID, v)
 			if tr.run != nil {
 				c := tr.run.Cluster()
 				for _, inst := range c.RunningInstances() {
@@ -600,22 +630,22 @@ func (w *waveWorld) turn(tr *tenantRun) (over bool) {
 
 // start assembles the slot's campaign inside the wave's shared world.
 func (w *waveWorld) start(tr *tenantRun) (*campaign.Run, error) {
-	p := tr.p
+	t := &tr.res.Tenant
 	opt := campaign.Options{
-		Theta:      p.t.Theta,
-		Seed:       p.t.Seed,
-		Policy:     p.t.Policy,
-		Tuner:      p.t.Tuner,
-		Resilience: p.t.Resilience,
-		Deadline:   p.t.Deadline,
-		Budget:     p.t.Budget,
+		Theta:      t.Theta,
+		Seed:       t.Seed,
+		Policy:     t.Policy,
+		Tuner:      t.Tuner,
+		Resilience: t.Resilience,
+		Deadline:   t.Deadline,
+		Budget:     t.Budget,
 		World:      w.world,
-		Trace:      w.cfg.TraceTenant != "" && w.cfg.TraceTenant == p.t.ID,
+		Trace:      w.cfg.TraceTenant != "" && w.cfg.TraceTenant == t.ID,
 	}
 	opt.Inspect = func(d *campaign.RunDetail) error {
 		if tr.res.Trace = d.Trace; tr.res.Trace != nil {
 			tr.res.Trace.Meta.Scenario = "service"
-			tr.res.Trace.Meta.Replicate = p.index
+			tr.res.Trace.Meta.Replicate = tr.res.Index
 		}
 		tr.res.Violations = invariants.Check(scenario.StateFor(d))
 		return nil

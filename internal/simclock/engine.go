@@ -63,6 +63,8 @@ type event struct {
 	at      time.Time
 	atNanos int64 // at.UnixNano(), cached for fast heap compares
 	fn      func(now time.Time)
+	h       Handler // with arg, the event when fn is nil (ScheduleFor)
+	arg     int
 	seq     uint64
 	idx     int // heap position; -1 once fired, cancelled, or popped
 	gen     uint64
@@ -127,7 +129,7 @@ func (v *Virtual) alloc() *event {
 // Bumping gen invalidates every outstanding EventRef.
 func (v *Virtual) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.fn, ev.h = nil, nil
 	ev.idx = -1
 	v.free = append(v.free, ev)
 }
@@ -136,14 +138,35 @@ func (v *Virtual) recycle(ev *event) {
 // at or before the current instant fire on the next advance. The returned
 // EventRef may be cancelled.
 func (v *Virtual) Schedule(at time.Time, fn func(now time.Time)) EventRef {
+	ev := v.push(at)
+	ev.fn = fn
+	return EventRef{ev: ev, gen: ev.gen}
+}
+
+// Handler receives index-keyed events: one value serves every event it is
+// scheduled for, told apart by their arguments, so scheduling one needs no
+// closure.
+type Handler interface {
+	Fire(arg int, now time.Time)
+}
+
+// ScheduleFor registers h.Fire(arg, now) to run when the clock reaches at,
+// with Schedule's ordering, pooling and cancellation.
+func (v *Virtual) ScheduleFor(at time.Time, h Handler, arg int) EventRef {
+	ev := v.push(at)
+	ev.h, ev.arg = h, arg
+	return EventRef{ev: ev, gen: ev.gen}
+}
+
+// push queues a fresh event slot due at at.
+func (v *Virtual) push(at time.Time) *event {
 	v.seq++
 	ev := v.alloc()
 	ev.at = at
 	ev.atNanos = at.UnixNano()
-	ev.fn = fn
 	ev.seq = v.seq
 	v.heapPush(ev)
-	return EventRef{ev: ev, gen: ev.gen}
+	return ev
 }
 
 // NextEventTime returns the due time of the earliest pending event, or
@@ -171,9 +194,13 @@ func (v *Virtual) AdvanceTo(target time.Time) {
 		if ev.at.After(v.now) {
 			v.now = ev.at
 		}
-		fn, now := ev.fn, v.now
+		fn, h, arg, now := ev.fn, ev.h, ev.arg, v.now
 		v.recycle(ev)
-		fn(now)
+		if fn != nil {
+			fn(now)
+		} else {
+			h.Fire(arg, now)
+		}
 	}
 }
 

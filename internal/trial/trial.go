@@ -36,37 +36,48 @@ type PerfModel interface {
 // (zero-based) step k, a pure function of k.
 type StepTimes func(k int) time.Duration
 
-// Replay is a trial whose metric curve is precomputed. It tracks fractional
-// step progress so arbitrary time slices advance it deterministically.
+// Replay is one campaign's run of a trial whose metric curve is
+// precomputed. What the curve alone fixes lives in its Template, shared with
+// every other replay of the curve; a Replay holds only the campaign's own
+// state. It tracks fractional step progress so arbitrary time slices
+// advance it deterministically.
 type Replay struct {
-	id       string
-	maxSteps int
-	curve    []earlycurve.MetricPoint // ground truth, steps ascending
-	perf     PerfModel
-	sizeMB   float64 // modeled checkpoint size
+	tpl  *Template
+	perf PerfModel
 
 	progress float64 // fractional completed steps
 
-	// prefixes caches, per instance type, exact sums of step times from
-	// the step where the trial first ran there (see prefix). A trial runs
-	// on a handful of types, so a slice scan finds the entry.
-	prefixes []prefix
-	// convergeAt caches ConvergeStep results per (window, tol) — the
-	// observed prefix is a pure function of the fixed curve. Campaigns ask
-	// one or two (window, tol) pairs, so a slice scan finds the entry.
-	convergeAt []convEntry
+	// pf is the trial's one step-time prefix, on the type it last priced
+	// a step on; a switch to another type redraws it there (see prefixFor),
+	// reusing its buffer. steps holds each type's draws, fetched from perf
+	// once per type the trial runs on: the first few inline, the rest in
+	// more.
+	pf    prefix
+	steps [4]typeSteps
+	more  []typeSteps
+	// conv is the template's verdict table for the (window, tol) last
+	// asked: campaigns ask one pair, so one comparison finds it.
+	conv *convTable
 	// lastDone/lastIdx memoize observed: lastIdx curve points lie at or
 	// below lastDone completed steps (valid once lastOK).
 	lastDone, lastIdx int
 	lastOK            bool
 }
 
+// typeSteps is one instance type's step times for the trial.
+type typeSteps struct {
+	name  string
+	steps StepTimes
+}
+
 // prefix is one instance type's step-time prefix sums for one trial:
 // cum[j] is the time of steps [start, start+j), so cum[0] = 0. The sums are
 // exact int64 nanoseconds, and every answer Replay derives from a prefix
 // is a difference of two of them, or a float taken on such a difference.
-// So no answer depends on where the prefix starts or how far it was built,
-// and a prefix may start wherever the trial is when it first needs it.
+// So no answer depends on where the prefix starts, how far it was built, or
+// whether it was drawn before: a step time is a pure function of (trial,
+// type, step), so a redraw is the same bits, and a prefix may start
+// wherever the trial is when it needs one.
 type prefix struct {
 	name  string
 	steps StepTimes
@@ -90,45 +101,53 @@ func (p *prefix) extend(upto int, limit int64) {
 	}
 }
 
-// prefixFor returns the trial's prefix on it, made to cover the in-flight
-// step cur (cur < maxSteps). A new prefix starts at cur. One whose drawn
-// steps all lie behind cur restarts there, so no step behind the trial's
-// progress is ever drawn; one that starts after cur (a Restore rewound the
-// trial) is extended backward, keeping the steps it holds ahead of cur.
-// Prefixes are allocated at the capacity they can ever need from their
-// start, so extending one forward never reallocates.
-func (r *Replay) prefixFor(it market.InstanceType, cur int) *prefix {
-	var p *prefix
-	for i := range r.prefixes {
-		if r.prefixes[i].name == it.Name {
-			p = &r.prefixes[i]
-			break
+// stepsOn returns the trial's step times on it, asking the perf model the
+// first time the trial prices a step there.
+func (r *Replay) stepsOn(it market.InstanceType) StepTimes {
+	for i := range r.steps {
+		switch e := &r.steps[i]; {
+		case e.steps == nil:
+			e.name, e.steps = it.Name, r.perf.Steps(it, r.tpl.id)
+			return e.steps
+		case e.name == it.Name:
+			return e.steps
 		}
 	}
-	switch {
-	case p == nil:
-		if r.prefixes == nil {
-			r.prefixes = make([]prefix, 0, 4) // a trial runs on a handful of types
+	for _, e := range r.more {
+		if e.name == it.Name {
+			return e.steps
 		}
-		r.prefixes = append(r.prefixes, prefix{
-			name:  it.Name,
-			steps: r.perf.Steps(it, r.id),
-			start: cur,
-			cum:   make([]int64, 1, r.maxSteps-cur+1),
-		})
-		p = &r.prefixes[len(r.prefixes)-1]
+	}
+	s := r.perf.Steps(it, r.tpl.id)
+	r.more = append(r.more, typeSteps{name: it.Name, steps: s})
+	return s
+}
+
+// prefixFor returns the trial's prefix on it, made to cover the in-flight
+// step cur (cur < maxSteps). A prefix on another type, or one whose drawn
+// steps all lie behind cur, restarts at cur on it, so no step behind the
+// trial's progress is ever drawn; one that starts after cur (a Restore
+// rewound the trial) is extended backward in place, keeping the steps it
+// holds ahead of cur. The buffer holds every step from 0 to maxSteps, so
+// neither ever reallocates.
+func (r *Replay) prefixFor(it market.InstanceType, cur int) *prefix {
+	p := &r.pf
+	switch {
+	case p.steps == nil || p.name != it.Name:
+		p.name, p.steps, p.start, p.cum = it.Name, r.stepsOn(it), cur, p.cum[:1]
 	case cur > p.end():
 		p.start, p.cum = cur, p.cum[:1]
 	case cur < p.start:
-		cum := make([]int64, p.start-cur+1, r.maxSteps-cur+1)
+		shift, n := p.start-cur, len(p.cum)
+		p.cum = p.cum[:n+shift]
+		copy(p.cum[shift:], p.cum[:n])
 		for k := cur; k < p.start; k++ {
-			cum[k-cur+1] = cum[k-cur] + max(int64(p.steps(k)), 1)
+			p.cum[k-cur+1] = p.cum[k-cur] + max(int64(p.steps(k)), 1)
 		}
-		shift := cum[len(cum)-1]
-		for _, c := range p.cum[1:] {
-			cum = append(cum, shift+c)
+		for j, front := shift+1, p.cum[shift]; j < n+shift; j++ {
+			p.cum[j] += front
 		}
-		p.start, p.cum = cur, cum
+		p.start = cur
 	}
 	p.extend(cur+1, math.MaxInt64)
 	return p
@@ -150,54 +169,54 @@ func (r *Replay) position(it market.InstanceType) (*prefix, int64) {
 	return p, at
 }
 
-type convKey struct {
-	window int
-	tol    float64
-}
-
-type convVal struct {
-	step int
-	ok   bool
-}
-
-type convEntry struct {
-	key convKey
-	val convVal
-}
-
-// NewReplay builds a replay trial. The curve must be non-empty, strictly
-// increasing in step, and its last point must be at maxSteps (the true final
-// metric).
+// NewReplay builds a replay trial on a template of its own. The curve must
+// be non-empty, strictly increasing in step, and its last point must be at
+// maxSteps (the true final metric). Campaigns that replay one curve many
+// times share its template instead (Replays).
 func NewReplay(id string, maxSteps int, curve []earlycurve.MetricPoint, perf PerfModel, checkpointMB float64) (*Replay, error) {
-	if len(curve) == 0 {
-		return nil, fmt.Errorf("trial: %s has an empty curve", id)
+	tpl, err := NewTemplate(id, maxSteps, curve, checkpointMB)
+	if err != nil {
+		return nil, err
 	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Step <= curve[i-1].Step {
-			return nil, fmt.Errorf("trial: %s curve not increasing at %d", id, i)
-		}
+	rs, err := Replays([]*Template{tpl}, perf)
+	if err != nil {
+		return nil, err
 	}
-	if curve[len(curve)-1].Step != maxSteps {
-		return nil, fmt.Errorf("trial: %s curve ends at step %d, want maxSteps %d",
-			id, curve[len(curve)-1].Step, maxSteps)
-	}
+	return rs[0], nil
+}
+
+// Replays starts one campaign's replay of each template, all on perf: the
+// replays in one slab, their step-time prefix buffers in another.
+func Replays(tpls []*Template, perf PerfModel) ([]*Replay, error) {
 	if perf == nil {
-		return nil, fmt.Errorf("trial: %s has no perf model", id)
+		return nil, errors.New("trial: no perf model")
 	}
-	if checkpointMB <= 0 {
-		checkpointMB = 1
+	n := 0
+	for _, t := range tpls {
+		n += t.maxSteps + 1
 	}
-	return &Replay{id: id, maxSteps: maxSteps, curve: curve, perf: perf, sizeMB: checkpointMB}, nil
+	cums := make([]int64, n)
+	slab := make([]Replay, len(tpls))
+	out := make([]*Replay, len(tpls))
+	for i, t := range tpls {
+		slab[i] = Replay{tpl: t, perf: perf}
+		slab[i].pf.cum, cums = cums[:1:t.maxSteps+1], cums[t.maxSteps+1:]
+		out[i] = &slab[i]
+	}
+	return out, nil
 }
 
 // ID returns the trial identifier (the HP setting's ID).
-func (r *Replay) ID() string { return r.id }
+func (r *Replay) ID() string { return r.tpl.id }
 
 // MaxSteps returns max_trial_steps.
-func (r *Replay) MaxSteps() int { return r.maxSteps }
+func (r *Replay) MaxSteps() int { return r.tpl.maxSteps }
 
 // CheckpointMB returns the modeled checkpoint size.
-func (r *Replay) CheckpointMB() float64 { return r.sizeMB }
+func (r *Replay) CheckpointMB() float64 { return r.tpl.sizeMB }
+
+// CheckpointKey is the object-store key of the trial's checkpoint.
+func (r *Replay) CheckpointKey() string { return r.tpl.ckptKey }
 
 // CompletedSteps returns whole completed steps.
 func (r *Replay) CompletedSteps() int { return int(r.progress) }
@@ -224,8 +243,8 @@ func plus(base int64, d time.Duration) int64 {
 // same progress as spent at once, and a slice that ends on a step boundary
 // leaves the progress on that whole step.
 func (r *Replay) RunFor(it market.InstanceType, budget time.Duration, stepLimit int) (steps int, used time.Duration) {
-	if stepLimit <= 0 || stepLimit > r.maxSteps {
-		stepLimit = r.maxSteps
+	if stepLimit <= 0 || stepLimit > r.tpl.maxSteps {
+		stepLimit = r.tpl.maxSteps
 	}
 	if budget <= 0 || r.progress >= float64(stepLimit) {
 		return 0, 0
@@ -270,8 +289,8 @@ func (r *Replay) RunFor(it market.InstanceType, budget time.Duration, stepLimit 
 // steps only that far: schedulers use it to ask "does this trial finish
 // before its restart horizon?" without pricing the whole trajectory.
 func (r *Replay) TimeToReach(it market.InstanceType, targetSteps int, limit time.Duration) (need time.Duration, ok bool) {
-	if targetSteps > r.maxSteps {
-		targetSteps = r.maxSteps
+	if targetSteps > r.tpl.maxSteps {
+		targetSteps = r.tpl.maxSteps
 	}
 	if r.progress >= float64(targetSteps) {
 		return 0, true
@@ -295,23 +314,21 @@ func (r *Replay) TimeToReach(it market.InstanceType, targetSteps int, limit time
 // does. Because the observed prefix is a pure function of the completed step
 // count, this is precomputable: an event-driven orchestrator can treat the
 // convergence point as a step target instead of re-testing the curve on a
-// poll grid. Results are memoized per (window, tol).
+// poll grid. The template computes it once per (window, tol) for every
+// replay of the curve.
 func (r *Replay) ConvergeStep(window int, tol float64) (int, bool) {
-	key := convKey{window: window, tol: tol}
-	for _, e := range r.convergeAt {
-		if e.key == key {
-			return e.val.step, e.val.ok
-		}
+	c := r.convergence(window, tol)
+	return c.step, c.ok
+}
+
+// convergence is the template's verdict table for (window, tol), through
+// the replay's one-entry cache.
+func (r *Replay) convergence(window int, tol float64) *convTable {
+	if c := r.conv; c != nil && c.window == window && c.tol == tol {
+		return c
 	}
-	v := convVal{}
-	for i, p := range r.curve {
-		if earlycurve.Converged(r.curve[:i+1], window, tol) {
-			v = convVal{step: p.Step, ok: true}
-			break
-		}
-	}
-	r.convergeAt = append(r.convergeAt, convEntry{key: key, val: v})
-	return v.step, v.ok
+	r.conv = r.tpl.convergence(window, tol)
+	return r.conv
 }
 
 // Points returns the metric points observed so far (curve entries at or
@@ -321,7 +338,7 @@ func (r *Replay) ConvergeStep(window int, tol float64) (int, bool) {
 // writing into the curve. Allocation-free.
 func (r *Replay) Points() []earlycurve.MetricPoint {
 	n := r.observed()
-	return r.curve[:n:n]
+	return r.tpl.curve[:n:n]
 }
 
 // LastPoint returns the most recent observed metric point (ok=false before
@@ -332,7 +349,7 @@ func (r *Replay) LastPoint() (earlycurve.MetricPoint, bool) {
 	if n == 0 {
 		return earlycurve.MetricPoint{}, false
 	}
-	return r.curve[n-1], true
+	return r.tpl.curve[n-1], true
 }
 
 // observed returns how many curve points lie at or below the completed
@@ -340,13 +357,13 @@ func (r *Replay) LastPoint() (earlycurve.MetricPoint, bool) {
 // memoized index; a rewind (restore) searches.
 func (r *Replay) observed() int {
 	if done := r.CompletedSteps(); !r.lastOK || done != r.lastDone {
-		i := r.lastIdx
+		curve, i := r.tpl.curve, r.lastIdx
 		if r.lastOK && done > r.lastDone {
-			for i < len(r.curve) && r.curve[i].Step <= done {
+			for i < len(curve) && curve[i].Step <= done {
 				i++
 			}
 		} else {
-			i = sort.Search(len(r.curve), func(i int) bool { return r.curve[i].Step > done })
+			i = sort.Search(len(curve), func(i int) bool { return curve[i].Step > done })
 		}
 		r.lastDone, r.lastIdx, r.lastOK = done, i, true
 	}
@@ -354,7 +371,7 @@ func (r *Replay) observed() int {
 }
 
 // TrueFinal returns the ground-truth final metric (the curve's last value).
-func (r *Replay) TrueFinal() float64 { return r.curve[len(r.curve)-1].Value }
+func (r *Replay) TrueFinal() float64 { return r.tpl.curve[len(r.tpl.curve)-1].Value }
 
 // ckptMagic guards the checkpoint wire format: a version byte, the trial ID
 // (uvarint length prefix), and the progress float bits. Campaigns write a
@@ -378,30 +395,37 @@ func appendCheckpoint(dst []byte, id string, progress float64) []byte {
 // trial-identity and range checks on top; invariant checkers use the raw
 // decode to audit every blob in object storage against live trial state.
 func DecodeCheckpoint(data []byte) (id string, progress float64, err error) {
+	raw, progress, err := decodeCheckpoint(data)
+	return string(raw), progress, err
+}
+
+// decodeCheckpoint is DecodeCheckpoint with the ID left in place: a view
+// of data's bytes, so a restore checks it without allocating.
+func decodeCheckpoint(data []byte) (id []byte, progress float64, err error) {
 	if len(data) < 2 || data[0] != ckptMagic {
-		return "", 0, errors.New("trial: bad checkpoint header")
+		return nil, 0, errors.New("trial: bad checkpoint header")
 	}
 	rest := data[1:]
 	n, k := binary.Uvarint(rest)
 	if k <= 0 {
-		return "", 0, errors.New("trial: truncated checkpoint")
+		return nil, 0, errors.New("trial: truncated checkpoint")
 	}
 	if k > 1 && rest[k-1] == 0 {
 		// Reject non-minimal varints (0x80… padding): only our encoder
 		// writes blobs, and accepting them would give one checkpoint many
 		// byte representations (decode∘encode must be the identity).
-		return "", 0, errors.New("trial: non-canonical checkpoint length")
+		return nil, 0, errors.New("trial: non-canonical checkpoint length")
 	}
 	rest = rest[k:]
 	// Compare against the remaining length without adding to n, which a
 	// malformed blob can place near 2^64 to overflow the bound check.
 	if n > uint64(len(rest)) || uint64(len(rest))-n < 8 {
-		return "", 0, errors.New("trial: truncated checkpoint")
+		return nil, 0, errors.New("trial: truncated checkpoint")
 	}
 	if uint64(len(rest))-n > 8 {
-		return "", 0, errors.New("trial: trailing bytes after checkpoint")
+		return nil, 0, errors.New("trial: trailing bytes after checkpoint")
 	}
-	id = string(rest[:n])
+	id = rest[:n:n]
 	progress = math.Float64frombits(binary.BigEndian.Uint64(rest[n : n+8]))
 	return id, progress, nil
 }
@@ -412,22 +436,23 @@ func DecodeCheckpoint(data []byte) (id string, progress float64, err error) {
 // hourly restart and revocation can reuse one buffer for the whole campaign
 // (the object store copies blobs on PutSized).
 func (r *Replay) AppendCheckpoint(dst []byte) []byte {
-	return appendCheckpoint(dst, r.id, r.progress)
+	return appendCheckpoint(dst, r.tpl.id, r.progress)
 }
 
 // Restore loads an AppendCheckpoint blob. Progress can only move backward if the
 // checkpoint is older than current state — which is exactly what happens
 // when an instance dies without a checkpoint and the trial resumes from an
-// earlier one.
+// earlier one. The blob is only read, during the call, so it may be a view
+// of the store's copy.
 func (r *Replay) Restore(data []byte) error {
-	id, progress, err := DecodeCheckpoint(data)
+	id, progress, err := decodeCheckpoint(data)
 	if err != nil {
-		return fmt.Errorf("trial: decoding %s: %w", r.id, err)
+		return fmt.Errorf("trial: decoding %s: %w", r.tpl.id, err)
 	}
-	if id != r.id {
-		return fmt.Errorf("trial: checkpoint for %q restored into %q", id, r.id)
+	if string(id) != r.tpl.id {
+		return fmt.Errorf("trial: checkpoint for %q restored into %q", id, r.tpl.id)
 	}
-	if progress < 0 || progress > float64(r.maxSteps) || math.IsNaN(progress) {
+	if progress < 0 || progress > float64(r.tpl.maxSteps) || math.IsNaN(progress) {
 		return fmt.Errorf("trial: checkpoint progress %v out of range", progress)
 	}
 	r.progress = progress
@@ -435,27 +460,21 @@ func (r *Replay) Restore(data []byte) error {
 }
 
 // Plateaued is the single authoritative convergence verdict for the
-// currently observed prefix (§III-C's plateau special case): the memoized
-// minimal-converging-prefix precheck (ConvergeStep), then the exact
-// Converged test on the observed values. The precheck is sound — no prefix
-// shorter than the minimal converging one can satisfy Converged — so this
-// is the plain Converged verdict at amortized O(1) until the trial actually
-// reaches its plateau step. Every consumer of "has this trial converged
-// right now?" (the orchestrator's round executor, the tuner-visible
-// TrialStatus) goes through here, so schedulers and tuners can never
-// observe disagreeing plateau verdicts for the same trial state.
+// currently observed prefix (§III-C's plateau special case): whether the
+// observed curve has plateaued, earlycurve.Converged(Points(), window, tol),
+// read from the template's verdict table for the observed point count.
+// Every consumer of "has this trial converged right now?" (the
+// orchestrator's round executor, the tuner-visible TrialStatus) goes
+// through here, so schedulers and tuners can never observe disagreeing
+// plateau verdicts for the same trial state.
 func (r *Replay) Plateaued(window int, tol float64) bool {
-	cs, ok := r.ConvergeStep(window, tol)
-	if !ok || r.CompletedSteps() < cs {
-		return false
-	}
-	return r.Converged(window, tol)
+	return r.convergence(window, tol).plateau[r.observed()]
 }
 
-// Converged reports whether the observed curve has plateaued (the special
-// case of §III-C: stop a trial that converges before θ·max_trial_steps).
-// Exact but O(curve); callers on hot paths should use Plateaued, which
-// prechecks via the memoized ConvergeStep before paying for this.
-func (r *Replay) Converged(window int, tol float64) bool {
-	return earlycurve.Converged(r.Points(), window, tol)
+// Trend returns the trial's trend predictor over inner: EarlyCurve
+// predictions over a prefix view of this trial's curve (what Points
+// returns) come from the template's memo, shared by every campaign that
+// replays the curve; everything else goes to inner.
+func (r *Replay) Trend(inner earlycurve.TrendPredictor) Trend {
+	return Trend{tpl: r.tpl, inner: inner}
 }

@@ -227,12 +227,12 @@ func TestConvergedDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.RunFor(small, secs(80), 0)
-	if !r.Converged(5, 0.01) {
+	if !earlycurve.Converged(r.Points(), 5, 0.01) || !r.Plateaued(5, 0.01) {
 		t.Error("flat curve not converged")
 	}
 	r2 := mkReplay(t)
 	r2.RunFor(small, secs(80), 0)
-	if r2.Converged(5, 0.01) {
+	if earlycurve.Converged(r2.Points(), 5, 0.01) || r2.Plateaued(5, 0.01) {
 		t.Error("1/x curve wrongly converged early")
 	}
 }
@@ -354,7 +354,7 @@ func TestPlateauedAgreesWithExactConverged(t *testing.T) {
 	for name, r := range curves {
 		for step := 0; step <= r.MaxSteps(); step++ {
 			r.progress = float64(step)
-			exact := len(r.Points()) > 0 && r.Converged(window, tol)
+			exact := len(r.Points()) > 0 && earlycurve.Converged(r.Points(), window, tol)
 			if got := r.Plateaued(window, tol); got != exact {
 				t.Fatalf("%s at step %d: Plateaued=%v, exact Converged=%v", name, step, got, exact)
 			}
@@ -398,7 +398,7 @@ func TestLastPointMemoFollowsProgress(t *testing.T) {
 	ref := func() (earlycurve.MetricPoint, bool) {
 		var last earlycurve.MetricPoint
 		found := false
-		for _, p := range r.curve {
+		for _, p := range r.tpl.curve {
 			if p.Step > r.CompletedSteps() {
 				break
 			}
@@ -513,9 +513,10 @@ func (p *aheadPerf) Steps(it market.InstanceType, hp string) StepTimes {
 // a step), reach queries with limits on both sides of the need, and Restore
 // rewinds to earlier checkpoints. The first replay builds its prefixes as a
 // campaign does, from where the trial is, and must never draw a step behind
-// it; before every operation the second has each type's prefix start at
-// step 0 and cover the in-flight step, and the third has it built to
-// MaxSteps. Every result must agree bit for bit. A fourth replay spends
+// it; before every operation the second has its prefix on the operation's
+// type start at step 0 and cover the in-flight step, and the third has it
+// built to MaxSteps, while the first and fourth switch types as they go and
+// redraw there. Every result must agree bit for bit. A fourth replay spends
 // each slice's budget in two random parts and must end on the same
 // progress bits, steps and time used.
 func TestPrefixStartAndLengthDoNotChangeResults(t *testing.T) {
@@ -538,18 +539,16 @@ func TestPrefixStartAndLengthDoNotChangeResults(t *testing.T) {
 		ahead := &aheadPerf{PerfModel: perf, t: t}
 		natural, origin, far, split := mk(ahead), mk(perf), mk(perf), mk(perf)
 		ahead.r = natural
-		prep := func(r *Replay, upto int) {
+		prep := func(r *Replay, it market.InstanceType, upto int) {
 			if cur := int(r.progress); cur < maxSteps {
-				for _, it := range types {
-					r.prefixFor(it, 0).extend(max(upto, cur+1), math.MaxInt64)
-				}
+				r.prefixFor(it, 0).extend(max(upto, cur+1), math.MaxInt64)
 			}
 		}
 		var ckpts [][]byte
 		for op := 0; op < 60; op++ {
-			prep(origin, 0)
-			prep(far, maxSteps)
 			it := types[rng.IntN(len(types))]
+			prep(origin, it, 0)
+			prep(far, it, maxSteps)
 			target := rng.IntN(maxSteps + 3)
 			switch rng.IntN(4) {
 			case 0, 1:

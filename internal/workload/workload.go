@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"spottune/internal/earlycurve"
 	"spottune/internal/market"
@@ -256,20 +257,93 @@ func (b *Benchmark) SyntheticCurves(seed uint64) Curves {
 
 // Trials builds one Replay trial per HP from recorded (or synthetic) curves.
 func (b *Benchmark) Trials(curves Curves, perfSeed uint64) ([]*trial.Replay, error) {
-	perf := b.PerfModel(perfSeed)
-	out := make([]*trial.Replay, 0, len(b.HPs))
-	for _, hp := range b.HPs {
+	return (*TemplateCache)(nil).Trials(b, curves, perfSeed)
+}
+
+// TemplateCache holds the trial templates of the curves campaigns replay
+// (trial.Template): an environment keeps one and shares it with every
+// campaign it runs, so what a curve alone fixes (validation, checkpoint key,
+// plateau verdicts, EarlyCurve predictions) is computed once per curve, not
+// once per campaign. A template is keyed by benchmark, HP ID and curve
+// identity (the curve slice's first element and length), so a hit replays
+// exactly the curve asked for; curves are read-only once replayed, so
+// identity implies content. The cache is size-capped like
+// earlycurve.FitMemo: once full it stops learning but keeps serving hits,
+// and misses build unshared templates.
+//
+// A TemplateCache is safe for concurrent use. Templates are built outside
+// its lock; when two campaigns miss the same curve at once, the first store
+// is kept and both use it.
+type TemplateCache struct {
+	mu   sync.Mutex
+	tpls map[templateKey]*trial.Template
+}
+
+// templateCap bounds a cache's templates. A template holds one verdict
+// per curve point for each (window, tol) asked and at most 64 memoized
+// predictions, a few KiB, so a full cache stays at a few MiB beside the
+// curves it keeps alive, like the fit memo beside it, even when a caller
+// replays fresh curves on one environment forever. An environment's
+// benchmarks have tens of HPs each, far below the cap.
+const templateCap = 1 << 10
+
+type templateKey struct {
+	bench *Benchmark
+	hp    string
+	curve *earlycurve.MetricPoint // first point: the curve's identity, with n
+	n     int
+}
+
+// NewTemplateCache returns an empty template cache.
+func NewTemplateCache() *TemplateCache {
+	return &TemplateCache{tpls: make(map[templateKey]*trial.Template)}
+}
+
+// Trials builds one Replay trial per HP of b, in HP order, from curves, on
+// b's perf model at perfSeed, replaying the cached template of each curve. A
+// nil cache builds every template afresh.
+func (c *TemplateCache) Trials(b *Benchmark, curves Curves, perfSeed uint64) ([]*trial.Replay, error) {
+	tpls := make([]*trial.Template, len(b.HPs))
+	for i, hp := range b.HPs {
 		curve, ok := curves[hp.ID]
 		if !ok {
 			return nil, fmt.Errorf("workload: no curve for %s/%s", b.Name, hp.ID)
 		}
-		r, err := trial.NewReplay(hp.ID, b.MaxTrialSteps, curve, perf, b.CheckpointMB)
+		tpl, err := c.template(b, hp.ID, curve)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, r)
+		tpls[i] = tpl
 	}
-	return out, nil
+	return trial.Replays(tpls, b.PerfModel(perfSeed))
+}
+
+// template returns the cached template of one curve, building and caching
+// it on a miss.
+func (c *TemplateCache) template(b *Benchmark, hpID string, curve []earlycurve.MetricPoint) (*trial.Template, error) {
+	if c == nil || len(curve) == 0 {
+		return trial.NewTemplate(hpID, b.MaxTrialSteps, curve, b.CheckpointMB)
+	}
+	key := templateKey{bench: b, hp: hpID, curve: &curve[0], n: len(curve)}
+	c.mu.Lock()
+	tpl := c.tpls[key]
+	c.mu.Unlock()
+	if tpl != nil {
+		return tpl, nil
+	}
+	tpl, err := trial.NewTemplate(hpID, b.MaxTrialSteps, curve, b.CheckpointMB)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prev := c.tpls[key]; prev != nil {
+		return prev, nil
+	}
+	if len(c.tpls) < templateCap {
+		c.tpls[key] = tpl
+	}
+	return tpl, nil
 }
 
 func unit(h uint64) float64 { return float64(h%100003) / 100003 }
